@@ -24,11 +24,13 @@
 //
 // The -engine flag selects the execution engine behind every server
 // machine (the simulated-cycle numbers are engine-independent by
-// construction; only wall-clock -wall runs differ):
+// construction; only wall-clock -wall runs differ). The campaign and
+// strategysearch experiments build their own instances and always run
+// the library default, which is codegen for the five servers:
 //
 //	fobench -engine compiled         # compiled closure IR (default)
 //	fobench -engine treewalk         # AST-walking reference engine
-//	fobench -engine codegen          # ahead-of-time generated Go (internal/gencorpus)
+//	fobench -engine codegen          # ahead-of-time generated Go (internal/genservers)
 //
 // Profiling (any experiment, including "all"; a test keeps these lines in
 // sync with the registered flags):
@@ -50,7 +52,7 @@ import (
 	"time"
 
 	"focc/fo"
-	_ "focc/internal/gencorpus" // registers the servers' generated engines (-engine codegen)
+	_ "focc/internal/genservers" // registers the servers' generated engines (-engine codegen)
 	"focc/internal/harness"
 	"focc/internal/inject"
 	"focc/internal/serve"
@@ -59,21 +61,30 @@ import (
 )
 
 // engineHook is the -engine selection, applied to every server machine
-// configuration; nil means the default compiled closure-IR engine.
+// configuration; nil leaves the choice to fo.Program.NewMachine, which
+// runs the servers' generated engine (linked into this binary).
 var engineHook servers.ConfigHook
 
-// setEngine translates the -engine flag into engineHook.
+// setEngine translates the -engine flag into engineHook. Every named
+// engine is pinned explicitly in the machine configuration: "compiled"
+// must not fall through to the library default, which is codegen here.
+// The empty name selects that default.
 func setEngine(name string) error {
+	var engine fo.Engine
 	switch name {
-	case "", "compiled":
+	case "":
 		engineHook = nil
+		return nil
 	case "treewalk":
-		engineHook = func(cfg *fo.MachineConfig) { cfg.TreeWalk = true }
+		engine = fo.EngineTreeWalk
+	case "compiled":
+		engine = fo.EngineCompiled
 	case "codegen":
-		engineHook = func(cfg *fo.MachineConfig) { cfg.UseGenerated = true }
+		engine = fo.EngineGenerated
 	default:
 		return fmt.Errorf("unknown engine %q (want treewalk, compiled, or codegen)", name)
 	}
+	engineHook = func(cfg *fo.MachineConfig) { cfg.Engine = engine }
 	return nil
 }
 

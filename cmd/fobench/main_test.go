@@ -50,28 +50,45 @@ func TestLoadtestExperiment(t *testing.T) {
 
 // TestEngineSelection pins the -engine axis: the same Pine request runs on
 // all three engines (codegen resolves the server's generated code from the
-// checked-in internal/gencorpus registration) and must burn the identical
+// checked-in internal/genservers registration) and must burn the identical
 // number of simulated cycles — the engine changes wall-clock dispatch cost
-// only, never the cost model. Unknown engine names are rejected up front.
+// only, never the cost model. Each name must run the engine it names (the
+// library default, selected by the empty name, is codegen whenever it is
+// registered, so "compiled" must not fall through to it). Unknown engine
+// names are rejected up front.
 func TestEngineSelection(t *testing.T) {
 	defer func(h func(*fo.MachineConfig)) { engineHook = h }(engineHook)
 	req := mustServer("pine").LegitRequests()[0]
 	var cycles []uint64
-	for _, engine := range []string{"treewalk", "compiled", "codegen"} {
-		if err := setEngine(engine); err != nil {
-			t.Fatalf("setEngine(%q): %v", engine, err)
+	for _, c := range []struct {
+		name string
+		want fo.Engine
+	}{
+		{"treewalk", fo.EngineTreeWalk},
+		{"compiled", fo.EngineCompiled},
+		{"codegen", fo.EngineGenerated},
+		{"", fo.EngineGenerated},
+	} {
+		if err := setEngine(c.name); err != nil {
+			t.Fatalf("setEngine(%q): %v", c.name, err)
 		}
 		inst, err := mustServer("pine").New(fo.FailureOblivious)
 		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+			t.Fatalf("%q: %v", c.name, err)
+		}
+		if got := inst.(interface{ Machine() *fo.Machine }).Machine().Engine(); got != c.want {
+			t.Errorf("-engine %q runs %v, want %v", c.name, got, c.want)
 		}
 		if resp := inst.Handle(req); resp.Outcome != fo.OutcomeOK {
-			t.Fatalf("%s: %v", engine, resp.Outcome)
+			t.Fatalf("%q: %v", c.name, resp.Outcome)
 		}
 		cycles = append(cycles, inst.Cycles())
 	}
-	if cycles[0] != cycles[1] || cycles[1] != cycles[2] {
-		t.Errorf("sim cycles diverge across engines: %v", cycles)
+	for i := 1; i < len(cycles); i++ {
+		if cycles[i] != cycles[0] {
+			t.Errorf("sim cycles diverge across engines: %v", cycles)
+			break
+		}
 	}
 	if err := setEngine("jit"); err == nil {
 		t.Error("expected error for unknown engine")

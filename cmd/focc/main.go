@@ -20,8 +20,8 @@
 //	focc -emit-go -pkg mypkg -o prog_gen.go prog.c
 //
 // The emitted file registers itself by source hash at init time; linking
-// it into a binary makes fo.MachineConfig{UseGenerated: true} select it
-// for the same (filename, source) pair.
+// it into a binary makes fo.Program.NewMachine run it by default for the
+// same (filename, source) pair (fo.EngineGenerated requires it).
 package main
 
 import (

@@ -1,12 +1,18 @@
-// Command gencorpus regenerates internal/gencorpus: the checked-in,
-// ahead-of-time generated Go code (see internal/gen) for the engine-diff
-// corpus — the nine dispatch/integration programs, the simulated-cycle
-// pin workload (under both of its compile identities), the three
-// engine-diff torture fixtures, a deterministic prefix of the randomized
-// expression differential, and the five paper servers. Each program
-// registers itself by source hash at init time; tests and benchmarks
-// select the generated engine with fo.MachineConfig{UseGenerated: true}
-// (or interp.Config.Generated) without compiling Go at test time.
+// Command gencorpus regenerates the checked-in, ahead-of-time generated
+// Go code (see internal/gen) in two packages:
+//
+//   - internal/genservers: the five paper servers, and nothing else.
+//     fo/srv links it, so every serving instance runs generated code by
+//     default (fo.Program.NewMachine picks a registered generated engine).
+//   - internal/gencorpus: the test corpus — the nine dispatch/integration
+//     programs, the simulated-cycle pin workload (under both of its
+//     compile identities), the engine-diff torture fixtures, and a
+//     deterministic prefix of the randomized expression differential.
+//     Only tests and benchmarks link it.
+//
+// Each program registers itself by source hash at init time, so linking a
+// package is enough to run its programs on the generated engine without
+// compiling Go at test time.
 //
 // Regenerate with:
 //
@@ -17,7 +23,9 @@
 //	go run ./cmd/gencorpus -out internal/gencorpus
 //
 // CI runs the former and fails on git diff, so the checked-in code can
-// never drift from the emitter or the corpus sources.
+// never drift from the emitter or the sources. This command must never
+// import either generated package (a test pins that): a broken emitter
+// then cannot produce code that blocks its own regeneration.
 package main
 
 import (
@@ -42,7 +50,10 @@ import (
 type fixture struct {
 	// file is the output basename (without _gen.go); also the identifier
 	// prefix, so it must be a valid Go identifier fragment.
-	file     string
+	file string
+	// server places the fixture in the servers package instead of the
+	// test corpus.
+	server   bool
 	filename string // compile identity (part of the source hash)
 	src      string
 	compile  func(filename, src string) (*sema.Program, error)
@@ -77,11 +88,11 @@ func fixtures() []fixture {
 		fixture{file: "diff_datashapes", filename: corpus.FileName, src: corpus.SrcDataShapes, compile: corpus.CompileCPP},
 		fixture{file: "diff_batchepoch", filename: corpus.FileName, src: corpus.SrcBatchEpoch, compile: corpus.CompileCPP},
 		// The five paper servers, under their fo.Compile identities.
-		fixture{file: "server_pine", filename: "pine.c", src: pine.Source, compile: compileFO},
-		fixture{file: "server_apache", filename: "apache.c", src: apache.Source, compile: compileFO},
-		fixture{file: "server_sendmail", filename: "sendmail.c", src: sendmail.Source, compile: compileFO},
-		fixture{file: "server_mc", filename: "mc.c", src: mc.Source, compile: compileFO},
-		fixture{file: "server_mutt", filename: "mutt.c", src: mutt.Source, compile: compileFO},
+		fixture{file: "server_pine", server: true, filename: "pine.c", src: pine.Source, compile: compileFO},
+		fixture{file: "server_apache", server: true, filename: "apache.c", src: apache.Source, compile: compileFO},
+		fixture{file: "server_sendmail", server: true, filename: "sendmail.c", src: sendmail.Source, compile: compileFO},
+		fixture{file: "server_mc", server: true, filename: "mc.c", src: mc.Source, compile: compileFO},
+		fixture{file: "server_mutt", server: true, filename: "mutt.c", src: mutt.Source, compile: compileFO},
 	)
 	for i, tr := range corpus.QuickTrials(corpus.QuickGenTrials) {
 		fs = append(fs, fixture{
@@ -110,17 +121,22 @@ func toIdent(s string) string {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gencorpus: ")
-	out := flag.String("out", ".", "output directory (the internal/gencorpus package)")
+	out := flag.String("out", ".", "output directory (the internal/gencorpus package); the servers go to its sibling genservers")
 	flag.Parse()
+	serversOut := filepath.Join(*out, "..", "genservers")
 
 	for _, fx := range fixtures() {
 		prog, err := fx.compile(fx.filename, fx.src)
 		if err != nil {
 			log.Fatalf("%s: compile: %v", fx.file, err)
 		}
+		pkg, dir := "gencorpus", *out
+		if fx.server {
+			pkg, dir = "genservers", serversOut
+		}
 		hash := interp.SourceHash(fx.filename, fx.src)
 		code, err := gen.Emit(prog, gen.Options{
-			Package:  "gencorpus",
+			Package:  pkg,
 			Prefix:   fx.file + "_",
 			Hash:     hash,
 			Register: true,
@@ -128,7 +144,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: emit: %v", fx.file, err)
 		}
-		path := filepath.Join(*out, fx.file+"_gen.go")
+		path := filepath.Join(dir, fx.file+"_gen.go")
 		if err := os.WriteFile(path, code, 0o644); err != nil {
 			log.Fatalf("%s: %v", fx.file, err)
 		}

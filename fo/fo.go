@@ -101,6 +101,24 @@ type (
 	ContextGenerator = core.ContextGenerator
 )
 
+// Engine names an execution engine; see MachineConfig.Engine.
+type Engine = interp.Engine
+
+// Execution engines. All three produce identical results, event logs and
+// simulated cycles; they differ in wall-clock dispatch cost only.
+const (
+	// EngineAuto runs the generated engine when one is registered for
+	// the program, else the compiled IR (Program.NewMachine).
+	EngineAuto = interp.EngineAuto
+	// EngineTreeWalk is the AST-walking reference evaluator.
+	EngineTreeWalk = interp.EngineTreeWalk
+	// EngineCompiled is the closure-compiled instruction IR.
+	EngineCompiled = interp.EngineCompiled
+	// EngineGenerated is the ahead-of-time generated Go code
+	// (focc -emit-go), linked in by importing its package.
+	EngineGenerated = interp.EngineGenerated
+)
+
 // Outcome values.
 const (
 	OutcomeOK                  = interp.OutcomeOK
@@ -154,7 +172,9 @@ type Program struct {
 	// immutable result is shared by every machine created from it — every
 	// instance in a serving pool, warm spares, and crash replacements all
 	// skip re-lowering (and the per-machine frame-spec/label-scan work the
-	// tree-walk engine repays per instance).
+	// tree-walk engine repays per instance). A program whose generated
+	// engine is registered never lowers unless a machine asks for the
+	// compiled engine by name.
 	lowerOnce sync.Once
 	compiled  *interp.CompiledProgram
 }
@@ -279,25 +299,41 @@ func (p *Program) Compiled() *interp.CompiledProgram {
 
 // NewMachine creates a fresh program instance ("process") under cfg. The
 // libc builtins are installed automatically; cfg.Builtins entries override
-// or extend them. Instances execute the program's compiled instruction IR
-// (lowered once per Program, shared by all machines) unless cfg.TreeWalk
-// selects the AST-walking reference engine or cfg.Compiled supplies an
-// explicit IR.
+// or extend them. cfg.Engine picks the execution engine. Left unset
+// (EngineAuto, with no explicit Compiled or Generated program), the
+// instance runs the program's ahead-of-time generated engine when its
+// generated package is linked in (registered by source hash), and
+// otherwise the compiled instruction IR (lowered once per Program, shared
+// by all machines). EngineGenerated fails with a regeneration hint when
+// no generated engine is registered; EngineCompiled and EngineTreeWalk
+// always start.
 func (p *Program) NewMachine(cfg MachineConfig) (*Machine, error) {
 	builtins := libc.Builtins()
 	for name, impl := range cfg.Builtins {
 		builtins[name] = impl
 	}
 	cfg.Builtins = builtins
-	if cfg.UseGenerated && cfg.Generated == nil && !cfg.TreeWalk {
-		gp, ok := interp.GeneratedFor(p.hash)
-		if !ok {
-			return nil, fmt.Errorf("program startup: no generated code registered for %s (source hash %.12s); regenerate with `go generate ./...` or `focc -emit-go`", p.name, p.hash)
+	switch cfg.Engine {
+	case EngineAuto:
+		if cfg.Generated == nil && cfg.Compiled == nil {
+			if gp, ok := interp.GeneratedFor(p.hash); ok {
+				cfg.Generated = gp
+			} else {
+				cfg.Compiled = p.Compiled()
+			}
 		}
-		cfg.Generated = gp
-	}
-	if cfg.Compiled == nil && !cfg.TreeWalk && cfg.Generated == nil {
-		cfg.Compiled = p.Compiled()
+	case EngineGenerated:
+		if cfg.Generated == nil {
+			gp, ok := interp.GeneratedFor(p.hash)
+			if !ok {
+				return nil, fmt.Errorf("program startup: no generated code registered for %s (source hash %.12s); regenerate with `go generate ./...` or `focc -emit-go`", p.name, p.hash)
+			}
+			cfg.Generated = gp
+		}
+	case EngineCompiled:
+		if cfg.Compiled == nil {
+			cfg.Compiled = p.Compiled()
+		}
 	}
 	m, err := interp.New(p.sema, cfg)
 	if err != nil {

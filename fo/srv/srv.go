@@ -31,6 +31,14 @@
 // carry per-request event attribution in MemErrors, and MetricsHandler /
 // ExpvarPublish export it all over HTTP (see metrics.go and
 // examples/webserver).
+//
+// Execution: importing srv links the five servers' ahead-of-time generated
+// engines (internal/genservers, DESIGN.md §16), so their instances run
+// generated Go code — the analogue of the paper's compiled, checked C —
+// rather than the closure-compiled IR. Results, event logs and simulated
+// cycles are identical on every engine; only wall-clock cost differs. A
+// server program with no generated form (a hot-swapped or third-party
+// source) falls back to the compiled IR automatically.
 package srv
 
 import (
@@ -38,6 +46,7 @@ import (
 	"time"
 
 	"focc/fo"
+	_ "focc/internal/genservers" // serve the five servers on generated code
 	"focc/internal/serve"
 	"focc/internal/servers"
 	"focc/internal/servers/registry"

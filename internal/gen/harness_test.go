@@ -6,7 +6,9 @@ package gen_test
 // the generated engine against the tree-walk and compiled engines across
 // every mode. This is the proof that -emit-go output is self-contained:
 // it needs only the focc module to compile, and registering it by source
-// hash is enough for fo.MachineConfig{UseGenerated: true} to find it.
+// hash is enough for fo.MachineConfig{Engine: fo.EngineGenerated} to find
+// it. Every engine is named explicitly and checked with Machine.Engine:
+// the emitted code is registered, so the default would run it.
 
 import (
 	"bytes"
@@ -100,7 +102,7 @@ type obs struct {
 	log      fo.LogSnapshot
 }
 
-func runOne(mode fo.Mode, engine string) obs {
+func runOne(mode fo.Mode, engine fo.Engine) obs {
 	prog, err := fo.Compile(fileName, src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -111,11 +113,14 @@ func runOne(mode fo.Mode, engine string) obs {
 		Mode:         mode,
 		Out:          &buf,
 		Log:          fo.NewEventLog(0),
-		TreeWalk:     engine == "tree-walk",
-		UseGenerated: engine == "codegen",
+		Engine:   engine,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%%s: %%v\n", engine, err)
+		fmt.Fprintf(os.Stderr, "%%v: %%v\n", engine, err)
+		os.Exit(1)
+	}
+	if got := m.Engine(); got != engine {
+		fmt.Fprintf(os.Stderr, "machine runs %%v, want %%v\n", got, engine)
 		os.Exit(1)
 	}
 	res := m.Run()
@@ -141,11 +146,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ref := runOne(mode, "tree-walk")
-		for _, engine := range []string{"compiled", "codegen"} {
+		ref := runOne(mode, fo.EngineTreeWalk)
+		for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineGenerated} {
 			got := runOne(mode, engine)
 			if !reflect.DeepEqual(got, ref) {
-				fmt.Fprintf(os.Stderr, "%%s/%%s diverges:\n  tree-walk %%+v\n  %%-9s %%+v\n",
+				fmt.Fprintf(os.Stderr, "%%s/%%v diverges:\n  tree-walk %%+v\n  %%-9v %%+v\n",
 					name, engine, ref, engine, got)
 				os.Exit(1)
 			}

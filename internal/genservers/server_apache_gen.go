@@ -1,7 +1,7 @@
 // Code generated by focc -emit-go; DO NOT EDIT.
 //
 // Generated-Go execution engine for source hash 1a00580e847fc5fdb11ce601eaefdefa012c84cdb37fa22c5631c5acc461b761.
-package gencorpus
+package genservers
 
 import (
 	"encoding/binary"

@@ -1,7 +1,7 @@
 // Code generated by focc -emit-go; DO NOT EDIT.
 //
 // Generated-Go execution engine for source hash 2a06aabe00a8faf0fb6dba070af7f21f74ebaca9c66f36f42f66f4303a0d566c.
-package gencorpus
+package genservers
 
 import (
 	"encoding/binary"

@@ -1,7 +1,7 @@
 // Code generated by focc -emit-go; DO NOT EDIT.
 //
 // Generated-Go execution engine for source hash 6ed47a2d6992e3ed96c010fd89c6ebf05f59bc4f67a02bc8692d560ca9ba9255.
-package gencorpus
+package genservers
 
 import (
 	"encoding/binary"

@@ -1,7 +1,7 @@
 // Code generated by focc -emit-go; DO NOT EDIT.
 //
 // Generated-Go execution engine for source hash ac46998d26f6d463a08cecc4dbc87751a37b5ec0abf2f03cde7e831ccd5ed70a.
-package gencorpus
+package genservers
 
 import (
 	"encoding/binary"

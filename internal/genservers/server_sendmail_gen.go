@@ -1,7 +1,7 @@
 // Code generated by focc -emit-go; DO NOT EDIT.
 //
 // Generated-Go execution engine for source hash a6f94e2046ed24fa21251f495ab8c067726bc7a3724363d004a9567e1e11f86a.
-package gencorpus
+package genservers
 
 import (
 	"encoding/binary"

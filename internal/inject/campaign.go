@@ -729,8 +729,11 @@ func runChaos(t Target, cp ChaosPlan, modes []fo.Mode) ([]ChaosCell, error) {
 				cell.Deadlines++
 			}
 		}
-		st := eng.Stats()
+		// Close joins the worker before the counters are read: a worker
+		// replies before it kills and respawns its instance, so the last
+		// kill's restart may still be in flight when Submit returns.
 		eng.Close()
+		st := eng.Stats()
 		cell.Kills = int(st.ChaosKills)
 		cell.Delays = int(st.ChaosDelays)
 		cell.Restarts = int(st.Restarts)

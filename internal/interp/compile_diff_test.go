@@ -63,6 +63,9 @@ func runEngine(t *testing.T, engine, src string, mode core.Mode,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := m.Engine().String(); got != engine {
+		t.Fatalf("machine runs %s, want %s", got, engine)
+	}
 	var obs []engineObs
 	for _, c := range calls {
 		args := make([]interp.Value, len(c.args))

@@ -169,29 +169,59 @@ type Config struct {
 	// store before (or instead of) the underlying policy. Production code
 	// leaves it nil, which costs nothing.
 	WrapAccessor func(core.Accessor) core.Accessor
-	// Compiled, when non-nil, is the program's lowered instruction IR
-	// (see Compile): the machine executes the pre-resolved closure tree
-	// instead of walking the AST. The IR is immutable and shared — one
-	// Compile result serves every machine of the program, concurrently.
-	// fo.Program attaches its program-level cached IR automatically.
+	// Engine selects the execution engine. The zero value, EngineAuto,
+	// leaves the choice to the configuration: interp.New runs Generated
+	// if set, else Compiled if set, else the tree-walk reference, and
+	// fo.Program.NewMachine first fills in the program's registered
+	// generated engine, falling back to its shared compiled IR. Naming an
+	// engine pins it: EngineCompiled and EngineGenerated run exactly that
+	// engine (fo.Program.NewMachine supplies its program; interp.New fails
+	// without one), EngineTreeWalk ignores Compiled and Generated.
+	// Machine.Engine reports the engine a machine runs.
+	Engine Engine
+	// Compiled is the program's lowered instruction IR (see Compile): the
+	// machine executes the pre-resolved closure tree instead of walking
+	// the AST. The IR is immutable and shared — one Compile result serves
+	// every machine of the program, concurrently. fo.Program attaches its
+	// program-level cached IR when it selects the compiled engine.
 	Compiled *CompiledProgram
-	// TreeWalk forces the retained AST-walking reference engine even when
-	// Compiled is set. It exists for differential testing and engine
-	// benchmarks; production configurations leave it false.
-	TreeWalk bool
-	// Generated, when non-nil, is the ahead-of-time generated engine for
-	// the program (focc -emit-go): the machine dispatches calls to the
-	// emitted Go functions instead of interpreting. Takes precedence over
-	// Compiled; TreeWalk overrides both. The generated code must have been
-	// emitted from the exact source this program was analyzed from
-	// (fo.Program.NewMachine validates the hash).
+	// Generated is the ahead-of-time generated engine for the program
+	// (focc -emit-go): the machine dispatches calls to the emitted Go
+	// functions instead of interpreting. The generated code must have
+	// been emitted from the exact source this program was analyzed from
+	// (fo.Program.NewMachine resolves it by source hash).
 	Generated *GenProgram
-	// UseGenerated asks fo.Program.NewMachine to resolve the registered
-	// generated engine for the program's source hash (RegisterGenerated)
-	// and fail with a regeneration hint if none is linked in. Resolution
-	// happens in the fo layer, where the source identity lives; interp.New
-	// only honors the resolved Generated program.
-	UseGenerated bool
+}
+
+// Engine names an execution engine. All three are bit-identical in
+// results, event logs and simulated cycles; they differ in wall-clock
+// dispatch cost only.
+type Engine uint8
+
+// Execution engines.
+const (
+	// EngineAuto lets the configuration choose (see Config.Engine).
+	EngineAuto Engine = iota
+	// EngineTreeWalk is the AST-walking reference evaluator (eval.go).
+	EngineTreeWalk
+	// EngineCompiled is the closure-compiled instruction IR (compile*.go).
+	EngineCompiled
+	// EngineGenerated is the ahead-of-time generated Go code (genrt.go).
+	EngineGenerated
+)
+
+func (e Engine) String() string {
+	switch e {
+	case EngineAuto:
+		return "auto"
+	case EngineTreeWalk:
+		return "tree-walk"
+	case EngineCompiled:
+		return "compiled"
+	case EngineGenerated:
+		return "codegen"
+	}
+	return "unknown"
 }
 
 // DefaultMaxSteps is the per-call step budget used to detect hangs.
@@ -240,8 +270,10 @@ type Machine struct {
 
 	// gprog is the ahead-of-time generated engine (nil: tree-walk or
 	// compiled IR). It shares csite/builtinSlots with the compiled engine
-	// — at most one of cprog/gprog is active per machine.
-	gprog *GenProgram
+	// — at most one of cprog/gprog is active per machine. engine names
+	// whichever of the three runs.
+	gprog  *GenProgram
+	engine Engine
 
 	// luCache is the machine-wide monomorphic (last-unit) lookup cache,
 	// and siteCache holds one cache line per AST access site — both
@@ -252,6 +284,11 @@ type Machine struct {
 
 	// argFree recycles argument slices across evalCall invocations.
 	argFree [][]Value
+
+	// argScope is set between BeginRequestArgs and EndRequestArgs; args
+	// holds the request-scoped NewCString blocks, oldest first.
+	argScope bool
+	args     []*mem.Unit
 
 	// scratch stages scalar loads/stores so the hot access path performs
 	// no allocations (the interpreter is single-threaded per machine).
@@ -338,8 +375,22 @@ func New(prog *sema.Program, cfg Config) (*Machine, error) {
 		checked:  cfg.Mode != core.Standard,
 		ctxGen:   ctxGen,
 	}
-	switch {
-	case cfg.Generated != nil && !cfg.TreeWalk:
+	engine := cfg.Engine
+	if engine == EngineAuto {
+		switch {
+		case cfg.Generated != nil:
+			engine = EngineGenerated
+		case cfg.Compiled != nil:
+			engine = EngineCompiled
+		default:
+			engine = EngineTreeWalk
+		}
+	}
+	switch engine {
+	case EngineGenerated:
+		if cfg.Generated == nil {
+			return nil, fmt.Errorf("generated engine selected but no generated program supplied")
+		}
 		m.gprog = cfg.Generated
 		if n := cfg.Generated.NumSites; n > 0 {
 			m.csite = make([]mem.LookupCache, n)
@@ -347,7 +398,10 @@ func New(prog *sema.Program, cfg Config) (*Machine, error) {
 		if n := len(cfg.Generated.Builtins); n > 0 {
 			m.builtinSlots = make([]BuiltinFunc, n)
 		}
-	case cfg.Compiled != nil && !cfg.TreeWalk:
+	case EngineCompiled:
+		if cfg.Compiled == nil {
+			return nil, fmt.Errorf("compiled engine selected but no compiled IR supplied")
+		}
 		if cfg.Compiled.prog != prog {
 			return nil, fmt.Errorf("compiled IR belongs to a different program")
 		}
@@ -358,7 +412,11 @@ func New(prog *sema.Program, cfg Config) (*Machine, error) {
 		if n := len(cfg.Compiled.builtinNames); n > 0 {
 			m.builtinSlots = make([]BuiltinFunc, n)
 		}
+	case EngineTreeWalk:
+	default:
+		return nil, fmt.Errorf("unknown execution engine %d", engine)
 	}
+	m.engine = engine
 	m.literals = make([]*mem.Unit, len(prog.Literals))
 	for i, s := range prog.Literals {
 		m.literals[i] = as.InternLiteral(s)
@@ -386,6 +444,10 @@ func (m *Machine) AddressSpace() *mem.AddressSpace { return m.as }
 
 // Accessor exposes the active memory policy (for libc).
 func (m *Machine) Accessor() core.Accessor { return m.acc }
+
+// Engine reports the execution engine the machine runs (never
+// EngineAuto: New resolves the choice).
+func (m *Machine) Engine() Engine { return m.engine }
 
 // Mode returns the machine's execution mode.
 func (m *Machine) Mode() core.Mode { return m.acc.Mode() }
@@ -1101,6 +1163,8 @@ func (m *Machine) Malloc(size uint64) Value {
 // being modeled gets from a failed malloc — rather than panicking: there
 // is no Call in flight to recover a failure here, and the mode's policy
 // decides what the subsequent dereference of the null request buffer does.
+// Inside a request scope (BeginRequestArgs) the block is request-scoped;
+// outside one it lives as long as the machine.
 func (m *Machine) NewCString(s string) Value {
 	u, fault := m.as.Malloc(uint64(len(s)) + 1)
 	if fault != nil {
@@ -1108,10 +1172,38 @@ func (m *Machine) NewCString(s string) Value {
 	}
 	copy(u.Data, s)
 	u.Data[len(s)] = 0
+	if m.argScope {
+		m.args = append(m.args, u)
+	}
 	return Value{
 		T:   types.PointerTo(types.CharType),
 		Ptr: core.Pointer{Addr: u.Base, Prov: u},
 	}
+}
+
+// BeginRequestArgs opens a request scope: the argument blocks NewCString
+// allocates until EndRequestArgs are request-scoped. Owning goroutine
+// only, between calls.
+func (m *Machine) BeginRequestArgs() {
+	m.argScope = true
+	m.args = m.args[:0]
+}
+
+// EndRequestArgs closes the request scope and releases its argument
+// blocks, newest first, for as long as each is still the topmost heap
+// allocation and no checkpoint (per-call or batch epoch) is open
+// (mem.AddressSpace.ReleaseTop). The first block that does not qualify —
+// the guest allocated after it, or a batch epoch is open — stops the
+// release, and it and the older blocks stay allocated, as they would
+// outside a scope. Guest allocations are never released. Without this a
+// serving instance's heap grows by every request's arguments, which are
+// never freed. Owning goroutine only, between calls.
+func (m *Machine) EndRequestArgs() {
+	for i := len(m.args) - 1; i >= 0 && m.as.ReleaseTop(m.args[i]); i-- {
+	}
+	clear(m.args)
+	m.args = m.args[:0]
+	m.argScope = false
 }
 
 // ReadCString reads a NUL-terminated string at p directly from the address

@@ -30,18 +30,20 @@ func corpusSources() []corpusProgram { return corpus.Programs() }
 // differential harnesses exercise them.
 var engineNames = []string{"tree-walk", "compiled", "codegen"}
 
-// engineConfig returns a Config selecting the named engine for prog,
-// which must be src compiled under corpus.FileName (the codegen engine
-// resolves by that source-hash identity).
+// engineConfig returns a Config naming the engine (by its Engine.String
+// name) for prog, which must be src compiled under corpus.FileName (the
+// codegen engine resolves by that source-hash identity).
 func engineConfig(t testing.TB, engine string, prog *sema.Program, src string) interp.Config {
 	t.Helper()
 	cfg := interp.Config{Builtins: libc.Builtins()}
 	switch engine {
 	case "tree-walk":
-		cfg.TreeWalk = true
+		cfg.Engine = interp.EngineTreeWalk
 	case "compiled":
+		cfg.Engine = interp.EngineCompiled
 		cfg.Compiled = interp.Compile(prog)
 	case "codegen":
+		cfg.Engine = interp.EngineGenerated
 		cfg.Generated = generatedFor(t, src)
 	default:
 		t.Fatalf("unknown engine %q", engine)

@@ -43,13 +43,13 @@ int drop(int n) {
 }
 `
 
-func newRewindMachine(t *testing.T, treeWalk bool) *fo.Machine {
+func newRewindMachine(t *testing.T, engine fo.Engine) *fo.Machine {
 	t.Helper()
 	prog, err := fo.Compile("rewind.c", rewindSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := prog.NewMachine(fo.MachineConfig{Mode: fo.ModeRewind, TreeWalk: treeWalk})
+	m, err := prog.NewMachine(fo.MachineConfig{Mode: fo.ModeRewind, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func newRewindMachine(t *testing.T, treeWalk bool) *fo.Machine {
 }
 
 func TestRewindDiscardsFailedRequest(t *testing.T) {
-	for _, engine := range []string{"compiled", "tree-walk"} {
-		t.Run(engine, func(t *testing.T) {
-			m := newRewindMachine(t, engine == "tree-walk")
+	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk} {
+		t.Run(engine.String(), func(t *testing.T) {
+			m := newRewindMachine(t, engine)
 
 			// A clean request commits normally.
 			if res := m.Call("handle", fo.Int(4)); res.Outcome != fo.OutcomeOK || res.Value.I != 1 {
@@ -91,9 +91,9 @@ func TestRewindDiscardsFailedRequest(t *testing.T) {
 // A detected invalid free rolls the request back too (the libc
 // freeInvalid path), undoing the request's earlier valid free.
 func TestRewindOnInvalidFree(t *testing.T) {
-	for _, engine := range []string{"compiled", "tree-walk"} {
-		t.Run(engine, func(t *testing.T) {
-			m := newRewindMachine(t, engine == "tree-walk")
+	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk} {
+		t.Run(engine.String(), func(t *testing.T) {
+			m := newRewindMachine(t, engine)
 			if res := m.Call("drop", fo.Int(0)); res.Outcome != fo.OutcomeOK || res.Value.I != 7 {
 				t.Fatalf("drop(0) = %v (%v), want OK/7", res.Outcome, res.Err)
 			}

@@ -44,14 +44,14 @@ var goldenCycles = map[fo.Mode]uint64{
 }
 
 func TestSimCyclesPinned(t *testing.T) {
-	for _, engine := range []string{"compiled", "tree-walk", "codegen"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk, fo.EngineGenerated} {
+		t.Run(engine.String(), func(t *testing.T) {
 			testSimCyclesPinned(t, engine)
 		})
 	}
 }
 
-func testSimCyclesPinned(t *testing.T, engine string) {
+func testSimCyclesPinned(t *testing.T, engine fo.Engine) {
 	prog, err := fo.Compile(corpus.PinFileName, corpus.PinSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +65,12 @@ func testSimCyclesPinned(t *testing.T, engine string) {
 	}
 	for mode, want := range goldenCycles {
 		t.Run(mode.String(), func(t *testing.T) {
-			m, err := prog.NewMachine(fo.MachineConfig{
-				Mode:         mode,
-				TreeWalk:     engine == "tree-walk",
-				UseGenerated: engine == "codegen",
-			})
+			m, err := prog.NewMachine(fo.MachineConfig{Mode: mode, Engine: engine})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := m.Engine(); got != engine {
+				t.Fatalf("machine runs %v, want %v", got, engine)
 			}
 			for _, c := range calls {
 				if c.fn == "oob" && c.arg > 8 && mode == fo.Standard {

@@ -19,11 +19,13 @@
 //   - Stack state rolls back via UnwindTo (which bumps stackGen, so stale
 //     stack cache entries cannot answer for re-pushed frames).
 //   - Heap units allocated after the checkpoint are marked Dead but stay
-//     in the heap slice — non-stack units are immortal to the caches, so
-//     they must never be removed from the table. The address range they
-//     occupy is not reused (heapCur is not rolled back); a rewound request
-//     leaks address space, not memory contract. Allocation counters
-//     (Stats) are likewise monotonic across rewinds.
+//     in the heap slice. Only ReleaseTop removes heap units (bumping the
+//     caches' heapStamp), and it refuses while a checkpoint is open, so
+//     the heapLen a checkpoint records stays valid until its Commit or
+//     Rewind. The address range rolled-back units occupy is not reused
+//     (heapCur is not rolled back); a rewound request leaks address
+//     space, not memory contract. Allocation counters (Stats) are likewise
+//     monotonic across rewinds.
 package mem
 
 // savedUnit is one undo-log entry: the pre-checkpoint image of a unit.

@@ -5,7 +5,7 @@
 //
 // Cache coherence contract. A LookupCache memoizes one FindUnit result and
 // must never serve an answer that differs from an uncached FindUnit call.
-// The address space changes the unit-at-address mapping in exactly three
+// The address space changes the unit-at-address mapping in exactly four
 // ways:
 //
 //   - Units are ADDED (AllocGlobal, InternLiteral, Malloc, PushFrame) at
@@ -17,23 +17,35 @@
 //     so Free needs no invalidation either. (Policy-level liveness checks
 //     read u.Dead from the unit itself, never from the cache.)
 //   - Stack units are REMOVED (PopFrame, UnwindTo), and their address
-//     ranges are reused by later frames. This is the one real hazard: a
-//     cached unit of a popped frame must not answer for a re-pushed frame
-//     at the same address. Both removal paths bump stackGen, which stamps
-//     every cached stack unit; a stale stamp forces the slow path.
+//     ranges are reused by later frames: a cached unit of a popped frame
+//     must not answer for a re-pushed frame at the same address. Both
+//     removal paths bump stackGen, which stamps every cached stack unit; a
+//     stale stamp forces the slow path.
+//   - The topmost heap block and its header are RELEASED (ReleaseTop: a
+//     host-allocated request argument at the end of its request), and the
+//     next Malloc reuses their addresses. ReleaseTop bumps heapStamp,
+//     which stamps every cached heap and heap-header unit, so a released
+//     unit can never answer for the block that replaces it.
 //
-// Non-stack units are immortal within an address space (never removed, at
-// stable addresses), so their cache entries carry an immortal stamp and
-// survive arbitrarily many frame pops — a heap-pointer site is not
-// invalidated by call/return traffic.
+// Literal and global units are immortal within an address space (never
+// removed, at stable addresses), so their cache entries carry an immortal
+// stamp. Heap entries survive arbitrarily many frame pops and stack
+// entries arbitrarily many releases — a heap-pointer site is not
+// invalidated by call/return traffic, only by the (at most a few per
+// request) argument releases.
 package mem
 
 import "sync"
 
 // immortalStamp marks a cached unit that can never be unmapped (literal,
-// global, heap, heap header). 1<<63 generations of frame pops would be
-// needed to collide with a real stackGen value.
+// global). 1<<63 generations of frame pops would be needed to collide
+// with a real stackGen value.
 const immortalStamp = ^uint64(0)
+
+// heapStampBase is the initial heapStamp. Its top bit keeps every heap
+// stamp disjoint from stackGen values, and 1<<63-1 releases would be
+// needed to reach immortalStamp.
+const heapStampBase = uint64(1) << 63
 
 // LookupCache is a one-entry unit-lookup cache: the monomorphic inline
 // cache consulted before FindUnit. The zero value is an empty cache. A
@@ -49,7 +61,7 @@ type LookupCache struct {
 func (as *AddressSpace) Probe(c *LookupCache, addr uint64) *Unit {
 	u := c.u
 	if u != nil && addr >= u.Base && addr < u.Base+u.Size &&
-		(c.stamp == immortalStamp || c.stamp == as.stackGen) {
+		(c.stamp == immortalStamp || c.stamp == as.heapStamp || c.stamp == as.stackGen) {
 		return u
 	}
 	return nil
@@ -63,9 +75,12 @@ func (as *AddressSpace) fill(c *LookupCache, u *Unit) {
 		return
 	}
 	c.u = u
-	if u.Kind == KindStack || u.Kind == KindStackGuard {
+	switch u.Kind {
+	case KindStack, KindStackGuard:
 		c.stamp = as.stackGen
-	} else {
+	case KindHeap, KindHeapHeader:
+		c.stamp = as.heapStamp
+	default:
 		c.stamp = immortalStamp
 	}
 }

@@ -23,13 +23,15 @@ func refFindUnit(as *AddressSpace, addr uint64) *Unit {
 
 // TestFindUnitCacheConsistency drives a randomized sequence of every
 // operation that mutates the unit-at-address mapping — malloc, free,
-// literal interning, global allocation, frame push, frame pop, and
-// multi-frame unwind — while a set of LookupCaches persists across all of
+// release of the topmost block, literal interning, global allocation,
+// frame push, frame pop, and multi-frame unwind — while a set of
+// LookupCaches persists across all of
 // them, exactly as the interpreter's per-machine and per-site caches do.
 // After every mutation it cross-checks FindUnit and FindUnitCached against
 // the linear-scan reference on a batch of probe addresses biased toward
 // unit boundaries (Base-1, Base, interior, End). Any stale cache entry
-// surviving a free, pop, or unwind shows up as a pointer-identity mismatch.
+// surviving a free, release, pop, or unwind shows up as a pointer-identity
+// mismatch.
 //
 // Run under -race this also guards the cache fast path against hidden
 // shared state (the caches and tables must be confined to one goroutine by
@@ -83,8 +85,17 @@ func TestFindUnitCacheConsistency(t *testing.T) {
 			if fault != nil {
 				t.Fatalf("step %d: malloc: %v", step, fault)
 			}
-			liveHeap = append(liveHeap, u.Base)
 			noteUnit(u)
+			if rng.Intn(3) == 0 {
+				// Let the caches see the block, then release it so the
+				// next malloc reuses its addresses (a request argument).
+				check(step)
+				if !as.ReleaseTop(u) {
+					t.Fatalf("step %d: topmost block not released", step)
+				}
+				break
+			}
+			liveHeap = append(liveHeap, u.Base)
 		case op < 5: // free a random live block
 			if len(liveHeap) == 0 {
 				continue
@@ -133,6 +144,106 @@ func TestFindUnitCacheConsistency(t *testing.T) {
 			}
 		}
 		check(step)
+	}
+}
+
+// TestReleasedArgumentNeverAnswers is the request-argument scenario: a
+// site cache filled on one request's argument block must not answer for
+// the next request's argument, which ReleaseTop lets Malloc place at the
+// same address. Literal and global entries stay immortal across the
+// release; stack entries are unaffected by it.
+func TestReleasedArgumentNeverAnswers(t *testing.T) {
+	as := New()
+	g := as.AllocGlobal("g", 8)
+	var site, gsite, ssite LookupCache
+	f, fault := as.PushFrame("fn", 16, []LocalSpec{{Name: "x", Size: 8}})
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if as.FindUnitCached(g.Base, &gsite) != g || as.FindUnitCached(f.Base, &ssite) == nil {
+		t.Fatal("setup lookups failed")
+	}
+	u1, fault := as.Malloc(32)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if got := as.FindUnitCached(u1.Base+4, &site); got != u1 {
+		t.Fatalf("lookup = %v, want the first argument", got)
+	}
+	units, top := as.HeapExtent()
+	if !as.ReleaseTop(u1) {
+		t.Fatal("topmost argument not released")
+	}
+	if !u1.Dead {
+		t.Error("released unit not marked dead")
+	}
+	if as.Probe(&site, u1.Base+4) != nil {
+		t.Fatal("cache answers with a released unit")
+	}
+	if n, cur := as.HeapExtent(); n != units-2 || cur != HeapBase {
+		t.Errorf("after release: %d heap units, top 0x%x; want %d, 0x%x", n, cur, units-2, uint64(HeapBase))
+	}
+	u2, fault := as.Malloc(32)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if u2.Base != u1.Base {
+		t.Fatalf("next argument at 0x%x, want the released address 0x%x", u2.Base, u1.Base)
+	}
+	if n, cur := as.HeapExtent(); n != units || cur != top {
+		t.Errorf("after reuse: %d heap units, top 0x%x; want %d, 0x%x", n, cur, units, top)
+	}
+	if got := as.FindUnitCached(u2.Base+4, &site); got != u2 {
+		t.Fatalf("lookup after reuse = %v, want the next argument", got)
+	}
+	for i, b := range u2.Data {
+		if b != 0 {
+			t.Fatalf("reused block byte %d = %#x, want zeroed memory", i, b)
+		}
+	}
+	if as.Probe(&gsite, g.Base) != g {
+		t.Error("global cache entry invalidated by a heap release")
+	}
+	if as.Probe(&ssite, f.Base) == nil {
+		t.Error("stack cache entry invalidated by a heap release")
+	}
+}
+
+// TestReleaseTopRefuses pins when a block stays allocated: it is not the
+// topmost heap block, a checkpoint is open, or the address space was
+// released. A smashed header does not stop the release, and the
+// heap-corruption flag survives it.
+func TestReleaseTopRefuses(t *testing.T) {
+	as := New()
+	a, _ := as.Malloc(16) // no alignment gap: b's header follows a directly
+	b, _ := as.Malloc(8)
+	if as.ReleaseTop(a) {
+		t.Error("released a block with another allocated above it")
+	}
+	c := as.BeginCheckpoint()
+	if as.ReleaseTop(b) {
+		t.Error("released a block while a checkpoint is open")
+	}
+	as.Commit(c)
+	// An overflow of a smashes b's header (Standard-mode RawWrite).
+	if f := as.RawWrite(a.Base, make([]byte, 24)); f != nil {
+		t.Fatal(f)
+	}
+	if !as.HeapCorrupted() {
+		t.Fatal("header overwrite not detected")
+	}
+	if !as.ReleaseTop(b) {
+		t.Error("block with a smashed header not released")
+	}
+	if !as.HeapCorrupted() {
+		t.Error("release cleared the heap-corruption flag")
+	}
+	if _, f := as.Malloc(8); f == nil || f.Kind != FaultHeapCorrupt {
+		t.Errorf("malloc after release on a corrupted heap = %v, want heap corruption", f)
+	}
+	as.Release()
+	if as.ReleaseTop(a) {
+		t.Error("released a block of a released address space")
 	}
 }
 

@@ -193,9 +193,12 @@ type AddressSpace struct {
 	internTable map[string]*Unit
 
 	// stackGen is bumped whenever stack units are removed (PopFrame,
-	// UnwindTo); it validates LookupCache entries for stack units. See
+	// UnwindTo); it validates LookupCache entries for stack units.
+	// heapStamp is bumped whenever heap units are removed (ReleaseTop);
+	// it validates entries for heap and heap-header units. See
 	// fastpath.go for the coherence contract.
-	stackGen uint64
+	stackGen  uint64
+	heapStamp uint64
 
 	// Slab allocator state for unit Data backing (see fastpath.go).
 	slab     []byte
@@ -237,6 +240,7 @@ func NewWithStack(stackSize uint64) *AddressSpace {
 		literalCur:  LiteralBase,
 		globalCur:   GlobalBase,
 		heapCur:     HeapBase,
+		heapStamp:   heapStampBase,
 		stackArena:  getArena(stackSize),
 		stackBase:   StackTop - stackSize,
 		sp:          StackTop,
@@ -401,6 +405,51 @@ func (as *AddressSpace) Free(addr uint64) *Fault {
 	u.Dead = true
 	as.stats.Frees++
 	return nil
+}
+
+// ReleaseTop unmaps heap block u and its header if they are the two
+// topmost heap units and no checkpoint is active, and reports whether it
+// did. It is the host's undo of its own Malloc for a request-scoped
+// argument block (interp.Machine.EndRequestArgs); guest code never
+// reaches it. Unlike Free, the two units leave the unit table: heapCur
+// returns to the end of the unit below, so the next Malloc reuses the
+// range, and the block's slab bytes are reclaimed when they are the
+// slab's newest. Both units are marked dead, so a stale pointer whose
+// provenance is the released block still reads as a use after free. The
+// header's integrity is not checked: a block whose header an overflow
+// smashed is released like any other, and heapCorrupted stays set. The
+// Stats counters stay monotonic. ReleaseTop bumps heapStamp, so no
+// LookupCache can answer with a released unit (see fastpath.go).
+func (as *AddressSpace) ReleaseTop(u *Unit) bool {
+	n := len(as.heap)
+	if as.ckpt != nil || n < 2 || as.heap[n-1] != u || as.heap[n-2].Kind != KindHeapHeader {
+		return false
+	}
+	hdr := as.heap[n-2]
+	hdr.Dead, u.Dead = true, true
+	u.shadow = nil
+	as.heap[n-2], as.heap[n-1] = nil, nil
+	as.heap = as.heap[:n-2]
+	as.heapCur = HeapBase
+	if n > 2 {
+		as.heapCur = as.heap[n-3].End()
+	}
+	as.heapStamp++
+	// Malloc carved header and block as one slab slice; give it back if
+	// nothing was carved after it. Slabs must stay zeroed past slabOff.
+	if total := hdr.Size + u.Size; total <= as.slabOff &&
+		&as.slab[as.slabOff-total] == &hdr.Data[0] {
+		clear(as.slab[as.slabOff-total : as.slabOff])
+		as.slabOff -= total
+	}
+	return true
+}
+
+// HeapExtent reports the number of heap units in the unit table (blocks
+// and headers, live and dead) and the heap top, the address the next
+// Malloc starts from (rounded up to 16).
+func (as *AddressSpace) HeapExtent() (units int, top uint64) {
+	return len(as.heap), as.heapCur
 }
 
 // LocalSpec describes one local variable (or parameter) slot inside a

@@ -475,6 +475,9 @@ func TestChaosKillAndDelayCounters(t *testing.T) {
 			t.Fatalf("request %d = %v, want 200 OK", i, resp)
 		}
 	}
+	// The worker replies before it kills and respawns, so the last kill's
+	// restart may still be in flight: Close joins the worker first.
+	eng.Close()
 	st := eng.Stats()
 	if want := uint64(n / 3); st.ChaosKills != want {
 		t.Errorf("chaos kills = %d, want %d", st.ChaosKills, want)

@@ -5,11 +5,13 @@
 // the authentic bug mechanism — once, and creates per-mode instances
 // ("processes") from it.
 //
-// "Once" includes the execution IR: instances are created through
-// fo.Program.NewMachine, so every instance of a server shares the
-// program's cached closure-compiled IR (fo.Program.Compiled, DESIGN.md
-// §13). Spawning an instance binds machine state to the shared immutable
-// IR; it never re-lowers the AST.
+// "Once" includes the execution engine: instances are created through
+// fo.Program.NewMachine, so every instance of a server shares one
+// immutable engine. That is the server's ahead-of-time generated code
+// (internal/genservers, DESIGN.md §16) whenever the binary links it — as
+// fo/srv does — and otherwise the program's cached closure-compiled IR
+// (fo.Program.Compiled, DESIGN.md §13). Spawning an instance binds
+// machine state to the shared engine; it never re-lowers the AST.
 package servers
 
 import (
@@ -208,13 +210,20 @@ func (b *Base) EndBatch() { b.M.EndBatchEpoch() }
 // requests.
 func (b *Base) BindBatch(ctx context.Context) (release func()) { return b.M.BindContext(ctx) }
 
-// Attribute implements the per-request attribution contract of
-// HandleContext: it takes a cursor over the instance's event log, runs
-// handle, and stamps the events recorded in between — the memory errors
-// this request caused — into the response's MemErrors field.
+// Attribute is the request bracket of HandleContext. It takes a cursor
+// over the instance's event log, runs handle, and stamps the events
+// recorded in between — the memory errors this request caused — into the
+// response's MemErrors field. It also scopes the request's argument
+// blocks (the C strings handle passes in through NewCString) to the
+// request: they are released at the end of the bracket, so a long-lived
+// instance's heap does not grow with every request it serves (see
+// fo.Machine.EndRequestArgs for when a block is kept). Plain Handle calls
+// outside the bracket keep their arguments for the machine's lifetime.
 func (b *Base) Attribute(handle func() Response) Response {
 	cur := b.EvLog.Cursor()
+	b.M.BeginRequestArgs()
 	resp := handle()
+	b.M.EndRequestArgs()
 	resp.MemErrors = b.EvLog.Since(cur)
 	return resp
 }
