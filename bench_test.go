@@ -1,6 +1,7 @@
 // Package focc_test holds the top-level benchmark harness: one benchmark
-// family per table/figure in the paper's evaluation. Each benchmark reports
-// wall-clock ns/op for the interpreter plus a "sim-ms/op" metric — the
+// family per table/figure in the paper's evaluation. The servers run on
+// their generated engine (internal/genservers), as they do when serving.
+// Each benchmark reports wall-clock ns/op plus a "sim-ms/op" metric — the
 // simulated request-processing time under the cost model in
 // internal/interp/cycles.go, which is what reproduces the paper's slowdown
 // shapes (see EXPERIMENTS.md).
@@ -16,6 +17,9 @@ import (
 	"time"
 
 	"focc/fo"
+	"focc/internal/corpus"
+	_ "focc/internal/gencorpus"  // the benchmark programs' generated engines
+	_ "focc/internal/genservers" // run the figures on the engine that serves
 	"focc/internal/harness"
 	"focc/internal/interp"
 	"focc/internal/serve"
@@ -45,6 +49,7 @@ func benchFigure(b *testing.B, srv servers.Server, names []string) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				requireCodegen(b, inst.(interface{ Machine() *fo.Machine }).Machine())
 				if resp := inst.Handle(req); resp.Crashed() {
 					b.Fatalf("warm-up crashed: %v", resp.Err)
 				}
@@ -62,6 +67,15 @@ func benchFigure(b *testing.B, srv servers.Server, names []string) {
 				b.ReportMetric(simMs, "sim-ms/op")
 			})
 		}
+	}
+}
+
+// requireCodegen fails the benchmark unless m runs the generated engine,
+// so a stale registration cannot silently time the tree-walk fallback.
+func requireCodegen(b *testing.B, m *fo.Machine) {
+	b.Helper()
+	if got := m.Engine(); got != fo.EngineGenerated {
+		b.Fatalf("machine runs %v, want codegen; regenerate with `go generate ./...`", got)
 	}
 }
 
@@ -150,17 +164,7 @@ func BenchmarkResilienceMatrix(b *testing.B) {
 // generator hangs — demonstrated by TestValueSequenceTermination — so it
 // cannot be benchmarked.)
 func BenchmarkAblationValueSequence(b *testing.B) {
-	const src = `
-int scan(void) {
-	char buf[8];
-	int i = 0;
-	buf[0] = 'a';
-	while (buf[i] != '/')
-		i++;
-	return i;
-}
-`
-	prog, err := fo.Compile("scan.c", src)
+	prog, err := fo.Compile(corpus.ScanFileName, corpus.SrcScan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,6 +172,7 @@ int scan(void) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	requireCodegen(b, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -180,16 +185,7 @@ int scan(void) {
 // BenchmarkPolicyOverhead is the DESIGN.md ablation of the access-policy
 // dispatch itself: a pure pointer-chasing C loop under each policy.
 func BenchmarkPolicyOverhead(b *testing.B) {
-	const src = `
-char buf[4096];
-int churn(int n) {
-	int i, x = 0;
-	for (i = 0; i < n; i++)
-		x += buf[i & 4095];
-	return x;
-}
-`
-	prog, err := fo.Compile("churn.c", src)
+	prog, err := fo.Compile(corpus.ChurnFileName, corpus.SrcChurn)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,6 +195,7 @@ int churn(int n) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			requireCodegen(b, m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -209,28 +206,6 @@ int churn(int n) {
 		})
 	}
 }
-
-// benchServeSrc is the small-op server the serving-path benchmarks drive:
-// "ok" is a tiny successful request (the batching target — per-request
-// dispatch overhead dominates execution), and "poke" additionally commits
-// two out-of-bounds writes so the failure-oblivious telemetry path (event
-// append + per-request attribution) runs on every request.
-const benchServeSrc = `
-char resp[32];
-
-int ok(void)
-{
-	resp[0] = 'o'; resp[1] = 'k'; resp[2] = 0;
-	return 200;
-}
-
-int poke(void)
-{
-	char b[4];
-	b[6] = 'x'; b[7] = 'y';
-	return 200;
-}
-`
 
 var (
 	benchServeOnce sync.Once
@@ -243,7 +218,7 @@ type benchServeServer struct{}
 func (*benchServeServer) Name() string { return "benchstub" }
 
 func (*benchServeServer) New(mode fo.Mode) (servers.Instance, error) {
-	benchServeOnce.Do(func() { benchServeProg, benchServeErr = fo.Compile("benchstub.c", benchServeSrc) })
+	benchServeOnce.Do(func() { benchServeProg, benchServeErr = fo.Compile(corpus.BenchServeFileName, corpus.SrcBenchServe) })
 	if benchServeErr != nil {
 		return nil, benchServeErr
 	}
@@ -386,28 +361,7 @@ func BenchmarkBatchDispatch(b *testing.B) {
 // restore. The failure-oblivious contrast for the same commit workload is
 // BenchmarkPolicyOverhead/failure-oblivious.
 func BenchmarkRewindCheckpoint(b *testing.B) {
-	const src = `
-char state[1024];
-int handle(int n) {
-	char *blk = (char *)malloc(64);
-	int i;
-	for (i = 0; i < 1024; i++)
-		state[i] = (char)(i + n);
-	blk[0] = 'x';
-	free(blk);
-	return state[0];
-}
-int poison(int n) {
-	char buf[8];
-	int i;
-	for (i = 0; i < 1024; i++)
-		state[i] = (char)i;
-	for (i = 0; i < n; i++)
-		buf[i] = 'y';   /* overruns for n > 8: triggers the rollback */
-	return 0;
-}
-`
-	prog, err := fo.Compile("ckpt.c", src)
+	prog, err := fo.Compile(corpus.CheckpointFileName, corpus.SrcCheckpoint)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,6 +380,7 @@ int poison(int n) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			requireCodegen(b, m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {

@@ -22,15 +22,16 @@
 //	fobench -experiment cluster      # sharded router goodput under open-loop overload
 //	fobench -experiment list         # print this experiment table
 //
-// The -engine flag selects the execution engine behind every server
-// machine (the simulated-cycle numbers are engine-independent by
-// construction; only wall-clock -wall runs differ). The campaign and
+// The -engine flag pins the execution engine behind every server machine
+// (the simulated-cycle numbers are engine-independent by construction;
+// only wall-clock -wall runs differ). Left empty, the default, it leaves
+// the choice to fo.Program.NewMachine, which runs the five servers'
+// generated code (linked into this binary). The campaign and
 // strategysearch experiments build their own instances and always run
-// the library default, which is codegen for the five servers:
+// that default:
 //
-//	fobench -engine compiled         # compiled closure IR (default)
-//	fobench -engine treewalk         # AST-walking reference engine
 //	fobench -engine codegen          # ahead-of-time generated Go (internal/genservers)
+//	fobench -engine treewalk         # AST-walking reference engine
 //
 // Profiling (any experiment, including "all"; a test keeps these lines in
 // sync with the registered flags):
@@ -66,9 +67,8 @@ import (
 var engineHook servers.ConfigHook
 
 // setEngine translates the -engine flag into engineHook. Every named
-// engine is pinned explicitly in the machine configuration: "compiled"
-// must not fall through to the library default, which is codegen here.
-// The empty name selects that default.
+// engine is pinned explicitly in the machine configuration; the empty
+// name selects the library default.
 func setEngine(name string) error {
 	var engine fo.Engine
 	switch name {
@@ -77,12 +77,10 @@ func setEngine(name string) error {
 		return nil
 	case "treewalk":
 		engine = fo.EngineTreeWalk
-	case "compiled":
-		engine = fo.EngineCompiled
 	case "codegen":
 		engine = fo.EngineGenerated
 	default:
-		return fmt.Errorf("unknown engine %q (want treewalk, compiled, or codegen)", name)
+		return fmt.Errorf("unknown engine %q (want treewalk or codegen)", name)
 	}
 	engineHook = func(cfg *fo.MachineConfig) { cfg.Engine = engine }
 	return nil
@@ -199,7 +197,7 @@ type clusterOpts struct {
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run (see -experiment list)")
-	engine := flag.String("engine", "compiled", "execution engine for server machines: treewalk, compiled, codegen")
+	engine := flag.String("engine", "", "execution engine for server machines: treewalk or codegen (default: codegen where generated code is linked)")
 	reps := flag.Int("reps", harness.DefaultReps, "repetitions per request")
 	soakN := flag.Int("soak-n", 200, "requests per soak run")
 	wall := flag.Bool("wall", false, "measure figures in wall-clock time instead of simulated cycles")

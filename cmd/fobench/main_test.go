@@ -49,13 +49,13 @@ func TestLoadtestExperiment(t *testing.T) {
 }
 
 // TestEngineSelection pins the -engine axis: the same Pine request runs on
-// all three engines (codegen resolves the server's generated code from the
+// both engines (codegen resolves the server's generated code from the
 // checked-in internal/genservers registration) and must burn the identical
 // number of simulated cycles — the engine changes wall-clock dispatch cost
-// only, never the cost model. Each name must run the engine it names (the
-// library default, selected by the empty name, is codegen whenever it is
-// registered, so "compiled" must not fall through to it). Unknown engine
-// names are rejected up front.
+// only, never the cost model. Each name must run the engine it names, and
+// the empty name, the flag's default, runs the library default: codegen,
+// because it is registered. Unknown engine names, including the deleted
+// "compiled", are rejected up front.
 func TestEngineSelection(t *testing.T) {
 	defer func(h func(*fo.MachineConfig)) { engineHook = h }(engineHook)
 	req := mustServer("pine").LegitRequests()[0]
@@ -65,7 +65,6 @@ func TestEngineSelection(t *testing.T) {
 		want fo.Engine
 	}{
 		{"treewalk", fo.EngineTreeWalk},
-		{"compiled", fo.EngineCompiled},
 		{"codegen", fo.EngineGenerated},
 		{"", fo.EngineGenerated},
 	} {
@@ -90,8 +89,10 @@ func TestEngineSelection(t *testing.T) {
 			break
 		}
 	}
-	if err := setEngine("jit"); err == nil {
-		t.Error("expected error for unknown engine")
+	for _, name := range []string{"jit", "compiled"} {
+		if err := setEngine(name); err == nil {
+			t.Errorf("setEngine(%q): expected error for unknown engine", name)
+		}
 	}
 }
 
@@ -101,7 +102,7 @@ func TestUsageDocMentionsEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"treewalk", "compiled", "codegen"} {
+	for _, engine := range []string{"treewalk", "codegen"} {
 		if !strings.Contains(string(src), "//\tfobench -engine "+engine) {
 			t.Errorf("doc comment missing -engine %s line", engine)
 		}

@@ -6,8 +6,10 @@
 //     default (fo.Program.NewMachine picks a registered generated engine).
 //   - internal/gencorpus: the test corpus — the nine dispatch/integration
 //     programs, the simulated-cycle pin workload (under both of its
-//     compile identities), the engine-diff torture fixtures, and a
-//     deterministic prefix of the randomized expression differential.
+//     compile identities), the engine-diff torture fixtures, the programs
+//     tests and the root benchmarks compile under their own names
+//     (corpus.FOPrograms), and a deterministic prefix of the randomized
+//     expression differential.
 //     Only tests and benchmarks link it.
 //
 // Each program registers itself by source hash at init time, so linking a
@@ -34,6 +36,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"focc/fo"
 	"focc/internal/cc/sema"
@@ -94,6 +97,14 @@ func fixtures() []fixture {
 		fixture{file: "server_mc", server: true, filename: "mc.c", src: mc.Source, compile: compileFO},
 		fixture{file: "server_mutt", server: true, filename: "mutt.c", src: mutt.Source, compile: compileFO},
 	)
+	for _, p := range corpus.FOPrograms() {
+		fs = append(fs, fixture{
+			file:     strings.TrimSuffix(p.File, ".c"),
+			filename: p.File,
+			src:      p.Src,
+			compile:  compileFO,
+		})
+	}
 	for i, tr := range corpus.QuickTrials(corpus.QuickGenTrials) {
 		fs = append(fs, fixture{
 			file:     fmt.Sprintf("quick_%02d", i),

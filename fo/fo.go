@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"focc/internal/cc/cpp"
 	"focc/internal/cc/parser"
@@ -104,16 +103,16 @@ type (
 // Engine names an execution engine; see MachineConfig.Engine.
 type Engine = interp.Engine
 
-// Execution engines. All three produce identical results, event logs and
+// Execution engines. Both produce identical results, event logs and
 // simulated cycles; they differ in wall-clock dispatch cost only.
 const (
 	// EngineAuto runs the generated engine when one is registered for
-	// the program, else the compiled IR (Program.NewMachine).
+	// the program, else the tree-walk evaluator (Program.NewMachine).
 	EngineAuto = interp.EngineAuto
-	// EngineTreeWalk is the AST-walking reference evaluator.
+	// EngineTreeWalk is the AST-walking reference evaluator: the oracle
+	// the generated engine is diffed against, and the engine of every
+	// program with no generated code (focc, hot-swapped sources).
 	EngineTreeWalk = interp.EngineTreeWalk
-	// EngineCompiled is the closure-compiled instruction IR.
-	EngineCompiled = interp.EngineCompiled
 	// EngineGenerated is the ahead-of-time generated Go code
 	// (focc -emit-go), linked in by importing its package.
 	EngineGenerated = interp.EngineGenerated
@@ -166,17 +165,6 @@ type Program struct {
 	sema *sema.Program
 	name string
 	hash string
-
-	// lowerOnce guards the lazily-built execution IR: every function body
-	// is lowered to pre-resolved closures exactly once per Program, and the
-	// immutable result is shared by every machine created from it — every
-	// instance in a serving pool, warm spares, and crash replacements all
-	// skip re-lowering (and the per-machine frame-spec/label-scan work the
-	// tree-walk engine repays per instance). A program whose generated
-	// engine is registered never lowers unless a machine asks for the
-	// compiled engine by name.
-	lowerOnce sync.Once
-	compiled  *interp.CompiledProgram
 }
 
 // CompileError aggregates compilation diagnostics.
@@ -289,51 +277,37 @@ func (p *Program) Generated() (*interp.GenProgram, bool) {
 	return interp.GeneratedFor(p.hash)
 }
 
-// Compiled returns the program's lowered execution IR, building it on
-// first use. The result is immutable and shared; concurrent callers get
-// the same IR.
-func (p *Program) Compiled() *interp.CompiledProgram {
-	p.lowerOnce.Do(func() { p.compiled = interp.Compile(p.sema) })
-	return p.compiled
+// Compiled returns the registered generated engine, like Generated, or
+// nil when none is linked in. It does no work.
+//
+// Deprecated: Compiled exists only for the serving benchmark (perfbench),
+// which times it as its "lower" setup layer; no engine lowers a program.
+// Use Generated.
+func (p *Program) Compiled() *interp.GenProgram {
+	gp, _ := interp.GeneratedFor(p.hash)
+	return gp
 }
 
 // NewMachine creates a fresh program instance ("process") under cfg. The
 // libc builtins are installed automatically; cfg.Builtins entries override
 // or extend them. cfg.Engine picks the execution engine. Left unset
-// (EngineAuto, with no explicit Compiled or Generated program), the
-// instance runs the program's ahead-of-time generated engine when its
-// generated package is linked in (registered by source hash), and
-// otherwise the compiled instruction IR (lowered once per Program, shared
-// by all machines). EngineGenerated fails with a regeneration hint when
-// no generated engine is registered; EngineCompiled and EngineTreeWalk
-// always start.
+// (EngineAuto, with no explicit Generated program), the instance runs the
+// program's ahead-of-time generated engine when its generated package is
+// linked in (registered by source hash), and otherwise the tree-walk
+// evaluator. EngineGenerated fails with a regeneration hint when no
+// generated engine is registered; EngineTreeWalk always starts.
 func (p *Program) NewMachine(cfg MachineConfig) (*Machine, error) {
 	builtins := libc.Builtins()
 	for name, impl := range cfg.Builtins {
 		builtins[name] = impl
 	}
 	cfg.Builtins = builtins
-	switch cfg.Engine {
-	case EngineAuto:
-		if cfg.Generated == nil && cfg.Compiled == nil {
-			if gp, ok := interp.GeneratedFor(p.hash); ok {
-				cfg.Generated = gp
-			} else {
-				cfg.Compiled = p.Compiled()
-			}
+	if cfg.Engine != EngineTreeWalk && cfg.Generated == nil {
+		gp, ok := interp.GeneratedFor(p.hash)
+		if !ok && cfg.Engine == EngineGenerated {
+			return nil, fmt.Errorf("program startup: no generated code registered for %s (source hash %.12s); regenerate with `go generate ./...` or `focc -emit-go`", p.name, p.hash)
 		}
-	case EngineGenerated:
-		if cfg.Generated == nil {
-			gp, ok := interp.GeneratedFor(p.hash)
-			if !ok {
-				return nil, fmt.Errorf("program startup: no generated code registered for %s (source hash %.12s); regenerate with `go generate ./...` or `focc -emit-go`", p.name, p.hash)
-			}
-			cfg.Generated = gp
-		}
-	case EngineCompiled:
-		if cfg.Compiled == nil {
-			cfg.Compiled = p.Compiled()
-		}
+		cfg.Generated = gp
 	}
 	m, err := interp.New(p.sema, cfg)
 	if err != nil {

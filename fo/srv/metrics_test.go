@@ -16,13 +16,13 @@ import (
 // engine, scrapes the Prometheus endpoint, and checks the memory-error and
 // latency series the attack must have produced.
 func TestMetricsHandler(t *testing.T) {
-	eng, err := srv.NewEngine(srv.NewApacheServer(), fo.FailureOblivious,
+	eng, err := srv.NewEngine(mustServer(t, "apache"), fo.FailureOblivious,
 		srv.WithPoolSize(2), srv.WithQueueDepth(8), srv.WithDeadline(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	apacheSrv := srv.NewApacheServer()
+	apacheSrv := mustServer(t, "apache")
 	for i := 0; i < 2; i++ {
 		if _, err := eng.Submit(context.Background(), apacheSrv.LegitRequests()[0]); err != nil {
 			t.Fatal(err)
@@ -92,13 +92,13 @@ func TestMetricsHandler(t *testing.T) {
 // carries Strategies and the Prometheus endpoint exports
 // fo_manufactured_by_strategy_total.
 func TestMetricsStrategyAttribution(t *testing.T) {
-	eng, err := srv.NewEngine(srv.NewMCServer(), fo.ModeFOContext,
+	eng, err := srv.NewEngine(mustServer(t, "mc"), fo.ModeFOContext,
 		srv.WithPoolSize(1), srv.WithQueueDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	mc := srv.NewMCServer()
+	mc := mustServer(t, "mc")
 	if _, err := eng.Submit(context.Background(), mc.AttackRequest()); err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestMetricsStrategyAttribution(t *testing.T) {
 // API: the attack request carries its own events, a legitimate request
 // carries none.
 func TestPerRequestAttribution(t *testing.T) {
-	eng, err := srv.NewEngine(srv.NewApacheServer(), fo.FailureOblivious,
+	eng, err := srv.NewEngine(mustServer(t, "apache"), fo.FailureOblivious,
 		srv.WithPoolSize(1), srv.WithQueueDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	apacheSrv := srv.NewApacheServer()
+	apacheSrv := mustServer(t, "apache")
 	resp, err := eng.Submit(context.Background(), apacheSrv.LegitRequests()[0])
 	if err != nil {
 		t.Fatal(err)

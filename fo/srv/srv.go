@@ -34,11 +34,11 @@
 //
 // Execution: importing srv links the five servers' ahead-of-time generated
 // engines (internal/genservers, DESIGN.md §16), so their instances run
-// generated Go code — the analogue of the paper's compiled, checked C —
-// rather than the closure-compiled IR. Results, event logs and simulated
-// cycles are identical on every engine; only wall-clock cost differs. A
-// server program with no generated form (a hot-swapped or third-party
-// source) falls back to the compiled IR automatically.
+// generated Go code — the analogue of the paper's compiled, checked C.
+// Results, event logs and simulated cycles are identical on both engines;
+// only wall-clock cost differs. A server program with no generated form
+// (a hot-swapped or third-party source) falls back to the tree-walk
+// evaluator automatically; `focc -emit-go` gives it generated code.
 package srv
 
 import (
@@ -68,8 +68,7 @@ type (
 
 // The server registry: the five reproductions from the paper's evaluation
 // (§4.2–§4.6), keyed by name. Names returns the catalog, New instantiates
-// by name — the registry is the supported way to enumerate or select
-// models, replacing the per-server constructors below.
+// by name.
 
 // Names returns the registered server model names in the paper's
 // presentation order: "pine", "apache", "sendmail", "mc", "mutt".
@@ -78,50 +77,6 @@ func Names() []string { return registry.Names() }
 // New returns a fresh server model by registry name, or a descriptive
 // error listing the valid names.
 func New(name string) (Server, error) { return registry.New(name) }
-
-// Servers returns fresh instances of all registered server models, in
-// Names() order.
-func Servers() []Server { return registry.All() }
-
-// NewPineServer returns the Pine 4.44 model (qmail-style From-quoting
-// overflow, §4.2).
-//
-// Deprecated: use New("pine").
-func NewPineServer() Server { return mustNew("pine") }
-
-// NewApacheServer returns the Apache 2.0.47 model (mod_rewrite capture
-// overflow, §4.3).
-//
-// Deprecated: use New("apache").
-func NewApacheServer() Server { return mustNew("apache") }
-
-// NewSendmailServer returns the Sendmail 8.11.6 model (address-parsing
-// overflow, §4.4).
-//
-// Deprecated: use New("sendmail").
-func NewSendmailServer() Server { return mustNew("sendmail") }
-
-// NewMCServer returns the Midnight Commander 4.5.55 model (symlink-name
-// overflow, §4.5).
-//
-// Deprecated: use New("mc").
-func NewMCServer() Server { return mustNew("mc") }
-
-// NewMuttServer returns the Mutt 1.4 model (UTF-8 conversion overflow,
-// §4.6).
-//
-// Deprecated: use New("mutt").
-func NewMuttServer() Server { return mustNew("mutt") }
-
-// mustNew backs the deprecated constructors: their names are registry
-// constants, so a lookup failure is a bug, not an input error.
-func mustNew(name string) Server {
-	s, err := registry.New(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // Re-exported serving-engine types; see internal/serve for details.
 type (

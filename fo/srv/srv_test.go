@@ -9,11 +9,22 @@ import (
 	"focc/fo/srv"
 )
 
-// TestConstructorsServe drives each public server constructor through one
+// mustServer returns the registered server model name.
+func mustServer(t *testing.T, name string) srv.Server {
+	t.Helper()
+	s, err := srv.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestConstructorsServe drives each registered server model through one
 // legitimate request and the documented attack under failure-oblivious
 // execution — the instance must survive both.
 func TestConstructorsServe(t *testing.T) {
-	for _, s := range srv.Servers() {
+	for _, name := range srv.Names() {
+		s := mustServer(t, name)
 		inst, err := s.New(fo.FailureOblivious)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -33,7 +44,7 @@ func TestConstructorsServe(t *testing.T) {
 // TestEngineThroughPublicAPI exercises the full serving quickstart: an
 // engine built only from fo/srv symbols serving legit and attack traffic.
 func TestEngineThroughPublicAPI(t *testing.T) {
-	eng, err := srv.NewEngine(srv.NewApacheServer(), fo.FailureOblivious,
+	eng, err := srv.NewEngine(mustServer(t, "apache"), fo.FailureOblivious,
 		srv.WithPoolSize(2),
 		srv.WithQueueDepth(8),
 		srv.WithDeadline(5*time.Second),
@@ -43,7 +54,7 @@ func TestEngineThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	apacheSrv := srv.NewApacheServer()
+	apacheSrv := mustServer(t, "apache")
 	for i := 0; i < 3; i++ {
 		resp, err := eng.Submit(context.Background(), apacheSrv.LegitRequests()[0])
 		if err != nil {

@@ -98,7 +98,7 @@ type Unary struct {
 	X  Expr
 	// LoadSite is the canonical load-site id assigned by the semantic
 	// analyzer when Op is Star (see sema.assignLoadSites). Engine-
-	// independent: all three execution engines prime the context-aware
+	// independent: both execution engines prime the context-aware
 	// value strategy with this id before a checked load.
 	LoadSite int32
 }

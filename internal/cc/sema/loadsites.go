@@ -10,18 +10,17 @@ import (
 // site id. The walk is a fixed in-order traversal over declarations in
 // source order, so the numbering is a pure function of the source text and
 // therefore identical no matter which execution engine later runs the
-// program: the tree-walk evaluator reads the id off the AST node, the
-// closure compiler bakes it into its lowered lvalues, and the ahead-of-time
-// Go generator emits it as a literal. The ids key the context-aware
-// manufactured-value table (internal/strategy); they are distinct from the
-// per-engine provenance-recovery site ids (compiler.siteFor / gen.sidFor),
+// program: the tree-walk evaluator reads the id off the AST node, and the
+// ahead-of-time Go generator emits it as a literal. The ids key the
+// context-aware manufactured-value table (internal/strategy); they are
+// distinct from the generated engine's provenance-recovery site ids
+// (gen.sidFor),
 // which are allocation-order cache indices that never need to agree across
 // engines.
 //
 // Every candidate node gets an id whether or not it ever performs a checked
-// load (trusted frame accesses are lowered to raw loads and simply never
-// consult the table), which keeps the assignment independent of lowering
-// decisions.
+// load (trusted frame accesses become raw loads and simply never consult
+// the table), which keeps the assignment independent of engine decisions.
 func assignLoadSites(prog *Program) {
 	w := &siteWalker{}
 	for _, d := range prog.File.Decls {

@@ -55,6 +55,34 @@ const FileName = "t.c"
 // compile PinSrc under FileName via CompileCPP.
 const PinFileName = "pin.c"
 
+// RewindFileName and RequestArgsFileName are the fo.Compile identities of
+// SrcRewind and SrcRequestArgs.
+const (
+	RewindFileName      = "rewind.c"
+	RequestArgsFileName = "args.c"
+)
+
+// Named is a source together with the file name it compiles under.
+type Named struct {
+	File string
+	Src  string
+}
+
+// FOPrograms lists the sources that tests and the root benchmarks compile
+// through fo.Compile under their own file names; cmd/gencorpus generates
+// code for each, so they run on the generated engine as well as on the
+// tree-walk reference.
+func FOPrograms() []Named {
+	return []Named{
+		{RewindFileName, SrcRewind},
+		{RequestArgsFileName, SrcRequestArgs},
+		{ScanFileName, SrcScan},
+		{ChurnFileName, SrcChurn},
+		{CheckpointFileName, SrcCheckpoint},
+		{BenchServeFileName, SrcBenchServe},
+	}
+}
+
 // CompilePlain parses and analyzes source that needs no preprocessing
 // (parser.ParseString + libc prototypes) — the pipeline of the interp
 // tests' compile helper.

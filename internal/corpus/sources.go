@@ -623,3 +623,140 @@ int mixed(int k) {
 	return (int) total;
 }
 `
+
+// --- Root benchmark programs (bench_test.go) ---
+//
+// The ad-hoc programs of the top-level benchmarks live here, not inline,
+// so cmd/gencorpus generates code for them and the benchmarks run on the
+// generated engine, like the figures. Each compiles via fo.Compile under
+// its file name below.
+
+// Compile identities of the root benchmark programs.
+const (
+	ScanFileName       = "scan.c"
+	ChurnFileName      = "churn.c"
+	CheckpointFileName = "ckpt.c"
+	BenchServeFileName = "benchstub.c"
+)
+
+// SrcScan is the Midnight-Commander-style sentinel scan that runs off the
+// end of its buffer (BenchmarkAblationValueSequence).
+const SrcScan = `
+int scan(void) {
+	char buf[8];
+	int i = 0;
+	buf[0] = 'a';
+	while (buf[i] != '/')
+		i++;
+	return i;
+}
+`
+
+// SrcChurn is a pure pointer-chasing loop (BenchmarkPolicyOverhead).
+const SrcChurn = `
+char buf[4096];
+int churn(int n) {
+	int i, x = 0;
+	for (i = 0; i < n; i++)
+		x += buf[i & 4095];
+	return x;
+}
+`
+
+// SrcCheckpoint is the rewind checkpoint workload
+// (BenchmarkRewindCheckpoint): handle is a clean write-heavy request,
+// poison overruns a stack buffer and triggers the rollback.
+const SrcCheckpoint = `
+char state[1024];
+int handle(int n) {
+	char *blk = (char *)malloc(64);
+	int i;
+	for (i = 0; i < 1024; i++)
+		state[i] = (char)(i + n);
+	blk[0] = 'x';
+	free(blk);
+	return state[0];
+}
+int poison(int n) {
+	char buf[8];
+	int i;
+	for (i = 0; i < 1024; i++)
+		state[i] = (char)i;
+	for (i = 0; i < n; i++)
+		buf[i] = 'y';   /* overruns for n > 8: triggers the rollback */
+	return 0;
+}
+`
+
+// SrcBenchServe is the small-op server the serving-path benchmarks
+// (BenchmarkBatchDispatch, BenchmarkStatsScrape) drive:
+// "ok" is a tiny successful request (the batching target — per-request
+// dispatch overhead dominates execution), and "poke" additionally commits
+// two out-of-bounds writes so the failure-oblivious telemetry path (event
+// append + per-request attribution) runs on every request.
+const SrcBenchServe = `
+char resp[32];
+
+int ok(void)
+{
+	resp[0] = 'o'; resp[1] = 'k'; resp[2] = 0;
+	return 200;
+}
+
+int poke(void)
+{
+	char b[4];
+	b[6] = 'x'; b[7] = 'y';
+	return 200;
+}
+`
+
+// SrcRewind drives the rewind-and-discard policy end to end
+// (rewind_test.go): a request that overruns a stack buffer after mutating
+// globals and the heap, and a detected double free. It compiles via
+// fo.Compile under RewindFileName.
+const SrcRewind = `
+int counter;
+char state[16];
+char *saved;
+
+int handle(int n) {
+	char buf[8];
+	int i;
+	counter++;
+	state[0] = 'a' + counter;
+	saved = (char *)malloc(32);
+	saved[0] = 'x';
+	for (i = 0; i < n; i++)
+		buf[i] = i;      /* overruns buf for n > 8 */
+	return counter;
+}
+
+int get_counter(int n) { return counter; }
+int get_state(int n) { return state[0]; }
+
+int drop(int n) {
+	char *p = (char *)malloc(16);
+	free(p);
+	if (n > 0)
+		free(p);         /* double free: detected memory error */
+	return 7;
+}
+`
+
+// SrcRequestArgs keeps a 16-byte guest block directly below the request
+// argument so an overflow of it lands in the argument's heap header
+// (request_args_test.go). It compiles via fo.Compile under
+// RequestArgsFileName.
+const SrcRequestArgs = `
+char *g;
+int init(void) { g = malloc(16); return g != 0; }
+int smash(const char *arg)
+{
+	int i;
+	for (i = 0; i < 24; i++)
+		g[i] = 'A';
+	return arg[0];
+}
+int grab(void) { char *p = malloc(8); return p != 0; }
+`

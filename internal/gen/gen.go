@@ -1,6 +1,6 @@
 // Package gen is the ahead-of-time code generator: it translates a
-// sema-analyzed program into Go source that executes as the third
-// engine (after the tree-walk evaluator and the closure compiler).
+// sema-analyzed program into Go source that executes as the second
+// engine, next to the tree-walk evaluator it is diffed against.
 //
 // The emitted code is a statement-by-statement transliteration of the
 // tree-walk evaluator (internal/interp/eval.go): every statement charges
@@ -9,9 +9,9 @@
 // loadValue/storeRaw/storeValue/convert/binaryOp verbatim), and every
 // runtime diagnostic reproduces the evaluator's message and position.
 // Outcomes, event logs, and simulated cycles are therefore bit-identical
-// across all three engines by construction; the generated code wins
+// across both engines by construction; the generated code wins
 // wall-clock time purely by eliminating interpretation dispatch —
-// AST type switches and closure trampolines become straight-line Go with
+// AST type switches become straight-line Go with
 // guarded fast paths for integer arithmetic, comparisons, pointer
 // stepping, and trusted scalar loads. Each guard checks the operand's
 // runtime type against the statically annotated one and falls back to
@@ -282,8 +282,8 @@ func (e *emitter) posRef(p token.Pos) string {
 	return fmt.Sprintf("%spos[%d]", e.pfx, idx)
 }
 
-// sidFor assigns a provenance-recovery site id for pointer loads,
-// mirroring the closure compiler's siteFor.
+// sidFor assigns a provenance-recovery site id for pointer loads: the
+// slice index of the load's cache in Machine.csite.
 func (e *emitter) sidFor(t *types.Type) int32 {
 	if t == nil || !t.IsPointer() {
 		return -1
@@ -294,7 +294,7 @@ func (e *emitter) sidFor(t *types.Type) int32 {
 }
 
 // builtinSlot assigns (or reuses) the memoization slot for a builtin
-// name, mirroring the closure compiler's builtinSlot.
+// name: the index into Machine.builtinSlots.
 func (e *emitter) builtinSlot(name string) int {
 	if id, ok := e.builtinIdx[name]; ok {
 		return id
@@ -430,8 +430,8 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 	e.usedLbl = map[string]bool{}
 
 	// Frame spec (mirrors newFrameSpec) and offset → unit-index table
-	// (mirrors the closure compiler's localIdx: PushFrame registers locals
-	// in reverse spec order, so spec index i lives at len-1-i).
+	// (PushFrame registers locals in reverse spec order, so spec index i
+	// lives at len-1-i).
 	n := len(fd.Locals)
 	e.localIdx = make(map[uint64]int, n)
 	localsRef := "nil"
@@ -455,7 +455,7 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 		e.prescan(fd)
 	}
 
-	// Wrapper: the generated analogue of callFunction/callCompiled.
+	// Wrapper: the generated analogue of callFunction.
 	retT := fd.T.Fn.Ret
 	e.w("func %sf_%s(m *interp.Machine, args []interp.Value, pos token.Pos) interp.Value {", e.pfx, fd.Name)
 	e.w("m.GenStep()")
@@ -1082,7 +1082,7 @@ func (e *emitter) trustedLoad(u string, off uint64, t *types.Type) string {
 func (e *emitter) lvalue(x ast.Expr) genLval {
 	lv := e.lvalue1(x)
 	// Stamp the canonical load-site id here so every construction below
-	// carries it (mirrors the closure compiler's compileLvalue wrapper).
+	// carries it.
 	lv.lsid = sema.LoadSiteOf(x)
 	return lv
 }

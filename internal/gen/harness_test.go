@@ -1,11 +1,14 @@
 package gen_test
 
-// End-to-end harness for the code generator: emit Go for an arbitrary
-// program that is NOT part of the checked-in gencorpus, build it with the
-// real Go toolchain inside this module, and run a differential check of
-// the generated engine against the tree-walk and compiled engines across
-// every mode. This is the proof that -emit-go output is self-contained:
-// it needs only the focc module to compile, and registering it by source
+// End-to-end harness for the code generator: emit Go for programs that
+// are NOT part of the checked-in gencorpus, build them with the real Go
+// toolchain inside this module, and run a differential check of the
+// generated engine against the tree-walk reference. The programs are
+// harnessSrc, diffed across every mode, and the randomized expression
+// trials that have no checked-in generated code (corpus.QuickGenTrials up
+// to corpus.QuickTrialCount), diffed as quick_test.go diffs the checked-in
+// prefix. This is the proof that -emit-go output is self-contained: it
+// needs only the focc module to compile, and registering it by source
 // hash is enough for fo.MachineConfig{Engine: fo.EngineGenerated} to find
 // it. Every engine is named explicitly and checked with Machine.Engine:
 // the emitted code is registered, so the default would run it.
@@ -21,7 +24,9 @@ import (
 	"testing"
 
 	"focc/fo"
+	"focc/internal/corpus"
 	"focc/internal/gen"
+	"focc/internal/interp"
 )
 
 // harnessSrc is deliberately absent from internal/corpus: the point is to
@@ -74,10 +79,11 @@ int main(void) {
 
 const harnessFile = "harness.c"
 
-// runnerTmpl is the main.go written next to the emitted file. It compiles
-// the identical (filename, source) pair — so the source hash matches the
-// init-time registration in the emitted file — and requires all three
-// engines to agree on every observable in every mode.
+// runnerTmpl is the main.go written next to the emitted files. It
+// compiles the identical (filename, source) pairs — so the source hashes
+// match the init-time registrations in the emitted files — and requires
+// both engines to agree on every observable: for harnessSrc in every
+// mode, for each emitted trial on outcome, value, cycles and event log.
 const runnerTmpl = `package main
 
 import (
@@ -87,6 +93,10 @@ import (
 	"reflect"
 
 	"focc/fo"
+	"focc/internal/core"
+	"focc/internal/corpus"
+	"focc/internal/interp"
+	"focc/internal/libc"
 )
 
 const fileName = %q
@@ -147,23 +157,69 @@ func main() {
 			os.Exit(1)
 		}
 		ref := runOne(mode, fo.EngineTreeWalk)
-		for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineGenerated} {
-			got := runOne(mode, engine)
-			if !reflect.DeepEqual(got, ref) {
-				fmt.Fprintf(os.Stderr, "%%s/%%v diverges:\n  tree-walk %%+v\n  %%-9v %%+v\n",
-					name, engine, ref, engine, got)
-				os.Exit(1)
-			}
+		if got := runOne(mode, fo.EngineGenerated); !reflect.DeepEqual(got, ref) {
+			fmt.Fprintf(os.Stderr, "%%s/codegen diverges:\n  tree-walk %%+v\n  codegen   %%+v\n",
+				name, ref, got)
+			os.Exit(1)
+		}
+	}
+	trials := corpus.QuickTrials(corpus.QuickTrialCount)
+	for i := corpus.QuickGenTrials; i < len(trials); i++ {
+		tr := trials[i]
+		ref := runTrial(i, tr, interp.EngineTreeWalk)
+		if got := runTrial(i, tr, interp.EngineGenerated); !reflect.DeepEqual(got, ref) {
+			fmt.Fprintf(os.Stderr, "trial %%d diverges:\n  tree-walk %%+v\n  codegen   %%+v\nsrc: %%s\n",
+				i, ref, got, tr.Src)
+			os.Exit(1)
 		}
 	}
 	fmt.Println("OK")
 }
+
+type trialObs struct {
+	outcome interp.Outcome
+	value   int64
+	cycles  uint64
+	log     core.Snapshot
+}
+
+// runTrial runs one randomized expression trial as quick_test.go does:
+// compiled through corpus.CompilePlain under corpus.FileName, f(A, B, C)
+// under BoundsCheck.
+func runTrial(i int, tr corpus.QuickTrial, engine interp.Engine) trialObs {
+	prog, err := corpus.CompilePlain(corpus.FileName, tr.Src)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trial %%d: %%v\n", i, err)
+		os.Exit(1)
+	}
+	cfg := interp.Config{Mode: core.BoundsCheck, Builtins: libc.Builtins(), Engine: engine}
+	if engine == interp.EngineGenerated {
+		gp, ok := interp.GeneratedFor(interp.SourceHash(corpus.FileName, tr.Src))
+		if !ok {
+			fmt.Fprintf(os.Stderr, "trial %%d: no generated code registered\n", i)
+			os.Exit(1)
+		}
+		cfg.Generated = gp
+	}
+	m, err := interp.New(prog, cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trial %%d (%%v): %%v\n", i, engine, err)
+		os.Exit(1)
+	}
+	if got := m.Engine(); got != engine {
+		fmt.Fprintf(os.Stderr, "trial %%d: machine runs %%v, want %%v\n", i, got, engine)
+		os.Exit(1)
+	}
+	res := m.Call("f", interp.Int(int64(tr.A)), interp.Int(int64(tr.B)), interp.Int(int64(tr.C)))
+	return trialObs{res.Outcome, res.Value.I, m.SimCycles(), m.Log().Snapshot()}
+}
 `
 
-// TestEmitBuildAndDiff emits Go for harnessSrc into a temp dir under
-// testdata (inside the module, so focc/... imports resolve; go's ./...
-// wildcard never descends into testdata), builds and runs it with the
-// real toolchain, and checks the three-engine differential passes.
+// TestEmitBuildAndDiff emits Go for harnessSrc and for every randomized
+// expression trial without checked-in generated code into a temp dir
+// under testdata (inside the module, so focc/... imports resolve; go's
+// ./... wildcard never descends into testdata), builds and runs it with
+// the real toolchain, and checks the two-engine differential passes.
 func TestEmitBuildAndDiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
@@ -197,6 +253,27 @@ func TestEmitBuildAndDiff(t *testing.T) {
 
 	if err := os.WriteFile(filepath.Join(dir, "harness_gen.go"), code, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	trials := corpus.QuickTrials(corpus.QuickTrialCount)
+	for i := corpus.QuickGenTrials; i < len(trials); i++ {
+		src := trials[i].Src
+		sp, err := corpus.CompilePlain(corpus.FileName, src)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		prefix := fmt.Sprintf("quick_%03d", i)
+		code, err := gen.Emit(sp, gen.Options{
+			Package:  "main",
+			Prefix:   prefix + "_",
+			Hash:     interp.SourceHash(corpus.FileName, src),
+			Register: true,
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, prefix+"_gen.go"), code, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runner := fmt.Sprintf(runnerTmpl, harnessFile, harnessSrc)
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(runner), 0o644); err != nil {

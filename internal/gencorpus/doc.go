@@ -1,8 +1,10 @@
 // Package gencorpus holds the checked-in, ahead-of-time generated Go
-// code (the third execution engine; see internal/gen and DESIGN.md §16)
-// for the engine-equivalence corpus: the dispatch/integration programs,
-// the simulated-cycle pin workload, the engine-diff torture fixtures, and
-// a deterministic prefix of the randomized expression differential. Each
+// code (the generated execution engine; see internal/gen and DESIGN.md
+// §16) for the engine-equivalence corpus: the dispatch/integration
+// programs, the simulated-cycle pin workload, the engine-diff torture
+// fixtures, the programs tests and the root benchmarks compile under their
+// own names (corpus.FOPrograms), and a deterministic prefix of the
+// randomized expression differential. Each
 // *_gen.go file registers its program by source hash at init time;
 // importing this package (blank import is enough) makes every corpus
 // program run on the generated engine by default (and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"focc/fo"
+	_ "focc/internal/genservers" // run the five servers on the engine that ships
 	"focc/internal/servers"
 	"focc/internal/servers/apache"
 	"focc/internal/servers/mc"

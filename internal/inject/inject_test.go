@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"focc/fo"
+	_ "focc/internal/genservers" // run the five servers on the engine that ships
 )
 
 // injSrc exercises loads and stores over a global buffer with an adjacent

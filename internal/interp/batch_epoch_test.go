@@ -3,7 +3,7 @@ package interp_test
 // Batch-granularity checkpoint epochs (Machine.BeginBatchEpoch /
 // EndBatchEpoch): a serving engine that coalesces several requests onto
 // one dispatch brackets them in one checkpoint instead of one per call.
-// These tests pin the epoch contract on all three execution engines —
+// These tests pin the epoch contract on both execution engines —
 // idempotent re-arm while open, commit on EndBatchEpoch, rollback
 // granularity coarsened to the epoch (a rewind discards every call made
 // under it, not just the failed one), and no-op outside ModeRewind.
@@ -19,7 +19,7 @@ import (
 func newEpochMachine(t *testing.T, engine string, mode core.Mode) *interp.Machine {
 	t.Helper()
 	prog := compileWithCPP(t, corpus.SrcBatchEpoch)
-	cfg := engineConfig(t, engine, prog, corpus.SrcBatchEpoch)
+	cfg := engineConfig(t, engine, corpus.SrcBatchEpoch)
 	cfg.Mode = mode
 	m, err := interp.New(prog, cfg)
 	if err != nil {

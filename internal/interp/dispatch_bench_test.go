@@ -2,8 +2,7 @@ package interp_test
 
 // BenchmarkDispatch measures the execution engines head-to-head over the
 // integration corpus: the AST-walking reference evaluator (per-node type
-// switches, per-execution identifier resolution), the compiled closure
-// IR (everything static resolved at lowering time), and the ahead-of-time
+// switches, per-execution identifier resolution) and the ahead-of-time
 // generated Go code (internal/gencorpus — no interpretation dispatch at
 // all). Same programs, same modes, same simulated-cycle counts — only
 // the Go-level dispatch cost differs.
@@ -14,7 +13,6 @@ import (
 	"testing"
 
 	"focc/internal/core"
-	"focc/internal/corpus"
 	"focc/internal/interp"
 )
 
@@ -28,7 +26,7 @@ func benchEngine(b *testing.B, src, engine string) {
 	for _, mode := range dispatchModes {
 		b.Run(mode.String(), func(b *testing.B) {
 			prog := compileWithCPP(b, src)
-			cfg := engineConfig(b, engine, prog, src)
+			cfg := engineConfig(b, engine, src)
 			cfg.Mode = mode
 			m, err := interp.New(prog, cfg)
 			if err != nil {
@@ -60,27 +58,8 @@ func BenchmarkDispatchTreeWalk(b *testing.B) {
 	}
 }
 
-func BenchmarkDispatchCompiled(b *testing.B) {
-	for _, cp := range corpusSources() {
-		b.Run(cp.Name, func(b *testing.B) { benchEngine(b, cp.Src, "compiled") })
-	}
-}
-
 func BenchmarkDispatchCodegen(b *testing.B) {
 	for _, cp := range corpusSources() {
 		b.Run(cp.Name, func(b *testing.B) { benchEngine(b, cp.Src, "codegen") })
-	}
-}
-
-// BenchmarkCompileLowering measures the one-time lowering cost itself —
-// the price a Program pays once, amortized across every machine in a pool.
-func BenchmarkCompileLowering(b *testing.B) {
-	prog := compileWithCPP(b, corpus.SrcBase64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if cp := interp.Compile(prog); cp == nil {
-			b.Fatal("nil compile")
-		}
 	}
 }

@@ -1,15 +1,14 @@
 package interp_test
 
-// Differential tests: the compiled closure-IR engine, the ahead-of-time
-// generated-Go engine (internal/gencorpus), and the AST-walking
-// reference engine must agree on EVERY observable — outcome, return
-// value, error text, step count, simulated cycles, program output, and
-// the memory-error event log — for every corpus program, every mode, and
-// a set of torture programs that exercise the lowered control flow
-// (goto/switch tables), the error paths, and the failure-oblivious
-// continuation machinery. Simulated-cycle equality here is the
-// enforcement of the cycle-charging invariant documented in compile.go
-// and internal/gen.
+// Differential tests: the ahead-of-time generated-Go engine
+// (internal/gencorpus) and the AST-walking reference engine must agree on
+// EVERY observable — outcome, return value, error text, step count,
+// simulated cycles, program output, and the memory-error event log — for
+// every corpus program, every mode, and a set of torture programs that
+// exercise the emitted control flow (goto/switch tables), the error
+// paths, and the failure-oblivious continuation machinery.
+// Simulated-cycle equality here is the enforcement of the cycle-charging
+// invariant documented in internal/gen.
 
 import (
 	"bytes"
@@ -55,7 +54,7 @@ func runEngine(t *testing.T, engine, src string, mode core.Mode,
 	t.Helper()
 	prog := compileWithCPP(t, src)
 	var out bytes.Buffer
-	cfg := engineConfig(t, engine, prog, src)
+	cfg := engineConfig(t, engine, src)
 	cfg.Mode = mode
 	cfg.Out = &out
 	cfg.MaxSteps = maxSteps
@@ -87,8 +86,8 @@ func runEngine(t *testing.T, engine, src string, mode core.Mode,
 	return obs, m.SimCycles(), out.String(), m.Log().Snapshot()
 }
 
-// assertEnginesAgree runs the scenario on all three engines under every
-// mode and requires identical observations, with the tree-walk reference
+// assertEnginesAgree runs the scenario on both engines under every mode
+// and requires identical observations, with the tree-walk reference
 // engine as ground truth.
 func assertEnginesAgree(t *testing.T, src string, maxSteps uint64, calls []diffCall) {
 	t.Helper()
@@ -141,7 +140,7 @@ func TestEngineDiffMemoryErrors(t *testing.T) {
 	})
 }
 
-// TestEngineDiffControlFlow tortures the statically-lowered control flow:
+// TestEngineDiffControlFlow tortures the statically-emitted control flow:
 // goto into and out of nested blocks, switch dispatch with fallthrough
 // and default, do-while, break/continue, and labeled statements.
 func TestEngineDiffControlFlow(t *testing.T) {

@@ -3,12 +3,12 @@ package interp
 // Runtime support for the generated-code engine: the registry of
 // ahead-of-time generated programs (focc -emit-go / cmd/gencorpus) and the
 // exported Gen* helpers the emitted Go source calls. Every helper is a
-// thin wrapper over the exact machinery the tree-walk and compiled-closure
-// engines execute — step budget, cycle charging, policy accessors, frame
-// protocol — so outcomes, event logs, and simulated cycles stay
-// bit-identical across all three engines by construction. The generated
-// code wins wall-clock time purely by eliminating per-node dispatch
-// (closure calls / AST type switches), never by changing a decision point.
+// thin wrapper over the exact machinery the tree-walk engine executes —
+// step budget, cycle charging, policy accessors, frame protocol — so
+// outcomes, event logs, and simulated cycles stay bit-identical between
+// the two engines by construction. The generated code wins wall-clock
+// time purely by eliminating per-node dispatch (AST type switches), never
+// by changing a decision point.
 
 import (
 	"crypto/sha256"
@@ -29,7 +29,7 @@ import (
 var GenLive = true
 
 // GenFn is a generated function: the ahead-of-time analogue of
-// callFunction/callCompiled for one C function. The wrapper emitted by
+// callFunction for one C function. The wrapper emitted by
 // internal/gen performs the full call protocol (step, arity check, frame
 // push, parameter binding, body, frame pop, return conversion).
 type GenFn func(m *Machine, args []Value, pos token.Pos) Value
@@ -42,8 +42,7 @@ type GenProgram struct {
 	// generated from; see SourceHash.
 	Hash string
 	// NumSites is the number of provenance-recovery access sites; each
-	// machine allocates one LookupCache per site (Machine.csite), exactly
-	// like the compiled engine.
+	// machine allocates one LookupCache per site (Machine.csite).
 	NumSites int
 	// Builtins maps builtin-slot id -> builtin name (Machine.builtinSlots).
 	Builtins []string
@@ -136,7 +135,7 @@ func (m *Machine) execGenBody(f *mem.Frame, body func(*Machine, *mem.Frame) Valu
 		}
 		if _, isAbort := ep.err.(*core.FuncAbort); isAbort {
 			// Transactional function termination: zero return value, caller
-			// continues (see execBody / execCompiledBody).
+			// continues (see execBody).
 			ret = Value{}
 			return
 		}
@@ -152,6 +151,36 @@ func (m *Machine) GenPutArgs(s []Value)  { m.putArgs(s) }
 // GenBuiltin resolves the builtin for a generated call-site slot.
 func (m *Machine) GenBuiltin(slot int, name string, pos token.Pos) BuiltinFunc {
 	return m.builtinAt(slot, name, pos)
+}
+
+// findUnitSite resolves addr through the generated site's lookup cache —
+// the slice-indexed analogue of findUnitAt's map keyed by AST node. A
+// negative site id means "no dedicated cache" (machine-wide cache only).
+func (m *Machine) findUnitSite(sid int32, addr uint64) *mem.Unit {
+	if sid < 0 {
+		return m.FindUnit(addr)
+	}
+	c := &m.csite[sid]
+	if u := m.as.Probe(c, addr); u != nil {
+		return u
+	}
+	u := m.FindUnit(addr)
+	m.as.FillCache(c, u)
+	return u
+}
+
+// builtinAt resolves the builtin for a generation-time call-site slot,
+// memoizing per machine so repeated calls skip the map lookup.
+func (m *Machine) builtinAt(slot int, name string, pos token.Pos) BuiltinFunc {
+	if impl := m.builtinSlots[slot]; impl != nil {
+		return impl
+	}
+	impl, ok := m.builtins[name]
+	if !ok {
+		m.failf(pos, "builtin %q has no host implementation", name)
+	}
+	m.builtinSlots[slot] = impl
+	return impl
 }
 
 // --- Memory access ---

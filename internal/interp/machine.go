@@ -170,21 +170,13 @@ type Config struct {
 	// leaves it nil, which costs nothing.
 	WrapAccessor func(core.Accessor) core.Accessor
 	// Engine selects the execution engine. The zero value, EngineAuto,
-	// leaves the choice to the configuration: interp.New runs Generated
-	// if set, else Compiled if set, else the tree-walk reference, and
+	// runs Generated if set, else the tree-walk reference;
 	// fo.Program.NewMachine first fills in the program's registered
-	// generated engine, falling back to its shared compiled IR. Naming an
-	// engine pins it: EngineCompiled and EngineGenerated run exactly that
-	// engine (fo.Program.NewMachine supplies its program; interp.New fails
-	// without one), EngineTreeWalk ignores Compiled and Generated.
+	// generated engine. Naming an engine pins it: EngineGenerated runs
+	// the generated engine (fo.Program.NewMachine supplies its program;
+	// interp.New fails without one), EngineTreeWalk ignores Generated.
 	// Machine.Engine reports the engine a machine runs.
 	Engine Engine
-	// Compiled is the program's lowered instruction IR (see Compile): the
-	// machine executes the pre-resolved closure tree instead of walking
-	// the AST. The IR is immutable and shared — one Compile result serves
-	// every machine of the program, concurrently. fo.Program attaches its
-	// program-level cached IR when it selects the compiled engine.
-	Compiled *CompiledProgram
 	// Generated is the ahead-of-time generated engine for the program
 	// (focc -emit-go): the machine dispatches calls to the emitted Go
 	// functions instead of interpreting. The generated code must have
@@ -193,9 +185,9 @@ type Config struct {
 	Generated *GenProgram
 }
 
-// Engine names an execution engine. All three are bit-identical in
-// results, event logs and simulated cycles; they differ in wall-clock
-// dispatch cost only.
+// Engine names an execution engine. Both are bit-identical in results,
+// event logs and simulated cycles; they differ in wall-clock dispatch
+// cost only.
 type Engine uint8
 
 // Execution engines.
@@ -204,8 +196,6 @@ const (
 	EngineAuto Engine = iota
 	// EngineTreeWalk is the AST-walking reference evaluator (eval.go).
 	EngineTreeWalk
-	// EngineCompiled is the closure-compiled instruction IR (compile*.go).
-	EngineCompiled
 	// EngineGenerated is the ahead-of-time generated Go code (genrt.go).
 	EngineGenerated
 )
@@ -216,8 +206,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineTreeWalk:
 		return "tree-walk"
-	case EngineCompiled:
-		return "compiled"
 	case EngineGenerated:
 		return "codegen"
 	}
@@ -259,21 +247,15 @@ type Machine struct {
 	specCache map[*ast.FuncDecl]*frameSpec
 	hostState map[string]any
 
-	// cprog is the shared compiled instruction IR (nil: tree-walk). csite
-	// holds this machine's provenance-recovery caches for the IR's access
-	// sites (slice-indexed by compile-time site id — the compiled analogue
-	// of siteCache), and builtinSlots memoizes builtin resolution per
-	// compile-time call-site slot.
-	cprog        *CompiledProgram
+	// gprog is the ahead-of-time generated engine (nil: tree-walk), and
+	// engine names whichever of the two runs. csite holds this machine's
+	// provenance-recovery caches for the generated code's access sites
+	// (slice-indexed by site id — the generated analogue of siteCache),
+	// and builtinSlots memoizes builtin resolution per call-site slot.
+	gprog        *GenProgram
+	engine       Engine
 	csite        []mem.LookupCache
 	builtinSlots []BuiltinFunc
-
-	// gprog is the ahead-of-time generated engine (nil: tree-walk or
-	// compiled IR). It shares csite/builtinSlots with the compiled engine
-	// — at most one of cprog/gprog is active per machine. engine names
-	// whichever of the three runs.
-	gprog  *GenProgram
-	engine Engine
 
 	// luCache is the machine-wide monomorphic (last-unit) lookup cache,
 	// and siteCache holds one cache line per AST access site — both
@@ -377,13 +359,9 @@ func New(prog *sema.Program, cfg Config) (*Machine, error) {
 	}
 	engine := cfg.Engine
 	if engine == EngineAuto {
-		switch {
-		case cfg.Generated != nil:
+		engine = EngineTreeWalk
+		if cfg.Generated != nil {
 			engine = EngineGenerated
-		case cfg.Compiled != nil:
-			engine = EngineCompiled
-		default:
-			engine = EngineTreeWalk
 		}
 	}
 	switch engine {
@@ -396,20 +374,6 @@ func New(prog *sema.Program, cfg Config) (*Machine, error) {
 			m.csite = make([]mem.LookupCache, n)
 		}
 		if n := len(cfg.Generated.Builtins); n > 0 {
-			m.builtinSlots = make([]BuiltinFunc, n)
-		}
-	case EngineCompiled:
-		if cfg.Compiled == nil {
-			return nil, fmt.Errorf("compiled engine selected but no compiled IR supplied")
-		}
-		if cfg.Compiled.prog != prog {
-			return nil, fmt.Errorf("compiled IR belongs to a different program")
-		}
-		m.cprog = cfg.Compiled
-		if n := cfg.Compiled.numSites; n > 0 {
-			m.csite = make([]mem.LookupCache, n)
-		}
-		if n := len(cfg.Compiled.builtinNames); n > 0 {
 			m.builtinSlots = make([]BuiltinFunc, n)
 		}
 	case EngineTreeWalk:
@@ -728,15 +692,6 @@ func (m *Machine) call(name string, args []Value) (res Result) {
 		v := fn(m, args, hostPos)
 		return Result{Outcome: OutcomeOK, Value: v}
 	}
-	if m.cprog != nil {
-		cf, ok := m.cprog.byName[name]
-		if !ok {
-			return Result{Outcome: OutcomeRuntimeError,
-				Err: fmt.Errorf("no function %q in program", name)}
-		}
-		v := m.callCompiled(cf, args, hostPos)
-		return Result{Outcome: OutcomeOK, Value: v}
-	}
 	fd, ok := m.prog.FuncMap[name]
 	if !ok {
 		return Result{Outcome: OutcomeRuntimeError,
@@ -863,10 +818,9 @@ type frameSpec struct {
 }
 
 // newFrameSpec derives the per-local data-unit layout of a function's frame
-// from its analyzed symbols. The result is immutable. Compile builds every
-// function's spec once at lowering time (the program-level cache shared by
-// all instances); the tree-walk reference engine keeps a per-machine lazy
-// cache via Machine.frameSpec.
+// from its analyzed symbols. The result is immutable; the tree-walk engine
+// keeps a per-machine lazy cache via Machine.frameSpec, and the generated
+// engine emits the same layout as static tables.
 func newFrameSpec(fd *ast.FuncDecl) *frameSpec {
 	spec := &frameSpec{
 		canary: "canary:" + fd.Name,
@@ -884,8 +838,7 @@ func newFrameSpec(fd *ast.FuncDecl) *frameSpec {
 	return spec
 }
 
-// frameSpec caches newFrameSpec per machine (tree-walk engine only; the
-// compiled engine reads the program-level specs built at lowering time).
+// frameSpec caches newFrameSpec per machine (tree-walk engine only).
 func (m *Machine) frameSpec(fd *ast.FuncDecl) *frameSpec {
 	if spec, ok := m.specCache[fd]; ok {
 		return spec

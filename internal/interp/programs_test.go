@@ -3,7 +3,6 @@ package interp_test
 import (
 	"testing"
 
-	"focc/internal/cc/sema"
 	"focc/internal/core"
 	"focc/internal/corpus"
 	"focc/internal/interp"
@@ -14,10 +13,10 @@ import (
 // checked, so any interpreter or libc slip is loud) and under
 // FailureOblivious (which must behave identically on memory-error-free
 // programs — the paper's baseline sanity requirement). Each program runs
-// on all three execution engines: the AST-walking reference evaluator,
-// the compiled closure IR, and the ahead-of-time generated Go code
-// (internal/gencorpus); compile_diff_test.go additionally asserts the
-// engines agree on every observable, per mode.
+// on both execution engines: the AST-walking reference evaluator and the
+// ahead-of-time generated Go code (internal/gencorpus);
+// engine_diff_test.go additionally asserts the engines agree on every
+// observable, per mode.
 
 // corpusProgram is one corpus entry, shared by the integration tests, the
 // engine differential tests, and the dispatch benchmarks. The sources
@@ -26,22 +25,19 @@ type corpusProgram = corpus.Program
 
 func corpusSources() []corpusProgram { return corpus.Programs() }
 
-// engineNames lists the three execution engines in the order the
-// differential harnesses exercise them.
-var engineNames = []string{"tree-walk", "compiled", "codegen"}
+// engineNames lists the execution engines in the order the differential
+// harnesses exercise them, the tree-walk reference first.
+var engineNames = []string{"tree-walk", "codegen"}
 
 // engineConfig returns a Config naming the engine (by its Engine.String
-// name) for prog, which must be src compiled under corpus.FileName (the
+// name) for src, which must be compiled under corpus.FileName (the
 // codegen engine resolves by that source-hash identity).
-func engineConfig(t testing.TB, engine string, prog *sema.Program, src string) interp.Config {
+func engineConfig(t testing.TB, engine string, src string) interp.Config {
 	t.Helper()
 	cfg := interp.Config{Builtins: libc.Builtins()}
 	switch engine {
 	case "tree-walk":
 		cfg.Engine = interp.EngineTreeWalk
-	case "compiled":
-		cfg.Engine = interp.EngineCompiled
-		cfg.Compiled = interp.Compile(prog)
 	case "codegen":
 		cfg.Engine = interp.EngineGenerated
 		cfg.Generated = generatedFor(t, src)
@@ -59,7 +55,7 @@ func runBoth(t *testing.T, src string, want int64) {
 	for _, mode := range []core.Mode{core.BoundsCheck, core.FailureOblivious, core.Standard} {
 		for _, engine := range engineNames {
 			prog := compileWithCPP(t, src)
-			cfg := engineConfig(t, engine, prog, src)
+			cfg := engineConfig(t, engine, src)
 			cfg.Mode = mode
 			m, err := interp.New(prog, cfg)
 			if err != nil {

@@ -4,37 +4,26 @@ import (
 	"testing"
 
 	"focc/fo"
+	"focc/internal/corpus"
 )
-
-// argsSrc keeps a 16-byte guest block directly below the request argument
-// so an overflow of it lands in the argument's heap header.
-const argsSrc = `
-char *g;
-int init(void) { g = malloc(16); return g != 0; }
-int smash(const char *arg)
-{
-	int i;
-	for (i = 0; i < 24; i++)
-		g[i] = 'A';
-	return arg[0];
-}
-int grab(void) { char *p = malloc(8); return p != 0; }
-`
 
 // TestRequestArgsReleasedOverCorruptHeader: in Standard mode an overflow
 // that smashes a request argument's header marks the heap corrupted. The
 // argument is still released at the end of the request scope, and the
 // corruption stays detected: the next malloc aborts as glibc would.
 func TestRequestArgsReleasedOverCorruptHeader(t *testing.T) {
-	prog, err := fo.Compile("args.c", argsSrc)
+	prog, err := fo.Compile(corpus.RequestArgsFileName, corpus.SrcRequestArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk} {
+	for _, engine := range []fo.Engine{fo.EngineGenerated, fo.EngineTreeWalk} {
 		t.Run(engine.String(), func(t *testing.T) {
 			m, err := prog.NewMachine(fo.MachineConfig{Mode: fo.Standard, Engine: engine})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := m.Engine(); got != engine {
+				t.Fatalf("machine runs %v, want %v", got, engine)
 			}
 			as := m.AddressSpace()
 			if res := m.Call("init"); res.Outcome != fo.OutcomeOK || res.Value.I != 1 {

@@ -5,47 +5,19 @@ package interp_test
 // mutations, heap allocations, and frees all revert to the request
 // boundary — the machine stays alive, and subsequent requests observe no
 // trace of the failed one. Both engines are exercised (the differential
-// tests in compile_diff_test.go additionally pin engine equality for
+// tests in engine_diff_test.go additionally pin engine equality for
 // rewind).
 
 import (
 	"testing"
 
 	"focc/fo"
+	"focc/internal/corpus"
 )
-
-const rewindSrc = `
-int counter;
-char state[16];
-char *saved;
-
-int handle(int n) {
-	char buf[8];
-	int i;
-	counter++;
-	state[0] = 'a' + counter;
-	saved = (char *)malloc(32);
-	saved[0] = 'x';
-	for (i = 0; i < n; i++)
-		buf[i] = i;      /* overruns buf for n > 8 */
-	return counter;
-}
-
-int get_counter(int n) { return counter; }
-int get_state(int n) { return state[0]; }
-
-int drop(int n) {
-	char *p = (char *)malloc(16);
-	free(p);
-	if (n > 0)
-		free(p);         /* double free: detected memory error */
-	return 7;
-}
-`
 
 func newRewindMachine(t *testing.T, engine fo.Engine) *fo.Machine {
 	t.Helper()
-	prog, err := fo.Compile("rewind.c", rewindSrc)
+	prog, err := fo.Compile(corpus.RewindFileName, corpus.SrcRewind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +25,14 @@ func newRewindMachine(t *testing.T, engine fo.Engine) *fo.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := m.Engine(); got != engine {
+		t.Fatalf("machine runs %v, want %v", got, engine)
+	}
 	return m
 }
 
 func TestRewindDiscardsFailedRequest(t *testing.T) {
-	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk} {
+	for _, engine := range []fo.Engine{fo.EngineGenerated, fo.EngineTreeWalk} {
 		t.Run(engine.String(), func(t *testing.T) {
 			m := newRewindMachine(t, engine)
 
@@ -91,7 +66,7 @@ func TestRewindDiscardsFailedRequest(t *testing.T) {
 // A detected invalid free rolls the request back too (the libc
 // freeInvalid path), undoing the request's earlier valid free.
 func TestRewindOnInvalidFree(t *testing.T) {
-	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk} {
+	for _, engine := range []fo.Engine{fo.EngineGenerated, fo.EngineTreeWalk} {
 		t.Run(engine.String(), func(t *testing.T) {
 			m := newRewindMachine(t, engine)
 			if res := m.Call("drop", fo.Int(0)); res.Outcome != fo.OutcomeOK || res.Value.I != 7 {

@@ -22,9 +22,9 @@ type pinCall struct {
 
 // goldenCycles holds the pinned per-mode cycle counts for the fixed call
 // sequence below. Captured from the pre-fast-path implementation; the fast
-// path — and the compiled closure-IR engine, which must charge cycles at
-// exactly the same decision points as the tree-walk reference — must
-// reproduce them exactly.
+// path — and the generated engine, which must charge cycles at exactly
+// the same decision points as the tree-walk reference — must reproduce
+// them exactly.
 var goldenCycles = map[fo.Mode]uint64{
 	fo.Standard:         1506,
 	fo.BoundsCheck:      9934,
@@ -44,7 +44,7 @@ var goldenCycles = map[fo.Mode]uint64{
 }
 
 func TestSimCyclesPinned(t *testing.T) {
-	for _, engine := range []fo.Engine{fo.EngineCompiled, fo.EngineTreeWalk, fo.EngineGenerated} {
+	for _, engine := range []fo.Engine{fo.EngineTreeWalk, fo.EngineGenerated} {
 		t.Run(engine.String(), func(t *testing.T) {
 			testSimCyclesPinned(t, engine)
 		})

@@ -487,8 +487,8 @@ func (f *Frame) Local(off uint64) *Unit {
 
 // LocalAt returns the data unit at index i of the frame's registration
 // order, which is the REVERSE of the PushFrame spec order (locals are
-// registered top-down so the unit table stays sorted). Compiled code that
-// resolved a local's spec index at lowering time uses
+// registered top-down so the unit table stays sorted). Generated code
+// that resolved a local's spec index at generation time uses
 // LocalAt(len(spec)-1-specIdx) for O(1) access instead of Local's offset
 // scan.
 func (f *Frame) LocalAt(i int) *Unit { return f.locals[i] }

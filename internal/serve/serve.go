@@ -23,11 +23,12 @@
 //
 // Instance creation — initial pool fill, warm spares, and every restart —
 // goes through the server factory to fo.Program.NewMachine, which reuses
-// the program's cached closure-compiled IR (DESIGN.md §13). Restart cost
-// is therefore machine/address-space setup only; no path in the engine
-// re-lowers the program.
+// the program's shared engine: its registered generated code, else the
+// tree-walk evaluator over the analyzed program (DESIGN.md §13, §16).
+// Restart cost is therefore machine/address-space setup only; no path in
+// the engine compiles anything.
 //
-// The same shared-immutable-IR property powers zero-downtime program
+// The same shared-immutable-program property powers zero-downtime program
 // hot-swap: Recycle bumps the engine's instance generation, and each
 // worker replaces its instance with a freshly created one before executing
 // its next request — in-flight work completes on the old instance, so no

@@ -12,9 +12,9 @@ import (
 // replacing the served program is a pointer flip — no lock on the serving
 // path, no teardown of running instances.
 //
-// This is the factory half of zero-downtime program hot-swap. The compiled
-// IR of an fo.Program is immutable and shared by every instance (DESIGN.md
-// §13), so instances created before the flip keep executing the old
+// This is the factory half of zero-downtime program hot-swap. An
+// fo.Program and its engine are immutable and shared by every instance
+// (DESIGN.md §13, §16), so instances created before the flip keep executing the old
 // program safely while instances created after it run the new one; pairing
 // the flip with Engine.Recycle (or Router.Swap, which does both) rolls the
 // pool forward between requests without failing any in-flight work.

@@ -33,14 +33,14 @@ func heapExtent(t *testing.T, inst servers.Instance) (int, uint64) {
 
 // TestHandleContextHeapFlat serves 1,000 requests on one instance and
 // requires the heap's unit table and top to stay exactly where the first
-// request left them, on the serving engine and on the compiled IR, under
+// request left them, on the serving engine and on the tree-walk fallback, under
 // failure-oblivious and rewind. The apache mix includes the attack, whose
 // out-of-bounds writes are discarded (failure-oblivious) or rolled back
 // (rewind) without leaving guest allocations behind.
 func TestHandleContextHeapFlat(t *testing.T) {
 	const n = 1000
 	srvs := []servers.Server{pine.NewServer(), apache.NewServer()}
-	engines := []fo.Engine{fo.EngineAuto, fo.EngineCompiled}
+	engines := []fo.Engine{fo.EngineAuto, fo.EngineTreeWalk}
 	for _, srv := range srvs {
 		reqs := append(srv.LegitRequests(), srv.AttackRequest())
 		if srv.Name() == "pine" {
@@ -56,8 +56,12 @@ func TestHandleContextHeapFlat(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := machineOf(t, inst).Engine(); engine == fo.EngineAuto && got != fo.EngineGenerated {
-						t.Fatalf("default engine = %v, want codegen", got)
+					want := engine
+					if want == fo.EngineAuto {
+						want = fo.EngineGenerated // the default, as fo/srv serves
+					}
+					if got := machineOf(t, inst).Engine(); got != want {
+						t.Fatalf("machine runs %v, want %v", got, want)
 					}
 					ctx := context.Background()
 					var units int

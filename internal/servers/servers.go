@@ -9,9 +9,10 @@
 // fo.Program.NewMachine, so every instance of a server shares one
 // immutable engine. That is the server's ahead-of-time generated code
 // (internal/genservers, DESIGN.md §16) whenever the binary links it — as
-// fo/srv does — and otherwise the program's cached closure-compiled IR
-// (fo.Program.Compiled, DESIGN.md §13). Spawning an instance binds
-// machine state to the shared engine; it never re-lowers the AST.
+// fo/srv does — and otherwise the tree-walk evaluator over the shared
+// analyzed program (DESIGN.md §13). Spawning an instance binds machine
+// state to the shared engine; nothing is lowered or compiled per
+// instance.
 package servers
 
 import (

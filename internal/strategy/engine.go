@@ -183,7 +183,7 @@ func (s *shadow) get(addr uint64, size int) (int64, bool) {
 
 func (s *shadow) reset() { s.n, s.next = 0, 0 }
 
-// Engine is the core.ContextGenerator all three execution engines consult
+// Engine is the core.ContextGenerator both execution engines consult
 // in ModeFOContext. It is primed with the canonical load-site id before
 // every checked load and resolves the site's assigned strategy when the
 // load turns out to be invalid. Not safe for concurrent use; each program

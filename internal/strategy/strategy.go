@@ -2,15 +2,14 @@
 // (fo.ModeFOContext). It classifies every canonical load site of a
 // sema-analyzed program by its static context (Rigger et al.,
 // "Context-aware Failure-oblivious Computing"), builds a per-site strategy
-// table, and provides the core.ContextGenerator engine all three execution
+// table, and provides the core.ContextGenerator engine both execution
 // engines consult — at identical decision points — when an invalid read
 // needs a value manufactured.
 //
 // Site identity is the canonical load-site id sema assigns during analysis
 // (ast.Index/Member/Unary-star LoadSite fields, see sema.assignLoadSites):
-// a pure function of the source text, so the tree-walk evaluator, the
-// closure compiler, and the ahead-of-time Go generator all key the same
-// table with the same ids. The campaign-driven loop that searches over
+// a pure function of the source text, so the tree-walk evaluator and the
+// ahead-of-time Go generator key the same table with the same ids. The campaign-driven loop that searches over
 // per-site strategy assignments lives in internal/inject (strategy search
 // needs the fault-injection campaign, which depends on fo, which depends
 // on this package).
