@@ -90,6 +90,7 @@ func fixtures() []fixture {
 		fixture{file: "diff_errorpaths", filename: corpus.FileName, src: corpus.SrcErrorPaths, compile: corpus.CompileCPP},
 		fixture{file: "diff_datashapes", filename: corpus.FileName, src: corpus.SrcDataShapes, compile: corpus.CompileCPP},
 		fixture{file: "diff_batchepoch", filename: corpus.FileName, src: corpus.SrcBatchEpoch, compile: corpus.CompileCPP},
+		fixture{file: "diff_intconv", filename: corpus.FileName, src: corpus.SrcIntConv, compile: corpus.CompileCPP},
 		// The five paper servers, under their fo.Compile identities.
 		fixture{file: "server_pine", server: true, filename: "pine.c", src: pine.Source, compile: compileFO},
 		fixture{file: "server_apache", server: true, filename: "apache.c", src: apache.Source, compile: compileFO},

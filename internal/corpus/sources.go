@@ -639,6 +639,143 @@ const (
 	BenchServeFileName = "benchstub.c"
 )
 
+// SrcIntConv exercises the integer semantics the generated engine emits
+// as typed Go: conversions between char, unsigned char, short, unsigned
+// short, int, unsigned, long and unsigned long at every boundary (cast,
+// assignment, argument, return — from generated callers and from the
+// host), sign extension of negative chars, folded sizeof and constant
+// arithmetic, mixed-type comparisons and &&/|| conditions, shifts,
+// division and modulo (by zero too), ++/-- wrap, enums, switch on char,
+// builtin results and pointer conditions.
+const SrcIntConv = `
+#include <stdio.h>
+#include <string.h>
+
+enum color { RED, GREEN = 5, BLUE };
+
+char c_of(int v) { return v; }
+unsigned char uc_of(long v) { return v; }
+short s_of(unsigned long v) { return v; }
+unsigned short us_of(int v) { return v; }
+unsigned u_of(char v) { return v; }
+long l_of(unsigned v) { return v; }
+unsigned long ul_of(short v) { return v; }
+
+long widen(char c, unsigned char uc, short s, unsigned short us,
+	int i, unsigned u, long l, unsigned long ul) {
+	return c + uc + s + us + i + u + l + ul;
+}
+
+long casts(int k) {
+	char c = k;
+	unsigned char uc = k;
+	short s = k * 300;
+	unsigned short us = k * 300;
+	unsigned u = k;
+	long l = k;
+	unsigned long ul = k;
+	char buf[40];
+	int n = (int)sizeof(long) - 2;
+	int m = (int)sizeof(buf) - 2;
+	printf("assign %d %d %d %d %d %d %d %d %d\n", c, uc, s, us, u, l, ul, n, m);
+	printf("cast %d %d %d %d %d %d\n", (char)k, (unsigned char)k, (short)(k * 1000),
+		(unsigned short)(k * 1000), (unsigned)k, (unsigned long)(char)k);
+	printf("ret %d %d %d %d %d %d %d\n", c_of(k), uc_of(k), s_of(k * 1000),
+		us_of(k * 1000), u_of(k), l_of(k), ul_of(k));
+	printf("widen %d\n", widen(k, k, k, k, k, k, k, k));
+	return c + uc + s + us + u + l + ul;
+}
+
+int compares(int k) {
+	char c = k;
+	unsigned char uc = k;
+	unsigned u = k;
+	long l = k;
+	unsigned long ul = k;
+	enum color col = k;
+	int r = 0;
+	if (c < uc) r |= 1;
+	if (u > 5) r |= 2;
+	if (l < u) r |= 4;
+	if (ul > l) r |= 8;
+	if (c == -1 && uc == 255) r |= 16;
+	if (k < sizeof(int)) r |= 32;
+	if (c >= 0 || u < 10) r |= 64;
+	if (!(uc != 0) && k) r |= 128;
+	if (col == GREEN || col > BLUE) r |= 256;
+	if (u > -2 || ul == -1 || -3 < uc) r |= 512;
+	if (c == u) r |= 1024;
+	if (c >= ul && s_of(k) != us_of(k)) r |= 2048;
+	while (c < 3 && uc) { c++; r += 1000; }
+	r += (c < u) + (uc <= k) * 2;
+	r += (k && c) + (k || uc) * 4 + !k * 8;
+	r += (k > 0 ? c : u) > 7;
+	return r;
+}
+
+long arith(int k) {
+	unsigned u = k;
+	int i = k;
+	long l = k;
+	unsigned long ul = k;
+	unsigned char uc = k;
+	char c = k;
+	short s = k;
+	long acc = 0;
+	acc += u / 3 + i / 3 + u % 7 + i % 7 + ul / 5 + l % 5;
+	acc += (ul >> 3) + (l >> 3) + (u >> 31) + (i >> 31) + (s >> 2) + (uc >> 1);
+	acc += (c << 4) + (uc << 30) + (i << 33) + (u << (k & 7));
+	acc += (i << k) + (u >> k) + (l << (k + 60));
+	acc ^= uc * c - u * 2;
+	acc += ~uc + -c + +u + -u + ~s;
+	acc += 0x7fffffff + 1;
+	acc += (unsigned)-1 / 2 + (unsigned char)300 + (char)200;
+	acc += -7 / 2 + -7 % 2 + (1 << 31) + (-1 >> 1);
+	acc += 5000000000 * 3 + (long)sizeof(acc) * -1;
+	return acc;
+}
+
+int wrap(int k) {
+	char c = 127;
+	unsigned char uc = 0;
+	short s = -32768;
+	unsigned short us = 65535;
+	unsigned u = 0;
+	int i = 2147483647;
+	long r;
+	c++; uc--; s--; us++; u--; i++;
+	printf("wrap %d %d %d %d %d %d\n", c, uc, s, us, u, i);
+	r = c + uc + s + us + i;
+	++c; --uc;
+	r += c++ + uc-- + ++s + --us;
+	c += k; uc -= k; s *= k; us /= (k & 7) + 1; u += k; i -= k; u <<= k; i >>= 1;
+	printf("compound %d %d %d %d %d %d\n", c, uc, s, us, u, i);
+	return r + c + uc;
+}
+
+int text(int k) {
+	char buf[16];
+	char *p = buf;
+	int n = 0;
+	strcpy(buf, "a-Z9\377");
+	while (*p && n < (int)sizeof(buf) - 2) {
+		switch (*p) {
+		case 'a': n += 1; break;
+		case -1: n += 100; break;
+		case '9': n += 10;
+		default: n += 1000;
+		}
+		p++;
+	}
+	if (strlen(buf) > k && p) n += 10000;
+	return n + (buf[4] < 0) + (strlen(buf) == 5) * 2;
+}
+
+int divz(int k) { unsigned u = 10; return u / k; }
+long modz(int k) { long l = 10; return l % k; }
+int zdiv(int k) { return k / 0; }
+`
+
 // SrcScan is the Midnight-Commander-style sentinel scan that runs off the
 // end of its buffer (BenchmarkAblationValueSequence).
 const SrcScan = `

@@ -252,6 +252,10 @@ type emitter struct {
 	headLbl  map[ast.Stmt]string
 	gotoOf   map[*ast.Goto]string
 	usedLbl  map[string]bool
+	// consts records the integer constants (literals, and conversions
+	// and operations folded at generation time) by their emitted
+	// expression: their runtime type is exactly the recorded one.
+	consts map[string]constVal
 }
 
 // contTarget is one enclosing loop's continue emission; used tracks
@@ -424,14 +428,14 @@ func (e *emitter) decodeExpr(unit string, off uint64, t *types.Type) (string, bo
 func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 	e.fd = fd
 	e.tmpN, e.lblN, e.swN = 0, 0, 0
+	e.consts = map[string]constVal{}
 	e.breakStk, e.contStk = nil, nil
 	e.headLbl = map[ast.Stmt]string{}
 	e.gotoOf = map[*ast.Goto]string{}
 	e.usedLbl = map[string]bool{}
 
-	// Frame spec (mirrors newFrameSpec) and offset → unit-index table
-	// (PushFrame registers locals in reverse spec order, so spec index i
-	// lives at len-1-i).
+	// Frame spec (mirrors newFrameSpec) and offset → spec-index table
+	// (Frame.LocalAt takes the spec index).
 	n := len(fd.Locals)
 	e.localIdx = make(map[uint64]int, n)
 	localsRef := "nil"
@@ -445,7 +449,7 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 				size = 1
 			}
 			fmt.Fprintf(&spec, "\t{Name: %q, Off: %d, Size: %d},\n", sym.Name+" ("+fd.Name+")", sym.FrameOff, size)
-			e.localIdx[sym.FrameOff] = n - 1 - i
+			e.localIdx[sym.FrameOff] = i
 		}
 		spec.WriteString("}")
 		e.localsVars = append(e.localsVars, spec.String())
@@ -465,7 +469,8 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 	e.w("f := m.GenPushFrame(%q, %d, %s)", "canary:"+fd.Name, fd.FrameSize, localsRef)
 	for i, p := range fd.Params {
 		v := e.nv()
-		e.w("%s := m.GenConvert(args[%d], %s, pos)", v, i, e.typeRef(p.Type))
+		e.w("var %s interp.Value", v)
+		e.convertAssign(v, fmt.Sprintf("args[%d]", i), p.Type, "pos")
 		if idx, ok := e.localIdx[p.FrameOff]; ok {
 			e.w("m.GenStoreRaw(f.LocalAt(%d), 0, %s, %s)", idx, e.typeRef(p.Type), v)
 		} else {
@@ -481,7 +486,9 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 		e.w("if ret.T == nil {")
 		e.w("return interp.Value{T: %s}", e.typeRef(retT))
 		e.w("}")
-		e.w("return m.GenConvert(ret, %s, pos)", e.typeRef(retT))
+		e.w("var r interp.Value")
+		e.convertAssign("r", "ret", retT, "pos")
+		e.w("return r")
 	}
 	e.w("}")
 	e.w("")
@@ -946,6 +953,9 @@ func (e *emitter) ptrExpr(lv genLval) string {
 func (e *emitter) expr(x ast.Expr) string {
 	switch n := x.(type) {
 	case *ast.IntLit:
+		if n.Type().IsInteger() {
+			return e.constant(n.Type(), n.Val)
+		}
 		v := e.nv()
 		e.w("%s := interp.Value{T: %s, I: %d}", v, e.typeRef(n.Type()), n.Val)
 		return v
@@ -980,10 +990,10 @@ func (e *emitter) expr(x ast.Expr) string {
 		e.w("var %s interp.Value", v)
 		e.w("if %s.Truthy() {", vc)
 		a := e.expr(n.Then)
-		e.convertAssign(v, a, n.Type(), n.Pos())
+		e.convertAssign(v, a, n.Type(), e.posRef(n.Pos()))
 		e.w("} else {")
 		b := e.expr(n.Else)
-		e.convertAssign(v, b, n.Type(), n.Pos())
+		e.convertAssign(v, b, n.Type(), e.posRef(n.Pos()))
 		e.w("}")
 		return v
 	case *ast.Call:
@@ -1174,22 +1184,75 @@ func (e *emitter) store(lv genLval, v string, pos token.Pos) {
 	e.w("m.GenStoreValue(%s, %s, %s, %s)", lv.ptr, e.typeRef(lv.t), v, e.posRef(pos))
 }
 
-// convertAssign emits dst = convert(src, t): the identity fast path is
-// inlined (convert's first check), everything else falls back to the
-// interpreter's convert.
-func (e *emitter) convertAssign(dst, src string, t *types.Type, pos token.Pos) {
+// constVal is an integer constant temporary's value and type.
+type constVal struct {
+	t *types.Type
+	c int64
+}
+
+// constant is an integer constant of type t: a parenthesized Value
+// literal (valid in if conditions), so a constant folded into another
+// leaves no unused temporary behind.
+func (e *emitter) constant(t *types.Type, c int64) string {
+	v := fmt.Sprintf("(interp.Value{T: %s, I: %d})", e.typeRef(t), c)
+	e.consts[v] = constVal{t: t, c: c}
+	return v
+}
+
+// convertAssign emits dst = convert(src, t). A constant source converts
+// at generation time (convertConst). Integer and pointer targets inline
+// convert's identity test and convertSlow's common case behind a runtime
+// type test (Go truncation or sign extension, or a retype); anything
+// else, integer-to-pointer provenance recovery included, falls back to
+// the interpreter's convert. pos is a Go token.Pos expression.
+func (e *emitter) convertAssign(dst, src string, t *types.Type, pos string) {
+	if c, ok := e.convertConst(src, t); ok {
+		e.w("%s = %s", dst, c)
+		return
+	}
 	tref := e.typeRef(t)
 	e.w("if %s.T == %s {", src, tref)
 	e.w("%s = %s", dst, src)
+	switch {
+	case t.IsInteger():
+		e.w("} else if %s.T != nil && %s.T.IsInteger() {", src, src)
+		e.w("%s = interp.Value{T: %s, I: %s}", dst, tref, truncCast(t, src+".I"))
+	case t.IsPointer():
+		e.w("} else if %s.T != nil && %s.T.IsPointer() {", src, src)
+		e.w("%s = interp.Value{T: %s, Ptr: %s.Ptr}", dst, tref, src)
+	}
 	e.w("} else {")
-	e.w("%s = m.GenConvert(%s, %s, %s)", dst, src, tref, e.posRef(pos))
+	e.w("%s = m.GenConvert(%s, %s, %s)", dst, src, tref, pos)
 	e.w("}")
 }
 
+// convertConst is convert(src, t) computed at generation time when src
+// is a constant: to an integer type by truncation, and 0 to a pointer
+// type as the null pointer (convertSlow's integer-to-pointer path at
+// address 0 looks nothing up). ok is false otherwise.
+func (e *emitter) convertConst(src string, t *types.Type) (string, bool) {
+	k, ok := e.consts[src]
+	switch {
+	case !ok:
+	case k.t == t:
+		return src, true
+	case t.IsInteger():
+		return e.constant(t, types.Truncate(t, k.c)), true
+	case t.IsPointer() && k.c == 0:
+		return fmt.Sprintf("(interp.Value{T: %s})", e.typeRef(t)), true
+	}
+	return "", false
+}
+
+// convertTo emits convert(src, t) into a fresh temporary, or returns the
+// converted constant.
 func (e *emitter) convertTo(src string, t *types.Type, pos token.Pos) string {
+	if c, ok := e.convertConst(src, t); ok {
+		return c
+	}
 	v := e.nv()
 	e.w("var %s interp.Value", v)
-	e.convertAssign(v, src, t, pos)
+	e.convertAssign(v, src, t, e.posRef(pos))
 	return v
 }
 
@@ -1224,6 +1287,16 @@ func (e *emitter) unary(n *ast.Unary) string {
 	switch n.Op {
 	case token.Minus, token.Plus, token.Tilde:
 		v := e.expr(n.X)
+		if k, ok := e.consts[v]; ok && n.Type().IsInteger() {
+			c := k.c
+			switch n.Op {
+			case token.Minus:
+				c = -c
+			case token.Tilde:
+				c = ^c
+			}
+			return e.constant(n.Type(), types.Truncate(n.Type(), c))
+		}
 		op := map[token.Kind]string{token.Minus: "-", token.Plus: "", token.Tilde: "^"}[n.Op]
 		r := e.nv()
 		e.w("%s := interp.Value{T: %s, I: %s}", r, e.typeRef(n.Type()), truncCast(n.Type(), op+v+".I"))
@@ -1307,17 +1380,32 @@ func (e *emitter) binary(n *ast.Binary) string {
 	return e.binOp(n.Op, vx, vy, n.X.Type(), n.Y.Type(), n.Type(), n.Pos())
 }
 
-// binOp emits a non-short-circuit binary operation. Fast paths are
-// guarded on the operands' runtime types matching the static annotation
-// and fall back to the interpreter's binaryOp on any mismatch.
+// binOp emits a non-short-circuit binary operation. Operations on two
+// constants fold at generation time. Fast paths are guarded on the
+// operands' runtime types matching the static annotation and fall back to
+// the interpreter's binaryOp on any mismatch; integer operands of
+// different types convert inline to the usual arithmetic type.
 func (e *emitter) binOp(op token.Kind, vx, vy string, xt, yt, rt *types.Type, pos token.Pos) string {
-	r := e.nv()
 	tok, known := tokName[op]
 	if !known {
+		r := e.nv()
 		e.w("m.GenFailf(%s, \"%%s\", %q)", e.posRef(pos), fmt.Sprintf("unsupported binary operator %s", op))
 		e.w("%s := interp.Value{}", r)
 		return r
 	}
+	kx, xConst := e.consts[vx]
+	ky, yConst := e.consts[vy]
+	if xConst && yConst {
+		if cmpOp[op] != "" {
+			return e.constant(types.IntType, boolInt(foldCompare(op, kx, ky)))
+		}
+		if isInt(rt) {
+			if c, ok := foldArith(op, kx, ky, rt); ok {
+				return e.constant(rt, c)
+			}
+		}
+	}
+	r := e.nv()
 	fallback := func() {
 		e.w("%s = m.GenBinaryOp(token.%s, %s, %s, %s, %s)", r, tok, vx, vy, e.typeRef(rt), e.posRef(pos))
 	}
@@ -1356,14 +1444,17 @@ func (e *emitter) binOp(op token.Kind, vx, vy string, xt, yt, rt *types.Type, po
 		e.w("} else {")
 		fallback()
 		e.w("}")
-	case cmpOp[op] != "" && xt != nil && xt == yt && xt.IsInteger():
-		tref := e.typeRef(xt)
-		lhs, rhs := vx+".I", vy+".I"
-		if !xt.IsSigned() {
-			lhs, rhs = "uint64("+lhs+")", "uint64("+rhs+")"
+	case cmpOp[op] != "" && isInt(xt) && isInt(yt):
+		// compare: one type compares directly with its signedness,
+		// different types after the usual arithmetic conversions.
+		ct := xt
+		if xt != yt {
+			ct = types.UsualArith(promoteStatic(xt), promoteStatic(yt))
 		}
+		lhs, gx := e.intOperand(vx, xt, ct, !ct.IsSigned())
+		rhs, gy := e.intOperand(vy, yt, ct, !ct.IsSigned())
 		e.w("var %s interp.Value", r)
-		e.w("if %s.T == %s && %s.T == %s {", vx, tref, vy, tref)
+		e.w("if %s {", andGuards(gx, gy))
 		e.w("if %s %s %s {", lhs, cmpOp[op], rhs)
 		e.w("%s = interp.Value{T: types.IntType, I: 1}", r)
 		e.w("} else {")
@@ -1393,12 +1484,15 @@ func (e *emitter) binOp(op token.Kind, vx, vy string, xt, yt, rt *types.Type, po
 		e.w("} else {")
 		fallback()
 		e.w("}")
-	case arithOp[op] != "" && !ptrish(xt) && !ptrish(yt) &&
-		xt == rt && yt == rt && rt != nil && rt.IsInteger():
+	case arithOp[op] != "" && isInt(xt) && isInt(yt) && isInt(rt):
+		// binaryOp: each operand converts to rt unless it already has
+		// that type; the result truncates to rt.
+		lhs, gx := e.intOperand(vx, xt, rt, false)
+		rhs, gy := e.intOperand(vy, yt, rt, false)
 		tref := e.typeRef(rt)
 		e.w("var %s interp.Value", r)
-		e.w("if %s.T == %s && %s.T == %s {", vx, tref, vy, tref)
-		e.w("%s = interp.Value{T: %s, I: %s}", r, tref, truncCast(rt, fmt.Sprintf("%s.I %s %s.I", vx, arithOp[op], vy)))
+		e.w("if %s {", andGuards(gx, gy))
+		e.w("%s = interp.Value{T: %s, I: %s}", r, tref, truncCast(rt, fmt.Sprintf("%s %s %s", lhs, arithOp[op], rhs)))
 		e.w("} else {")
 		fallback()
 		e.w("}")
@@ -1407,6 +1501,138 @@ func (e *emitter) binOp(op token.Kind, vx, vy string, xt, yt, rt *types.Type, po
 		fallback()
 	}
 	return r
+}
+
+func isInt(t *types.Type) bool { return t != nil && t.IsInteger() }
+
+// intOperand is the Go expression of the integer operand v (static type
+// t) converted to ct, as a uint64 when unsigned is set, and the runtime
+// guard that v has type t. A constant becomes a literal of its converted
+// value and needs no guard.
+func (e *emitter) intOperand(v string, t, ct *types.Type, unsigned bool) (expr, guard string) {
+	if k, ok := e.consts[v]; ok {
+		c := types.Truncate(ct, k.c)
+		if unsigned {
+			return fmt.Sprintf("%d", uint64(c)), ""
+		}
+		return fmt.Sprintf("%d", c), ""
+	}
+	expr = v + ".I"
+	if t != ct {
+		expr = truncCast(ct, expr)
+	}
+	if unsigned {
+		expr = "uint64(" + expr + ")"
+	}
+	return expr, fmt.Sprintf("%s.T == %s", v, e.typeRef(t))
+}
+
+// andGuards joins the non-empty runtime guards of a fast path. Two
+// constant operands fold before any guard is needed, so one is set.
+func andGuards(gx, gy string) string {
+	switch {
+	case gx == "":
+		return gy
+	case gy == "":
+		return gx
+	}
+	return gx + " && " + gy
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// foldCompare evaluates compare on two integer constants.
+func foldCompare(op token.Kind, x, y constVal) bool {
+	signed := x.t.IsSigned()
+	a, b := x.c, y.c
+	if x.t != y.t {
+		ct := types.UsualArith(promoteStatic(x.t), promoteStatic(y.t))
+		a, b, signed = types.Truncate(ct, a), types.Truncate(ct, b), ct.IsSigned()
+	}
+	if !signed {
+		ua, ub := uint64(a), uint64(b)
+		switch op {
+		case token.Lt:
+			return ua < ub
+		case token.Gt:
+			return ua > ub
+		case token.Le:
+			return ua <= ub
+		case token.Ge:
+			return ua >= ub
+		}
+	}
+	switch op {
+	case token.Lt:
+		return a < b
+	case token.Gt:
+		return a > b
+	case token.Le:
+		return a <= b
+	case token.Ge:
+		return a >= b
+	case token.EqEq:
+		return a == b
+	}
+	return a != b
+}
+
+// foldArith evaluates binaryOp's integer arithmetic on two constants in
+// the common type rt. It refuses a zero divisor, which must fail at run
+// time.
+func foldArith(op token.Kind, x, y constVal, rt *types.Type) (int64, bool) {
+	xv, yv := x.c, y.c
+	if x.t != rt {
+		xv = types.Truncate(rt, xv)
+	}
+	if y.t != rt {
+		yv = types.Truncate(rt, yv)
+	}
+	var r int64
+	switch op {
+	case token.Plus:
+		r = xv + yv
+	case token.Minus:
+		r = xv - yv
+	case token.Star:
+		r = xv * yv
+	case token.Slash, token.Percent:
+		if yv == 0 {
+			return 0, false
+		}
+		switch {
+		case op == token.Slash && rt.IsSigned():
+			r = xv / yv
+		case op == token.Slash:
+			r = int64(uint64(xv) / uint64(yv))
+		case rt.IsSigned():
+			r = xv % yv
+		default:
+			r = int64(uint64(xv) % uint64(yv))
+		}
+	case token.Amp:
+		r = xv & yv
+	case token.Pipe:
+		r = xv | yv
+	case token.Caret:
+		r = xv ^ yv
+	case token.Shl:
+		r = xv << uint64(y.c&63)
+	case token.Shr:
+		if rt.IsSigned() {
+			r = xv >> uint64(y.c&63)
+		} else {
+			r = int64(uint64(xv) & (^uint64(0) >> (64 - rt.Size()*8)) >> uint64(y.c&63))
+		}
+	default:
+		return 0, false
+	}
+	return types.Truncate(rt, r), true
 }
 
 // promoteStatic mirrors promoteType at generation time.

@@ -17,7 +17,6 @@ var args_pos = []token.Pos{
 	{File: "args.c", Line: 3, Col: 28},
 	{File: "args.c", Line: 3, Col: 20},
 	{File: "args.c", Line: 3, Col: 43},
-	{File: "args.c", Line: 7, Col: 9},
 	{File: "args.c", Line: 7, Col: 16},
 	{File: "args.c", Line: 8, Col: 8},
 	{File: "args.c", Line: 9, Col: 12},
@@ -66,7 +65,15 @@ func args_f_init(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func args_b_init(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -75,42 +82,44 @@ func args_b_init(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		m.GenStep()
 		m.GenStep()
 		v0 := m.GenArgs(1)
-		v1 := interp.Value{T: types.IntType, I: 16}
-		v0[0] = v1
-		v2 := m.GenBuiltin(0, "malloc", args_pos[0])(m, args_pos[0], v0)
+		v0[0] = (interp.Value{T: types.IntType, I: 16})
+		v1 := m.GenBuiltin(0, "malloc", args_pos[0])(m, args_pos[0], v0)
 		m.GenPutArgs(v0)
-		var v3 interp.Value
-		if v2.T == args_t0 {
-			v3 = v2
+		var v2 interp.Value
+		if v1.T == args_t0 {
+			v2 = v1
+		} else if v1.T != nil && v1.T.IsPointer() {
+			v2 = interp.Value{T: args_t0, Ptr: v1.Ptr}
 		} else {
-			v3 = m.GenConvert(v2, args_t0, args_pos[0])
+			v2 = m.GenConvert(v1, args_t0, args_pos[0])
 		}
-		v4 := m.GenGlobal(0)
-		var v5 interp.Value
-		if v3.T == args_t1 {
-			v5 = v3
+		v3 := m.GenGlobal(0)
+		var v4 interp.Value
+		if v2.T == args_t1 {
+			v4 = v2
+		} else if v2.T != nil && v2.T.IsPointer() {
+			v4 = interp.Value{T: args_t1, Ptr: v2.Ptr}
 		} else {
-			v5 = m.GenConvert(v3, args_t1, args_pos[1])
+			v4 = m.GenConvert(v2, args_t1, args_pos[1])
 		}
-		m.GenStoreRaw(v4, 0, args_t1, v5)
-		_ = v5
+		m.GenStoreRaw(v3, 0, args_t1, v4)
+		_ = v4
 	}
 	{
 		m.GenStep()
-		v6 := m.GenGlobal(0)
-		v7 := m.GenLoadRaw(v6, 0, args_t1, 0)
-		v8 := interp.Value{T: types.IntType, I: 0}
-		var v9 interp.Value
-		if v7.T != nil && v7.T.IsPointer() {
-			if v7.Ptr.Addr != uint64(v8.I) {
-				v9 = interp.Value{T: types.IntType, I: 1}
+		v5 := m.GenGlobal(0)
+		v6 := m.GenLoadRaw(v5, 0, args_t1, 0)
+		var v7 interp.Value
+		if v6.T != nil && v6.T.IsPointer() {
+			if v6.Ptr.Addr != uint64((interp.Value{T: types.IntType, I: 0}).I) {
+				v7 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v9 = interp.Value{T: types.IntType, I: 0}
+				v7 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v9 = m.GenBinaryOp(token.NotEq, v7, v8, types.IntType, args_pos[2])
+			v7 = m.GenBinaryOp(token.NotEq, v6, (interp.Value{T: types.IntType, I: 0}), types.IntType, args_pos[2])
 		}
-		ret = v9
+		ret = v7
 		if interp.GenLive {
 			return
 		}
@@ -124,91 +133,90 @@ func args_f_smash(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smash", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:smash", 12, args_locals_smash)
-	v0 := m.GenConvert(args[0], args_t1, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, args_t1, v0)
+	var v0 interp.Value
+	if args[0].T == args_t1 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: args_t1, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], args_t1, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, args_t1, v0)
 	ret := m.GenExec(f, args_b_smash)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func args_b_smash(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
+		v1 := f.LocalAt(1)
 		_ = v1
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v2 := interp.Value{T: types.IntType, I: 0}
-			v3 := f.LocalAt(0)
-			var v4 interp.Value
-			if v2.T == types.IntType {
-				v4 = v2
-			} else {
-				v4 = m.GenConvert(v2, types.IntType, args_pos[3])
-			}
-			m.GenStoreRaw(v3, 0, types.IntType, v4)
-			_ = v4
+			v2 := f.LocalAt(1)
+			m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v5 := f.LocalAt(0)
+			v3 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
-			v7 := interp.Value{T: types.IntType, I: 24}
-			var v8 interp.Value
-			if v6.T == types.IntType && v7.T == types.IntType {
-				if v6.I < v7.I {
-					v8 = interp.Value{T: types.IntType, I: 1}
+			v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+			var v5 interp.Value
+			if v4.T == types.IntType {
+				if v4.I < 24 {
+					v5 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v8 = interp.Value{T: types.IntType, I: 0}
+					v5 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v8 = m.GenBinaryOp(token.Lt, v6, v7, types.IntType, args_pos[4])
+				v5 = m.GenBinaryOp(token.Lt, v4, (interp.Value{T: types.IntType, I: 24}), types.IntType, args_pos[3])
 			}
-			if !v8.Truthy() {
+			if !v5.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v9 := interp.Value{T: types.IntType, I: 65}
-				v10 := m.GenGlobal(0)
-				v11 := m.GenLoadRaw(v10, 0, args_t1, 1)
-				v12 := f.LocalAt(0)
+				v6 := m.GenGlobal(0)
+				v7 := m.GenLoadRaw(v6, 0, args_t1, 1)
+				v8 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
-				v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*1, Prov: v11.Ptr.Prov}
-				var v15 interp.Value
-				if v9.T == types.CharType {
-					v15 = v9
-				} else {
-					v15 = m.GenConvert(v9, types.CharType, args_pos[5])
-				}
-				m.GenStoreValue(v14, types.CharType, v15, args_pos[5])
-				_ = v15
+				v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
+				v10 := core.Pointer{Addr: v7.Ptr.Addr + uint64(v9.I)*1, Prov: v7.Ptr.Prov}
+				m.GenStoreValue(v10, types.CharType, (interp.Value{T: types.CharType, I: 65}), args_pos[4])
+				_ = (interp.Value{T: types.CharType, I: 65})
 			}
-			v16 := f.LocalAt(0)
+			v11 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-			v18 := interp.Value{T: v17.T, I: int64(int32(v17.I + 1))}
-			m.GenStoreRaw(v16, 0, types.IntType, v18)
-			_ = v17
+			v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+			v13 := interp.Value{T: v12.T, I: int64(int32(v12.I + 1))}
+			m.GenStoreRaw(v11, 0, types.IntType, v13)
+			_ = v12
 		}
 	}
 	{
 		m.GenStep()
-		v19 := f.LocalAt(1)
-		v20 := m.GenLoadRaw(v19, 0, args_t1, 2)
-		v21 := interp.Value{T: types.IntType, I: 0}
-		v22 := core.Pointer{Addr: v20.Ptr.Addr + uint64(v21.I)*1, Prov: v20.Ptr.Prov}
-		v23 := m.GenLoadValue(v22, types.CharType, args_pos[6], -1, 1)
-		ret = v23
+		v14 := f.LocalAt(0)
+		v15 := m.GenLoadRaw(v14, 0, args_t1, 2)
+		v16 := core.Pointer{Addr: v15.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v15.Ptr.Prov}
+		v17 := m.GenLoadValue(v16, types.CharType, args_pos[5], -1, 1)
+		ret = v17
 		if interp.GenLive {
 			return
 		}
@@ -227,7 +235,15 @@ func args_f_grab(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func args_b_grab(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -237,40 +253,42 @@ func args_b_grab(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v0 := f.LocalAt(0)
 		m.GenStep()
 		v1 := m.GenArgs(1)
-		v2 := interp.Value{T: types.IntType, I: 8}
-		v1[0] = v2
-		v3 := m.GenBuiltin(0, "malloc", args_pos[7])(m, args_pos[7], v1)
+		v1[0] = (interp.Value{T: types.IntType, I: 8})
+		v2 := m.GenBuiltin(0, "malloc", args_pos[6])(m, args_pos[6], v1)
 		m.GenPutArgs(v1)
+		var v3 interp.Value
+		if v2.T == args_t0 {
+			v3 = v2
+		} else if v2.T != nil && v2.T.IsPointer() {
+			v3 = interp.Value{T: args_t0, Ptr: v2.Ptr}
+		} else {
+			v3 = m.GenConvert(v2, args_t0, args_pos[6])
+		}
 		var v4 interp.Value
-		if v3.T == args_t0 {
+		if v3.T == args_t1 {
 			v4 = v3
+		} else if v3.T != nil && v3.T.IsPointer() {
+			v4 = interp.Value{T: args_t1, Ptr: v3.Ptr}
 		} else {
-			v4 = m.GenConvert(v3, args_t0, args_pos[7])
+			v4 = m.GenConvert(v3, args_t1, args_pos[7])
 		}
-		var v5 interp.Value
-		if v4.T == args_t1 {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, args_t1, args_pos[8])
-		}
-		m.GenStoreRaw(v0, 0, args_t1, v5)
+		m.GenStoreRaw(v0, 0, args_t1, v4)
 	}
 	{
 		m.GenStep()
-		v6 := f.LocalAt(0)
-		v7 := m.GenLoadRaw(v6, 0, args_t1, 3)
-		v8 := interp.Value{T: types.IntType, I: 0}
-		var v9 interp.Value
-		if v7.T != nil && v7.T.IsPointer() {
-			if v7.Ptr.Addr != uint64(v8.I) {
-				v9 = interp.Value{T: types.IntType, I: 1}
+		v5 := f.LocalAt(0)
+		v6 := m.GenLoadRaw(v5, 0, args_t1, 3)
+		var v7 interp.Value
+		if v6.T != nil && v6.T.IsPointer() {
+			if v6.Ptr.Addr != uint64((interp.Value{T: types.IntType, I: 0}).I) {
+				v7 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v9 = interp.Value{T: types.IntType, I: 0}
+				v7 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v9 = m.GenBinaryOp(token.NotEq, v7, v8, types.IntType, args_pos[9])
+			v7 = m.GenBinaryOp(token.NotEq, v6, (interp.Value{T: types.IntType, I: 0}), types.IntType, args_pos[8])
 		}
-		ret = v9
+		ret = v7
 		if interp.GenLive {
 			return
 		}

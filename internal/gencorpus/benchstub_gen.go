@@ -48,63 +48,46 @@ func benchstub_f_ok(m *interp.Machine, args []interp.Value, pos token.Pos) inter
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func benchstub_b_ok(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := interp.Value{T: types.IntType, I: 111}
-		v1 := m.GenGlobal(0)
-		v2 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v1.Base, Prov: v1}}
-		v3 := interp.Value{T: types.IntType, I: 0}
-		v4 := core.Pointer{Addr: v2.Ptr.Addr + uint64(v3.I)*1, Prov: v2.Ptr.Prov}
-		var v5 interp.Value
-		if v0.T == types.CharType {
-			v5 = v0
-		} else {
-			v5 = m.GenConvert(v0, types.CharType, benchstub_pos[0])
-		}
-		m.GenStoreValue(v4, types.CharType, v5, benchstub_pos[0])
-		_ = v5
+		v0 := m.GenGlobal(0)
+		v1 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v0.Base, Prov: v0}}
+		v2 := core.Pointer{Addr: v1.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v1.Ptr.Prov}
+		m.GenStoreValue(v2, types.CharType, (interp.Value{T: types.CharType, I: 111}), benchstub_pos[0])
+		_ = (interp.Value{T: types.CharType, I: 111})
 	}
 	{
 		m.GenStep()
-		v6 := interp.Value{T: types.IntType, I: 107}
-		v7 := m.GenGlobal(0)
-		v8 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v7.Base, Prov: v7}}
-		v9 := interp.Value{T: types.IntType, I: 1}
-		v10 := core.Pointer{Addr: v8.Ptr.Addr + uint64(v9.I)*1, Prov: v8.Ptr.Prov}
-		var v11 interp.Value
-		if v6.T == types.CharType {
-			v11 = v6
-		} else {
-			v11 = m.GenConvert(v6, types.CharType, benchstub_pos[1])
-		}
-		m.GenStoreValue(v10, types.CharType, v11, benchstub_pos[1])
-		_ = v11
+		v3 := m.GenGlobal(0)
+		v4 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v3.Base, Prov: v3}}
+		v5 := core.Pointer{Addr: v4.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 1}).I)*1, Prov: v4.Ptr.Prov}
+		m.GenStoreValue(v5, types.CharType, (interp.Value{T: types.CharType, I: 107}), benchstub_pos[1])
+		_ = (interp.Value{T: types.CharType, I: 107})
 	}
 	{
 		m.GenStep()
-		v12 := interp.Value{T: types.IntType, I: 0}
-		v13 := m.GenGlobal(0)
-		v14 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v13.Base, Prov: v13}}
-		v15 := interp.Value{T: types.IntType, I: 2}
-		v16 := core.Pointer{Addr: v14.Ptr.Addr + uint64(v15.I)*1, Prov: v14.Ptr.Prov}
-		var v17 interp.Value
-		if v12.T == types.CharType {
-			v17 = v12
-		} else {
-			v17 = m.GenConvert(v12, types.CharType, benchstub_pos[2])
-		}
-		m.GenStoreValue(v16, types.CharType, v17, benchstub_pos[2])
-		_ = v17
+		v6 := m.GenGlobal(0)
+		v7 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v6.Base, Prov: v6}}
+		v8 := core.Pointer{Addr: v7.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 2}).I)*1, Prov: v7.Ptr.Prov}
+		m.GenStoreValue(v8, types.CharType, (interp.Value{T: types.CharType, I: 0}), benchstub_pos[2])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v18 := interp.Value{T: types.IntType, I: 200}
-		ret = v18
+		ret = (interp.Value{T: types.IntType, I: 200})
 		if interp.GenLive {
 			return
 		}
@@ -123,7 +106,15 @@ func benchstub_f_poke(m *interp.Machine, args []interp.Value, pos token.Pos) int
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func benchstub_b_poke(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -135,40 +126,23 @@ func benchstub_b_poke(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	}
 	{
 		m.GenStep()
-		v1 := interp.Value{T: types.IntType, I: 120}
-		v2 := f.LocalAt(0)
-		v3 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v2.Base, Prov: v2}}
-		v4 := interp.Value{T: types.IntType, I: 6}
-		v5 := core.Pointer{Addr: v3.Ptr.Addr + uint64(v4.I)*1, Prov: v3.Ptr.Prov}
-		var v6 interp.Value
-		if v1.T == types.CharType {
-			v6 = v1
-		} else {
-			v6 = m.GenConvert(v1, types.CharType, benchstub_pos[3])
-		}
-		m.GenStoreValue(v5, types.CharType, v6, benchstub_pos[3])
-		_ = v6
+		v1 := f.LocalAt(0)
+		v2 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v1.Base, Prov: v1}}
+		v3 := core.Pointer{Addr: v2.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 6}).I)*1, Prov: v2.Ptr.Prov}
+		m.GenStoreValue(v3, types.CharType, (interp.Value{T: types.CharType, I: 120}), benchstub_pos[3])
+		_ = (interp.Value{T: types.CharType, I: 120})
 	}
 	{
 		m.GenStep()
-		v7 := interp.Value{T: types.IntType, I: 121}
-		v8 := f.LocalAt(0)
-		v9 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v8.Base, Prov: v8}}
-		v10 := interp.Value{T: types.IntType, I: 7}
-		v11 := core.Pointer{Addr: v9.Ptr.Addr + uint64(v10.I)*1, Prov: v9.Ptr.Prov}
-		var v12 interp.Value
-		if v7.T == types.CharType {
-			v12 = v7
-		} else {
-			v12 = m.GenConvert(v7, types.CharType, benchstub_pos[4])
-		}
-		m.GenStoreValue(v11, types.CharType, v12, benchstub_pos[4])
-		_ = v12
+		v4 := f.LocalAt(0)
+		v5 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v4.Base, Prov: v4}}
+		v6 := core.Pointer{Addr: v5.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 7}).I)*1, Prov: v5.Ptr.Prov}
+		m.GenStoreValue(v6, types.CharType, (interp.Value{T: types.CharType, I: 121}), benchstub_pos[4])
+		_ = (interp.Value{T: types.CharType, I: 121})
 	}
 	{
 		m.GenStep()
-		v13 := interp.Value{T: types.IntType, I: 200}
-		ret = v13
+		ret = (interp.Value{T: types.IntType, I: 200})
 		if interp.GenLive {
 			return
 		}

@@ -14,8 +14,6 @@ import (
 )
 
 var churn_pos = []token.Pos{
-	{File: "churn.c", Line: 4, Col: 2},
-	{File: "churn.c", Line: 5, Col: 9},
 	{File: "churn.c", Line: 5, Col: 16},
 	{File: "churn.c", Line: 6, Col: 14},
 	{File: "churn.c", Line: 6, Col: 11},
@@ -47,14 +45,29 @@ func churn_f_churn(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "churn", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:churn", 12, churn_locals_churn)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, churn_b_churn)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func churn_b_churn(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -63,96 +76,87 @@ func churn_b_churn(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		m.GenStep()
 		v1 := f.LocalAt(1)
 		_ = v1
-		v2 := f.LocalAt(0)
-		v3 := interp.Value{T: types.IntType, I: 0}
-		var v4 interp.Value
-		if v3.T == types.IntType {
-			v4 = v3
-		} else {
-			v4 = m.GenConvert(v3, types.IntType, churn_pos[0])
-		}
-		m.GenStoreRaw(v2, 0, types.IntType, v4)
+		v2 := f.LocalAt(2)
+		m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v5 := interp.Value{T: types.IntType, I: 0}
-			v6 := f.LocalAt(1)
-			var v7 interp.Value
-			if v5.T == types.IntType {
-				v7 = v5
-			} else {
-				v7 = m.GenConvert(v5, types.IntType, churn_pos[1])
-			}
-			m.GenStoreRaw(v6, 0, types.IntType, v7)
-			_ = v7
+			v3 := f.LocalAt(1)
+			m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v8 := f.LocalAt(1)
+			v4 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-			v10 := f.LocalAt(2)
+			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+			v6 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-			var v12 interp.Value
-			if v9.T == types.IntType && v11.T == types.IntType {
-				if v9.I < v11.I {
-					v12 = interp.Value{T: types.IntType, I: 1}
+			v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+			var v8 interp.Value
+			if v5.T == types.IntType && v7.T == types.IntType {
+				if v5.I < v7.I {
+					v8 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v12 = interp.Value{T: types.IntType, I: 0}
+					v8 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v12 = m.GenBinaryOp(token.Lt, v9, v11, types.IntType, churn_pos[2])
+				v8 = m.GenBinaryOp(token.Lt, v5, v7, types.IntType, churn_pos[0])
 			}
-			if !v12.Truthy() {
+			if !v8.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v13 := f.LocalAt(0)
+				v9 := f.LocalAt(2)
+				m.GenChargeAccess()
+				v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+				v11 := m.GenGlobal(0)
+				v12 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
+				v13 := f.LocalAt(1)
 				m.GenChargeAccess()
 				v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-				v15 := m.GenGlobal(0)
-				v16 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v15.Base, Prov: v15}}
-				v17 := f.LocalAt(1)
-				m.GenChargeAccess()
-				v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-				v19 := interp.Value{T: types.IntType, I: 4095}
-				var v20 interp.Value
-				if v18.T == types.IntType && v19.T == types.IntType {
-					v20 = interp.Value{T: types.IntType, I: int64(int32(v18.I & v19.I))}
+				var v15 interp.Value
+				if v14.T == types.IntType {
+					v15 = interp.Value{T: types.IntType, I: int64(int32(v14.I & 4095))}
 				} else {
-					v20 = m.GenBinaryOp(token.Amp, v18, v19, types.IntType, churn_pos[3])
+					v15 = m.GenBinaryOp(token.Amp, v14, (interp.Value{T: types.IntType, I: 4095}), types.IntType, churn_pos[1])
 				}
-				v21 := core.Pointer{Addr: v16.Ptr.Addr + uint64(v20.I)*1, Prov: v16.Ptr.Prov}
-				v22 := m.GenLoadValue(v21, types.CharType, churn_pos[4], -1, 0)
-				var v23 interp.Value
-				v23 = m.GenBinaryOp(token.Plus, v14, v22, types.IntType, churn_pos[5])
-				var v24 interp.Value
-				if v23.T == types.IntType {
-					v24 = v23
+				v16 := core.Pointer{Addr: v12.Ptr.Addr + uint64(v15.I)*1, Prov: v12.Ptr.Prov}
+				v17 := m.GenLoadValue(v16, types.CharType, churn_pos[2], -1, 0)
+				var v18 interp.Value
+				if v10.T == types.IntType && v17.T == types.CharType {
+					v18 = interp.Value{T: types.IntType, I: int64(int32(v10.I + int64(int32(v17.I))))}
 				} else {
-					v24 = m.GenConvert(v23, types.IntType, churn_pos[5])
+					v18 = m.GenBinaryOp(token.Plus, v10, v17, types.IntType, churn_pos[3])
 				}
-				m.GenStoreRaw(v13, 0, types.IntType, v24)
-				_ = v24
+				var v19 interp.Value
+				if v18.T == types.IntType {
+					v19 = v18
+				} else if v18.T != nil && v18.T.IsInteger() {
+					v19 = interp.Value{T: types.IntType, I: int64(int32(v18.I))}
+				} else {
+					v19 = m.GenConvert(v18, types.IntType, churn_pos[3])
+				}
+				m.GenStoreRaw(v9, 0, types.IntType, v19)
+				_ = v19
 			}
-			v25 := f.LocalAt(1)
+			v20 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-			v27 := interp.Value{T: v26.T, I: int64(int32(v26.I + 1))}
-			m.GenStoreRaw(v25, 0, types.IntType, v27)
-			_ = v26
+			v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+			v22 := interp.Value{T: v21.T, I: int64(int32(v21.I + 1))}
+			m.GenStoreRaw(v20, 0, types.IntType, v22)
+			_ = v21
 		}
 	}
 	{
 		m.GenStep()
-		v28 := f.LocalAt(0)
+		v23 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-		ret = v29
+		v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+		ret = v24
 		if interp.GenLive {
 			return
 		}

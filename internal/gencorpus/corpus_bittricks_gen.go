@@ -13,7 +13,6 @@ import (
 )
 
 var corpus_bittricks_pos = []token.Pos{
-	{File: "t.c", Line: 3, Col: 2},
 	{File: "t.c", Line: 5, Col: 10},
 	{File: "t.c", Line: 5, Col: 5},
 	{File: "t.c", Line: 10, Col: 52},
@@ -59,37 +58,45 @@ func corpus_bittricks_f_popcount(m *interp.Machine, args []interp.Value, pos tok
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "popcount", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:popcount", 8, corpus_bittricks_locals_popcount)
-	v0 := m.GenConvert(args[0], types.UIntType, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, types.UIntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.UIntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.UIntType, I: int64(uint32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.UIntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.UIntType, v0)
 	ret := m.GenExec(f, corpus_bittricks_b_popcount)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_bittricks_b_popcount(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, corpus_bittricks_pos[0])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		for {
-			v4 := f.LocalAt(1)
+			v2 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v5 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v4.Data[0:]))}
-			if !v5.Truthy() {
+			v3 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v2.Data[0:]))}
+			if !v3.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -97,48 +104,53 @@ func corpus_bittricks_b_popcount(m *interp.Machine, f *mem.Frame) (ret interp.Va
 				m.GenStep()
 				{
 					m.GenStep()
-					v6 := f.LocalAt(1)
+					v4 := f.LocalAt(0)
+					m.GenChargeAccess()
+					v5 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v4.Data[0:]))}
+					v6 := f.LocalAt(0)
 					m.GenChargeAccess()
 					v7 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v6.Data[0:]))}
-					v8 := f.LocalAt(1)
-					m.GenChargeAccess()
-					v9 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v8.Data[0:]))}
-					v10 := interp.Value{T: types.IntType, I: 1}
-					var v11 interp.Value
-					v11 = m.GenBinaryOp(token.Minus, v9, v10, types.UIntType, corpus_bittricks_pos[1])
-					var v12 interp.Value
-					if v7.T == types.UIntType && v11.T == types.UIntType {
-						v12 = interp.Value{T: types.UIntType, I: int64(uint32(v7.I & v11.I))}
+					var v8 interp.Value
+					if v7.T == types.UIntType {
+						v8 = interp.Value{T: types.UIntType, I: int64(uint32(v7.I - 1))}
 					} else {
-						v12 = m.GenBinaryOp(token.Amp, v7, v11, types.UIntType, corpus_bittricks_pos[2])
+						v8 = m.GenBinaryOp(token.Minus, v7, (interp.Value{T: types.IntType, I: 1}), types.UIntType, corpus_bittricks_pos[0])
 					}
-					var v13 interp.Value
-					if v12.T == types.UIntType {
-						v13 = v12
+					var v9 interp.Value
+					if v5.T == types.UIntType && v8.T == types.UIntType {
+						v9 = interp.Value{T: types.UIntType, I: int64(uint32(v5.I & v8.I))}
 					} else {
-						v13 = m.GenConvert(v12, types.UIntType, corpus_bittricks_pos[2])
+						v9 = m.GenBinaryOp(token.Amp, v5, v8, types.UIntType, corpus_bittricks_pos[1])
 					}
-					m.GenStoreRaw(v6, 0, types.UIntType, v13)
-					_ = v13
+					var v10 interp.Value
+					if v9.T == types.UIntType {
+						v10 = v9
+					} else if v9.T != nil && v9.T.IsInteger() {
+						v10 = interp.Value{T: types.UIntType, I: int64(uint32(v9.I))}
+					} else {
+						v10 = m.GenConvert(v9, types.UIntType, corpus_bittricks_pos[1])
+					}
+					m.GenStoreRaw(v4, 0, types.UIntType, v10)
+					_ = v10
 				}
 				{
 					m.GenStep()
-					v14 := f.LocalAt(0)
+					v11 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-					v16 := interp.Value{T: v15.T, I: int64(int32(v15.I + 1))}
-					m.GenStoreRaw(v14, 0, types.IntType, v16)
-					_ = v15
+					v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+					v13 := interp.Value{T: v12.T, I: int64(int32(v12.I + 1))}
+					m.GenStoreRaw(v11, 0, types.IntType, v13)
+					_ = v12
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v17 := f.LocalAt(0)
+		v14 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-		ret = v18
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+		ret = v15
 		if interp.GenLive {
 			return
 		}
@@ -152,14 +164,29 @@ func corpus_bittricks_f_parity(m *interp.Machine, args []interp.Value, pos token
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parity", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:parity", 4, corpus_bittricks_locals_parity)
-	v0 := m.GenConvert(args[0], types.UIntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.UIntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.UIntType, I: int64(uint32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.UIntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.UIntType, v0)
 	ret := m.GenExec(f, corpus_bittricks_b_parity)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_bittricks_b_parity(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -172,16 +199,15 @@ func corpus_bittricks_b_parity(m *interp.Machine, f *mem.Frame) (ret interp.Valu
 		m.GenChargeAccess()
 		v3 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v2.Data[0:]))}
 		v1[0] = v3
-		v4 := corpus_bittricks_f_popcount(m, v1, corpus_bittricks_pos[3])
+		v4 := corpus_bittricks_f_popcount(m, v1, corpus_bittricks_pos[2])
 		m.GenPutArgs(v1)
-		v5 := interp.Value{T: types.IntType, I: 1}
-		var v6 interp.Value
-		if v4.T == types.IntType && v5.T == types.IntType {
-			v6 = interp.Value{T: types.IntType, I: int64(int32(v4.I & v5.I))}
+		var v5 interp.Value
+		if v4.T == types.IntType {
+			v5 = interp.Value{T: types.IntType, I: int64(int32(v4.I & 1))}
 		} else {
-			v6 = m.GenBinaryOp(token.Amp, v4, v5, types.IntType, corpus_bittricks_pos[4])
+			v5 = m.GenBinaryOp(token.Amp, v4, (interp.Value{T: types.IntType, I: 1}), types.IntType, corpus_bittricks_pos[3])
 		}
-		ret = v6
+		ret = v5
 		if interp.GenLive {
 			return
 		}
@@ -200,7 +226,15 @@ func corpus_bittricks_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_bittricks_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -209,26 +243,50 @@ func corpus_bittricks_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 		m.GenStep()
 		m.GenStep()
 		v0 := m.GenArgs(1)
-		v1 := interp.Value{T: types.IntType, I: 0}
-		v0[0] = v1
-		v2 := corpus_bittricks_f_popcount(m, v0, corpus_bittricks_pos[5])
+		v0[0] = (interp.Value{T: types.IntType, I: 0})
+		v1 := corpus_bittricks_f_popcount(m, v0, corpus_bittricks_pos[4])
 		m.GenPutArgs(v0)
-		v3 := interp.Value{T: types.IntType, I: 0}
-		var v4 interp.Value
-		if v2.T == types.IntType && v3.T == types.IntType {
-			if v2.I != v3.I {
-				v4 = interp.Value{T: types.IntType, I: 1}
+		var v2 interp.Value
+		if v1.T == types.IntType {
+			if v1.I != 0 {
+				v2 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v4 = interp.Value{T: types.IntType, I: 0}
+				v2 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v4 = m.GenBinaryOp(token.NotEq, v2, v3, types.IntType, corpus_bittricks_pos[6])
+			v2 = m.GenBinaryOp(token.NotEq, v1, (interp.Value{T: types.IntType, I: 0}), types.IntType, corpus_bittricks_pos[5])
 		}
-		if v4.Truthy() {
+		if v2.Truthy() {
 			{
 				m.GenStep()
-				v5 := interp.Value{T: types.IntType, I: 1}
-				ret = v5
+				ret = (interp.Value{T: types.IntType, I: 1})
+				if interp.GenLive {
+					return
+				}
+			}
+		}
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v3 := m.GenArgs(1)
+		v3[0] = (interp.Value{T: types.IntType, I: 255})
+		v4 := corpus_bittricks_f_popcount(m, v3, corpus_bittricks_pos[6])
+		m.GenPutArgs(v3)
+		var v5 interp.Value
+		if v4.T == types.IntType {
+			if v4.I != 8 {
+				v5 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v5 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v5 = m.GenBinaryOp(token.NotEq, v4, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_bittricks_pos[7])
+		}
+		if v5.Truthy() {
+			{
+				m.GenStep()
+				ret = (interp.Value{T: types.IntType, I: 2})
 				if interp.GenLive {
 					return
 				}
@@ -239,26 +297,23 @@ func corpus_bittricks_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 		m.GenStep()
 		m.GenStep()
 		v6 := m.GenArgs(1)
-		v7 := interp.Value{T: types.IntType, I: 255}
-		v6[0] = v7
-		v8 := corpus_bittricks_f_popcount(m, v6, corpus_bittricks_pos[7])
+		v6[0] = (interp.Value{T: types.UIntType, I: 2147483649})
+		v7 := corpus_bittricks_f_popcount(m, v6, corpus_bittricks_pos[8])
 		m.GenPutArgs(v6)
-		v9 := interp.Value{T: types.IntType, I: 8}
-		var v10 interp.Value
-		if v8.T == types.IntType && v9.T == types.IntType {
-			if v8.I != v9.I {
-				v10 = interp.Value{T: types.IntType, I: 1}
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			if v7.I != 2 {
+				v8 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v10 = interp.Value{T: types.IntType, I: 0}
+				v8 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v10 = m.GenBinaryOp(token.NotEq, v8, v9, types.IntType, corpus_bittricks_pos[8])
+			v8 = m.GenBinaryOp(token.NotEq, v7, (interp.Value{T: types.IntType, I: 2}), types.IntType, corpus_bittricks_pos[9])
 		}
-		if v10.Truthy() {
+		if v8.Truthy() {
 			{
 				m.GenStep()
-				v11 := interp.Value{T: types.IntType, I: 2}
-				ret = v11
+				ret = (interp.Value{T: types.IntType, I: 3})
 				if interp.GenLive {
 					return
 				}
@@ -267,85 +322,50 @@ func corpus_bittricks_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	}
 	{
 		m.GenStep()
+		var v9 interp.Value
 		m.GenStep()
-		v12 := m.GenArgs(1)
-		v13 := interp.Value{T: types.UIntType, I: 2147483649}
-		v12[0] = v13
-		v14 := corpus_bittricks_f_popcount(m, v12, corpus_bittricks_pos[9])
-		m.GenPutArgs(v12)
-		v15 := interp.Value{T: types.IntType, I: 2}
-		var v16 interp.Value
-		if v14.T == types.IntType && v15.T == types.IntType {
-			if v14.I != v15.I {
-				v16 = interp.Value{T: types.IntType, I: 1}
+		v10 := m.GenArgs(1)
+		v10[0] = (interp.Value{T: types.IntType, I: 7})
+		v11 := corpus_bittricks_f_parity(m, v10, corpus_bittricks_pos[10])
+		m.GenPutArgs(v10)
+		var v12 interp.Value
+		if v11.T == types.IntType {
+			if v11.I != 1 {
+				v12 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v16 = interp.Value{T: types.IntType, I: 0}
+				v12 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v16 = m.GenBinaryOp(token.NotEq, v14, v15, types.IntType, corpus_bittricks_pos[10])
+			v12 = m.GenBinaryOp(token.NotEq, v11, (interp.Value{T: types.IntType, I: 1}), types.IntType, corpus_bittricks_pos[11])
 		}
-		if v16.Truthy() {
-			{
-				m.GenStep()
-				v17 := interp.Value{T: types.IntType, I: 3}
-				ret = v17
-				if interp.GenLive {
-					return
-				}
-			}
-		}
-	}
-	{
-		m.GenStep()
-		var v18 interp.Value
-		m.GenStep()
-		v19 := m.GenArgs(1)
-		v20 := interp.Value{T: types.IntType, I: 7}
-		v19[0] = v20
-		v21 := corpus_bittricks_f_parity(m, v19, corpus_bittricks_pos[11])
-		m.GenPutArgs(v19)
-		v22 := interp.Value{T: types.IntType, I: 1}
-		var v23 interp.Value
-		if v21.T == types.IntType && v22.T == types.IntType {
-			if v21.I != v22.I {
-				v23 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v23 = interp.Value{T: types.IntType, I: 0}
-			}
-		} else {
-			v23 = m.GenBinaryOp(token.NotEq, v21, v22, types.IntType, corpus_bittricks_pos[12])
-		}
-		if v23.Truthy() {
-			v18 = interp.Value{T: types.IntType, I: 1}
+		if v12.Truthy() {
+			v9 = interp.Value{T: types.IntType, I: 1}
 		} else {
 			m.GenStep()
-			v24 := m.GenArgs(1)
-			v25 := interp.Value{T: types.IntType, I: 3}
-			v24[0] = v25
-			v26 := corpus_bittricks_f_parity(m, v24, corpus_bittricks_pos[13])
-			m.GenPutArgs(v24)
-			v27 := interp.Value{T: types.IntType, I: 0}
-			var v28 interp.Value
-			if v26.T == types.IntType && v27.T == types.IntType {
-				if v26.I != v27.I {
-					v28 = interp.Value{T: types.IntType, I: 1}
+			v13 := m.GenArgs(1)
+			v13[0] = (interp.Value{T: types.IntType, I: 3})
+			v14 := corpus_bittricks_f_parity(m, v13, corpus_bittricks_pos[12])
+			m.GenPutArgs(v13)
+			var v15 interp.Value
+			if v14.T == types.IntType {
+				if v14.I != 0 {
+					v15 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v28 = interp.Value{T: types.IntType, I: 0}
+					v15 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v28 = m.GenBinaryOp(token.NotEq, v26, v27, types.IntType, corpus_bittricks_pos[14])
+				v15 = m.GenBinaryOp(token.NotEq, v14, (interp.Value{T: types.IntType, I: 0}), types.IntType, corpus_bittricks_pos[13])
 			}
-			if v28.Truthy() {
-				v18 = interp.Value{T: types.IntType, I: 1}
+			if v15.Truthy() {
+				v9 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v18 = interp.Value{T: types.IntType, I: 0}
+				v9 = interp.Value{T: types.IntType, I: 0}
 			}
 		}
-		if v18.Truthy() {
+		if v9.Truthy() {
 			{
 				m.GenStep()
-				v29 := interp.Value{T: types.IntType, I: 4}
-				ret = v29
+				ret = (interp.Value{T: types.IntType, I: 4})
 				if interp.GenLive {
 					return
 				}
@@ -354,8 +374,7 @@ func corpus_bittricks_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	}
 	{
 		m.GenStep()
-		v30 := interp.Value{T: types.IntType, I: 0}
-		ret = v30
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}

@@ -14,7 +14,6 @@ import (
 )
 
 var corpus_hashtable_pos = []token.Pos{
-	{File: "t.c", Line: 16, Col: 2},
 	{File: "t.c", Line: 17, Col: 9},
 	{File: "t.c", Line: 18, Col: 9},
 	{File: "t.c", Line: 18, Col: 32},
@@ -26,7 +25,6 @@ var corpus_hashtable_pos = []token.Pos{
 	{File: "t.c", Line: 23, Col: 2},
 	{File: "t.c", Line: 25, Col: 18},
 	{File: "t.c", Line: 25, Col: 9},
-	{File: "t.c", Line: 25, Col: 29},
 	{File: "t.c", Line: 25, Col: 25},
 	{File: "t.c", Line: 26, Col: 13},
 	{File: "t.c", Line: 26, Col: 27},
@@ -35,9 +33,7 @@ var corpus_hashtable_pos = []token.Pos{
 	{File: "t.c", Line: 25, Col: 42},
 	{File: "t.c", Line: 31, Col: 12},
 	{File: "t.c", Line: 31, Col: 4},
-	{File: "t.c", Line: 32, Col: 38},
 	{File: "t.c", Line: 32, Col: 9},
-	{File: "t.c", Line: 33, Col: 24},
 	{File: "t.c", Line: 33, Col: 29},
 	{File: "t.c", Line: 34, Col: 11},
 	{File: "t.c", Line: 35, Col: 19},
@@ -48,7 +44,6 @@ var corpus_hashtable_pos = []token.Pos{
 	{File: "t.c", Line: 40, Col: 2},
 	{File: "t.c", Line: 42, Col: 18},
 	{File: "t.c", Line: 42, Col: 9},
-	{File: "t.c", Line: 42, Col: 29},
 	{File: "t.c", Line: 42, Col: 25},
 	{File: "t.c", Line: 43, Col: 13},
 	{File: "t.c", Line: 43, Col: 27},
@@ -56,19 +51,15 @@ var corpus_hashtable_pos = []token.Pos{
 	{File: "t.c", Line: 44, Col: 9},
 	{File: "t.c", Line: 42, Col: 45},
 	{File: "t.c", Line: 42, Col: 42},
-	{File: "t.c", Line: 53, Col: 2},
-	{File: "t.c", Line: 54, Col: 9},
 	{File: "t.c", Line: 54, Col: 16},
 	{File: "t.c", Line: 55, Col: 10},
 	{File: "t.c", Line: 56, Col: 14},
 	{File: "t.c", Line: 56, Col: 6},
-	{File: "t.c", Line: 59, Col: 9},
 	{File: "t.c", Line: 59, Col: 16},
 	{File: "t.c", Line: 60, Col: 10},
 	{File: "t.c", Line: 61, Col: 17},
 	{File: "t.c", Line: 61, Col: 6},
 	{File: "t.c", Line: 59, Col: 25},
-	{File: "t.c", Line: 63, Col: 9},
 	{File: "t.c", Line: 63, Col: 16},
 	{File: "t.c", Line: 64, Col: 10},
 	{File: "t.c", Line: 65, Col: 11},
@@ -140,79 +131,98 @@ func corpus_hashtable_f_hash(m *interp.Machine, args []interp.Value, pos token.P
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "hash", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:hash", 12, corpus_hashtable_locals_hash)
-	v0 := m.GenConvert(args[0], corpus_hashtable_t0, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, corpus_hashtable_t0, v0)
+	var v0 interp.Value
+	if args[0].T == corpus_hashtable_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_hashtable_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_hashtable_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_hashtable_t0, v0)
 	ret := m.GenExec(f, corpus_hashtable_b_hash)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.UIntType}
 	}
-	return m.GenConvert(ret, types.UIntType, pos)
+	var r interp.Value
+	if ret.T == types.UIntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.UIntType, I: int64(uint32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.UIntType, pos)
+	}
+	return r
 }
 
 func corpus_hashtable_b_hash(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 5381}
-		var v3 interp.Value
-		if v2.T == types.UIntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.UIntType, corpus_hashtable_pos[0])
-		}
-		m.GenStoreRaw(v1, 0, types.UIntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.UIntType, (interp.Value{T: types.UIntType, I: 5381}))
 	}
 	{
 		m.GenStep()
 		for {
-			v4 := f.LocalAt(1)
-			v5 := m.GenLoadRaw(v4, 0, corpus_hashtable_t0, 0)
-			v6 := m.GenLoadValue(v5.Ptr, types.CharType, corpus_hashtable_pos[1], -1, 0)
-			if !v6.Truthy() {
+			v2 := f.LocalAt(0)
+			v3 := m.GenLoadRaw(v2, 0, corpus_hashtable_t0, 0)
+			v4 := m.GenLoadValue(v3.Ptr, types.CharType, corpus_hashtable_pos[0], -1, 0)
+			if !v4.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v7 := f.LocalAt(0)
+				v5 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v8 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v7.Data[0:]))}
-				v9 := interp.Value{T: types.IntType, I: 33}
-				var v10 interp.Value
-				v10 = m.GenBinaryOp(token.Star, v8, v9, types.UIntType, corpus_hashtable_pos[2])
-				v11 := f.LocalAt(1)
-				v12 := m.GenLoadRaw(v11, 0, corpus_hashtable_t0, 1)
-				v13 := interp.Value{T: v12.T, Ptr: core.Pointer{Addr: v12.Ptr.Addr + 1, Prov: v12.Ptr.Prov}}
-				m.GenStoreRaw(v11, 0, corpus_hashtable_t0, v13)
-				v14 := m.GenLoadValue(v12.Ptr, types.CharType, corpus_hashtable_pos[3], -1, 1)
+				v6 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v5.Data[0:]))}
+				var v7 interp.Value
+				if v6.T == types.UIntType {
+					v7 = interp.Value{T: types.UIntType, I: int64(uint32(v6.I * 33))}
+				} else {
+					v7 = m.GenBinaryOp(token.Star, v6, (interp.Value{T: types.IntType, I: 33}), types.UIntType, corpus_hashtable_pos[1])
+				}
+				v8 := f.LocalAt(0)
+				v9 := m.GenLoadRaw(v8, 0, corpus_hashtable_t0, 1)
+				v10 := interp.Value{T: v9.T, Ptr: core.Pointer{Addr: v9.Ptr.Addr + 1, Prov: v9.Ptr.Prov}}
+				m.GenStoreRaw(v8, 0, corpus_hashtable_t0, v10)
+				v11 := m.GenLoadValue(v9.Ptr, types.CharType, corpus_hashtable_pos[2], -1, 1)
+				var v12 interp.Value
+				if v11.T == types.UCharType {
+					v12 = v11
+				} else if v11.T != nil && v11.T.IsInteger() {
+					v12 = interp.Value{T: types.UCharType, I: int64(uint8(v11.I))}
+				} else {
+					v12 = m.GenConvert(v11, types.UCharType, corpus_hashtable_pos[3])
+				}
+				var v13 interp.Value
+				if v7.T == types.UIntType && v12.T == types.UCharType {
+					v13 = interp.Value{T: types.UIntType, I: int64(uint32(v7.I + int64(uint32(v12.I))))}
+				} else {
+					v13 = m.GenBinaryOp(token.Plus, v7, v12, types.UIntType, corpus_hashtable_pos[4])
+				}
+				v14 := f.LocalAt(1)
 				var v15 interp.Value
-				if v14.T == types.UCharType {
-					v15 = v14
+				if v13.T == types.UIntType {
+					v15 = v13
+				} else if v13.T != nil && v13.T.IsInteger() {
+					v15 = interp.Value{T: types.UIntType, I: int64(uint32(v13.I))}
 				} else {
-					v15 = m.GenConvert(v14, types.UCharType, corpus_hashtable_pos[4])
+					v15 = m.GenConvert(v13, types.UIntType, corpus_hashtable_pos[5])
 				}
-				var v16 interp.Value
-				v16 = m.GenBinaryOp(token.Plus, v10, v15, types.UIntType, corpus_hashtable_pos[5])
-				v17 := f.LocalAt(0)
-				var v18 interp.Value
-				if v16.T == types.UIntType {
-					v18 = v16
-				} else {
-					v18 = m.GenConvert(v16, types.UIntType, corpus_hashtable_pos[6])
-				}
-				m.GenStoreRaw(v17, 0, types.UIntType, v18)
-				_ = v18
+				m.GenStoreRaw(v14, 0, types.UIntType, v15)
+				_ = v15
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v19 := f.LocalAt(0)
+		v16 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v20 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v19.Data[0:]))}
-		ret = v20
+		v17 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v16.Data[0:]))}
+		ret = v17
 		if interp.GenLive {
 			return
 		}
@@ -226,10 +236,24 @@ func corpus_hashtable_f_put(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "put", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:put", 24, corpus_hashtable_locals_put)
-	v0 := m.GenConvert(args[0], corpus_hashtable_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, corpus_hashtable_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v1)
+	var v0 interp.Value
+	if args[0].T == corpus_hashtable_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_hashtable_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_hashtable_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_hashtable_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
 	ret := m.GenExec(f, corpus_hashtable_b_put)
 	m.GenPopFrame(f)
 	_ = ret
@@ -240,72 +264,68 @@ func corpus_hashtable_b_put(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(1)
+		v2 := f.LocalAt(2)
 		m.GenStep()
 		v3 := m.GenArgs(1)
-		v4 := f.LocalAt(3)
+		v4 := f.LocalAt(0)
 		v5 := m.GenLoadRaw(v4, 0, corpus_hashtable_t0, 2)
 		v3[0] = v5
-		v6 := corpus_hashtable_f_hash(m, v3, corpus_hashtable_pos[7])
+		v6 := corpus_hashtable_f_hash(m, v3, corpus_hashtable_pos[6])
 		m.GenPutArgs(v3)
-		v7 := interp.Value{T: types.IntType, I: 16}
+		var v7 interp.Value
+		v7 = m.GenBinaryOp(token.Percent, v6, (interp.Value{T: types.IntType, I: 16}), types.UIntType, corpus_hashtable_pos[7])
 		var v8 interp.Value
-		v8 = m.GenBinaryOp(token.Percent, v6, v7, types.UIntType, corpus_hashtable_pos[8])
-		var v9 interp.Value
-		if v8.T == types.UIntType {
-			v9 = v8
+		if v7.T == types.UIntType {
+			v8 = v7
+		} else if v7.T != nil && v7.T.IsInteger() {
+			v8 = interp.Value{T: types.UIntType, I: int64(uint32(v7.I))}
 		} else {
-			v9 = m.GenConvert(v8, types.UIntType, corpus_hashtable_pos[9])
+			v8 = m.GenConvert(v7, types.UIntType, corpus_hashtable_pos[8])
 		}
-		m.GenStoreRaw(v2, 0, types.UIntType, v9)
+		m.GenStoreRaw(v2, 0, types.UIntType, v8)
 	}
 	{
 		m.GenStep()
-		v10 := f.LocalAt(0)
-		_ = v10
+		v9 := f.LocalAt(3)
+		_ = v9
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v11 := m.GenGlobal(0)
-			v12 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-			v13 := f.LocalAt(1)
+			v10 := m.GenGlobal(0)
+			v11 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v10.Base, Prov: v10}}
+			v12 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v14 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v13.Data[0:]))}
-			v15 := core.Pointer{Addr: v12.Ptr.Addr + uint64(v14.I)*8, Prov: v12.Ptr.Prov}
-			v16 := m.GenLoadValue(v15, corpus_hashtable_t1, corpus_hashtable_pos[10], 3, 2)
-			v17 := f.LocalAt(0)
-			var v18 interp.Value
-			if v16.T == corpus_hashtable_t1 {
-				v18 = v16
+			v13 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v12.Data[0:]))}
+			v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*8, Prov: v11.Ptr.Prov}
+			v15 := m.GenLoadValue(v14, corpus_hashtable_t1, corpus_hashtable_pos[9], 3, 2)
+			v16 := f.LocalAt(3)
+			var v17 interp.Value
+			if v15.T == corpus_hashtable_t1 {
+				v17 = v15
+			} else if v15.T != nil && v15.T.IsPointer() {
+				v17 = interp.Value{T: corpus_hashtable_t1, Ptr: v15.Ptr}
 			} else {
-				v18 = m.GenConvert(v16, corpus_hashtable_t1, corpus_hashtable_pos[11])
+				v17 = m.GenConvert(v15, corpus_hashtable_t1, corpus_hashtable_pos[10])
 			}
-			m.GenStoreRaw(v17, 0, corpus_hashtable_t1, v18)
-			_ = v18
+			m.GenStoreRaw(v16, 0, corpus_hashtable_t1, v17)
+			_ = v17
 		}
 		for {
-			v19 := f.LocalAt(0)
-			v20 := m.GenLoadRaw(v19, 0, corpus_hashtable_t1, 4)
-			v21 := interp.Value{T: types.IntType, I: 0}
-			var v22 interp.Value
-			if v21.T == corpus_hashtable_t4 {
-				v22 = v21
-			} else {
-				v22 = m.GenConvert(v21, corpus_hashtable_t4, corpus_hashtable_pos[12])
-			}
-			var v23 interp.Value
-			if v20.T != nil && v20.T.IsPointer() && v22.T != nil && v22.T.IsPointer() {
-				if v20.Ptr.Addr != v22.Ptr.Addr {
-					v23 = interp.Value{T: types.IntType, I: 1}
+			v18 := f.LocalAt(3)
+			v19 := m.GenLoadRaw(v18, 0, corpus_hashtable_t1, 4)
+			var v20 interp.Value
+			if v19.T != nil && v19.T.IsPointer() && (interp.Value{T: corpus_hashtable_t4}).T != nil && (interp.Value{T: corpus_hashtable_t4}).T.IsPointer() {
+				if v19.Ptr.Addr != (interp.Value{T: corpus_hashtable_t4}).Ptr.Addr {
+					v20 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v23 = interp.Value{T: types.IntType, I: 0}
+					v20 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v23 = m.GenBinaryOp(token.NotEq, v20, v22, types.IntType, corpus_hashtable_pos[13])
+				v20 = m.GenBinaryOp(token.NotEq, v19, (interp.Value{T: corpus_hashtable_t4}), types.IntType, corpus_hashtable_pos[11])
 			}
-			if !v23.Truthy() {
+			if !v20.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -314,53 +334,56 @@ func corpus_hashtable_b_put(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 				{
 					m.GenStep()
 					m.GenStep()
-					v24 := m.GenArgs(2)
-					v25 := f.LocalAt(0)
-					v26 := m.GenLoadRaw(v25, 0, corpus_hashtable_t1, 5)
-					v27 := core.Pointer{Addr: v26.Ptr.Addr + 0, Prov: v26.Ptr.Prov}
-					v28 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v27}
-					v24[0] = v28
-					v29 := f.LocalAt(3)
-					v30 := m.GenLoadRaw(v29, 0, corpus_hashtable_t0, 6)
-					v24[1] = v30
-					v31 := m.GenBuiltin(0, "strcmp", corpus_hashtable_pos[14])(m, corpus_hashtable_pos[14], v24)
-					m.GenPutArgs(v24)
-					var v32 interp.Value
-					if v31.T == types.IntType {
-						v32 = v31
+					v21 := m.GenArgs(2)
+					v22 := f.LocalAt(3)
+					v23 := m.GenLoadRaw(v22, 0, corpus_hashtable_t1, 5)
+					v24 := core.Pointer{Addr: v23.Ptr.Addr + 0, Prov: v23.Ptr.Prov}
+					v25 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v24}
+					v21[0] = v25
+					v26 := f.LocalAt(0)
+					v27 := m.GenLoadRaw(v26, 0, corpus_hashtable_t0, 6)
+					v21[1] = v27
+					v28 := m.GenBuiltin(0, "strcmp", corpus_hashtable_pos[12])(m, corpus_hashtable_pos[12], v21)
+					m.GenPutArgs(v21)
+					var v29 interp.Value
+					if v28.T == types.IntType {
+						v29 = v28
+					} else if v28.T != nil && v28.T.IsInteger() {
+						v29 = interp.Value{T: types.IntType, I: int64(int32(v28.I))}
 					} else {
-						v32 = m.GenConvert(v31, types.IntType, corpus_hashtable_pos[14])
+						v29 = m.GenConvert(v28, types.IntType, corpus_hashtable_pos[12])
 					}
-					v33 := interp.Value{T: types.IntType, I: 0}
-					var v34 interp.Value
-					if v32.T == types.IntType && v33.T == types.IntType {
-						if v32.I == v33.I {
-							v34 = interp.Value{T: types.IntType, I: 1}
+					var v30 interp.Value
+					if v29.T == types.IntType {
+						if v29.I == 0 {
+							v30 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v34 = interp.Value{T: types.IntType, I: 0}
+							v30 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v34 = m.GenBinaryOp(token.EqEq, v32, v33, types.IntType, corpus_hashtable_pos[15])
+						v30 = m.GenBinaryOp(token.EqEq, v29, (interp.Value{T: types.IntType, I: 0}), types.IntType, corpus_hashtable_pos[13])
 					}
-					if v34.Truthy() {
+					if v30.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v35 := f.LocalAt(2)
+								v31 := f.LocalAt(1)
 								m.GenChargeAccess()
-								v36 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v35.Data[0:])))}
-								v37 := f.LocalAt(0)
-								v38 := m.GenLoadRaw(v37, 0, corpus_hashtable_t1, 7)
-								v39 := core.Pointer{Addr: v38.Ptr.Addr + 24, Prov: v38.Ptr.Prov}
-								var v40 interp.Value
-								if v36.T == types.IntType {
-									v40 = v36
+								v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
+								v33 := f.LocalAt(3)
+								v34 := m.GenLoadRaw(v33, 0, corpus_hashtable_t1, 7)
+								v35 := core.Pointer{Addr: v34.Ptr.Addr + 24, Prov: v34.Ptr.Prov}
+								var v36 interp.Value
+								if v32.T == types.IntType {
+									v36 = v32
+								} else if v32.T != nil && v32.T.IsInteger() {
+									v36 = interp.Value{T: types.IntType, I: int64(int32(v32.I))}
 								} else {
-									v40 = m.GenConvert(v36, types.IntType, corpus_hashtable_pos[16])
+									v36 = m.GenConvert(v32, types.IntType, corpus_hashtable_pos[14])
 								}
-								m.GenStoreValue(v39, types.IntType, v40, corpus_hashtable_pos[16])
-								_ = v40
+								m.GenStoreValue(v35, types.IntType, v36, corpus_hashtable_pos[14])
+								_ = v36
 							}
 							{
 								m.GenStep()
@@ -373,149 +396,147 @@ func corpus_hashtable_b_put(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 					}
 				}
 			}
-			v41 := f.LocalAt(0)
-			v42 := m.GenLoadRaw(v41, 0, corpus_hashtable_t1, 8)
-			v43 := core.Pointer{Addr: v42.Ptr.Addr + 32, Prov: v42.Ptr.Prov}
-			v44 := m.GenLoadValue(v43, corpus_hashtable_t1, corpus_hashtable_pos[17], 9, 3)
-			v45 := f.LocalAt(0)
-			var v46 interp.Value
-			if v44.T == corpus_hashtable_t1 {
-				v46 = v44
+			v37 := f.LocalAt(3)
+			v38 := m.GenLoadRaw(v37, 0, corpus_hashtable_t1, 8)
+			v39 := core.Pointer{Addr: v38.Ptr.Addr + 32, Prov: v38.Ptr.Prov}
+			v40 := m.GenLoadValue(v39, corpus_hashtable_t1, corpus_hashtable_pos[15], 9, 3)
+			v41 := f.LocalAt(3)
+			var v42 interp.Value
+			if v40.T == corpus_hashtable_t1 {
+				v42 = v40
+			} else if v40.T != nil && v40.T.IsPointer() {
+				v42 = interp.Value{T: corpus_hashtable_t1, Ptr: v40.Ptr}
 			} else {
-				v46 = m.GenConvert(v44, corpus_hashtable_t1, corpus_hashtable_pos[18])
+				v42 = m.GenConvert(v40, corpus_hashtable_t1, corpus_hashtable_pos[16])
 			}
-			m.GenStoreRaw(v45, 0, corpus_hashtable_t1, v46)
-			_ = v46
+			m.GenStoreRaw(v41, 0, corpus_hashtable_t1, v42)
+			_ = v42
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v47 := m.GenArgs(1)
-		v48 := interp.Value{T: types.ULongType, I: 40}
-		v47[0] = v48
-		v49 := m.GenBuiltin(1, "malloc", corpus_hashtable_pos[19])(m, corpus_hashtable_pos[19], v47)
-		m.GenPutArgs(v47)
-		var v50 interp.Value
-		if v49.T == corpus_hashtable_t4 {
-			v50 = v49
+		v43 := m.GenArgs(1)
+		v43[0] = (interp.Value{T: types.ULongType, I: 40})
+		v44 := m.GenBuiltin(1, "malloc", corpus_hashtable_pos[17])(m, corpus_hashtable_pos[17], v43)
+		m.GenPutArgs(v43)
+		var v45 interp.Value
+		if v44.T == corpus_hashtable_t4 {
+			v45 = v44
+		} else if v44.T != nil && v44.T.IsPointer() {
+			v45 = interp.Value{T: corpus_hashtable_t4, Ptr: v44.Ptr}
 		} else {
-			v50 = m.GenConvert(v49, corpus_hashtable_t4, corpus_hashtable_pos[19])
+			v45 = m.GenConvert(v44, corpus_hashtable_t4, corpus_hashtable_pos[17])
 		}
-		v51 := f.LocalAt(0)
-		var v52 interp.Value
-		if v50.T == corpus_hashtable_t1 {
-			v52 = v50
+		v46 := f.LocalAt(3)
+		var v47 interp.Value
+		if v45.T == corpus_hashtable_t1 {
+			v47 = v45
+		} else if v45.T != nil && v45.T.IsPointer() {
+			v47 = interp.Value{T: corpus_hashtable_t1, Ptr: v45.Ptr}
 		} else {
-			v52 = m.GenConvert(v50, corpus_hashtable_t1, corpus_hashtable_pos[20])
+			v47 = m.GenConvert(v45, corpus_hashtable_t1, corpus_hashtable_pos[18])
 		}
-		m.GenStoreRaw(v51, 0, corpus_hashtable_t1, v52)
-		_ = v52
+		m.GenStoreRaw(v46, 0, corpus_hashtable_t1, v47)
+		_ = v47
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v53 := m.GenArgs(3)
-		v54 := f.LocalAt(0)
-		v55 := m.GenLoadRaw(v54, 0, corpus_hashtable_t1, 10)
-		v56 := core.Pointer{Addr: v55.Ptr.Addr + 0, Prov: v55.Ptr.Prov}
-		v57 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v56}
-		v53[0] = v57
-		v58 := f.LocalAt(3)
-		v59 := m.GenLoadRaw(v58, 0, corpus_hashtable_t0, 11)
-		v53[1] = v59
-		v60 := interp.Value{T: types.ULongType, I: 24}
-		v61 := interp.Value{T: types.IntType, I: 1}
-		var v62 interp.Value
-		v62 = m.GenBinaryOp(token.Minus, v60, v61, types.ULongType, corpus_hashtable_pos[21])
-		v53[2] = v62
-		v63 := m.GenBuiltin(2, "strncpy", corpus_hashtable_pos[22])(m, corpus_hashtable_pos[22], v53)
-		m.GenPutArgs(v53)
-		var v64 interp.Value
-		if v63.T == corpus_hashtable_t0 {
-			v64 = v63
+		v48 := m.GenArgs(3)
+		v49 := f.LocalAt(3)
+		v50 := m.GenLoadRaw(v49, 0, corpus_hashtable_t1, 10)
+		v51 := core.Pointer{Addr: v50.Ptr.Addr + 0, Prov: v50.Ptr.Prov}
+		v52 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v51}
+		v48[0] = v52
+		v53 := f.LocalAt(0)
+		v54 := m.GenLoadRaw(v53, 0, corpus_hashtable_t0, 11)
+		v48[1] = v54
+		v48[2] = (interp.Value{T: types.ULongType, I: 23})
+		v55 := m.GenBuiltin(2, "strncpy", corpus_hashtable_pos[19])(m, corpus_hashtable_pos[19], v48)
+		m.GenPutArgs(v48)
+		var v56 interp.Value
+		if v55.T == corpus_hashtable_t0 {
+			v56 = v55
+		} else if v55.T != nil && v55.T.IsPointer() {
+			v56 = interp.Value{T: corpus_hashtable_t0, Ptr: v55.Ptr}
 		} else {
-			v64 = m.GenConvert(v63, corpus_hashtable_t0, corpus_hashtable_pos[22])
+			v56 = m.GenConvert(v55, corpus_hashtable_t0, corpus_hashtable_pos[19])
 		}
-		_ = v64
+		_ = v56
 	}
 	{
 		m.GenStep()
-		v65 := interp.Value{T: types.IntType, I: 0}
-		v66 := f.LocalAt(0)
-		v67 := m.GenLoadRaw(v66, 0, corpus_hashtable_t1, 12)
-		v68 := core.Pointer{Addr: v67.Ptr.Addr + 0, Prov: v67.Ptr.Prov}
-		v69 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v68}
-		v70 := interp.Value{T: types.ULongType, I: 24}
-		v71 := interp.Value{T: types.IntType, I: 1}
-		var v72 interp.Value
-		v72 = m.GenBinaryOp(token.Minus, v70, v71, types.ULongType, corpus_hashtable_pos[23])
-		v73 := core.Pointer{Addr: v69.Ptr.Addr + uint64(v72.I)*1, Prov: v69.Ptr.Prov}
-		var v74 interp.Value
-		if v65.T == types.CharType {
-			v74 = v65
-		} else {
-			v74 = m.GenConvert(v65, types.CharType, corpus_hashtable_pos[24])
-		}
-		m.GenStoreValue(v73, types.CharType, v74, corpus_hashtable_pos[24])
-		_ = v74
+		v57 := f.LocalAt(3)
+		v58 := m.GenLoadRaw(v57, 0, corpus_hashtable_t1, 12)
+		v59 := core.Pointer{Addr: v58.Ptr.Addr + 0, Prov: v58.Ptr.Prov}
+		v60 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v59}
+		v61 := core.Pointer{Addr: v60.Ptr.Addr + uint64((interp.Value{T: types.ULongType, I: 23}).I)*1, Prov: v60.Ptr.Prov}
+		m.GenStoreValue(v61, types.CharType, (interp.Value{T: types.CharType, I: 0}), corpus_hashtable_pos[20])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v75 := f.LocalAt(2)
+		v62 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v76 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v75.Data[0:])))}
-		v77 := f.LocalAt(0)
-		v78 := m.GenLoadRaw(v77, 0, corpus_hashtable_t1, 13)
-		v79 := core.Pointer{Addr: v78.Ptr.Addr + 24, Prov: v78.Ptr.Prov}
-		var v80 interp.Value
-		if v76.T == types.IntType {
-			v80 = v76
+		v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
+		v64 := f.LocalAt(3)
+		v65 := m.GenLoadRaw(v64, 0, corpus_hashtable_t1, 13)
+		v66 := core.Pointer{Addr: v65.Ptr.Addr + 24, Prov: v65.Ptr.Prov}
+		var v67 interp.Value
+		if v63.T == types.IntType {
+			v67 = v63
+		} else if v63.T != nil && v63.T.IsInteger() {
+			v67 = interp.Value{T: types.IntType, I: int64(int32(v63.I))}
 		} else {
-			v80 = m.GenConvert(v76, types.IntType, corpus_hashtable_pos[25])
+			v67 = m.GenConvert(v63, types.IntType, corpus_hashtable_pos[21])
 		}
-		m.GenStoreValue(v79, types.IntType, v80, corpus_hashtable_pos[25])
-		_ = v80
+		m.GenStoreValue(v66, types.IntType, v67, corpus_hashtable_pos[21])
+		_ = v67
 	}
 	{
 		m.GenStep()
-		v81 := m.GenGlobal(0)
-		v82 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v81.Base, Prov: v81}}
-		v83 := f.LocalAt(1)
+		v68 := m.GenGlobal(0)
+		v69 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v68.Base, Prov: v68}}
+		v70 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v84 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v83.Data[0:]))}
-		v85 := core.Pointer{Addr: v82.Ptr.Addr + uint64(v84.I)*8, Prov: v82.Ptr.Prov}
-		v86 := m.GenLoadValue(v85, corpus_hashtable_t1, corpus_hashtable_pos[26], 14, 11)
-		v87 := f.LocalAt(0)
-		v88 := m.GenLoadRaw(v87, 0, corpus_hashtable_t1, 15)
-		v89 := core.Pointer{Addr: v88.Ptr.Addr + 32, Prov: v88.Ptr.Prov}
-		var v90 interp.Value
-		if v86.T == corpus_hashtable_t1 {
-			v90 = v86
+		v71 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v70.Data[0:]))}
+		v72 := core.Pointer{Addr: v69.Ptr.Addr + uint64(v71.I)*8, Prov: v69.Ptr.Prov}
+		v73 := m.GenLoadValue(v72, corpus_hashtable_t1, corpus_hashtable_pos[22], 14, 11)
+		v74 := f.LocalAt(3)
+		v75 := m.GenLoadRaw(v74, 0, corpus_hashtable_t1, 15)
+		v76 := core.Pointer{Addr: v75.Ptr.Addr + 32, Prov: v75.Ptr.Prov}
+		var v77 interp.Value
+		if v73.T == corpus_hashtable_t1 {
+			v77 = v73
+		} else if v73.T != nil && v73.T.IsPointer() {
+			v77 = interp.Value{T: corpus_hashtable_t1, Ptr: v73.Ptr}
 		} else {
-			v90 = m.GenConvert(v86, corpus_hashtable_t1, corpus_hashtable_pos[27])
+			v77 = m.GenConvert(v73, corpus_hashtable_t1, corpus_hashtable_pos[23])
 		}
-		m.GenStoreValue(v89, corpus_hashtable_t1, v90, corpus_hashtable_pos[27])
-		_ = v90
+		m.GenStoreValue(v76, corpus_hashtable_t1, v77, corpus_hashtable_pos[23])
+		_ = v77
 	}
 	{
 		m.GenStep()
-		v91 := f.LocalAt(0)
-		v92 := m.GenLoadRaw(v91, 0, corpus_hashtable_t1, 16)
-		v93 := m.GenGlobal(0)
-		v94 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v93.Base, Prov: v93}}
-		v95 := f.LocalAt(1)
+		v78 := f.LocalAt(3)
+		v79 := m.GenLoadRaw(v78, 0, corpus_hashtable_t1, 16)
+		v80 := m.GenGlobal(0)
+		v81 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v80.Base, Prov: v80}}
+		v82 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v96 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v95.Data[0:]))}
-		v97 := core.Pointer{Addr: v94.Ptr.Addr + uint64(v96.I)*8, Prov: v94.Ptr.Prov}
-		var v98 interp.Value
-		if v92.T == corpus_hashtable_t1 {
-			v98 = v92
+		v83 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v82.Data[0:]))}
+		v84 := core.Pointer{Addr: v81.Ptr.Addr + uint64(v83.I)*8, Prov: v81.Ptr.Prov}
+		var v85 interp.Value
+		if v79.T == corpus_hashtable_t1 {
+			v85 = v79
+		} else if v79.T != nil && v79.T.IsPointer() {
+			v85 = interp.Value{T: corpus_hashtable_t1, Ptr: v79.Ptr}
 		} else {
-			v98 = m.GenConvert(v92, corpus_hashtable_t1, corpus_hashtable_pos[28])
+			v85 = m.GenConvert(v79, corpus_hashtable_t1, corpus_hashtable_pos[24])
 		}
-		m.GenStoreValue(v97, corpus_hashtable_t1, v98, corpus_hashtable_pos[28])
-		_ = v98
+		m.GenStoreValue(v84, corpus_hashtable_t1, v85, corpus_hashtable_pos[24])
+		_ = v85
 	}
 	return
 }
@@ -526,88 +547,106 @@ func corpus_hashtable_f_get(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:get", 32, corpus_hashtable_locals_get)
-	v0 := m.GenConvert(args[0], corpus_hashtable_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, corpus_hashtable_t0, v0)
-	v1 := m.GenConvert(args[1], corpus_hashtable_t5, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, corpus_hashtable_t5, v1)
+	var v0 interp.Value
+	if args[0].T == corpus_hashtable_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_hashtable_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_hashtable_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_hashtable_t0, v0)
+	var v1 interp.Value
+	if args[1].T == corpus_hashtable_t5 {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsPointer() {
+		v1 = interp.Value{T: corpus_hashtable_t5, Ptr: args[1].Ptr}
+	} else {
+		v1 = m.GenConvert(args[1], corpus_hashtable_t5, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, corpus_hashtable_t5, v1)
 	ret := m.GenExec(f, corpus_hashtable_b_get)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_hashtable_b_get(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(1)
+		v2 := f.LocalAt(2)
 		m.GenStep()
 		v3 := m.GenArgs(1)
-		v4 := f.LocalAt(3)
+		v4 := f.LocalAt(0)
 		v5 := m.GenLoadRaw(v4, 0, corpus_hashtable_t0, 17)
 		v3[0] = v5
-		v6 := corpus_hashtable_f_hash(m, v3, corpus_hashtable_pos[29])
+		v6 := corpus_hashtable_f_hash(m, v3, corpus_hashtable_pos[25])
 		m.GenPutArgs(v3)
-		v7 := interp.Value{T: types.IntType, I: 16}
+		var v7 interp.Value
+		v7 = m.GenBinaryOp(token.Percent, v6, (interp.Value{T: types.IntType, I: 16}), types.UIntType, corpus_hashtable_pos[26])
 		var v8 interp.Value
-		v8 = m.GenBinaryOp(token.Percent, v6, v7, types.UIntType, corpus_hashtable_pos[30])
-		var v9 interp.Value
-		if v8.T == types.UIntType {
-			v9 = v8
+		if v7.T == types.UIntType {
+			v8 = v7
+		} else if v7.T != nil && v7.T.IsInteger() {
+			v8 = interp.Value{T: types.UIntType, I: int64(uint32(v7.I))}
 		} else {
-			v9 = m.GenConvert(v8, types.UIntType, corpus_hashtable_pos[31])
+			v8 = m.GenConvert(v7, types.UIntType, corpus_hashtable_pos[27])
 		}
-		m.GenStoreRaw(v2, 0, types.UIntType, v9)
+		m.GenStoreRaw(v2, 0, types.UIntType, v8)
 	}
 	{
 		m.GenStep()
-		v10 := f.LocalAt(0)
-		_ = v10
+		v9 := f.LocalAt(3)
+		_ = v9
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v11 := m.GenGlobal(0)
-			v12 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-			v13 := f.LocalAt(1)
+			v10 := m.GenGlobal(0)
+			v11 := interp.Value{T: types.PointerTo(corpus_hashtable_t1), Ptr: core.Pointer{Addr: v10.Base, Prov: v10}}
+			v12 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v14 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v13.Data[0:]))}
-			v15 := core.Pointer{Addr: v12.Ptr.Addr + uint64(v14.I)*8, Prov: v12.Ptr.Prov}
-			v16 := m.GenLoadValue(v15, corpus_hashtable_t1, corpus_hashtable_pos[32], 18, 13)
-			v17 := f.LocalAt(0)
-			var v18 interp.Value
-			if v16.T == corpus_hashtable_t1 {
-				v18 = v16
+			v13 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v12.Data[0:]))}
+			v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*8, Prov: v11.Ptr.Prov}
+			v15 := m.GenLoadValue(v14, corpus_hashtable_t1, corpus_hashtable_pos[28], 18, 13)
+			v16 := f.LocalAt(3)
+			var v17 interp.Value
+			if v15.T == corpus_hashtable_t1 {
+				v17 = v15
+			} else if v15.T != nil && v15.T.IsPointer() {
+				v17 = interp.Value{T: corpus_hashtable_t1, Ptr: v15.Ptr}
 			} else {
-				v18 = m.GenConvert(v16, corpus_hashtable_t1, corpus_hashtable_pos[33])
+				v17 = m.GenConvert(v15, corpus_hashtable_t1, corpus_hashtable_pos[29])
 			}
-			m.GenStoreRaw(v17, 0, corpus_hashtable_t1, v18)
-			_ = v18
+			m.GenStoreRaw(v16, 0, corpus_hashtable_t1, v17)
+			_ = v17
 		}
 		for {
-			v19 := f.LocalAt(0)
-			v20 := m.GenLoadRaw(v19, 0, corpus_hashtable_t1, 19)
-			v21 := interp.Value{T: types.IntType, I: 0}
-			var v22 interp.Value
-			if v21.T == corpus_hashtable_t4 {
-				v22 = v21
-			} else {
-				v22 = m.GenConvert(v21, corpus_hashtable_t4, corpus_hashtable_pos[34])
-			}
-			var v23 interp.Value
-			if v20.T != nil && v20.T.IsPointer() && v22.T != nil && v22.T.IsPointer() {
-				if v20.Ptr.Addr != v22.Ptr.Addr {
-					v23 = interp.Value{T: types.IntType, I: 1}
+			v18 := f.LocalAt(3)
+			v19 := m.GenLoadRaw(v18, 0, corpus_hashtable_t1, 19)
+			var v20 interp.Value
+			if v19.T != nil && v19.T.IsPointer() && (interp.Value{T: corpus_hashtable_t4}).T != nil && (interp.Value{T: corpus_hashtable_t4}).T.IsPointer() {
+				if v19.Ptr.Addr != (interp.Value{T: corpus_hashtable_t4}).Ptr.Addr {
+					v20 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v23 = interp.Value{T: types.IntType, I: 0}
+					v20 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v23 = m.GenBinaryOp(token.NotEq, v20, v22, types.IntType, corpus_hashtable_pos[35])
+				v20 = m.GenBinaryOp(token.NotEq, v19, (interp.Value{T: corpus_hashtable_t4}), types.IntType, corpus_hashtable_pos[30])
 			}
-			if !v23.Truthy() {
+			if !v20.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -616,59 +655,61 @@ func corpus_hashtable_b_get(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 				{
 					m.GenStep()
 					m.GenStep()
-					v24 := m.GenArgs(2)
-					v25 := f.LocalAt(0)
-					v26 := m.GenLoadRaw(v25, 0, corpus_hashtable_t1, 20)
-					v27 := core.Pointer{Addr: v26.Ptr.Addr + 0, Prov: v26.Ptr.Prov}
-					v28 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v27}
-					v24[0] = v28
-					v29 := f.LocalAt(3)
-					v30 := m.GenLoadRaw(v29, 0, corpus_hashtable_t0, 21)
-					v24[1] = v30
-					v31 := m.GenBuiltin(0, "strcmp", corpus_hashtable_pos[36])(m, corpus_hashtable_pos[36], v24)
-					m.GenPutArgs(v24)
-					var v32 interp.Value
-					if v31.T == types.IntType {
-						v32 = v31
+					v21 := m.GenArgs(2)
+					v22 := f.LocalAt(3)
+					v23 := m.GenLoadRaw(v22, 0, corpus_hashtable_t1, 20)
+					v24 := core.Pointer{Addr: v23.Ptr.Addr + 0, Prov: v23.Ptr.Prov}
+					v25 := interp.Value{T: types.PointerTo(types.CharType), Ptr: v24}
+					v21[0] = v25
+					v26 := f.LocalAt(0)
+					v27 := m.GenLoadRaw(v26, 0, corpus_hashtable_t0, 21)
+					v21[1] = v27
+					v28 := m.GenBuiltin(0, "strcmp", corpus_hashtable_pos[31])(m, corpus_hashtable_pos[31], v21)
+					m.GenPutArgs(v21)
+					var v29 interp.Value
+					if v28.T == types.IntType {
+						v29 = v28
+					} else if v28.T != nil && v28.T.IsInteger() {
+						v29 = interp.Value{T: types.IntType, I: int64(int32(v28.I))}
 					} else {
-						v32 = m.GenConvert(v31, types.IntType, corpus_hashtable_pos[36])
+						v29 = m.GenConvert(v28, types.IntType, corpus_hashtable_pos[31])
 					}
-					v33 := interp.Value{T: types.IntType, I: 0}
-					var v34 interp.Value
-					if v32.T == types.IntType && v33.T == types.IntType {
-						if v32.I == v33.I {
-							v34 = interp.Value{T: types.IntType, I: 1}
+					var v30 interp.Value
+					if v29.T == types.IntType {
+						if v29.I == 0 {
+							v30 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v34 = interp.Value{T: types.IntType, I: 0}
+							v30 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v34 = m.GenBinaryOp(token.EqEq, v32, v33, types.IntType, corpus_hashtable_pos[37])
+						v30 = m.GenBinaryOp(token.EqEq, v29, (interp.Value{T: types.IntType, I: 0}), types.IntType, corpus_hashtable_pos[32])
 					}
-					if v34.Truthy() {
+					if v30.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v35 := f.LocalAt(0)
-								v36 := m.GenLoadRaw(v35, 0, corpus_hashtable_t1, 22)
-								v37 := core.Pointer{Addr: v36.Ptr.Addr + 24, Prov: v36.Ptr.Prov}
-								v38 := m.GenLoadValue(v37, types.IntType, corpus_hashtable_pos[38], -1, 17)
-								v39 := f.LocalAt(2)
-								v40 := m.GenLoadRaw(v39, 0, corpus_hashtable_t5, 23)
-								v41 := v40.Ptr
-								var v42 interp.Value
-								if v38.T == types.IntType {
-									v42 = v38
+								v31 := f.LocalAt(3)
+								v32 := m.GenLoadRaw(v31, 0, corpus_hashtable_t1, 22)
+								v33 := core.Pointer{Addr: v32.Ptr.Addr + 24, Prov: v32.Ptr.Prov}
+								v34 := m.GenLoadValue(v33, types.IntType, corpus_hashtable_pos[33], -1, 17)
+								v35 := f.LocalAt(1)
+								v36 := m.GenLoadRaw(v35, 0, corpus_hashtable_t5, 23)
+								v37 := v36.Ptr
+								var v38 interp.Value
+								if v34.T == types.IntType {
+									v38 = v34
+								} else if v34.T != nil && v34.T.IsInteger() {
+									v38 = interp.Value{T: types.IntType, I: int64(int32(v34.I))}
 								} else {
-									v42 = m.GenConvert(v38, types.IntType, corpus_hashtable_pos[39])
+									v38 = m.GenConvert(v34, types.IntType, corpus_hashtable_pos[34])
 								}
-								m.GenStoreValue(v41, types.IntType, v42, corpus_hashtable_pos[39])
-								_ = v42
+								m.GenStoreValue(v37, types.IntType, v38, corpus_hashtable_pos[34])
+								_ = v38
 							}
 							{
 								m.GenStep()
-								v43 := interp.Value{T: types.IntType, I: 1}
-								ret = v43
+								ret = (interp.Value{T: types.IntType, I: 1})
 								if interp.GenLive {
 									return
 								}
@@ -677,25 +718,26 @@ func corpus_hashtable_b_get(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 					}
 				}
 			}
-			v44 := f.LocalAt(0)
-			v45 := m.GenLoadRaw(v44, 0, corpus_hashtable_t1, 24)
-			v46 := core.Pointer{Addr: v45.Ptr.Addr + 32, Prov: v45.Ptr.Prov}
-			v47 := m.GenLoadValue(v46, corpus_hashtable_t1, corpus_hashtable_pos[40], 25, 14)
-			v48 := f.LocalAt(0)
-			var v49 interp.Value
-			if v47.T == corpus_hashtable_t1 {
-				v49 = v47
+			v39 := f.LocalAt(3)
+			v40 := m.GenLoadRaw(v39, 0, corpus_hashtable_t1, 24)
+			v41 := core.Pointer{Addr: v40.Ptr.Addr + 32, Prov: v40.Ptr.Prov}
+			v42 := m.GenLoadValue(v41, corpus_hashtable_t1, corpus_hashtable_pos[35], 25, 14)
+			v43 := f.LocalAt(3)
+			var v44 interp.Value
+			if v42.T == corpus_hashtable_t1 {
+				v44 = v42
+			} else if v42.T != nil && v42.T.IsPointer() {
+				v44 = interp.Value{T: corpus_hashtable_t1, Ptr: v42.Ptr}
 			} else {
-				v49 = m.GenConvert(v47, corpus_hashtable_t1, corpus_hashtable_pos[41])
+				v44 = m.GenConvert(v42, corpus_hashtable_t1, corpus_hashtable_pos[36])
 			}
-			m.GenStoreRaw(v48, 0, corpus_hashtable_t1, v49)
-			_ = v49
+			m.GenStoreRaw(v43, 0, corpus_hashtable_t1, v44)
+			_ = v44
 		}
 	}
 	{
 		m.GenStep()
-		v50 := interp.Value{T: types.IntType, I: 0}
-		ret = v50
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}
@@ -714,63 +756,56 @@ func corpus_hashtable_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(3)
+		v0 := f.LocalAt(0)
 		_ = v0
 	}
 	{
 		m.GenStep()
-		v1 := f.LocalAt(2)
+		v1 := f.LocalAt(1)
 		_ = v1
-		v2 := f.LocalAt(1)
+		v2 := f.LocalAt(2)
 		_ = v2
-		v3 := f.LocalAt(0)
-		v4 := interp.Value{T: types.IntType, I: 0}
-		var v5 interp.Value
-		if v4.T == types.IntType {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, types.IntType, corpus_hashtable_pos[42])
-		}
-		m.GenStoreRaw(v3, 0, types.IntType, v5)
+		v3 := f.LocalAt(3)
+		m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v6 := interp.Value{T: types.IntType, I: 0}
-			v7 := f.LocalAt(2)
-			var v8 interp.Value
+			v4 := f.LocalAt(1)
+			m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
+		}
+		for {
+			v5 := f.LocalAt(1)
+			m.GenChargeAccess()
+			v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+			var v7 interp.Value
 			if v6.T == types.IntType {
-				v8 = v6
-			} else {
-				v8 = m.GenConvert(v6, types.IntType, corpus_hashtable_pos[43])
-			}
-			m.GenStoreRaw(v7, 0, types.IntType, v8)
-			_ = v8
-		}
-		for {
-			v9 := f.LocalAt(2)
-			m.GenChargeAccess()
-			v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-			v11 := interp.Value{T: types.IntType, I: 100}
-			var v12 interp.Value
-			if v10.T == types.IntType && v11.T == types.IntType {
-				if v10.I < v11.I {
-					v12 = interp.Value{T: types.IntType, I: 1}
+				if v6.I < 100 {
+					v7 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v12 = interp.Value{T: types.IntType, I: 0}
+					v7 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v12 = m.GenBinaryOp(token.Lt, v10, v11, types.IntType, corpus_hashtable_pos[44])
+				v7 = m.GenBinaryOp(token.Lt, v6, (interp.Value{T: types.IntType, I: 100}), types.IntType, corpus_hashtable_pos[37])
 			}
-			if !v12.Truthy() {
+			if !v7.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -779,89 +814,82 @@ func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 				{
 					m.GenStep()
 					m.GenStep()
-					v13 := m.GenArgs(3)
-					v14 := f.LocalAt(3)
-					v15 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v14.Base, Prov: v14}}
-					v13[0] = v15
-					v16 := m.GenLiteral(0)
-					v17 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v16.Base, Prov: v16}}
-					v13[1] = v17
-					v18 := f.LocalAt(2)
+					v8 := m.GenArgs(3)
+					v9 := f.LocalAt(0)
+					v10 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v9.Base, Prov: v9}}
+					v8[0] = v10
+					v11 := m.GenLiteral(0)
+					v12 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
+					v8[1] = v12
+					v13 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-					v13[2] = v19
-					v20 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[45])(m, corpus_hashtable_pos[45], v13)
-					m.GenPutArgs(v13)
-					var v21 interp.Value
-					if v20.T == types.IntType {
-						v21 = v20
+					v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+					v8[2] = v14
+					v15 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[38])(m, corpus_hashtable_pos[38], v8)
+					m.GenPutArgs(v8)
+					var v16 interp.Value
+					if v15.T == types.IntType {
+						v16 = v15
+					} else if v15.T != nil && v15.T.IsInteger() {
+						v16 = interp.Value{T: types.IntType, I: int64(int32(v15.I))}
 					} else {
-						v21 = m.GenConvert(v20, types.IntType, corpus_hashtable_pos[45])
+						v16 = m.GenConvert(v15, types.IntType, corpus_hashtable_pos[38])
 					}
-					_ = v21
+					_ = v16
 				}
 				{
 					m.GenStep()
 					m.GenStep()
-					v22 := m.GenArgs(2)
-					v23 := f.LocalAt(3)
-					v24 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v23.Base, Prov: v23}}
-					v22[0] = v24
-					v25 := f.LocalAt(2)
+					v17 := m.GenArgs(2)
+					v18 := f.LocalAt(0)
+					v19 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v18.Base, Prov: v18}}
+					v17[0] = v19
+					v20 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-					v27 := interp.Value{T: types.IntType, I: 3}
-					var v28 interp.Value
-					if v26.T == types.IntType && v27.T == types.IntType {
-						v28 = interp.Value{T: types.IntType, I: int64(int32(v26.I * v27.I))}
+					v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+					var v22 interp.Value
+					if v21.T == types.IntType {
+						v22 = interp.Value{T: types.IntType, I: int64(int32(v21.I * 3))}
 					} else {
-						v28 = m.GenBinaryOp(token.Star, v26, v27, types.IntType, corpus_hashtable_pos[46])
+						v22 = m.GenBinaryOp(token.Star, v21, (interp.Value{T: types.IntType, I: 3}), types.IntType, corpus_hashtable_pos[39])
 					}
-					v22[1] = v28
-					v29 := corpus_hashtable_f_put(m, v22, corpus_hashtable_pos[47])
-					m.GenPutArgs(v22)
-					_ = v29
+					v17[1] = v22
+					v23 := corpus_hashtable_f_put(m, v17, corpus_hashtable_pos[40])
+					m.GenPutArgs(v17)
+					_ = v23
 				}
 			}
-			v30 := f.LocalAt(2)
+			v24 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v31 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v30.Data[0:])))}
-			v32 := interp.Value{T: v31.T, I: int64(int32(v31.I + 1))}
-			m.GenStoreRaw(v30, 0, types.IntType, v32)
-			_ = v31
+			v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
+			v26 := interp.Value{T: v25.T, I: int64(int32(v25.I + 1))}
+			m.GenStoreRaw(v24, 0, types.IntType, v26)
+			_ = v25
 		}
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v33 := interp.Value{T: types.IntType, I: 0}
-			v34 := f.LocalAt(2)
-			var v35 interp.Value
-			if v33.T == types.IntType {
-				v35 = v33
-			} else {
-				v35 = m.GenConvert(v33, types.IntType, corpus_hashtable_pos[48])
-			}
-			m.GenStoreRaw(v34, 0, types.IntType, v35)
-			_ = v35
+			v27 := f.LocalAt(1)
+			m.GenStoreRaw(v27, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v36 := f.LocalAt(2)
+			v28 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
-			v38 := interp.Value{T: types.IntType, I: 100}
-			var v39 interp.Value
-			if v37.T == types.IntType && v38.T == types.IntType {
-				if v37.I < v38.I {
-					v39 = interp.Value{T: types.IntType, I: 1}
+			v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
+			var v30 interp.Value
+			if v29.T == types.IntType {
+				if v29.I < 100 {
+					v30 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v39 = interp.Value{T: types.IntType, I: 0}
+					v30 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v39 = m.GenBinaryOp(token.Lt, v37, v38, types.IntType, corpus_hashtable_pos[49])
+				v30 = m.GenBinaryOp(token.Lt, v29, (interp.Value{T: types.IntType, I: 100}), types.IntType, corpus_hashtable_pos[41])
 			}
-			if !v39.Truthy() {
+			if !v30.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -870,101 +898,95 @@ func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 				{
 					m.GenStep()
 					m.GenStep()
-					v40 := m.GenArgs(3)
-					v41 := f.LocalAt(3)
+					v31 := m.GenArgs(3)
+					v32 := f.LocalAt(0)
+					v33 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v32.Base, Prov: v32}}
+					v31[0] = v33
+					v34 := m.GenLiteral(0)
+					v35 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v34.Base, Prov: v34}}
+					v31[1] = v35
+					v36 := f.LocalAt(1)
+					m.GenChargeAccess()
+					v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
+					v31[2] = v37
+					v38 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[42])(m, corpus_hashtable_pos[42], v31)
+					m.GenPutArgs(v31)
+					var v39 interp.Value
+					if v38.T == types.IntType {
+						v39 = v38
+					} else if v38.T != nil && v38.T.IsInteger() {
+						v39 = interp.Value{T: types.IntType, I: int64(int32(v38.I))}
+					} else {
+						v39 = m.GenConvert(v38, types.IntType, corpus_hashtable_pos[42])
+					}
+					_ = v39
+				}
+				{
+					m.GenStep()
+					m.GenStep()
+					v40 := m.GenArgs(2)
+					v41 := f.LocalAt(0)
 					v42 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v41.Base, Prov: v41}}
 					v40[0] = v42
-					v43 := m.GenLiteral(0)
-					v44 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v43.Base, Prov: v43}}
-					v40[1] = v44
-					v45 := f.LocalAt(2)
+					v43 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v46 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v45.Data[0:])))}
-					v40[2] = v46
-					v47 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[50])(m, corpus_hashtable_pos[50], v40)
+					v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+					var v45 interp.Value
+					if v44.T == types.IntType {
+						v45 = interp.Value{T: types.IntType, I: int64(int32(1000 + v44.I))}
+					} else {
+						v45 = m.GenBinaryOp(token.Plus, (interp.Value{T: types.IntType, I: 1000}), v44, types.IntType, corpus_hashtable_pos[43])
+					}
+					v40[1] = v45
+					v46 := corpus_hashtable_f_put(m, v40, corpus_hashtable_pos[44])
 					m.GenPutArgs(v40)
-					var v48 interp.Value
-					if v47.T == types.IntType {
-						v48 = v47
-					} else {
-						v48 = m.GenConvert(v47, types.IntType, corpus_hashtable_pos[50])
-					}
-					_ = v48
-				}
-				{
-					m.GenStep()
-					m.GenStep()
-					v49 := m.GenArgs(2)
-					v50 := f.LocalAt(3)
-					v51 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v50.Base, Prov: v50}}
-					v49[0] = v51
-					v52 := interp.Value{T: types.IntType, I: 1000}
-					v53 := f.LocalAt(2)
-					m.GenChargeAccess()
-					v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
-					var v55 interp.Value
-					if v52.T == types.IntType && v54.T == types.IntType {
-						v55 = interp.Value{T: types.IntType, I: int64(int32(v52.I + v54.I))}
-					} else {
-						v55 = m.GenBinaryOp(token.Plus, v52, v54, types.IntType, corpus_hashtable_pos[51])
-					}
-					v49[1] = v55
-					v56 := corpus_hashtable_f_put(m, v49, corpus_hashtable_pos[52])
-					m.GenPutArgs(v49)
-					_ = v56
+					_ = v46
 				}
 			}
-			v57 := f.LocalAt(2)
+			v47 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v58 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v57.Data[0:])))}
-			v59 := interp.Value{T: types.IntType, I: 10}
-			var v60 interp.Value
-			if v58.T == types.IntType && v59.T == types.IntType {
-				v60 = interp.Value{T: types.IntType, I: int64(int32(v58.I + v59.I))}
+			v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
+			var v49 interp.Value
+			if v48.T == types.IntType {
+				v49 = interp.Value{T: types.IntType, I: int64(int32(v48.I + 10))}
 			} else {
-				v60 = m.GenBinaryOp(token.Plus, v58, v59, types.IntType, corpus_hashtable_pos[53])
+				v49 = m.GenBinaryOp(token.Plus, v48, (interp.Value{T: types.IntType, I: 10}), types.IntType, corpus_hashtable_pos[45])
 			}
-			var v61 interp.Value
-			if v60.T == types.IntType {
-				v61 = v60
+			var v50 interp.Value
+			if v49.T == types.IntType {
+				v50 = v49
+			} else if v49.T != nil && v49.T.IsInteger() {
+				v50 = interp.Value{T: types.IntType, I: int64(int32(v49.I))}
 			} else {
-				v61 = m.GenConvert(v60, types.IntType, corpus_hashtable_pos[53])
+				v50 = m.GenConvert(v49, types.IntType, corpus_hashtable_pos[45])
 			}
-			m.GenStoreRaw(v57, 0, types.IntType, v61)
-			_ = v61
+			m.GenStoreRaw(v47, 0, types.IntType, v50)
+			_ = v50
 		}
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v62 := interp.Value{T: types.IntType, I: 0}
-			v63 := f.LocalAt(2)
-			var v64 interp.Value
-			if v62.T == types.IntType {
-				v64 = v62
-			} else {
-				v64 = m.GenConvert(v62, types.IntType, corpus_hashtable_pos[54])
-			}
-			m.GenStoreRaw(v63, 0, types.IntType, v64)
-			_ = v64
+			v51 := f.LocalAt(1)
+			m.GenStoreRaw(v51, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v65 := f.LocalAt(2)
+			v52 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v66 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v65.Data[0:])))}
-			v67 := interp.Value{T: types.IntType, I: 100}
-			var v68 interp.Value
-			if v66.T == types.IntType && v67.T == types.IntType {
-				if v66.I < v67.I {
-					v68 = interp.Value{T: types.IntType, I: 1}
+			v53 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v52.Data[0:])))}
+			var v54 interp.Value
+			if v53.T == types.IntType {
+				if v53.I < 100 {
+					v54 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v68 = interp.Value{T: types.IntType, I: 0}
+					v54 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v68 = m.GenBinaryOp(token.Lt, v66, v67, types.IntType, corpus_hashtable_pos[55])
+				v54 = m.GenBinaryOp(token.Lt, v53, (interp.Value{T: types.IntType, I: 100}), types.IntType, corpus_hashtable_pos[46])
 			}
-			if !v68.Truthy() {
+			if !v54.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -973,51 +995,51 @@ func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 				{
 					m.GenStep()
 					m.GenStep()
-					v69 := m.GenArgs(3)
-					v70 := f.LocalAt(3)
-					v71 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v70.Base, Prov: v70}}
-					v69[0] = v71
-					v72 := m.GenLiteral(0)
-					v73 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v72.Base, Prov: v72}}
-					v69[1] = v73
-					v74 := f.LocalAt(2)
+					v55 := m.GenArgs(3)
+					v56 := f.LocalAt(0)
+					v57 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v56.Base, Prov: v56}}
+					v55[0] = v57
+					v58 := m.GenLiteral(0)
+					v59 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v58.Base, Prov: v58}}
+					v55[1] = v59
+					v60 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v75 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v74.Data[0:])))}
-					v69[2] = v75
-					v76 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[56])(m, corpus_hashtable_pos[56], v69)
-					m.GenPutArgs(v69)
-					var v77 interp.Value
-					if v76.T == types.IntType {
-						v77 = v76
+					v61 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v60.Data[0:])))}
+					v55[2] = v61
+					v62 := m.GenBuiltin(3, "sprintf", corpus_hashtable_pos[47])(m, corpus_hashtable_pos[47], v55)
+					m.GenPutArgs(v55)
+					var v63 interp.Value
+					if v62.T == types.IntType {
+						v63 = v62
+					} else if v62.T != nil && v62.T.IsInteger() {
+						v63 = interp.Value{T: types.IntType, I: int64(int32(v62.I))}
 					} else {
-						v77 = m.GenConvert(v76, types.IntType, corpus_hashtable_pos[56])
+						v63 = m.GenConvert(v62, types.IntType, corpus_hashtable_pos[47])
 					}
-					_ = v77
+					_ = v63
 				}
 				{
 					m.GenStep()
 					m.GenStep()
-					v78 := m.GenArgs(2)
-					v79 := f.LocalAt(3)
-					v80 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v79.Base, Prov: v79}}
-					v78[0] = v80
-					v81 := f.LocalAt(1)
-					v82 := interp.Value{T: corpus_hashtable_t5, Ptr: core.Pointer{Addr: v81.Base, Prov: v81}}
-					v78[1] = v82
-					v83 := corpus_hashtable_f_get(m, v78, corpus_hashtable_pos[57])
-					m.GenPutArgs(v78)
-					var v84 interp.Value
-					if v83.Truthy() {
-						v84 = interp.Value{T: types.IntType, I: 0}
+					v64 := m.GenArgs(2)
+					v65 := f.LocalAt(0)
+					v66 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v65.Base, Prov: v65}}
+					v64[0] = v66
+					v67 := f.LocalAt(2)
+					v68 := interp.Value{T: corpus_hashtable_t5, Ptr: core.Pointer{Addr: v67.Base, Prov: v67}}
+					v64[1] = v68
+					v69 := corpus_hashtable_f_get(m, v64, corpus_hashtable_pos[48])
+					m.GenPutArgs(v64)
+					var v70 interp.Value
+					if v69.Truthy() {
+						v70 = interp.Value{T: types.IntType, I: 0}
 					} else {
-						v84 = interp.Value{T: types.IntType, I: 1}
+						v70 = interp.Value{T: types.IntType, I: 1}
 					}
-					if v84.Truthy() {
+					if v70.Truthy() {
 						{
 							m.GenStep()
-							v85 := interp.Value{T: types.IntType, I: 1}
-							v86 := interp.Value{T: types.IntType, I: int64(int32(-v85.I))}
-							ret = v86
+							ret = (interp.Value{T: types.IntType, I: -1})
 							if interp.GenLive {
 								return
 							}
@@ -1026,54 +1048,54 @@ func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 				}
 				{
 					m.GenStep()
-					v87 := f.LocalAt(0)
+					v71 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v88 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v87.Data[0:])))}
-					v89 := f.LocalAt(1)
+					v72 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v71.Data[0:])))}
+					v73 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v90 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v89.Data[0:])))}
-					var v91 interp.Value
-					if v88.T == types.IntType && v90.T == types.IntType {
-						v91 = interp.Value{T: types.IntType, I: int64(int32(v88.I + v90.I))}
+					v74 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v73.Data[0:])))}
+					var v75 interp.Value
+					if v72.T == types.IntType && v74.T == types.IntType {
+						v75 = interp.Value{T: types.IntType, I: int64(int32(v72.I + v74.I))}
 					} else {
-						v91 = m.GenBinaryOp(token.Plus, v88, v90, types.IntType, corpus_hashtable_pos[58])
+						v75 = m.GenBinaryOp(token.Plus, v72, v74, types.IntType, corpus_hashtable_pos[49])
 					}
-					var v92 interp.Value
-					if v91.T == types.IntType {
-						v92 = v91
+					var v76 interp.Value
+					if v75.T == types.IntType {
+						v76 = v75
+					} else if v75.T != nil && v75.T.IsInteger() {
+						v76 = interp.Value{T: types.IntType, I: int64(int32(v75.I))}
 					} else {
-						v92 = m.GenConvert(v91, types.IntType, corpus_hashtable_pos[58])
+						v76 = m.GenConvert(v75, types.IntType, corpus_hashtable_pos[49])
 					}
-					m.GenStoreRaw(v87, 0, types.IntType, v92)
-					_ = v92
+					m.GenStoreRaw(v71, 0, types.IntType, v76)
+					_ = v76
 				}
 			}
-			v93 := f.LocalAt(2)
+			v77 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v94 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v93.Data[0:])))}
-			v95 := interp.Value{T: v94.T, I: int64(int32(v94.I + 1))}
-			m.GenStoreRaw(v93, 0, types.IntType, v95)
-			_ = v94
+			v78 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v77.Data[0:])))}
+			v79 := interp.Value{T: v78.T, I: int64(int32(v78.I + 1))}
+			m.GenStoreRaw(v77, 0, types.IntType, v79)
+			_ = v78
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v96 := m.GenArgs(2)
-		v97 := m.GenLiteral(1)
-		v98 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v97.Base, Prov: v97}}
-		v96[0] = v98
-		v99 := f.LocalAt(1)
-		v100 := interp.Value{T: corpus_hashtable_t5, Ptr: core.Pointer{Addr: v99.Base, Prov: v99}}
-		v96[1] = v100
-		v101 := corpus_hashtable_f_get(m, v96, corpus_hashtable_pos[59])
-		m.GenPutArgs(v96)
-		if v101.Truthy() {
+		v80 := m.GenArgs(2)
+		v81 := m.GenLiteral(1)
+		v82 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v81.Base, Prov: v81}}
+		v80[0] = v82
+		v83 := f.LocalAt(2)
+		v84 := interp.Value{T: corpus_hashtable_t5, Ptr: core.Pointer{Addr: v83.Base, Prov: v83}}
+		v80[1] = v84
+		v85 := corpus_hashtable_f_get(m, v80, corpus_hashtable_pos[50])
+		m.GenPutArgs(v80)
+		if v85.Truthy() {
 			{
 				m.GenStep()
-				v102 := interp.Value{T: types.IntType, I: 2}
-				v103 := interp.Value{T: types.IntType, I: int64(int32(-v102.I))}
-				ret = v103
+				ret = (interp.Value{T: types.IntType, I: -2})
 				if interp.GenLive {
 					return
 				}
@@ -1082,37 +1104,26 @@ func corpus_hashtable_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	}
 	{
 		m.GenStep()
-		v104 := f.LocalAt(0)
+		v86 := f.LocalAt(3)
 		m.GenChargeAccess()
-		v105 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v104.Data[0:])))}
-		v106 := interp.Value{T: types.IntType, I: 23950}
-		var v107 interp.Value
-		if v105.T == types.IntType && v106.T == types.IntType {
-			if v105.I == v106.I {
-				v107 = interp.Value{T: types.IntType, I: 1}
+		v87 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v86.Data[0:])))}
+		var v88 interp.Value
+		if v87.T == types.IntType {
+			if v87.I == 23950 {
+				v88 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v107 = interp.Value{T: types.IntType, I: 0}
+				v88 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v107 = m.GenBinaryOp(token.EqEq, v105, v106, types.IntType, corpus_hashtable_pos[60])
+			v88 = m.GenBinaryOp(token.EqEq, v87, (interp.Value{T: types.IntType, I: 23950}), types.IntType, corpus_hashtable_pos[51])
 		}
-		var v108 interp.Value
-		if v107.Truthy() {
-			v109 := interp.Value{T: types.IntType, I: 1}
-			if v109.T == types.IntType {
-				v108 = v109
-			} else {
-				v108 = m.GenConvert(v109, types.IntType, corpus_hashtable_pos[61])
-			}
+		var v89 interp.Value
+		if v88.Truthy() {
+			v89 = (interp.Value{T: types.IntType, I: 1})
 		} else {
-			v110 := interp.Value{T: types.IntType, I: 0}
-			if v110.T == types.IntType {
-				v108 = v110
-			} else {
-				v108 = m.GenConvert(v110, types.IntType, corpus_hashtable_pos[61])
-			}
+			v89 = (interp.Value{T: types.IntType, I: 0})
 		}
-		ret = v108
+		ret = v89
 		if interp.GenLive {
 			return
 		}

@@ -18,30 +18,22 @@ var corpus_linkedlist_pos = []token.Pos{
 	{File: "t.c", Line: 10, Col: 2},
 	{File: "t.c", Line: 11, Col: 11},
 	{File: "t.c", Line: 12, Col: 10},
-	{File: "t.c", Line: 17, Col: 23},
 	{File: "t.c", Line: 17, Col: 2},
-	{File: "t.c", Line: 18, Col: 18},
 	{File: "t.c", Line: 18, Col: 14},
 	{File: "t.c", Line: 19, Col: 27},
 	{File: "t.c", Line: 19, Col: 3},
 	{File: "t.c", Line: 20, Col: 14},
 	{File: "t.c", Line: 21, Col: 8},
 	{File: "t.c", Line: 22, Col: 8},
-	{File: "t.c", Line: 28, Col: 2},
-	{File: "t.c", Line: 29, Col: 18},
 	{File: "t.c", Line: 29, Col: 14},
 	{File: "t.c", Line: 29, Col: 40},
 	{File: "t.c", Line: 29, Col: 34},
-	{File: "t.c", Line: 35, Col: 18},
 	{File: "t.c", Line: 35, Col: 14},
 	{File: "t.c", Line: 36, Col: 27},
 	{File: "t.c", Line: 36, Col: 3},
 	{File: "t.c", Line: 37, Col: 7},
 	{File: "t.c", Line: 38, Col: 8},
-	{File: "t.c", Line: 43, Col: 23},
 	{File: "t.c", Line: 43, Col: 2},
-	{File: "t.c", Line: 45, Col: 2},
-	{File: "t.c", Line: 46, Col: 9},
 	{File: "t.c", Line: 46, Col: 16},
 	{File: "t.c", Line: 47, Col: 14},
 	{File: "t.c", Line: 47, Col: 8},
@@ -50,7 +42,6 @@ var corpus_linkedlist_pos = []token.Pos{
 	{File: "t.c", Line: 49, Col: 12},
 	{File: "t.c", Line: 49, Col: 19},
 	{File: "t.c", Line: 50, Col: 9},
-	{File: "t.c", Line: 50, Col: 23},
 	{File: "t.c", Line: 50, Col: 19},
 	{File: "t.c", Line: 52, Col: 8},
 	{File: "t.c", Line: 52, Col: 16},
@@ -120,81 +111,110 @@ func corpus_linkedlist_f_push(m *interp.Machine, args []interp.Value, pos token.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "push", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:push", 24, corpus_linkedlist_locals_push)
-	v0 := m.GenConvert(args[0], corpus_linkedlist_t0, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, corpus_linkedlist_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == corpus_linkedlist_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_linkedlist_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_linkedlist_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_linkedlist_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
 	ret := m.GenExec(f, corpus_linkedlist_b_push)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: corpus_linkedlist_t0}
 	}
-	return m.GenConvert(ret, corpus_linkedlist_t0, pos)
+	var r interp.Value
+	if ret.T == corpus_linkedlist_t0 {
+		r = ret
+	} else if ret.T != nil && ret.T.IsPointer() {
+		r = interp.Value{T: corpus_linkedlist_t0, Ptr: ret.Ptr}
+	} else {
+		r = m.GenConvert(ret, corpus_linkedlist_t0, pos)
+	}
+	return r
 }
 
 func corpus_linkedlist_b_push(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(0)
+		v2 := f.LocalAt(2)
 		m.GenStep()
 		v3 := m.GenArgs(1)
-		v4 := interp.Value{T: types.ULongType, I: 16}
-		v3[0] = v4
-		v5 := m.GenBuiltin(0, "malloc", corpus_linkedlist_pos[0])(m, corpus_linkedlist_pos[0], v3)
+		v3[0] = (interp.Value{T: types.ULongType, I: 16})
+		v4 := m.GenBuiltin(0, "malloc", corpus_linkedlist_pos[0])(m, corpus_linkedlist_pos[0], v3)
 		m.GenPutArgs(v3)
+		var v5 interp.Value
+		if v4.T == corpus_linkedlist_t2 {
+			v5 = v4
+		} else if v4.T != nil && v4.T.IsPointer() {
+			v5 = interp.Value{T: corpus_linkedlist_t2, Ptr: v4.Ptr}
+		} else {
+			v5 = m.GenConvert(v4, corpus_linkedlist_t2, corpus_linkedlist_pos[0])
+		}
 		var v6 interp.Value
-		if v5.T == corpus_linkedlist_t2 {
+		if v5.T == corpus_linkedlist_t0 {
 			v6 = v5
+		} else if v5.T != nil && v5.T.IsPointer() {
+			v6 = interp.Value{T: corpus_linkedlist_t0, Ptr: v5.Ptr}
 		} else {
-			v6 = m.GenConvert(v5, corpus_linkedlist_t2, corpus_linkedlist_pos[0])
+			v6 = m.GenConvert(v5, corpus_linkedlist_t0, corpus_linkedlist_pos[1])
 		}
-		var v7 interp.Value
-		if v6.T == corpus_linkedlist_t0 {
-			v7 = v6
-		} else {
-			v7 = m.GenConvert(v6, corpus_linkedlist_t0, corpus_linkedlist_pos[1])
-		}
-		m.GenStoreRaw(v2, 0, corpus_linkedlist_t0, v7)
+		m.GenStoreRaw(v2, 0, corpus_linkedlist_t0, v6)
 	}
 	{
 		m.GenStep()
-		v8 := f.LocalAt(1)
+		v7 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-		v10 := f.LocalAt(0)
-		v11 := m.GenLoadRaw(v10, 0, corpus_linkedlist_t0, 0)
-		v12 := core.Pointer{Addr: v11.Ptr.Addr + 0, Prov: v11.Ptr.Prov}
-		var v13 interp.Value
-		if v9.T == types.IntType {
-			v13 = v9
+		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		v9 := f.LocalAt(2)
+		v10 := m.GenLoadRaw(v9, 0, corpus_linkedlist_t0, 0)
+		v11 := core.Pointer{Addr: v10.Ptr.Addr + 0, Prov: v10.Ptr.Prov}
+		var v12 interp.Value
+		if v8.T == types.IntType {
+			v12 = v8
+		} else if v8.T != nil && v8.T.IsInteger() {
+			v12 = interp.Value{T: types.IntType, I: int64(int32(v8.I))}
 		} else {
-			v13 = m.GenConvert(v9, types.IntType, corpus_linkedlist_pos[2])
+			v12 = m.GenConvert(v8, types.IntType, corpus_linkedlist_pos[2])
 		}
-		m.GenStoreValue(v12, types.IntType, v13, corpus_linkedlist_pos[2])
-		_ = v13
+		m.GenStoreValue(v11, types.IntType, v12, corpus_linkedlist_pos[2])
+		_ = v12
 	}
 	{
 		m.GenStep()
-		v14 := f.LocalAt(2)
-		v15 := m.GenLoadRaw(v14, 0, corpus_linkedlist_t0, 1)
-		v16 := f.LocalAt(0)
-		v17 := m.GenLoadRaw(v16, 0, corpus_linkedlist_t0, 2)
-		v18 := core.Pointer{Addr: v17.Ptr.Addr + 8, Prov: v17.Ptr.Prov}
-		var v19 interp.Value
-		if v15.T == corpus_linkedlist_t0 {
-			v19 = v15
+		v13 := f.LocalAt(0)
+		v14 := m.GenLoadRaw(v13, 0, corpus_linkedlist_t0, 1)
+		v15 := f.LocalAt(2)
+		v16 := m.GenLoadRaw(v15, 0, corpus_linkedlist_t0, 2)
+		v17 := core.Pointer{Addr: v16.Ptr.Addr + 8, Prov: v16.Ptr.Prov}
+		var v18 interp.Value
+		if v14.T == corpus_linkedlist_t0 {
+			v18 = v14
+		} else if v14.T != nil && v14.T.IsPointer() {
+			v18 = interp.Value{T: corpus_linkedlist_t0, Ptr: v14.Ptr}
 		} else {
-			v19 = m.GenConvert(v15, corpus_linkedlist_t0, corpus_linkedlist_pos[3])
+			v18 = m.GenConvert(v14, corpus_linkedlist_t0, corpus_linkedlist_pos[3])
 		}
-		m.GenStoreValue(v18, corpus_linkedlist_t0, v19, corpus_linkedlist_pos[3])
-		_ = v19
+		m.GenStoreValue(v17, corpus_linkedlist_t0, v18, corpus_linkedlist_pos[3])
+		_ = v18
 	}
 	{
 		m.GenStep()
-		v20 := f.LocalAt(0)
-		v21 := m.GenLoadRaw(v20, 0, corpus_linkedlist_t0, 3)
-		ret = v21
+		v19 := f.LocalAt(2)
+		v20 := m.GenLoadRaw(v19, 0, corpus_linkedlist_t0, 3)
+		ret = v20
 		if interp.GenLive {
 			return
 		}
@@ -208,14 +228,29 @@ func corpus_linkedlist_f_reverse(m *interp.Machine, args []interp.Value, pos tok
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "reverse", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:reverse", 24, corpus_linkedlist_locals_reverse)
-	v0 := m.GenConvert(args[0], corpus_linkedlist_t0, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, corpus_linkedlist_t0, v0)
+	var v0 interp.Value
+	if args[0].T == corpus_linkedlist_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_linkedlist_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_linkedlist_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_linkedlist_t0, v0)
 	ret := m.GenExec(f, corpus_linkedlist_b_reverse)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: corpus_linkedlist_t0}
 	}
-	return m.GenConvert(ret, corpus_linkedlist_t0, pos)
+	var r interp.Value
+	if ret.T == corpus_linkedlist_t0 {
+		r = ret
+	} else if ret.T != nil && ret.T.IsPointer() {
+		r = interp.Value{T: corpus_linkedlist_t0, Ptr: ret.Ptr}
+	} else {
+		r = m.GenConvert(ret, corpus_linkedlist_t0, pos)
+	}
+	return r
 }
 
 func corpus_linkedlist_b_reverse(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -223,44 +258,32 @@ func corpus_linkedlist_b_reverse(m *interp.Machine, f *mem.Frame) (ret interp.Va
 	{
 		m.GenStep()
 		v1 := f.LocalAt(1)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == corpus_linkedlist_t2 {
-			v3 = v2
+		var v2 interp.Value
+		if (interp.Value{T: corpus_linkedlist_t2}).T == corpus_linkedlist_t0 {
+			v2 = (interp.Value{T: corpus_linkedlist_t2})
+		} else if (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+			v2 = interp.Value{T: corpus_linkedlist_t0, Ptr: (interp.Value{T: corpus_linkedlist_t2}).Ptr}
 		} else {
-			v3 = m.GenConvert(v2, corpus_linkedlist_t2, corpus_linkedlist_pos[4])
+			v2 = m.GenConvert((interp.Value{T: corpus_linkedlist_t2}), corpus_linkedlist_t0, corpus_linkedlist_pos[4])
 		}
-		var v4 interp.Value
-		if v3.T == corpus_linkedlist_t0 {
-			v4 = v3
-		} else {
-			v4 = m.GenConvert(v3, corpus_linkedlist_t0, corpus_linkedlist_pos[5])
-		}
-		m.GenStoreRaw(v1, 0, corpus_linkedlist_t0, v4)
+		m.GenStoreRaw(v1, 0, corpus_linkedlist_t0, v2)
 	}
 	{
 		m.GenStep()
 		for {
-			v5 := f.LocalAt(2)
-			v6 := m.GenLoadRaw(v5, 0, corpus_linkedlist_t0, 4)
-			v7 := interp.Value{T: types.IntType, I: 0}
-			var v8 interp.Value
-			if v7.T == corpus_linkedlist_t2 {
-				v8 = v7
-			} else {
-				v8 = m.GenConvert(v7, corpus_linkedlist_t2, corpus_linkedlist_pos[6])
-			}
-			var v9 interp.Value
-			if v6.T != nil && v6.T.IsPointer() && v8.T != nil && v8.T.IsPointer() {
-				if v6.Ptr.Addr != v8.Ptr.Addr {
-					v9 = interp.Value{T: types.IntType, I: 1}
+			v3 := f.LocalAt(0)
+			v4 := m.GenLoadRaw(v3, 0, corpus_linkedlist_t0, 4)
+			var v5 interp.Value
+			if v4.T != nil && v4.T.IsPointer() && (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+				if v4.Ptr.Addr != (interp.Value{T: corpus_linkedlist_t2}).Ptr.Addr {
+					v5 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v9 = interp.Value{T: types.IntType, I: 0}
+					v5 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v9 = m.GenBinaryOp(token.NotEq, v6, v8, types.IntType, corpus_linkedlist_pos[7])
+				v5 = m.GenBinaryOp(token.NotEq, v4, (interp.Value{T: corpus_linkedlist_t2}), types.IntType, corpus_linkedlist_pos[5])
 			}
-			if !v9.Truthy() {
+			if !v5.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -268,71 +291,79 @@ func corpus_linkedlist_b_reverse(m *interp.Machine, f *mem.Frame) (ret interp.Va
 				m.GenStep()
 				{
 					m.GenStep()
-					v10 := f.LocalAt(0)
-					v11 := f.LocalAt(2)
-					v12 := m.GenLoadRaw(v11, 0, corpus_linkedlist_t0, 5)
-					v13 := core.Pointer{Addr: v12.Ptr.Addr + 8, Prov: v12.Ptr.Prov}
-					v14 := m.GenLoadValue(v13, corpus_linkedlist_t0, corpus_linkedlist_pos[8], 6, 2)
-					var v15 interp.Value
-					if v14.T == corpus_linkedlist_t0 {
-						v15 = v14
+					v6 := f.LocalAt(2)
+					v7 := f.LocalAt(0)
+					v8 := m.GenLoadRaw(v7, 0, corpus_linkedlist_t0, 5)
+					v9 := core.Pointer{Addr: v8.Ptr.Addr + 8, Prov: v8.Ptr.Prov}
+					v10 := m.GenLoadValue(v9, corpus_linkedlist_t0, corpus_linkedlist_pos[6], 6, 2)
+					var v11 interp.Value
+					if v10.T == corpus_linkedlist_t0 {
+						v11 = v10
+					} else if v10.T != nil && v10.T.IsPointer() {
+						v11 = interp.Value{T: corpus_linkedlist_t0, Ptr: v10.Ptr}
 					} else {
-						v15 = m.GenConvert(v14, corpus_linkedlist_t0, corpus_linkedlist_pos[9])
+						v11 = m.GenConvert(v10, corpus_linkedlist_t0, corpus_linkedlist_pos[7])
 					}
-					m.GenStoreRaw(v10, 0, corpus_linkedlist_t0, v15)
+					m.GenStoreRaw(v6, 0, corpus_linkedlist_t0, v11)
 				}
 				{
 					m.GenStep()
-					v16 := f.LocalAt(1)
-					v17 := m.GenLoadRaw(v16, 0, corpus_linkedlist_t0, 7)
-					v18 := f.LocalAt(2)
-					v19 := m.GenLoadRaw(v18, 0, corpus_linkedlist_t0, 8)
-					v20 := core.Pointer{Addr: v19.Ptr.Addr + 8, Prov: v19.Ptr.Prov}
-					var v21 interp.Value
-					if v17.T == corpus_linkedlist_t0 {
-						v21 = v17
+					v12 := f.LocalAt(1)
+					v13 := m.GenLoadRaw(v12, 0, corpus_linkedlist_t0, 7)
+					v14 := f.LocalAt(0)
+					v15 := m.GenLoadRaw(v14, 0, corpus_linkedlist_t0, 8)
+					v16 := core.Pointer{Addr: v15.Ptr.Addr + 8, Prov: v15.Ptr.Prov}
+					var v17 interp.Value
+					if v13.T == corpus_linkedlist_t0 {
+						v17 = v13
+					} else if v13.T != nil && v13.T.IsPointer() {
+						v17 = interp.Value{T: corpus_linkedlist_t0, Ptr: v13.Ptr}
 					} else {
-						v21 = m.GenConvert(v17, corpus_linkedlist_t0, corpus_linkedlist_pos[10])
+						v17 = m.GenConvert(v13, corpus_linkedlist_t0, corpus_linkedlist_pos[8])
 					}
-					m.GenStoreValue(v20, corpus_linkedlist_t0, v21, corpus_linkedlist_pos[10])
+					m.GenStoreValue(v16, corpus_linkedlist_t0, v17, corpus_linkedlist_pos[8])
+					_ = v17
+				}
+				{
+					m.GenStep()
+					v18 := f.LocalAt(0)
+					v19 := m.GenLoadRaw(v18, 0, corpus_linkedlist_t0, 9)
+					v20 := f.LocalAt(1)
+					var v21 interp.Value
+					if v19.T == corpus_linkedlist_t0 {
+						v21 = v19
+					} else if v19.T != nil && v19.T.IsPointer() {
+						v21 = interp.Value{T: corpus_linkedlist_t0, Ptr: v19.Ptr}
+					} else {
+						v21 = m.GenConvert(v19, corpus_linkedlist_t0, corpus_linkedlist_pos[9])
+					}
+					m.GenStoreRaw(v20, 0, corpus_linkedlist_t0, v21)
 					_ = v21
 				}
 				{
 					m.GenStep()
 					v22 := f.LocalAt(2)
-					v23 := m.GenLoadRaw(v22, 0, corpus_linkedlist_t0, 9)
-					v24 := f.LocalAt(1)
+					v23 := m.GenLoadRaw(v22, 0, corpus_linkedlist_t0, 10)
+					v24 := f.LocalAt(0)
 					var v25 interp.Value
 					if v23.T == corpus_linkedlist_t0 {
 						v25 = v23
+					} else if v23.T != nil && v23.T.IsPointer() {
+						v25 = interp.Value{T: corpus_linkedlist_t0, Ptr: v23.Ptr}
 					} else {
-						v25 = m.GenConvert(v23, corpus_linkedlist_t0, corpus_linkedlist_pos[11])
+						v25 = m.GenConvert(v23, corpus_linkedlist_t0, corpus_linkedlist_pos[10])
 					}
 					m.GenStoreRaw(v24, 0, corpus_linkedlist_t0, v25)
 					_ = v25
-				}
-				{
-					m.GenStep()
-					v26 := f.LocalAt(0)
-					v27 := m.GenLoadRaw(v26, 0, corpus_linkedlist_t0, 10)
-					v28 := f.LocalAt(2)
-					var v29 interp.Value
-					if v27.T == corpus_linkedlist_t0 {
-						v29 = v27
-					} else {
-						v29 = m.GenConvert(v27, corpus_linkedlist_t0, corpus_linkedlist_pos[12])
-					}
-					m.GenStoreRaw(v28, 0, corpus_linkedlist_t0, v29)
-					_ = v29
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v30 := f.LocalAt(1)
-		v31 := m.GenLoadRaw(v30, 0, corpus_linkedlist_t0, 11)
-		ret = v31
+		v26 := f.LocalAt(1)
+		v27 := m.GenLoadRaw(v26, 0, corpus_linkedlist_t0, 11)
+		ret = v27
 		if interp.GenLive {
 			return
 		}
@@ -346,86 +377,89 @@ func corpus_linkedlist_f_length(m *interp.Machine, args []interp.Value, pos toke
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "length", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:length", 12, corpus_linkedlist_locals_length)
-	v0 := m.GenConvert(args[0], corpus_linkedlist_t0, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, corpus_linkedlist_t0, v0)
+	var v0 interp.Value
+	if args[0].T == corpus_linkedlist_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_linkedlist_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_linkedlist_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_linkedlist_t0, v0)
 	ret := m.GenExec(f, corpus_linkedlist_b_length)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_linkedlist_b_length(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, corpus_linkedlist_pos[13])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		for {
-			v4 := f.LocalAt(1)
-			v5 := m.GenLoadRaw(v4, 0, corpus_linkedlist_t0, 12)
-			v6 := interp.Value{T: types.IntType, I: 0}
-			var v7 interp.Value
-			if v6.T == corpus_linkedlist_t2 {
-				v7 = v6
-			} else {
-				v7 = m.GenConvert(v6, corpus_linkedlist_t2, corpus_linkedlist_pos[14])
-			}
-			var v8 interp.Value
-			if v5.T != nil && v5.T.IsPointer() && v7.T != nil && v7.T.IsPointer() {
-				if v5.Ptr.Addr != v7.Ptr.Addr {
-					v8 = interp.Value{T: types.IntType, I: 1}
+			v2 := f.LocalAt(0)
+			v3 := m.GenLoadRaw(v2, 0, corpus_linkedlist_t0, 12)
+			var v4 interp.Value
+			if v3.T != nil && v3.T.IsPointer() && (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+				if v3.Ptr.Addr != (interp.Value{T: corpus_linkedlist_t2}).Ptr.Addr {
+					v4 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v8 = interp.Value{T: types.IntType, I: 0}
+					v4 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v8 = m.GenBinaryOp(token.NotEq, v5, v7, types.IntType, corpus_linkedlist_pos[15])
+				v4 = m.GenBinaryOp(token.NotEq, v3, (interp.Value{T: corpus_linkedlist_t2}), types.IntType, corpus_linkedlist_pos[11])
 			}
-			if !v8.Truthy() {
+			if !v4.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v9 := f.LocalAt(0)
+				v5 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-				v11 := interp.Value{T: v10.T, I: int64(int32(v10.I + 1))}
-				m.GenStoreRaw(v9, 0, types.IntType, v11)
-				_ = v10
+				v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+				v7 := interp.Value{T: v6.T, I: int64(int32(v6.I + 1))}
+				m.GenStoreRaw(v5, 0, types.IntType, v7)
+				_ = v6
 			}
-			v12 := f.LocalAt(1)
-			v13 := m.GenLoadRaw(v12, 0, corpus_linkedlist_t0, 13)
-			v14 := core.Pointer{Addr: v13.Ptr.Addr + 8, Prov: v13.Ptr.Prov}
-			v15 := m.GenLoadValue(v14, corpus_linkedlist_t0, corpus_linkedlist_pos[16], 14, 4)
-			v16 := f.LocalAt(1)
-			var v17 interp.Value
-			if v15.T == corpus_linkedlist_t0 {
-				v17 = v15
+			v8 := f.LocalAt(0)
+			v9 := m.GenLoadRaw(v8, 0, corpus_linkedlist_t0, 13)
+			v10 := core.Pointer{Addr: v9.Ptr.Addr + 8, Prov: v9.Ptr.Prov}
+			v11 := m.GenLoadValue(v10, corpus_linkedlist_t0, corpus_linkedlist_pos[12], 14, 4)
+			v12 := f.LocalAt(0)
+			var v13 interp.Value
+			if v11.T == corpus_linkedlist_t0 {
+				v13 = v11
+			} else if v11.T != nil && v11.T.IsPointer() {
+				v13 = interp.Value{T: corpus_linkedlist_t0, Ptr: v11.Ptr}
 			} else {
-				v17 = m.GenConvert(v15, corpus_linkedlist_t0, corpus_linkedlist_pos[17])
+				v13 = m.GenConvert(v11, corpus_linkedlist_t0, corpus_linkedlist_pos[13])
 			}
-			m.GenStoreRaw(v16, 0, corpus_linkedlist_t0, v17)
-			_ = v17
+			m.GenStoreRaw(v12, 0, corpus_linkedlist_t0, v13)
+			_ = v13
 		}
 	}
 	{
 		m.GenStep()
-		v18 := f.LocalAt(0)
+		v14 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-		ret = v19
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+		ret = v15
 		if interp.GenLive {
 			return
 		}
@@ -439,8 +473,15 @@ func corpus_linkedlist_f_destroy(m *interp.Machine, args []interp.Value, pos tok
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "destroy", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:destroy", 16, corpus_linkedlist_locals_destroy)
-	v0 := m.GenConvert(args[0], corpus_linkedlist_t0, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, corpus_linkedlist_t0, v0)
+	var v0 interp.Value
+	if args[0].T == corpus_linkedlist_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_linkedlist_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_linkedlist_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_linkedlist_t0, v0)
 	ret := m.GenExec(f, corpus_linkedlist_b_destroy)
 	m.GenPopFrame(f)
 	_ = ret
@@ -452,26 +493,19 @@ func corpus_linkedlist_b_destroy(m *interp.Machine, f *mem.Frame) (ret interp.Va
 	{
 		m.GenStep()
 		for {
-			v1 := f.LocalAt(1)
+			v1 := f.LocalAt(0)
 			v2 := m.GenLoadRaw(v1, 0, corpus_linkedlist_t0, 15)
-			v3 := interp.Value{T: types.IntType, I: 0}
-			var v4 interp.Value
-			if v3.T == corpus_linkedlist_t2 {
-				v4 = v3
-			} else {
-				v4 = m.GenConvert(v3, corpus_linkedlist_t2, corpus_linkedlist_pos[18])
-			}
-			var v5 interp.Value
-			if v2.T != nil && v2.T.IsPointer() && v4.T != nil && v4.T.IsPointer() {
-				if v2.Ptr.Addr != v4.Ptr.Addr {
-					v5 = interp.Value{T: types.IntType, I: 1}
+			var v3 interp.Value
+			if v2.T != nil && v2.T.IsPointer() && (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+				if v2.Ptr.Addr != (interp.Value{T: corpus_linkedlist_t2}).Ptr.Addr {
+					v3 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v5 = interp.Value{T: types.IntType, I: 0}
+					v3 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v5 = m.GenBinaryOp(token.NotEq, v2, v4, types.IntType, corpus_linkedlist_pos[19])
+				v3 = m.GenBinaryOp(token.NotEq, v2, (interp.Value{T: corpus_linkedlist_t2}), types.IntType, corpus_linkedlist_pos[14])
 			}
-			if !v5.Truthy() {
+			if !v3.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -479,45 +513,49 @@ func corpus_linkedlist_b_destroy(m *interp.Machine, f *mem.Frame) (ret interp.Va
 				m.GenStep()
 				{
 					m.GenStep()
-					v6 := f.LocalAt(0)
-					v7 := f.LocalAt(1)
-					v8 := m.GenLoadRaw(v7, 0, corpus_linkedlist_t0, 16)
-					v9 := core.Pointer{Addr: v8.Ptr.Addr + 8, Prov: v8.Ptr.Prov}
-					v10 := m.GenLoadValue(v9, corpus_linkedlist_t0, corpus_linkedlist_pos[20], 17, 5)
-					var v11 interp.Value
-					if v10.T == corpus_linkedlist_t0 {
-						v11 = v10
+					v4 := f.LocalAt(1)
+					v5 := f.LocalAt(0)
+					v6 := m.GenLoadRaw(v5, 0, corpus_linkedlist_t0, 16)
+					v7 := core.Pointer{Addr: v6.Ptr.Addr + 8, Prov: v6.Ptr.Prov}
+					v8 := m.GenLoadValue(v7, corpus_linkedlist_t0, corpus_linkedlist_pos[15], 17, 5)
+					var v9 interp.Value
+					if v8.T == corpus_linkedlist_t0 {
+						v9 = v8
+					} else if v8.T != nil && v8.T.IsPointer() {
+						v9 = interp.Value{T: corpus_linkedlist_t0, Ptr: v8.Ptr}
 					} else {
-						v11 = m.GenConvert(v10, corpus_linkedlist_t0, corpus_linkedlist_pos[21])
+						v9 = m.GenConvert(v8, corpus_linkedlist_t0, corpus_linkedlist_pos[16])
 					}
-					m.GenStoreRaw(v6, 0, corpus_linkedlist_t0, v11)
+					m.GenStoreRaw(v4, 0, corpus_linkedlist_t0, v9)
 				}
 				{
 					m.GenStep()
 					m.GenStep()
-					v12 := m.GenArgs(1)
-					v13 := f.LocalAt(1)
-					v14 := m.GenLoadRaw(v13, 0, corpus_linkedlist_t0, 18)
-					v12[0] = v14
-					v15 := m.GenBuiltin(1, "free", corpus_linkedlist_pos[22])(m, corpus_linkedlist_pos[22], v12)
-					m.GenPutArgs(v12)
-					_ = v15
-					v16 := interp.Value{T: types.VoidType}
-					_ = v16
+					v10 := m.GenArgs(1)
+					v11 := f.LocalAt(0)
+					v12 := m.GenLoadRaw(v11, 0, corpus_linkedlist_t0, 18)
+					v10[0] = v12
+					v13 := m.GenBuiltin(1, "free", corpus_linkedlist_pos[17])(m, corpus_linkedlist_pos[17], v10)
+					m.GenPutArgs(v10)
+					_ = v13
+					v14 := interp.Value{T: types.VoidType}
+					_ = v14
 				}
 				{
 					m.GenStep()
+					v15 := f.LocalAt(1)
+					v16 := m.GenLoadRaw(v15, 0, corpus_linkedlist_t0, 19)
 					v17 := f.LocalAt(0)
-					v18 := m.GenLoadRaw(v17, 0, corpus_linkedlist_t0, 19)
-					v19 := f.LocalAt(1)
-					var v20 interp.Value
-					if v18.T == corpus_linkedlist_t0 {
-						v20 = v18
+					var v18 interp.Value
+					if v16.T == corpus_linkedlist_t0 {
+						v18 = v16
+					} else if v16.T != nil && v16.T.IsPointer() {
+						v18 = interp.Value{T: corpus_linkedlist_t0, Ptr: v16.Ptr}
 					} else {
-						v20 = m.GenConvert(v18, corpus_linkedlist_t0, corpus_linkedlist_pos[23])
+						v18 = m.GenConvert(v16, corpus_linkedlist_t0, corpus_linkedlist_pos[18])
 					}
-					m.GenStoreRaw(v19, 0, corpus_linkedlist_t0, v20)
-					_ = v20
+					m.GenStoreRaw(v17, 0, corpus_linkedlist_t0, v18)
+					_ = v18
 				}
 			}
 		}
@@ -536,167 +574,149 @@ func corpus_linkedlist_f_main(m *interp.Machine, args []interp.Value, pos token.
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_linkedlist_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(4)
-		v1 := interp.Value{T: types.IntType, I: 0}
-		var v2 interp.Value
-		if v1.T == corpus_linkedlist_t2 {
-			v2 = v1
+		v0 := f.LocalAt(0)
+		var v1 interp.Value
+		if (interp.Value{T: corpus_linkedlist_t2}).T == corpus_linkedlist_t0 {
+			v1 = (interp.Value{T: corpus_linkedlist_t2})
+		} else if (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+			v1 = interp.Value{T: corpus_linkedlist_t0, Ptr: (interp.Value{T: corpus_linkedlist_t2}).Ptr}
 		} else {
-			v2 = m.GenConvert(v1, corpus_linkedlist_t2, corpus_linkedlist_pos[24])
+			v1 = m.GenConvert((interp.Value{T: corpus_linkedlist_t2}), corpus_linkedlist_t0, corpus_linkedlist_pos[19])
 		}
-		var v3 interp.Value
-		if v2.T == corpus_linkedlist_t0 {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, corpus_linkedlist_t0, corpus_linkedlist_pos[25])
-		}
-		m.GenStoreRaw(v0, 0, corpus_linkedlist_t0, v3)
+		m.GenStoreRaw(v0, 0, corpus_linkedlist_t0, v1)
 	}
 	{
 		m.GenStep()
+		v2 := f.LocalAt(1)
+		_ = v2
+	}
+	{
+		m.GenStep()
+		v3 := f.LocalAt(2)
+		_ = v3
 		v4 := f.LocalAt(3)
-		_ = v4
-	}
-	{
-		m.GenStep()
-		v5 := f.LocalAt(2)
-		_ = v5
-		v6 := f.LocalAt(1)
-		v7 := interp.Value{T: types.IntType, I: 0}
-		var v8 interp.Value
-		if v7.T == types.IntType {
-			v8 = v7
-		} else {
-			v8 = m.GenConvert(v7, types.IntType, corpus_linkedlist_pos[26])
-		}
-		m.GenStoreRaw(v6, 0, types.IntType, v8)
-		v9 := f.LocalAt(0)
-		v10 := interp.Value{T: types.IntType, I: 0}
-		var v11 interp.Value
-		if v10.T == types.IntType {
-			v11 = v10
-		} else {
-			v11 = m.GenConvert(v10, types.IntType, corpus_linkedlist_pos[26])
-		}
-		m.GenStoreRaw(v9, 0, types.IntType, v11)
+		m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v5 := f.LocalAt(4)
+		m.GenStoreRaw(v5, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v12 := interp.Value{T: types.IntType, I: 1}
-			v13 := f.LocalAt(2)
-			var v14 interp.Value
-			if v12.T == types.IntType {
-				v14 = v12
-			} else {
-				v14 = m.GenConvert(v12, types.IntType, corpus_linkedlist_pos[27])
-			}
-			m.GenStoreRaw(v13, 0, types.IntType, v14)
-			_ = v14
+			v6 := f.LocalAt(2)
+			m.GenStoreRaw(v6, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+			_ = (interp.Value{T: types.IntType, I: 1})
 		}
 		for {
-			v15 := f.LocalAt(2)
+			v7 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-			v17 := interp.Value{T: types.IntType, I: 10}
-			var v18 interp.Value
-			if v16.T == types.IntType && v17.T == types.IntType {
-				if v16.I <= v17.I {
-					v18 = interp.Value{T: types.IntType, I: 1}
+			v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+			var v9 interp.Value
+			if v8.T == types.IntType {
+				if v8.I <= 10 {
+					v9 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v18 = interp.Value{T: types.IntType, I: 0}
+					v9 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v18 = m.GenBinaryOp(token.Le, v16, v17, types.IntType, corpus_linkedlist_pos[28])
+				v9 = m.GenBinaryOp(token.Le, v8, (interp.Value{T: types.IntType, I: 10}), types.IntType, corpus_linkedlist_pos[20])
 			}
-			if !v18.Truthy() {
+			if !v9.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
 				m.GenStep()
-				v19 := m.GenArgs(2)
-				v20 := f.LocalAt(4)
-				v21 := m.GenLoadRaw(v20, 0, corpus_linkedlist_t0, 20)
-				v19[0] = v21
-				v22 := f.LocalAt(2)
+				v10 := m.GenArgs(2)
+				v11 := f.LocalAt(0)
+				v12 := m.GenLoadRaw(v11, 0, corpus_linkedlist_t0, 20)
+				v10[0] = v12
+				v13 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-				v19[1] = v23
-				v24 := corpus_linkedlist_f_push(m, v19, corpus_linkedlist_pos[29])
-				m.GenPutArgs(v19)
-				v25 := f.LocalAt(4)
-				var v26 interp.Value
-				if v24.T == corpus_linkedlist_t0 {
-					v26 = v24
+				v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+				v10[1] = v14
+				v15 := corpus_linkedlist_f_push(m, v10, corpus_linkedlist_pos[21])
+				m.GenPutArgs(v10)
+				v16 := f.LocalAt(0)
+				var v17 interp.Value
+				if v15.T == corpus_linkedlist_t0 {
+					v17 = v15
+				} else if v15.T != nil && v15.T.IsPointer() {
+					v17 = interp.Value{T: corpus_linkedlist_t0, Ptr: v15.Ptr}
 				} else {
-					v26 = m.GenConvert(v24, corpus_linkedlist_t0, corpus_linkedlist_pos[30])
+					v17 = m.GenConvert(v15, corpus_linkedlist_t0, corpus_linkedlist_pos[22])
 				}
-				m.GenStoreRaw(v25, 0, corpus_linkedlist_t0, v26)
-				_ = v26
+				m.GenStoreRaw(v16, 0, corpus_linkedlist_t0, v17)
+				_ = v17
 			}
-			v27 := f.LocalAt(2)
+			v18 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
-			v29 := interp.Value{T: v28.T, I: int64(int32(v28.I + 1))}
-			m.GenStoreRaw(v27, 0, types.IntType, v29)
-			_ = v28
+			v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
+			v20 := interp.Value{T: v19.T, I: int64(int32(v19.I + 1))}
+			m.GenStoreRaw(v18, 0, types.IntType, v20)
+			_ = v19
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v30 := m.GenArgs(1)
-		v31 := f.LocalAt(4)
-		v32 := m.GenLoadRaw(v31, 0, corpus_linkedlist_t0, 21)
-		v30[0] = v32
-		v33 := corpus_linkedlist_f_reverse(m, v30, corpus_linkedlist_pos[31])
-		m.GenPutArgs(v30)
-		v34 := f.LocalAt(4)
-		var v35 interp.Value
-		if v33.T == corpus_linkedlist_t0 {
-			v35 = v33
+		v21 := m.GenArgs(1)
+		v22 := f.LocalAt(0)
+		v23 := m.GenLoadRaw(v22, 0, corpus_linkedlist_t0, 21)
+		v21[0] = v23
+		v24 := corpus_linkedlist_f_reverse(m, v21, corpus_linkedlist_pos[23])
+		m.GenPutArgs(v21)
+		v25 := f.LocalAt(0)
+		var v26 interp.Value
+		if v24.T == corpus_linkedlist_t0 {
+			v26 = v24
+		} else if v24.T != nil && v24.T.IsPointer() {
+			v26 = interp.Value{T: corpus_linkedlist_t0, Ptr: v24.Ptr}
 		} else {
-			v35 = m.GenConvert(v33, corpus_linkedlist_t0, corpus_linkedlist_pos[32])
+			v26 = m.GenConvert(v24, corpus_linkedlist_t0, corpus_linkedlist_pos[24])
 		}
-		m.GenStoreRaw(v34, 0, corpus_linkedlist_t0, v35)
-		_ = v35
+		m.GenStoreRaw(v25, 0, corpus_linkedlist_t0, v26)
+		_ = v26
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v36 := m.GenArgs(1)
-		v37 := f.LocalAt(4)
-		v38 := m.GenLoadRaw(v37, 0, corpus_linkedlist_t0, 22)
-		v36[0] = v38
-		v39 := corpus_linkedlist_f_length(m, v36, corpus_linkedlist_pos[33])
-		m.GenPutArgs(v36)
-		v40 := interp.Value{T: types.IntType, I: 10}
-		var v41 interp.Value
-		if v39.T == types.IntType && v40.T == types.IntType {
-			if v39.I != v40.I {
-				v41 = interp.Value{T: types.IntType, I: 1}
+		v27 := m.GenArgs(1)
+		v28 := f.LocalAt(0)
+		v29 := m.GenLoadRaw(v28, 0, corpus_linkedlist_t0, 22)
+		v27[0] = v29
+		v30 := corpus_linkedlist_f_length(m, v27, corpus_linkedlist_pos[25])
+		m.GenPutArgs(v27)
+		var v31 interp.Value
+		if v30.T == types.IntType {
+			if v30.I != 10 {
+				v31 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v41 = interp.Value{T: types.IntType, I: 0}
+				v31 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v41 = m.GenBinaryOp(token.NotEq, v39, v40, types.IntType, corpus_linkedlist_pos[34])
+			v31 = m.GenBinaryOp(token.NotEq, v30, (interp.Value{T: types.IntType, I: 10}), types.IntType, corpus_linkedlist_pos[26])
 		}
-		if v41.Truthy() {
+		if v31.Truthy() {
 			{
 				m.GenStep()
-				v42 := interp.Value{T: types.IntType, I: 1}
-				v43 := interp.Value{T: types.IntType, I: int64(int32(-v42.I))}
-				ret = v43
+				ret = (interp.Value{T: types.IntType, I: -1})
 				if interp.GenLive {
 					return
 				}
@@ -707,39 +727,34 @@ func corpus_linkedlist_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value
 		m.GenStep()
 		{
 			m.GenStep()
-			v44 := f.LocalAt(4)
-			v45 := m.GenLoadRaw(v44, 0, corpus_linkedlist_t0, 23)
-			v46 := f.LocalAt(3)
-			var v47 interp.Value
-			if v45.T == corpus_linkedlist_t0 {
-				v47 = v45
+			v32 := f.LocalAt(0)
+			v33 := m.GenLoadRaw(v32, 0, corpus_linkedlist_t0, 23)
+			v34 := f.LocalAt(1)
+			var v35 interp.Value
+			if v33.T == corpus_linkedlist_t0 {
+				v35 = v33
+			} else if v33.T != nil && v33.T.IsPointer() {
+				v35 = interp.Value{T: corpus_linkedlist_t0, Ptr: v33.Ptr}
 			} else {
-				v47 = m.GenConvert(v45, corpus_linkedlist_t0, corpus_linkedlist_pos[35])
+				v35 = m.GenConvert(v33, corpus_linkedlist_t0, corpus_linkedlist_pos[27])
 			}
-			m.GenStoreRaw(v46, 0, corpus_linkedlist_t0, v47)
-			_ = v47
+			m.GenStoreRaw(v34, 0, corpus_linkedlist_t0, v35)
+			_ = v35
 		}
 		for {
-			v48 := f.LocalAt(3)
-			v49 := m.GenLoadRaw(v48, 0, corpus_linkedlist_t0, 24)
-			v50 := interp.Value{T: types.IntType, I: 0}
-			var v51 interp.Value
-			if v50.T == corpus_linkedlist_t2 {
-				v51 = v50
-			} else {
-				v51 = m.GenConvert(v50, corpus_linkedlist_t2, corpus_linkedlist_pos[36])
-			}
-			var v52 interp.Value
-			if v49.T != nil && v49.T.IsPointer() && v51.T != nil && v51.T.IsPointer() {
-				if v49.Ptr.Addr != v51.Ptr.Addr {
-					v52 = interp.Value{T: types.IntType, I: 1}
+			v36 := f.LocalAt(1)
+			v37 := m.GenLoadRaw(v36, 0, corpus_linkedlist_t0, 24)
+			var v38 interp.Value
+			if v37.T != nil && v37.T.IsPointer() && (interp.Value{T: corpus_linkedlist_t2}).T != nil && (interp.Value{T: corpus_linkedlist_t2}).T.IsPointer() {
+				if v37.Ptr.Addr != (interp.Value{T: corpus_linkedlist_t2}).Ptr.Addr {
+					v38 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v52 = interp.Value{T: types.IntType, I: 0}
+					v38 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v52 = m.GenBinaryOp(token.NotEq, v49, v51, types.IntType, corpus_linkedlist_pos[37])
+				v38 = m.GenBinaryOp(token.NotEq, v37, (interp.Value{T: corpus_linkedlist_t2}), types.IntType, corpus_linkedlist_pos[28])
 			}
-			if !v52.Truthy() {
+			if !v38.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -747,38 +762,36 @@ func corpus_linkedlist_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value
 				m.GenStep()
 				{
 					m.GenStep()
-					v53 := f.LocalAt(0)
+					v39 := f.LocalAt(4)
 					m.GenChargeAccess()
-					v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
-					v55 := interp.Value{T: v54.T, I: int64(int32(v54.I + 1))}
-					m.GenStoreRaw(v53, 0, types.IntType, v55)
-					_ = v54
+					v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+					v41 := interp.Value{T: v40.T, I: int64(int32(v40.I + 1))}
+					m.GenStoreRaw(v39, 0, types.IntType, v41)
+					_ = v40
 				}
 				{
 					m.GenStep()
-					v56 := f.LocalAt(3)
-					v57 := m.GenLoadRaw(v56, 0, corpus_linkedlist_t0, 25)
-					v58 := core.Pointer{Addr: v57.Ptr.Addr + 0, Prov: v57.Ptr.Prov}
-					v59 := m.GenLoadValue(v58, types.IntType, corpus_linkedlist_pos[38], -1, 7)
-					v60 := f.LocalAt(0)
+					v42 := f.LocalAt(1)
+					v43 := m.GenLoadRaw(v42, 0, corpus_linkedlist_t0, 25)
+					v44 := core.Pointer{Addr: v43.Ptr.Addr + 0, Prov: v43.Ptr.Prov}
+					v45 := m.GenLoadValue(v44, types.IntType, corpus_linkedlist_pos[29], -1, 7)
+					v46 := f.LocalAt(4)
 					m.GenChargeAccess()
-					v61 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v60.Data[0:])))}
-					var v62 interp.Value
-					if v59.T == types.IntType && v61.T == types.IntType {
-						if v59.I != v61.I {
-							v62 = interp.Value{T: types.IntType, I: 1}
+					v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
+					var v48 interp.Value
+					if v45.T == types.IntType && v47.T == types.IntType {
+						if v45.I != v47.I {
+							v48 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v62 = interp.Value{T: types.IntType, I: 0}
+							v48 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v62 = m.GenBinaryOp(token.NotEq, v59, v61, types.IntType, corpus_linkedlist_pos[39])
+						v48 = m.GenBinaryOp(token.NotEq, v45, v47, types.IntType, corpus_linkedlist_pos[30])
 					}
-					if v62.Truthy() {
+					if v48.Truthy() {
 						{
 							m.GenStep()
-							v63 := interp.Value{T: types.IntType, I: 2}
-							v64 := interp.Value{T: types.IntType, I: int64(int32(-v63.I))}
-							ret = v64
+							ret = (interp.Value{T: types.IntType, I: -2})
 							if interp.GenLive {
 								return
 							}
@@ -787,61 +800,65 @@ func corpus_linkedlist_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value
 				}
 				{
 					m.GenStep()
-					v65 := f.LocalAt(1)
+					v49 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v66 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v65.Data[0:])))}
-					v67 := f.LocalAt(3)
-					v68 := m.GenLoadRaw(v67, 0, corpus_linkedlist_t0, 26)
-					v69 := core.Pointer{Addr: v68.Ptr.Addr + 0, Prov: v68.Ptr.Prov}
-					v70 := m.GenLoadValue(v69, types.IntType, corpus_linkedlist_pos[40], -1, 8)
-					var v71 interp.Value
-					if v66.T == types.IntType && v70.T == types.IntType {
-						v71 = interp.Value{T: types.IntType, I: int64(int32(v66.I + v70.I))}
+					v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
+					v51 := f.LocalAt(1)
+					v52 := m.GenLoadRaw(v51, 0, corpus_linkedlist_t0, 26)
+					v53 := core.Pointer{Addr: v52.Ptr.Addr + 0, Prov: v52.Ptr.Prov}
+					v54 := m.GenLoadValue(v53, types.IntType, corpus_linkedlist_pos[31], -1, 8)
+					var v55 interp.Value
+					if v50.T == types.IntType && v54.T == types.IntType {
+						v55 = interp.Value{T: types.IntType, I: int64(int32(v50.I + v54.I))}
 					} else {
-						v71 = m.GenBinaryOp(token.Plus, v66, v70, types.IntType, corpus_linkedlist_pos[41])
+						v55 = m.GenBinaryOp(token.Plus, v50, v54, types.IntType, corpus_linkedlist_pos[32])
 					}
-					var v72 interp.Value
-					if v71.T == types.IntType {
-						v72 = v71
+					var v56 interp.Value
+					if v55.T == types.IntType {
+						v56 = v55
+					} else if v55.T != nil && v55.T.IsInteger() {
+						v56 = interp.Value{T: types.IntType, I: int64(int32(v55.I))}
 					} else {
-						v72 = m.GenConvert(v71, types.IntType, corpus_linkedlist_pos[41])
+						v56 = m.GenConvert(v55, types.IntType, corpus_linkedlist_pos[32])
 					}
-					m.GenStoreRaw(v65, 0, types.IntType, v72)
-					_ = v72
+					m.GenStoreRaw(v49, 0, types.IntType, v56)
+					_ = v56
 				}
 			}
-			v73 := f.LocalAt(3)
-			v74 := m.GenLoadRaw(v73, 0, corpus_linkedlist_t0, 27)
-			v75 := core.Pointer{Addr: v74.Ptr.Addr + 8, Prov: v74.Ptr.Prov}
-			v76 := m.GenLoadValue(v75, corpus_linkedlist_t0, corpus_linkedlist_pos[42], 28, 6)
-			v77 := f.LocalAt(3)
-			var v78 interp.Value
-			if v76.T == corpus_linkedlist_t0 {
-				v78 = v76
+			v57 := f.LocalAt(1)
+			v58 := m.GenLoadRaw(v57, 0, corpus_linkedlist_t0, 27)
+			v59 := core.Pointer{Addr: v58.Ptr.Addr + 8, Prov: v58.Ptr.Prov}
+			v60 := m.GenLoadValue(v59, corpus_linkedlist_t0, corpus_linkedlist_pos[33], 28, 6)
+			v61 := f.LocalAt(1)
+			var v62 interp.Value
+			if v60.T == corpus_linkedlist_t0 {
+				v62 = v60
+			} else if v60.T != nil && v60.T.IsPointer() {
+				v62 = interp.Value{T: corpus_linkedlist_t0, Ptr: v60.Ptr}
 			} else {
-				v78 = m.GenConvert(v76, corpus_linkedlist_t0, corpus_linkedlist_pos[43])
+				v62 = m.GenConvert(v60, corpus_linkedlist_t0, corpus_linkedlist_pos[34])
 			}
-			m.GenStoreRaw(v77, 0, corpus_linkedlist_t0, v78)
-			_ = v78
+			m.GenStoreRaw(v61, 0, corpus_linkedlist_t0, v62)
+			_ = v62
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v79 := m.GenArgs(1)
-		v80 := f.LocalAt(4)
-		v81 := m.GenLoadRaw(v80, 0, corpus_linkedlist_t0, 29)
-		v79[0] = v81
-		v82 := corpus_linkedlist_f_destroy(m, v79, corpus_linkedlist_pos[44])
-		m.GenPutArgs(v79)
-		_ = v82
+		v63 := m.GenArgs(1)
+		v64 := f.LocalAt(0)
+		v65 := m.GenLoadRaw(v64, 0, corpus_linkedlist_t0, 29)
+		v63[0] = v65
+		v66 := corpus_linkedlist_f_destroy(m, v63, corpus_linkedlist_pos[35])
+		m.GenPutArgs(v63)
+		_ = v66
 	}
 	{
 		m.GenStep()
-		v83 := f.LocalAt(1)
+		v67 := f.LocalAt(3)
 		m.GenChargeAccess()
-		v84 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v83.Data[0:])))}
-		ret = v84
+		v68 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v67.Data[0:])))}
+		ret = v68
 		if interp.GenLive {
 			return
 		}

@@ -14,29 +14,21 @@ import (
 )
 
 var corpus_matrixmultiply_pos = []token.Pos{
-	{File: "t.c", Line: 5, Col: 2},
-	{File: "t.c", Line: 6, Col: 9},
 	{File: "t.c", Line: 6, Col: 16},
-	{File: "t.c", Line: 7, Col: 10},
 	{File: "t.c", Line: 7, Col: 17},
 	{File: "t.c", Line: 8, Col: 16},
 	{File: "t.c", Line: 8, Col: 12},
 	{File: "t.c", Line: 9, Col: 17},
 	{File: "t.c", Line: 9, Col: 23},
 	{File: "t.c", Line: 9, Col: 12},
-	{File: "t.c", Line: 11, Col: 9},
 	{File: "t.c", Line: 11, Col: 16},
-	{File: "t.c", Line: 12, Col: 10},
 	{File: "t.c", Line: 12, Col: 17},
-	{File: "t.c", Line: 13, Col: 4},
-	{File: "t.c", Line: 14, Col: 11},
 	{File: "t.c", Line: 14, Col: 18},
 	{File: "t.c", Line: 15, Col: 16},
 	{File: "t.c", Line: 15, Col: 26},
 	{File: "t.c", Line: 15, Col: 20},
 	{File: "t.c", Line: 15, Col: 9},
 	{File: "t.c", Line: 16, Col: 12},
-	{File: "t.c", Line: 19, Col: 9},
 	{File: "t.c", Line: 19, Col: 16},
 	{File: "t.c", Line: 20, Col: 16},
 	{File: "t.c", Line: 20, Col: 9},
@@ -81,60 +73,53 @@ func corpus_matrixmultiply_f_main(m *interp.Machine, args []interp.Value, pos to
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(4)
+		v0 := f.LocalAt(0)
 		_ = v0
-		v1 := f.LocalAt(3)
+		v1 := f.LocalAt(1)
 		_ = v1
 		v2 := f.LocalAt(2)
 		_ = v2
-		v3 := f.LocalAt(1)
-		v4 := interp.Value{T: types.IntType, I: 0}
-		var v5 interp.Value
-		if v4.T == types.IntType {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, types.IntType, corpus_matrixmultiply_pos[0])
-		}
-		m.GenStoreRaw(v3, 0, types.IntType, v5)
+		v3 := f.LocalAt(3)
+		m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v6 := interp.Value{T: types.IntType, I: 0}
-			v7 := f.LocalAt(4)
-			var v8 interp.Value
-			if v6.T == types.IntType {
-				v8 = v6
-			} else {
-				v8 = m.GenConvert(v6, types.IntType, corpus_matrixmultiply_pos[1])
-			}
-			m.GenStoreRaw(v7, 0, types.IntType, v8)
-			_ = v8
+			v4 := f.LocalAt(0)
+			m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v9 := f.LocalAt(4)
+			v5 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-			v11 := interp.Value{T: types.IntType, I: 8}
-			var v12 interp.Value
-			if v10.T == types.IntType && v11.T == types.IntType {
-				if v10.I < v11.I {
-					v12 = interp.Value{T: types.IntType, I: 1}
+			v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+			var v7 interp.Value
+			if v6.T == types.IntType {
+				if v6.I < 8 {
+					v7 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v12 = interp.Value{T: types.IntType, I: 0}
+					v7 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v12 = m.GenBinaryOp(token.Lt, v10, v11, types.IntType, corpus_matrixmultiply_pos[2])
+				v7 = m.GenBinaryOp(token.Lt, v6, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[0])
 			}
-			if !v12.Truthy() {
+			if !v7.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -142,33 +127,25 @@ func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.V
 				m.GenStep()
 				{
 					m.GenStep()
-					v13 := interp.Value{T: types.IntType, I: 0}
-					v14 := f.LocalAt(3)
-					var v15 interp.Value
-					if v13.T == types.IntType {
-						v15 = v13
-					} else {
-						v15 = m.GenConvert(v13, types.IntType, corpus_matrixmultiply_pos[3])
-					}
-					m.GenStoreRaw(v14, 0, types.IntType, v15)
-					_ = v15
+					v8 := f.LocalAt(1)
+					m.GenStoreRaw(v8, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+					_ = (interp.Value{T: types.IntType, I: 0})
 				}
 				for {
-					v16 := f.LocalAt(3)
+					v9 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-					v18 := interp.Value{T: types.IntType, I: 8}
-					var v19 interp.Value
-					if v17.T == types.IntType && v18.T == types.IntType {
-						if v17.I < v18.I {
-							v19 = interp.Value{T: types.IntType, I: 1}
+					v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+					var v11 interp.Value
+					if v10.T == types.IntType {
+						if v10.I < 8 {
+							v11 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v19 = interp.Value{T: types.IntType, I: 0}
+							v11 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v19 = m.GenBinaryOp(token.Lt, v17, v18, types.IntType, corpus_matrixmultiply_pos[4])
+						v11 = m.GenBinaryOp(token.Lt, v10, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[1])
 					}
-					if !v19.Truthy() {
+					if !v11.Truthy() {
 						break
 					}
 					m.GenStep()
@@ -176,140 +153,126 @@ func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.V
 						m.GenStep()
 						{
 							m.GenStep()
-							v20 := f.LocalAt(4)
+							v12 := f.LocalAt(0)
 							m.GenChargeAccess()
-							v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-							v22 := f.LocalAt(3)
+							v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+							v14 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-							var v24 interp.Value
-							if v21.T == types.IntType && v23.T == types.IntType {
-								v24 = interp.Value{T: types.IntType, I: int64(int32(v21.I + v23.I))}
+							v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+							var v16 interp.Value
+							if v13.T == types.IntType && v15.T == types.IntType {
+								v16 = interp.Value{T: types.IntType, I: int64(int32(v13.I + v15.I))}
 							} else {
-								v24 = m.GenBinaryOp(token.Plus, v21, v23, types.IntType, corpus_matrixmultiply_pos[5])
+								v16 = m.GenBinaryOp(token.Plus, v13, v15, types.IntType, corpus_matrixmultiply_pos[2])
 							}
-							v25 := m.GenGlobal(0)
-							v26 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t0), Ptr: core.Pointer{Addr: v25.Base, Prov: v25}}
-							v27 := f.LocalAt(4)
+							v17 := m.GenGlobal(0)
+							v18 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t0), Ptr: core.Pointer{Addr: v17.Base, Prov: v17}}
+							v19 := f.LocalAt(0)
+							m.GenChargeAccess()
+							v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
+							v21 := core.Pointer{Addr: v18.Ptr.Addr + uint64(v20.I)*32, Prov: v18.Ptr.Prov}
+							v22 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v21}
+							v23 := f.LocalAt(1)
+							m.GenChargeAccess()
+							v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+							v25 := core.Pointer{Addr: v22.Ptr.Addr + uint64(v24.I)*4, Prov: v22.Ptr.Prov}
+							var v26 interp.Value
+							if v16.T == types.IntType {
+								v26 = v16
+							} else if v16.T != nil && v16.T.IsInteger() {
+								v26 = interp.Value{T: types.IntType, I: int64(int32(v16.I))}
+							} else {
+								v26 = m.GenConvert(v16, types.IntType, corpus_matrixmultiply_pos[3])
+							}
+							m.GenStoreValue(v25, types.IntType, v26, corpus_matrixmultiply_pos[3])
+							_ = v26
+						}
+						{
+							m.GenStep()
+							v27 := f.LocalAt(0)
 							m.GenChargeAccess()
 							v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
-							v29 := core.Pointer{Addr: v26.Ptr.Addr + uint64(v28.I)*32, Prov: v26.Ptr.Prov}
-							v30 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v29}
-							v31 := f.LocalAt(3)
+							v29 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-							v33 := core.Pointer{Addr: v30.Ptr.Addr + uint64(v32.I)*4, Prov: v30.Ptr.Prov}
-							var v34 interp.Value
-							if v24.T == types.IntType {
-								v34 = v24
+							v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+							var v31 interp.Value
+							if v28.T == types.IntType && v30.T == types.IntType {
+								if v28.I == v30.I {
+									v31 = interp.Value{T: types.IntType, I: 1}
+								} else {
+									v31 = interp.Value{T: types.IntType, I: 0}
+								}
 							} else {
-								v34 = m.GenConvert(v24, types.IntType, corpus_matrixmultiply_pos[6])
+								v31 = m.GenBinaryOp(token.EqEq, v28, v30, types.IntType, corpus_matrixmultiply_pos[4])
 							}
-							m.GenStoreValue(v33, types.IntType, v34, corpus_matrixmultiply_pos[6])
-							_ = v34
-						}
-						{
-							m.GenStep()
-							v35 := f.LocalAt(4)
+							var v32 interp.Value
+							if v31.Truthy() {
+								v32 = (interp.Value{T: types.IntType, I: 2})
+							} else {
+								v32 = (interp.Value{T: types.IntType, I: 0})
+							}
+							v33 := m.GenGlobal(1)
+							v34 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t1), Ptr: core.Pointer{Addr: v33.Base, Prov: v33}}
+							v35 := f.LocalAt(0)
 							m.GenChargeAccess()
 							v36 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v35.Data[0:])))}
-							v37 := f.LocalAt(3)
+							v37 := core.Pointer{Addr: v34.Ptr.Addr + uint64(v36.I)*32, Prov: v34.Ptr.Prov}
+							v38 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v37}
+							v39 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v38 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v37.Data[0:])))}
-							var v39 interp.Value
-							if v36.T == types.IntType && v38.T == types.IntType {
-								if v36.I == v38.I {
-									v39 = interp.Value{T: types.IntType, I: 1}
-								} else {
-									v39 = interp.Value{T: types.IntType, I: 0}
-								}
+							v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+							v41 := core.Pointer{Addr: v38.Ptr.Addr + uint64(v40.I)*4, Prov: v38.Ptr.Prov}
+							var v42 interp.Value
+							if v32.T == types.IntType {
+								v42 = v32
+							} else if v32.T != nil && v32.T.IsInteger() {
+								v42 = interp.Value{T: types.IntType, I: int64(int32(v32.I))}
 							} else {
-								v39 = m.GenBinaryOp(token.EqEq, v36, v38, types.IntType, corpus_matrixmultiply_pos[7])
+								v42 = m.GenConvert(v32, types.IntType, corpus_matrixmultiply_pos[6])
 							}
-							var v40 interp.Value
-							if v39.Truthy() {
-								v41 := interp.Value{T: types.IntType, I: 2}
-								if v41.T == types.IntType {
-									v40 = v41
-								} else {
-									v40 = m.GenConvert(v41, types.IntType, corpus_matrixmultiply_pos[8])
-								}
-							} else {
-								v42 := interp.Value{T: types.IntType, I: 0}
-								if v42.T == types.IntType {
-									v40 = v42
-								} else {
-									v40 = m.GenConvert(v42, types.IntType, corpus_matrixmultiply_pos[8])
-								}
-							}
-							v43 := m.GenGlobal(1)
-							v44 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t1), Ptr: core.Pointer{Addr: v43.Base, Prov: v43}}
-							v45 := f.LocalAt(4)
-							m.GenChargeAccess()
-							v46 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v45.Data[0:])))}
-							v47 := core.Pointer{Addr: v44.Ptr.Addr + uint64(v46.I)*32, Prov: v44.Ptr.Prov}
-							v48 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v47}
-							v49 := f.LocalAt(3)
-							m.GenChargeAccess()
-							v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
-							v51 := core.Pointer{Addr: v48.Ptr.Addr + uint64(v50.I)*4, Prov: v48.Ptr.Prov}
-							var v52 interp.Value
-							if v40.T == types.IntType {
-								v52 = v40
-							} else {
-								v52 = m.GenConvert(v40, types.IntType, corpus_matrixmultiply_pos[9])
-							}
-							m.GenStoreValue(v51, types.IntType, v52, corpus_matrixmultiply_pos[9])
-							_ = v52
+							m.GenStoreValue(v41, types.IntType, v42, corpus_matrixmultiply_pos[6])
+							_ = v42
 						}
 					}
-					v53 := f.LocalAt(3)
+					v43 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
-					v55 := interp.Value{T: v54.T, I: int64(int32(v54.I + 1))}
-					m.GenStoreRaw(v53, 0, types.IntType, v55)
-					_ = v54
+					v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+					v45 := interp.Value{T: v44.T, I: int64(int32(v44.I + 1))}
+					m.GenStoreRaw(v43, 0, types.IntType, v45)
+					_ = v44
 				}
 			}
-			v56 := f.LocalAt(4)
+			v46 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
-			v58 := interp.Value{T: v57.T, I: int64(int32(v57.I + 1))}
-			m.GenStoreRaw(v56, 0, types.IntType, v58)
-			_ = v57
+			v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
+			v48 := interp.Value{T: v47.T, I: int64(int32(v47.I + 1))}
+			m.GenStoreRaw(v46, 0, types.IntType, v48)
+			_ = v47
 		}
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v59 := interp.Value{T: types.IntType, I: 0}
-			v60 := f.LocalAt(4)
-			var v61 interp.Value
-			if v59.T == types.IntType {
-				v61 = v59
-			} else {
-				v61 = m.GenConvert(v59, types.IntType, corpus_matrixmultiply_pos[10])
-			}
-			m.GenStoreRaw(v60, 0, types.IntType, v61)
-			_ = v61
+			v49 := f.LocalAt(0)
+			m.GenStoreRaw(v49, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v62 := f.LocalAt(4)
+			v50 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
-			v64 := interp.Value{T: types.IntType, I: 8}
-			var v65 interp.Value
-			if v63.T == types.IntType && v64.T == types.IntType {
-				if v63.I < v64.I {
-					v65 = interp.Value{T: types.IntType, I: 1}
+			v51 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v50.Data[0:])))}
+			var v52 interp.Value
+			if v51.T == types.IntType {
+				if v51.I < 8 {
+					v52 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v65 = interp.Value{T: types.IntType, I: 0}
+					v52 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v65 = m.GenBinaryOp(token.Lt, v63, v64, types.IntType, corpus_matrixmultiply_pos[11])
+				v52 = m.GenBinaryOp(token.Lt, v51, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[7])
 			}
-			if !v65.Truthy() {
+			if !v52.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -317,33 +280,25 @@ func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.V
 				m.GenStep()
 				{
 					m.GenStep()
-					v66 := interp.Value{T: types.IntType, I: 0}
-					v67 := f.LocalAt(3)
-					var v68 interp.Value
-					if v66.T == types.IntType {
-						v68 = v66
-					} else {
-						v68 = m.GenConvert(v66, types.IntType, corpus_matrixmultiply_pos[12])
-					}
-					m.GenStoreRaw(v67, 0, types.IntType, v68)
-					_ = v68
+					v53 := f.LocalAt(1)
+					m.GenStoreRaw(v53, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+					_ = (interp.Value{T: types.IntType, I: 0})
 				}
 				for {
-					v69 := f.LocalAt(3)
+					v54 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v70 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v69.Data[0:])))}
-					v71 := interp.Value{T: types.IntType, I: 8}
-					var v72 interp.Value
-					if v70.T == types.IntType && v71.T == types.IntType {
-						if v70.I < v71.I {
-							v72 = interp.Value{T: types.IntType, I: 1}
+					v55 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v54.Data[0:])))}
+					var v56 interp.Value
+					if v55.T == types.IntType {
+						if v55.I < 8 {
+							v56 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v72 = interp.Value{T: types.IntType, I: 0}
+							v56 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v72 = m.GenBinaryOp(token.Lt, v70, v71, types.IntType, corpus_matrixmultiply_pos[13])
+						v56 = m.GenBinaryOp(token.Lt, v55, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[8])
 					}
-					if !v72.Truthy() {
+					if !v56.Truthy() {
 						break
 					}
 					m.GenStep()
@@ -351,143 +306,200 @@ func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.V
 						m.GenStep()
 						{
 							m.GenStep()
-							v73 := f.LocalAt(0)
-							v74 := interp.Value{T: types.IntType, I: 0}
-							var v75 interp.Value
-							if v74.T == types.IntType {
-								v75 = v74
-							} else {
-								v75 = m.GenConvert(v74, types.IntType, corpus_matrixmultiply_pos[14])
-							}
-							m.GenStoreRaw(v73, 0, types.IntType, v75)
+							v57 := f.LocalAt(4)
+							m.GenStoreRaw(v57, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 						}
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v76 := interp.Value{T: types.IntType, I: 0}
-								v77 := f.LocalAt(2)
-								var v78 interp.Value
-								if v76.T == types.IntType {
-									v78 = v76
-								} else {
-									v78 = m.GenConvert(v76, types.IntType, corpus_matrixmultiply_pos[15])
-								}
-								m.GenStoreRaw(v77, 0, types.IntType, v78)
-								_ = v78
+								v58 := f.LocalAt(2)
+								m.GenStoreRaw(v58, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+								_ = (interp.Value{T: types.IntType, I: 0})
 							}
 							for {
-								v79 := f.LocalAt(2)
+								v59 := f.LocalAt(2)
 								m.GenChargeAccess()
-								v80 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v79.Data[0:])))}
-								v81 := interp.Value{T: types.IntType, I: 8}
-								var v82 interp.Value
-								if v80.T == types.IntType && v81.T == types.IntType {
-									if v80.I < v81.I {
-										v82 = interp.Value{T: types.IntType, I: 1}
+								v60 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v59.Data[0:])))}
+								var v61 interp.Value
+								if v60.T == types.IntType {
+									if v60.I < 8 {
+										v61 = interp.Value{T: types.IntType, I: 1}
 									} else {
-										v82 = interp.Value{T: types.IntType, I: 0}
+										v61 = interp.Value{T: types.IntType, I: 0}
 									}
 								} else {
-									v82 = m.GenBinaryOp(token.Lt, v80, v81, types.IntType, corpus_matrixmultiply_pos[16])
+									v61 = m.GenBinaryOp(token.Lt, v60, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[9])
 								}
-								if !v82.Truthy() {
+								if !v61.Truthy() {
 									break
 								}
 								m.GenStep()
 								{
 									m.GenStep()
-									v83 := f.LocalAt(0)
+									v62 := f.LocalAt(4)
 									m.GenChargeAccess()
-									v84 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v83.Data[0:])))}
-									v85 := m.GenGlobal(0)
-									v86 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t0), Ptr: core.Pointer{Addr: v85.Base, Prov: v85}}
-									v87 := f.LocalAt(4)
+									v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
+									v64 := m.GenGlobal(0)
+									v65 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t0), Ptr: core.Pointer{Addr: v64.Base, Prov: v64}}
+									v66 := f.LocalAt(0)
 									m.GenChargeAccess()
-									v88 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v87.Data[0:])))}
-									v89 := core.Pointer{Addr: v86.Ptr.Addr + uint64(v88.I)*32, Prov: v86.Ptr.Prov}
-									v90 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v89}
-									v91 := f.LocalAt(2)
+									v67 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v66.Data[0:])))}
+									v68 := core.Pointer{Addr: v65.Ptr.Addr + uint64(v67.I)*32, Prov: v65.Ptr.Prov}
+									v69 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v68}
+									v70 := f.LocalAt(2)
 									m.GenChargeAccess()
-									v92 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v91.Data[0:])))}
-									v93 := core.Pointer{Addr: v90.Ptr.Addr + uint64(v92.I)*4, Prov: v90.Ptr.Prov}
-									v94 := m.GenLoadValue(v93, types.IntType, corpus_matrixmultiply_pos[17], -1, 5)
-									v95 := m.GenGlobal(1)
-									v96 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t1), Ptr: core.Pointer{Addr: v95.Base, Prov: v95}}
-									v97 := f.LocalAt(2)
+									v71 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v70.Data[0:])))}
+									v72 := core.Pointer{Addr: v69.Ptr.Addr + uint64(v71.I)*4, Prov: v69.Ptr.Prov}
+									v73 := m.GenLoadValue(v72, types.IntType, corpus_matrixmultiply_pos[10], -1, 5)
+									v74 := m.GenGlobal(1)
+									v75 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t1), Ptr: core.Pointer{Addr: v74.Base, Prov: v74}}
+									v76 := f.LocalAt(2)
 									m.GenChargeAccess()
-									v98 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v97.Data[0:])))}
-									v99 := core.Pointer{Addr: v96.Ptr.Addr + uint64(v98.I)*32, Prov: v96.Ptr.Prov}
-									v100 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v99}
-									v101 := f.LocalAt(3)
+									v77 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v76.Data[0:])))}
+									v78 := core.Pointer{Addr: v75.Ptr.Addr + uint64(v77.I)*32, Prov: v75.Ptr.Prov}
+									v79 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v78}
+									v80 := f.LocalAt(1)
 									m.GenChargeAccess()
-									v102 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v101.Data[0:])))}
-									v103 := core.Pointer{Addr: v100.Ptr.Addr + uint64(v102.I)*4, Prov: v100.Ptr.Prov}
-									v104 := m.GenLoadValue(v103, types.IntType, corpus_matrixmultiply_pos[18], -1, 7)
-									var v105 interp.Value
-									if v94.T == types.IntType && v104.T == types.IntType {
-										v105 = interp.Value{T: types.IntType, I: int64(int32(v94.I * v104.I))}
+									v81 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v80.Data[0:])))}
+									v82 := core.Pointer{Addr: v79.Ptr.Addr + uint64(v81.I)*4, Prov: v79.Ptr.Prov}
+									v83 := m.GenLoadValue(v82, types.IntType, corpus_matrixmultiply_pos[11], -1, 7)
+									var v84 interp.Value
+									if v73.T == types.IntType && v83.T == types.IntType {
+										v84 = interp.Value{T: types.IntType, I: int64(int32(v73.I * v83.I))}
 									} else {
-										v105 = m.GenBinaryOp(token.Star, v94, v104, types.IntType, corpus_matrixmultiply_pos[19])
+										v84 = m.GenBinaryOp(token.Star, v73, v83, types.IntType, corpus_matrixmultiply_pos[12])
 									}
-									var v106 interp.Value
-									if v84.T == types.IntType && v105.T == types.IntType {
-										v106 = interp.Value{T: types.IntType, I: int64(int32(v84.I + v105.I))}
+									var v85 interp.Value
+									if v63.T == types.IntType && v84.T == types.IntType {
+										v85 = interp.Value{T: types.IntType, I: int64(int32(v63.I + v84.I))}
 									} else {
-										v106 = m.GenBinaryOp(token.Plus, v84, v105, types.IntType, corpus_matrixmultiply_pos[20])
+										v85 = m.GenBinaryOp(token.Plus, v63, v84, types.IntType, corpus_matrixmultiply_pos[13])
 									}
-									var v107 interp.Value
-									if v106.T == types.IntType {
-										v107 = v106
+									var v86 interp.Value
+									if v85.T == types.IntType {
+										v86 = v85
+									} else if v85.T != nil && v85.T.IsInteger() {
+										v86 = interp.Value{T: types.IntType, I: int64(int32(v85.I))}
 									} else {
-										v107 = m.GenConvert(v106, types.IntType, corpus_matrixmultiply_pos[20])
+										v86 = m.GenConvert(v85, types.IntType, corpus_matrixmultiply_pos[13])
 									}
-									m.GenStoreRaw(v83, 0, types.IntType, v107)
-									_ = v107
+									m.GenStoreRaw(v62, 0, types.IntType, v86)
+									_ = v86
 								}
-								v108 := f.LocalAt(2)
+								v87 := f.LocalAt(2)
 								m.GenChargeAccess()
-								v109 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v108.Data[0:])))}
-								v110 := interp.Value{T: v109.T, I: int64(int32(v109.I + 1))}
-								m.GenStoreRaw(v108, 0, types.IntType, v110)
-								_ = v109
+								v88 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v87.Data[0:])))}
+								v89 := interp.Value{T: v88.T, I: int64(int32(v88.I + 1))}
+								m.GenStoreRaw(v87, 0, types.IntType, v89)
+								_ = v88
 							}
 						}
 						{
 							m.GenStep()
-							v111 := f.LocalAt(0)
+							v90 := f.LocalAt(4)
 							m.GenChargeAccess()
-							v112 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v111.Data[0:])))}
-							v113 := m.GenGlobal(2)
-							v114 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t2), Ptr: core.Pointer{Addr: v113.Base, Prov: v113}}
-							v115 := f.LocalAt(4)
+							v91 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v90.Data[0:])))}
+							v92 := m.GenGlobal(2)
+							v93 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t2), Ptr: core.Pointer{Addr: v92.Base, Prov: v92}}
+							v94 := f.LocalAt(0)
 							m.GenChargeAccess()
-							v116 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v115.Data[0:])))}
-							v117 := core.Pointer{Addr: v114.Ptr.Addr + uint64(v116.I)*32, Prov: v114.Ptr.Prov}
-							v118 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v117}
-							v119 := f.LocalAt(3)
+							v95 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v94.Data[0:])))}
+							v96 := core.Pointer{Addr: v93.Ptr.Addr + uint64(v95.I)*32, Prov: v93.Ptr.Prov}
+							v97 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v96}
+							v98 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v120 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v119.Data[0:])))}
-							v121 := core.Pointer{Addr: v118.Ptr.Addr + uint64(v120.I)*4, Prov: v118.Ptr.Prov}
-							var v122 interp.Value
-							if v112.T == types.IntType {
-								v122 = v112
+							v99 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v98.Data[0:])))}
+							v100 := core.Pointer{Addr: v97.Ptr.Addr + uint64(v99.I)*4, Prov: v97.Ptr.Prov}
+							var v101 interp.Value
+							if v91.T == types.IntType {
+								v101 = v91
+							} else if v91.T != nil && v91.T.IsInteger() {
+								v101 = interp.Value{T: types.IntType, I: int64(int32(v91.I))}
 							} else {
-								v122 = m.GenConvert(v112, types.IntType, corpus_matrixmultiply_pos[21])
+								v101 = m.GenConvert(v91, types.IntType, corpus_matrixmultiply_pos[14])
 							}
-							m.GenStoreValue(v121, types.IntType, v122, corpus_matrixmultiply_pos[21])
-							_ = v122
+							m.GenStoreValue(v100, types.IntType, v101, corpus_matrixmultiply_pos[14])
+							_ = v101
 						}
 					}
-					v123 := f.LocalAt(3)
+					v102 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v124 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v123.Data[0:])))}
-					v125 := interp.Value{T: v124.T, I: int64(int32(v124.I + 1))}
-					m.GenStoreRaw(v123, 0, types.IntType, v125)
-					_ = v124
+					v103 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v102.Data[0:])))}
+					v104 := interp.Value{T: v103.T, I: int64(int32(v103.I + 1))}
+					m.GenStoreRaw(v102, 0, types.IntType, v104)
+					_ = v103
 				}
 			}
-			v126 := f.LocalAt(4)
+			v105 := f.LocalAt(0)
+			m.GenChargeAccess()
+			v106 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v105.Data[0:])))}
+			v107 := interp.Value{T: v106.T, I: int64(int32(v106.I + 1))}
+			m.GenStoreRaw(v105, 0, types.IntType, v107)
+			_ = v106
+		}
+	}
+	{
+		m.GenStep()
+		{
+			m.GenStep()
+			v108 := f.LocalAt(0)
+			m.GenStoreRaw(v108, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
+		}
+		for {
+			v109 := f.LocalAt(0)
+			m.GenChargeAccess()
+			v110 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v109.Data[0:])))}
+			var v111 interp.Value
+			if v110.T == types.IntType {
+				if v110.I < 8 {
+					v111 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v111 = interp.Value{T: types.IntType, I: 0}
+				}
+			} else {
+				v111 = m.GenBinaryOp(token.Lt, v110, (interp.Value{T: types.IntType, I: 8}), types.IntType, corpus_matrixmultiply_pos[15])
+			}
+			if !v111.Truthy() {
+				break
+			}
+			m.GenStep()
+			{
+				m.GenStep()
+				v112 := f.LocalAt(3)
+				m.GenChargeAccess()
+				v113 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v112.Data[0:])))}
+				v114 := m.GenGlobal(2)
+				v115 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t2), Ptr: core.Pointer{Addr: v114.Base, Prov: v114}}
+				v116 := f.LocalAt(0)
+				m.GenChargeAccess()
+				v117 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v116.Data[0:])))}
+				v118 := core.Pointer{Addr: v115.Ptr.Addr + uint64(v117.I)*32, Prov: v115.Ptr.Prov}
+				v119 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v118}
+				v120 := f.LocalAt(0)
+				m.GenChargeAccess()
+				v121 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v120.Data[0:])))}
+				v122 := core.Pointer{Addr: v119.Ptr.Addr + uint64(v121.I)*4, Prov: v119.Ptr.Prov}
+				v123 := m.GenLoadValue(v122, types.IntType, corpus_matrixmultiply_pos[16], -1, 11)
+				var v124 interp.Value
+				if v113.T == types.IntType && v123.T == types.IntType {
+					v124 = interp.Value{T: types.IntType, I: int64(int32(v113.I + v123.I))}
+				} else {
+					v124 = m.GenBinaryOp(token.Plus, v113, v123, types.IntType, corpus_matrixmultiply_pos[17])
+				}
+				var v125 interp.Value
+				if v124.T == types.IntType {
+					v125 = v124
+				} else if v124.T != nil && v124.T.IsInteger() {
+					v125 = interp.Value{T: types.IntType, I: int64(int32(v124.I))}
+				} else {
+					v125 = m.GenConvert(v124, types.IntType, corpus_matrixmultiply_pos[17])
+				}
+				m.GenStoreRaw(v112, 0, types.IntType, v125)
+				_ = v125
+			}
+			v126 := f.LocalAt(0)
 			m.GenChargeAccess()
 			v127 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v126.Data[0:])))}
 			v128 := interp.Value{T: v127.T, I: int64(int32(v127.I + 1))}
@@ -497,84 +509,10 @@ func corpus_matrixmultiply_b_main(m *interp.Machine, f *mem.Frame) (ret interp.V
 	}
 	{
 		m.GenStep()
-		{
-			m.GenStep()
-			v129 := interp.Value{T: types.IntType, I: 0}
-			v130 := f.LocalAt(4)
-			var v131 interp.Value
-			if v129.T == types.IntType {
-				v131 = v129
-			} else {
-				v131 = m.GenConvert(v129, types.IntType, corpus_matrixmultiply_pos[22])
-			}
-			m.GenStoreRaw(v130, 0, types.IntType, v131)
-			_ = v131
-		}
-		for {
-			v132 := f.LocalAt(4)
-			m.GenChargeAccess()
-			v133 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v132.Data[0:])))}
-			v134 := interp.Value{T: types.IntType, I: 8}
-			var v135 interp.Value
-			if v133.T == types.IntType && v134.T == types.IntType {
-				if v133.I < v134.I {
-					v135 = interp.Value{T: types.IntType, I: 1}
-				} else {
-					v135 = interp.Value{T: types.IntType, I: 0}
-				}
-			} else {
-				v135 = m.GenBinaryOp(token.Lt, v133, v134, types.IntType, corpus_matrixmultiply_pos[23])
-			}
-			if !v135.Truthy() {
-				break
-			}
-			m.GenStep()
-			{
-				m.GenStep()
-				v136 := f.LocalAt(1)
-				m.GenChargeAccess()
-				v137 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v136.Data[0:])))}
-				v138 := m.GenGlobal(2)
-				v139 := interp.Value{T: types.PointerTo(corpus_matrixmultiply_t2), Ptr: core.Pointer{Addr: v138.Base, Prov: v138}}
-				v140 := f.LocalAt(4)
-				m.GenChargeAccess()
-				v141 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v140.Data[0:])))}
-				v142 := core.Pointer{Addr: v139.Ptr.Addr + uint64(v141.I)*32, Prov: v139.Ptr.Prov}
-				v143 := interp.Value{T: types.PointerTo(types.IntType), Ptr: v142}
-				v144 := f.LocalAt(4)
-				m.GenChargeAccess()
-				v145 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v144.Data[0:])))}
-				v146 := core.Pointer{Addr: v143.Ptr.Addr + uint64(v145.I)*4, Prov: v143.Ptr.Prov}
-				v147 := m.GenLoadValue(v146, types.IntType, corpus_matrixmultiply_pos[24], -1, 11)
-				var v148 interp.Value
-				if v137.T == types.IntType && v147.T == types.IntType {
-					v148 = interp.Value{T: types.IntType, I: int64(int32(v137.I + v147.I))}
-				} else {
-					v148 = m.GenBinaryOp(token.Plus, v137, v147, types.IntType, corpus_matrixmultiply_pos[25])
-				}
-				var v149 interp.Value
-				if v148.T == types.IntType {
-					v149 = v148
-				} else {
-					v149 = m.GenConvert(v148, types.IntType, corpus_matrixmultiply_pos[25])
-				}
-				m.GenStoreRaw(v136, 0, types.IntType, v149)
-				_ = v149
-			}
-			v150 := f.LocalAt(4)
-			m.GenChargeAccess()
-			v151 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v150.Data[0:])))}
-			v152 := interp.Value{T: v151.T, I: int64(int32(v151.I + 1))}
-			m.GenStoreRaw(v150, 0, types.IntType, v152)
-			_ = v151
-		}
-	}
-	{
-		m.GenStep()
-		v153 := f.LocalAt(1)
+		v129 := f.LocalAt(3)
 		m.GenChargeAccess()
-		v154 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v153.Data[0:])))}
-		ret = v154
+		v130 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v129.Data[0:])))}
+		ret = v130
 		if interp.GenLive {
 			return
 		}

@@ -34,8 +34,6 @@ var corpus_quicksort_pos = []token.Pos{
 	{File: "t.c", Line: 13, Col: 34},
 	{File: "t.c", Line: 17, Col: 11},
 	{File: "t.c", Line: 18, Col: 11},
-	{File: "t.c", Line: 23, Col: 2},
-	{File: "t.c", Line: 25, Col: 9},
 	{File: "t.c", Line: 25, Col: 16},
 	{File: "t.c", Line: 26, Col: 15},
 	{File: "t.c", Line: 26, Col: 29},
@@ -44,7 +42,6 @@ var corpus_quicksort_pos = []token.Pos{
 	{File: "t.c", Line: 27, Col: 13},
 	{File: "t.c", Line: 27, Col: 11},
 	{File: "t.c", Line: 29, Col: 11},
-	{File: "t.c", Line: 30, Col: 9},
 	{File: "t.c", Line: 30, Col: 16},
 	{File: "t.c", Line: 31, Col: 14},
 	{File: "t.c", Line: 31, Col: 11},
@@ -90,12 +87,33 @@ func corpus_quicksort_f_quicksort(m *interp.Machine, args []interp.Value, pos to
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quicksort", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:quicksort", 32, corpus_quicksort_locals_quicksort)
-	v0 := m.GenConvert(args[0], corpus_quicksort_t0, pos)
-	m.GenStoreRaw(f.LocalAt(6), 0, corpus_quicksort_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(5), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(4), 0, types.IntType, v2)
+	var v0 interp.Value
+	if args[0].T == corpus_quicksort_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_quicksort_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_quicksort_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_quicksort_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, corpus_quicksort_b_quicksort)
 	m.GenPopFrame(f)
 	_ = ret
@@ -108,19 +126,19 @@ func corpus_quicksort_b_quicksort(m *interp.Machine, f *mem.Frame) (ret interp.V
 		m.GenStep()
 		v3 := f.LocalAt(3)
 		_ = v3
-		v4 := f.LocalAt(2)
+		v4 := f.LocalAt(4)
 		_ = v4
-		v5 := f.LocalAt(1)
+		v5 := f.LocalAt(5)
 		_ = v5
-		v6 := f.LocalAt(0)
+		v6 := f.LocalAt(6)
 		_ = v6
 	}
 	{
 		m.GenStep()
-		v7 := f.LocalAt(5)
+		v7 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := f.LocalAt(4)
+		v9 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
 		var v11 interp.Value
@@ -145,12 +163,12 @@ func corpus_quicksort_b_quicksort(m *interp.Machine, f *mem.Frame) (ret interp.V
 	}
 	{
 		m.GenStep()
-		v12 := f.LocalAt(6)
+		v12 := f.LocalAt(0)
 		v13 := m.GenLoadRaw(v12, 0, corpus_quicksort_t0, 0)
-		v14 := f.LocalAt(5)
+		v14 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-		v16 := f.LocalAt(4)
+		v16 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
 		var v18 interp.Value
@@ -159,71 +177,76 @@ func corpus_quicksort_b_quicksort(m *interp.Machine, f *mem.Frame) (ret interp.V
 		} else {
 			v18 = m.GenBinaryOp(token.Plus, v15, v17, types.IntType, corpus_quicksort_pos[1])
 		}
-		v19 := interp.Value{T: types.IntType, I: 2}
-		var v20 interp.Value
-		v20 = m.GenBinaryOp(token.Slash, v18, v19, types.IntType, corpus_quicksort_pos[2])
-		v21 := core.Pointer{Addr: v13.Ptr.Addr + uint64(v20.I)*4, Prov: v13.Ptr.Prov}
-		v22 := m.GenLoadValue(v21, types.IntType, corpus_quicksort_pos[3], -1, 0)
-		v23 := f.LocalAt(3)
-		var v24 interp.Value
-		if v22.T == types.IntType {
-			v24 = v22
+		var v19 interp.Value
+		v19 = m.GenBinaryOp(token.Slash, v18, (interp.Value{T: types.IntType, I: 2}), types.IntType, corpus_quicksort_pos[2])
+		v20 := core.Pointer{Addr: v13.Ptr.Addr + uint64(v19.I)*4, Prov: v13.Ptr.Prov}
+		v21 := m.GenLoadValue(v20, types.IntType, corpus_quicksort_pos[3], -1, 0)
+		v22 := f.LocalAt(3)
+		var v23 interp.Value
+		if v21.T == types.IntType {
+			v23 = v21
+		} else if v21.T != nil && v21.T.IsInteger() {
+			v23 = interp.Value{T: types.IntType, I: int64(int32(v21.I))}
 		} else {
-			v24 = m.GenConvert(v22, types.IntType, corpus_quicksort_pos[4])
+			v23 = m.GenConvert(v21, types.IntType, corpus_quicksort_pos[4])
 		}
-		m.GenStoreRaw(v23, 0, types.IntType, v24)
-		_ = v24
+		m.GenStoreRaw(v22, 0, types.IntType, v23)
+		_ = v23
 	}
 	{
 		m.GenStep()
-		v25 := f.LocalAt(5)
+		v24 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-		v27 := f.LocalAt(2)
-		var v28 interp.Value
-		if v26.T == types.IntType {
-			v28 = v26
+		v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
+		v26 := f.LocalAt(4)
+		var v27 interp.Value
+		if v25.T == types.IntType {
+			v27 = v25
+		} else if v25.T != nil && v25.T.IsInteger() {
+			v27 = interp.Value{T: types.IntType, I: int64(int32(v25.I))}
 		} else {
-			v28 = m.GenConvert(v26, types.IntType, corpus_quicksort_pos[5])
+			v27 = m.GenConvert(v25, types.IntType, corpus_quicksort_pos[5])
 		}
-		m.GenStoreRaw(v27, 0, types.IntType, v28)
-		_ = v28
+		m.GenStoreRaw(v26, 0, types.IntType, v27)
+		_ = v27
 	}
 	{
 		m.GenStep()
-		v29 := f.LocalAt(4)
+		v28 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
-		v31 := f.LocalAt(1)
-		var v32 interp.Value
-		if v30.T == types.IntType {
-			v32 = v30
+		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
+		v30 := f.LocalAt(5)
+		var v31 interp.Value
+		if v29.T == types.IntType {
+			v31 = v29
+		} else if v29.T != nil && v29.T.IsInteger() {
+			v31 = interp.Value{T: types.IntType, I: int64(int32(v29.I))}
 		} else {
-			v32 = m.GenConvert(v30, types.IntType, corpus_quicksort_pos[6])
+			v31 = m.GenConvert(v29, types.IntType, corpus_quicksort_pos[6])
 		}
-		m.GenStoreRaw(v31, 0, types.IntType, v32)
-		_ = v32
+		m.GenStoreRaw(v30, 0, types.IntType, v31)
+		_ = v31
 	}
 	{
 		m.GenStep()
 		for {
-			v33 := f.LocalAt(2)
+			v32 := f.LocalAt(4)
 			m.GenChargeAccess()
-			v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[0:])))}
-			v35 := f.LocalAt(1)
+			v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
+			v34 := f.LocalAt(5)
 			m.GenChargeAccess()
-			v36 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v35.Data[0:])))}
-			var v37 interp.Value
-			if v34.T == types.IntType && v36.T == types.IntType {
-				if v34.I <= v36.I {
-					v37 = interp.Value{T: types.IntType, I: 1}
+			v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+			var v36 interp.Value
+			if v33.T == types.IntType && v35.T == types.IntType {
+				if v33.I <= v35.I {
+					v36 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v37 = interp.Value{T: types.IntType, I: 0}
+					v36 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v37 = m.GenBinaryOp(token.Le, v34, v36, types.IntType, corpus_quicksort_pos[7])
+				v36 = m.GenBinaryOp(token.Le, v33, v35, types.IntType, corpus_quicksort_pos[7])
 			}
-			if !v37.Truthy() {
+			if !v36.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -232,180 +255,186 @@ func corpus_quicksort_b_quicksort(m *interp.Machine, f *mem.Frame) (ret interp.V
 				{
 					m.GenStep()
 					for {
-						v38 := f.LocalAt(6)
-						v39 := m.GenLoadRaw(v38, 0, corpus_quicksort_t0, 1)
-						v40 := f.LocalAt(2)
+						v37 := f.LocalAt(0)
+						v38 := m.GenLoadRaw(v37, 0, corpus_quicksort_t0, 1)
+						v39 := f.LocalAt(4)
 						m.GenChargeAccess()
-						v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-						v42 := core.Pointer{Addr: v39.Ptr.Addr + uint64(v41.I)*4, Prov: v39.Ptr.Prov}
-						v43 := m.GenLoadValue(v42, types.IntType, corpus_quicksort_pos[8], -1, 1)
-						v44 := f.LocalAt(3)
+						v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+						v41 := core.Pointer{Addr: v38.Ptr.Addr + uint64(v40.I)*4, Prov: v38.Ptr.Prov}
+						v42 := m.GenLoadValue(v41, types.IntType, corpus_quicksort_pos[8], -1, 1)
+						v43 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
-						var v46 interp.Value
-						if v43.T == types.IntType && v45.T == types.IntType {
-							if v43.I < v45.I {
-								v46 = interp.Value{T: types.IntType, I: 1}
+						v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+						var v45 interp.Value
+						if v42.T == types.IntType && v44.T == types.IntType {
+							if v42.I < v44.I {
+								v45 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v46 = interp.Value{T: types.IntType, I: 0}
+								v45 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v46 = m.GenBinaryOp(token.Lt, v43, v45, types.IntType, corpus_quicksort_pos[9])
+							v45 = m.GenBinaryOp(token.Lt, v42, v44, types.IntType, corpus_quicksort_pos[9])
 						}
-						if !v46.Truthy() {
+						if !v45.Truthy() {
 							break
 						}
 						m.GenStep()
 						{
 							m.GenStep()
-							v47 := f.LocalAt(2)
+							v46 := f.LocalAt(4)
 							m.GenChargeAccess()
-							v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
-							v49 := interp.Value{T: v48.T, I: int64(int32(v48.I + 1))}
-							m.GenStoreRaw(v47, 0, types.IntType, v49)
-							_ = v48
+							v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
+							v48 := interp.Value{T: v47.T, I: int64(int32(v47.I + 1))}
+							m.GenStoreRaw(v46, 0, types.IntType, v48)
+							_ = v47
 						}
 					}
 				}
 				{
 					m.GenStep()
 					for {
-						v50 := f.LocalAt(6)
-						v51 := m.GenLoadRaw(v50, 0, corpus_quicksort_t0, 2)
-						v52 := f.LocalAt(1)
+						v49 := f.LocalAt(0)
+						v50 := m.GenLoadRaw(v49, 0, corpus_quicksort_t0, 2)
+						v51 := f.LocalAt(5)
 						m.GenChargeAccess()
-						v53 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v52.Data[0:])))}
-						v54 := core.Pointer{Addr: v51.Ptr.Addr + uint64(v53.I)*4, Prov: v51.Ptr.Prov}
-						v55 := m.GenLoadValue(v54, types.IntType, corpus_quicksort_pos[10], -1, 2)
-						v56 := f.LocalAt(3)
+						v52 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v51.Data[0:])))}
+						v53 := core.Pointer{Addr: v50.Ptr.Addr + uint64(v52.I)*4, Prov: v50.Ptr.Prov}
+						v54 := m.GenLoadValue(v53, types.IntType, corpus_quicksort_pos[10], -1, 2)
+						v55 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
-						var v58 interp.Value
-						if v55.T == types.IntType && v57.T == types.IntType {
-							if v55.I > v57.I {
-								v58 = interp.Value{T: types.IntType, I: 1}
+						v56 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v55.Data[0:])))}
+						var v57 interp.Value
+						if v54.T == types.IntType && v56.T == types.IntType {
+							if v54.I > v56.I {
+								v57 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v58 = interp.Value{T: types.IntType, I: 0}
+								v57 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v58 = m.GenBinaryOp(token.Gt, v55, v57, types.IntType, corpus_quicksort_pos[11])
+							v57 = m.GenBinaryOp(token.Gt, v54, v56, types.IntType, corpus_quicksort_pos[11])
 						}
-						if !v58.Truthy() {
+						if !v57.Truthy() {
 							break
 						}
 						m.GenStep()
 						{
 							m.GenStep()
-							v59 := f.LocalAt(1)
+							v58 := f.LocalAt(5)
 							m.GenChargeAccess()
-							v60 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v59.Data[0:])))}
-							v61 := interp.Value{T: v60.T, I: int64(int32(v60.I - 1))}
-							m.GenStoreRaw(v59, 0, types.IntType, v61)
-							_ = v60
+							v59 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v58.Data[0:])))}
+							v60 := interp.Value{T: v59.T, I: int64(int32(v59.I - 1))}
+							m.GenStoreRaw(v58, 0, types.IntType, v60)
+							_ = v59
 						}
 					}
 				}
 				{
 					m.GenStep()
-					v62 := f.LocalAt(2)
+					v61 := f.LocalAt(4)
 					m.GenChargeAccess()
-					v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
-					v64 := f.LocalAt(1)
+					v62 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v61.Data[0:])))}
+					v63 := f.LocalAt(5)
 					m.GenChargeAccess()
-					v65 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v64.Data[0:])))}
-					var v66 interp.Value
-					if v63.T == types.IntType && v65.T == types.IntType {
-						if v63.I <= v65.I {
-							v66 = interp.Value{T: types.IntType, I: 1}
+					v64 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v63.Data[0:])))}
+					var v65 interp.Value
+					if v62.T == types.IntType && v64.T == types.IntType {
+						if v62.I <= v64.I {
+							v65 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v66 = interp.Value{T: types.IntType, I: 0}
+							v65 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v66 = m.GenBinaryOp(token.Le, v63, v65, types.IntType, corpus_quicksort_pos[12])
+						v65 = m.GenBinaryOp(token.Le, v62, v64, types.IntType, corpus_quicksort_pos[12])
 					}
-					if v66.Truthy() {
+					if v65.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v67 := f.LocalAt(6)
-								v68 := m.GenLoadRaw(v67, 0, corpus_quicksort_t0, 3)
-								v69 := f.LocalAt(2)
+								v66 := f.LocalAt(0)
+								v67 := m.GenLoadRaw(v66, 0, corpus_quicksort_t0, 3)
+								v68 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v70 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v69.Data[0:])))}
-								v71 := core.Pointer{Addr: v68.Ptr.Addr + uint64(v70.I)*4, Prov: v68.Ptr.Prov}
-								v72 := m.GenLoadValue(v71, types.IntType, corpus_quicksort_pos[13], -1, 3)
-								v73 := f.LocalAt(0)
-								var v74 interp.Value
-								if v72.T == types.IntType {
-									v74 = v72
+								v69 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v68.Data[0:])))}
+								v70 := core.Pointer{Addr: v67.Ptr.Addr + uint64(v69.I)*4, Prov: v67.Ptr.Prov}
+								v71 := m.GenLoadValue(v70, types.IntType, corpus_quicksort_pos[13], -1, 3)
+								v72 := f.LocalAt(6)
+								var v73 interp.Value
+								if v71.T == types.IntType {
+									v73 = v71
+								} else if v71.T != nil && v71.T.IsInteger() {
+									v73 = interp.Value{T: types.IntType, I: int64(int32(v71.I))}
 								} else {
-									v74 = m.GenConvert(v72, types.IntType, corpus_quicksort_pos[14])
+									v73 = m.GenConvert(v71, types.IntType, corpus_quicksort_pos[14])
 								}
-								m.GenStoreRaw(v73, 0, types.IntType, v74)
-								_ = v74
+								m.GenStoreRaw(v72, 0, types.IntType, v73)
+								_ = v73
 							}
 							{
 								m.GenStep()
-								v75 := f.LocalAt(6)
-								v76 := m.GenLoadRaw(v75, 0, corpus_quicksort_t0, 4)
-								v77 := f.LocalAt(1)
+								v74 := f.LocalAt(0)
+								v75 := m.GenLoadRaw(v74, 0, corpus_quicksort_t0, 4)
+								v76 := f.LocalAt(5)
 								m.GenChargeAccess()
-								v78 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v77.Data[0:])))}
-								v79 := core.Pointer{Addr: v76.Ptr.Addr + uint64(v78.I)*4, Prov: v76.Ptr.Prov}
-								v80 := m.GenLoadValue(v79, types.IntType, corpus_quicksort_pos[15], -1, 5)
-								v81 := f.LocalAt(6)
-								v82 := m.GenLoadRaw(v81, 0, corpus_quicksort_t0, 5)
-								v83 := f.LocalAt(2)
+								v77 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v76.Data[0:])))}
+								v78 := core.Pointer{Addr: v75.Ptr.Addr + uint64(v77.I)*4, Prov: v75.Ptr.Prov}
+								v79 := m.GenLoadValue(v78, types.IntType, corpus_quicksort_pos[15], -1, 5)
+								v80 := f.LocalAt(0)
+								v81 := m.GenLoadRaw(v80, 0, corpus_quicksort_t0, 5)
+								v82 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v84 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v83.Data[0:])))}
-								v85 := core.Pointer{Addr: v82.Ptr.Addr + uint64(v84.I)*4, Prov: v82.Ptr.Prov}
-								var v86 interp.Value
-								if v80.T == types.IntType {
-									v86 = v80
+								v83 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v82.Data[0:])))}
+								v84 := core.Pointer{Addr: v81.Ptr.Addr + uint64(v83.I)*4, Prov: v81.Ptr.Prov}
+								var v85 interp.Value
+								if v79.T == types.IntType {
+									v85 = v79
+								} else if v79.T != nil && v79.T.IsInteger() {
+									v85 = interp.Value{T: types.IntType, I: int64(int32(v79.I))}
 								} else {
-									v86 = m.GenConvert(v80, types.IntType, corpus_quicksort_pos[16])
+									v85 = m.GenConvert(v79, types.IntType, corpus_quicksort_pos[16])
 								}
-								m.GenStoreValue(v85, types.IntType, v86, corpus_quicksort_pos[16])
-								_ = v86
+								m.GenStoreValue(v84, types.IntType, v85, corpus_quicksort_pos[16])
+								_ = v85
 							}
 							{
 								m.GenStep()
-								v87 := f.LocalAt(0)
+								v86 := f.LocalAt(6)
 								m.GenChargeAccess()
-								v88 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v87.Data[0:])))}
-								v89 := f.LocalAt(6)
-								v90 := m.GenLoadRaw(v89, 0, corpus_quicksort_t0, 6)
-								v91 := f.LocalAt(1)
+								v87 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v86.Data[0:])))}
+								v88 := f.LocalAt(0)
+								v89 := m.GenLoadRaw(v88, 0, corpus_quicksort_t0, 6)
+								v90 := f.LocalAt(5)
 								m.GenChargeAccess()
-								v92 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v91.Data[0:])))}
-								v93 := core.Pointer{Addr: v90.Ptr.Addr + uint64(v92.I)*4, Prov: v90.Ptr.Prov}
-								var v94 interp.Value
-								if v88.T == types.IntType {
-									v94 = v88
+								v91 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v90.Data[0:])))}
+								v92 := core.Pointer{Addr: v89.Ptr.Addr + uint64(v91.I)*4, Prov: v89.Ptr.Prov}
+								var v93 interp.Value
+								if v87.T == types.IntType {
+									v93 = v87
+								} else if v87.T != nil && v87.T.IsInteger() {
+									v93 = interp.Value{T: types.IntType, I: int64(int32(v87.I))}
 								} else {
-									v94 = m.GenConvert(v88, types.IntType, corpus_quicksort_pos[17])
+									v93 = m.GenConvert(v87, types.IntType, corpus_quicksort_pos[17])
 								}
-								m.GenStoreValue(v93, types.IntType, v94, corpus_quicksort_pos[17])
-								_ = v94
+								m.GenStoreValue(v92, types.IntType, v93, corpus_quicksort_pos[17])
+								_ = v93
 							}
 							{
 								m.GenStep()
-								v95 := f.LocalAt(2)
+								v94 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v96 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v95.Data[0:])))}
-								v97 := interp.Value{T: v96.T, I: int64(int32(v96.I + 1))}
-								m.GenStoreRaw(v95, 0, types.IntType, v97)
-								_ = v96
+								v95 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v94.Data[0:])))}
+								v96 := interp.Value{T: v95.T, I: int64(int32(v95.I + 1))}
+								m.GenStoreRaw(v94, 0, types.IntType, v96)
+								_ = v95
 							}
 							{
 								m.GenStep()
-								v98 := f.LocalAt(1)
+								v97 := f.LocalAt(5)
 								m.GenChargeAccess()
-								v99 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v98.Data[0:])))}
-								v100 := interp.Value{T: v99.T, I: int64(int32(v99.I - 1))}
-								m.GenStoreRaw(v98, 0, types.IntType, v100)
-								_ = v99
+								v98 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v97.Data[0:])))}
+								v99 := interp.Value{T: v98.T, I: int64(int32(v98.I - 1))}
+								m.GenStoreRaw(v97, 0, types.IntType, v99)
+								_ = v98
 							}
 						}
 					}
@@ -416,40 +445,40 @@ func corpus_quicksort_b_quicksort(m *interp.Machine, f *mem.Frame) (ret interp.V
 	{
 		m.GenStep()
 		m.GenStep()
-		v101 := m.GenArgs(3)
-		v102 := f.LocalAt(6)
-		v103 := m.GenLoadRaw(v102, 0, corpus_quicksort_t0, 7)
-		v101[0] = v103
-		v104 := f.LocalAt(5)
+		v100 := m.GenArgs(3)
+		v101 := f.LocalAt(0)
+		v102 := m.GenLoadRaw(v101, 0, corpus_quicksort_t0, 7)
+		v100[0] = v102
+		v103 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v105 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v104.Data[0:])))}
-		v101[1] = v105
-		v106 := f.LocalAt(1)
+		v104 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v103.Data[0:])))}
+		v100[1] = v104
+		v105 := f.LocalAt(5)
 		m.GenChargeAccess()
-		v107 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v106.Data[0:])))}
-		v101[2] = v107
-		v108 := corpus_quicksort_f_quicksort(m, v101, corpus_quicksort_pos[18])
-		m.GenPutArgs(v101)
-		_ = v108
+		v106 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v105.Data[0:])))}
+		v100[2] = v106
+		v107 := corpus_quicksort_f_quicksort(m, v100, corpus_quicksort_pos[18])
+		m.GenPutArgs(v100)
+		_ = v107
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v109 := m.GenArgs(3)
-		v110 := f.LocalAt(6)
-		v111 := m.GenLoadRaw(v110, 0, corpus_quicksort_t0, 8)
-		v109[0] = v111
-		v112 := f.LocalAt(2)
+		v108 := m.GenArgs(3)
+		v109 := f.LocalAt(0)
+		v110 := m.GenLoadRaw(v109, 0, corpus_quicksort_t0, 8)
+		v108[0] = v110
+		v111 := f.LocalAt(4)
 		m.GenChargeAccess()
-		v113 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v112.Data[0:])))}
-		v109[1] = v113
-		v114 := f.LocalAt(4)
+		v112 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v111.Data[0:])))}
+		v108[1] = v112
+		v113 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v115 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v114.Data[0:])))}
-		v109[2] = v115
-		v116 := corpus_quicksort_f_quicksort(m, v109, corpus_quicksort_pos[19])
-		m.GenPutArgs(v109)
-		_ = v116
+		v114 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v113.Data[0:])))}
+		v108[2] = v114
+		v115 := corpus_quicksort_f_quicksort(m, v108, corpus_quicksort_pos[19])
+		m.GenPutArgs(v108)
+		_ = v115
 	}
 	return
 }
@@ -465,64 +494,57 @@ func corpus_quicksort_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_quicksort_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(2)
+		v0 := f.LocalAt(0)
 		_ = v0
 	}
 	{
 		m.GenStep()
 		v1 := f.LocalAt(1)
-		v2 := interp.Value{T: types.IntType, I: 12345}
-		var v3 interp.Value
-		if v2.T == types.UIntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.UIntType, corpus_quicksort_pos[20])
-		}
-		m.GenStoreRaw(v1, 0, types.UIntType, v3)
+		m.GenStoreRaw(v1, 0, types.UIntType, (interp.Value{T: types.UIntType, I: 12345}))
 	}
 	{
 		m.GenStep()
-		v4 := f.LocalAt(0)
-		_ = v4
+		v2 := f.LocalAt(2)
+		_ = v2
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v5 := interp.Value{T: types.IntType, I: 0}
-			v6 := f.LocalAt(0)
-			var v7 interp.Value
-			if v5.T == types.IntType {
-				v7 = v5
-			} else {
-				v7 = m.GenConvert(v5, types.IntType, corpus_quicksort_pos[21])
-			}
-			m.GenStoreRaw(v6, 0, types.IntType, v7)
-			_ = v7
+			v3 := f.LocalAt(2)
+			m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v8 := f.LocalAt(0)
+			v4 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-			v10 := interp.Value{T: types.IntType, I: 64}
-			var v11 interp.Value
-			if v9.T == types.IntType && v10.T == types.IntType {
-				if v9.I < v10.I {
-					v11 = interp.Value{T: types.IntType, I: 1}
+			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+			var v6 interp.Value
+			if v5.T == types.IntType {
+				if v5.I < 64 {
+					v6 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v11 = interp.Value{T: types.IntType, I: 0}
+					v6 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v11 = m.GenBinaryOp(token.Lt, v9, v10, types.IntType, corpus_quicksort_pos[22])
+				v6 = m.GenBinaryOp(token.Lt, v5, (interp.Value{T: types.IntType, I: 64}), types.IntType, corpus_quicksort_pos[20])
 			}
-			if !v11.Truthy() {
+			if !v6.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -530,176 +552,166 @@ func corpus_quicksort_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 				m.GenStep()
 				{
 					m.GenStep()
-					v12 := f.LocalAt(1)
+					v7 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v13 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v12.Data[0:]))}
-					v14 := interp.Value{T: types.UIntType, I: 1103515245}
-					var v15 interp.Value
-					if v13.T == types.UIntType && v14.T == types.UIntType {
-						v15 = interp.Value{T: types.UIntType, I: int64(uint32(v13.I * v14.I))}
+					v8 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v7.Data[0:]))}
+					var v9 interp.Value
+					if v8.T == types.UIntType {
+						v9 = interp.Value{T: types.UIntType, I: int64(uint32(v8.I * 1103515245))}
 					} else {
-						v15 = m.GenBinaryOp(token.Star, v13, v14, types.UIntType, corpus_quicksort_pos[23])
+						v9 = m.GenBinaryOp(token.Star, v8, (interp.Value{T: types.UIntType, I: 1103515245}), types.UIntType, corpus_quicksort_pos[21])
 					}
-					v16 := interp.Value{T: types.UIntType, I: 12345}
-					var v17 interp.Value
-					if v15.T == types.UIntType && v16.T == types.UIntType {
-						v17 = interp.Value{T: types.UIntType, I: int64(uint32(v15.I + v16.I))}
+					var v10 interp.Value
+					if v9.T == types.UIntType {
+						v10 = interp.Value{T: types.UIntType, I: int64(uint32(v9.I + 12345))}
 					} else {
-						v17 = m.GenBinaryOp(token.Plus, v15, v16, types.UIntType, corpus_quicksort_pos[24])
+						v10 = m.GenBinaryOp(token.Plus, v9, (interp.Value{T: types.UIntType, I: 12345}), types.UIntType, corpus_quicksort_pos[22])
 					}
-					v18 := f.LocalAt(1)
-					var v19 interp.Value
-					if v17.T == types.UIntType {
-						v19 = v17
+					v11 := f.LocalAt(1)
+					var v12 interp.Value
+					if v10.T == types.UIntType {
+						v12 = v10
+					} else if v10.T != nil && v10.T.IsInteger() {
+						v12 = interp.Value{T: types.UIntType, I: int64(uint32(v10.I))}
 					} else {
-						v19 = m.GenConvert(v17, types.UIntType, corpus_quicksort_pos[25])
+						v12 = m.GenConvert(v10, types.UIntType, corpus_quicksort_pos[23])
 					}
-					m.GenStoreRaw(v18, 0, types.UIntType, v19)
-					_ = v19
+					m.GenStoreRaw(v11, 0, types.UIntType, v12)
+					_ = v12
 				}
 				{
 					m.GenStep()
-					v20 := f.LocalAt(1)
+					v13 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v21 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v20.Data[0:]))}
-					v22 := interp.Value{T: types.IntType, I: 1000}
-					var v23 interp.Value
-					v23 = m.GenBinaryOp(token.Percent, v21, v22, types.UIntType, corpus_quicksort_pos[26])
-					var v24 interp.Value
-					if v23.T == types.IntType {
-						v24 = v23
+					v14 := interp.Value{T: types.UIntType, I: int64(binary.LittleEndian.Uint32(v13.Data[0:]))}
+					var v15 interp.Value
+					v15 = m.GenBinaryOp(token.Percent, v14, (interp.Value{T: types.IntType, I: 1000}), types.UIntType, corpus_quicksort_pos[24])
+					var v16 interp.Value
+					if v15.T == types.IntType {
+						v16 = v15
+					} else if v15.T != nil && v15.T.IsInteger() {
+						v16 = interp.Value{T: types.IntType, I: int64(int32(v15.I))}
 					} else {
-						v24 = m.GenConvert(v23, types.IntType, corpus_quicksort_pos[27])
+						v16 = m.GenConvert(v15, types.IntType, corpus_quicksort_pos[25])
 					}
-					v25 := f.LocalAt(2)
-					v26 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v25.Base, Prov: v25}}
-					v27 := f.LocalAt(0)
+					v17 := f.LocalAt(0)
+					v18 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v17.Base, Prov: v17}}
+					v19 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
-					v29 := core.Pointer{Addr: v26.Ptr.Addr + uint64(v28.I)*4, Prov: v26.Ptr.Prov}
-					var v30 interp.Value
-					if v24.T == types.IntType {
-						v30 = v24
+					v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
+					v21 := core.Pointer{Addr: v18.Ptr.Addr + uint64(v20.I)*4, Prov: v18.Ptr.Prov}
+					var v22 interp.Value
+					if v16.T == types.IntType {
+						v22 = v16
+					} else if v16.T != nil && v16.T.IsInteger() {
+						v22 = interp.Value{T: types.IntType, I: int64(int32(v16.I))}
 					} else {
-						v30 = m.GenConvert(v24, types.IntType, corpus_quicksort_pos[28])
+						v22 = m.GenConvert(v16, types.IntType, corpus_quicksort_pos[26])
 					}
-					m.GenStoreValue(v29, types.IntType, v30, corpus_quicksort_pos[28])
-					_ = v30
+					m.GenStoreValue(v21, types.IntType, v22, corpus_quicksort_pos[26])
+					_ = v22
 				}
 			}
-			v31 := f.LocalAt(0)
+			v23 := f.LocalAt(2)
+			m.GenChargeAccess()
+			v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+			v25 := interp.Value{T: v24.T, I: int64(int32(v24.I + 1))}
+			m.GenStoreRaw(v23, 0, types.IntType, v25)
+			_ = v24
+		}
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v26 := m.GenArgs(3)
+		v27 := f.LocalAt(0)
+		v28 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v27.Base, Prov: v27}}
+		v26[0] = v28
+		v26[1] = (interp.Value{T: types.IntType, I: 0})
+		v26[2] = (interp.Value{T: types.IntType, I: 63})
+		v29 := corpus_quicksort_f_quicksort(m, v26, corpus_quicksort_pos[27])
+		m.GenPutArgs(v26)
+		_ = v29
+	}
+	{
+		m.GenStep()
+		{
+			m.GenStep()
+			v30 := f.LocalAt(2)
+			m.GenStoreRaw(v30, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+			_ = (interp.Value{T: types.IntType, I: 1})
+		}
+		for {
+			v31 := f.LocalAt(2)
 			m.GenChargeAccess()
 			v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-			v33 := interp.Value{T: v32.T, I: int64(int32(v32.I + 1))}
-			m.GenStoreRaw(v31, 0, types.IntType, v33)
-			_ = v32
-		}
-	}
-	{
-		m.GenStep()
-		m.GenStep()
-		v34 := m.GenArgs(3)
-		v35 := f.LocalAt(2)
-		v36 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v35.Base, Prov: v35}}
-		v34[0] = v36
-		v37 := interp.Value{T: types.IntType, I: 0}
-		v34[1] = v37
-		v38 := interp.Value{T: types.IntType, I: 63}
-		v34[2] = v38
-		v39 := corpus_quicksort_f_quicksort(m, v34, corpus_quicksort_pos[29])
-		m.GenPutArgs(v34)
-		_ = v39
-	}
-	{
-		m.GenStep()
-		{
-			m.GenStep()
-			v40 := interp.Value{T: types.IntType, I: 1}
-			v41 := f.LocalAt(0)
-			var v42 interp.Value
-			if v40.T == types.IntType {
-				v42 = v40
-			} else {
-				v42 = m.GenConvert(v40, types.IntType, corpus_quicksort_pos[30])
-			}
-			m.GenStoreRaw(v41, 0, types.IntType, v42)
-			_ = v42
-		}
-		for {
-			v43 := f.LocalAt(0)
-			m.GenChargeAccess()
-			v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
-			v45 := interp.Value{T: types.IntType, I: 64}
-			var v46 interp.Value
-			if v44.T == types.IntType && v45.T == types.IntType {
-				if v44.I < v45.I {
-					v46 = interp.Value{T: types.IntType, I: 1}
+			var v33 interp.Value
+			if v32.T == types.IntType {
+				if v32.I < 64 {
+					v33 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v46 = interp.Value{T: types.IntType, I: 0}
+					v33 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v46 = m.GenBinaryOp(token.Lt, v44, v45, types.IntType, corpus_quicksort_pos[31])
+				v33 = m.GenBinaryOp(token.Lt, v32, (interp.Value{T: types.IntType, I: 64}), types.IntType, corpus_quicksort_pos[28])
 			}
-			if !v46.Truthy() {
+			if !v33.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v47 := f.LocalAt(2)
-				v48 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v47.Base, Prov: v47}}
-				v49 := f.LocalAt(0)
+				v34 := f.LocalAt(0)
+				v35 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v34.Base, Prov: v34}}
+				v36 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
-				v51 := interp.Value{T: types.IntType, I: 1}
-				var v52 interp.Value
-				if v50.T == types.IntType && v51.T == types.IntType {
-					v52 = interp.Value{T: types.IntType, I: int64(int32(v50.I - v51.I))}
+				v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
+				var v38 interp.Value
+				if v37.T == types.IntType {
+					v38 = interp.Value{T: types.IntType, I: int64(int32(v37.I - 1))}
 				} else {
-					v52 = m.GenBinaryOp(token.Minus, v50, v51, types.IntType, corpus_quicksort_pos[32])
+					v38 = m.GenBinaryOp(token.Minus, v37, (interp.Value{T: types.IntType, I: 1}), types.IntType, corpus_quicksort_pos[29])
 				}
-				v53 := core.Pointer{Addr: v48.Ptr.Addr + uint64(v52.I)*4, Prov: v48.Ptr.Prov}
-				v54 := m.GenLoadValue(v53, types.IntType, corpus_quicksort_pos[33], -1, 8)
-				v55 := f.LocalAt(2)
-				v56 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v55.Base, Prov: v55}}
-				v57 := f.LocalAt(0)
+				v39 := core.Pointer{Addr: v35.Ptr.Addr + uint64(v38.I)*4, Prov: v35.Ptr.Prov}
+				v40 := m.GenLoadValue(v39, types.IntType, corpus_quicksort_pos[30], -1, 8)
+				v41 := f.LocalAt(0)
+				v42 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v41.Base, Prov: v41}}
+				v43 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v58 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v57.Data[0:])))}
-				v59 := core.Pointer{Addr: v56.Ptr.Addr + uint64(v58.I)*4, Prov: v56.Ptr.Prov}
-				v60 := m.GenLoadValue(v59, types.IntType, corpus_quicksort_pos[34], -1, 9)
-				var v61 interp.Value
-				if v54.T == types.IntType && v60.T == types.IntType {
-					if v54.I > v60.I {
-						v61 = interp.Value{T: types.IntType, I: 1}
+				v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+				v45 := core.Pointer{Addr: v42.Ptr.Addr + uint64(v44.I)*4, Prov: v42.Ptr.Prov}
+				v46 := m.GenLoadValue(v45, types.IntType, corpus_quicksort_pos[31], -1, 9)
+				var v47 interp.Value
+				if v40.T == types.IntType && v46.T == types.IntType {
+					if v40.I > v46.I {
+						v47 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v61 = interp.Value{T: types.IntType, I: 0}
+						v47 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v61 = m.GenBinaryOp(token.Gt, v54, v60, types.IntType, corpus_quicksort_pos[35])
+					v47 = m.GenBinaryOp(token.Gt, v40, v46, types.IntType, corpus_quicksort_pos[32])
 				}
-				if v61.Truthy() {
+				if v47.Truthy() {
 					{
 						m.GenStep()
-						v62 := interp.Value{T: types.IntType, I: 0}
-						ret = v62
+						ret = (interp.Value{T: types.IntType, I: 0})
 						if interp.GenLive {
 							return
 						}
 					}
 				}
 			}
-			v63 := f.LocalAt(0)
+			v48 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v64 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v63.Data[0:])))}
-			v65 := interp.Value{T: v64.T, I: int64(int32(v64.I + 1))}
-			m.GenStoreRaw(v63, 0, types.IntType, v65)
-			_ = v64
+			v49 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v48.Data[0:])))}
+			v50 := interp.Value{T: v49.T, I: int64(int32(v49.I + 1))}
+			m.GenStoreRaw(v48, 0, types.IntType, v50)
+			_ = v49
 		}
 	}
 	{
 		m.GenStep()
-		v66 := interp.Value{T: types.IntType, I: 1}
-		ret = v66
+		ret = (interp.Value{T: types.IntType, I: 1})
 		if interp.GenLive {
 			return
 		}

@@ -14,9 +14,7 @@ import (
 )
 
 var corpus_sieve_pos = []token.Pos{
-	{File: "t.c", Line: 5, Col: 2},
 	{File: "t.c", Line: 6, Col: 8},
-	{File: "t.c", Line: 7, Col: 9},
 	{File: "t.c", Line: 7, Col: 16},
 	{File: "t.c", Line: 8, Col: 16},
 	{File: "t.c", Line: 11, Col: 14},
@@ -60,79 +58,72 @@ func corpus_sieve_f_main(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_sieve_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(2)
+		v0 := f.LocalAt(0)
 		_ = v0
 		v1 := f.LocalAt(1)
 		_ = v1
-		v2 := f.LocalAt(0)
-		v3 := interp.Value{T: types.IntType, I: 0}
-		var v4 interp.Value
-		if v3.T == types.IntType {
-			v4 = v3
-		} else {
-			v4 = m.GenConvert(v3, types.IntType, corpus_sieve_pos[0])
-		}
-		m.GenStoreRaw(v2, 0, types.IntType, v4)
+		v2 := f.LocalAt(2)
+		m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v5 := m.GenArgs(3)
-		v6 := m.GenGlobal(0)
-		v7 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v6.Base, Prov: v6}}
-		v5[0] = v7
-		v8 := interp.Value{T: types.IntType, I: 0}
-		v5[1] = v8
-		v9 := interp.Value{T: types.ULongType, I: 1000}
-		v5[2] = v9
-		v10 := m.GenBuiltin(0, "memset", corpus_sieve_pos[1])(m, corpus_sieve_pos[1], v5)
-		m.GenPutArgs(v5)
-		var v11 interp.Value
-		if v10.T == corpus_sieve_t0 {
-			v11 = v10
+		v3 := m.GenArgs(3)
+		v4 := m.GenGlobal(0)
+		v5 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v4.Base, Prov: v4}}
+		v3[0] = v5
+		v3[1] = (interp.Value{T: types.IntType, I: 0})
+		v3[2] = (interp.Value{T: types.ULongType, I: 1000})
+		v6 := m.GenBuiltin(0, "memset", corpus_sieve_pos[0])(m, corpus_sieve_pos[0], v3)
+		m.GenPutArgs(v3)
+		var v7 interp.Value
+		if v6.T == corpus_sieve_t0 {
+			v7 = v6
+		} else if v6.T != nil && v6.T.IsPointer() {
+			v7 = interp.Value{T: corpus_sieve_t0, Ptr: v6.Ptr}
 		} else {
-			v11 = m.GenConvert(v10, corpus_sieve_t0, corpus_sieve_pos[1])
+			v7 = m.GenConvert(v6, corpus_sieve_t0, corpus_sieve_pos[0])
 		}
-		_ = v11
+		_ = v7
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v12 := interp.Value{T: types.IntType, I: 2}
-			v13 := f.LocalAt(2)
-			var v14 interp.Value
-			if v12.T == types.IntType {
-				v14 = v12
-			} else {
-				v14 = m.GenConvert(v12, types.IntType, corpus_sieve_pos[2])
-			}
-			m.GenStoreRaw(v13, 0, types.IntType, v14)
-			_ = v14
+			v8 := f.LocalAt(0)
+			m.GenStoreRaw(v8, 0, types.IntType, (interp.Value{T: types.IntType, I: 2}))
+			_ = (interp.Value{T: types.IntType, I: 2})
 		}
 		for {
-			v15 := f.LocalAt(2)
+			v9 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-			v17 := interp.Value{T: types.IntType, I: 1000}
-			var v18 interp.Value
-			if v16.T == types.IntType && v17.T == types.IntType {
-				if v16.I < v17.I {
-					v18 = interp.Value{T: types.IntType, I: 1}
+			v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+			var v11 interp.Value
+			if v10.T == types.IntType {
+				if v10.I < 1000 {
+					v11 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v18 = interp.Value{T: types.IntType, I: 0}
+					v11 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v18 = m.GenBinaryOp(token.Lt, v16, v17, types.IntType, corpus_sieve_pos[3])
+				v11 = m.GenBinaryOp(token.Lt, v10, (interp.Value{T: types.IntType, I: 1000}), types.IntType, corpus_sieve_pos[1])
 			}
-			if !v18.Truthy() {
+			if !v11.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -140,14 +131,14 @@ func corpus_sieve_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 				m.GenStep()
 				{
 					m.GenStep()
-					v19 := m.GenGlobal(0)
-					v20 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v19.Base, Prov: v19}}
-					v21 := f.LocalAt(2)
+					v12 := m.GenGlobal(0)
+					v13 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v12.Base, Prov: v12}}
+					v14 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
-					v23 := core.Pointer{Addr: v20.Ptr.Addr + uint64(v22.I)*1, Prov: v20.Ptr.Prov}
-					v24 := m.GenLoadValue(v23, types.CharType, corpus_sieve_pos[4], -1, 0)
-					if v24.Truthy() {
+					v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+					v16 := core.Pointer{Addr: v13.Ptr.Addr + uint64(v15.I)*1, Prov: v13.Ptr.Prov}
+					v17 := m.GenLoadValue(v16, types.CharType, corpus_sieve_pos[2], -1, 0)
+					if v17.Truthy() {
 						{
 							m.GenStep()
 							if interp.GenLive {
@@ -158,113 +149,108 @@ func corpus_sieve_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 				}
 				{
 					m.GenStep()
-					v25 := f.LocalAt(0)
+					v18 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-					v27 := interp.Value{T: v26.T, I: int64(int32(v26.I + 1))}
-					m.GenStoreRaw(v25, 0, types.IntType, v27)
-					_ = v26
+					v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
+					v20 := interp.Value{T: v19.T, I: int64(int32(v19.I + 1))}
+					m.GenStoreRaw(v18, 0, types.IntType, v20)
+					_ = v19
 				}
 				{
 					m.GenStep()
 					{
 						m.GenStep()
-						v28 := f.LocalAt(2)
+						v21 := f.LocalAt(0)
 						m.GenChargeAccess()
-						v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-						v30 := interp.Value{T: types.IntType, I: 2}
-						var v31 interp.Value
-						if v29.T == types.IntType && v30.T == types.IntType {
-							v31 = interp.Value{T: types.IntType, I: int64(int32(v29.I * v30.I))}
+						v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
+						var v23 interp.Value
+						if v22.T == types.IntType {
+							v23 = interp.Value{T: types.IntType, I: int64(int32(v22.I * 2))}
 						} else {
-							v31 = m.GenBinaryOp(token.Star, v29, v30, types.IntType, corpus_sieve_pos[5])
+							v23 = m.GenBinaryOp(token.Star, v22, (interp.Value{T: types.IntType, I: 2}), types.IntType, corpus_sieve_pos[3])
 						}
-						v32 := f.LocalAt(1)
-						var v33 interp.Value
-						if v31.T == types.IntType {
-							v33 = v31
+						v24 := f.LocalAt(1)
+						var v25 interp.Value
+						if v23.T == types.IntType {
+							v25 = v23
+						} else if v23.T != nil && v23.T.IsInteger() {
+							v25 = interp.Value{T: types.IntType, I: int64(int32(v23.I))}
 						} else {
-							v33 = m.GenConvert(v31, types.IntType, corpus_sieve_pos[6])
+							v25 = m.GenConvert(v23, types.IntType, corpus_sieve_pos[4])
 						}
-						m.GenStoreRaw(v32, 0, types.IntType, v33)
-						_ = v33
+						m.GenStoreRaw(v24, 0, types.IntType, v25)
+						_ = v25
 					}
 					for {
-						v34 := f.LocalAt(1)
+						v26 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
-						v36 := interp.Value{T: types.IntType, I: 1000}
-						var v37 interp.Value
-						if v35.T == types.IntType && v36.T == types.IntType {
-							if v35.I < v36.I {
-								v37 = interp.Value{T: types.IntType, I: 1}
+						v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
+						var v28 interp.Value
+						if v27.T == types.IntType {
+							if v27.I < 1000 {
+								v28 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v37 = interp.Value{T: types.IntType, I: 0}
+								v28 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v37 = m.GenBinaryOp(token.Lt, v35, v36, types.IntType, corpus_sieve_pos[7])
+							v28 = m.GenBinaryOp(token.Lt, v27, (interp.Value{T: types.IntType, I: 1000}), types.IntType, corpus_sieve_pos[5])
 						}
-						if !v37.Truthy() {
+						if !v28.Truthy() {
 							break
 						}
 						m.GenStep()
 						{
 							m.GenStep()
-							v38 := interp.Value{T: types.IntType, I: 1}
-							v39 := m.GenGlobal(0)
-							v40 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v39.Base, Prov: v39}}
-							v41 := f.LocalAt(1)
+							v29 := m.GenGlobal(0)
+							v30 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v29.Base, Prov: v29}}
+							v31 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
-							v43 := core.Pointer{Addr: v40.Ptr.Addr + uint64(v42.I)*1, Prov: v40.Ptr.Prov}
-							var v44 interp.Value
-							if v38.T == types.CharType {
-								v44 = v38
-							} else {
-								v44 = m.GenConvert(v38, types.CharType, corpus_sieve_pos[8])
-							}
-							m.GenStoreValue(v43, types.CharType, v44, corpus_sieve_pos[8])
-							_ = v44
+							v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
+							v33 := core.Pointer{Addr: v30.Ptr.Addr + uint64(v32.I)*1, Prov: v30.Ptr.Prov}
+							m.GenStoreValue(v33, types.CharType, (interp.Value{T: types.CharType, I: 1}), corpus_sieve_pos[6])
+							_ = (interp.Value{T: types.CharType, I: 1})
 						}
-						v45 := f.LocalAt(1)
+						v34 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v46 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v45.Data[0:])))}
-						v47 := f.LocalAt(2)
+						v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+						v36 := f.LocalAt(0)
 						m.GenChargeAccess()
-						v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
-						var v49 interp.Value
-						if v46.T == types.IntType && v48.T == types.IntType {
-							v49 = interp.Value{T: types.IntType, I: int64(int32(v46.I + v48.I))}
+						v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
+						var v38 interp.Value
+						if v35.T == types.IntType && v37.T == types.IntType {
+							v38 = interp.Value{T: types.IntType, I: int64(int32(v35.I + v37.I))}
 						} else {
-							v49 = m.GenBinaryOp(token.Plus, v46, v48, types.IntType, corpus_sieve_pos[9])
+							v38 = m.GenBinaryOp(token.Plus, v35, v37, types.IntType, corpus_sieve_pos[7])
 						}
-						var v50 interp.Value
-						if v49.T == types.IntType {
-							v50 = v49
+						var v39 interp.Value
+						if v38.T == types.IntType {
+							v39 = v38
+						} else if v38.T != nil && v38.T.IsInteger() {
+							v39 = interp.Value{T: types.IntType, I: int64(int32(v38.I))}
 						} else {
-							v50 = m.GenConvert(v49, types.IntType, corpus_sieve_pos[9])
+							v39 = m.GenConvert(v38, types.IntType, corpus_sieve_pos[7])
 						}
-						m.GenStoreRaw(v45, 0, types.IntType, v50)
-						_ = v50
+						m.GenStoreRaw(v34, 0, types.IntType, v39)
+						_ = v39
 					}
 				}
 			}
 		c0_cont:
 			;
-			v51 := f.LocalAt(2)
+			v40 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v52 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v51.Data[0:])))}
-			v53 := interp.Value{T: v52.T, I: int64(int32(v52.I + 1))}
-			m.GenStoreRaw(v51, 0, types.IntType, v53)
-			_ = v52
+			v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
+			v42 := interp.Value{T: v41.T, I: int64(int32(v41.I + 1))}
+			m.GenStoreRaw(v40, 0, types.IntType, v42)
+			_ = v41
 		}
 	}
 	{
 		m.GenStep()
-		v54 := f.LocalAt(0)
+		v43 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v55 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v54.Data[0:])))}
-		ret = v55
+		v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+		ret = v44
 		if interp.GenLive {
 			return
 		}

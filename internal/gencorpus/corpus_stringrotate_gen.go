@@ -66,12 +66,33 @@ func corpus_stringrotate_f_reverse_range(m *interp.Machine, args []interp.Value,
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "reverse_range", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:reverse_range", 17, corpus_stringrotate_locals_reverse_range)
-	v0 := m.GenConvert(args[0], corpus_stringrotate_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, corpus_stringrotate_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v2)
+	var v0 interp.Value
+	if args[0].T == corpus_stringrotate_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_stringrotate_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_stringrotate_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, corpus_stringrotate_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, corpus_stringrotate_b_reverse_range)
 	m.GenPopFrame(f)
 	_ = ret
@@ -83,10 +104,10 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 	{
 		m.GenStep()
 		for {
-			v3 := f.LocalAt(2)
+			v3 := f.LocalAt(1)
 			m.GenChargeAccess()
 			v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-			v5 := f.LocalAt(1)
+			v5 := f.LocalAt(2)
 			m.GenChargeAccess()
 			v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 			var v7 interp.Value
@@ -107,10 +128,10 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 				m.GenStep()
 				{
 					m.GenStep()
-					v8 := f.LocalAt(0)
-					v9 := f.LocalAt(3)
+					v8 := f.LocalAt(3)
+					v9 := f.LocalAt(0)
 					v10 := m.GenLoadRaw(v9, 0, corpus_stringrotate_t0, 0)
-					v11 := f.LocalAt(2)
+					v11 := f.LocalAt(1)
 					m.GenChargeAccess()
 					v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
 					v13 := core.Pointer{Addr: v10.Ptr.Addr + uint64(v12.I)*1, Prov: v10.Ptr.Prov}
@@ -118,6 +139,8 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 					var v15 interp.Value
 					if v14.T == types.CharType {
 						v15 = v14
+					} else if v14.T != nil && v14.T.IsInteger() {
+						v15 = interp.Value{T: types.CharType, I: int64(int8(v14.I))}
 					} else {
 						v15 = m.GenConvert(v14, types.CharType, corpus_stringrotate_pos[2])
 					}
@@ -125,22 +148,24 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 				}
 				{
 					m.GenStep()
-					v16 := f.LocalAt(3)
+					v16 := f.LocalAt(0)
 					v17 := m.GenLoadRaw(v16, 0, corpus_stringrotate_t0, 1)
-					v18 := f.LocalAt(1)
+					v18 := f.LocalAt(2)
 					m.GenChargeAccess()
 					v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
 					v20 := core.Pointer{Addr: v17.Ptr.Addr + uint64(v19.I)*1, Prov: v17.Ptr.Prov}
 					v21 := m.GenLoadValue(v20, types.CharType, corpus_stringrotate_pos[3], -1, 2)
-					v22 := f.LocalAt(3)
+					v22 := f.LocalAt(0)
 					v23 := m.GenLoadRaw(v22, 0, corpus_stringrotate_t0, 2)
-					v24 := f.LocalAt(2)
+					v24 := f.LocalAt(1)
 					m.GenChargeAccess()
 					v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
 					v26 := core.Pointer{Addr: v23.Ptr.Addr + uint64(v25.I)*1, Prov: v23.Ptr.Prov}
 					var v27 interp.Value
 					if v21.T == types.CharType {
 						v27 = v21
+					} else if v21.T != nil && v21.T.IsInteger() {
+						v27 = interp.Value{T: types.CharType, I: int64(int8(v21.I))}
 					} else {
 						v27 = m.GenConvert(v21, types.CharType, corpus_stringrotate_pos[4])
 					}
@@ -149,18 +174,20 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 				}
 				{
 					m.GenStep()
-					v28 := f.LocalAt(0)
+					v28 := f.LocalAt(3)
 					m.GenChargeAccess()
 					v29 := interp.Value{T: types.CharType, I: int64(int8(v28.Data[0]))}
-					v30 := f.LocalAt(3)
+					v30 := f.LocalAt(0)
 					v31 := m.GenLoadRaw(v30, 0, corpus_stringrotate_t0, 3)
-					v32 := f.LocalAt(1)
+					v32 := f.LocalAt(2)
 					m.GenChargeAccess()
 					v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
 					v34 := core.Pointer{Addr: v31.Ptr.Addr + uint64(v33.I)*1, Prov: v31.Ptr.Prov}
 					var v35 interp.Value
 					if v29.T == types.CharType {
 						v35 = v29
+					} else if v29.T != nil && v29.T.IsInteger() {
+						v35 = interp.Value{T: types.CharType, I: int64(int8(v29.I))}
 					} else {
 						v35 = m.GenConvert(v29, types.CharType, corpus_stringrotate_pos[5])
 					}
@@ -169,7 +196,7 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 				}
 				{
 					m.GenStep()
-					v36 := f.LocalAt(2)
+					v36 := f.LocalAt(1)
 					m.GenChargeAccess()
 					v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
 					v38 := interp.Value{T: v37.T, I: int64(int32(v37.I + 1))}
@@ -178,7 +205,7 @@ func corpus_stringrotate_b_reverse_range(m *interp.Machine, f *mem.Frame) (ret i
 				}
 				{
 					m.GenStep()
-					v39 := f.LocalAt(1)
+					v39 := f.LocalAt(2)
 					m.GenChargeAccess()
 					v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
 					v41 := interp.Value{T: v40.T, I: int64(int32(v40.I - 1))}
@@ -202,7 +229,15 @@ func corpus_stringrotate_f_main(m *interp.Machine, args []interp.Value, pos toke
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_stringrotate_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -220,18 +255,24 @@ func corpus_stringrotate_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Val
 		var v5 interp.Value
 		if v4.T == types.ULongType {
 			v5 = v4
+		} else if v4.T != nil && v4.T.IsInteger() {
+			v5 = interp.Value{T: types.ULongType, I: v4.I}
 		} else {
 			v5 = m.GenConvert(v4, types.ULongType, corpus_stringrotate_pos[6])
 		}
 		var v6 interp.Value
 		if v5.T == types.IntType {
 			v6 = v5
+		} else if v5.T != nil && v5.T.IsInteger() {
+			v6 = interp.Value{T: types.IntType, I: int64(int32(v5.I))}
 		} else {
 			v6 = m.GenConvert(v5, types.IntType, corpus_stringrotate_pos[7])
 		}
 		var v7 interp.Value
 		if v6.T == types.IntType {
 			v7 = v6
+		} else if v6.T != nil && v6.T.IsInteger() {
+			v7 = interp.Value{T: types.IntType, I: int64(int32(v6.I))}
 		} else {
 			v7 = m.GenConvert(v6, types.IntType, corpus_stringrotate_pos[8])
 		}
@@ -244,92 +285,87 @@ func corpus_stringrotate_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Val
 		v9 := m.GenGlobal(0)
 		v10 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v9.Base, Prov: v9}}
 		v8[0] = v10
-		v11 := interp.Value{T: types.IntType, I: 0}
-		v8[1] = v11
-		v12 := interp.Value{T: types.IntType, I: 2}
-		v8[2] = v12
-		v13 := corpus_stringrotate_f_reverse_range(m, v8, corpus_stringrotate_pos[9])
+		v8[1] = (interp.Value{T: types.IntType, I: 0})
+		v8[2] = (interp.Value{T: types.IntType, I: 2})
+		v11 := corpus_stringrotate_f_reverse_range(m, v8, corpus_stringrotate_pos[9])
 		m.GenPutArgs(v8)
-		_ = v13
+		_ = v11
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v14 := m.GenArgs(3)
-		v15 := m.GenGlobal(0)
-		v16 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v15.Base, Prov: v15}}
-		v14[0] = v16
-		v17 := interp.Value{T: types.IntType, I: 3}
-		v14[1] = v17
-		v18 := f.LocalAt(0)
+		v12 := m.GenArgs(3)
+		v13 := m.GenGlobal(0)
+		v14 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v13.Base, Prov: v13}}
+		v12[0] = v14
+		v12[1] = (interp.Value{T: types.IntType, I: 3})
+		v15 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-		v20 := interp.Value{T: types.IntType, I: 1}
-		var v21 interp.Value
-		if v19.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v19.I - v20.I))}
+		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
+		var v17 interp.Value
+		if v16.T == types.IntType {
+			v17 = interp.Value{T: types.IntType, I: int64(int32(v16.I - 1))}
 		} else {
-			v21 = m.GenBinaryOp(token.Minus, v19, v20, types.IntType, corpus_stringrotate_pos[10])
+			v17 = m.GenBinaryOp(token.Minus, v16, (interp.Value{T: types.IntType, I: 1}), types.IntType, corpus_stringrotate_pos[10])
 		}
-		v14[2] = v21
-		v22 := corpus_stringrotate_f_reverse_range(m, v14, corpus_stringrotate_pos[11])
-		m.GenPutArgs(v14)
-		_ = v22
+		v12[2] = v17
+		v18 := corpus_stringrotate_f_reverse_range(m, v12, corpus_stringrotate_pos[11])
+		m.GenPutArgs(v12)
+		_ = v18
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v23 := m.GenArgs(3)
-		v24 := m.GenGlobal(0)
-		v25 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v24.Base, Prov: v24}}
-		v23[0] = v25
-		v26 := interp.Value{T: types.IntType, I: 0}
-		v23[1] = v26
-		v27 := f.LocalAt(0)
+		v19 := m.GenArgs(3)
+		v20 := m.GenGlobal(0)
+		v21 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v20.Base, Prov: v20}}
+		v19[0] = v21
+		v19[1] = (interp.Value{T: types.IntType, I: 0})
+		v22 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
-		v29 := interp.Value{T: types.IntType, I: 1}
-		var v30 interp.Value
-		if v28.T == types.IntType && v29.T == types.IntType {
-			v30 = interp.Value{T: types.IntType, I: int64(int32(v28.I - v29.I))}
+		v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
+		var v24 interp.Value
+		if v23.T == types.IntType {
+			v24 = interp.Value{T: types.IntType, I: int64(int32(v23.I - 1))}
 		} else {
-			v30 = m.GenBinaryOp(token.Minus, v28, v29, types.IntType, corpus_stringrotate_pos[12])
+			v24 = m.GenBinaryOp(token.Minus, v23, (interp.Value{T: types.IntType, I: 1}), types.IntType, corpus_stringrotate_pos[12])
 		}
-		v23[2] = v30
-		v31 := corpus_stringrotate_f_reverse_range(m, v23, corpus_stringrotate_pos[13])
-		m.GenPutArgs(v23)
-		_ = v31
+		v19[2] = v24
+		v25 := corpus_stringrotate_f_reverse_range(m, v19, corpus_stringrotate_pos[13])
+		m.GenPutArgs(v19)
+		_ = v25
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v32 := m.GenArgs(2)
-		v33 := m.GenGlobal(0)
-		v34 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v33.Base, Prov: v33}}
-		v32[0] = v34
-		v35 := m.GenLiteral(1)
-		v36 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v35.Base, Prov: v35}}
-		v32[1] = v36
-		v37 := m.GenBuiltin(1, "strcmp", corpus_stringrotate_pos[14])(m, corpus_stringrotate_pos[14], v32)
-		m.GenPutArgs(v32)
-		var v38 interp.Value
-		if v37.T == types.IntType {
-			v38 = v37
+		v26 := m.GenArgs(2)
+		v27 := m.GenGlobal(0)
+		v28 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v27.Base, Prov: v27}}
+		v26[0] = v28
+		v29 := m.GenLiteral(1)
+		v30 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v29.Base, Prov: v29}}
+		v26[1] = v30
+		v31 := m.GenBuiltin(1, "strcmp", corpus_stringrotate_pos[14])(m, corpus_stringrotate_pos[14], v26)
+		m.GenPutArgs(v26)
+		var v32 interp.Value
+		if v31.T == types.IntType {
+			v32 = v31
+		} else if v31.T != nil && v31.T.IsInteger() {
+			v32 = interp.Value{T: types.IntType, I: int64(int32(v31.I))}
 		} else {
-			v38 = m.GenConvert(v37, types.IntType, corpus_stringrotate_pos[14])
+			v32 = m.GenConvert(v31, types.IntType, corpus_stringrotate_pos[14])
 		}
-		v39 := interp.Value{T: types.IntType, I: 0}
-		var v40 interp.Value
-		if v38.T == types.IntType && v39.T == types.IntType {
-			if v38.I == v39.I {
-				v40 = interp.Value{T: types.IntType, I: 1}
+		var v33 interp.Value
+		if v32.T == types.IntType {
+			if v32.I == 0 {
+				v33 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v40 = interp.Value{T: types.IntType, I: 0}
+				v33 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v40 = m.GenBinaryOp(token.EqEq, v38, v39, types.IntType, corpus_stringrotate_pos[15])
+			v33 = m.GenBinaryOp(token.EqEq, v32, (interp.Value{T: types.IntType, I: 0}), types.IntType, corpus_stringrotate_pos[15])
 		}
-		ret = v40
+		ret = v33
 		if interp.GenLive {
 			return
 		}

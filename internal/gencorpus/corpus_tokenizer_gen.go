@@ -16,7 +16,6 @@ import (
 var corpus_tokenizer_pos = []token.Pos{
 	{File: "t.c", Line: 12, Col: 14},
 	{File: "t.c", Line: 12, Col: 20},
-	{File: "t.c", Line: 19, Col: 2},
 	{File: "t.c", Line: 20, Col: 8},
 	{File: "t.c", Line: 21, Col: 11},
 	{File: "t.c", Line: 21, Col: 17},
@@ -55,7 +54,6 @@ var corpus_tokenizer_pos = []token.Pos{
 	{File: "t.c", Line: 61, Col: 19},
 	{File: "t.c", Line: 61, Col: 6},
 	{File: "t.c", Line: 69, Col: 8},
-	{File: "t.c", Line: 70, Col: 6},
 	{File: "t.c", Line: 71, Col: 19},
 	{File: "t.c", Line: 75, Col: 10},
 	{File: "t.c", Line: 75, Col: 24},
@@ -128,21 +126,28 @@ func corpus_tokenizer_b_skipws(m *interp.Machine, f *mem.Frame) (ret interp.Valu
 			v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
 			v4 := core.Pointer{Addr: v1.Ptr.Addr + uint64(v3.I)*1, Prov: v1.Ptr.Prov}
 			v5 := m.GenLoadValue(v4, types.CharType, corpus_tokenizer_pos[0], -1, 0)
-			v6 := interp.Value{T: types.IntType, I: 32}
-			var v7 interp.Value
-			v7 = m.GenBinaryOp(token.EqEq, v5, v6, types.IntType, corpus_tokenizer_pos[1])
-			if !v7.Truthy() {
+			var v6 interp.Value
+			if v5.T == types.CharType {
+				if int64(int32(v5.I)) == 32 {
+					v6 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v6 = interp.Value{T: types.IntType, I: 0}
+				}
+			} else {
+				v6 = m.GenBinaryOp(token.EqEq, v5, (interp.Value{T: types.IntType, I: 32}), types.IntType, corpus_tokenizer_pos[1])
+			}
+			if !v6.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v8 := m.GenGlobal(1)
+				v7 := m.GenGlobal(1)
 				m.GenChargeAccess()
-				v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-				v10 := interp.Value{T: v9.T, I: int64(int32(v9.I + 1))}
-				m.GenStoreRaw(v8, 0, types.IntType, v10)
-				_ = v9
+				v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+				v9 := interp.Value{T: v8.T, I: int64(int32(v8.I + 1))}
+				m.GenStoreRaw(v7, 0, types.IntType, v9)
+				_ = v8
 			}
 		}
 	}
@@ -160,7 +165,15 @@ func corpus_tokenizer_f_parse_primary(m *interp.Machine, args []interp.Value, po
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_tokenizer_b_parse_primary(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -168,101 +181,110 @@ func corpus_tokenizer_b_parse_primary(m *interp.Machine, f *mem.Frame) (ret inte
 	{
 		m.GenStep()
 		v0 := f.LocalAt(0)
-		v1 := interp.Value{T: types.IntType, I: 0}
-		var v2 interp.Value
-		if v1.T == types.IntType {
-			v2 = v1
-		} else {
-			v2 = m.GenConvert(v1, types.IntType, corpus_tokenizer_pos[2])
-		}
-		m.GenStoreRaw(v0, 0, types.IntType, v2)
+		m.GenStoreRaw(v0, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v3 := m.GenArgs(0)
-		v4 := corpus_tokenizer_f_skipws(m, v3, corpus_tokenizer_pos[3])
-		m.GenPutArgs(v3)
-		_ = v4
+		v1 := m.GenArgs(0)
+		v2 := corpus_tokenizer_f_skipws(m, v1, corpus_tokenizer_pos[2])
+		m.GenPutArgs(v1)
+		_ = v2
 	}
 	{
 		m.GenStep()
-		v5 := m.GenGlobal(0)
-		v6 := m.GenLoadRaw(v5, 0, corpus_tokenizer_t0, 1)
-		v7 := m.GenGlobal(1)
+		v3 := m.GenGlobal(0)
+		v4 := m.GenLoadRaw(v3, 0, corpus_tokenizer_t0, 1)
+		v5 := m.GenGlobal(1)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := core.Pointer{Addr: v6.Ptr.Addr + uint64(v8.I)*1, Prov: v6.Ptr.Prov}
-		v10 := m.GenLoadValue(v9, types.CharType, corpus_tokenizer_pos[4], -1, 1)
-		v11 := interp.Value{T: types.IntType, I: 40}
-		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.EqEq, v10, v11, types.IntType, corpus_tokenizer_pos[5])
-		if v12.Truthy() {
+		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+		v7 := core.Pointer{Addr: v4.Ptr.Addr + uint64(v6.I)*1, Prov: v4.Ptr.Prov}
+		v8 := m.GenLoadValue(v7, types.CharType, corpus_tokenizer_pos[3], -1, 1)
+		var v9 interp.Value
+		if v8.T == types.CharType {
+			if int64(int32(v8.I)) == 40 {
+				v9 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v9 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v9 = m.GenBinaryOp(token.EqEq, v8, (interp.Value{T: types.IntType, I: 40}), types.IntType, corpus_tokenizer_pos[4])
+		}
+		if v9.Truthy() {
 			{
 				m.GenStep()
 				{
 					m.GenStep()
-					v13 := m.GenGlobal(1)
+					v10 := m.GenGlobal(1)
 					m.GenChargeAccess()
-					v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-					v15 := interp.Value{T: v14.T, I: int64(int32(v14.I + 1))}
-					m.GenStoreRaw(v13, 0, types.IntType, v15)
-					_ = v14
+					v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+					v12 := interp.Value{T: v11.T, I: int64(int32(v11.I + 1))}
+					m.GenStoreRaw(v10, 0, types.IntType, v12)
+					_ = v11
 				}
 				{
 					m.GenStep()
 					m.GenStep()
-					v16 := m.GenArgs(0)
-					v17 := corpus_tokenizer_f_parse_expr(m, v16, corpus_tokenizer_pos[6])
-					m.GenPutArgs(v16)
-					v18 := f.LocalAt(0)
-					var v19 interp.Value
-					if v17.T == types.IntType {
-						v19 = v17
+					v13 := m.GenArgs(0)
+					v14 := corpus_tokenizer_f_parse_expr(m, v13, corpus_tokenizer_pos[5])
+					m.GenPutArgs(v13)
+					v15 := f.LocalAt(0)
+					var v16 interp.Value
+					if v14.T == types.IntType {
+						v16 = v14
+					} else if v14.T != nil && v14.T.IsInteger() {
+						v16 = interp.Value{T: types.IntType, I: int64(int32(v14.I))}
 					} else {
-						v19 = m.GenConvert(v17, types.IntType, corpus_tokenizer_pos[7])
+						v16 = m.GenConvert(v14, types.IntType, corpus_tokenizer_pos[6])
 					}
-					m.GenStoreRaw(v18, 0, types.IntType, v19)
-					_ = v19
+					m.GenStoreRaw(v15, 0, types.IntType, v16)
+					_ = v16
 				}
 				{
 					m.GenStep()
 					m.GenStep()
-					v20 := m.GenArgs(0)
-					v21 := corpus_tokenizer_f_skipws(m, v20, corpus_tokenizer_pos[8])
-					m.GenPutArgs(v20)
-					_ = v21
+					v17 := m.GenArgs(0)
+					v18 := corpus_tokenizer_f_skipws(m, v17, corpus_tokenizer_pos[7])
+					m.GenPutArgs(v17)
+					_ = v18
 				}
 				{
 					m.GenStep()
-					v22 := m.GenGlobal(0)
-					v23 := m.GenLoadRaw(v22, 0, corpus_tokenizer_t0, 2)
-					v24 := m.GenGlobal(1)
+					v19 := m.GenGlobal(0)
+					v20 := m.GenLoadRaw(v19, 0, corpus_tokenizer_t0, 2)
+					v21 := m.GenGlobal(1)
 					m.GenChargeAccess()
-					v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
-					v26 := core.Pointer{Addr: v23.Ptr.Addr + uint64(v25.I)*1, Prov: v23.Ptr.Prov}
-					v27 := m.GenLoadValue(v26, types.CharType, corpus_tokenizer_pos[9], -1, 2)
-					v28 := interp.Value{T: types.IntType, I: 41}
-					var v29 interp.Value
-					v29 = m.GenBinaryOp(token.EqEq, v27, v28, types.IntType, corpus_tokenizer_pos[10])
-					if v29.Truthy() {
+					v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
+					v23 := core.Pointer{Addr: v20.Ptr.Addr + uint64(v22.I)*1, Prov: v20.Ptr.Prov}
+					v24 := m.GenLoadValue(v23, types.CharType, corpus_tokenizer_pos[8], -1, 2)
+					var v25 interp.Value
+					if v24.T == types.CharType {
+						if int64(int32(v24.I)) == 41 {
+							v25 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v25 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v25 = m.GenBinaryOp(token.EqEq, v24, (interp.Value{T: types.IntType, I: 41}), types.IntType, corpus_tokenizer_pos[9])
+					}
+					if v25.Truthy() {
 						{
 							m.GenStep()
-							v30 := m.GenGlobal(1)
+							v26 := m.GenGlobal(1)
 							m.GenChargeAccess()
-							v31 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v30.Data[0:])))}
-							v32 := interp.Value{T: v31.T, I: int64(int32(v31.I + 1))}
-							m.GenStoreRaw(v30, 0, types.IntType, v32)
-							_ = v31
+							v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
+							v28 := interp.Value{T: v27.T, I: int64(int32(v27.I + 1))}
+							m.GenStoreRaw(v26, 0, types.IntType, v28)
+							_ = v27
 						}
 					}
 				}
 				{
 					m.GenStep()
-					v33 := f.LocalAt(0)
+					v29 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[0:])))}
-					ret = v34
+					v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+					ret = v30
 					if interp.GenLive {
 						return
 					}
@@ -274,24 +296,26 @@ func corpus_tokenizer_b_parse_primary(m *interp.Machine, f *mem.Frame) (ret inte
 		m.GenStep()
 		for {
 			m.GenStep()
-			v35 := m.GenArgs(1)
-			v36 := m.GenGlobal(0)
-			v37 := m.GenLoadRaw(v36, 0, corpus_tokenizer_t0, 3)
-			v38 := m.GenGlobal(1)
+			v31 := m.GenArgs(1)
+			v32 := m.GenGlobal(0)
+			v33 := m.GenLoadRaw(v32, 0, corpus_tokenizer_t0, 3)
+			v34 := m.GenGlobal(1)
 			m.GenChargeAccess()
-			v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
-			v40 := core.Pointer{Addr: v37.Ptr.Addr + uint64(v39.I)*1, Prov: v37.Ptr.Prov}
-			v41 := m.GenLoadValue(v40, types.CharType, corpus_tokenizer_pos[11], -1, 3)
-			v35[0] = v41
-			v42 := m.GenBuiltin(0, "isdigit", corpus_tokenizer_pos[12])(m, corpus_tokenizer_pos[12], v35)
-			m.GenPutArgs(v35)
-			var v43 interp.Value
-			if v42.T == types.IntType {
-				v43 = v42
+			v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+			v36 := core.Pointer{Addr: v33.Ptr.Addr + uint64(v35.I)*1, Prov: v33.Ptr.Prov}
+			v37 := m.GenLoadValue(v36, types.CharType, corpus_tokenizer_pos[10], -1, 3)
+			v31[0] = v37
+			v38 := m.GenBuiltin(0, "isdigit", corpus_tokenizer_pos[11])(m, corpus_tokenizer_pos[11], v31)
+			m.GenPutArgs(v31)
+			var v39 interp.Value
+			if v38.T == types.IntType {
+				v39 = v38
+			} else if v38.T != nil && v38.T.IsInteger() {
+				v39 = interp.Value{T: types.IntType, I: int64(int32(v38.I))}
 			} else {
-				v43 = m.GenConvert(v42, types.IntType, corpus_tokenizer_pos[12])
+				v39 = m.GenConvert(v38, types.IntType, corpus_tokenizer_pos[11])
 			}
-			if !v43.Truthy() {
+			if !v39.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -299,60 +323,64 @@ func corpus_tokenizer_b_parse_primary(m *interp.Machine, f *mem.Frame) (ret inte
 				m.GenStep()
 				{
 					m.GenStep()
-					v44 := f.LocalAt(0)
+					v40 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
-					v46 := interp.Value{T: types.IntType, I: 10}
-					var v47 interp.Value
-					if v45.T == types.IntType && v46.T == types.IntType {
-						v47 = interp.Value{T: types.IntType, I: int64(int32(v45.I * v46.I))}
+					v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
+					var v42 interp.Value
+					if v41.T == types.IntType {
+						v42 = interp.Value{T: types.IntType, I: int64(int32(v41.I * 10))}
 					} else {
-						v47 = m.GenBinaryOp(token.Star, v45, v46, types.IntType, corpus_tokenizer_pos[13])
+						v42 = m.GenBinaryOp(token.Star, v41, (interp.Value{T: types.IntType, I: 10}), types.IntType, corpus_tokenizer_pos[12])
 					}
-					v48 := m.GenGlobal(0)
-					v49 := m.GenLoadRaw(v48, 0, corpus_tokenizer_t0, 4)
-					v50 := m.GenGlobal(1)
+					v43 := m.GenGlobal(0)
+					v44 := m.GenLoadRaw(v43, 0, corpus_tokenizer_t0, 4)
+					v45 := m.GenGlobal(1)
 					m.GenChargeAccess()
-					v51 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v50.Data[0:])))}
-					v52 := core.Pointer{Addr: v49.Ptr.Addr + uint64(v51.I)*1, Prov: v49.Ptr.Prov}
-					v53 := m.GenLoadValue(v52, types.CharType, corpus_tokenizer_pos[14], -1, 4)
-					v54 := interp.Value{T: types.IntType, I: 48}
-					var v55 interp.Value
-					v55 = m.GenBinaryOp(token.Minus, v53, v54, types.IntType, corpus_tokenizer_pos[15])
-					var v56 interp.Value
-					if v47.T == types.IntType && v55.T == types.IntType {
-						v56 = interp.Value{T: types.IntType, I: int64(int32(v47.I + v55.I))}
+					v46 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v45.Data[0:])))}
+					v47 := core.Pointer{Addr: v44.Ptr.Addr + uint64(v46.I)*1, Prov: v44.Ptr.Prov}
+					v48 := m.GenLoadValue(v47, types.CharType, corpus_tokenizer_pos[13], -1, 4)
+					var v49 interp.Value
+					if v48.T == types.CharType {
+						v49 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v48.I)) - 48))}
 					} else {
-						v56 = m.GenBinaryOp(token.Plus, v47, v55, types.IntType, corpus_tokenizer_pos[16])
+						v49 = m.GenBinaryOp(token.Minus, v48, (interp.Value{T: types.IntType, I: 48}), types.IntType, corpus_tokenizer_pos[14])
 					}
-					v57 := f.LocalAt(0)
-					var v58 interp.Value
-					if v56.T == types.IntType {
-						v58 = v56
+					var v50 interp.Value
+					if v42.T == types.IntType && v49.T == types.IntType {
+						v50 = interp.Value{T: types.IntType, I: int64(int32(v42.I + v49.I))}
 					} else {
-						v58 = m.GenConvert(v56, types.IntType, corpus_tokenizer_pos[17])
+						v50 = m.GenBinaryOp(token.Plus, v42, v49, types.IntType, corpus_tokenizer_pos[15])
 					}
-					m.GenStoreRaw(v57, 0, types.IntType, v58)
-					_ = v58
+					v51 := f.LocalAt(0)
+					var v52 interp.Value
+					if v50.T == types.IntType {
+						v52 = v50
+					} else if v50.T != nil && v50.T.IsInteger() {
+						v52 = interp.Value{T: types.IntType, I: int64(int32(v50.I))}
+					} else {
+						v52 = m.GenConvert(v50, types.IntType, corpus_tokenizer_pos[16])
+					}
+					m.GenStoreRaw(v51, 0, types.IntType, v52)
+					_ = v52
 				}
 				{
 					m.GenStep()
-					v59 := m.GenGlobal(1)
+					v53 := m.GenGlobal(1)
 					m.GenChargeAccess()
-					v60 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v59.Data[0:])))}
-					v61 := interp.Value{T: v60.T, I: int64(int32(v60.I + 1))}
-					m.GenStoreRaw(v59, 0, types.IntType, v61)
-					_ = v60
+					v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
+					v55 := interp.Value{T: v54.T, I: int64(int32(v54.I + 1))}
+					m.GenStoreRaw(v53, 0, types.IntType, v55)
+					_ = v54
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v62 := f.LocalAt(0)
+		v56 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
-		ret = v63
+		v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
+		ret = v57
 		if interp.GenLive {
 			return
 		}
@@ -371,7 +399,15 @@ func corpus_tokenizer_f_parse_term(m *interp.Machine, args []interp.Value, pos t
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_tokenizer_b_parse_term(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -381,13 +417,15 @@ func corpus_tokenizer_b_parse_term(m *interp.Machine, f *mem.Frame) (ret interp.
 		v0 := f.LocalAt(0)
 		m.GenStep()
 		v1 := m.GenArgs(0)
-		v2 := corpus_tokenizer_f_parse_primary(m, v1, corpus_tokenizer_pos[18])
+		v2 := corpus_tokenizer_f_parse_primary(m, v1, corpus_tokenizer_pos[17])
 		m.GenPutArgs(v1)
 		var v3 interp.Value
 		if v2.T == types.IntType {
 			v3 = v2
+		} else if v2.T != nil && v2.T.IsInteger() {
+			v3 = interp.Value{T: types.IntType, I: int64(int32(v2.I))}
 		} else {
-			v3 = m.GenConvert(v2, types.IntType, corpus_tokenizer_pos[19])
+			v3 = m.GenConvert(v2, types.IntType, corpus_tokenizer_pos[18])
 		}
 		m.GenStoreRaw(v0, 0, types.IntType, v3)
 	}
@@ -404,7 +442,7 @@ func corpus_tokenizer_b_parse_term(m *interp.Machine, f *mem.Frame) (ret interp.
 					m.GenStep()
 					m.GenStep()
 					v4 := m.GenArgs(0)
-					v5 := corpus_tokenizer_f_skipws(m, v4, corpus_tokenizer_pos[20])
+					v5 := corpus_tokenizer_f_skipws(m, v4, corpus_tokenizer_pos[19])
 					m.GenPutArgs(v4)
 					_ = v5
 				}
@@ -416,91 +454,109 @@ func corpus_tokenizer_b_parse_term(m *interp.Machine, f *mem.Frame) (ret interp.
 					m.GenChargeAccess()
 					v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
 					v10 := core.Pointer{Addr: v7.Ptr.Addr + uint64(v9.I)*1, Prov: v7.Ptr.Prov}
-					v11 := m.GenLoadValue(v10, types.CharType, corpus_tokenizer_pos[21], -1, 5)
-					v12 := interp.Value{T: types.IntType, I: 42}
-					var v13 interp.Value
-					v13 = m.GenBinaryOp(token.EqEq, v11, v12, types.IntType, corpus_tokenizer_pos[22])
-					if v13.Truthy() {
+					v11 := m.GenLoadValue(v10, types.CharType, corpus_tokenizer_pos[20], -1, 5)
+					var v12 interp.Value
+					if v11.T == types.CharType {
+						if int64(int32(v11.I)) == 42 {
+							v12 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v12 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v12 = m.GenBinaryOp(token.EqEq, v11, (interp.Value{T: types.IntType, I: 42}), types.IntType, corpus_tokenizer_pos[21])
+					}
+					if v12.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v14 := m.GenGlobal(1)
+								v13 := m.GenGlobal(1)
 								m.GenChargeAccess()
-								v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-								v16 := interp.Value{T: v15.T, I: int64(int32(v15.I + 1))}
-								m.GenStoreRaw(v14, 0, types.IntType, v16)
-								_ = v15
+								v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+								v15 := interp.Value{T: v14.T, I: int64(int32(v14.I + 1))}
+								m.GenStoreRaw(v13, 0, types.IntType, v15)
+								_ = v14
 							}
 							{
 								m.GenStep()
-								v17 := f.LocalAt(0)
+								v16 := f.LocalAt(0)
 								m.GenChargeAccess()
-								v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+								v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
 								m.GenStep()
-								v19 := m.GenArgs(0)
-								v20 := corpus_tokenizer_f_parse_primary(m, v19, corpus_tokenizer_pos[23])
-								m.GenPutArgs(v19)
+								v18 := m.GenArgs(0)
+								v19 := corpus_tokenizer_f_parse_primary(m, v18, corpus_tokenizer_pos[22])
+								m.GenPutArgs(v18)
+								var v20 interp.Value
+								if v17.T == types.IntType && v19.T == types.IntType {
+									v20 = interp.Value{T: types.IntType, I: int64(int32(v17.I * v19.I))}
+								} else {
+									v20 = m.GenBinaryOp(token.Star, v17, v19, types.IntType, corpus_tokenizer_pos[23])
+								}
 								var v21 interp.Value
-								if v18.T == types.IntType && v20.T == types.IntType {
-									v21 = interp.Value{T: types.IntType, I: int64(int32(v18.I * v20.I))}
+								if v20.T == types.IntType {
+									v21 = v20
+								} else if v20.T != nil && v20.T.IsInteger() {
+									v21 = interp.Value{T: types.IntType, I: int64(int32(v20.I))}
 								} else {
-									v21 = m.GenBinaryOp(token.Star, v18, v20, types.IntType, corpus_tokenizer_pos[24])
+									v21 = m.GenConvert(v20, types.IntType, corpus_tokenizer_pos[23])
 								}
-								var v22 interp.Value
-								if v21.T == types.IntType {
-									v22 = v21
-								} else {
-									v22 = m.GenConvert(v21, types.IntType, corpus_tokenizer_pos[24])
-								}
-								m.GenStoreRaw(v17, 0, types.IntType, v22)
-								_ = v22
+								m.GenStoreRaw(v16, 0, types.IntType, v21)
+								_ = v21
 							}
 						}
 					} else {
 						{
 							m.GenStep()
-							v23 := m.GenGlobal(0)
-							v24 := m.GenLoadRaw(v23, 0, corpus_tokenizer_t0, 6)
-							v25 := m.GenGlobal(1)
+							v22 := m.GenGlobal(0)
+							v23 := m.GenLoadRaw(v22, 0, corpus_tokenizer_t0, 6)
+							v24 := m.GenGlobal(1)
 							m.GenChargeAccess()
-							v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-							v27 := core.Pointer{Addr: v24.Ptr.Addr + uint64(v26.I)*1, Prov: v24.Ptr.Prov}
-							v28 := m.GenLoadValue(v27, types.CharType, corpus_tokenizer_pos[25], -1, 6)
-							v29 := interp.Value{T: types.IntType, I: 47}
-							var v30 interp.Value
-							v30 = m.GenBinaryOp(token.EqEq, v28, v29, types.IntType, corpus_tokenizer_pos[26])
-							if v30.Truthy() {
+							v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
+							v26 := core.Pointer{Addr: v23.Ptr.Addr + uint64(v25.I)*1, Prov: v23.Ptr.Prov}
+							v27 := m.GenLoadValue(v26, types.CharType, corpus_tokenizer_pos[24], -1, 6)
+							var v28 interp.Value
+							if v27.T == types.CharType {
+								if int64(int32(v27.I)) == 47 {
+									v28 = interp.Value{T: types.IntType, I: 1}
+								} else {
+									v28 = interp.Value{T: types.IntType, I: 0}
+								}
+							} else {
+								v28 = m.GenBinaryOp(token.EqEq, v27, (interp.Value{T: types.IntType, I: 47}), types.IntType, corpus_tokenizer_pos[25])
+							}
+							if v28.Truthy() {
 								{
 									m.GenStep()
 									{
 										m.GenStep()
-										v31 := m.GenGlobal(1)
+										v29 := m.GenGlobal(1)
 										m.GenChargeAccess()
-										v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-										v33 := interp.Value{T: v32.T, I: int64(int32(v32.I + 1))}
-										m.GenStoreRaw(v31, 0, types.IntType, v33)
-										_ = v32
+										v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+										v31 := interp.Value{T: v30.T, I: int64(int32(v30.I + 1))}
+										m.GenStoreRaw(v29, 0, types.IntType, v31)
+										_ = v30
 									}
 									{
 										m.GenStep()
-										v34 := f.LocalAt(0)
+										v32 := f.LocalAt(0)
 										m.GenChargeAccess()
-										v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+										v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
 										m.GenStep()
-										v36 := m.GenArgs(0)
-										v37 := corpus_tokenizer_f_parse_primary(m, v36, corpus_tokenizer_pos[27])
-										m.GenPutArgs(v36)
-										var v38 interp.Value
-										v38 = m.GenBinaryOp(token.Slash, v35, v37, types.IntType, corpus_tokenizer_pos[28])
-										var v39 interp.Value
-										if v38.T == types.IntType {
-											v39 = v38
+										v34 := m.GenArgs(0)
+										v35 := corpus_tokenizer_f_parse_primary(m, v34, corpus_tokenizer_pos[26])
+										m.GenPutArgs(v34)
+										var v36 interp.Value
+										v36 = m.GenBinaryOp(token.Slash, v33, v35, types.IntType, corpus_tokenizer_pos[27])
+										var v37 interp.Value
+										if v36.T == types.IntType {
+											v37 = v36
+										} else if v36.T != nil && v36.T.IsInteger() {
+											v37 = interp.Value{T: types.IntType, I: int64(int32(v36.I))}
 										} else {
-											v39 = m.GenConvert(v38, types.IntType, corpus_tokenizer_pos[28])
+											v37 = m.GenConvert(v36, types.IntType, corpus_tokenizer_pos[27])
 										}
-										m.GenStoreRaw(v34, 0, types.IntType, v39)
-										_ = v39
+										m.GenStoreRaw(v32, 0, types.IntType, v37)
+										_ = v37
 									}
 								}
 							} else {
@@ -508,10 +564,10 @@ func corpus_tokenizer_b_parse_term(m *interp.Machine, f *mem.Frame) (ret interp.
 									m.GenStep()
 									{
 										m.GenStep()
-										v40 := f.LocalAt(0)
+										v38 := f.LocalAt(0)
 										m.GenChargeAccess()
-										v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-										ret = v41
+										v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
+										ret = v39
 										if interp.GenLive {
 											return
 										}
@@ -538,7 +594,15 @@ func corpus_tokenizer_f_parse_expr(m *interp.Machine, args []interp.Value, pos t
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_tokenizer_b_parse_expr(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -548,13 +612,15 @@ func corpus_tokenizer_b_parse_expr(m *interp.Machine, f *mem.Frame) (ret interp.
 		v0 := f.LocalAt(0)
 		m.GenStep()
 		v1 := m.GenArgs(0)
-		v2 := corpus_tokenizer_f_parse_term(m, v1, corpus_tokenizer_pos[29])
+		v2 := corpus_tokenizer_f_parse_term(m, v1, corpus_tokenizer_pos[28])
 		m.GenPutArgs(v1)
 		var v3 interp.Value
 		if v2.T == types.IntType {
 			v3 = v2
+		} else if v2.T != nil && v2.T.IsInteger() {
+			v3 = interp.Value{T: types.IntType, I: int64(int32(v2.I))}
 		} else {
-			v3 = m.GenConvert(v2, types.IntType, corpus_tokenizer_pos[30])
+			v3 = m.GenConvert(v2, types.IntType, corpus_tokenizer_pos[29])
 		}
 		m.GenStoreRaw(v0, 0, types.IntType, v3)
 	}
@@ -571,7 +637,7 @@ func corpus_tokenizer_b_parse_expr(m *interp.Machine, f *mem.Frame) (ret interp.
 					m.GenStep()
 					m.GenStep()
 					v4 := m.GenArgs(0)
-					v5 := corpus_tokenizer_f_skipws(m, v4, corpus_tokenizer_pos[31])
+					v5 := corpus_tokenizer_f_skipws(m, v4, corpus_tokenizer_pos[30])
 					m.GenPutArgs(v4)
 					_ = v5
 				}
@@ -583,95 +649,113 @@ func corpus_tokenizer_b_parse_expr(m *interp.Machine, f *mem.Frame) (ret interp.
 					m.GenChargeAccess()
 					v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
 					v10 := core.Pointer{Addr: v7.Ptr.Addr + uint64(v9.I)*1, Prov: v7.Ptr.Prov}
-					v11 := m.GenLoadValue(v10, types.CharType, corpus_tokenizer_pos[32], -1, 7)
-					v12 := interp.Value{T: types.IntType, I: 43}
-					var v13 interp.Value
-					v13 = m.GenBinaryOp(token.EqEq, v11, v12, types.IntType, corpus_tokenizer_pos[33])
-					if v13.Truthy() {
+					v11 := m.GenLoadValue(v10, types.CharType, corpus_tokenizer_pos[31], -1, 7)
+					var v12 interp.Value
+					if v11.T == types.CharType {
+						if int64(int32(v11.I)) == 43 {
+							v12 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v12 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v12 = m.GenBinaryOp(token.EqEq, v11, (interp.Value{T: types.IntType, I: 43}), types.IntType, corpus_tokenizer_pos[32])
+					}
+					if v12.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v14 := m.GenGlobal(1)
+								v13 := m.GenGlobal(1)
 								m.GenChargeAccess()
-								v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-								v16 := interp.Value{T: v15.T, I: int64(int32(v15.I + 1))}
-								m.GenStoreRaw(v14, 0, types.IntType, v16)
-								_ = v15
+								v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+								v15 := interp.Value{T: v14.T, I: int64(int32(v14.I + 1))}
+								m.GenStoreRaw(v13, 0, types.IntType, v15)
+								_ = v14
 							}
 							{
 								m.GenStep()
-								v17 := f.LocalAt(0)
+								v16 := f.LocalAt(0)
 								m.GenChargeAccess()
-								v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+								v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
 								m.GenStep()
-								v19 := m.GenArgs(0)
-								v20 := corpus_tokenizer_f_parse_term(m, v19, corpus_tokenizer_pos[34])
-								m.GenPutArgs(v19)
+								v18 := m.GenArgs(0)
+								v19 := corpus_tokenizer_f_parse_term(m, v18, corpus_tokenizer_pos[33])
+								m.GenPutArgs(v18)
+								var v20 interp.Value
+								if v17.T == types.IntType && v19.T == types.IntType {
+									v20 = interp.Value{T: types.IntType, I: int64(int32(v17.I + v19.I))}
+								} else {
+									v20 = m.GenBinaryOp(token.Plus, v17, v19, types.IntType, corpus_tokenizer_pos[34])
+								}
 								var v21 interp.Value
-								if v18.T == types.IntType && v20.T == types.IntType {
-									v21 = interp.Value{T: types.IntType, I: int64(int32(v18.I + v20.I))}
+								if v20.T == types.IntType {
+									v21 = v20
+								} else if v20.T != nil && v20.T.IsInteger() {
+									v21 = interp.Value{T: types.IntType, I: int64(int32(v20.I))}
 								} else {
-									v21 = m.GenBinaryOp(token.Plus, v18, v20, types.IntType, corpus_tokenizer_pos[35])
+									v21 = m.GenConvert(v20, types.IntType, corpus_tokenizer_pos[34])
 								}
-								var v22 interp.Value
-								if v21.T == types.IntType {
-									v22 = v21
-								} else {
-									v22 = m.GenConvert(v21, types.IntType, corpus_tokenizer_pos[35])
-								}
-								m.GenStoreRaw(v17, 0, types.IntType, v22)
-								_ = v22
+								m.GenStoreRaw(v16, 0, types.IntType, v21)
+								_ = v21
 							}
 						}
 					} else {
 						{
 							m.GenStep()
-							v23 := m.GenGlobal(0)
-							v24 := m.GenLoadRaw(v23, 0, corpus_tokenizer_t0, 8)
-							v25 := m.GenGlobal(1)
+							v22 := m.GenGlobal(0)
+							v23 := m.GenLoadRaw(v22, 0, corpus_tokenizer_t0, 8)
+							v24 := m.GenGlobal(1)
 							m.GenChargeAccess()
-							v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-							v27 := core.Pointer{Addr: v24.Ptr.Addr + uint64(v26.I)*1, Prov: v24.Ptr.Prov}
-							v28 := m.GenLoadValue(v27, types.CharType, corpus_tokenizer_pos[36], -1, 8)
-							v29 := interp.Value{T: types.IntType, I: 45}
-							var v30 interp.Value
-							v30 = m.GenBinaryOp(token.EqEq, v28, v29, types.IntType, corpus_tokenizer_pos[37])
-							if v30.Truthy() {
+							v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
+							v26 := core.Pointer{Addr: v23.Ptr.Addr + uint64(v25.I)*1, Prov: v23.Ptr.Prov}
+							v27 := m.GenLoadValue(v26, types.CharType, corpus_tokenizer_pos[35], -1, 8)
+							var v28 interp.Value
+							if v27.T == types.CharType {
+								if int64(int32(v27.I)) == 45 {
+									v28 = interp.Value{T: types.IntType, I: 1}
+								} else {
+									v28 = interp.Value{T: types.IntType, I: 0}
+								}
+							} else {
+								v28 = m.GenBinaryOp(token.EqEq, v27, (interp.Value{T: types.IntType, I: 45}), types.IntType, corpus_tokenizer_pos[36])
+							}
+							if v28.Truthy() {
 								{
 									m.GenStep()
 									{
 										m.GenStep()
-										v31 := m.GenGlobal(1)
+										v29 := m.GenGlobal(1)
 										m.GenChargeAccess()
-										v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-										v33 := interp.Value{T: v32.T, I: int64(int32(v32.I + 1))}
-										m.GenStoreRaw(v31, 0, types.IntType, v33)
-										_ = v32
+										v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+										v31 := interp.Value{T: v30.T, I: int64(int32(v30.I + 1))}
+										m.GenStoreRaw(v29, 0, types.IntType, v31)
+										_ = v30
 									}
 									{
 										m.GenStep()
-										v34 := f.LocalAt(0)
+										v32 := f.LocalAt(0)
 										m.GenChargeAccess()
-										v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+										v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
 										m.GenStep()
-										v36 := m.GenArgs(0)
-										v37 := corpus_tokenizer_f_parse_term(m, v36, corpus_tokenizer_pos[38])
-										m.GenPutArgs(v36)
-										var v38 interp.Value
-										if v35.T == types.IntType && v37.T == types.IntType {
-											v38 = interp.Value{T: types.IntType, I: int64(int32(v35.I - v37.I))}
+										v34 := m.GenArgs(0)
+										v35 := corpus_tokenizer_f_parse_term(m, v34, corpus_tokenizer_pos[37])
+										m.GenPutArgs(v34)
+										var v36 interp.Value
+										if v33.T == types.IntType && v35.T == types.IntType {
+											v36 = interp.Value{T: types.IntType, I: int64(int32(v33.I - v35.I))}
 										} else {
-											v38 = m.GenBinaryOp(token.Minus, v35, v37, types.IntType, corpus_tokenizer_pos[39])
+											v36 = m.GenBinaryOp(token.Minus, v33, v35, types.IntType, corpus_tokenizer_pos[38])
 										}
-										var v39 interp.Value
-										if v38.T == types.IntType {
-											v39 = v38
+										var v37 interp.Value
+										if v36.T == types.IntType {
+											v37 = v36
+										} else if v36.T != nil && v36.T.IsInteger() {
+											v37 = interp.Value{T: types.IntType, I: int64(int32(v36.I))}
 										} else {
-											v39 = m.GenConvert(v38, types.IntType, corpus_tokenizer_pos[39])
+											v37 = m.GenConvert(v36, types.IntType, corpus_tokenizer_pos[38])
 										}
-										m.GenStoreRaw(v34, 0, types.IntType, v39)
-										_ = v39
+										m.GenStoreRaw(v32, 0, types.IntType, v37)
+										_ = v37
 									}
 								}
 							} else {
@@ -679,10 +763,10 @@ func corpus_tokenizer_b_parse_expr(m *interp.Machine, f *mem.Frame) (ret interp.
 									m.GenStep()
 									{
 										m.GenStep()
-										v40 := f.LocalAt(0)
+										v38 := f.LocalAt(0)
 										m.GenChargeAccess()
-										v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-										ret = v41
+										v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
+										ret = v39
 										if interp.GenLive {
 											return
 										}
@@ -704,14 +788,29 @@ func corpus_tokenizer_f_eval(m *interp.Machine, args []interp.Value, pos token.P
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "eval", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:eval", 8, corpus_tokenizer_locals_eval)
-	v0 := m.GenConvert(args[0], corpus_tokenizer_t0, pos)
+	var v0 interp.Value
+	if args[0].T == corpus_tokenizer_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: corpus_tokenizer_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], corpus_tokenizer_t0, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, corpus_tokenizer_t0, v0)
 	ret := m.GenExec(f, corpus_tokenizer_b_eval)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_tokenizer_b_eval(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -724,32 +823,27 @@ func corpus_tokenizer_b_eval(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 		var v4 interp.Value
 		if v2.T == corpus_tokenizer_t0 {
 			v4 = v2
+		} else if v2.T != nil && v2.T.IsPointer() {
+			v4 = interp.Value{T: corpus_tokenizer_t0, Ptr: v2.Ptr}
 		} else {
-			v4 = m.GenConvert(v2, corpus_tokenizer_t0, corpus_tokenizer_pos[40])
+			v4 = m.GenConvert(v2, corpus_tokenizer_t0, corpus_tokenizer_pos[39])
 		}
 		m.GenStoreRaw(v3, 0, corpus_tokenizer_t0, v4)
 		_ = v4
 	}
 	{
 		m.GenStep()
-		v5 := interp.Value{T: types.IntType, I: 0}
-		v6 := m.GenGlobal(1)
-		var v7 interp.Value
-		if v5.T == types.IntType {
-			v7 = v5
-		} else {
-			v7 = m.GenConvert(v5, types.IntType, corpus_tokenizer_pos[41])
-		}
-		m.GenStoreRaw(v6, 0, types.IntType, v7)
-		_ = v7
+		v5 := m.GenGlobal(1)
+		m.GenStoreRaw(v5, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		_ = (interp.Value{T: types.IntType, I: 0})
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v8 := m.GenArgs(0)
-		v9 := corpus_tokenizer_f_parse_expr(m, v8, corpus_tokenizer_pos[42])
-		m.GenPutArgs(v8)
-		ret = v9
+		v6 := m.GenArgs(0)
+		v7 := corpus_tokenizer_f_parse_expr(m, v6, corpus_tokenizer_pos[40])
+		m.GenPutArgs(v6)
+		ret = v7
 		if interp.GenLive {
 			return
 		}
@@ -768,7 +862,15 @@ func corpus_tokenizer_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -780,24 +882,22 @@ func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 		v1 := m.GenLiteral(0)
 		v2 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v1.Base, Prov: v1}}
 		v0[0] = v2
-		v3 := corpus_tokenizer_f_eval(m, v0, corpus_tokenizer_pos[43])
+		v3 := corpus_tokenizer_f_eval(m, v0, corpus_tokenizer_pos[41])
 		m.GenPutArgs(v0)
-		v4 := interp.Value{T: types.IntType, I: 7}
-		var v5 interp.Value
-		if v3.T == types.IntType && v4.T == types.IntType {
-			if v3.I != v4.I {
-				v5 = interp.Value{T: types.IntType, I: 1}
+		var v4 interp.Value
+		if v3.T == types.IntType {
+			if v3.I != 7 {
+				v4 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v5 = interp.Value{T: types.IntType, I: 0}
+				v4 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v5 = m.GenBinaryOp(token.NotEq, v3, v4, types.IntType, corpus_tokenizer_pos[44])
+			v4 = m.GenBinaryOp(token.NotEq, v3, (interp.Value{T: types.IntType, I: 7}), types.IntType, corpus_tokenizer_pos[42])
 		}
-		if v5.Truthy() {
+		if v4.Truthy() {
 			{
 				m.GenStep()
-				v6 := interp.Value{T: types.IntType, I: 1}
-				ret = v6
+				ret = (interp.Value{T: types.IntType, I: 1})
 				if interp.GenLive {
 					return
 				}
@@ -807,28 +907,26 @@ func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	{
 		m.GenStep()
 		m.GenStep()
-		v7 := m.GenArgs(1)
-		v8 := m.GenLiteral(1)
-		v9 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v8.Base, Prov: v8}}
-		v7[0] = v9
-		v10 := corpus_tokenizer_f_eval(m, v7, corpus_tokenizer_pos[45])
-		m.GenPutArgs(v7)
-		v11 := interp.Value{T: types.IntType, I: 9}
-		var v12 interp.Value
-		if v10.T == types.IntType && v11.T == types.IntType {
-			if v10.I != v11.I {
-				v12 = interp.Value{T: types.IntType, I: 1}
+		v5 := m.GenArgs(1)
+		v6 := m.GenLiteral(1)
+		v7 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v6.Base, Prov: v6}}
+		v5[0] = v7
+		v8 := corpus_tokenizer_f_eval(m, v5, corpus_tokenizer_pos[43])
+		m.GenPutArgs(v5)
+		var v9 interp.Value
+		if v8.T == types.IntType {
+			if v8.I != 9 {
+				v9 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v12 = interp.Value{T: types.IntType, I: 0}
+				v9 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v12 = m.GenBinaryOp(token.NotEq, v10, v11, types.IntType, corpus_tokenizer_pos[46])
+			v9 = m.GenBinaryOp(token.NotEq, v8, (interp.Value{T: types.IntType, I: 9}), types.IntType, corpus_tokenizer_pos[44])
 		}
-		if v12.Truthy() {
+		if v9.Truthy() {
 			{
 				m.GenStep()
-				v13 := interp.Value{T: types.IntType, I: 2}
-				ret = v13
+				ret = (interp.Value{T: types.IntType, I: 2})
 				if interp.GenLive {
 					return
 				}
@@ -838,28 +936,55 @@ func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	{
 		m.GenStep()
 		m.GenStep()
-		v14 := m.GenArgs(1)
-		v15 := m.GenLiteral(2)
-		v16 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v15.Base, Prov: v15}}
-		v14[0] = v16
-		v17 := corpus_tokenizer_f_eval(m, v14, corpus_tokenizer_pos[47])
-		m.GenPutArgs(v14)
-		v18 := interp.Value{T: types.IntType, I: 10}
+		v10 := m.GenArgs(1)
+		v11 := m.GenLiteral(2)
+		v12 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
+		v10[0] = v12
+		v13 := corpus_tokenizer_f_eval(m, v10, corpus_tokenizer_pos[45])
+		m.GenPutArgs(v10)
+		var v14 interp.Value
+		if v13.T == types.IntType {
+			if v13.I != 10 {
+				v14 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v14 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v14 = m.GenBinaryOp(token.NotEq, v13, (interp.Value{T: types.IntType, I: 10}), types.IntType, corpus_tokenizer_pos[46])
+		}
+		if v14.Truthy() {
+			{
+				m.GenStep()
+				ret = (interp.Value{T: types.IntType, I: 3})
+				if interp.GenLive {
+					return
+				}
+			}
+		}
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v15 := m.GenArgs(1)
+		v16 := m.GenLiteral(3)
+		v17 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v16.Base, Prov: v16}}
+		v15[0] = v17
+		v18 := corpus_tokenizer_f_eval(m, v15, corpus_tokenizer_pos[47])
+		m.GenPutArgs(v15)
 		var v19 interp.Value
-		if v17.T == types.IntType && v18.T == types.IntType {
-			if v17.I != v18.I {
+		if v18.T == types.IntType {
+			if v18.I != 9 {
 				v19 = interp.Value{T: types.IntType, I: 1}
 			} else {
 				v19 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v19 = m.GenBinaryOp(token.NotEq, v17, v18, types.IntType, corpus_tokenizer_pos[48])
+			v19 = m.GenBinaryOp(token.NotEq, v18, (interp.Value{T: types.IntType, I: 9}), types.IntType, corpus_tokenizer_pos[48])
 		}
 		if v19.Truthy() {
 			{
 				m.GenStep()
-				v20 := interp.Value{T: types.IntType, I: 3}
-				ret = v20
+				ret = (interp.Value{T: types.IntType, I: 4})
 				if interp.GenLive {
 					return
 				}
@@ -869,28 +994,26 @@ func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	{
 		m.GenStep()
 		m.GenStep()
-		v21 := m.GenArgs(1)
-		v22 := m.GenLiteral(3)
-		v23 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v22.Base, Prov: v22}}
-		v21[0] = v23
-		v24 := corpus_tokenizer_f_eval(m, v21, corpus_tokenizer_pos[49])
-		m.GenPutArgs(v21)
-		v25 := interp.Value{T: types.IntType, I: 9}
-		var v26 interp.Value
-		if v24.T == types.IntType && v25.T == types.IntType {
-			if v24.I != v25.I {
-				v26 = interp.Value{T: types.IntType, I: 1}
+		v20 := m.GenArgs(1)
+		v21 := m.GenLiteral(4)
+		v22 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v21.Base, Prov: v21}}
+		v20[0] = v22
+		v23 := corpus_tokenizer_f_eval(m, v20, corpus_tokenizer_pos[49])
+		m.GenPutArgs(v20)
+		var v24 interp.Value
+		if v23.T == types.IntType {
+			if v23.I != 42 {
+				v24 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v26 = interp.Value{T: types.IntType, I: 0}
+				v24 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v26 = m.GenBinaryOp(token.NotEq, v24, v25, types.IntType, corpus_tokenizer_pos[50])
+			v24 = m.GenBinaryOp(token.NotEq, v23, (interp.Value{T: types.IntType, I: 42}), types.IntType, corpus_tokenizer_pos[50])
 		}
-		if v26.Truthy() {
+		if v24.Truthy() {
 			{
 				m.GenStep()
-				v27 := interp.Value{T: types.IntType, I: 4}
-				ret = v27
+				ret = (interp.Value{T: types.IntType, I: 5})
 				if interp.GenLive {
 					return
 				}
@@ -899,39 +1022,7 @@ func corpus_tokenizer_b_main(m *interp.Machine, f *mem.Frame) (ret interp.Value)
 	}
 	{
 		m.GenStep()
-		m.GenStep()
-		v28 := m.GenArgs(1)
-		v29 := m.GenLiteral(4)
-		v30 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v29.Base, Prov: v29}}
-		v28[0] = v30
-		v31 := corpus_tokenizer_f_eval(m, v28, corpus_tokenizer_pos[51])
-		m.GenPutArgs(v28)
-		v32 := interp.Value{T: types.IntType, I: 42}
-		var v33 interp.Value
-		if v31.T == types.IntType && v32.T == types.IntType {
-			if v31.I != v32.I {
-				v33 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v33 = interp.Value{T: types.IntType, I: 0}
-			}
-		} else {
-			v33 = m.GenBinaryOp(token.NotEq, v31, v32, types.IntType, corpus_tokenizer_pos[52])
-		}
-		if v33.Truthy() {
-			{
-				m.GenStep()
-				v34 := interp.Value{T: types.IntType, I: 5}
-				ret = v34
-				if interp.GenLive {
-					return
-				}
-			}
-		}
-	}
-	{
-		m.GenStep()
-		v35 := interp.Value{T: types.IntType, I: 0}
-		ret = v35
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}

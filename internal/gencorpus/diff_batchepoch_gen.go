@@ -20,7 +20,6 @@ var diff_batchepoch_pos = []token.Pos{
 	{File: "t.c", Line: 10, Col: 10},
 	{File: "t.c", Line: 10, Col: 8},
 	{File: "t.c", Line: 11, Col: 11},
-	{File: "t.c", Line: 12, Col: 9},
 	{File: "t.c", Line: 12, Col: 16},
 	{File: "t.c", Line: 13, Col: 10},
 }
@@ -60,14 +59,29 @@ func diff_batchepoch_f_bump(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "bump", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:bump", 16, diff_batchepoch_locals_bump)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_batchepoch_b_bump)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_batchepoch_b_bump(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -79,7 +93,7 @@ func diff_batchepoch_b_bump(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 	}
 	{
 		m.GenStep()
-		v2 := f.LocalAt(0)
+		v2 := f.LocalAt(2)
 		_ = v2
 	}
 	{
@@ -87,139 +101,132 @@ func diff_batchepoch_b_bump(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 		v3 := m.GenGlobal(0)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := interp.Value{T: types.IntType, I: 1}
-		var v6 interp.Value
-		if v4.T == types.IntType && v5.T == types.IntType {
-			v6 = interp.Value{T: types.IntType, I: int64(int32(v4.I + v5.I))}
+		var v5 interp.Value
+		if v4.T == types.IntType {
+			v5 = interp.Value{T: types.IntType, I: int64(int32(v4.I + 1))}
 		} else {
-			v6 = m.GenBinaryOp(token.Plus, v4, v5, types.IntType, diff_batchepoch_pos[0])
+			v5 = m.GenBinaryOp(token.Plus, v4, (interp.Value{T: types.IntType, I: 1}), types.IntType, diff_batchepoch_pos[0])
 		}
-		v7 := m.GenGlobal(0)
-		var v8 interp.Value
-		if v6.T == types.IntType {
-			v8 = v6
+		v6 := m.GenGlobal(0)
+		var v7 interp.Value
+		if v5.T == types.IntType {
+			v7 = v5
+		} else if v5.T != nil && v5.T.IsInteger() {
+			v7 = interp.Value{T: types.IntType, I: int64(int32(v5.I))}
 		} else {
-			v8 = m.GenConvert(v6, types.IntType, diff_batchepoch_pos[1])
+			v7 = m.GenConvert(v5, types.IntType, diff_batchepoch_pos[1])
 		}
-		m.GenStoreRaw(v7, 0, types.IntType, v8)
-		_ = v8
+		m.GenStoreRaw(v6, 0, types.IntType, v7)
+		_ = v7
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v9 := m.GenArgs(1)
-		v10 := interp.Value{T: types.IntType, I: 16}
-		v9[0] = v10
-		v11 := m.GenBuiltin(0, "malloc", diff_batchepoch_pos[2])(m, diff_batchepoch_pos[2], v9)
-		m.GenPutArgs(v9)
-		var v12 interp.Value
-		if v11.T == diff_batchepoch_t0 {
-			v12 = v11
+		v8 := m.GenArgs(1)
+		v8[0] = (interp.Value{T: types.IntType, I: 16})
+		v9 := m.GenBuiltin(0, "malloc", diff_batchepoch_pos[2])(m, diff_batchepoch_pos[2], v8)
+		m.GenPutArgs(v8)
+		var v10 interp.Value
+		if v9.T == diff_batchepoch_t0 {
+			v10 = v9
+		} else if v9.T != nil && v9.T.IsPointer() {
+			v10 = interp.Value{T: diff_batchepoch_t0, Ptr: v9.Ptr}
 		} else {
-			v12 = m.GenConvert(v11, diff_batchepoch_t0, diff_batchepoch_pos[2])
+			v10 = m.GenConvert(v9, diff_batchepoch_t0, diff_batchepoch_pos[2])
 		}
+		var v11 interp.Value
+		if v10.T == diff_batchepoch_t1 {
+			v11 = v10
+		} else if v10.T != nil && v10.T.IsPointer() {
+			v11 = interp.Value{T: diff_batchepoch_t1, Ptr: v10.Ptr}
+		} else {
+			v11 = m.GenConvert(v10, diff_batchepoch_t1, diff_batchepoch_pos[3])
+		}
+		v12 := m.GenGlobal(1)
 		var v13 interp.Value
-		if v12.T == diff_batchepoch_t1 {
-			v13 = v12
+		if v11.T == diff_batchepoch_t1 {
+			v13 = v11
+		} else if v11.T != nil && v11.T.IsPointer() {
+			v13 = interp.Value{T: diff_batchepoch_t1, Ptr: v11.Ptr}
 		} else {
-			v13 = m.GenConvert(v12, diff_batchepoch_t1, diff_batchepoch_pos[3])
+			v13 = m.GenConvert(v11, diff_batchepoch_t1, diff_batchepoch_pos[4])
 		}
-		v14 := m.GenGlobal(1)
-		var v15 interp.Value
-		if v13.T == diff_batchepoch_t1 {
-			v15 = v13
-		} else {
-			v15 = m.GenConvert(v13, diff_batchepoch_t1, diff_batchepoch_pos[4])
-		}
-		m.GenStoreRaw(v14, 0, diff_batchepoch_t1, v15)
-		_ = v15
+		m.GenStoreRaw(v12, 0, diff_batchepoch_t1, v13)
+		_ = v13
 	}
 	{
 		m.GenStep()
-		v16 := interp.Value{T: types.IntType, I: 120}
-		v17 := m.GenGlobal(1)
-		v18 := m.GenLoadRaw(v17, 0, diff_batchepoch_t1, 0)
-		v19 := interp.Value{T: types.IntType, I: 0}
-		v20 := core.Pointer{Addr: v18.Ptr.Addr + uint64(v19.I)*1, Prov: v18.Ptr.Prov}
-		var v21 interp.Value
-		if v16.T == types.CharType {
-			v21 = v16
-		} else {
-			v21 = m.GenConvert(v16, types.CharType, diff_batchepoch_pos[5])
-		}
-		m.GenStoreValue(v20, types.CharType, v21, diff_batchepoch_pos[5])
-		_ = v21
+		v14 := m.GenGlobal(1)
+		v15 := m.GenLoadRaw(v14, 0, diff_batchepoch_t1, 0)
+		v16 := core.Pointer{Addr: v15.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v15.Ptr.Prov}
+		m.GenStoreValue(v16, types.CharType, (interp.Value{T: types.CharType, I: 120}), diff_batchepoch_pos[5])
+		_ = (interp.Value{T: types.CharType, I: 120})
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v22 := interp.Value{T: types.IntType, I: 0}
-			v23 := f.LocalAt(0)
-			var v24 interp.Value
-			if v22.T == types.IntType {
-				v24 = v22
-			} else {
-				v24 = m.GenConvert(v22, types.IntType, diff_batchepoch_pos[6])
-			}
-			m.GenStoreRaw(v23, 0, types.IntType, v24)
-			_ = v24
+			v17 := f.LocalAt(2)
+			m.GenStoreRaw(v17, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v25 := f.LocalAt(0)
+			v18 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-			v27 := f.LocalAt(2)
+			v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
+			v20 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
-			var v29 interp.Value
-			if v26.T == types.IntType && v28.T == types.IntType {
-				if v26.I < v28.I {
-					v29 = interp.Value{T: types.IntType, I: 1}
+			v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+			var v22 interp.Value
+			if v19.T == types.IntType && v21.T == types.IntType {
+				if v19.I < v21.I {
+					v22 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v29 = interp.Value{T: types.IntType, I: 0}
+					v22 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v29 = m.GenBinaryOp(token.Lt, v26, v28, types.IntType, diff_batchepoch_pos[7])
+				v22 = m.GenBinaryOp(token.Lt, v19, v21, types.IntType, diff_batchepoch_pos[6])
 			}
-			if !v29.Truthy() {
+			if !v22.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v30 := f.LocalAt(0)
+				v23 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v31 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v30.Data[0:])))}
-				v32 := f.LocalAt(1)
-				v33 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v32.Base, Prov: v32}}
-				v34 := f.LocalAt(0)
+				v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+				v25 := f.LocalAt(1)
+				v26 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v25.Base, Prov: v25}}
+				v27 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
-				v36 := core.Pointer{Addr: v33.Ptr.Addr + uint64(v35.I)*1, Prov: v33.Ptr.Prov}
-				var v37 interp.Value
-				if v31.T == types.CharType {
-					v37 = v31
+				v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
+				v29 := core.Pointer{Addr: v26.Ptr.Addr + uint64(v28.I)*1, Prov: v26.Ptr.Prov}
+				var v30 interp.Value
+				if v24.T == types.CharType {
+					v30 = v24
+				} else if v24.T != nil && v24.T.IsInteger() {
+					v30 = interp.Value{T: types.CharType, I: int64(int8(v24.I))}
 				} else {
-					v37 = m.GenConvert(v31, types.CharType, diff_batchepoch_pos[8])
+					v30 = m.GenConvert(v24, types.CharType, diff_batchepoch_pos[7])
 				}
-				m.GenStoreValue(v36, types.CharType, v37, diff_batchepoch_pos[8])
-				_ = v37
+				m.GenStoreValue(v29, types.CharType, v30, diff_batchepoch_pos[7])
+				_ = v30
 			}
-			v38 := f.LocalAt(0)
+			v31 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
-			v40 := interp.Value{T: v39.T, I: int64(int32(v39.I + 1))}
-			m.GenStoreRaw(v38, 0, types.IntType, v40)
-			_ = v39
+			v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
+			v33 := interp.Value{T: v32.T, I: int64(int32(v32.I + 1))}
+			m.GenStoreRaw(v31, 0, types.IntType, v33)
+			_ = v32
 		}
 	}
 	{
 		m.GenStep()
-		v41 := m.GenGlobal(0)
+		v34 := m.GenGlobal(0)
 		m.GenChargeAccess()
-		v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
-		ret = v42
+		v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+		ret = v35
 		if interp.GenLive {
 			return
 		}
@@ -233,14 +240,29 @@ func diff_batchepoch_f_get(m *interp.Machine, args []interp.Value, pos token.Pos
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:get", 4, diff_batchepoch_locals_get)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_batchepoch_b_get)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_batchepoch_b_get(m *interp.Machine, f *mem.Frame) (ret interp.Value) {

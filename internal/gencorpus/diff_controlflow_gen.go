@@ -13,7 +13,6 @@ import (
 )
 
 var diff_controlflow_pos = []token.Pos{
-	{File: "t.c", Line: 3, Col: 2},
 	{File: "t.c", Line: 5, Col: 8},
 	{File: "t.c", Line: 7, Col: 8},
 	{File: "t.c", Line: 7, Col: 12},
@@ -22,13 +21,7 @@ var diff_controlflow_pos = []token.Pos{
 	{File: "t.c", Line: 10, Col: 9},
 	{File: "t.c", Line: 10, Col: 13},
 	{File: "t.c", Line: 10, Col: 5},
-	{File: "t.c", Line: 19, Col: 2},
-	{File: "t.c", Line: 22, Col: 9},
-	{File: "t.c", Line: 26, Col: 9},
 	{File: "t.c", Line: 29, Col: 9},
-	{File: "t.c", Line: 32, Col: 9},
-	{File: "t.c", Line: 38, Col: 2},
-	{File: "t.c", Line: 41, Col: 10},
 	{File: "t.c", Line: 41, Col: 17},
 	{File: "t.c", Line: 42, Col: 10},
 	{File: "t.c", Line: 44, Col: 10},
@@ -36,8 +29,6 @@ var diff_controlflow_pos = []token.Pos{
 	{File: "t.c", Line: 49, Col: 9},
 	{File: "t.c", Line: 51, Col: 13},
 	{File: "t.c", Line: 53, Col: 13},
-	{File: "t.c", Line: 59, Col: 2},
-	{File: "t.c", Line: 60, Col: 9},
 	{File: "t.c", Line: 60, Col: 16},
 	{File: "t.c", Line: 61, Col: 13},
 	{File: "t.c", Line: 62, Col: 28},
@@ -92,29 +83,37 @@ func diff_controlflow_f_collatz(m *interp.Machine, args []interp.Value, pos toke
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "collatz", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:collatz", 8, diff_controlflow_locals_collatz)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_controlflow_b_collatz)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_controlflow_b_collatz(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, diff_controlflow_pos[0])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 l0_top:
 	;
@@ -122,21 +121,20 @@ l0_top:
 		m.GenStep()
 		{
 			m.GenStep()
-			v4 := f.LocalAt(1)
+			v2 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-			v6 := interp.Value{T: types.IntType, I: 1}
-			var v7 interp.Value
-			if v5.T == types.IntType && v6.T == types.IntType {
-				if v5.I == v6.I {
-					v7 = interp.Value{T: types.IntType, I: 1}
+			v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
+			var v4 interp.Value
+			if v3.T == types.IntType {
+				if v3.I == 1 {
+					v4 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v7 = interp.Value{T: types.IntType, I: 0}
+					v4 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v7 = m.GenBinaryOp(token.EqEq, v5, v6, types.IntType, diff_controlflow_pos[1])
+				v4 = m.GenBinaryOp(token.EqEq, v3, (interp.Value{T: types.IntType, I: 1}), types.IntType, diff_controlflow_pos[0])
 			}
-			if v7.Truthy() {
+			if v4.Truthy() {
 				{
 					m.GenStep()
 					if interp.GenLive {
@@ -148,43 +146,42 @@ l0_top:
 	}
 	{
 		m.GenStep()
-		v8 := f.LocalAt(1)
+		v5 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-		v10 := interp.Value{T: types.IntType, I: 2}
-		var v11 interp.Value
-		v11 = m.GenBinaryOp(token.Percent, v9, v10, types.IntType, diff_controlflow_pos[2])
-		v12 := interp.Value{T: types.IntType, I: 0}
-		var v13 interp.Value
-		if v11.T == types.IntType && v12.T == types.IntType {
-			if v11.I == v12.I {
-				v13 = interp.Value{T: types.IntType, I: 1}
+		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+		var v7 interp.Value
+		v7 = m.GenBinaryOp(token.Percent, v6, (interp.Value{T: types.IntType, I: 2}), types.IntType, diff_controlflow_pos[1])
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			if v7.I == 0 {
+				v8 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v13 = interp.Value{T: types.IntType, I: 0}
+				v8 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v13 = m.GenBinaryOp(token.EqEq, v11, v12, types.IntType, diff_controlflow_pos[3])
+			v8 = m.GenBinaryOp(token.EqEq, v7, (interp.Value{T: types.IntType, I: 0}), types.IntType, diff_controlflow_pos[2])
 		}
-		if v13.Truthy() {
+		if v8.Truthy() {
 			{
 				m.GenStep()
 				{
 					m.GenStep()
-					v14 := f.LocalAt(1)
+					v9 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-					v16 := interp.Value{T: types.IntType, I: 2}
-					var v17 interp.Value
-					v17 = m.GenBinaryOp(token.Slash, v15, v16, types.IntType, diff_controlflow_pos[4])
-					v18 := f.LocalAt(1)
-					var v19 interp.Value
-					if v17.T == types.IntType {
-						v19 = v17
+					v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+					var v11 interp.Value
+					v11 = m.GenBinaryOp(token.Slash, v10, (interp.Value{T: types.IntType, I: 2}), types.IntType, diff_controlflow_pos[3])
+					v12 := f.LocalAt(0)
+					var v13 interp.Value
+					if v11.T == types.IntType {
+						v13 = v11
+					} else if v11.T != nil && v11.T.IsInteger() {
+						v13 = interp.Value{T: types.IntType, I: int64(int32(v11.I))}
 					} else {
-						v19 = m.GenConvert(v17, types.IntType, diff_controlflow_pos[5])
+						v13 = m.GenConvert(v11, types.IntType, diff_controlflow_pos[4])
 					}
-					m.GenStoreRaw(v18, 0, types.IntType, v19)
-					_ = v19
+					m.GenStoreRaw(v12, 0, types.IntType, v13)
+					_ = v13
 				}
 			}
 		} else {
@@ -192,44 +189,44 @@ l0_top:
 				m.GenStep()
 				{
 					m.GenStep()
-					v20 := interp.Value{T: types.IntType, I: 3}
-					v21 := f.LocalAt(1)
+					v14 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
-					var v23 interp.Value
-					if v20.T == types.IntType && v22.T == types.IntType {
-						v23 = interp.Value{T: types.IntType, I: int64(int32(v20.I * v22.I))}
+					v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+					var v16 interp.Value
+					if v15.T == types.IntType {
+						v16 = interp.Value{T: types.IntType, I: int64(int32(3 * v15.I))}
 					} else {
-						v23 = m.GenBinaryOp(token.Star, v20, v22, types.IntType, diff_controlflow_pos[6])
+						v16 = m.GenBinaryOp(token.Star, (interp.Value{T: types.IntType, I: 3}), v15, types.IntType, diff_controlflow_pos[5])
 					}
-					v24 := interp.Value{T: types.IntType, I: 1}
-					var v25 interp.Value
-					if v23.T == types.IntType && v24.T == types.IntType {
-						v25 = interp.Value{T: types.IntType, I: int64(int32(v23.I + v24.I))}
+					var v17 interp.Value
+					if v16.T == types.IntType {
+						v17 = interp.Value{T: types.IntType, I: int64(int32(v16.I + 1))}
 					} else {
-						v25 = m.GenBinaryOp(token.Plus, v23, v24, types.IntType, diff_controlflow_pos[7])
+						v17 = m.GenBinaryOp(token.Plus, v16, (interp.Value{T: types.IntType, I: 1}), types.IntType, diff_controlflow_pos[6])
 					}
-					v26 := f.LocalAt(1)
-					var v27 interp.Value
-					if v25.T == types.IntType {
-						v27 = v25
+					v18 := f.LocalAt(0)
+					var v19 interp.Value
+					if v17.T == types.IntType {
+						v19 = v17
+					} else if v17.T != nil && v17.T.IsInteger() {
+						v19 = interp.Value{T: types.IntType, I: int64(int32(v17.I))}
 					} else {
-						v27 = m.GenConvert(v25, types.IntType, diff_controlflow_pos[8])
+						v19 = m.GenConvert(v17, types.IntType, diff_controlflow_pos[7])
 					}
-					m.GenStoreRaw(v26, 0, types.IntType, v27)
-					_ = v27
+					m.GenStoreRaw(v18, 0, types.IntType, v19)
+					_ = v19
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v28 := f.LocalAt(0)
+		v20 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-		v30 := interp.Value{T: v29.T, I: int64(int32(v29.I + 1))}
-		m.GenStoreRaw(v28, 0, types.IntType, v30)
-		_ = v29
+		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+		v22 := interp.Value{T: v21.T, I: int64(int32(v21.I + 1))}
+		m.GenStoreRaw(v20, 0, types.IntType, v22)
+		_ = v21
 	}
 	{
 		m.GenStep()
@@ -243,10 +240,10 @@ l1_done:
 		m.GenStep()
 		{
 			m.GenStep()
-			v31 := f.LocalAt(0)
+			v23 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-			ret = v32
+			v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+			ret = v24
 			if interp.GenLive {
 				return
 			}
@@ -261,36 +258,44 @@ func diff_controlflow_f_classify(m *interp.Machine, args []interp.Value, pos tok
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "classify", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:classify", 8, diff_controlflow_locals_classify)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_controlflow_b_classify)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_controlflow_b_classify(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, diff_controlflow_pos[9])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v4 := f.LocalAt(1)
+		v2 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-		switch v5.I {
+		v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
+		switch v3.I {
 		case 0:
 			if interp.GenLive {
 				goto sw0_s0
@@ -322,16 +327,9 @@ func diff_controlflow_b_classify(m *interp.Machine, f *mem.Frame) (ret interp.Va
 		}
 		{
 			m.GenStep()
-			v6 := interp.Value{T: types.IntType, I: 1}
-			v7 := f.LocalAt(0)
-			var v8 interp.Value
-			if v6.T == types.IntType {
-				v8 = v6
-			} else {
-				v8 = m.GenConvert(v6, types.IntType, diff_controlflow_pos[10])
-			}
-			m.GenStoreRaw(v7, 0, types.IntType, v8)
-			_ = v8
+			v4 := f.LocalAt(1)
+			m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+			_ = (interp.Value{T: types.IntType, I: 1})
 		}
 		{
 			m.GenStep()
@@ -351,16 +349,9 @@ func diff_controlflow_b_classify(m *interp.Machine, f *mem.Frame) (ret interp.Va
 		}
 		{
 			m.GenStep()
-			v9 := interp.Value{T: types.IntType, I: 10}
-			v10 := f.LocalAt(0)
-			var v11 interp.Value
-			if v9.T == types.IntType {
-				v11 = v9
-			} else {
-				v11 = m.GenConvert(v9, types.IntType, diff_controlflow_pos[11])
-			}
-			m.GenStoreRaw(v10, 0, types.IntType, v11)
-			_ = v11
+			v5 := f.LocalAt(1)
+			m.GenStoreRaw(v5, 0, types.IntType, (interp.Value{T: types.IntType, I: 10}))
+			_ = (interp.Value{T: types.IntType, I: 10})
 		}
 	sw0_s6:
 		;
@@ -369,24 +360,25 @@ func diff_controlflow_b_classify(m *interp.Machine, f *mem.Frame) (ret interp.Va
 		}
 		{
 			m.GenStep()
-			v12 := f.LocalAt(0)
+			v6 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
-			v14 := interp.Value{T: types.IntType, I: 100}
-			var v15 interp.Value
-			if v13.T == types.IntType && v14.T == types.IntType {
-				v15 = interp.Value{T: types.IntType, I: int64(int32(v13.I + v14.I))}
+			v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+			var v8 interp.Value
+			if v7.T == types.IntType {
+				v8 = interp.Value{T: types.IntType, I: int64(int32(v7.I + 100))}
 			} else {
-				v15 = m.GenBinaryOp(token.Plus, v13, v14, types.IntType, diff_controlflow_pos[12])
+				v8 = m.GenBinaryOp(token.Plus, v7, (interp.Value{T: types.IntType, I: 100}), types.IntType, diff_controlflow_pos[8])
 			}
-			var v16 interp.Value
-			if v15.T == types.IntType {
-				v16 = v15
+			var v9 interp.Value
+			if v8.T == types.IntType {
+				v9 = v8
+			} else if v8.T != nil && v8.T.IsInteger() {
+				v9 = interp.Value{T: types.IntType, I: int64(int32(v8.I))}
 			} else {
-				v16 = m.GenConvert(v15, types.IntType, diff_controlflow_pos[12])
+				v9 = m.GenConvert(v8, types.IntType, diff_controlflow_pos[8])
 			}
-			m.GenStoreRaw(v12, 0, types.IntType, v16)
-			_ = v16
+			m.GenStoreRaw(v6, 0, types.IntType, v9)
+			_ = v9
 		}
 		{
 			m.GenStep()
@@ -401,26 +393,18 @@ func diff_controlflow_b_classify(m *interp.Machine, f *mem.Frame) (ret interp.Va
 		}
 		{
 			m.GenStep()
-			v17 := interp.Value{T: types.IntType, I: 1}
-			v18 := interp.Value{T: types.IntType, I: int64(int32(-v17.I))}
-			v19 := f.LocalAt(0)
-			var v20 interp.Value
-			if v18.T == types.IntType {
-				v20 = v18
-			} else {
-				v20 = m.GenConvert(v18, types.IntType, diff_controlflow_pos[13])
-			}
-			m.GenStoreRaw(v19, 0, types.IntType, v20)
-			_ = v20
+			v10 := f.LocalAt(1)
+			m.GenStoreRaw(v10, 0, types.IntType, (interp.Value{T: types.IntType, I: -1}))
+			_ = (interp.Value{T: types.IntType, I: -1})
 		}
 	sw0_end:
 	}
 	{
 		m.GenStep()
-		v21 := f.LocalAt(0)
+		v11 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
-		ret = v22
+		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+		ret = v12
 		if interp.GenLive {
 			return
 		}
@@ -434,38 +418,39 @@ func diff_controlflow_f_weave(m *interp.Machine, args []interp.Value, pos token.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "weave", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:weave", 16, diff_controlflow_locals_weave)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_controlflow_b_weave)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(2)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, diff_controlflow_pos[14])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
-		v4 := f.LocalAt(1)
-		v5 := interp.Value{T: types.IntType, I: 0}
-		var v6 interp.Value
-		if v5.T == types.IntType {
-			v6 = v5
-		} else {
-			v6 = m.GenConvert(v5, types.IntType, diff_controlflow_pos[14])
-		}
-		m.GenStoreRaw(v4, 0, types.IntType, v6)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v2 := f.LocalAt(2)
+		m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
@@ -475,42 +460,35 @@ func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value
 				m.GenStep()
 				{
 					m.GenStep()
-					v7 := f.LocalAt(0)
-					_ = v7
+					v3 := f.LocalAt(3)
+					_ = v3
 				}
 				{
 					m.GenStep()
 					{
 						m.GenStep()
-						v8 := interp.Value{T: types.IntType, I: 0}
-						v9 := f.LocalAt(0)
-						var v10 interp.Value
-						if v8.T == types.IntType {
-							v10 = v8
-						} else {
-							v10 = m.GenConvert(v8, types.IntType, diff_controlflow_pos[15])
-						}
-						m.GenStoreRaw(v9, 0, types.IntType, v10)
-						_ = v10
+						v4 := f.LocalAt(3)
+						m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+						_ = (interp.Value{T: types.IntType, I: 0})
 					}
 					for {
-						v11 := f.LocalAt(0)
+						v5 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
-						v13 := f.LocalAt(3)
+						v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+						v7 := f.LocalAt(0)
 						m.GenChargeAccess()
-						v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-						var v15 interp.Value
-						if v12.T == types.IntType && v14.T == types.IntType {
-							if v12.I < v14.I {
-								v15 = interp.Value{T: types.IntType, I: 1}
+						v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+						var v9 interp.Value
+						if v6.T == types.IntType && v8.T == types.IntType {
+							if v6.I < v8.I {
+								v9 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v15 = interp.Value{T: types.IntType, I: 0}
+								v9 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v15 = m.GenBinaryOp(token.Lt, v12, v14, types.IntType, diff_controlflow_pos[16])
+							v9 = m.GenBinaryOp(token.Lt, v6, v8, types.IntType, diff_controlflow_pos[9])
 						}
-						if !v15.Truthy() {
+						if !v9.Truthy() {
 							break
 						}
 						m.GenStep()
@@ -518,21 +496,20 @@ func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value
 							m.GenStep()
 							{
 								m.GenStep()
-								v16 := f.LocalAt(0)
+								v10 := f.LocalAt(3)
 								m.GenChargeAccess()
-								v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-								v18 := interp.Value{T: types.IntType, I: 2}
-								var v19 interp.Value
-								if v17.T == types.IntType && v18.T == types.IntType {
-									if v17.I == v18.I {
-										v19 = interp.Value{T: types.IntType, I: 1}
+								v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+								var v12 interp.Value
+								if v11.T == types.IntType {
+									if v11.I == 2 {
+										v12 = interp.Value{T: types.IntType, I: 1}
 									} else {
-										v19 = interp.Value{T: types.IntType, I: 0}
+										v12 = interp.Value{T: types.IntType, I: 0}
 									}
 								} else {
-									v19 = m.GenBinaryOp(token.EqEq, v17, v18, types.IntType, diff_controlflow_pos[17])
+									v12 = m.GenBinaryOp(token.EqEq, v11, (interp.Value{T: types.IntType, I: 2}), types.IntType, diff_controlflow_pos[10])
 								}
-								if v19.Truthy() {
+								if v12.Truthy() {
 									{
 										m.GenStep()
 										if interp.GenLive {
@@ -543,21 +520,20 @@ func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value
 							}
 							{
 								m.GenStep()
-								v20 := f.LocalAt(0)
+								v13 := f.LocalAt(3)
 								m.GenChargeAccess()
-								v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-								v22 := interp.Value{T: types.IntType, I: 5}
-								var v23 interp.Value
-								if v21.T == types.IntType && v22.T == types.IntType {
-									if v21.I == v22.I {
-										v23 = interp.Value{T: types.IntType, I: 1}
+								v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+								var v15 interp.Value
+								if v14.T == types.IntType {
+									if v14.I == 5 {
+										v15 = interp.Value{T: types.IntType, I: 1}
 									} else {
-										v23 = interp.Value{T: types.IntType, I: 0}
+										v15 = interp.Value{T: types.IntType, I: 0}
 									}
 								} else {
-									v23 = m.GenBinaryOp(token.EqEq, v21, v22, types.IntType, diff_controlflow_pos[18])
+									v15 = m.GenBinaryOp(token.EqEq, v14, (interp.Value{T: types.IntType, I: 5}), types.IntType, diff_controlflow_pos[11])
 								}
-								if v23.Truthy() {
+								if v15.Truthy() {
 									{
 										m.GenStep()
 										if interp.GenLive {
@@ -568,64 +544,65 @@ func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value
 							}
 							{
 								m.GenStep()
-								v24 := f.LocalAt(1)
+								v16 := f.LocalAt(2)
 								m.GenChargeAccess()
-								v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
-								v26 := f.LocalAt(0)
+								v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+								v18 := f.LocalAt(3)
 								m.GenChargeAccess()
-								v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
-								var v28 interp.Value
-								if v25.T == types.IntType && v27.T == types.IntType {
-									v28 = interp.Value{T: types.IntType, I: int64(int32(v25.I + v27.I))}
+								v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
+								var v20 interp.Value
+								if v17.T == types.IntType && v19.T == types.IntType {
+									v20 = interp.Value{T: types.IntType, I: int64(int32(v17.I + v19.I))}
 								} else {
-									v28 = m.GenBinaryOp(token.Plus, v25, v27, types.IntType, diff_controlflow_pos[19])
+									v20 = m.GenBinaryOp(token.Plus, v17, v19, types.IntType, diff_controlflow_pos[12])
 								}
-								var v29 interp.Value
-								if v28.T == types.IntType {
-									v29 = v28
+								var v21 interp.Value
+								if v20.T == types.IntType {
+									v21 = v20
+								} else if v20.T != nil && v20.T.IsInteger() {
+									v21 = interp.Value{T: types.IntType, I: int64(int32(v20.I))}
 								} else {
-									v29 = m.GenConvert(v28, types.IntType, diff_controlflow_pos[19])
+									v21 = m.GenConvert(v20, types.IntType, diff_controlflow_pos[12])
 								}
-								m.GenStoreRaw(v24, 0, types.IntType, v29)
-								_ = v29
+								m.GenStoreRaw(v16, 0, types.IntType, v21)
+								_ = v21
 							}
 						}
 					c2_cont:
 						;
-						v30 := f.LocalAt(0)
+						v22 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v31 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v30.Data[0:])))}
-						v32 := interp.Value{T: v31.T, I: int64(int32(v31.I + 1))}
-						m.GenStoreRaw(v30, 0, types.IntType, v32)
-						_ = v31
+						v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
+						v24 := interp.Value{T: v23.T, I: int64(int32(v23.I + 1))}
+						m.GenStoreRaw(v22, 0, types.IntType, v24)
+						_ = v23
 					}
 				}
 				{
 					m.GenStep()
-					v33 := f.LocalAt(2)
+					v25 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[0:])))}
-					v35 := interp.Value{T: v34.T, I: int64(int32(v34.I + 1))}
-					m.GenStoreRaw(v33, 0, types.IntType, v35)
-					_ = v34
+					v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
+					v27 := interp.Value{T: v26.T, I: int64(int32(v26.I + 1))}
+					m.GenStoreRaw(v25, 0, types.IntType, v27)
+					_ = v26
 				}
 				{
 					m.GenStep()
-					v36 := f.LocalAt(2)
+					v28 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
-					v38 := interp.Value{T: types.IntType, I: 3}
-					var v39 interp.Value
-					if v37.T == types.IntType && v38.T == types.IntType {
-						if v37.I > v38.I {
-							v39 = interp.Value{T: types.IntType, I: 1}
+					v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
+					var v30 interp.Value
+					if v29.T == types.IntType {
+						if v29.I > 3 {
+							v30 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v39 = interp.Value{T: types.IntType, I: 0}
+							v30 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v39 = m.GenBinaryOp(token.Gt, v37, v38, types.IntType, diff_controlflow_pos[20])
+						v30 = m.GenBinaryOp(token.Gt, v29, (interp.Value{T: types.IntType, I: 3}), types.IntType, diff_controlflow_pos[13])
 					}
-					if v39.Truthy() {
+					if v30.Truthy() {
 						{
 							m.GenStep()
 							if interp.GenLive {
@@ -635,21 +612,20 @@ func diff_controlflow_b_weave(m *interp.Machine, f *mem.Frame) (ret interp.Value
 					}
 				}
 			}
-			v40 := f.LocalAt(2)
+			v31 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-			v42 := interp.Value{T: types.IntType, I: 10}
-			var v43 interp.Value
-			if v41.T == types.IntType && v42.T == types.IntType {
-				if v41.I < v42.I {
-					v43 = interp.Value{T: types.IntType, I: 1}
+			v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
+			var v33 interp.Value
+			if v32.T == types.IntType {
+				if v32.I < 10 {
+					v33 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v43 = interp.Value{T: types.IntType, I: 0}
+					v33 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v43 = m.GenBinaryOp(token.Lt, v41, v42, types.IntType, diff_controlflow_pos[21])
+				v33 = m.GenBinaryOp(token.Lt, v32, (interp.Value{T: types.IntType, I: 10}), types.IntType, diff_controlflow_pos[14])
 			}
-			if !v43.Truthy() {
+			if !v33.Truthy() {
 				break
 			}
 		}
@@ -661,44 +637,43 @@ l0_out:
 		{
 			m.GenStep()
 			for {
-				v44 := f.LocalAt(2)
+				v34 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
-				v46 := interp.Value{T: v45.T, I: int64(int32(v45.I - 1))}
-				m.GenStoreRaw(v44, 0, types.IntType, v46)
-				v47 := interp.Value{T: types.IntType, I: 0}
-				var v48 interp.Value
-				if v45.T == types.IntType && v47.T == types.IntType {
-					if v45.I > v47.I {
-						v48 = interp.Value{T: types.IntType, I: 1}
+				v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+				v36 := interp.Value{T: v35.T, I: int64(int32(v35.I - 1))}
+				m.GenStoreRaw(v34, 0, types.IntType, v36)
+				var v37 interp.Value
+				if v35.T == types.IntType {
+					if v35.I > 0 {
+						v37 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v48 = interp.Value{T: types.IntType, I: 0}
+						v37 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v48 = m.GenBinaryOp(token.Gt, v45, v47, types.IntType, diff_controlflow_pos[22])
+					v37 = m.GenBinaryOp(token.Gt, v35, (interp.Value{T: types.IntType, I: 0}), types.IntType, diff_controlflow_pos[15])
 				}
-				if !v48.Truthy() {
+				if !v37.Truthy() {
 					break
 				}
 				m.GenStep()
 				{
 					m.GenStep()
-					v49 := f.LocalAt(1)
+					v38 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
-					v51 := interp.Value{T: v50.T, I: int64(int32(v50.I + 1))}
-					m.GenStoreRaw(v49, 0, types.IntType, v51)
-					_ = v50
+					v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
+					v40 := interp.Value{T: v39.T, I: int64(int32(v39.I + 1))}
+					m.GenStoreRaw(v38, 0, types.IntType, v40)
+					_ = v39
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v52 := f.LocalAt(1)
+		v41 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v53 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v52.Data[0:])))}
-		ret = v53
+		v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
+		ret = v42
 		if interp.GenLive {
 			return
 		}
@@ -712,14 +687,29 @@ func diff_controlflow_f_dispatch(m *interp.Machine, args []interp.Value, pos tok
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "dispatch", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:dispatch", 12, diff_controlflow_locals_dispatch)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_controlflow_b_dispatch)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -727,50 +717,36 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 	{
 		m.GenStep()
 		v1 := f.LocalAt(1)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, diff_controlflow_pos[23])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
-		v4 := f.LocalAt(0)
-		_ = v4
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v2 := f.LocalAt(2)
+		_ = v2
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v5 := interp.Value{T: types.IntType, I: 0}
-			v6 := f.LocalAt(0)
-			var v7 interp.Value
-			if v5.T == types.IntType {
-				v7 = v5
-			} else {
-				v7 = m.GenConvert(v5, types.IntType, diff_controlflow_pos[24])
-			}
-			m.GenStoreRaw(v6, 0, types.IntType, v7)
-			_ = v7
+			v3 := f.LocalAt(2)
+			m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v8 := f.LocalAt(0)
+			v4 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-			v10 := f.LocalAt(2)
+			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+			v6 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-			var v12 interp.Value
-			if v9.T == types.IntType && v11.T == types.IntType {
-				if v9.I < v11.I {
-					v12 = interp.Value{T: types.IntType, I: 1}
+			v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+			var v8 interp.Value
+			if v5.T == types.IntType && v7.T == types.IntType {
+				if v5.I < v7.I {
+					v8 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v12 = interp.Value{T: types.IntType, I: 0}
+					v8 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v12 = m.GenBinaryOp(token.Lt, v9, v11, types.IntType, diff_controlflow_pos[25])
+				v8 = m.GenBinaryOp(token.Lt, v5, v7, types.IntType, diff_controlflow_pos[16])
 			}
-			if !v12.Truthy() {
+			if !v8.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -778,17 +754,16 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 				m.GenStep()
 				{
 					m.GenStep()
-					v13 := f.LocalAt(0)
+					v9 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-					v15 := interp.Value{T: types.IntType, I: 3}
-					var v16 interp.Value
-					if v14.T == types.IntType && v15.T == types.IntType {
-						v16 = interp.Value{T: types.IntType, I: int64(int32(v14.I & v15.I))}
+					v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+					var v11 interp.Value
+					if v10.T == types.IntType {
+						v11 = interp.Value{T: types.IntType, I: int64(int32(v10.I & 3))}
 					} else {
-						v16 = m.GenBinaryOp(token.Amp, v14, v15, types.IntType, diff_controlflow_pos[26])
+						v11 = m.GenBinaryOp(token.Amp, v10, (interp.Value{T: types.IntType, I: 3}), types.IntType, diff_controlflow_pos[17])
 					}
-					switch v16.I {
+					switch v11.I {
 					case 0:
 						if interp.GenLive {
 							goto sw0_s0
@@ -816,31 +791,33 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 					}
 					{
 						m.GenStep()
-						v17 := f.LocalAt(1)
+						v12 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+						v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
 						m.GenStep()
-						v19 := m.GenArgs(1)
-						v20 := f.LocalAt(0)
+						v14 := m.GenArgs(1)
+						v15 := f.LocalAt(2)
 						m.GenChargeAccess()
-						v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-						v19[0] = v21
-						v22 := diff_controlflow_f_classify(m, v19, diff_controlflow_pos[27])
-						m.GenPutArgs(v19)
-						var v23 interp.Value
-						if v18.T == types.IntType && v22.T == types.IntType {
-							v23 = interp.Value{T: types.IntType, I: int64(int32(v18.I + v22.I))}
+						v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
+						v14[0] = v16
+						v17 := diff_controlflow_f_classify(m, v14, diff_controlflow_pos[18])
+						m.GenPutArgs(v14)
+						var v18 interp.Value
+						if v13.T == types.IntType && v17.T == types.IntType {
+							v18 = interp.Value{T: types.IntType, I: int64(int32(v13.I + v17.I))}
 						} else {
-							v23 = m.GenBinaryOp(token.Plus, v18, v22, types.IntType, diff_controlflow_pos[28])
+							v18 = m.GenBinaryOp(token.Plus, v13, v17, types.IntType, diff_controlflow_pos[19])
 						}
-						var v24 interp.Value
-						if v23.T == types.IntType {
-							v24 = v23
+						var v19 interp.Value
+						if v18.T == types.IntType {
+							v19 = v18
+						} else if v18.T != nil && v18.T.IsInteger() {
+							v19 = interp.Value{T: types.IntType, I: int64(int32(v18.I))}
 						} else {
-							v24 = m.GenConvert(v23, types.IntType, diff_controlflow_pos[28])
+							v19 = m.GenConvert(v18, types.IntType, diff_controlflow_pos[19])
 						}
-						m.GenStoreRaw(v17, 0, types.IntType, v24)
-						_ = v24
+						m.GenStoreRaw(v12, 0, types.IntType, v19)
+						_ = v19
 					}
 					{
 						m.GenStep()
@@ -855,38 +832,39 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 					}
 					{
 						m.GenStep()
-						v25 := f.LocalAt(1)
+						v20 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
+						v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
 						m.GenStep()
-						v27 := m.GenArgs(1)
-						v28 := f.LocalAt(0)
+						v22 := m.GenArgs(1)
+						v23 := f.LocalAt(2)
 						m.GenChargeAccess()
-						v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-						v30 := interp.Value{T: types.IntType, I: 1}
-						var v31 interp.Value
-						if v29.T == types.IntType && v30.T == types.IntType {
-							v31 = interp.Value{T: types.IntType, I: int64(int32(v29.I + v30.I))}
+						v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+						var v25 interp.Value
+						if v24.T == types.IntType {
+							v25 = interp.Value{T: types.IntType, I: int64(int32(v24.I + 1))}
 						} else {
-							v31 = m.GenBinaryOp(token.Plus, v29, v30, types.IntType, diff_controlflow_pos[29])
+							v25 = m.GenBinaryOp(token.Plus, v24, (interp.Value{T: types.IntType, I: 1}), types.IntType, diff_controlflow_pos[20])
 						}
-						v27[0] = v31
-						v32 := diff_controlflow_f_collatz(m, v27, diff_controlflow_pos[30])
-						m.GenPutArgs(v27)
-						var v33 interp.Value
-						if v26.T == types.IntType && v32.T == types.IntType {
-							v33 = interp.Value{T: types.IntType, I: int64(int32(v26.I + v32.I))}
+						v22[0] = v25
+						v26 := diff_controlflow_f_collatz(m, v22, diff_controlflow_pos[21])
+						m.GenPutArgs(v22)
+						var v27 interp.Value
+						if v21.T == types.IntType && v26.T == types.IntType {
+							v27 = interp.Value{T: types.IntType, I: int64(int32(v21.I + v26.I))}
 						} else {
-							v33 = m.GenBinaryOp(token.Plus, v26, v32, types.IntType, diff_controlflow_pos[31])
+							v27 = m.GenBinaryOp(token.Plus, v21, v26, types.IntType, diff_controlflow_pos[22])
 						}
-						var v34 interp.Value
-						if v33.T == types.IntType {
-							v34 = v33
+						var v28 interp.Value
+						if v27.T == types.IntType {
+							v28 = v27
+						} else if v27.T != nil && v27.T.IsInteger() {
+							v28 = interp.Value{T: types.IntType, I: int64(int32(v27.I))}
 						} else {
-							v34 = m.GenConvert(v33, types.IntType, diff_controlflow_pos[31])
+							v28 = m.GenConvert(v27, types.IntType, diff_controlflow_pos[22])
 						}
-						m.GenStoreRaw(v25, 0, types.IntType, v34)
-						_ = v34
+						m.GenStoreRaw(v20, 0, types.IntType, v28)
+						_ = v28
 					}
 					{
 						m.GenStep()
@@ -901,31 +879,33 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 					}
 					{
 						m.GenStep()
-						v35 := f.LocalAt(1)
+						v29 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v36 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v35.Data[0:])))}
+						v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
 						m.GenStep()
-						v37 := m.GenArgs(1)
-						v38 := f.LocalAt(0)
+						v31 := m.GenArgs(1)
+						v32 := f.LocalAt(2)
 						m.GenChargeAccess()
-						v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
-						v37[0] = v39
-						v40 := diff_controlflow_f_weave(m, v37, diff_controlflow_pos[32])
-						m.GenPutArgs(v37)
-						var v41 interp.Value
-						if v36.T == types.IntType && v40.T == types.IntType {
-							v41 = interp.Value{T: types.IntType, I: int64(int32(v36.I + v40.I))}
+						v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
+						v31[0] = v33
+						v34 := diff_controlflow_f_weave(m, v31, diff_controlflow_pos[23])
+						m.GenPutArgs(v31)
+						var v35 interp.Value
+						if v30.T == types.IntType && v34.T == types.IntType {
+							v35 = interp.Value{T: types.IntType, I: int64(int32(v30.I + v34.I))}
 						} else {
-							v41 = m.GenBinaryOp(token.Plus, v36, v40, types.IntType, diff_controlflow_pos[33])
+							v35 = m.GenBinaryOp(token.Plus, v30, v34, types.IntType, diff_controlflow_pos[24])
 						}
-						var v42 interp.Value
-						if v41.T == types.IntType {
-							v42 = v41
+						var v36 interp.Value
+						if v35.T == types.IntType {
+							v36 = v35
+						} else if v35.T != nil && v35.T.IsInteger() {
+							v36 = interp.Value{T: types.IntType, I: int64(int32(v35.I))}
 						} else {
-							v42 = m.GenConvert(v41, types.IntType, diff_controlflow_pos[33])
+							v36 = m.GenConvert(v35, types.IntType, diff_controlflow_pos[24])
 						}
-						m.GenStoreRaw(v35, 0, types.IntType, v42)
-						_ = v42
+						m.GenStoreRaw(v29, 0, types.IntType, v36)
+						_ = v36
 					}
 					{
 						m.GenStep()
@@ -940,13 +920,12 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 					}
 					{
 						m.GenStep()
-						v43 := f.LocalAt(0)
+						v37 := f.LocalAt(2)
 						m.GenChargeAccess()
-						v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
-						v45 := interp.Value{T: types.IntType, I: 5}
-						var v46 interp.Value
-						v46 = m.GenBinaryOp(token.Percent, v44, v45, types.IntType, diff_controlflow_pos[34])
-						switch v46.I {
+						v38 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v37.Data[0:])))}
+						var v39 interp.Value
+						v39 = m.GenBinaryOp(token.Percent, v38, (interp.Value{T: types.IntType, I: 5}), types.IntType, diff_controlflow_pos[25])
+						switch v39.I {
 						case 0:
 							if interp.GenLive {
 								goto sw1_s0
@@ -966,12 +945,12 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 						}
 						{
 							m.GenStep()
-							v47 := f.LocalAt(1)
+							v40 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
-							v49 := interp.Value{T: v48.T, I: int64(int32(v48.I + 1))}
-							m.GenStoreRaw(v47, 0, types.IntType, v49)
-							_ = v48
+							v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
+							v42 := interp.Value{T: v41.T, I: int64(int32(v41.I + 1))}
+							m.GenStoreRaw(v40, 0, types.IntType, v42)
+							_ = v41
 						}
 						{
 							m.GenStep()
@@ -986,12 +965,12 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 						}
 						{
 							m.GenStep()
-							v50 := f.LocalAt(1)
+							v43 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v51 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v50.Data[0:])))}
-							v52 := interp.Value{T: v51.T, I: int64(int32(v51.I - 1))}
-							m.GenStoreRaw(v50, 0, types.IntType, v52)
-							_ = v51
+							v44 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v43.Data[0:])))}
+							v45 := interp.Value{T: v44.T, I: int64(int32(v44.I - 1))}
+							m.GenStoreRaw(v43, 0, types.IntType, v45)
+							_ = v44
 						}
 						{
 							m.GenStep()
@@ -1004,20 +983,20 @@ func diff_controlflow_b_dispatch(m *interp.Machine, f *mem.Frame) (ret interp.Va
 				sw0_end:
 				}
 			}
-			v53 := f.LocalAt(0)
+			v46 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
-			v55 := interp.Value{T: v54.T, I: int64(int32(v54.I + 1))}
-			m.GenStoreRaw(v53, 0, types.IntType, v55)
-			_ = v54
+			v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
+			v48 := interp.Value{T: v47.T, I: int64(int32(v47.I + 1))}
+			m.GenStoreRaw(v46, 0, types.IntType, v48)
+			_ = v47
 		}
 	}
 	{
 		m.GenStep()
-		v56 := f.LocalAt(1)
+		v49 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
-		ret = v57
+		v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
+		ret = v50
 		if interp.GenLive {
 			return
 		}

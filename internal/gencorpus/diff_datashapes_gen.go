@@ -14,10 +14,6 @@ import (
 )
 
 var diff_datashapes_pos = []token.Pos{
-	{File: "t.c", Line: 9, Col: 21},
-	{File: "t.c", Line: 9, Col: 24},
-	{File: "t.c", Line: 9, Col: 29},
-	{File: "t.c", Line: 9, Col: 33},
 	{File: "t.c", Line: 11, Col: 2},
 	{File: "t.c", Line: 12, Col: 4},
 	{File: "t.c", Line: 13, Col: 11},
@@ -25,7 +21,6 @@ var diff_datashapes_pos = []token.Pos{
 	{File: "t.c", Line: 14, Col: 40},
 	{File: "t.c", Line: 14, Col: 29},
 	{File: "t.c", Line: 19, Col: 2},
-	{File: "t.c", Line: 20, Col: 2},
 	{File: "t.c", Line: 21, Col: 6},
 	{File: "t.c", Line: 21, Col: 11},
 	{File: "t.c", Line: 22, Col: 7},
@@ -33,16 +28,6 @@ var diff_datashapes_pos = []token.Pos{
 	{File: "t.c", Line: 23, Col: 6},
 	{File: "t.c", Line: 23, Col: 4},
 	{File: "t.c", Line: 24, Col: 8},
-	{File: "t.c", Line: 29, Col: 2},
-	{File: "t.c", Line: 31, Col: 16},
-	{File: "t.c", Line: 31, Col: 19},
-	{File: "t.c", Line: 31, Col: 22},
-	{File: "t.c", Line: 31, Col: 25},
-	{File: "t.c", Line: 31, Col: 28},
-	{File: "t.c", Line: 31, Col: 31},
-	{File: "t.c", Line: 31, Col: 34},
-	{File: "t.c", Line: 31, Col: 37},
-	{File: "t.c", Line: 32, Col: 9},
 	{File: "t.c", Line: 32, Col: 16},
 	{File: "t.c", Line: 33, Col: 15},
 	{File: "t.c", Line: 33, Col: 19},
@@ -115,136 +100,119 @@ func diff_datashapes_f_area(m *interp.Machine, args []interp.Value, pos token.Po
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_datashapes_b_area(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(2)
+		v0 := f.LocalAt(0)
 		m.GenZeroFill(v0, 0, 16)
-		v1 := interp.Value{T: types.IntType, I: 1}
-		var v2 interp.Value
-		if v1.T == types.IntType {
-			v2 = v1
-		} else {
-			v2 = m.GenConvert(v1, types.IntType, diff_datashapes_pos[0])
-		}
-		m.GenStoreRaw(v0, 0, types.IntType, v2)
-		v3 := interp.Value{T: types.IntType, I: 2}
-		var v4 interp.Value
-		if v3.T == types.IntType {
-			v4 = v3
-		} else {
-			v4 = m.GenConvert(v3, types.IntType, diff_datashapes_pos[1])
-		}
-		m.GenStoreRaw(v0, 4, types.IntType, v4)
-		v5 := interp.Value{T: types.IntType, I: 11}
-		var v6 interp.Value
-		if v5.T == types.IntType {
-			v6 = v5
-		} else {
-			v6 = m.GenConvert(v5, types.IntType, diff_datashapes_pos[2])
-		}
-		m.GenStoreRaw(v0, 8, types.IntType, v6)
-		v7 := interp.Value{T: types.IntType, I: 22}
-		var v8 interp.Value
-		if v7.T == types.IntType {
-			v8 = v7
-		} else {
-			v8 = m.GenConvert(v7, types.IntType, diff_datashapes_pos[3])
-		}
-		m.GenStoreRaw(v0, 12, types.IntType, v8)
+		m.GenStoreRaw(v0, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+		m.GenStoreRaw(v0, 4, types.IntType, (interp.Value{T: types.IntType, I: 2}))
+		m.GenStoreRaw(v0, 8, types.IntType, (interp.Value{T: types.IntType, I: 11}))
+		m.GenStoreRaw(v0, 12, types.IntType, (interp.Value{T: types.IntType, I: 22}))
 	}
 	{
 		m.GenStep()
-		v9 := f.LocalAt(1)
+		v1 := f.LocalAt(1)
+		_ = v1
+	}
+	{
+		m.GenStep()
+		v2 := f.LocalAt(2)
+		v3 := f.LocalAt(1)
+		v4 := interp.Value{T: diff_datashapes_t0, Ptr: core.Pointer{Addr: v3.Base, Prov: v3}}
+		var v5 interp.Value
+		if v4.T == diff_datashapes_t0 {
+			v5 = v4
+		} else if v4.T != nil && v4.T.IsPointer() {
+			v5 = interp.Value{T: diff_datashapes_t0, Ptr: v4.Ptr}
+		} else {
+			v5 = m.GenConvert(v4, diff_datashapes_t0, diff_datashapes_pos[0])
+		}
+		m.GenStoreRaw(v2, 0, diff_datashapes_t0, v5)
+	}
+	{
+		m.GenStep()
+		v6 := f.LocalAt(0)
+		v7 := m.GenLoadRaw(v6, 0, diff_datashapes_t1, -1)
+		v8 := f.LocalAt(1)
+		var v9 interp.Value
+		if v7.T == diff_datashapes_t1 {
+			v9 = v7
+		} else {
+			v9 = m.GenConvert(v7, diff_datashapes_t1, diff_datashapes_pos[1])
+		}
+		m.GenStoreRaw(v8, 0, diff_datashapes_t1, v9)
 		_ = v9
 	}
 	{
 		m.GenStep()
-		v10 := f.LocalAt(0)
-		v11 := f.LocalAt(1)
-		v12 := interp.Value{T: diff_datashapes_t0, Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-		var v13 interp.Value
-		if v12.T == diff_datashapes_t0 {
-			v13 = v12
+		v10 := f.LocalAt(2)
+		v11 := m.GenLoadRaw(v10, 0, diff_datashapes_t0, 0)
+		v12 := core.Pointer{Addr: v11.Ptr.Addr + 8, Prov: v11.Ptr.Prov}
+		v13 := core.Pointer{Addr: v12.Addr + 0, Prov: v12.Prov}
+		v14 := m.GenLoadValue(v13, types.IntType, diff_datashapes_pos[2], -1, 1)
+		var v15 interp.Value
+		if v14.T == types.IntType {
+			v15 = interp.Value{T: types.IntType, I: int64(int32(v14.I + 10))}
 		} else {
-			v13 = m.GenConvert(v12, diff_datashapes_t0, diff_datashapes_pos[4])
+			v15 = m.GenBinaryOp(token.Plus, v14, (interp.Value{T: types.IntType, I: 10}), types.IntType, diff_datashapes_pos[2])
 		}
-		m.GenStoreRaw(v10, 0, diff_datashapes_t0, v13)
+		var v16 interp.Value
+		if v15.T == types.IntType {
+			v16 = v15
+		} else if v15.T != nil && v15.T.IsInteger() {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v15.I))}
+		} else {
+			v16 = m.GenConvert(v15, types.IntType, diff_datashapes_pos[2])
+		}
+		m.GenStoreValue(v13, types.IntType, v16, diff_datashapes_pos[2])
+		_ = v16
 	}
 	{
 		m.GenStep()
-		v14 := f.LocalAt(2)
-		v15 := m.GenLoadRaw(v14, 0, diff_datashapes_t1, -1)
-		v16 := f.LocalAt(1)
-		var v17 interp.Value
-		if v15.T == diff_datashapes_t1 {
-			v17 = v15
-		} else {
-			v17 = m.GenConvert(v15, diff_datashapes_t1, diff_datashapes_pos[5])
-		}
-		m.GenStoreRaw(v16, 0, diff_datashapes_t1, v17)
-		_ = v17
-	}
-	{
-		m.GenStep()
-		v18 := f.LocalAt(0)
-		v19 := m.GenLoadRaw(v18, 0, diff_datashapes_t0, 0)
-		v20 := core.Pointer{Addr: v19.Ptr.Addr + 8, Prov: v19.Ptr.Prov}
-		v21 := core.Pointer{Addr: v20.Addr + 0, Prov: v20.Prov}
-		v22 := m.GenLoadValue(v21, types.IntType, diff_datashapes_pos[6], -1, 1)
-		v23 := interp.Value{T: types.IntType, I: 10}
-		var v24 interp.Value
-		if v22.T == types.IntType && v23.T == types.IntType {
-			v24 = interp.Value{T: types.IntType, I: int64(int32(v22.I + v23.I))}
-		} else {
-			v24 = m.GenBinaryOp(token.Plus, v22, v23, types.IntType, diff_datashapes_pos[6])
-		}
-		var v25 interp.Value
-		if v24.T == types.IntType {
-			v25 = v24
-		} else {
-			v25 = m.GenConvert(v24, types.IntType, diff_datashapes_pos[6])
-		}
-		m.GenStoreValue(v21, types.IntType, v25, diff_datashapes_pos[6])
-		_ = v25
-	}
-	{
-		m.GenStep()
-		v26 := f.LocalAt(1)
+		v17 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[8:])))}
-		v28 := f.LocalAt(1)
+		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[8:])))}
+		v19 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-		var v30 interp.Value
-		if v27.T == types.IntType && v29.T == types.IntType {
-			v30 = interp.Value{T: types.IntType, I: int64(int32(v27.I - v29.I))}
+		v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
+		var v21 interp.Value
+		if v18.T == types.IntType && v20.T == types.IntType {
+			v21 = interp.Value{T: types.IntType, I: int64(int32(v18.I - v20.I))}
 		} else {
-			v30 = m.GenBinaryOp(token.Minus, v27, v29, types.IntType, diff_datashapes_pos[7])
+			v21 = m.GenBinaryOp(token.Minus, v18, v20, types.IntType, diff_datashapes_pos[3])
 		}
-		v31 := f.LocalAt(1)
+		v22 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[12:])))}
-		v33 := f.LocalAt(1)
+		v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[12:])))}
+		v24 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[4:])))}
-		var v35 interp.Value
-		if v32.T == types.IntType && v34.T == types.IntType {
-			v35 = interp.Value{T: types.IntType, I: int64(int32(v32.I - v34.I))}
+		v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[4:])))}
+		var v26 interp.Value
+		if v23.T == types.IntType && v25.T == types.IntType {
+			v26 = interp.Value{T: types.IntType, I: int64(int32(v23.I - v25.I))}
 		} else {
-			v35 = m.GenBinaryOp(token.Minus, v32, v34, types.IntType, diff_datashapes_pos[8])
+			v26 = m.GenBinaryOp(token.Minus, v23, v25, types.IntType, diff_datashapes_pos[4])
 		}
-		var v36 interp.Value
-		if v30.T == types.IntType && v35.T == types.IntType {
-			v36 = interp.Value{T: types.IntType, I: int64(int32(v30.I * v35.I))}
+		var v27 interp.Value
+		if v21.T == types.IntType && v26.T == types.IntType {
+			v27 = interp.Value{T: types.IntType, I: int64(int32(v21.I * v26.I))}
 		} else {
-			v36 = m.GenBinaryOp(token.Star, v30, v35, types.IntType, diff_datashapes_pos[9])
+			v27 = m.GenBinaryOp(token.Star, v21, v26, types.IntType, diff_datashapes_pos[5])
 		}
-		ret = v36
+		ret = v27
 		if interp.GenLive {
 			return
 		}
@@ -263,14 +231,22 @@ func diff_datashapes_f_strings(m *interp.Machine, args []interp.Value, pos token
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_datashapes_b_strings(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(2)
+		v0 := f.LocalAt(0)
 		m.GenZeroFill(v0, 0, 16)
 		v1 := m.GenLiteral(0)
 		v2 := uint64(len(v1.Data))
@@ -282,127 +258,114 @@ func diff_datashapes_b_strings(m *interp.Machine, f *mem.Frame) (ret interp.Valu
 	{
 		m.GenStep()
 		v3 := f.LocalAt(1)
-		v4 := f.LocalAt(2)
+		v4 := f.LocalAt(0)
 		v5 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v4.Base, Prov: v4}}
 		var v6 interp.Value
 		if v5.T == diff_datashapes_t3 {
 			v6 = v5
+		} else if v5.T != nil && v5.T.IsPointer() {
+			v6 = interp.Value{T: diff_datashapes_t3, Ptr: v5.Ptr}
 		} else {
-			v6 = m.GenConvert(v5, diff_datashapes_t3, diff_datashapes_pos[10])
+			v6 = m.GenConvert(v5, diff_datashapes_t3, diff_datashapes_pos[6])
 		}
 		m.GenStoreRaw(v3, 0, diff_datashapes_t3, v6)
 	}
 	{
 		m.GenStep()
-		v7 := f.LocalAt(0)
-		v8 := interp.Value{T: types.IntType, I: 0}
-		var v9 interp.Value
-		if v8.T == types.IntType {
-			v9 = v8
-		} else {
-			v9 = m.GenConvert(v8, types.IntType, diff_datashapes_pos[11])
-		}
-		m.GenStoreRaw(v7, 0, types.IntType, v9)
+		v7 := f.LocalAt(2)
+		m.GenStoreRaw(v7, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v10 := interp.Value{T: types.IntType, I: 100}
-		v11 := f.LocalAt(1)
-		v12 := m.GenLoadRaw(v11, 0, diff_datashapes_t3, 1)
-		v13 := interp.Value{T: types.IntType, I: 3}
-		var v14 interp.Value
-		if v12.T != nil && v12.T.IsPointer() {
-			v14 = interp.Value{T: v12.T, Ptr: core.Pointer{Addr: v12.Ptr.Addr + uint64(v13.I*1), Prov: v12.Ptr.Prov}}
+		v8 := f.LocalAt(1)
+		v9 := m.GenLoadRaw(v8, 0, diff_datashapes_t3, 1)
+		var v10 interp.Value
+		if v9.T != nil && v9.T.IsPointer() {
+			v10 = interp.Value{T: v9.T, Ptr: core.Pointer{Addr: v9.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 3}).I*1), Prov: v9.Ptr.Prov}}
 		} else {
-			v14 = m.GenBinaryOp(token.Plus, v12, v13, diff_datashapes_t3, diff_datashapes_pos[12])
+			v10 = m.GenBinaryOp(token.Plus, v9, (interp.Value{T: types.IntType, I: 3}), diff_datashapes_t3, diff_datashapes_pos[7])
 		}
-		v15 := v14.Ptr
-		var v16 interp.Value
-		if v10.T == types.CharType {
-			v16 = v10
-		} else {
-			v16 = m.GenConvert(v10, types.CharType, diff_datashapes_pos[13])
-		}
-		m.GenStoreValue(v15, types.CharType, v16, diff_datashapes_pos[13])
-		_ = v16
+		v11 := v10.Ptr
+		m.GenStoreValue(v11, types.CharType, (interp.Value{T: types.CharType, I: 100}), diff_datashapes_pos[8])
+		_ = (interp.Value{T: types.CharType, I: 100})
 	}
 	{
 		m.GenStep()
-		v17 := interp.Value{T: types.IntType, I: 0}
-		v18 := f.LocalAt(1)
-		v19 := m.GenLoadRaw(v18, 0, diff_datashapes_t3, 2)
-		v20 := interp.Value{T: types.IntType, I: 4}
-		v21 := core.Pointer{Addr: v19.Ptr.Addr + uint64(v20.I)*1, Prov: v19.Ptr.Prov}
+		v12 := f.LocalAt(1)
+		v13 := m.GenLoadRaw(v12, 0, diff_datashapes_t3, 2)
+		v14 := core.Pointer{Addr: v13.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 4}).I)*1, Prov: v13.Ptr.Prov}
+		m.GenStoreValue(v14, types.CharType, (interp.Value{T: types.CharType, I: 0}), diff_datashapes_pos[9])
+		_ = (interp.Value{T: types.CharType, I: 0})
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v15 := m.GenArgs(1)
+		v16 := f.LocalAt(0)
+		v17 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v16.Base, Prov: v16}}
+		v15[0] = v17
+		v18 := m.GenBuiltin(0, "strlen", diff_datashapes_pos[10])(m, diff_datashapes_pos[10], v15)
+		m.GenPutArgs(v15)
+		var v19 interp.Value
+		if v18.T == types.ULongType {
+			v19 = v18
+		} else if v18.T != nil && v18.T.IsInteger() {
+			v19 = interp.Value{T: types.ULongType, I: v18.I}
+		} else {
+			v19 = m.GenConvert(v18, types.ULongType, diff_datashapes_pos[10])
+		}
+		var v20 interp.Value
+		if v19.T == types.IntType {
+			v20 = v19
+		} else if v19.T != nil && v19.T.IsInteger() {
+			v20 = interp.Value{T: types.IntType, I: int64(int32(v19.I))}
+		} else {
+			v20 = m.GenConvert(v19, types.IntType, diff_datashapes_pos[11])
+		}
+		v21 := f.LocalAt(2)
 		var v22 interp.Value
-		if v17.T == types.CharType {
-			v22 = v17
+		if v20.T == types.IntType {
+			v22 = v20
+		} else if v20.T != nil && v20.T.IsInteger() {
+			v22 = interp.Value{T: types.IntType, I: int64(int32(v20.I))}
 		} else {
-			v22 = m.GenConvert(v17, types.CharType, diff_datashapes_pos[14])
+			v22 = m.GenConvert(v20, types.IntType, diff_datashapes_pos[12])
 		}
-		m.GenStoreValue(v21, types.CharType, v22, diff_datashapes_pos[14])
+		m.GenStoreRaw(v21, 0, types.IntType, v22)
 		_ = v22
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v23 := m.GenArgs(1)
-		v24 := f.LocalAt(2)
+		v23 := m.GenArgs(3)
+		v24 := m.GenLiteral(1)
 		v25 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v24.Base, Prov: v24}}
 		v23[0] = v25
-		v26 := m.GenBuiltin(0, "strlen", diff_datashapes_pos[15])(m, diff_datashapes_pos[15], v23)
+		v26 := f.LocalAt(0)
+		v27 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v26.Base, Prov: v26}}
+		v23[1] = v27
+		v28 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
+		v23[2] = v29
+		v30 := m.GenBuiltin(1, "printf", diff_datashapes_pos[13])(m, diff_datashapes_pos[13], v23)
 		m.GenPutArgs(v23)
-		var v27 interp.Value
-		if v26.T == types.ULongType {
-			v27 = v26
+		var v31 interp.Value
+		if v30.T == types.IntType {
+			v31 = v30
+		} else if v30.T != nil && v30.T.IsInteger() {
+			v31 = interp.Value{T: types.IntType, I: int64(int32(v30.I))}
 		} else {
-			v27 = m.GenConvert(v26, types.ULongType, diff_datashapes_pos[15])
+			v31 = m.GenConvert(v30, types.IntType, diff_datashapes_pos[13])
 		}
-		var v28 interp.Value
-		if v27.T == types.IntType {
-			v28 = v27
-		} else {
-			v28 = m.GenConvert(v27, types.IntType, diff_datashapes_pos[16])
-		}
-		v29 := f.LocalAt(0)
-		var v30 interp.Value
-		if v28.T == types.IntType {
-			v30 = v28
-		} else {
-			v30 = m.GenConvert(v28, types.IntType, diff_datashapes_pos[17])
-		}
-		m.GenStoreRaw(v29, 0, types.IntType, v30)
-		_ = v30
+		_ = v31
 	}
 	{
 		m.GenStep()
-		m.GenStep()
-		v31 := m.GenArgs(3)
-		v32 := m.GenLiteral(1)
-		v33 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v32.Base, Prov: v32}}
-		v31[0] = v33
-		v34 := f.LocalAt(2)
-		v35 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v34.Base, Prov: v34}}
-		v31[1] = v35
-		v36 := f.LocalAt(0)
+		v32 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
-		v31[2] = v37
-		v38 := m.GenBuiltin(1, "printf", diff_datashapes_pos[18])(m, diff_datashapes_pos[18], v31)
-		m.GenPutArgs(v31)
-		var v39 interp.Value
-		if v38.T == types.IntType {
-			v39 = v38
-		} else {
-			v39 = m.GenConvert(v38, types.IntType, diff_datashapes_pos[18])
-		}
-		_ = v39
-	}
-	{
-		m.GenStep()
-		v40 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-		ret = v41
+		v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
+		ret = v33
 		if interp.GenLive {
 			return
 		}
@@ -416,266 +379,231 @@ func diff_datashapes_f_mixed(m *interp.Machine, args []interp.Value, pos token.P
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mixed", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:mixed", 52, diff_datashapes_locals_mixed)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_datashapes_b_mixed)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_datashapes_b_mixed(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(2)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.LongType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.LongType, diff_datashapes_pos[19])
-		}
-		m.GenStoreRaw(v1, 0, types.LongType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.LongType, (interp.Value{T: types.LongType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v4 := f.LocalAt(1)
-		_ = v4
+		v2 := f.LocalAt(2)
+		_ = v2
 	}
 	{
 		m.GenStep()
-		v5 := f.LocalAt(0)
-		m.GenZeroFill(v5, 0, 32)
-		v6 := interp.Value{T: types.IntType, I: 1}
-		var v7 interp.Value
-		if v6.T == types.IntType {
-			v7 = v6
-		} else {
-			v7 = m.GenConvert(v6, types.IntType, diff_datashapes_pos[20])
-		}
-		m.GenStoreRaw(v5, 0, types.IntType, v7)
-		v8 := interp.Value{T: types.IntType, I: 2}
-		var v9 interp.Value
-		if v8.T == types.IntType {
-			v9 = v8
-		} else {
-			v9 = m.GenConvert(v8, types.IntType, diff_datashapes_pos[21])
-		}
-		m.GenStoreRaw(v5, 4, types.IntType, v9)
-		v10 := interp.Value{T: types.IntType, I: 3}
-		var v11 interp.Value
-		if v10.T == types.IntType {
-			v11 = v10
-		} else {
-			v11 = m.GenConvert(v10, types.IntType, diff_datashapes_pos[22])
-		}
-		m.GenStoreRaw(v5, 8, types.IntType, v11)
-		v12 := interp.Value{T: types.IntType, I: 4}
-		var v13 interp.Value
-		if v12.T == types.IntType {
-			v13 = v12
-		} else {
-			v13 = m.GenConvert(v12, types.IntType, diff_datashapes_pos[23])
-		}
-		m.GenStoreRaw(v5, 12, types.IntType, v13)
-		v14 := interp.Value{T: types.IntType, I: 5}
-		var v15 interp.Value
-		if v14.T == types.IntType {
-			v15 = v14
-		} else {
-			v15 = m.GenConvert(v14, types.IntType, diff_datashapes_pos[24])
-		}
-		m.GenStoreRaw(v5, 16, types.IntType, v15)
-		v16 := interp.Value{T: types.IntType, I: 6}
-		var v17 interp.Value
-		if v16.T == types.IntType {
-			v17 = v16
-		} else {
-			v17 = m.GenConvert(v16, types.IntType, diff_datashapes_pos[25])
-		}
-		m.GenStoreRaw(v5, 20, types.IntType, v17)
-		v18 := interp.Value{T: types.IntType, I: 7}
-		var v19 interp.Value
-		if v18.T == types.IntType {
-			v19 = v18
-		} else {
-			v19 = m.GenConvert(v18, types.IntType, diff_datashapes_pos[26])
-		}
-		m.GenStoreRaw(v5, 24, types.IntType, v19)
-		v20 := interp.Value{T: types.IntType, I: 8}
-		var v21 interp.Value
-		if v20.T == types.IntType {
-			v21 = v20
-		} else {
-			v21 = m.GenConvert(v20, types.IntType, diff_datashapes_pos[27])
-		}
-		m.GenStoreRaw(v5, 28, types.IntType, v21)
+		v3 := f.LocalAt(3)
+		m.GenZeroFill(v3, 0, 32)
+		m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+		m.GenStoreRaw(v3, 4, types.IntType, (interp.Value{T: types.IntType, I: 2}))
+		m.GenStoreRaw(v3, 8, types.IntType, (interp.Value{T: types.IntType, I: 3}))
+		m.GenStoreRaw(v3, 12, types.IntType, (interp.Value{T: types.IntType, I: 4}))
+		m.GenStoreRaw(v3, 16, types.IntType, (interp.Value{T: types.IntType, I: 5}))
+		m.GenStoreRaw(v3, 20, types.IntType, (interp.Value{T: types.IntType, I: 6}))
+		m.GenStoreRaw(v3, 24, types.IntType, (interp.Value{T: types.IntType, I: 7}))
+		m.GenStoreRaw(v3, 28, types.IntType, (interp.Value{T: types.IntType, I: 8}))
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v22 := interp.Value{T: types.IntType, I: 0}
-			v23 := f.LocalAt(1)
-			var v24 interp.Value
-			if v22.T == types.IntType {
-				v24 = v22
-			} else {
-				v24 = m.GenConvert(v22, types.IntType, diff_datashapes_pos[28])
-			}
-			m.GenStoreRaw(v23, 0, types.IntType, v24)
-			_ = v24
+			v4 := f.LocalAt(2)
+			m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v25 := f.LocalAt(1)
+			v5 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-			v27 := interp.Value{T: types.IntType, I: 8}
-			var v28 interp.Value
-			if v26.T == types.IntType && v27.T == types.IntType {
-				if v26.I < v27.I {
-					v28 = interp.Value{T: types.IntType, I: 1}
+			v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+			var v7 interp.Value
+			if v6.T == types.IntType {
+				if v6.I < 8 {
+					v7 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v28 = interp.Value{T: types.IntType, I: 0}
+					v7 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v28 = m.GenBinaryOp(token.Lt, v26, v27, types.IntType, diff_datashapes_pos[29])
+				v7 = m.GenBinaryOp(token.Lt, v6, (interp.Value{T: types.IntType, I: 8}), types.IntType, diff_datashapes_pos[14])
 			}
-			if !v28.Truthy() {
+			if !v7.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v29 := f.LocalAt(2)
+				v8 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v30 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v29.Data[0:]))}
-				v31 := f.LocalAt(1)
+				v9 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v8.Data[0:]))}
+				v10 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-				v33 := interp.Value{T: types.IntType, I: 2}
-				var v34 interp.Value
-				v34 = m.GenBinaryOp(token.Percent, v32, v33, types.IntType, diff_datashapes_pos[30])
-				v35 := interp.Value{T: types.IntType, I: 0}
-				var v36 interp.Value
-				if v34.T == types.IntType && v35.T == types.IntType {
-					if v34.I == v35.I {
-						v36 = interp.Value{T: types.IntType, I: 1}
+				v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+				var v12 interp.Value
+				v12 = m.GenBinaryOp(token.Percent, v11, (interp.Value{T: types.IntType, I: 2}), types.IntType, diff_datashapes_pos[15])
+				var v13 interp.Value
+				if v12.T == types.IntType {
+					if v12.I == 0 {
+						v13 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v36 = interp.Value{T: types.IntType, I: 0}
+						v13 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v36 = m.GenBinaryOp(token.EqEq, v34, v35, types.IntType, diff_datashapes_pos[31])
+					v13 = m.GenBinaryOp(token.EqEq, v12, (interp.Value{T: types.IntType, I: 0}), types.IntType, diff_datashapes_pos[16])
 				}
-				var v37 interp.Value
-				if v36.Truthy() {
-					v38 := f.LocalAt(0)
-					v39 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v38.Base, Prov: v38}}
-					v40 := f.LocalAt(1)
+				var v14 interp.Value
+				if v13.Truthy() {
+					v15 := f.LocalAt(3)
+					v16 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v15.Base, Prov: v15}}
+					v17 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-					v42 := core.Pointer{Addr: v39.Ptr.Addr + uint64(v41.I)*4, Prov: v39.Ptr.Prov}
-					v43 := m.GenLoadValue(v42, types.IntType, diff_datashapes_pos[32], -1, 12)
-					if v43.T == types.IntType {
-						v37 = v43
+					v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+					v19 := core.Pointer{Addr: v16.Ptr.Addr + uint64(v18.I)*4, Prov: v16.Ptr.Prov}
+					v20 := m.GenLoadValue(v19, types.IntType, diff_datashapes_pos[17], -1, 12)
+					if v20.T == types.IntType {
+						v14 = v20
+					} else if v20.T != nil && v20.T.IsInteger() {
+						v14 = interp.Value{T: types.IntType, I: int64(int32(v20.I))}
 					} else {
-						v37 = m.GenConvert(v43, types.IntType, diff_datashapes_pos[33])
+						v14 = m.GenConvert(v20, types.IntType, diff_datashapes_pos[18])
 					}
 				} else {
-					v44 := f.LocalAt(0)
-					v45 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v44.Base, Prov: v44}}
-					v46 := f.LocalAt(1)
+					v21 := f.LocalAt(3)
+					v22 := interp.Value{T: types.PointerTo(types.IntType), Ptr: core.Pointer{Addr: v21.Base, Prov: v21}}
+					v23 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
-					v48 := core.Pointer{Addr: v45.Ptr.Addr + uint64(v47.I)*4, Prov: v45.Ptr.Prov}
-					v49 := m.GenLoadValue(v48, types.IntType, diff_datashapes_pos[34], -1, 13)
-					v50 := interp.Value{T: types.IntType, I: int64(int32(-v49.I))}
-					if v50.T == types.IntType {
-						v37 = v50
+					v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+					v25 := core.Pointer{Addr: v22.Ptr.Addr + uint64(v24.I)*4, Prov: v22.Ptr.Prov}
+					v26 := m.GenLoadValue(v25, types.IntType, diff_datashapes_pos[19], -1, 13)
+					v27 := interp.Value{T: types.IntType, I: int64(int32(-v26.I))}
+					if v27.T == types.IntType {
+						v14 = v27
+					} else if v27.T != nil && v27.T.IsInteger() {
+						v14 = interp.Value{T: types.IntType, I: int64(int32(v27.I))}
 					} else {
-						v37 = m.GenConvert(v50, types.IntType, diff_datashapes_pos[33])
+						v14 = m.GenConvert(v27, types.IntType, diff_datashapes_pos[18])
 					}
 				}
-				var v51 interp.Value
-				v51 = m.GenBinaryOp(token.Plus, v30, v37, types.LongType, diff_datashapes_pos[35])
-				var v52 interp.Value
-				if v51.T == types.LongType {
-					v52 = v51
+				var v28 interp.Value
+				if v9.T == types.LongType && v14.T == types.IntType {
+					v28 = interp.Value{T: types.LongType, I: v9.I + v14.I}
 				} else {
-					v52 = m.GenConvert(v51, types.LongType, diff_datashapes_pos[35])
+					v28 = m.GenBinaryOp(token.Plus, v9, v14, types.LongType, diff_datashapes_pos[20])
 				}
-				m.GenStoreRaw(v29, 0, types.LongType, v52)
-				_ = v52
-				v53 := f.LocalAt(2)
+				var v29 interp.Value
+				if v28.T == types.LongType {
+					v29 = v28
+				} else if v28.T != nil && v28.T.IsInteger() {
+					v29 = interp.Value{T: types.LongType, I: v28.I}
+				} else {
+					v29 = m.GenConvert(v28, types.LongType, diff_datashapes_pos[20])
+				}
+				m.GenStoreRaw(v8, 0, types.LongType, v29)
+				_ = v29
+				v30 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v54 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v53.Data[0:]))}
-				v55 := interp.Value{T: types.IntType, I: 1}
-				var v56 interp.Value
-				v56 = m.GenBinaryOp(token.Shl, v54, v55, types.LongType, diff_datashapes_pos[36])
-				var v57 interp.Value
-				if v56.T == types.LongType {
-					v57 = v56
+				v31 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v30.Data[0:]))}
+				var v32 interp.Value
+				v32 = m.GenBinaryOp(token.Shl, v31, (interp.Value{T: types.IntType, I: 1}), types.LongType, diff_datashapes_pos[21])
+				var v33 interp.Value
+				if v32.T == types.LongType {
+					v33 = v32
+				} else if v32.T != nil && v32.T.IsInteger() {
+					v33 = interp.Value{T: types.LongType, I: v32.I}
 				} else {
-					v57 = m.GenConvert(v56, types.LongType, diff_datashapes_pos[36])
+					v33 = m.GenConvert(v32, types.LongType, diff_datashapes_pos[21])
 				}
-				m.GenStoreRaw(v53, 0, types.LongType, v57)
-				_ = v57
+				m.GenStoreRaw(v30, 0, types.LongType, v33)
+				_ = v33
 			}
-			v58 := f.LocalAt(1)
+			v34 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v59 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v58.Data[0:])))}
-			v60 := interp.Value{T: v59.T, I: int64(int32(v59.I + 1))}
-			m.GenStoreRaw(v58, 0, types.IntType, v60)
-			_ = v59
+			v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+			v36 := interp.Value{T: v35.T, I: int64(int32(v35.I + 1))}
+			m.GenStoreRaw(v34, 0, types.IntType, v36)
+			_ = v35
 		}
 	}
 	{
 		m.GenStep()
-		v61 := f.LocalAt(2)
+		v37 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v62 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v61.Data[0:]))}
-		v63 := f.LocalAt(3)
+		v38 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v37.Data[0:]))}
+		v39 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v64 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v63.Data[0:])))}
-		var v65 interp.Value
-		v65 = m.GenBinaryOp(token.Plus, v62, v64, types.LongType, diff_datashapes_pos[37])
-		var v66 interp.Value
-		if v65.T == types.ShortType {
-			v66 = v65
+		v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+		var v41 interp.Value
+		if v38.T == types.LongType && v40.T == types.IntType {
+			v41 = interp.Value{T: types.LongType, I: v38.I + v40.I}
 		} else {
-			v66 = m.GenConvert(v65, types.ShortType, diff_datashapes_pos[38])
+			v41 = m.GenBinaryOp(token.Plus, v38, v40, types.LongType, diff_datashapes_pos[22])
 		}
-		var v67 interp.Value
-		if v66.T == types.LongType {
-			v67 = v66
+		var v42 interp.Value
+		if v41.T == types.ShortType {
+			v42 = v41
+		} else if v41.T != nil && v41.T.IsInteger() {
+			v42 = interp.Value{T: types.ShortType, I: int64(int16(v41.I))}
 		} else {
-			v67 = m.GenConvert(v66, types.LongType, diff_datashapes_pos[39])
+			v42 = m.GenConvert(v41, types.ShortType, diff_datashapes_pos[23])
 		}
-		v68 := f.LocalAt(2)
-		var v69 interp.Value
-		if v67.T == types.LongType {
-			v69 = v67
+		var v43 interp.Value
+		if v42.T == types.LongType {
+			v43 = v42
+		} else if v42.T != nil && v42.T.IsInteger() {
+			v43 = interp.Value{T: types.LongType, I: v42.I}
 		} else {
-			v69 = m.GenConvert(v67, types.LongType, diff_datashapes_pos[40])
+			v43 = m.GenConvert(v42, types.LongType, diff_datashapes_pos[24])
 		}
-		m.GenStoreRaw(v68, 0, types.LongType, v69)
-		_ = v69
+		v44 := f.LocalAt(1)
+		var v45 interp.Value
+		if v43.T == types.LongType {
+			v45 = v43
+		} else if v43.T != nil && v43.T.IsInteger() {
+			v45 = interp.Value{T: types.LongType, I: v43.I}
+		} else {
+			v45 = m.GenConvert(v43, types.LongType, diff_datashapes_pos[25])
+		}
+		m.GenStoreRaw(v44, 0, types.LongType, v45)
+		_ = v45
 	}
 	{
 		m.GenStep()
-		v70 := f.LocalAt(2)
+		v46 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v71 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v70.Data[0:]))}
-		var v72 interp.Value
-		if v71.T == types.IntType {
-			v72 = v71
+		v47 := interp.Value{T: types.LongType, I: int64(binary.LittleEndian.Uint64(v46.Data[0:]))}
+		var v48 interp.Value
+		if v47.T == types.IntType {
+			v48 = v47
+		} else if v47.T != nil && v47.T.IsInteger() {
+			v48 = interp.Value{T: types.IntType, I: int64(int32(v47.I))}
 		} else {
-			v72 = m.GenConvert(v71, types.IntType, diff_datashapes_pos[41])
+			v48 = m.GenConvert(v47, types.IntType, diff_datashapes_pos[26])
 		}
-		ret = v72
+		ret = v48
 		if interp.GenLive {
 			return
 		}

@@ -49,27 +49,41 @@ func diff_errorpaths_f_divz(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "divz", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:divz", 4, diff_errorpaths_locals_divz)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_errorpaths_b_divz)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_errorpaths_b_divz(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := interp.Value{T: types.IntType, I: 100}
-		v2 := f.LocalAt(0)
+		v1 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
-		var v4 interp.Value
-		v4 = m.GenBinaryOp(token.Slash, v1, v3, types.IntType, diff_errorpaths_pos[0])
-		ret = v4
+		v2 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v1.Data[0:])))}
+		var v3 interp.Value
+		v3 = m.GenBinaryOp(token.Slash, (interp.Value{T: types.IntType, I: 100}), v2, types.IntType, diff_errorpaths_pos[0])
+		ret = v3
 		if interp.GenLive {
 			return
 		}
@@ -83,14 +97,29 @@ func diff_errorpaths_f_spin(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "spin", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:spin", 4, diff_errorpaths_locals_spin)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_errorpaths_b_spin)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_errorpaths_b_spin(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -98,8 +127,7 @@ func diff_errorpaths_b_spin(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 	{
 		m.GenStep()
 		for {
-			v1 := interp.Value{T: types.IntType, I: 1}
-			if !v1.Truthy() {
+			if !(interp.Value{T: types.IntType, I: 1}).Truthy() {
 				break
 			}
 			m.GenStep()
@@ -107,22 +135,22 @@ func diff_errorpaths_b_spin(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 				m.GenStep()
 				{
 					m.GenStep()
-					v2 := f.LocalAt(0)
+					v1 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
-					v4 := interp.Value{T: v3.T, I: int64(int32(v3.I + 1))}
-					m.GenStoreRaw(v2, 0, types.IntType, v4)
-					_ = v3
+					v2 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v1.Data[0:])))}
+					v3 := interp.Value{T: v2.T, I: int64(int32(v2.I + 1))}
+					m.GenStoreRaw(v1, 0, types.IntType, v3)
+					_ = v2
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v5 := f.LocalAt(0)
+		v4 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
-		ret = v6
+		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+		ret = v5
 		if interp.GenLive {
 			return
 		}
@@ -136,14 +164,29 @@ func diff_errorpaths_f_quit(m *interp.Machine, args []interp.Value, pos token.Po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quit", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:quit", 4, diff_errorpaths_locals_quit)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, diff_errorpaths_b_quit)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func diff_errorpaths_b_quit(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -164,8 +207,7 @@ func diff_errorpaths_b_quit(m *interp.Machine, f *mem.Frame) (ret interp.Value) 
 	}
 	{
 		m.GenStep()
-		v6 := interp.Value{T: types.IntType, I: 0}
-		ret = v6
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}

@@ -45,57 +45,82 @@ func quick_02_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_02_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_02_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_02_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 50}
-		v4 := f.LocalAt(2)
+		v3 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-		v6 := interp.Value{T: types.IntType, I: 5}
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+		var v5 interp.Value
+		v5 = m.GenBinaryOp(token.Percent, v4, (interp.Value{T: types.IntType, I: 5}), types.IntType, quick_02_pos[0])
+		var v6 interp.Value
+		if v5.T == types.IntType {
+			v6 = interp.Value{T: types.IntType, I: int64(int32(v5.I ^ 36))}
+		} else {
+			v6 = m.GenBinaryOp(token.Caret, v5, (interp.Value{T: types.IntType, I: 36}), types.IntType, quick_02_pos[1])
+		}
 		var v7 interp.Value
-		v7 = m.GenBinaryOp(token.Percent, v5, v6, types.IntType, quick_02_pos[0])
-		v8 := interp.Value{T: types.IntType, I: 36}
-		var v9 interp.Value
-		if v7.T == types.IntType && v8.T == types.IntType {
-			v9 = interp.Value{T: types.IntType, I: int64(int32(v7.I ^ v8.I))}
+		if v6.T == types.IntType {
+			v7 = interp.Value{T: types.IntType, I: int64(int32(50 - v6.I))}
 		} else {
-			v9 = m.GenBinaryOp(token.Caret, v7, v8, types.IntType, quick_02_pos[1])
+			v7 = m.GenBinaryOp(token.Minus, (interp.Value{T: types.IntType, I: 50}), v6, types.IntType, quick_02_pos[2])
 		}
-		var v10 interp.Value
-		if v3.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v3.I - v9.I))}
-		} else {
-			v10 = m.GenBinaryOp(token.Minus, v3, v9, types.IntType, quick_02_pos[2])
-		}
-		v11 := f.LocalAt(0)
+		v8 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
-		v13 := interp.Value{T: types.IntType, I: 3}
-		var v14 interp.Value
-		v14 = m.GenBinaryOp(token.Shl, v12, v13, types.IntType, quick_02_pos[3])
-		var v15 interp.Value
-		if v10.T == types.IntType && v14.T == types.IntType {
-			v15 = interp.Value{T: types.IntType, I: int64(int32(v10.I * v14.I))}
+		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
+		var v10 interp.Value
+		v10 = m.GenBinaryOp(token.Shl, v9, (interp.Value{T: types.IntType, I: 3}), types.IntType, quick_02_pos[3])
+		var v11 interp.Value
+		if v7.T == types.IntType && v10.T == types.IntType {
+			v11 = interp.Value{T: types.IntType, I: int64(int32(v7.I * v10.I))}
 		} else {
-			v15 = m.GenBinaryOp(token.Star, v10, v14, types.IntType, quick_02_pos[4])
+			v11 = m.GenBinaryOp(token.Star, v7, v10, types.IntType, quick_02_pos[4])
 		}
-		ret = v15
+		ret = v11
 		if interp.GenLive {
 			return
 		}

@@ -13,7 +13,6 @@ import (
 )
 
 var quick_03_pos = []token.Pos{
-	{File: "t.c", Line: 1, Col: 51},
 	{File: "t.c", Line: 1, Col: 45},
 	{File: "t.c", Line: 1, Col: 64},
 	{File: "t.c", Line: 1, Col: 75},
@@ -49,97 +48,119 @@ func quick_03_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_03_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_03_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_03_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(2)
+		v3 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
 		v5 := interp.Value{T: types.IntType, I: int64(int32(^v4.I))}
-		v6 := interp.Value{T: types.IntType, I: 18}
-		v7 := interp.Value{T: types.IntType, I: 0}
-		var v8 interp.Value
-		v8 = m.GenBinaryOp(token.Shr, v6, v7, types.IntType, quick_03_pos[0])
-		var v9 interp.Value
-		if v5.T == types.IntType && v8.T == types.IntType {
-			v9 = interp.Value{T: types.IntType, I: int64(int32(v5.I | v8.I))}
+		var v6 interp.Value
+		if v5.T == types.IntType {
+			v6 = interp.Value{T: types.IntType, I: int64(int32(v5.I | 18))}
 		} else {
-			v9 = m.GenBinaryOp(token.Pipe, v5, v8, types.IntType, quick_03_pos[1])
+			v6 = m.GenBinaryOp(token.Pipe, v5, (interp.Value{T: types.IntType, I: 18}), types.IntType, quick_03_pos[0])
 		}
-		v10 := f.LocalAt(2)
+		v7 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		var v9 interp.Value
+		v9 = m.GenBinaryOp(token.Shl, v8, (interp.Value{T: types.IntType, I: 5}), types.IntType, quick_03_pos[1])
+		v10 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-		v12 := interp.Value{T: types.IntType, I: 5}
+		var v12 interp.Value
+		if v11.T == types.IntType {
+			if v11.I < 86 {
+				v12 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v12 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v12 = m.GenBinaryOp(token.Lt, v11, (interp.Value{T: types.IntType, I: 86}), types.IntType, quick_03_pos[2])
+		}
 		var v13 interp.Value
-		v13 = m.GenBinaryOp(token.Shl, v11, v12, types.IntType, quick_03_pos[2])
-		v14 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-		v16 := interp.Value{T: types.IntType, I: 86}
-		var v17 interp.Value
-		if v15.T == types.IntType && v16.T == types.IntType {
-			if v15.I < v16.I {
-				v17 = interp.Value{T: types.IntType, I: 1}
+		if v9.T == types.IntType && v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v9.I | v12.I))}
+		} else {
+			v13 = m.GenBinaryOp(token.Pipe, v9, v12, types.IntType, quick_03_pos[3])
+		}
+		var v14 interp.Value
+		if v6.T == types.IntType && v13.T == types.IntType {
+			if v6.I < v13.I {
+				v14 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v17 = interp.Value{T: types.IntType, I: 0}
+				v14 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v17 = m.GenBinaryOp(token.Lt, v15, v16, types.IntType, quick_03_pos[3])
+			v14 = m.GenBinaryOp(token.Lt, v6, v13, types.IntType, quick_03_pos[4])
 		}
-		var v18 interp.Value
-		if v13.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v13.I | v17.I))}
-		} else {
-			v18 = m.GenBinaryOp(token.Pipe, v13, v17, types.IntType, quick_03_pos[4])
-		}
+		v15 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
+		v17 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
 		var v19 interp.Value
-		if v9.T == types.IntType && v18.T == types.IntType {
-			if v9.I < v18.I {
-				v19 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v19 = interp.Value{T: types.IntType, I: 0}
-			}
+		if v16.T == types.IntType && v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v16.I + v18.I))}
 		} else {
-			v19 = m.GenBinaryOp(token.Lt, v9, v18, types.IntType, quick_03_pos[5])
+			v19 = m.GenBinaryOp(token.Plus, v16, v18, types.IntType, quick_03_pos[5])
 		}
-		v20 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-		v22 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-		var v24 interp.Value
-		if v21.T == types.IntType && v23.T == types.IntType {
-			v24 = interp.Value{T: types.IntType, I: int64(int32(v21.I + v23.I))}
+		var v20 interp.Value
+		v20 = m.GenBinaryOp(token.Slash, v19, (interp.Value{T: types.IntType, I: 8}), types.IntType, quick_03_pos[6])
+		v21 := interp.Value{T: types.IntType, I: int64(int32(-v20.I))}
+		var v22 interp.Value
+		if v14.T == types.IntType && v21.T == types.IntType {
+			v22 = interp.Value{T: types.IntType, I: int64(int32(v14.I & v21.I))}
 		} else {
-			v24 = m.GenBinaryOp(token.Plus, v21, v23, types.IntType, quick_03_pos[6])
+			v22 = m.GenBinaryOp(token.Amp, v14, v21, types.IntType, quick_03_pos[7])
 		}
-		v25 := interp.Value{T: types.IntType, I: 8}
-		var v26 interp.Value
-		v26 = m.GenBinaryOp(token.Slash, v24, v25, types.IntType, quick_03_pos[7])
-		v27 := interp.Value{T: types.IntType, I: int64(int32(-v26.I))}
-		var v28 interp.Value
-		if v19.T == types.IntType && v27.T == types.IntType {
-			v28 = interp.Value{T: types.IntType, I: int64(int32(v19.I & v27.I))}
-		} else {
-			v28 = m.GenBinaryOp(token.Amp, v19, v27, types.IntType, quick_03_pos[8])
-		}
-		ret = v28
+		ret = v22
 		if interp.GenLive {
 			return
 		}

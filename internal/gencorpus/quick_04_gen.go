@@ -48,18 +48,47 @@ func quick_04_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_04_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_04_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_04_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -69,7 +98,7 @@ func quick_04_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(0)
+		v5 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 		var v7 interp.Value
@@ -82,7 +111,7 @@ func quick_04_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		} else {
 			v7 = m.GenBinaryOp(token.Lt, v4, v6, types.IntType, quick_04_pos[0])
 		}
-		v8 := f.LocalAt(0)
+		v8 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
 		var v10 interp.Value
@@ -91,61 +120,59 @@ func quick_04_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		} else {
 			v10 = m.GenBinaryOp(token.Star, v7, v9, types.IntType, quick_04_pos[1])
 		}
-		v11 := interp.Value{T: types.IntType, I: 7}
-		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.Slash, v10, v11, types.IntType, quick_04_pos[2])
-		v13 := f.LocalAt(1)
+		var v11 interp.Value
+		v11 = m.GenBinaryOp(token.Slash, v10, (interp.Value{T: types.IntType, I: 7}), types.IntType, quick_04_pos[2])
+		v12 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-		v15 := interp.Value{T: types.IntType, I: 84}
-		var v16 interp.Value
-		if v14.T == types.IntType && v15.T == types.IntType {
-			if v14.I == v15.I {
-				v16 = interp.Value{T: types.IntType, I: 1}
+		v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+		var v14 interp.Value
+		if v13.T == types.IntType {
+			if v13.I == 84 {
+				v14 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v16 = interp.Value{T: types.IntType, I: 0}
+				v14 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v16 = m.GenBinaryOp(token.EqEq, v14, v15, types.IntType, quick_04_pos[3])
+			v14 = m.GenBinaryOp(token.EqEq, v13, (interp.Value{T: types.IntType, I: 84}), types.IntType, quick_04_pos[3])
 		}
+		v15 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
 		v17 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-		v19 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
-		var v21 interp.Value
-		if v18.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v18.I ^ v20.I))}
+		var v19 interp.Value
+		if v16.T == types.IntType && v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v16.I ^ v18.I))}
 		} else {
-			v21 = m.GenBinaryOp(token.Caret, v18, v20, types.IntType, quick_04_pos[4])
+			v19 = m.GenBinaryOp(token.Caret, v16, v18, types.IntType, quick_04_pos[4])
 		}
-		var v22 interp.Value
-		if v16.T == types.IntType && v21.T == types.IntType {
-			if v16.I < v21.I {
-				v22 = interp.Value{T: types.IntType, I: 1}
+		var v20 interp.Value
+		if v14.T == types.IntType && v19.T == types.IntType {
+			if v14.I < v19.I {
+				v20 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v22 = interp.Value{T: types.IntType, I: 0}
+				v20 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v22 = m.GenBinaryOp(token.Lt, v16, v21, types.IntType, quick_04_pos[5])
+			v20 = m.GenBinaryOp(token.Lt, v14, v19, types.IntType, quick_04_pos[5])
 		}
-		v23 := f.LocalAt(2)
+		v21 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
-		var v25 interp.Value
-		if v22.T == types.IntType && v24.T == types.IntType {
-			v25 = interp.Value{T: types.IntType, I: int64(int32(v22.I * v24.I))}
+		v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
+		var v23 interp.Value
+		if v20.T == types.IntType && v22.T == types.IntType {
+			v23 = interp.Value{T: types.IntType, I: int64(int32(v20.I * v22.I))}
 		} else {
-			v25 = m.GenBinaryOp(token.Star, v22, v24, types.IntType, quick_04_pos[6])
+			v23 = m.GenBinaryOp(token.Star, v20, v22, types.IntType, quick_04_pos[6])
 		}
-		var v26 interp.Value
-		if v12.T == types.IntType && v25.T == types.IntType {
-			v26 = interp.Value{T: types.IntType, I: int64(int32(v12.I - v25.I))}
+		var v24 interp.Value
+		if v11.T == types.IntType && v23.T == types.IntType {
+			v24 = interp.Value{T: types.IntType, I: int64(int32(v11.I - v23.I))}
 		} else {
-			v26 = m.GenBinaryOp(token.Minus, v12, v25, types.IntType, quick_04_pos[7])
+			v24 = m.GenBinaryOp(token.Minus, v11, v23, types.IntType, quick_04_pos[7])
 		}
-		ret = v26
+		ret = v24
 		if interp.GenLive {
 			return
 		}

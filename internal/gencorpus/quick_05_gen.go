@@ -48,108 +48,132 @@ func quick_05_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_05_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_05_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_05_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 1}
-		v4 := f.LocalAt(1)
+		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-		var v6 interp.Value
-		if v3.T == types.IntType && v5.T == types.IntType {
-			v6 = interp.Value{T: types.IntType, I: int64(int32(v3.I & v5.I))}
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+		var v5 interp.Value
+		if v4.T == types.IntType {
+			v5 = interp.Value{T: types.IntType, I: int64(int32(1 & v4.I))}
 		} else {
-			v6 = m.GenBinaryOp(token.Amp, v3, v5, types.IntType, quick_05_pos[0])
+			v5 = m.GenBinaryOp(token.Amp, (interp.Value{T: types.IntType, I: 1}), v4, types.IntType, quick_05_pos[0])
 		}
-		v7 := f.LocalAt(2)
+		v6 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := f.LocalAt(0)
+		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+		v8 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
+		var v10 interp.Value
+		if v7.T == types.IntType && v9.T == types.IntType {
+			v10 = interp.Value{T: types.IntType, I: int64(int32(v7.I & v9.I))}
+		} else {
+			v10 = m.GenBinaryOp(token.Amp, v7, v9, types.IntType, quick_05_pos[1])
+		}
 		var v11 interp.Value
-		if v8.T == types.IntType && v10.T == types.IntType {
-			v11 = interp.Value{T: types.IntType, I: int64(int32(v8.I & v10.I))}
+		if v5.T == types.IntType && v10.T == types.IntType {
+			v11 = interp.Value{T: types.IntType, I: int64(int32(v5.I ^ v10.I))}
 		} else {
-			v11 = m.GenBinaryOp(token.Amp, v8, v10, types.IntType, quick_05_pos[1])
+			v11 = m.GenBinaryOp(token.Caret, v5, v10, types.IntType, quick_05_pos[2])
 		}
-		var v12 interp.Value
-		if v6.T == types.IntType && v11.T == types.IntType {
-			v12 = interp.Value{T: types.IntType, I: int64(int32(v6.I ^ v11.I))}
+		v12 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+		var v14 interp.Value
+		if v13.T == types.IntType {
+			if -11 == v13.I {
+				v14 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v14 = interp.Value{T: types.IntType, I: 0}
+			}
 		} else {
-			v12 = m.GenBinaryOp(token.Caret, v6, v11, types.IntType, quick_05_pos[2])
+			v14 = m.GenBinaryOp(token.EqEq, (interp.Value{T: types.IntType, I: -11}), v13, types.IntType, quick_05_pos[3])
 		}
-		v13 := interp.Value{T: types.IntType, I: 11}
-		v14 := interp.Value{T: types.IntType, I: int64(int32(-v13.I))}
-		v15 := f.LocalAt(1)
+		v15 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-		var v17 interp.Value
-		if v14.T == types.IntType && v16.T == types.IntType {
-			if v14.I == v16.I {
-				v17 = interp.Value{T: types.IntType, I: 1}
+		v17 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+		var v19 interp.Value
+		if v16.T == types.IntType && v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v16.I - v18.I))}
+		} else {
+			v19 = m.GenBinaryOp(token.Minus, v16, v18, types.IntType, quick_05_pos[4])
+		}
+		var v20 interp.Value
+		if v14.T == types.IntType && v19.T == types.IntType {
+			if v14.I == v19.I {
+				v20 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v17 = interp.Value{T: types.IntType, I: 0}
+				v20 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v17 = m.GenBinaryOp(token.EqEq, v14, v16, types.IntType, quick_05_pos[3])
+			v20 = m.GenBinaryOp(token.EqEq, v14, v19, types.IntType, quick_05_pos[5])
 		}
-		v18 := f.LocalAt(2)
-		m.GenChargeAccess()
-		v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-		v20 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+		var v21 interp.Value
+		if v11.T == types.IntType && v20.T == types.IntType {
+			v21 = interp.Value{T: types.IntType, I: int64(int32(v11.I | v20.I))}
+		} else {
+			v21 = m.GenBinaryOp(token.Pipe, v11, v20, types.IntType, quick_05_pos[6])
+		}
 		var v22 interp.Value
-		if v19.T == types.IntType && v21.T == types.IntType {
-			v22 = interp.Value{T: types.IntType, I: int64(int32(v19.I - v21.I))}
-		} else {
-			v22 = m.GenBinaryOp(token.Minus, v19, v21, types.IntType, quick_05_pos[4])
-		}
-		var v23 interp.Value
-		if v17.T == types.IntType && v22.T == types.IntType {
-			if v17.I == v22.I {
-				v23 = interp.Value{T: types.IntType, I: 1}
+		if v21.T == types.IntType {
+			if v21.I == -45 {
+				v22 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v23 = interp.Value{T: types.IntType, I: 0}
+				v22 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v23 = m.GenBinaryOp(token.EqEq, v17, v22, types.IntType, quick_05_pos[5])
+			v22 = m.GenBinaryOp(token.EqEq, v21, (interp.Value{T: types.IntType, I: -45}), types.IntType, quick_05_pos[7])
 		}
-		var v24 interp.Value
-		if v12.T == types.IntType && v23.T == types.IntType {
-			v24 = interp.Value{T: types.IntType, I: int64(int32(v12.I | v23.I))}
-		} else {
-			v24 = m.GenBinaryOp(token.Pipe, v12, v23, types.IntType, quick_05_pos[6])
-		}
-		v25 := interp.Value{T: types.IntType, I: 44}
-		v26 := interp.Value{T: types.IntType, I: int64(int32(^v25.I))}
-		var v27 interp.Value
-		if v24.T == types.IntType && v26.T == types.IntType {
-			if v24.I == v26.I {
-				v27 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v27 = interp.Value{T: types.IntType, I: 0}
-			}
-		} else {
-			v27 = m.GenBinaryOp(token.EqEq, v24, v26, types.IntType, quick_05_pos[7])
-		}
-		ret = v27
+		ret = v22
 		if interp.GenLive {
 			return
 		}

@@ -13,14 +13,12 @@ import (
 )
 
 var quick_06_pos = []token.Pos{
-	{File: "t.c", Line: 1, Col: 45},
 	{File: "t.c", Line: 1, Col: 62},
 	{File: "t.c", Line: 1, Col: 57},
 	{File: "t.c", Line: 1, Col: 52},
 	{File: "t.c", Line: 1, Col: 76},
 	{File: "t.c", Line: 1, Col: 87},
 	{File: "t.c", Line: 1, Col: 81},
-	{File: "t.c", Line: 1, Col: 107},
 	{File: "t.c", Line: 1, Col: 98},
 	{File: "t.c", Line: 1, Col: 93},
 	{File: "t.c", Line: 1, Col: 69},
@@ -51,119 +49,137 @@ func quick_06_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_06_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_06_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_06_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 64}
-		v4 := interp.Value{T: types.IntType, I: 4}
-		var v5 interp.Value
-		v5 = m.GenBinaryOp(token.Shr, v3, v4, types.IntType, quick_06_pos[0])
-		v6 := interp.Value{T: types.IntType, I: int64(int32(^v5.I))}
-		v7 := f.LocalAt(0)
+		v3 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+		v5 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+		v7 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-		v11 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
-		var v13 interp.Value
-		if v10.T == types.IntType && v12.T == types.IntType {
-			v13 = interp.Value{T: types.IntType, I: int64(int32(v10.I - v12.I))}
+		var v9 interp.Value
+		if v6.T == types.IntType && v8.T == types.IntType {
+			v9 = interp.Value{T: types.IntType, I: int64(int32(v6.I - v8.I))}
 		} else {
-			v13 = m.GenBinaryOp(token.Minus, v10, v12, types.IntType, quick_06_pos[1])
+			v9 = m.GenBinaryOp(token.Minus, v6, v8, types.IntType, quick_06_pos[0])
 		}
-		var v14 interp.Value
-		if v8.T == types.IntType && v13.T == types.IntType {
-			v14 = interp.Value{T: types.IntType, I: int64(int32(v8.I ^ v13.I))}
+		var v10 interp.Value
+		if v4.T == types.IntType && v9.T == types.IntType {
+			v10 = interp.Value{T: types.IntType, I: int64(int32(v4.I ^ v9.I))}
 		} else {
-			v14 = m.GenBinaryOp(token.Caret, v8, v13, types.IntType, quick_06_pos[2])
+			v10 = m.GenBinaryOp(token.Caret, v4, v9, types.IntType, quick_06_pos[1])
 		}
-		var v15 interp.Value
-		if v6.T == types.IntType && v14.T == types.IntType {
-			if v6.I < v14.I {
-				v15 = interp.Value{T: types.IntType, I: 1}
+		var v11 interp.Value
+		if v10.T == types.IntType {
+			if -5 < v10.I {
+				v11 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v15 = interp.Value{T: types.IntType, I: 0}
+				v11 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v15 = m.GenBinaryOp(token.Lt, v6, v14, types.IntType, quick_06_pos[3])
+			v11 = m.GenBinaryOp(token.Lt, (interp.Value{T: types.IntType, I: -5}), v10, types.IntType, quick_06_pos[2])
 		}
-		v16 := f.LocalAt(1)
+		v12 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-		v18 := f.LocalAt(0)
+		v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+		v14 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+		var v16 interp.Value
+		if v13.T == types.IntType && v15.T == types.IntType {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v13.I - v15.I))}
+		} else {
+			v16 = m.GenBinaryOp(token.Minus, v13, v15, types.IntType, quick_06_pos[3])
+		}
+		v17 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+		var v19 interp.Value
+		if v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(90 - v18.I))}
+		} else {
+			v19 = m.GenBinaryOp(token.Minus, (interp.Value{T: types.IntType, I: 90}), v18, types.IntType, quick_06_pos[4])
+		}
 		var v20 interp.Value
-		if v17.T == types.IntType && v19.T == types.IntType {
-			v20 = interp.Value{T: types.IntType, I: int64(int32(v17.I - v19.I))}
+		if v16.T == types.IntType && v19.T == types.IntType {
+			v20 = interp.Value{T: types.IntType, I: int64(int32(v16.I - v19.I))}
 		} else {
-			v20 = m.GenBinaryOp(token.Minus, v17, v19, types.IntType, quick_06_pos[4])
+			v20 = m.GenBinaryOp(token.Minus, v16, v19, types.IntType, quick_06_pos[5])
 		}
-		v21 := interp.Value{T: types.IntType, I: 90}
-		v22 := f.LocalAt(2)
+		v21 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-		var v24 interp.Value
-		if v21.T == types.IntType && v23.T == types.IntType {
-			v24 = interp.Value{T: types.IntType, I: int64(int32(v21.I - v23.I))}
+		v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
+		var v23 interp.Value
+		if v22.T == types.IntType {
+			v23 = interp.Value{T: types.IntType, I: int64(int32(v22.I - -5))}
 		} else {
-			v24 = m.GenBinaryOp(token.Minus, v21, v23, types.IntType, quick_06_pos[5])
+			v23 = m.GenBinaryOp(token.Minus, v22, (interp.Value{T: types.IntType, I: -5}), types.IntType, quick_06_pos[6])
+		}
+		var v24 interp.Value
+		if v20.T == types.IntType && v23.T == types.IntType {
+			if v20.I < v23.I {
+				v24 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v24 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v24 = m.GenBinaryOp(token.Lt, v20, v23, types.IntType, quick_06_pos[7])
 		}
 		var v25 interp.Value
-		if v20.T == types.IntType && v24.T == types.IntType {
-			v25 = interp.Value{T: types.IntType, I: int64(int32(v20.I - v24.I))}
+		if v11.T == types.IntType && v24.T == types.IntType {
+			v25 = interp.Value{T: types.IntType, I: int64(int32(v11.I | v24.I))}
 		} else {
-			v25 = m.GenBinaryOp(token.Minus, v20, v24, types.IntType, quick_06_pos[6])
+			v25 = m.GenBinaryOp(token.Pipe, v11, v24, types.IntType, quick_06_pos[8])
 		}
-		v26 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
-		v28 := interp.Value{T: types.IntType, I: 54}
-		v29 := interp.Value{T: types.IntType, I: int64(int32(-v28.I))}
-		v30 := interp.Value{T: types.IntType, I: 7}
-		var v31 interp.Value
-		v31 = m.GenBinaryOp(token.Percent, v29, v30, types.IntType, quick_06_pos[7])
-		var v32 interp.Value
-		if v27.T == types.IntType && v31.T == types.IntType {
-			v32 = interp.Value{T: types.IntType, I: int64(int32(v27.I - v31.I))}
-		} else {
-			v32 = m.GenBinaryOp(token.Minus, v27, v31, types.IntType, quick_06_pos[8])
-		}
-		var v33 interp.Value
-		if v25.T == types.IntType && v32.T == types.IntType {
-			if v25.I < v32.I {
-				v33 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v33 = interp.Value{T: types.IntType, I: 0}
-			}
-		} else {
-			v33 = m.GenBinaryOp(token.Lt, v25, v32, types.IntType, quick_06_pos[9])
-		}
-		var v34 interp.Value
-		if v15.T == types.IntType && v33.T == types.IntType {
-			v34 = interp.Value{T: types.IntType, I: int64(int32(v15.I | v33.I))}
-		} else {
-			v34 = m.GenBinaryOp(token.Pipe, v15, v33, types.IntType, quick_06_pos[10])
-		}
-		ret = v34
+		ret = v25
 		if interp.GenLive {
 			return
 		}

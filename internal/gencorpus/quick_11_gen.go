@@ -13,11 +13,7 @@ import (
 )
 
 var quick_11_pos = []token.Pos{
-	{File: "t.c", Line: 1, Col: 45},
 	{File: "t.c", Line: 1, Col: 54},
-	{File: "t.c", Line: 1, Col: 75},
-	{File: "t.c", Line: 1, Col: 86},
-	{File: "t.c", Line: 1, Col: 80},
 	{File: "t.c", Line: 1, Col: 63},
 }
 
@@ -46,71 +42,71 @@ func quick_11_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_11_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_11_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_11_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 90}
-		v4 := interp.Value{T: types.IntType, I: 2}
+		v3 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
 		v5 := interp.Value{T: types.IntType, I: int64(int32(-v4.I))}
 		var v6 interp.Value
-		if v3.T == types.IntType && v5.T == types.IntType {
-			if v3.I == v5.I {
-				v6 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v6 = interp.Value{T: types.IntType, I: 0}
-			}
+		if v5.T == types.IntType {
+			v6 = interp.Value{T: types.IntType, I: int64(int32(0 ^ v5.I))}
 		} else {
-			v6 = m.GenBinaryOp(token.EqEq, v3, v5, types.IntType, quick_11_pos[0])
+			v6 = m.GenBinaryOp(token.Caret, (interp.Value{T: types.IntType, I: 0}), v5, types.IntType, quick_11_pos[0])
 		}
-		v7 := f.LocalAt(2)
-		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := interp.Value{T: types.IntType, I: int64(int32(-v8.I))}
-		var v10 interp.Value
-		if v6.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v6.I ^ v9.I))}
+		v7 := interp.Value{T: types.IntType, I: int64(int32(^v6.I))}
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			v8 = interp.Value{T: types.IntType, I: int64(int32(v7.I & 0))}
 		} else {
-			v10 = m.GenBinaryOp(token.Caret, v6, v9, types.IntType, quick_11_pos[1])
+			v8 = m.GenBinaryOp(token.Amp, v7, (interp.Value{T: types.IntType, I: 0}), types.IntType, quick_11_pos[1])
 		}
-		v11 := interp.Value{T: types.IntType, I: int64(int32(^v10.I))}
-		v12 := interp.Value{T: types.IntType, I: 49}
-		v13 := interp.Value{T: types.IntType, I: int64(int32(-v12.I))}
-		v14 := interp.Value{T: types.IntType, I: 5}
-		var v15 interp.Value
-		v15 = m.GenBinaryOp(token.Percent, v13, v14, types.IntType, quick_11_pos[2])
-		v16 := interp.Value{T: types.IntType, I: 78}
-		v17 := interp.Value{T: types.IntType, I: 5}
-		var v18 interp.Value
-		v18 = m.GenBinaryOp(token.Shr, v16, v17, types.IntType, quick_11_pos[3])
-		var v19 interp.Value
-		if v15.T == types.IntType && v18.T == types.IntType {
-			v19 = interp.Value{T: types.IntType, I: int64(int32(v15.I & v18.I))}
-		} else {
-			v19 = m.GenBinaryOp(token.Amp, v15, v18, types.IntType, quick_11_pos[4])
-		}
-		v20 := interp.Value{T: types.IntType, I: int64(int32(-v19.I))}
-		var v21 interp.Value
-		if v11.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v11.I & v20.I))}
-		} else {
-			v21 = m.GenBinaryOp(token.Amp, v11, v20, types.IntType, quick_11_pos[5])
-		}
-		ret = v21
+		ret = v8
 		if interp.GenLive {
 			return
 		}

@@ -47,18 +47,47 @@ func quick_12_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_12_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_12_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_12_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -69,61 +98,55 @@ func quick_12_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
 		v5 := interp.Value{T: types.IntType, I: int64(int32(-v4.I))}
-		v6 := interp.Value{T: types.IntType, I: 4}
-		var v7 interp.Value
-		v7 = m.GenBinaryOp(token.Shr, v5, v6, types.IntType, quick_12_pos[0])
-		v8 := f.LocalAt(0)
+		var v6 interp.Value
+		v6 = m.GenBinaryOp(token.Shr, v5, (interp.Value{T: types.IntType, I: 4}), types.IntType, quick_12_pos[0])
+		v7 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-		var v10 interp.Value
-		if v7.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v7.I & v9.I))}
+		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		var v9 interp.Value
+		if v6.T == types.IntType && v8.T == types.IntType {
+			v9 = interp.Value{T: types.IntType, I: int64(int32(v6.I & v8.I))}
 		} else {
-			v10 = m.GenBinaryOp(token.Amp, v7, v9, types.IntType, quick_12_pos[1])
+			v9 = m.GenBinaryOp(token.Amp, v6, v8, types.IntType, quick_12_pos[1])
 		}
-		v11 := f.LocalAt(1)
+		v10 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
-		v13 := interp.Value{T: types.IntType, I: 56}
-		v14 := interp.Value{T: types.IntType, I: int64(int32(-v13.I))}
-		var v15 interp.Value
-		if v12.T == types.IntType && v14.T == types.IntType {
-			if v12.I == v14.I {
-				v15 = interp.Value{T: types.IntType, I: 1}
+		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+		var v12 interp.Value
+		if v11.T == types.IntType {
+			if v11.I == -56 {
+				v12 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v15 = interp.Value{T: types.IntType, I: 0}
+				v12 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v15 = m.GenBinaryOp(token.EqEq, v12, v14, types.IntType, quick_12_pos[2])
+			v12 = m.GenBinaryOp(token.EqEq, v11, (interp.Value{T: types.IntType, I: -56}), types.IntType, quick_12_pos[2])
 		}
-		v16 := interp.Value{T: types.IntType, I: 43}
-		v17 := interp.Value{T: types.IntType, I: int64(int32(-v16.I))}
-		var v18 interp.Value
-		if v15.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v15.I * v17.I))}
+		var v13 interp.Value
+		if v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v12.I * -43))}
 		} else {
-			v18 = m.GenBinaryOp(token.Star, v15, v17, types.IntType, quick_12_pos[3])
+			v13 = m.GenBinaryOp(token.Star, v12, (interp.Value{T: types.IntType, I: -43}), types.IntType, quick_12_pos[3])
 		}
-		v19 := f.LocalAt(0)
+		v14 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
-		v21 := interp.Value{T: types.IntType, I: int64(int32(-v20.I))}
-		v22 := interp.Value{T: types.IntType, I: 1}
-		var v23 interp.Value
-		v23 = m.GenBinaryOp(token.Slash, v21, v22, types.IntType, quick_12_pos[4])
-		var v24 interp.Value
-		if v18.T == types.IntType && v23.T == types.IntType {
-			v24 = interp.Value{T: types.IntType, I: int64(int32(v18.I * v23.I))}
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+		v16 := interp.Value{T: types.IntType, I: int64(int32(-v15.I))}
+		var v17 interp.Value
+		v17 = m.GenBinaryOp(token.Slash, v16, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_12_pos[4])
+		var v18 interp.Value
+		if v13.T == types.IntType && v17.T == types.IntType {
+			v18 = interp.Value{T: types.IntType, I: int64(int32(v13.I * v17.I))}
 		} else {
-			v24 = m.GenBinaryOp(token.Star, v18, v23, types.IntType, quick_12_pos[5])
+			v18 = m.GenBinaryOp(token.Star, v13, v17, types.IntType, quick_12_pos[5])
 		}
-		var v25 interp.Value
-		if v10.T == types.IntType && v24.T == types.IntType {
-			v25 = interp.Value{T: types.IntType, I: int64(int32(v10.I & v24.I))}
+		var v19 interp.Value
+		if v9.T == types.IntType && v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v9.I & v18.I))}
 		} else {
-			v25 = m.GenBinaryOp(token.Amp, v10, v24, types.IntType, quick_12_pos[6])
+			v19 = m.GenBinaryOp(token.Amp, v9, v18, types.IntType, quick_12_pos[6])
 		}
-		ret = v25
+		ret = v19
 		if interp.GenLive {
 			return
 		}

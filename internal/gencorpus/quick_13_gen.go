@@ -14,7 +14,6 @@ import (
 
 var quick_13_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 47},
-	{File: "t.c", Line: 1, Col: 63},
 	{File: "t.c", Line: 1, Col: 54},
 	{File: "t.c", Line: 1, Col: 75},
 	{File: "t.c", Line: 1, Col: 80},
@@ -47,88 +46,110 @@ func quick_13_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_13_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_13_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_13_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(2)
+		v3 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(2)
+		v5 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
-		v7 := interp.Value{T: types.IntType, I: 78}
+		var v7 interp.Value
+		if v6.T == types.IntType {
+			if v6.I == 78 {
+				v7 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v7 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v7 = m.GenBinaryOp(token.EqEq, v6, (interp.Value{T: types.IntType, I: 78}), types.IntType, quick_13_pos[0])
+		}
 		var v8 interp.Value
-		if v6.T == types.IntType && v7.T == types.IntType {
-			if v6.I == v7.I {
+		if v7.T == types.IntType {
+			if v7.I < -17 {
 				v8 = interp.Value{T: types.IntType, I: 1}
 			} else {
 				v8 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v8 = m.GenBinaryOp(token.EqEq, v6, v7, types.IntType, quick_13_pos[0])
+			v8 = m.GenBinaryOp(token.Lt, v7, (interp.Value{T: types.IntType, I: -17}), types.IntType, quick_13_pos[1])
 		}
-		v9 := interp.Value{T: types.IntType, I: 51}
-		v10 := interp.Value{T: types.IntType, I: int64(int32(-v9.I))}
-		v11 := interp.Value{T: types.IntType, I: 3}
-		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.Slash, v10, v11, types.IntType, quick_13_pos[1])
+		v9 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		v11 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
 		var v13 interp.Value
-		if v8.T == types.IntType && v12.T == types.IntType {
-			if v8.I < v12.I {
-				v13 = interp.Value{T: types.IntType, I: 1}
+		if v10.T == types.IntType && v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v10.I - v12.I))}
+		} else {
+			v13 = m.GenBinaryOp(token.Minus, v10, v12, types.IntType, quick_13_pos[2])
+		}
+		var v14 interp.Value
+		v14 = m.GenBinaryOp(token.Percent, v13, (interp.Value{T: types.IntType, I: 6}), types.IntType, quick_13_pos[3])
+		var v15 interp.Value
+		if v8.T == types.IntType && v14.T == types.IntType {
+			v15 = interp.Value{T: types.IntType, I: int64(int32(v8.I | v14.I))}
+		} else {
+			v15 = m.GenBinaryOp(token.Pipe, v8, v14, types.IntType, quick_13_pos[4])
+		}
+		var v16 interp.Value
+		if v4.T == types.IntType && v15.T == types.IntType {
+			if v4.I < v15.I {
+				v16 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v13 = interp.Value{T: types.IntType, I: 0}
+				v16 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v13 = m.GenBinaryOp(token.Lt, v8, v12, types.IntType, quick_13_pos[2])
+			v16 = m.GenBinaryOp(token.Lt, v4, v15, types.IntType, quick_13_pos[5])
 		}
-		v14 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-		v16 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-		var v18 interp.Value
-		if v15.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v15.I - v17.I))}
-		} else {
-			v18 = m.GenBinaryOp(token.Minus, v15, v17, types.IntType, quick_13_pos[3])
-		}
-		v19 := interp.Value{T: types.IntType, I: 6}
-		var v20 interp.Value
-		v20 = m.GenBinaryOp(token.Percent, v18, v19, types.IntType, quick_13_pos[4])
-		var v21 interp.Value
-		if v13.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v13.I | v20.I))}
-		} else {
-			v21 = m.GenBinaryOp(token.Pipe, v13, v20, types.IntType, quick_13_pos[5])
-		}
-		var v22 interp.Value
-		if v4.T == types.IntType && v21.T == types.IntType {
-			if v4.I < v21.I {
-				v22 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v22 = interp.Value{T: types.IntType, I: 0}
-			}
-		} else {
-			v22 = m.GenBinaryOp(token.Lt, v4, v21, types.IntType, quick_13_pos[6])
-		}
-		ret = v22
+		ret = v16
 		if interp.GenLive {
 			return
 		}

@@ -17,7 +17,6 @@ var quick_14_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 53},
 	{File: "t.c", Line: 1, Col: 48},
 	{File: "t.c", Line: 1, Col: 60},
-	{File: "t.c", Line: 1, Col: 75},
 	{File: "t.c", Line: 1, Col: 86},
 	{File: "t.c", Line: 1, Col: 96},
 	{File: "t.c", Line: 1, Col: 91},
@@ -50,18 +49,47 @@ func quick_14_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_14_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_14_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_14_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -71,84 +99,76 @@ func quick_14_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := interp.Value{T: types.IntType, I: 3}
-		var v6 interp.Value
-		v6 = m.GenBinaryOp(token.Percent, v4, v5, types.IntType, quick_14_pos[0])
-		v7 := f.LocalAt(2)
+		var v5 interp.Value
+		v5 = m.GenBinaryOp(token.Percent, v4, (interp.Value{T: types.IntType, I: 3}), types.IntType, quick_14_pos[0])
+		v6 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := interp.Value{T: types.IntType, I: 44}
-		var v10 interp.Value
-		if v8.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v8.I - v9.I))}
+		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			v8 = interp.Value{T: types.IntType, I: int64(int32(v7.I - 44))}
 		} else {
-			v10 = m.GenBinaryOp(token.Minus, v8, v9, types.IntType, quick_14_pos[1])
+			v8 = m.GenBinaryOp(token.Minus, v7, (interp.Value{T: types.IntType, I: 44}), types.IntType, quick_14_pos[1])
 		}
-		var v11 interp.Value
-		if v6.T == types.IntType && v10.T == types.IntType {
-			if v6.I < v10.I {
-				v11 = interp.Value{T: types.IntType, I: 1}
+		var v9 interp.Value
+		if v5.T == types.IntType && v8.T == types.IntType {
+			if v5.I < v8.I {
+				v9 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v11 = interp.Value{T: types.IntType, I: 0}
+				v9 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v11 = m.GenBinaryOp(token.Lt, v6, v10, types.IntType, quick_14_pos[2])
+			v9 = m.GenBinaryOp(token.Lt, v5, v8, types.IntType, quick_14_pos[2])
 		}
-		v12 := interp.Value{T: types.IntType, I: 7}
-		var v13 interp.Value
-		v13 = m.GenBinaryOp(token.Slash, v11, v12, types.IntType, quick_14_pos[3])
-		v14 := interp.Value{T: types.IntType, I: 85}
-		v15 := interp.Value{T: types.IntType, I: int64(int32(-v14.I))}
-		v16 := interp.Value{T: types.IntType, I: 8}
-		var v17 interp.Value
-		v17 = m.GenBinaryOp(token.Slash, v15, v16, types.IntType, quick_14_pos[4])
-		v18 := f.LocalAt(2)
+		var v10 interp.Value
+		v10 = m.GenBinaryOp(token.Slash, v9, (interp.Value{T: types.IntType, I: 7}), types.IntType, quick_14_pos[3])
+		v11 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+		v13 := f.LocalAt(0)
+		m.GenChargeAccess()
+		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+		var v15 interp.Value
+		if v12.T == types.IntType && v14.T == types.IntType {
+			v15 = interp.Value{T: types.IntType, I: int64(int32(v12.I & v14.I))}
+		} else {
+			v15 = m.GenBinaryOp(token.Amp, v12, v14, types.IntType, quick_14_pos[4])
+		}
+		v16 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+		v18 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-		v20 := f.LocalAt(2)
-		m.GenChargeAccess()
-		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+		var v20 interp.Value
+		if v17.T == types.IntType && v19.T == types.IntType {
+			v20 = interp.Value{T: types.IntType, I: int64(int32(v17.I * v19.I))}
+		} else {
+			v20 = m.GenBinaryOp(token.Star, v17, v19, types.IntType, quick_14_pos[5])
+		}
+		var v21 interp.Value
+		if v15.T == types.IntType && v20.T == types.IntType {
+			v21 = interp.Value{T: types.IntType, I: int64(int32(v15.I - v20.I))}
+		} else {
+			v21 = m.GenBinaryOp(token.Minus, v15, v20, types.IntType, quick_14_pos[6])
+		}
 		var v22 interp.Value
-		if v19.T == types.IntType && v21.T == types.IntType {
-			v22 = interp.Value{T: types.IntType, I: int64(int32(v19.I & v21.I))}
+		if v21.T == types.IntType {
+			v22 = interp.Value{T: types.IntType, I: int64(int32(-10 * v21.I))}
 		} else {
-			v22 = m.GenBinaryOp(token.Amp, v19, v21, types.IntType, quick_14_pos[5])
+			v22 = m.GenBinaryOp(token.Star, (interp.Value{T: types.IntType, I: -10}), v21, types.IntType, quick_14_pos[7])
 		}
-		v23 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
-		v25 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-		var v27 interp.Value
-		if v24.T == types.IntType && v26.T == types.IntType {
-			v27 = interp.Value{T: types.IntType, I: int64(int32(v24.I * v26.I))}
-		} else {
-			v27 = m.GenBinaryOp(token.Star, v24, v26, types.IntType, quick_14_pos[6])
-		}
-		var v28 interp.Value
-		if v22.T == types.IntType && v27.T == types.IntType {
-			v28 = interp.Value{T: types.IntType, I: int64(int32(v22.I - v27.I))}
-		} else {
-			v28 = m.GenBinaryOp(token.Minus, v22, v27, types.IntType, quick_14_pos[7])
-		}
-		var v29 interp.Value
-		if v17.T == types.IntType && v28.T == types.IntType {
-			v29 = interp.Value{T: types.IntType, I: int64(int32(v17.I * v28.I))}
-		} else {
-			v29 = m.GenBinaryOp(token.Star, v17, v28, types.IntType, quick_14_pos[8])
-		}
-		var v30 interp.Value
-		if v13.T == types.IntType && v29.T == types.IntType {
-			if v13.I < v29.I {
-				v30 = interp.Value{T: types.IntType, I: 1}
+		var v23 interp.Value
+		if v10.T == types.IntType && v22.T == types.IntType {
+			if v10.I < v22.I {
+				v23 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v30 = interp.Value{T: types.IntType, I: 0}
+				v23 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v30 = m.GenBinaryOp(token.Lt, v13, v29, types.IntType, quick_14_pos[9])
+			v23 = m.GenBinaryOp(token.Lt, v10, v22, types.IntType, quick_14_pos[8])
 		}
-		ret = v30
+		ret = v23
 		if interp.GenLive {
 			return
 		}

@@ -13,7 +13,6 @@ import (
 )
 
 var quick_15_pos = []token.Pos{
-	{File: "t.c", Line: 1, Col: 47},
 	{File: "t.c", Line: 1, Col: 53},
 	{File: "t.c", Line: 1, Col: 64},
 	{File: "t.c", Line: 1, Col: 59},
@@ -52,120 +51,138 @@ func quick_15_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_15_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_15_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_15_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 33}
-		v4 := interp.Value{T: types.IntType, I: int64(int32(-v3.I))}
-		v5 := interp.Value{T: types.IntType, I: 2}
-		var v6 interp.Value
-		v6 = m.GenBinaryOp(token.Shl, v4, v5, types.IntType, quick_15_pos[0])
-		v7 := f.LocalAt(2)
+		v3 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+		var v5 interp.Value
+		if v4.T == types.IntType {
+			if -132 == v4.I {
+				v5 = interp.Value{T: types.IntType, I: 1}
+			} else {
+				v5 = interp.Value{T: types.IntType, I: 0}
+			}
+		} else {
+			v5 = m.GenBinaryOp(token.EqEq, (interp.Value{T: types.IntType, I: -132}), v4, types.IntType, quick_15_pos[0])
+		}
+		v6 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+		var v8 interp.Value
+		v8 = m.GenBinaryOp(token.Percent, v7, (interp.Value{T: types.IntType, I: 9}), types.IntType, quick_15_pos[1])
 		var v9 interp.Value
-		if v6.T == types.IntType && v8.T == types.IntType {
-			if v6.I == v8.I {
+		if v5.T == types.IntType && v8.T == types.IntType {
+			if v5.I < v8.I {
 				v9 = interp.Value{T: types.IntType, I: 1}
 			} else {
 				v9 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v9 = m.GenBinaryOp(token.EqEq, v6, v8, types.IntType, quick_15_pos[1])
+			v9 = m.GenBinaryOp(token.Lt, v5, v8, types.IntType, quick_15_pos[2])
 		}
-		v10 := f.LocalAt(1)
+		v10 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-		v12 := interp.Value{T: types.IntType, I: 9}
-		var v13 interp.Value
-		v13 = m.GenBinaryOp(token.Percent, v11, v12, types.IntType, quick_15_pos[2])
-		var v14 interp.Value
-		if v9.T == types.IntType && v13.T == types.IntType {
-			if v9.I < v13.I {
-				v14 = interp.Value{T: types.IntType, I: 1}
+		var v12 interp.Value
+		v12 = m.GenBinaryOp(token.Shl, v11, (interp.Value{T: types.IntType, I: 2}), types.IntType, quick_15_pos[3])
+		v13 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+		var v15 interp.Value
+		if v14.T == types.IntType {
+			v15 = interp.Value{T: types.IntType, I: int64(int32(v14.I & 57))}
+		} else {
+			v15 = m.GenBinaryOp(token.Amp, v14, (interp.Value{T: types.IntType, I: 57}), types.IntType, quick_15_pos[4])
+		}
+		var v16 interp.Value
+		if v12.T == types.IntType && v15.T == types.IntType {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v12.I * v15.I))}
+		} else {
+			v16 = m.GenBinaryOp(token.Star, v12, v15, types.IntType, quick_15_pos[5])
+		}
+		v17 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+		var v19 interp.Value
+		v19 = m.GenBinaryOp(token.Percent, v18, (interp.Value{T: types.IntType, I: 5}), types.IntType, quick_15_pos[6])
+		v20 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+		var v22 interp.Value
+		if v21.T == types.IntType {
+			if v21.I < -52 {
+				v22 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v14 = interp.Value{T: types.IntType, I: 0}
+				v22 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v14 = m.GenBinaryOp(token.Lt, v9, v13, types.IntType, quick_15_pos[3])
-		}
-		v15 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-		v17 := interp.Value{T: types.IntType, I: 2}
-		var v18 interp.Value
-		v18 = m.GenBinaryOp(token.Shl, v16, v17, types.IntType, quick_15_pos[4])
-		v19 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
-		v21 := interp.Value{T: types.IntType, I: 57}
-		var v22 interp.Value
-		if v20.T == types.IntType && v21.T == types.IntType {
-			v22 = interp.Value{T: types.IntType, I: int64(int32(v20.I & v21.I))}
-		} else {
-			v22 = m.GenBinaryOp(token.Amp, v20, v21, types.IntType, quick_15_pos[5])
+			v22 = m.GenBinaryOp(token.Lt, v21, (interp.Value{T: types.IntType, I: -52}), types.IntType, quick_15_pos[7])
 		}
 		var v23 interp.Value
-		if v18.T == types.IntType && v22.T == types.IntType {
-			v23 = interp.Value{T: types.IntType, I: int64(int32(v18.I * v22.I))}
+		if v19.T == types.IntType && v22.T == types.IntType {
+			v23 = interp.Value{T: types.IntType, I: int64(int32(v19.I & v22.I))}
 		} else {
-			v23 = m.GenBinaryOp(token.Star, v18, v22, types.IntType, quick_15_pos[6])
+			v23 = m.GenBinaryOp(token.Amp, v19, v22, types.IntType, quick_15_pos[8])
 		}
-		v24 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
-		v26 := interp.Value{T: types.IntType, I: 5}
-		var v27 interp.Value
-		v27 = m.GenBinaryOp(token.Percent, v25, v26, types.IntType, quick_15_pos[7])
-		v28 := f.LocalAt(1)
-		m.GenChargeAccess()
-		v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
-		v30 := interp.Value{T: types.IntType, I: 52}
-		v31 := interp.Value{T: types.IntType, I: int64(int32(-v30.I))}
-		var v32 interp.Value
-		if v29.T == types.IntType && v31.T == types.IntType {
-			if v29.I < v31.I {
-				v32 = interp.Value{T: types.IntType, I: 1}
-			} else {
-				v32 = interp.Value{T: types.IntType, I: 0}
-			}
+		var v24 interp.Value
+		if v16.T == types.IntType && v23.T == types.IntType {
+			v24 = interp.Value{T: types.IntType, I: int64(int32(v16.I | v23.I))}
 		} else {
-			v32 = m.GenBinaryOp(token.Lt, v29, v31, types.IntType, quick_15_pos[8])
+			v24 = m.GenBinaryOp(token.Pipe, v16, v23, types.IntType, quick_15_pos[9])
 		}
-		var v33 interp.Value
-		if v27.T == types.IntType && v32.T == types.IntType {
-			v33 = interp.Value{T: types.IntType, I: int64(int32(v27.I & v32.I))}
+		var v25 interp.Value
+		if v9.T == types.IntType && v24.T == types.IntType {
+			v25 = interp.Value{T: types.IntType, I: int64(int32(v9.I * v24.I))}
 		} else {
-			v33 = m.GenBinaryOp(token.Amp, v27, v32, types.IntType, quick_15_pos[9])
+			v25 = m.GenBinaryOp(token.Star, v9, v24, types.IntType, quick_15_pos[10])
 		}
-		var v34 interp.Value
-		if v23.T == types.IntType && v33.T == types.IntType {
-			v34 = interp.Value{T: types.IntType, I: int64(int32(v23.I | v33.I))}
-		} else {
-			v34 = m.GenBinaryOp(token.Pipe, v23, v33, types.IntType, quick_15_pos[10])
-		}
-		var v35 interp.Value
-		if v14.T == types.IntType && v34.T == types.IntType {
-			v35 = interp.Value{T: types.IntType, I: int64(int32(v14.I * v34.I))}
-		} else {
-			v35 = m.GenBinaryOp(token.Star, v14, v34, types.IntType, quick_15_pos[11])
-		}
-		ret = v35
+		ret = v25
 		if interp.GenLive {
 			return
 		}

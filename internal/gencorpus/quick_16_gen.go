@@ -17,7 +17,6 @@ var quick_16_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 53},
 	{File: "t.c", Line: 1, Col: 48},
 	{File: "t.c", Line: 1, Col: 59},
-	{File: "t.c", Line: 1, Col: 73},
 	{File: "t.c", Line: 1, Col: 64},
 }
 
@@ -46,63 +45,85 @@ func quick_16_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_16_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_16_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_16_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(0)
+		v3 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := interp.Value{T: types.IntType, I: 3}
-		var v6 interp.Value
-		v6 = m.GenBinaryOp(token.Percent, v4, v5, types.IntType, quick_16_pos[0])
-		v7 := f.LocalAt(2)
+		var v5 interp.Value
+		v5 = m.GenBinaryOp(token.Percent, v4, (interp.Value{T: types.IntType, I: 3}), types.IntType, quick_16_pos[0])
+		v6 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		v9 := f.LocalAt(1)
+		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+		v8 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-		var v11 interp.Value
-		if v8.T == types.IntType && v10.T == types.IntType {
-			v11 = interp.Value{T: types.IntType, I: int64(int32(v8.I * v10.I))}
+		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
+		var v10 interp.Value
+		if v7.T == types.IntType && v9.T == types.IntType {
+			v10 = interp.Value{T: types.IntType, I: int64(int32(v7.I * v9.I))}
 		} else {
-			v11 = m.GenBinaryOp(token.Star, v8, v10, types.IntType, quick_16_pos[1])
+			v10 = m.GenBinaryOp(token.Star, v7, v9, types.IntType, quick_16_pos[1])
+		}
+		var v11 interp.Value
+		if v5.T == types.IntType && v10.T == types.IntType {
+			v11 = interp.Value{T: types.IntType, I: int64(int32(v5.I | v10.I))}
+		} else {
+			v11 = m.GenBinaryOp(token.Pipe, v5, v10, types.IntType, quick_16_pos[2])
 		}
 		var v12 interp.Value
-		if v6.T == types.IntType && v11.T == types.IntType {
-			v12 = interp.Value{T: types.IntType, I: int64(int32(v6.I | v11.I))}
+		v12 = m.GenBinaryOp(token.Slash, v11, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_16_pos[3])
+		var v13 interp.Value
+		if v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v12.I * 0))}
 		} else {
-			v12 = m.GenBinaryOp(token.Pipe, v6, v11, types.IntType, quick_16_pos[2])
+			v13 = m.GenBinaryOp(token.Star, v12, (interp.Value{T: types.IntType, I: 0}), types.IntType, quick_16_pos[4])
 		}
-		v13 := interp.Value{T: types.IntType, I: 1}
-		var v14 interp.Value
-		v14 = m.GenBinaryOp(token.Slash, v12, v13, types.IntType, quick_16_pos[3])
-		v15 := interp.Value{T: types.IntType, I: 55}
-		v16 := interp.Value{T: types.IntType, I: int64(int32(-v15.I))}
-		v17 := interp.Value{T: types.IntType, I: 5}
-		var v18 interp.Value
-		v18 = m.GenBinaryOp(token.Percent, v16, v17, types.IntType, quick_16_pos[4])
-		var v19 interp.Value
-		if v14.T == types.IntType && v18.T == types.IntType {
-			v19 = interp.Value{T: types.IntType, I: int64(int32(v14.I * v18.I))}
-		} else {
-			v19 = m.GenBinaryOp(token.Star, v14, v18, types.IntType, quick_16_pos[5])
-		}
-		ret = v19
+		ret = v13
 		if interp.GenLive {
 			return
 		}

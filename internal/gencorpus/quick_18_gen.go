@@ -47,18 +47,47 @@ func quick_18_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_18_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_18_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_18_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -68,48 +97,43 @@ func quick_18_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := interp.Value{T: types.IntType, I: 2}
+		var v5 interp.Value
+		v5 = m.GenBinaryOp(token.Shl, v4, (interp.Value{T: types.IntType, I: 2}), types.IntType, quick_18_pos[0])
 		var v6 interp.Value
-		v6 = m.GenBinaryOp(token.Shl, v4, v5, types.IntType, quick_18_pos[0])
-		v7 := interp.Value{T: types.IntType, I: 3}
-		var v8 interp.Value
-		v8 = m.GenBinaryOp(token.Shl, v6, v7, types.IntType, quick_18_pos[1])
-		v9 := f.LocalAt(1)
+		v6 = m.GenBinaryOp(token.Shl, v5, (interp.Value{T: types.IntType, I: 3}), types.IntType, quick_18_pos[1])
+		v7 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-		v11 := interp.Value{T: types.IntType, I: 8}
+		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		var v9 interp.Value
+		v9 = m.GenBinaryOp(token.Percent, v8, (interp.Value{T: types.IntType, I: 8}), types.IntType, quick_18_pos[2])
+		v10 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
 		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.Percent, v10, v11, types.IntType, quick_18_pos[2])
-		v13 := interp.Value{T: types.IntType, I: 88}
-		v14 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-		var v16 interp.Value
-		if v13.T == types.IntType && v15.T == types.IntType {
-			if v13.I < v15.I {
-				v16 = interp.Value{T: types.IntType, I: 1}
+		if v11.T == types.IntType {
+			if 88 < v11.I {
+				v12 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v16 = interp.Value{T: types.IntType, I: 0}
+				v12 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v16 = m.GenBinaryOp(token.Lt, v13, v15, types.IntType, quick_18_pos[3])
+			v12 = m.GenBinaryOp(token.Lt, (interp.Value{T: types.IntType, I: 88}), v11, types.IntType, quick_18_pos[3])
 		}
-		var v17 interp.Value
-		if v12.T == types.IntType && v16.T == types.IntType {
-			v17 = interp.Value{T: types.IntType, I: int64(int32(v12.I + v16.I))}
+		var v13 interp.Value
+		if v9.T == types.IntType && v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v9.I + v12.I))}
 		} else {
-			v17 = m.GenBinaryOp(token.Plus, v12, v16, types.IntType, quick_18_pos[4])
+			v13 = m.GenBinaryOp(token.Plus, v9, v12, types.IntType, quick_18_pos[4])
 		}
-		var v18 interp.Value
-		if v8.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v8.I + v17.I))}
+		var v14 interp.Value
+		if v6.T == types.IntType && v13.T == types.IntType {
+			v14 = interp.Value{T: types.IntType, I: int64(int32(v6.I + v13.I))}
 		} else {
-			v18 = m.GenBinaryOp(token.Plus, v8, v17, types.IntType, quick_18_pos[5])
+			v14 = m.GenBinaryOp(token.Plus, v6, v13, types.IntType, quick_18_pos[5])
 		}
-		v19 := interp.Value{T: types.IntType, I: 8}
-		var v20 interp.Value
-		v20 = m.GenBinaryOp(token.Slash, v18, v19, types.IntType, quick_18_pos[6])
-		ret = v20
+		var v15 interp.Value
+		v15 = m.GenBinaryOp(token.Slash, v14, (interp.Value{T: types.IntType, I: 8}), types.IntType, quick_18_pos[6])
+		ret = v15
 		if interp.GenLive {
 			return
 		}

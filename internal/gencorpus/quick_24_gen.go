@@ -15,7 +15,6 @@ import (
 var quick_24_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 43},
 	{File: "t.c", Line: 1, Col: 48},
-	{File: "t.c", Line: 1, Col: 61},
 	{File: "t.c", Line: 1, Col: 72},
 	{File: "t.c", Line: 1, Col: 67},
 	{File: "t.c", Line: 1, Col: 54},
@@ -47,18 +46,47 @@ func quick_24_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_24_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_24_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_24_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -68,7 +96,7 @@ func quick_24_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(2)
+		v5 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 		var v7 interp.Value
@@ -77,41 +105,35 @@ func quick_24_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		} else {
 			v7 = m.GenBinaryOp(token.Caret, v4, v6, types.IntType, quick_24_pos[0])
 		}
-		v8 := interp.Value{T: types.IntType, I: 5}
-		var v9 interp.Value
-		v9 = m.GenBinaryOp(token.Shl, v7, v8, types.IntType, quick_24_pos[1])
-		v10 := interp.Value{T: types.IntType, I: 17}
-		v11 := interp.Value{T: types.IntType, I: 1}
+		var v8 interp.Value
+		v8 = m.GenBinaryOp(token.Shl, v7, (interp.Value{T: types.IntType, I: 5}), types.IntType, quick_24_pos[1])
+		v9 := f.LocalAt(2)
+		m.GenChargeAccess()
+		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		var v11 interp.Value
+		v11 = m.GenBinaryOp(token.Shl, v10, (interp.Value{T: types.IntType, I: 5}), types.IntType, quick_24_pos[2])
 		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.Shl, v10, v11, types.IntType, quick_24_pos[2])
-		v13 := f.LocalAt(0)
+		if v11.T == types.IntType {
+			v12 = interp.Value{T: types.IntType, I: int64(int32(34 | v11.I))}
+		} else {
+			v12 = m.GenBinaryOp(token.Pipe, (interp.Value{T: types.IntType, I: 34}), v11, types.IntType, quick_24_pos[3])
+		}
+		var v13 interp.Value
+		if v8.T == types.IntType && v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v8.I | v12.I))}
+		} else {
+			v13 = m.GenBinaryOp(token.Pipe, v8, v12, types.IntType, quick_24_pos[4])
+		}
+		v14 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-		v15 := interp.Value{T: types.IntType, I: 5}
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
 		var v16 interp.Value
-		v16 = m.GenBinaryOp(token.Shl, v14, v15, types.IntType, quick_24_pos[3])
-		var v17 interp.Value
-		if v12.T == types.IntType && v16.T == types.IntType {
-			v17 = interp.Value{T: types.IntType, I: int64(int32(v12.I | v16.I))}
+		if v13.T == types.IntType && v15.T == types.IntType {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v13.I - v15.I))}
 		} else {
-			v17 = m.GenBinaryOp(token.Pipe, v12, v16, types.IntType, quick_24_pos[4])
+			v16 = m.GenBinaryOp(token.Minus, v13, v15, types.IntType, quick_24_pos[5])
 		}
-		var v18 interp.Value
-		if v9.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v9.I | v17.I))}
-		} else {
-			v18 = m.GenBinaryOp(token.Pipe, v9, v17, types.IntType, quick_24_pos[5])
-		}
-		v19 := f.LocalAt(2)
-		m.GenChargeAccess()
-		v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
-		var v21 interp.Value
-		if v18.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v18.I - v20.I))}
-		} else {
-			v21 = m.GenBinaryOp(token.Minus, v18, v20, types.IntType, quick_24_pos[6])
-		}
-		ret = v21
+		ret = v16
 		if interp.GenLive {
 			return
 		}

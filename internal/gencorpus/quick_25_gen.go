@@ -13,8 +13,6 @@ import (
 )
 
 var quick_25_pos = []token.Pos{
-	{File: "t.c", Line: 1, Col: 57},
-	{File: "t.c", Line: 1, Col: 45},
 	{File: "t.c", Line: 1, Col: 71},
 	{File: "t.c", Line: 1, Col: 78},
 	{File: "t.c", Line: 1, Col: 63},
@@ -45,55 +43,68 @@ func quick_25_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_25_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_25_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_25_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := interp.Value{T: types.IntType, I: 56}
-		v4 := interp.Value{T: types.IntType, I: int64(int32(-v3.I))}
-		v5 := interp.Value{T: types.IntType, I: 23}
-		v6 := interp.Value{T: types.IntType, I: int64(int32(-v5.I))}
-		v7 := interp.Value{T: types.IntType, I: int64(int32(^v6.I))}
-		v8 := interp.Value{T: types.IntType, I: 6}
-		var v9 interp.Value
-		v9 = m.GenBinaryOp(token.Percent, v7, v8, types.IntType, quick_25_pos[0])
-		var v10 interp.Value
-		if v4.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v4.I ^ v9.I))}
-		} else {
-			v10 = m.GenBinaryOp(token.Caret, v4, v9, types.IntType, quick_25_pos[1])
-		}
-		v11 := f.LocalAt(0)
+		v3 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
-		v13 := interp.Value{T: types.IntType, I: 1}
-		var v14 interp.Value
-		v14 = m.GenBinaryOp(token.Shl, v12, v13, types.IntType, quick_25_pos[2])
-		v15 := interp.Value{T: types.IntType, I: int64(int32(^v14.I))}
-		v16 := interp.Value{T: types.IntType, I: 8}
-		var v17 interp.Value
-		v17 = m.GenBinaryOp(token.Slash, v15, v16, types.IntType, quick_25_pos[3])
-		var v18 interp.Value
-		if v10.T == types.IntType && v17.T == types.IntType {
-			v18 = interp.Value{T: types.IntType, I: int64(int32(v10.I ^ v17.I))}
+		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
+		var v5 interp.Value
+		v5 = m.GenBinaryOp(token.Shl, v4, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_25_pos[0])
+		v6 := interp.Value{T: types.IntType, I: int64(int32(^v5.I))}
+		var v7 interp.Value
+		v7 = m.GenBinaryOp(token.Slash, v6, (interp.Value{T: types.IntType, I: 8}), types.IntType, quick_25_pos[1])
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			v8 = interp.Value{T: types.IntType, I: int64(int32(-52 ^ v7.I))}
 		} else {
-			v18 = m.GenBinaryOp(token.Caret, v10, v17, types.IntType, quick_25_pos[4])
+			v8 = m.GenBinaryOp(token.Caret, (interp.Value{T: types.IntType, I: -52}), v7, types.IntType, quick_25_pos[2])
 		}
-		ret = v18
+		ret = v8
 		if interp.GenLive {
 			return
 		}

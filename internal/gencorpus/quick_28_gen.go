@@ -43,18 +43,47 @@ func quick_28_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_28_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_28_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_28_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -64,23 +93,21 @@ func quick_28_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		v3 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(2)
+		v5 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 		v7 := interp.Value{T: types.IntType, I: int64(int32(-v6.I))}
-		v8 := interp.Value{T: types.IntType, I: 6}
+		var v8 interp.Value
+		v8 = m.GenBinaryOp(token.Slash, v7, (interp.Value{T: types.IntType, I: 6}), types.IntType, quick_28_pos[0])
 		var v9 interp.Value
-		v9 = m.GenBinaryOp(token.Slash, v7, v8, types.IntType, quick_28_pos[0])
-		var v10 interp.Value
-		if v4.T == types.IntType && v9.T == types.IntType {
-			v10 = interp.Value{T: types.IntType, I: int64(int32(v4.I | v9.I))}
+		if v4.T == types.IntType && v8.T == types.IntType {
+			v9 = interp.Value{T: types.IntType, I: int64(int32(v4.I | v8.I))}
 		} else {
-			v10 = m.GenBinaryOp(token.Pipe, v4, v9, types.IntType, quick_28_pos[1])
+			v9 = m.GenBinaryOp(token.Pipe, v4, v8, types.IntType, quick_28_pos[1])
 		}
-		v11 := interp.Value{T: types.IntType, I: 7}
-		var v12 interp.Value
-		v12 = m.GenBinaryOp(token.Slash, v10, v11, types.IntType, quick_28_pos[2])
-		ret = v12
+		var v10 interp.Value
+		v10 = m.GenBinaryOp(token.Slash, v9, (interp.Value{T: types.IntType, I: 7}), types.IntType, quick_28_pos[2])
+		ret = v10
 		if interp.GenLive {
 			return
 		}

@@ -47,79 +47,106 @@ func quick_30_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_30_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_30_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_30_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(0)
+		v3 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(0)
+		v5 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
-		v7 := interp.Value{T: types.IntType, I: 1}
+		var v7 interp.Value
+		v7 = m.GenBinaryOp(token.Shr, v6, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_30_pos[0])
 		var v8 interp.Value
-		v8 = m.GenBinaryOp(token.Shr, v6, v7, types.IntType, quick_30_pos[0])
-		var v9 interp.Value
-		if v4.T == types.IntType && v8.T == types.IntType {
-			v9 = interp.Value{T: types.IntType, I: int64(int32(v4.I & v8.I))}
+		if v4.T == types.IntType && v7.T == types.IntType {
+			v8 = interp.Value{T: types.IntType, I: int64(int32(v4.I & v7.I))}
 		} else {
-			v9 = m.GenBinaryOp(token.Amp, v4, v8, types.IntType, quick_30_pos[1])
+			v8 = m.GenBinaryOp(token.Amp, v4, v7, types.IntType, quick_30_pos[1])
 		}
-		v10 := f.LocalAt(2)
+		v9 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-		v12 := f.LocalAt(1)
+		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		v11 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
-		var v14 interp.Value
-		if v11.T == types.IntType && v13.T == types.IntType {
-			v14 = interp.Value{T: types.IntType, I: int64(int32(v11.I | v13.I))}
+		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+		var v13 interp.Value
+		if v10.T == types.IntType && v12.T == types.IntType {
+			v13 = interp.Value{T: types.IntType, I: int64(int32(v10.I | v12.I))}
 		} else {
-			v14 = m.GenBinaryOp(token.Pipe, v11, v13, types.IntType, quick_30_pos[2])
+			v13 = m.GenBinaryOp(token.Pipe, v10, v12, types.IntType, quick_30_pos[2])
 		}
-		v15 := f.LocalAt(2)
+		v14 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-		v17 := f.LocalAt(1)
+		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+		v16 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+		var v18 interp.Value
+		if v15.T == types.IntType && v17.T == types.IntType {
+			v18 = interp.Value{T: types.IntType, I: int64(int32(v15.I + v17.I))}
+		} else {
+			v18 = m.GenBinaryOp(token.Plus, v15, v17, types.IntType, quick_30_pos[3])
+		}
 		var v19 interp.Value
-		if v16.T == types.IntType && v18.T == types.IntType {
-			v19 = interp.Value{T: types.IntType, I: int64(int32(v16.I + v18.I))}
+		if v13.T == types.IntType && v18.T == types.IntType {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v13.I - v18.I))}
 		} else {
-			v19 = m.GenBinaryOp(token.Plus, v16, v18, types.IntType, quick_30_pos[3])
+			v19 = m.GenBinaryOp(token.Minus, v13, v18, types.IntType, quick_30_pos[4])
 		}
 		var v20 interp.Value
-		if v14.T == types.IntType && v19.T == types.IntType {
-			v20 = interp.Value{T: types.IntType, I: int64(int32(v14.I - v19.I))}
+		if v8.T == types.IntType && v19.T == types.IntType {
+			v20 = interp.Value{T: types.IntType, I: int64(int32(v8.I - v19.I))}
 		} else {
-			v20 = m.GenBinaryOp(token.Minus, v14, v19, types.IntType, quick_30_pos[4])
+			v20 = m.GenBinaryOp(token.Minus, v8, v19, types.IntType, quick_30_pos[5])
 		}
 		var v21 interp.Value
-		if v9.T == types.IntType && v20.T == types.IntType {
-			v21 = interp.Value{T: types.IntType, I: int64(int32(v9.I - v20.I))}
-		} else {
-			v21 = m.GenBinaryOp(token.Minus, v9, v20, types.IntType, quick_30_pos[5])
-		}
-		v22 := interp.Value{T: types.IntType, I: 8}
-		var v23 interp.Value
-		v23 = m.GenBinaryOp(token.Percent, v21, v22, types.IntType, quick_30_pos[6])
-		ret = v23
+		v21 = m.GenBinaryOp(token.Percent, v20, (interp.Value{T: types.IntType, I: 8}), types.IntType, quick_30_pos[6])
+		ret = v21
 		if interp.GenLive {
 			return
 		}

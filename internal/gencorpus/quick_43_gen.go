@@ -17,7 +17,6 @@ var quick_43_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 48},
 	{File: "t.c", Line: 1, Col: 53},
 	{File: "t.c", Line: 1, Col: 68},
-	{File: "t.c", Line: 1, Col: 83},
 	{File: "t.c", Line: 1, Col: 74},
 	{File: "t.c", Line: 1, Col: 89},
 	{File: "t.c", Line: 1, Col: 61},
@@ -48,28 +47,57 @@ func quick_43_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_43_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_43_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_43_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(0)
+		v3 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(0)
+		v5 := f.LocalAt(2)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 		var v7 interp.Value
@@ -78,46 +106,38 @@ func quick_43_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		} else {
 			v7 = m.GenBinaryOp(token.Plus, v4, v6, types.IntType, quick_43_pos[0])
 		}
-		v8 := interp.Value{T: types.IntType, I: 1}
-		var v9 interp.Value
-		v9 = m.GenBinaryOp(token.Percent, v7, v8, types.IntType, quick_43_pos[1])
-		v10 := f.LocalAt(1)
+		var v8 interp.Value
+		v8 = m.GenBinaryOp(token.Percent, v7, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_43_pos[1])
+		v9 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-		v12 := interp.Value{T: types.IntType, I: int64(int32(-v11.I))}
-		var v13 interp.Value
-		if v9.T == types.IntType && v12.T == types.IntType {
-			v13 = interp.Value{T: types.IntType, I: int64(int32(v9.I ^ v12.I))}
+		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		v11 := interp.Value{T: types.IntType, I: int64(int32(-v10.I))}
+		var v12 interp.Value
+		if v8.T == types.IntType && v11.T == types.IntType {
+			v12 = interp.Value{T: types.IntType, I: int64(int32(v8.I ^ v11.I))}
 		} else {
-			v13 = m.GenBinaryOp(token.Caret, v9, v12, types.IntType, quick_43_pos[2])
+			v12 = m.GenBinaryOp(token.Caret, v8, v11, types.IntType, quick_43_pos[2])
 		}
-		v14 := f.LocalAt(2)
+		v13 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
-		v16 := interp.Value{T: types.IntType, I: 0}
+		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+		var v15 interp.Value
+		v15 = m.GenBinaryOp(token.Shr, v14, (interp.Value{T: types.IntType, I: 0}), types.IntType, quick_43_pos[3])
+		var v16 interp.Value
+		if v15.T == types.IntType {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v15.I | 0))}
+		} else {
+			v16 = m.GenBinaryOp(token.Pipe, v15, (interp.Value{T: types.IntType, I: 0}), types.IntType, quick_43_pos[4])
+		}
 		var v17 interp.Value
-		v17 = m.GenBinaryOp(token.Shr, v15, v16, types.IntType, quick_43_pos[3])
-		v18 := interp.Value{T: types.IntType, I: 28}
-		v19 := interp.Value{T: types.IntType, I: int64(int32(-v18.I))}
-		v20 := interp.Value{T: types.IntType, I: 1}
-		var v21 interp.Value
-		v21 = m.GenBinaryOp(token.Percent, v19, v20, types.IntType, quick_43_pos[4])
-		var v22 interp.Value
-		if v17.T == types.IntType && v21.T == types.IntType {
-			v22 = interp.Value{T: types.IntType, I: int64(int32(v17.I | v21.I))}
+		v17 = m.GenBinaryOp(token.Shl, v16, (interp.Value{T: types.IntType, I: 1}), types.IntType, quick_43_pos[5])
+		var v18 interp.Value
+		if v12.T == types.IntType && v17.T == types.IntType {
+			v18 = interp.Value{T: types.IntType, I: int64(int32(v12.I ^ v17.I))}
 		} else {
-			v22 = m.GenBinaryOp(token.Pipe, v17, v21, types.IntType, quick_43_pos[5])
+			v18 = m.GenBinaryOp(token.Caret, v12, v17, types.IntType, quick_43_pos[6])
 		}
-		v23 := interp.Value{T: types.IntType, I: 1}
-		var v24 interp.Value
-		v24 = m.GenBinaryOp(token.Shl, v22, v23, types.IntType, quick_43_pos[6])
-		var v25 interp.Value
-		if v13.T == types.IntType && v24.T == types.IntType {
-			v25 = interp.Value{T: types.IntType, I: int64(int32(v13.I ^ v24.I))}
-		} else {
-			v25 = m.GenBinaryOp(token.Caret, v13, v24, types.IntType, quick_43_pos[7])
-		}
-		ret = v25
+		ret = v18
 		if interp.GenLive {
 			return
 		}

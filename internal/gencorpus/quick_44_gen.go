@@ -16,8 +16,6 @@ var quick_44_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 43},
 	{File: "t.c", Line: 1, Col: 49},
 	{File: "t.c", Line: 1, Col: 55},
-	{File: "t.c", Line: 1, Col: 79},
-	{File: "t.c", Line: 1, Col: 73},
 	{File: "t.c", Line: 1, Col: 86},
 	{File: "t.c", Line: 1, Col: 63},
 }
@@ -47,28 +45,57 @@ func quick_44_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
 	f := m.GenPushFrame("canary:f", 12, quick_44_locals_f)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
-	v2 := m.GenConvert(args[2], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v2)
+	var v2 interp.Value
+	if args[2].T == types.IntType {
+		v2 = args[2]
+	} else if args[2].T != nil && args[2].T.IsInteger() {
+		v2 = interp.Value{T: types.IntType, I: int64(int32(args[2].I))}
+	} else {
+		v2 = m.GenConvert(args[2], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v2)
 	ret := m.GenExec(f, quick_44_b_f)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func quick_44_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v3 := f.LocalAt(2)
+		v3 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v4 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v3.Data[0:])))}
-		v5 := f.LocalAt(2)
+		v5 := f.LocalAt(0)
 		m.GenChargeAccess()
 		v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
 		var v7 interp.Value
@@ -81,47 +108,34 @@ func quick_44_b_f(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		} else {
 			v7 = m.GenBinaryOp(token.EqEq, v4, v6, types.IntType, quick_44_pos[0])
 		}
-		v8 := interp.Value{T: types.IntType, I: 2}
-		var v9 interp.Value
-		v9 = m.GenBinaryOp(token.Shl, v7, v8, types.IntType, quick_44_pos[1])
-		v10 := f.LocalAt(0)
+		var v8 interp.Value
+		v8 = m.GenBinaryOp(token.Shl, v7, (interp.Value{T: types.IntType, I: 2}), types.IntType, quick_44_pos[1])
+		v9 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
-		v12 := interp.Value{T: types.IntType, I: int64(int32(-v11.I))}
-		var v13 interp.Value
-		if v9.T == types.IntType && v12.T == types.IntType {
-			v13 = interp.Value{T: types.IntType, I: int64(int32(v9.I | v12.I))}
+		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
+		v11 := interp.Value{T: types.IntType, I: int64(int32(-v10.I))}
+		var v12 interp.Value
+		if v8.T == types.IntType && v11.T == types.IntType {
+			v12 = interp.Value{T: types.IntType, I: int64(int32(v8.I | v11.I))}
 		} else {
-			v13 = m.GenBinaryOp(token.Pipe, v9, v12, types.IntType, quick_44_pos[2])
+			v12 = m.GenBinaryOp(token.Pipe, v8, v11, types.IntType, quick_44_pos[2])
 		}
-		v14 := interp.Value{T: types.IntType, I: 91}
-		v15 := interp.Value{T: types.IntType, I: int64(int32(-v14.I))}
-		v16 := interp.Value{T: types.IntType, I: 11}
-		v17 := interp.Value{T: types.IntType, I: 1}
-		var v18 interp.Value
-		v18 = m.GenBinaryOp(token.Shl, v16, v17, types.IntType, quick_44_pos[3])
-		var v19 interp.Value
-		if v15.T == types.IntType && v18.T == types.IntType {
-			v19 = interp.Value{T: types.IntType, I: int64(int32(v15.I * v18.I))}
-		} else {
-			v19 = m.GenBinaryOp(token.Star, v15, v18, types.IntType, quick_44_pos[4])
-		}
-		v20 := f.LocalAt(0)
+		v13 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-		var v22 interp.Value
-		if v19.T == types.IntType && v21.T == types.IntType {
-			v22 = interp.Value{T: types.IntType, I: int64(int32(v19.I ^ v21.I))}
+		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+		var v15 interp.Value
+		if v14.T == types.IntType {
+			v15 = interp.Value{T: types.IntType, I: int64(int32(-2002 ^ v14.I))}
 		} else {
-			v22 = m.GenBinaryOp(token.Caret, v19, v21, types.IntType, quick_44_pos[5])
+			v15 = m.GenBinaryOp(token.Caret, (interp.Value{T: types.IntType, I: -2002}), v14, types.IntType, quick_44_pos[3])
 		}
-		var v23 interp.Value
-		if v13.T == types.IntType && v22.T == types.IntType {
-			v23 = interp.Value{T: types.IntType, I: int64(int32(v13.I & v22.I))}
+		var v16 interp.Value
+		if v12.T == types.IntType && v15.T == types.IntType {
+			v16 = interp.Value{T: types.IntType, I: int64(int32(v12.I & v15.I))}
 		} else {
-			v23 = m.GenBinaryOp(token.Amp, v13, v22, types.IntType, quick_44_pos[6])
+			v16 = m.GenBinaryOp(token.Amp, v12, v15, types.IntType, quick_44_pos[4])
 		}
-		ret = v23
+		ret = v16
 		if interp.GenLive {
 			return
 		}

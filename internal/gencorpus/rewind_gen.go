@@ -20,7 +20,6 @@ var rewind_pos = []token.Pos{
 	{File: "rewind.c", Line: 11, Col: 10},
 	{File: "rewind.c", Line: 11, Col: 8},
 	{File: "rewind.c", Line: 12, Col: 11},
-	{File: "rewind.c", Line: 13, Col: 9},
 	{File: "rewind.c", Line: 13, Col: 16},
 	{File: "rewind.c", Line: 14, Col: 10},
 	{File: "rewind.c", Line: 19, Col: 36},
@@ -76,14 +75,29 @@ func rewind_f_handle(m *interp.Machine, args []interp.Value, pos token.Pos) inte
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "handle", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:handle", 16, rewind_locals_handle)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, rewind_b_handle)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func rewind_b_handle(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -95,7 +109,7 @@ func rewind_b_handle(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	}
 	{
 		m.GenStep()
-		v2 := f.LocalAt(0)
+		v2 := f.LocalAt(2)
 		_ = v2
 	}
 	{
@@ -109,145 +123,137 @@ func rewind_b_handle(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	}
 	{
 		m.GenStep()
-		v6 := interp.Value{T: types.IntType, I: 97}
-		v7 := m.GenGlobal(0)
+		v6 := m.GenGlobal(0)
 		m.GenChargeAccess()
-		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
-		var v9 interp.Value
-		if v6.T == types.IntType && v8.T == types.IntType {
-			v9 = interp.Value{T: types.IntType, I: int64(int32(v6.I + v8.I))}
+		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
+		var v8 interp.Value
+		if v7.T == types.IntType {
+			v8 = interp.Value{T: types.IntType, I: int64(int32(97 + v7.I))}
 		} else {
-			v9 = m.GenBinaryOp(token.Plus, v6, v8, types.IntType, rewind_pos[0])
+			v8 = m.GenBinaryOp(token.Plus, (interp.Value{T: types.IntType, I: 97}), v7, types.IntType, rewind_pos[0])
 		}
-		v10 := m.GenGlobal(1)
-		v11 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v10.Base, Prov: v10}}
-		v12 := interp.Value{T: types.IntType, I: 0}
-		v13 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v12.I)*1, Prov: v11.Ptr.Prov}
-		var v14 interp.Value
-		if v9.T == types.CharType {
-			v14 = v9
+		v9 := m.GenGlobal(1)
+		v10 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v9.Base, Prov: v9}}
+		v11 := core.Pointer{Addr: v10.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v10.Ptr.Prov}
+		var v12 interp.Value
+		if v8.T == types.CharType {
+			v12 = v8
+		} else if v8.T != nil && v8.T.IsInteger() {
+			v12 = interp.Value{T: types.CharType, I: int64(int8(v8.I))}
 		} else {
-			v14 = m.GenConvert(v9, types.CharType, rewind_pos[1])
+			v12 = m.GenConvert(v8, types.CharType, rewind_pos[1])
 		}
-		m.GenStoreValue(v13, types.CharType, v14, rewind_pos[1])
-		_ = v14
+		m.GenStoreValue(v11, types.CharType, v12, rewind_pos[1])
+		_ = v12
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v15 := m.GenArgs(1)
-		v16 := interp.Value{T: types.IntType, I: 32}
-		v15[0] = v16
-		v17 := m.GenBuiltin(0, "malloc", rewind_pos[2])(m, rewind_pos[2], v15)
-		m.GenPutArgs(v15)
+		v13 := m.GenArgs(1)
+		v13[0] = (interp.Value{T: types.IntType, I: 32})
+		v14 := m.GenBuiltin(0, "malloc", rewind_pos[2])(m, rewind_pos[2], v13)
+		m.GenPutArgs(v13)
+		var v15 interp.Value
+		if v14.T == rewind_t0 {
+			v15 = v14
+		} else if v14.T != nil && v14.T.IsPointer() {
+			v15 = interp.Value{T: rewind_t0, Ptr: v14.Ptr}
+		} else {
+			v15 = m.GenConvert(v14, rewind_t0, rewind_pos[2])
+		}
+		var v16 interp.Value
+		if v15.T == rewind_t1 {
+			v16 = v15
+		} else if v15.T != nil && v15.T.IsPointer() {
+			v16 = interp.Value{T: rewind_t1, Ptr: v15.Ptr}
+		} else {
+			v16 = m.GenConvert(v15, rewind_t1, rewind_pos[3])
+		}
+		v17 := m.GenGlobal(2)
 		var v18 interp.Value
-		if v17.T == rewind_t0 {
-			v18 = v17
+		if v16.T == rewind_t1 {
+			v18 = v16
+		} else if v16.T != nil && v16.T.IsPointer() {
+			v18 = interp.Value{T: rewind_t1, Ptr: v16.Ptr}
 		} else {
-			v18 = m.GenConvert(v17, rewind_t0, rewind_pos[2])
+			v18 = m.GenConvert(v16, rewind_t1, rewind_pos[4])
 		}
-		var v19 interp.Value
-		if v18.T == rewind_t1 {
-			v19 = v18
-		} else {
-			v19 = m.GenConvert(v18, rewind_t1, rewind_pos[3])
-		}
-		v20 := m.GenGlobal(2)
-		var v21 interp.Value
-		if v19.T == rewind_t1 {
-			v21 = v19
-		} else {
-			v21 = m.GenConvert(v19, rewind_t1, rewind_pos[4])
-		}
-		m.GenStoreRaw(v20, 0, rewind_t1, v21)
-		_ = v21
+		m.GenStoreRaw(v17, 0, rewind_t1, v18)
+		_ = v18
 	}
 	{
 		m.GenStep()
-		v22 := interp.Value{T: types.IntType, I: 120}
-		v23 := m.GenGlobal(2)
-		v24 := m.GenLoadRaw(v23, 0, rewind_t1, 0)
-		v25 := interp.Value{T: types.IntType, I: 0}
-		v26 := core.Pointer{Addr: v24.Ptr.Addr + uint64(v25.I)*1, Prov: v24.Ptr.Prov}
-		var v27 interp.Value
-		if v22.T == types.CharType {
-			v27 = v22
-		} else {
-			v27 = m.GenConvert(v22, types.CharType, rewind_pos[5])
-		}
-		m.GenStoreValue(v26, types.CharType, v27, rewind_pos[5])
-		_ = v27
+		v19 := m.GenGlobal(2)
+		v20 := m.GenLoadRaw(v19, 0, rewind_t1, 0)
+		v21 := core.Pointer{Addr: v20.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v20.Ptr.Prov}
+		m.GenStoreValue(v21, types.CharType, (interp.Value{T: types.CharType, I: 120}), rewind_pos[5])
+		_ = (interp.Value{T: types.CharType, I: 120})
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v28 := interp.Value{T: types.IntType, I: 0}
-			v29 := f.LocalAt(0)
-			var v30 interp.Value
-			if v28.T == types.IntType {
-				v30 = v28
-			} else {
-				v30 = m.GenConvert(v28, types.IntType, rewind_pos[6])
-			}
-			m.GenStoreRaw(v29, 0, types.IntType, v30)
-			_ = v30
+			v22 := f.LocalAt(2)
+			m.GenStoreRaw(v22, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v31 := f.LocalAt(0)
+			v23 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-			v33 := f.LocalAt(2)
+			v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+			v25 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[0:])))}
-			var v35 interp.Value
-			if v32.T == types.IntType && v34.T == types.IntType {
-				if v32.I < v34.I {
-					v35 = interp.Value{T: types.IntType, I: 1}
+			v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
+			var v27 interp.Value
+			if v24.T == types.IntType && v26.T == types.IntType {
+				if v24.I < v26.I {
+					v27 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v35 = interp.Value{T: types.IntType, I: 0}
+					v27 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v35 = m.GenBinaryOp(token.Lt, v32, v34, types.IntType, rewind_pos[7])
+				v27 = m.GenBinaryOp(token.Lt, v24, v26, types.IntType, rewind_pos[6])
 			}
-			if !v35.Truthy() {
+			if !v27.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v36 := f.LocalAt(0)
+				v28 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
-				v38 := f.LocalAt(1)
-				v39 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v38.Base, Prov: v38}}
-				v40 := f.LocalAt(0)
+				v29 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v28.Data[0:])))}
+				v30 := f.LocalAt(1)
+				v31 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v30.Base, Prov: v30}}
+				v32 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-				v42 := core.Pointer{Addr: v39.Ptr.Addr + uint64(v41.I)*1, Prov: v39.Ptr.Prov}
-				var v43 interp.Value
-				if v37.T == types.CharType {
-					v43 = v37
+				v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
+				v34 := core.Pointer{Addr: v31.Ptr.Addr + uint64(v33.I)*1, Prov: v31.Ptr.Prov}
+				var v35 interp.Value
+				if v29.T == types.CharType {
+					v35 = v29
+				} else if v29.T != nil && v29.T.IsInteger() {
+					v35 = interp.Value{T: types.CharType, I: int64(int8(v29.I))}
 				} else {
-					v43 = m.GenConvert(v37, types.CharType, rewind_pos[8])
+					v35 = m.GenConvert(v29, types.CharType, rewind_pos[7])
 				}
-				m.GenStoreValue(v42, types.CharType, v43, rewind_pos[8])
-				_ = v43
+				m.GenStoreValue(v34, types.CharType, v35, rewind_pos[7])
+				_ = v35
 			}
-			v44 := f.LocalAt(0)
+			v36 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
-			v46 := interp.Value{T: v45.T, I: int64(int32(v45.I + 1))}
-			m.GenStoreRaw(v44, 0, types.IntType, v46)
-			_ = v45
+			v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
+			v38 := interp.Value{T: v37.T, I: int64(int32(v37.I + 1))}
+			m.GenStoreRaw(v36, 0, types.IntType, v38)
+			_ = v37
 		}
 	}
 	{
 		m.GenStep()
-		v47 := m.GenGlobal(0)
+		v39 := m.GenGlobal(0)
 		m.GenChargeAccess()
-		v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
-		ret = v48
+		v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+		ret = v40
 		if interp.GenLive {
 			return
 		}
@@ -261,14 +267,29 @@ func rewind_f_get_counter(m *interp.Machine, args []interp.Value, pos token.Pos)
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get_counter", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:get_counter", 4, rewind_locals_get_counter)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, rewind_b_get_counter)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func rewind_b_get_counter(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -292,14 +313,29 @@ func rewind_f_get_state(m *interp.Machine, args []interp.Value, pos token.Pos) i
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get_state", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:get_state", 4, rewind_locals_get_state)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
 	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, rewind_b_get_state)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func rewind_b_get_state(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -308,10 +344,9 @@ func rewind_b_get_state(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 		m.GenStep()
 		v1 := m.GenGlobal(1)
 		v2 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v1.Base, Prov: v1}}
-		v3 := interp.Value{T: types.IntType, I: 0}
-		v4 := core.Pointer{Addr: v2.Ptr.Addr + uint64(v3.I)*1, Prov: v2.Ptr.Prov}
-		v5 := m.GenLoadValue(v4, types.CharType, rewind_pos[9], -1, 3)
-		ret = v5
+		v3 := core.Pointer{Addr: v2.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v2.Ptr.Prov}
+		v4 := m.GenLoadValue(v3, types.CharType, rewind_pos[8], -1, 3)
+		ret = v4
 		if interp.GenLive {
 			return
 		}
@@ -325,96 +360,114 @@ func rewind_f_drop(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "drop", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:drop", 16, rewind_locals_drop)
-	v0 := m.GenConvert(args[0], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v0)
+	var v0 interp.Value
+	if args[0].T == types.IntType {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsInteger() {
+		v0 = interp.Value{T: types.IntType, I: int64(int32(args[0].I))}
+	} else {
+		v0 = m.GenConvert(args[0], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v0)
 	ret := m.GenExec(f, rewind_b_drop)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func rewind_b_drop(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
+		v1 := f.LocalAt(1)
 		m.GenStep()
 		v2 := m.GenArgs(1)
-		v3 := interp.Value{T: types.IntType, I: 16}
-		v2[0] = v3
-		v4 := m.GenBuiltin(0, "malloc", rewind_pos[10])(m, rewind_pos[10], v2)
+		v2[0] = (interp.Value{T: types.IntType, I: 16})
+		v3 := m.GenBuiltin(0, "malloc", rewind_pos[9])(m, rewind_pos[9], v2)
 		m.GenPutArgs(v2)
-		var v5 interp.Value
-		if v4.T == rewind_t0 {
-			v5 = v4
+		var v4 interp.Value
+		if v3.T == rewind_t0 {
+			v4 = v3
+		} else if v3.T != nil && v3.T.IsPointer() {
+			v4 = interp.Value{T: rewind_t0, Ptr: v3.Ptr}
 		} else {
-			v5 = m.GenConvert(v4, rewind_t0, rewind_pos[10])
+			v4 = m.GenConvert(v3, rewind_t0, rewind_pos[9])
+		}
+		var v5 interp.Value
+		if v4.T == rewind_t1 {
+			v5 = v4
+		} else if v4.T != nil && v4.T.IsPointer() {
+			v5 = interp.Value{T: rewind_t1, Ptr: v4.Ptr}
+		} else {
+			v5 = m.GenConvert(v4, rewind_t1, rewind_pos[10])
 		}
 		var v6 interp.Value
 		if v5.T == rewind_t1 {
 			v6 = v5
+		} else if v5.T != nil && v5.T.IsPointer() {
+			v6 = interp.Value{T: rewind_t1, Ptr: v5.Ptr}
 		} else {
 			v6 = m.GenConvert(v5, rewind_t1, rewind_pos[11])
 		}
-		var v7 interp.Value
-		if v6.T == rewind_t1 {
-			v7 = v6
-		} else {
-			v7 = m.GenConvert(v6, rewind_t1, rewind_pos[12])
-		}
-		m.GenStoreRaw(v1, 0, rewind_t1, v7)
+		m.GenStoreRaw(v1, 0, rewind_t1, v6)
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v8 := m.GenArgs(1)
-		v9 := f.LocalAt(0)
-		v10 := m.GenLoadRaw(v9, 0, rewind_t1, 1)
-		v8[0] = v10
-		v11 := m.GenBuiltin(1, "free", rewind_pos[13])(m, rewind_pos[13], v8)
-		m.GenPutArgs(v8)
+		v7 := m.GenArgs(1)
+		v8 := f.LocalAt(1)
+		v9 := m.GenLoadRaw(v8, 0, rewind_t1, 1)
+		v7[0] = v9
+		v10 := m.GenBuiltin(1, "free", rewind_pos[12])(m, rewind_pos[12], v7)
+		m.GenPutArgs(v7)
+		_ = v10
+		v11 := interp.Value{T: types.VoidType}
 		_ = v11
-		v12 := interp.Value{T: types.VoidType}
-		_ = v12
 	}
 	{
 		m.GenStep()
-		v13 := f.LocalAt(1)
+		v12 := f.LocalAt(0)
 		m.GenChargeAccess()
-		v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-		v15 := interp.Value{T: types.IntType, I: 0}
-		var v16 interp.Value
-		if v14.T == types.IntType && v15.T == types.IntType {
-			if v14.I > v15.I {
-				v16 = interp.Value{T: types.IntType, I: 1}
+		v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+		var v14 interp.Value
+		if v13.T == types.IntType {
+			if v13.I > 0 {
+				v14 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v16 = interp.Value{T: types.IntType, I: 0}
+				v14 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v16 = m.GenBinaryOp(token.Gt, v14, v15, types.IntType, rewind_pos[14])
+			v14 = m.GenBinaryOp(token.Gt, v13, (interp.Value{T: types.IntType, I: 0}), types.IntType, rewind_pos[13])
 		}
-		if v16.Truthy() {
+		if v14.Truthy() {
 			{
 				m.GenStep()
 				m.GenStep()
-				v17 := m.GenArgs(1)
-				v18 := f.LocalAt(0)
-				v19 := m.GenLoadRaw(v18, 0, rewind_t1, 2)
-				v17[0] = v19
-				v20 := m.GenBuiltin(1, "free", rewind_pos[15])(m, rewind_pos[15], v17)
-				m.GenPutArgs(v17)
-				_ = v20
-				v21 := interp.Value{T: types.VoidType}
-				_ = v21
+				v15 := m.GenArgs(1)
+				v16 := f.LocalAt(1)
+				v17 := m.GenLoadRaw(v16, 0, rewind_t1, 2)
+				v15[0] = v17
+				v18 := m.GenBuiltin(1, "free", rewind_pos[14])(m, rewind_pos[14], v15)
+				m.GenPutArgs(v15)
+				_ = v18
+				v19 := interp.Value{T: types.VoidType}
+				_ = v19
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v22 := interp.Value{T: types.IntType, I: 7}
-		ret = v22
+		ret = (interp.Value{T: types.IntType, I: 7})
 		if interp.GenLive {
 			return
 		}

@@ -14,7 +14,6 @@ import (
 )
 
 var scan_pos = []token.Pos{
-	{File: "scan.c", Line: 4, Col: 2},
 	{File: "scan.c", Line: 5, Col: 9},
 	{File: "scan.c", Line: 6, Col: 12},
 	{File: "scan.c", Line: 6, Col: 16},
@@ -49,78 +48,78 @@ func scan_f_scan(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func scan_b_scan(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v0 := f.LocalAt(1)
+		v0 := f.LocalAt(0)
 		_ = v0
 	}
 	{
 		m.GenStep()
-		v1 := f.LocalAt(0)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, scan_pos[0])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v4 := interp.Value{T: types.IntType, I: 97}
-		v5 := f.LocalAt(1)
-		v6 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v5.Base, Prov: v5}}
-		v7 := interp.Value{T: types.IntType, I: 0}
-		v8 := core.Pointer{Addr: v6.Ptr.Addr + uint64(v7.I)*1, Prov: v6.Ptr.Prov}
-		var v9 interp.Value
-		if v4.T == types.CharType {
-			v9 = v4
-		} else {
-			v9 = m.GenConvert(v4, types.CharType, scan_pos[1])
-		}
-		m.GenStoreValue(v8, types.CharType, v9, scan_pos[1])
-		_ = v9
+		v2 := f.LocalAt(0)
+		v3 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v2.Base, Prov: v2}}
+		v4 := core.Pointer{Addr: v3.Ptr.Addr + uint64((interp.Value{T: types.IntType, I: 0}).I)*1, Prov: v3.Ptr.Prov}
+		m.GenStoreValue(v4, types.CharType, (interp.Value{T: types.CharType, I: 97}), scan_pos[0])
+		_ = (interp.Value{T: types.CharType, I: 97})
 	}
 	{
 		m.GenStep()
 		for {
-			v10 := f.LocalAt(1)
-			v11 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v10.Base, Prov: v10}}
-			v12 := f.LocalAt(0)
+			v5 := f.LocalAt(0)
+			v6 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v5.Base, Prov: v5}}
+			v7 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
-			v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*1, Prov: v11.Ptr.Prov}
-			v15 := m.GenLoadValue(v14, types.CharType, scan_pos[2], -1, 1)
-			v16 := interp.Value{T: types.IntType, I: 47}
-			var v17 interp.Value
-			v17 = m.GenBinaryOp(token.NotEq, v15, v16, types.IntType, scan_pos[3])
-			if !v17.Truthy() {
+			v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+			v9 := core.Pointer{Addr: v6.Ptr.Addr + uint64(v8.I)*1, Prov: v6.Ptr.Prov}
+			v10 := m.GenLoadValue(v9, types.CharType, scan_pos[1], -1, 1)
+			var v11 interp.Value
+			if v10.T == types.CharType {
+				if int64(int32(v10.I)) != 47 {
+					v11 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v11 = interp.Value{T: types.IntType, I: 0}
+				}
+			} else {
+				v11 = m.GenBinaryOp(token.NotEq, v10, (interp.Value{T: types.IntType, I: 47}), types.IntType, scan_pos[2])
+			}
+			if !v11.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v18 := f.LocalAt(0)
+				v12 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-				v20 := interp.Value{T: v19.T, I: int64(int32(v19.I + 1))}
-				m.GenStoreRaw(v18, 0, types.IntType, v20)
-				_ = v19
+				v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+				v14 := interp.Value{T: v13.T, I: int64(int32(v13.I + 1))}
+				m.GenStoreRaw(v12, 0, types.IntType, v14)
+				_ = v13
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v21 := f.LocalAt(0)
+		v15 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
-		ret = v22
+		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
+		ret = v16
 		if interp.GenLive {
 			return
 		}

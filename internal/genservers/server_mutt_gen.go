@@ -14,7 +14,6 @@ import (
 )
 
 var server_mutt_pos = []token.Pos{
-	{File: "mutt.c", Line: 19, Col: 2},
 	{File: "mutt.c", Line: 21, Col: 30},
 	{File: "mutt.c", Line: 21, Col: 34},
 	{File: "mutt.c", Line: 21, Col: 23},
@@ -24,30 +23,23 @@ var server_mutt_pos = []token.Pos{
 	{File: "mutt.c", Line: 23, Col: 3},
 	{File: "mutt.c", Line: 24, Col: 9},
 	{File: "mutt.c", Line: 24, Col: 22},
-	{File: "mutt.c", Line: 24, Col: 29},
 	{File: "mutt.c", Line: 25, Col: 14},
 	{File: "mutt.c", Line: 26, Col: 14},
 	{File: "mutt.c", Line: 26, Col: 31},
 	{File: "mutt.c", Line: 26, Col: 27},
-	{File: "mutt.c", Line: 26, Col: 41},
 	{File: "mutt.c", Line: 27, Col: 14},
 	{File: "mutt.c", Line: 27, Col: 31},
 	{File: "mutt.c", Line: 27, Col: 27},
-	{File: "mutt.c", Line: 27, Col: 41},
 	{File: "mutt.c", Line: 28, Col: 14},
 	{File: "mutt.c", Line: 28, Col: 31},
 	{File: "mutt.c", Line: 28, Col: 27},
-	{File: "mutt.c", Line: 28, Col: 41},
 	{File: "mutt.c", Line: 29, Col: 14},
 	{File: "mutt.c", Line: 29, Col: 31},
 	{File: "mutt.c", Line: 29, Col: 27},
-	{File: "mutt.c", Line: 29, Col: 41},
 	{File: "mutt.c", Line: 30, Col: 14},
 	{File: "mutt.c", Line: 30, Col: 31},
 	{File: "mutt.c", Line: 30, Col: 27},
-	{File: "mutt.c", Line: 30, Col: 41},
 	{File: "mutt.c", Line: 33, Col: 9},
-	{File: "mutt.c", Line: 34, Col: 10},
 	{File: "mutt.c", Line: 34, Col: 17},
 	{File: "mutt.c", Line: 35, Col: 11},
 	{File: "mutt.c", Line: 35, Col: 15},
@@ -66,11 +58,7 @@ var server_mutt_pos = []token.Pos{
 	{File: "mutt.c", Line: 40, Col: 10},
 	{File: "mutt.c", Line: 40, Col: 23},
 	{File: "mutt.c", Line: 42, Col: 10},
-	{File: "mutt.c", Line: 43, Col: 12},
-	{File: "mutt.c", Line: 44, Col: 7},
-	{File: "mutt.c", Line: 45, Col: 7},
 	{File: "mutt.c", Line: 47, Col: 11},
-	{File: "mutt.c", Line: 47, Col: 25},
 	{File: "mutt.c", Line: 48, Col: 27},
 	{File: "mutt.c", Line: 48, Col: 22},
 	{File: "mutt.c", Line: 48, Col: 19},
@@ -90,7 +78,6 @@ var server_mutt_pos = []token.Pos{
 	{File: "mutt.c", Line: 56, Col: 32},
 	{File: "mutt.c", Line: 56, Col: 22},
 	{File: "mutt.c", Line: 57, Col: 10},
-	{File: "mutt.c", Line: 58, Col: 12},
 	{File: "mutt.c", Line: 60, Col: 9},
 	{File: "mutt.c", Line: 61, Col: 11},
 	{File: "mutt.c", Line: 61, Col: 24},
@@ -113,17 +100,12 @@ var server_mutt_pos = []token.Pos{
 	{File: "mutt.c", Line: 96, Col: 16},
 	{File: "mutt.c", Line: 96, Col: 5},
 	{File: "mutt.c", Line: 97, Col: 9},
-	{File: "mutt.c", Line: 108, Col: 9},
 	{File: "mutt.c", Line: 108, Col: 16},
 	{File: "mutt.c", Line: 109, Col: 18},
 	{File: "mutt.c", Line: 109, Col: 16},
-	{File: "mutt.c", Line: 110, Col: 18},
-	{File: "mutt.c", Line: 118, Col: 2},
 	{File: "mutt.c", Line: 121, Col: 17},
 	{File: "mutt.c", Line: 122, Col: 12},
 	{File: "mutt.c", Line: 122, Col: 16},
-	{File: "mutt.c", Line: 122, Col: 31},
-	{File: "mutt.c", Line: 122, Col: 58},
 	{File: "mutt.c", Line: 122, Col: 29},
 	{File: "mutt.c", Line: 123, Col: 26},
 	{File: "mutt.c", Line: 123, Col: 7},
@@ -143,11 +125,7 @@ var server_mutt_pos = []token.Pos{
 	{File: "mutt.c", Line: 131, Col: 22},
 	{File: "mutt.c", Line: 131, Col: 20},
 	{File: "mutt.c", Line: 134, Col: 17},
-	{File: "mutt.c", Line: 142, Col: 2},
-	{File: "mutt.c", Line: 143, Col: 12},
 	{File: "mutt.c", Line: 143, Col: 10},
-	{File: "mutt.c", Line: 144, Col: 7},
-	{File: "mutt.c", Line: 145, Col: 9},
 	{File: "mutt.c", Line: 145, Col: 16},
 	{File: "mutt.c", Line: 145, Col: 20},
 	{File: "mutt.c", Line: 145, Col: 31},
@@ -232,110 +210,123 @@ func server_mutt_f_utf8_to_utf7(m *interp.Machine, args []interp.Value, pos toke
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "utf8_to_utf7", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:utf8_to_utf7", 57, server_mutt_locals_utf8_to_utf7)
-	v0 := m.GenConvert(args[0], server_mutt_t0, pos)
-	m.GenStoreRaw(f.LocalAt(10), 0, server_mutt_t0, v0)
-	v1 := m.GenConvert(args[1], types.ULongType, pos)
-	m.GenStoreRaw(f.LocalAt(9), 0, types.ULongType, v1)
+	var v0 interp.Value
+	if args[0].T == server_mutt_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_mutt_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_mutt_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_mutt_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.ULongType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.ULongType, I: args[1].I}
+	} else {
+		v1 = m.GenConvert(args[1], types.ULongType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.ULongType, v1)
 	ret := m.GenExec(f, server_mutt_b_utf8_to_utf7)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: server_mutt_t0}
 	}
-	return m.GenConvert(ret, server_mutt_t0, pos)
+	var r interp.Value
+	if ret.T == server_mutt_t0 {
+		r = ret
+	} else if ret.T != nil && ret.T.IsPointer() {
+		r = interp.Value{T: server_mutt_t0, Ptr: ret.Ptr}
+	} else {
+		r = m.GenConvert(ret, server_mutt_t0, pos)
+	}
+	return r
 }
 
 func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(8)
+		v2 := f.LocalAt(2)
 		_ = v2
-		v3 := f.LocalAt(7)
+		v3 := f.LocalAt(3)
 		_ = v3
 	}
 	{
 		m.GenStep()
-		v4 := f.LocalAt(6)
+		v4 := f.LocalAt(4)
 		_ = v4
 		v5 := f.LocalAt(5)
 		_ = v5
-		v6 := f.LocalAt(4)
+		v6 := f.LocalAt(6)
 		_ = v6
-		v7 := f.LocalAt(3)
-		v8 := interp.Value{T: types.IntType, I: 0}
-		var v9 interp.Value
-		if v8.T == types.IntType {
-			v9 = v8
-		} else {
-			v9 = m.GenConvert(v8, types.IntType, server_mutt_pos[0])
-		}
-		m.GenStoreRaw(v7, 0, types.IntType, v9)
-		v10 := f.LocalAt(2)
-		v11 := interp.Value{T: types.IntType, I: 0}
-		var v12 interp.Value
-		if v11.T == types.IntType {
-			v12 = v11
-		} else {
-			v12 = m.GenConvert(v11, types.IntType, server_mutt_pos[0])
-		}
-		m.GenStoreRaw(v10, 0, types.IntType, v12)
-		v13 := f.LocalAt(1)
-		v14 := interp.Value{T: types.IntType, I: 0}
-		var v15 interp.Value
-		if v14.T == types.IntType {
-			v15 = v14
-		} else {
-			v15 = m.GenConvert(v14, types.IntType, server_mutt_pos[0])
-		}
-		m.GenStoreRaw(v13, 0, types.IntType, v15)
+		v7 := f.LocalAt(7)
+		m.GenStoreRaw(v7, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v8 := f.LocalAt(8)
+		m.GenStoreRaw(v8, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v9 := f.LocalAt(9)
+		m.GenStoreRaw(v9, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v16 := m.GenArgs(1)
-		v17 := f.LocalAt(9)
+		v10 := m.GenArgs(1)
+		v11 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v18 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v17.Data[0:]))}
-		v19 := interp.Value{T: types.IntType, I: 2}
+		v12 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v11.Data[0:]))}
+		var v13 interp.Value
+		if v12.T == types.ULongType {
+			v13 = interp.Value{T: types.ULongType, I: v12.I * 2}
+		} else {
+			v13 = m.GenBinaryOp(token.Star, v12, (interp.Value{T: types.IntType, I: 2}), types.ULongType, server_mutt_pos[0])
+		}
+		var v14 interp.Value
+		if v13.T == types.ULongType {
+			v14 = interp.Value{T: types.ULongType, I: v13.I + 1}
+		} else {
+			v14 = m.GenBinaryOp(token.Plus, v13, (interp.Value{T: types.IntType, I: 1}), types.ULongType, server_mutt_pos[1])
+		}
+		v10[0] = v14
+		v15 := m.GenBuiltin(0, "safe_malloc", server_mutt_pos[2])(m, server_mutt_pos[2], v10)
+		m.GenPutArgs(v10)
+		var v16 interp.Value
+		if v15.T == server_mutt_t1 {
+			v16 = v15
+		} else if v15.T != nil && v15.T.IsPointer() {
+			v16 = interp.Value{T: server_mutt_t1, Ptr: v15.Ptr}
+		} else {
+			v16 = m.GenConvert(v15, server_mutt_t1, server_mutt_pos[2])
+		}
+		v17 := f.LocalAt(2)
+		var v18 interp.Value
+		if v16.T == server_mutt_t0 {
+			v18 = v16
+		} else if v16.T != nil && v16.T.IsPointer() {
+			v18 = interp.Value{T: server_mutt_t0, Ptr: v16.Ptr}
+		} else {
+			v18 = m.GenConvert(v16, server_mutt_t0, server_mutt_pos[3])
+		}
+		m.GenStoreRaw(v17, 0, server_mutt_t0, v18)
+		v19 := f.LocalAt(3)
 		var v20 interp.Value
-		v20 = m.GenBinaryOp(token.Star, v18, v19, types.ULongType, server_mutt_pos[1])
-		v21 := interp.Value{T: types.IntType, I: 1}
-		var v22 interp.Value
-		v22 = m.GenBinaryOp(token.Plus, v20, v21, types.ULongType, server_mutt_pos[2])
-		v16[0] = v22
-		v23 := m.GenBuiltin(0, "safe_malloc", server_mutt_pos[3])(m, server_mutt_pos[3], v16)
-		m.GenPutArgs(v16)
-		var v24 interp.Value
-		if v23.T == server_mutt_t1 {
-			v24 = v23
+		if v18.T == server_mutt_t0 {
+			v20 = v18
+		} else if v18.T != nil && v18.T.IsPointer() {
+			v20 = interp.Value{T: server_mutt_t0, Ptr: v18.Ptr}
 		} else {
-			v24 = m.GenConvert(v23, server_mutt_t1, server_mutt_pos[3])
+			v20 = m.GenConvert(v18, server_mutt_t0, server_mutt_pos[4])
 		}
-		v25 := f.LocalAt(8)
-		var v26 interp.Value
-		if v24.T == server_mutt_t0 {
-			v26 = v24
-		} else {
-			v26 = m.GenConvert(v24, server_mutt_t0, server_mutt_pos[4])
-		}
-		m.GenStoreRaw(v25, 0, server_mutt_t0, v26)
-		v27 := f.LocalAt(7)
-		var v28 interp.Value
-		if v26.T == server_mutt_t0 {
-			v28 = v26
-		} else {
-			v28 = m.GenConvert(v26, server_mutt_t0, server_mutt_pos[5])
-		}
-		m.GenStoreRaw(v27, 0, server_mutt_t0, v28)
-		_ = v28
+		m.GenStoreRaw(v19, 0, server_mutt_t0, v20)
+		_ = v20
 	}
 	{
 		m.GenStep()
 		for {
-			v29 := f.LocalAt(9)
+			v21 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v30 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v29.Data[0:]))}
-			if !v30.Truthy() {
+			v22 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v21.Data[0:]))}
+			if !v22.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -343,68 +334,79 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 				m.GenStep()
 				{
 					m.GenStep()
-					v31 := f.LocalAt(0)
-					v32 := f.LocalAt(10)
-					v33 := m.GenLoadRaw(v32, 0, server_mutt_t0, 0)
-					v34 := m.GenLoadValue(v33.Ptr, types.CharType, server_mutt_pos[6], -1, 0)
-					var v35 interp.Value
-					if v34.T == types.UCharType {
-						v35 = v34
+					v23 := f.LocalAt(10)
+					v24 := f.LocalAt(0)
+					v25 := m.GenLoadRaw(v24, 0, server_mutt_t0, 0)
+					v26 := m.GenLoadValue(v25.Ptr, types.CharType, server_mutt_pos[5], -1, 0)
+					var v27 interp.Value
+					if v26.T == types.UCharType {
+						v27 = v26
+					} else if v26.T != nil && v26.T.IsInteger() {
+						v27 = interp.Value{T: types.UCharType, I: int64(uint8(v26.I))}
 					} else {
-						v35 = m.GenConvert(v34, types.UCharType, server_mutt_pos[7])
+						v27 = m.GenConvert(v26, types.UCharType, server_mutt_pos[6])
 					}
-					m.GenStoreRaw(v31, 0, types.UCharType, v35)
+					m.GenStoreRaw(v23, 0, types.UCharType, v27)
 				}
 				{
 					m.GenStep()
-					v36 := f.LocalAt(0)
+					v28 := f.LocalAt(10)
 					m.GenChargeAccess()
-					v37 := interp.Value{T: types.UCharType, I: int64(v36.Data[0])}
-					v38 := interp.Value{T: types.IntType, I: 128}
-					var v39 interp.Value
-					v39 = m.GenBinaryOp(token.Lt, v37, v38, types.IntType, server_mutt_pos[8])
-					if v39.Truthy() {
+					v29 := interp.Value{T: types.UCharType, I: int64(v28.Data[0])}
+					var v30 interp.Value
+					if v29.T == types.UCharType {
+						if int64(int32(v29.I)) < 128 {
+							v30 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v30 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v30 = m.GenBinaryOp(token.Lt, v29, (interp.Value{T: types.IntType, I: 128}), types.IntType, server_mutt_pos[7])
+					}
+					if v30.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v40 := f.LocalAt(0)
+								v31 := f.LocalAt(10)
 								m.GenChargeAccess()
-								v41 := interp.Value{T: types.UCharType, I: int64(v40.Data[0])}
-								v42 := f.LocalAt(6)
-								var v43 interp.Value
-								if v41.T == types.IntType {
-									v43 = v41
+								v32 := interp.Value{T: types.UCharType, I: int64(v31.Data[0])}
+								v33 := f.LocalAt(4)
+								var v34 interp.Value
+								if v32.T == types.IntType {
+									v34 = v32
+								} else if v32.T != nil && v32.T.IsInteger() {
+									v34 = interp.Value{T: types.IntType, I: int64(int32(v32.I))}
 								} else {
-									v43 = m.GenConvert(v41, types.IntType, server_mutt_pos[9])
+									v34 = m.GenConvert(v32, types.IntType, server_mutt_pos[8])
 								}
-								m.GenStoreRaw(v42, 0, types.IntType, v43)
-								_ = v43
+								m.GenStoreRaw(v33, 0, types.IntType, v34)
+								_ = v34
 							}
 							{
 								m.GenStep()
-								v44 := interp.Value{T: types.IntType, I: 0}
-								v45 := f.LocalAt(5)
-								var v46 interp.Value
-								if v44.T == types.IntType {
-									v46 = v44
-								} else {
-									v46 = m.GenConvert(v44, types.IntType, server_mutt_pos[10])
-								}
-								m.GenStoreRaw(v45, 0, types.IntType, v46)
-								_ = v46
+								v35 := f.LocalAt(5)
+								m.GenStoreRaw(v35, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+								_ = (interp.Value{T: types.IntType, I: 0})
 							}
 						}
 					} else {
 						{
 							m.GenStep()
-							v47 := f.LocalAt(0)
+							v36 := f.LocalAt(10)
 							m.GenChargeAccess()
-							v48 := interp.Value{T: types.UCharType, I: int64(v47.Data[0])}
-							v49 := interp.Value{T: types.IntType, I: 194}
-							var v50 interp.Value
-							v50 = m.GenBinaryOp(token.Lt, v48, v49, types.IntType, server_mutt_pos[11])
-							if v50.Truthy() {
+							v37 := interp.Value{T: types.UCharType, I: int64(v36.Data[0])}
+							var v38 interp.Value
+							if v37.T == types.UCharType {
+								if int64(int32(v37.I)) < 194 {
+									v38 = interp.Value{T: types.IntType, I: 1}
+								} else {
+									v38 = interp.Value{T: types.IntType, I: 0}
+								}
+							} else {
+								v38 = m.GenBinaryOp(token.Lt, v37, (interp.Value{T: types.IntType, I: 194}), types.IntType, server_mutt_pos[9])
+							}
+							if v38.Truthy() {
 								{
 									m.GenStep()
 									if interp.GenLive {
@@ -414,221 +416,246 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 							} else {
 								{
 									m.GenStep()
-									v51 := f.LocalAt(0)
+									v39 := f.LocalAt(10)
 									m.GenChargeAccess()
-									v52 := interp.Value{T: types.UCharType, I: int64(v51.Data[0])}
-									v53 := interp.Value{T: types.IntType, I: 224}
-									var v54 interp.Value
-									v54 = m.GenBinaryOp(token.Lt, v52, v53, types.IntType, server_mutt_pos[12])
-									if v54.Truthy() {
+									v40 := interp.Value{T: types.UCharType, I: int64(v39.Data[0])}
+									var v41 interp.Value
+									if v40.T == types.UCharType {
+										if int64(int32(v40.I)) < 224 {
+											v41 = interp.Value{T: types.IntType, I: 1}
+										} else {
+											v41 = interp.Value{T: types.IntType, I: 0}
+										}
+									} else {
+										v41 = m.GenBinaryOp(token.Lt, v40, (interp.Value{T: types.IntType, I: 224}), types.IntType, server_mutt_pos[10])
+									}
+									if v41.Truthy() {
 										{
 											m.GenStep()
 											{
 												m.GenStep()
-												v55 := f.LocalAt(0)
+												v42 := f.LocalAt(10)
 												m.GenChargeAccess()
-												v56 := interp.Value{T: types.UCharType, I: int64(v55.Data[0])}
-												v57 := interp.Value{T: types.IntType, I: 31}
-												var v58 interp.Value
-												v58 = m.GenBinaryOp(token.Amp, v56, v57, types.IntType, server_mutt_pos[13])
-												v59 := f.LocalAt(6)
-												var v60 interp.Value
-												if v58.T == types.IntType {
-													v60 = v58
+												v43 := interp.Value{T: types.UCharType, I: int64(v42.Data[0])}
+												var v44 interp.Value
+												if v43.T == types.UCharType {
+													v44 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v43.I)) & 31))}
 												} else {
-													v60 = m.GenConvert(v58, types.IntType, server_mutt_pos[14])
+													v44 = m.GenBinaryOp(token.Amp, v43, (interp.Value{T: types.IntType, I: 31}), types.IntType, server_mutt_pos[11])
 												}
-												m.GenStoreRaw(v59, 0, types.IntType, v60)
-												_ = v60
+												v45 := f.LocalAt(4)
+												var v46 interp.Value
+												if v44.T == types.IntType {
+													v46 = v44
+												} else if v44.T != nil && v44.T.IsInteger() {
+													v46 = interp.Value{T: types.IntType, I: int64(int32(v44.I))}
+												} else {
+													v46 = m.GenConvert(v44, types.IntType, server_mutt_pos[12])
+												}
+												m.GenStoreRaw(v45, 0, types.IntType, v46)
+												_ = v46
 											}
 											{
 												m.GenStep()
-												v61 := interp.Value{T: types.IntType, I: 1}
-												v62 := f.LocalAt(5)
-												var v63 interp.Value
-												if v61.T == types.IntType {
-													v63 = v61
-												} else {
-													v63 = m.GenConvert(v61, types.IntType, server_mutt_pos[15])
-												}
-												m.GenStoreRaw(v62, 0, types.IntType, v63)
-												_ = v63
+												v47 := f.LocalAt(5)
+												m.GenStoreRaw(v47, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+												_ = (interp.Value{T: types.IntType, I: 1})
 											}
 										}
 									} else {
 										{
 											m.GenStep()
-											v64 := f.LocalAt(0)
+											v48 := f.LocalAt(10)
 											m.GenChargeAccess()
-											v65 := interp.Value{T: types.UCharType, I: int64(v64.Data[0])}
-											v66 := interp.Value{T: types.IntType, I: 240}
-											var v67 interp.Value
-											v67 = m.GenBinaryOp(token.Lt, v65, v66, types.IntType, server_mutt_pos[16])
-											if v67.Truthy() {
+											v49 := interp.Value{T: types.UCharType, I: int64(v48.Data[0])}
+											var v50 interp.Value
+											if v49.T == types.UCharType {
+												if int64(int32(v49.I)) < 240 {
+													v50 = interp.Value{T: types.IntType, I: 1}
+												} else {
+													v50 = interp.Value{T: types.IntType, I: 0}
+												}
+											} else {
+												v50 = m.GenBinaryOp(token.Lt, v49, (interp.Value{T: types.IntType, I: 240}), types.IntType, server_mutt_pos[13])
+											}
+											if v50.Truthy() {
 												{
 													m.GenStep()
 													{
 														m.GenStep()
-														v68 := f.LocalAt(0)
+														v51 := f.LocalAt(10)
 														m.GenChargeAccess()
-														v69 := interp.Value{T: types.UCharType, I: int64(v68.Data[0])}
-														v70 := interp.Value{T: types.IntType, I: 15}
-														var v71 interp.Value
-														v71 = m.GenBinaryOp(token.Amp, v69, v70, types.IntType, server_mutt_pos[17])
-														v72 := f.LocalAt(6)
-														var v73 interp.Value
-														if v71.T == types.IntType {
-															v73 = v71
+														v52 := interp.Value{T: types.UCharType, I: int64(v51.Data[0])}
+														var v53 interp.Value
+														if v52.T == types.UCharType {
+															v53 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v52.I)) & 15))}
 														} else {
-															v73 = m.GenConvert(v71, types.IntType, server_mutt_pos[18])
+															v53 = m.GenBinaryOp(token.Amp, v52, (interp.Value{T: types.IntType, I: 15}), types.IntType, server_mutt_pos[14])
 														}
-														m.GenStoreRaw(v72, 0, types.IntType, v73)
-														_ = v73
+														v54 := f.LocalAt(4)
+														var v55 interp.Value
+														if v53.T == types.IntType {
+															v55 = v53
+														} else if v53.T != nil && v53.T.IsInteger() {
+															v55 = interp.Value{T: types.IntType, I: int64(int32(v53.I))}
+														} else {
+															v55 = m.GenConvert(v53, types.IntType, server_mutt_pos[15])
+														}
+														m.GenStoreRaw(v54, 0, types.IntType, v55)
+														_ = v55
 													}
 													{
 														m.GenStep()
-														v74 := interp.Value{T: types.IntType, I: 2}
-														v75 := f.LocalAt(5)
-														var v76 interp.Value
-														if v74.T == types.IntType {
-															v76 = v74
-														} else {
-															v76 = m.GenConvert(v74, types.IntType, server_mutt_pos[19])
-														}
-														m.GenStoreRaw(v75, 0, types.IntType, v76)
-														_ = v76
+														v56 := f.LocalAt(5)
+														m.GenStoreRaw(v56, 0, types.IntType, (interp.Value{T: types.IntType, I: 2}))
+														_ = (interp.Value{T: types.IntType, I: 2})
 													}
 												}
 											} else {
 												{
 													m.GenStep()
-													v77 := f.LocalAt(0)
+													v57 := f.LocalAt(10)
 													m.GenChargeAccess()
-													v78 := interp.Value{T: types.UCharType, I: int64(v77.Data[0])}
-													v79 := interp.Value{T: types.IntType, I: 248}
-													var v80 interp.Value
-													v80 = m.GenBinaryOp(token.Lt, v78, v79, types.IntType, server_mutt_pos[20])
-													if v80.Truthy() {
+													v58 := interp.Value{T: types.UCharType, I: int64(v57.Data[0])}
+													var v59 interp.Value
+													if v58.T == types.UCharType {
+														if int64(int32(v58.I)) < 248 {
+															v59 = interp.Value{T: types.IntType, I: 1}
+														} else {
+															v59 = interp.Value{T: types.IntType, I: 0}
+														}
+													} else {
+														v59 = m.GenBinaryOp(token.Lt, v58, (interp.Value{T: types.IntType, I: 248}), types.IntType, server_mutt_pos[16])
+													}
+													if v59.Truthy() {
 														{
 															m.GenStep()
 															{
 																m.GenStep()
-																v81 := f.LocalAt(0)
+																v60 := f.LocalAt(10)
 																m.GenChargeAccess()
-																v82 := interp.Value{T: types.UCharType, I: int64(v81.Data[0])}
-																v83 := interp.Value{T: types.IntType, I: 7}
-																var v84 interp.Value
-																v84 = m.GenBinaryOp(token.Amp, v82, v83, types.IntType, server_mutt_pos[21])
-																v85 := f.LocalAt(6)
-																var v86 interp.Value
-																if v84.T == types.IntType {
-																	v86 = v84
+																v61 := interp.Value{T: types.UCharType, I: int64(v60.Data[0])}
+																var v62 interp.Value
+																if v61.T == types.UCharType {
+																	v62 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v61.I)) & 7))}
 																} else {
-																	v86 = m.GenConvert(v84, types.IntType, server_mutt_pos[22])
+																	v62 = m.GenBinaryOp(token.Amp, v61, (interp.Value{T: types.IntType, I: 7}), types.IntType, server_mutt_pos[17])
 																}
-																m.GenStoreRaw(v85, 0, types.IntType, v86)
-																_ = v86
+																v63 := f.LocalAt(4)
+																var v64 interp.Value
+																if v62.T == types.IntType {
+																	v64 = v62
+																} else if v62.T != nil && v62.T.IsInteger() {
+																	v64 = interp.Value{T: types.IntType, I: int64(int32(v62.I))}
+																} else {
+																	v64 = m.GenConvert(v62, types.IntType, server_mutt_pos[18])
+																}
+																m.GenStoreRaw(v63, 0, types.IntType, v64)
+																_ = v64
 															}
 															{
 																m.GenStep()
-																v87 := interp.Value{T: types.IntType, I: 3}
-																v88 := f.LocalAt(5)
-																var v89 interp.Value
-																if v87.T == types.IntType {
-																	v89 = v87
-																} else {
-																	v89 = m.GenConvert(v87, types.IntType, server_mutt_pos[23])
-																}
-																m.GenStoreRaw(v88, 0, types.IntType, v89)
-																_ = v89
+																v65 := f.LocalAt(5)
+																m.GenStoreRaw(v65, 0, types.IntType, (interp.Value{T: types.IntType, I: 3}))
+																_ = (interp.Value{T: types.IntType, I: 3})
 															}
 														}
 													} else {
 														{
 															m.GenStep()
-															v90 := f.LocalAt(0)
+															v66 := f.LocalAt(10)
 															m.GenChargeAccess()
-															v91 := interp.Value{T: types.UCharType, I: int64(v90.Data[0])}
-															v92 := interp.Value{T: types.IntType, I: 252}
-															var v93 interp.Value
-															v93 = m.GenBinaryOp(token.Lt, v91, v92, types.IntType, server_mutt_pos[24])
-															if v93.Truthy() {
+															v67 := interp.Value{T: types.UCharType, I: int64(v66.Data[0])}
+															var v68 interp.Value
+															if v67.T == types.UCharType {
+																if int64(int32(v67.I)) < 252 {
+																	v68 = interp.Value{T: types.IntType, I: 1}
+																} else {
+																	v68 = interp.Value{T: types.IntType, I: 0}
+																}
+															} else {
+																v68 = m.GenBinaryOp(token.Lt, v67, (interp.Value{T: types.IntType, I: 252}), types.IntType, server_mutt_pos[19])
+															}
+															if v68.Truthy() {
 																{
 																	m.GenStep()
 																	{
 																		m.GenStep()
-																		v94 := f.LocalAt(0)
+																		v69 := f.LocalAt(10)
 																		m.GenChargeAccess()
-																		v95 := interp.Value{T: types.UCharType, I: int64(v94.Data[0])}
-																		v96 := interp.Value{T: types.IntType, I: 3}
-																		var v97 interp.Value
-																		v97 = m.GenBinaryOp(token.Amp, v95, v96, types.IntType, server_mutt_pos[25])
-																		v98 := f.LocalAt(6)
-																		var v99 interp.Value
-																		if v97.T == types.IntType {
-																			v99 = v97
+																		v70 := interp.Value{T: types.UCharType, I: int64(v69.Data[0])}
+																		var v71 interp.Value
+																		if v70.T == types.UCharType {
+																			v71 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v70.I)) & 3))}
 																		} else {
-																			v99 = m.GenConvert(v97, types.IntType, server_mutt_pos[26])
+																			v71 = m.GenBinaryOp(token.Amp, v70, (interp.Value{T: types.IntType, I: 3}), types.IntType, server_mutt_pos[20])
 																		}
-																		m.GenStoreRaw(v98, 0, types.IntType, v99)
-																		_ = v99
+																		v72 := f.LocalAt(4)
+																		var v73 interp.Value
+																		if v71.T == types.IntType {
+																			v73 = v71
+																		} else if v71.T != nil && v71.T.IsInteger() {
+																			v73 = interp.Value{T: types.IntType, I: int64(int32(v71.I))}
+																		} else {
+																			v73 = m.GenConvert(v71, types.IntType, server_mutt_pos[21])
+																		}
+																		m.GenStoreRaw(v72, 0, types.IntType, v73)
+																		_ = v73
 																	}
 																	{
 																		m.GenStep()
-																		v100 := interp.Value{T: types.IntType, I: 4}
-																		v101 := f.LocalAt(5)
-																		var v102 interp.Value
-																		if v100.T == types.IntType {
-																			v102 = v100
-																		} else {
-																			v102 = m.GenConvert(v100, types.IntType, server_mutt_pos[27])
-																		}
-																		m.GenStoreRaw(v101, 0, types.IntType, v102)
-																		_ = v102
+																		v74 := f.LocalAt(5)
+																		m.GenStoreRaw(v74, 0, types.IntType, (interp.Value{T: types.IntType, I: 4}))
+																		_ = (interp.Value{T: types.IntType, I: 4})
 																	}
 																}
 															} else {
 																{
 																	m.GenStep()
-																	v103 := f.LocalAt(0)
+																	v75 := f.LocalAt(10)
 																	m.GenChargeAccess()
-																	v104 := interp.Value{T: types.UCharType, I: int64(v103.Data[0])}
-																	v105 := interp.Value{T: types.IntType, I: 254}
-																	var v106 interp.Value
-																	v106 = m.GenBinaryOp(token.Lt, v104, v105, types.IntType, server_mutt_pos[28])
-																	if v106.Truthy() {
+																	v76 := interp.Value{T: types.UCharType, I: int64(v75.Data[0])}
+																	var v77 interp.Value
+																	if v76.T == types.UCharType {
+																		if int64(int32(v76.I)) < 254 {
+																			v77 = interp.Value{T: types.IntType, I: 1}
+																		} else {
+																			v77 = interp.Value{T: types.IntType, I: 0}
+																		}
+																	} else {
+																		v77 = m.GenBinaryOp(token.Lt, v76, (interp.Value{T: types.IntType, I: 254}), types.IntType, server_mutt_pos[22])
+																	}
+																	if v77.Truthy() {
 																		{
 																			m.GenStep()
 																			{
 																				m.GenStep()
-																				v107 := f.LocalAt(0)
+																				v78 := f.LocalAt(10)
 																				m.GenChargeAccess()
-																				v108 := interp.Value{T: types.UCharType, I: int64(v107.Data[0])}
-																				v109 := interp.Value{T: types.IntType, I: 1}
-																				var v110 interp.Value
-																				v110 = m.GenBinaryOp(token.Amp, v108, v109, types.IntType, server_mutt_pos[29])
-																				v111 := f.LocalAt(6)
-																				var v112 interp.Value
-																				if v110.T == types.IntType {
-																					v112 = v110
+																				v79 := interp.Value{T: types.UCharType, I: int64(v78.Data[0])}
+																				var v80 interp.Value
+																				if v79.T == types.UCharType {
+																					v80 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v79.I)) & 1))}
 																				} else {
-																					v112 = m.GenConvert(v110, types.IntType, server_mutt_pos[30])
+																					v80 = m.GenBinaryOp(token.Amp, v79, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[23])
 																				}
-																				m.GenStoreRaw(v111, 0, types.IntType, v112)
-																				_ = v112
+																				v81 := f.LocalAt(4)
+																				var v82 interp.Value
+																				if v80.T == types.IntType {
+																					v82 = v80
+																				} else if v80.T != nil && v80.T.IsInteger() {
+																					v82 = interp.Value{T: types.IntType, I: int64(int32(v80.I))}
+																				} else {
+																					v82 = m.GenConvert(v80, types.IntType, server_mutt_pos[24])
+																				}
+																				m.GenStoreRaw(v81, 0, types.IntType, v82)
+																				_ = v82
 																			}
 																			{
 																				m.GenStep()
-																				v113 := interp.Value{T: types.IntType, I: 5}
-																				v114 := f.LocalAt(5)
-																				var v115 interp.Value
-																				if v113.T == types.IntType {
-																					v115 = v113
-																				} else {
-																					v115 = m.GenConvert(v113, types.IntType, server_mutt_pos[31])
-																				}
-																				m.GenStoreRaw(v114, 0, types.IntType, v115)
-																				_ = v115
+																				v83 := f.LocalAt(5)
+																				m.GenStoreRaw(v83, 0, types.IntType, (interp.Value{T: types.IntType, I: 5}))
+																				_ = (interp.Value{T: types.IntType, I: 5})
 																			}
 																		}
 																	} else {
@@ -654,32 +681,40 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 				}
 				{
 					m.GenStep()
-					v116 := f.LocalAt(10)
-					v117 := m.GenLoadRaw(v116, 0, server_mutt_t0, 1)
-					v118 := interp.Value{T: v117.T, Ptr: core.Pointer{Addr: v117.Ptr.Addr + 1, Prov: v117.Ptr.Prov}}
-					m.GenStoreRaw(v116, 0, server_mutt_t0, v118)
-					_ = v117
+					v84 := f.LocalAt(0)
+					v85 := m.GenLoadRaw(v84, 0, server_mutt_t0, 1)
+					v86 := interp.Value{T: v85.T, Ptr: core.Pointer{Addr: v85.Ptr.Addr + 1, Prov: v85.Ptr.Prov}}
+					m.GenStoreRaw(v84, 0, server_mutt_t0, v86)
+					_ = v85
 				}
 				{
 					m.GenStep()
-					v119 := f.LocalAt(9)
+					v87 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v120 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v119.Data[0:]))}
-					v121 := interp.Value{T: v120.T, I: v120.I - 1}
-					m.GenStoreRaw(v119, 0, types.ULongType, v121)
-					_ = v120
+					v88 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v87.Data[0:]))}
+					v89 := interp.Value{T: v88.T, I: v88.I - 1}
+					m.GenStoreRaw(v87, 0, types.ULongType, v89)
+					_ = v88
 				}
 				{
 					m.GenStep()
-					v122 := f.LocalAt(5)
+					v90 := f.LocalAt(5)
 					m.GenChargeAccess()
-					v123 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v122.Data[0:])))}
-					v124 := f.LocalAt(9)
+					v91 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v90.Data[0:])))}
+					v92 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v125 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v124.Data[0:]))}
-					var v126 interp.Value
-					v126 = m.GenBinaryOp(token.Gt, v123, v125, types.IntType, server_mutt_pos[32])
-					if v126.Truthy() {
+					v93 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v92.Data[0:]))}
+					var v94 interp.Value
+					if v91.T == types.IntType && v93.T == types.ULongType {
+						if uint64(v91.I) > uint64(v93.I) {
+							v94 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v94 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v94 = m.GenBinaryOp(token.Gt, v91, v93, types.IntType, server_mutt_pos[25])
+					}
+					if v94.Truthy() {
 						{
 							m.GenStep()
 							if interp.GenLive {
@@ -692,35 +727,28 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 					m.GenStep()
 					{
 						m.GenStep()
-						v127 := interp.Value{T: types.IntType, I: 0}
-						v128 := f.LocalAt(4)
-						var v129 interp.Value
-						if v127.T == types.IntType {
-							v129 = v127
-						} else {
-							v129 = m.GenConvert(v127, types.IntType, server_mutt_pos[33])
-						}
-						m.GenStoreRaw(v128, 0, types.IntType, v129)
-						_ = v129
+						v95 := f.LocalAt(6)
+						m.GenStoreRaw(v95, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+						_ = (interp.Value{T: types.IntType, I: 0})
 					}
 					for {
-						v130 := f.LocalAt(4)
+						v96 := f.LocalAt(6)
 						m.GenChargeAccess()
-						v131 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v130.Data[0:])))}
-						v132 := f.LocalAt(5)
+						v97 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v96.Data[0:])))}
+						v98 := f.LocalAt(5)
 						m.GenChargeAccess()
-						v133 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v132.Data[0:])))}
-						var v134 interp.Value
-						if v131.T == types.IntType && v133.T == types.IntType {
-							if v131.I < v133.I {
-								v134 = interp.Value{T: types.IntType, I: 1}
+						v99 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v98.Data[0:])))}
+						var v100 interp.Value
+						if v97.T == types.IntType && v99.T == types.IntType {
+							if v97.I < v99.I {
+								v100 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v134 = interp.Value{T: types.IntType, I: 0}
+								v100 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v134 = m.GenBinaryOp(token.Lt, v131, v133, types.IntType, server_mutt_pos[34])
+							v100 = m.GenBinaryOp(token.Lt, v97, v99, types.IntType, server_mutt_pos[26])
 						}
-						if !v134.Truthy() {
+						if !v100.Truthy() {
 							break
 						}
 						m.GenStep()
@@ -728,28 +756,30 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 							m.GenStep()
 							{
 								m.GenStep()
-								v135 := f.LocalAt(10)
-								v136 := m.GenLoadRaw(v135, 0, server_mutt_t0, 2)
-								v137 := f.LocalAt(4)
+								v101 := f.LocalAt(0)
+								v102 := m.GenLoadRaw(v101, 0, server_mutt_t0, 2)
+								v103 := f.LocalAt(6)
 								m.GenChargeAccess()
-								v138 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v137.Data[0:])))}
-								v139 := core.Pointer{Addr: v136.Ptr.Addr + uint64(v138.I)*1, Prov: v136.Ptr.Prov}
-								v140 := m.GenLoadValue(v139, types.CharType, server_mutt_pos[35], -1, 1)
-								v141 := interp.Value{T: types.IntType, I: 192}
-								var v142 interp.Value
-								v142 = m.GenBinaryOp(token.Amp, v140, v141, types.IntType, server_mutt_pos[36])
-								v143 := interp.Value{T: types.IntType, I: 128}
-								var v144 interp.Value
-								if v142.T == types.IntType && v143.T == types.IntType {
-									if v142.I != v143.I {
-										v144 = interp.Value{T: types.IntType, I: 1}
+								v104 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v103.Data[0:])))}
+								v105 := core.Pointer{Addr: v102.Ptr.Addr + uint64(v104.I)*1, Prov: v102.Ptr.Prov}
+								v106 := m.GenLoadValue(v105, types.CharType, server_mutt_pos[27], -1, 1)
+								var v107 interp.Value
+								if v106.T == types.CharType {
+									v107 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v106.I)) & 192))}
+								} else {
+									v107 = m.GenBinaryOp(token.Amp, v106, (interp.Value{T: types.IntType, I: 192}), types.IntType, server_mutt_pos[28])
+								}
+								var v108 interp.Value
+								if v107.T == types.IntType {
+									if v107.I != 128 {
+										v108 = interp.Value{T: types.IntType, I: 1}
 									} else {
-										v144 = interp.Value{T: types.IntType, I: 0}
+										v108 = interp.Value{T: types.IntType, I: 0}
 									}
 								} else {
-									v144 = m.GenBinaryOp(token.NotEq, v142, v143, types.IntType, server_mutt_pos[37])
+									v108 = m.GenBinaryOp(token.NotEq, v107, (interp.Value{T: types.IntType, I: 128}), types.IntType, server_mutt_pos[29])
 								}
-								if v144.Truthy() {
+								if v108.Truthy() {
 									{
 										m.GenStep()
 										if interp.GenLive {
@@ -760,102 +790,103 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 							}
 							{
 								m.GenStep()
-								v145 := f.LocalAt(6)
+								v109 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v146 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v145.Data[0:])))}
-								v147 := interp.Value{T: types.IntType, I: 6}
-								var v148 interp.Value
-								v148 = m.GenBinaryOp(token.Shl, v146, v147, types.IntType, server_mutt_pos[38])
-								v149 := f.LocalAt(10)
-								v150 := m.GenLoadRaw(v149, 0, server_mutt_t0, 3)
-								v151 := f.LocalAt(4)
+								v110 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v109.Data[0:])))}
+								var v111 interp.Value
+								v111 = m.GenBinaryOp(token.Shl, v110, (interp.Value{T: types.IntType, I: 6}), types.IntType, server_mutt_pos[30])
+								v112 := f.LocalAt(0)
+								v113 := m.GenLoadRaw(v112, 0, server_mutt_t0, 3)
+								v114 := f.LocalAt(6)
 								m.GenChargeAccess()
-								v152 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v151.Data[0:])))}
-								v153 := core.Pointer{Addr: v150.Ptr.Addr + uint64(v152.I)*1, Prov: v150.Ptr.Prov}
-								v154 := m.GenLoadValue(v153, types.CharType, server_mutt_pos[39], -1, 2)
-								v155 := interp.Value{T: types.IntType, I: 63}
-								var v156 interp.Value
-								v156 = m.GenBinaryOp(token.Amp, v154, v155, types.IntType, server_mutt_pos[40])
-								var v157 interp.Value
-								if v148.T == types.IntType && v156.T == types.IntType {
-									v157 = interp.Value{T: types.IntType, I: int64(int32(v148.I | v156.I))}
+								v115 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v114.Data[0:])))}
+								v116 := core.Pointer{Addr: v113.Ptr.Addr + uint64(v115.I)*1, Prov: v113.Ptr.Prov}
+								v117 := m.GenLoadValue(v116, types.CharType, server_mutt_pos[31], -1, 2)
+								var v118 interp.Value
+								if v117.T == types.CharType {
+									v118 = interp.Value{T: types.IntType, I: int64(int32(int64(int32(v117.I)) & 63))}
 								} else {
-									v157 = m.GenBinaryOp(token.Pipe, v148, v156, types.IntType, server_mutt_pos[41])
+									v118 = m.GenBinaryOp(token.Amp, v117, (interp.Value{T: types.IntType, I: 63}), types.IntType, server_mutt_pos[32])
 								}
-								v158 := f.LocalAt(6)
-								var v159 interp.Value
-								if v157.T == types.IntType {
-									v159 = v157
+								var v119 interp.Value
+								if v111.T == types.IntType && v118.T == types.IntType {
+									v119 = interp.Value{T: types.IntType, I: int64(int32(v111.I | v118.I))}
 								} else {
-									v159 = m.GenConvert(v157, types.IntType, server_mutt_pos[42])
+									v119 = m.GenBinaryOp(token.Pipe, v111, v118, types.IntType, server_mutt_pos[33])
 								}
-								m.GenStoreRaw(v158, 0, types.IntType, v159)
-								_ = v159
+								v120 := f.LocalAt(4)
+								var v121 interp.Value
+								if v119.T == types.IntType {
+									v121 = v119
+								} else if v119.T != nil && v119.T.IsInteger() {
+									v121 = interp.Value{T: types.IntType, I: int64(int32(v119.I))}
+								} else {
+									v121 = m.GenConvert(v119, types.IntType, server_mutt_pos[34])
+								}
+								m.GenStoreRaw(v120, 0, types.IntType, v121)
+								_ = v121
 							}
 						}
-						v160 := f.LocalAt(4)
+						v122 := f.LocalAt(6)
 						m.GenChargeAccess()
-						v161 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v160.Data[0:])))}
-						v162 := interp.Value{T: v161.T, I: int64(int32(v161.I + 1))}
-						m.GenStoreRaw(v160, 0, types.IntType, v162)
-						_ = v161
+						v123 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v122.Data[0:])))}
+						v124 := interp.Value{T: v123.T, I: int64(int32(v123.I + 1))}
+						m.GenStoreRaw(v122, 0, types.IntType, v124)
+						_ = v123
 					}
 				}
 				{
 					m.GenStep()
-					var v163 interp.Value
-					v164 := f.LocalAt(5)
+					var v125 interp.Value
+					v126 := f.LocalAt(5)
 					m.GenChargeAccess()
-					v165 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v164.Data[0:])))}
-					v166 := interp.Value{T: types.IntType, I: 1}
-					var v167 interp.Value
-					if v165.T == types.IntType && v166.T == types.IntType {
-						if v165.I > v166.I {
-							v167 = interp.Value{T: types.IntType, I: 1}
+					v127 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v126.Data[0:])))}
+					var v128 interp.Value
+					if v127.T == types.IntType {
+						if v127.I > 1 {
+							v128 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v167 = interp.Value{T: types.IntType, I: 0}
+							v128 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v167 = m.GenBinaryOp(token.Gt, v165, v166, types.IntType, server_mutt_pos[43])
+						v128 = m.GenBinaryOp(token.Gt, v127, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[35])
 					}
-					if !v167.Truthy() {
-						v163 = interp.Value{T: types.IntType, I: 0}
+					if !v128.Truthy() {
+						v125 = interp.Value{T: types.IntType, I: 0}
 					} else {
-						v168 := f.LocalAt(6)
+						v129 := f.LocalAt(4)
 						m.GenChargeAccess()
-						v169 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v168.Data[0:])))}
-						v170 := f.LocalAt(5)
+						v130 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v129.Data[0:])))}
+						v131 := f.LocalAt(5)
 						m.GenChargeAccess()
-						v171 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v170.Data[0:])))}
-						v172 := interp.Value{T: types.IntType, I: 5}
-						var v173 interp.Value
-						if v171.T == types.IntType && v172.T == types.IntType {
-							v173 = interp.Value{T: types.IntType, I: int64(int32(v171.I * v172.I))}
+						v132 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v131.Data[0:])))}
+						var v133 interp.Value
+						if v132.T == types.IntType {
+							v133 = interp.Value{T: types.IntType, I: int64(int32(v132.I * 5))}
 						} else {
-							v173 = m.GenBinaryOp(token.Star, v171, v172, types.IntType, server_mutt_pos[44])
+							v133 = m.GenBinaryOp(token.Star, v132, (interp.Value{T: types.IntType, I: 5}), types.IntType, server_mutt_pos[36])
 						}
-						v174 := interp.Value{T: types.IntType, I: 1}
-						var v175 interp.Value
-						if v173.T == types.IntType && v174.T == types.IntType {
-							v175 = interp.Value{T: types.IntType, I: int64(int32(v173.I + v174.I))}
+						var v134 interp.Value
+						if v133.T == types.IntType {
+							v134 = interp.Value{T: types.IntType, I: int64(int32(v133.I + 1))}
 						} else {
-							v175 = m.GenBinaryOp(token.Plus, v173, v174, types.IntType, server_mutt_pos[45])
+							v134 = m.GenBinaryOp(token.Plus, v133, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[37])
 						}
-						var v176 interp.Value
-						v176 = m.GenBinaryOp(token.Shr, v169, v175, types.IntType, server_mutt_pos[46])
-						var v177 interp.Value
-						if v176.Truthy() {
-							v177 = interp.Value{T: types.IntType, I: 0}
+						var v135 interp.Value
+						v135 = m.GenBinaryOp(token.Shr, v130, v134, types.IntType, server_mutt_pos[38])
+						var v136 interp.Value
+						if v135.Truthy() {
+							v136 = interp.Value{T: types.IntType, I: 0}
 						} else {
-							v177 = interp.Value{T: types.IntType, I: 1}
+							v136 = interp.Value{T: types.IntType, I: 1}
 						}
-						if v177.Truthy() {
-							v163 = interp.Value{T: types.IntType, I: 1}
+						if v136.Truthy() {
+							v125 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v163 = interp.Value{T: types.IntType, I: 0}
+							v125 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v163.Truthy() {
+					if v125.Truthy() {
 						{
 							m.GenStep()
 							if interp.GenLive {
@@ -866,372 +897,347 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 				}
 				{
 					m.GenStep()
-					v178 := f.LocalAt(10)
-					v179 := m.GenLoadRaw(v178, 0, server_mutt_t0, 4)
-					v180 := f.LocalAt(5)
+					v137 := f.LocalAt(0)
+					v138 := m.GenLoadRaw(v137, 0, server_mutt_t0, 4)
+					v139 := f.LocalAt(5)
 					m.GenChargeAccess()
-					v181 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v180.Data[0:])))}
-					var v182 interp.Value
-					if v179.T != nil && v179.T.IsPointer() {
-						v182 = interp.Value{T: v179.T, Ptr: core.Pointer{Addr: v179.Ptr.Addr + uint64(v181.I*1), Prov: v179.Ptr.Prov}}
+					v140 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v139.Data[0:])))}
+					var v141 interp.Value
+					if v138.T != nil && v138.T.IsPointer() {
+						v141 = interp.Value{T: v138.T, Ptr: core.Pointer{Addr: v138.Ptr.Addr + uint64(v140.I*1), Prov: v138.Ptr.Prov}}
 					} else {
-						v182 = m.GenBinaryOp(token.Plus, v179, v181, server_mutt_t0, server_mutt_pos[47])
+						v141 = m.GenBinaryOp(token.Plus, v138, v140, server_mutt_t0, server_mutt_pos[39])
 					}
-					var v183 interp.Value
-					if v182.T == server_mutt_t0 {
-						v183 = v182
+					var v142 interp.Value
+					if v141.T == server_mutt_t0 {
+						v142 = v141
+					} else if v141.T != nil && v141.T.IsPointer() {
+						v142 = interp.Value{T: server_mutt_t0, Ptr: v141.Ptr}
 					} else {
-						v183 = m.GenConvert(v182, server_mutt_t0, server_mutt_pos[47])
+						v142 = m.GenConvert(v141, server_mutt_t0, server_mutt_pos[39])
 					}
-					m.GenStoreRaw(v178, 0, server_mutt_t0, v183)
-					_ = v183
+					m.GenStoreRaw(v137, 0, server_mutt_t0, v142)
+					_ = v142
 				}
 				{
 					m.GenStep()
-					v184 := f.LocalAt(9)
+					v143 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v185 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v184.Data[0:]))}
-					v186 := f.LocalAt(5)
+					v144 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v143.Data[0:]))}
+					v145 := f.LocalAt(5)
 					m.GenChargeAccess()
-					v187 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v186.Data[0:])))}
-					var v188 interp.Value
-					v188 = m.GenBinaryOp(token.Minus, v185, v187, types.ULongType, server_mutt_pos[48])
-					var v189 interp.Value
-					if v188.T == types.ULongType {
-						v189 = v188
+					v146 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v145.Data[0:])))}
+					var v147 interp.Value
+					if v144.T == types.ULongType && v146.T == types.IntType {
+						v147 = interp.Value{T: types.ULongType, I: v144.I - v146.I}
 					} else {
-						v189 = m.GenConvert(v188, types.ULongType, server_mutt_pos[48])
+						v147 = m.GenBinaryOp(token.Minus, v144, v146, types.ULongType, server_mutt_pos[40])
 					}
-					m.GenStoreRaw(v184, 0, types.ULongType, v189)
-					_ = v189
+					var v148 interp.Value
+					if v147.T == types.ULongType {
+						v148 = v147
+					} else if v147.T != nil && v147.T.IsInteger() {
+						v148 = interp.Value{T: types.ULongType, I: v147.I}
+					} else {
+						v148 = m.GenConvert(v147, types.ULongType, server_mutt_pos[40])
+					}
+					m.GenStoreRaw(v143, 0, types.ULongType, v148)
+					_ = v148
 				}
 				{
 					m.GenStep()
-					var v190 interp.Value
-					v191 := f.LocalAt(6)
+					var v149 interp.Value
+					v150 := f.LocalAt(4)
 					m.GenChargeAccess()
-					v192 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v191.Data[0:])))}
-					v193 := interp.Value{T: types.IntType, I: 32}
-					var v194 interp.Value
-					if v192.T == types.IntType && v193.T == types.IntType {
-						if v192.I < v193.I {
-							v194 = interp.Value{T: types.IntType, I: 1}
+					v151 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v150.Data[0:])))}
+					var v152 interp.Value
+					if v151.T == types.IntType {
+						if v151.I < 32 {
+							v152 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v194 = interp.Value{T: types.IntType, I: 0}
+							v152 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v194 = m.GenBinaryOp(token.Lt, v192, v193, types.IntType, server_mutt_pos[49])
+						v152 = m.GenBinaryOp(token.Lt, v151, (interp.Value{T: types.IntType, I: 32}), types.IntType, server_mutt_pos[41])
 					}
-					if v194.Truthy() {
-						v190 = interp.Value{T: types.IntType, I: 1}
+					if v152.Truthy() {
+						v149 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v195 := f.LocalAt(6)
+						v153 := f.LocalAt(4)
 						m.GenChargeAccess()
-						v196 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v195.Data[0:])))}
-						v197 := interp.Value{T: types.IntType, I: 127}
-						var v198 interp.Value
-						if v196.T == types.IntType && v197.T == types.IntType {
-							if v196.I >= v197.I {
-								v198 = interp.Value{T: types.IntType, I: 1}
+						v154 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v153.Data[0:])))}
+						var v155 interp.Value
+						if v154.T == types.IntType {
+							if v154.I >= 127 {
+								v155 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v198 = interp.Value{T: types.IntType, I: 0}
+								v155 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v198 = m.GenBinaryOp(token.Ge, v196, v197, types.IntType, server_mutt_pos[50])
+							v155 = m.GenBinaryOp(token.Ge, v154, (interp.Value{T: types.IntType, I: 127}), types.IntType, server_mutt_pos[42])
 						}
-						if v198.Truthy() {
-							v190 = interp.Value{T: types.IntType, I: 1}
+						if v155.Truthy() {
+							v149 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v190 = interp.Value{T: types.IntType, I: 0}
+							v149 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v190.Truthy() {
+					if v149.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v199 := f.LocalAt(1)
+								v156 := f.LocalAt(9)
 								m.GenChargeAccess()
-								v200 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v199.Data[0:])))}
-								var v201 interp.Value
-								if v200.Truthy() {
-									v201 = interp.Value{T: types.IntType, I: 0}
+								v157 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v156.Data[0:])))}
+								var v158 interp.Value
+								if v157.Truthy() {
+									v158 = interp.Value{T: types.IntType, I: 0}
 								} else {
-									v201 = interp.Value{T: types.IntType, I: 1}
+									v158 = interp.Value{T: types.IntType, I: 1}
 								}
-								if v201.Truthy() {
+								if v158.Truthy() {
 									{
 										m.GenStep()
 										{
 											m.GenStep()
-											v202 := interp.Value{T: types.IntType, I: 38}
-											v203 := f.LocalAt(7)
-											v204 := m.GenLoadRaw(v203, 0, server_mutt_t0, 5)
-											v205 := interp.Value{T: v204.T, Ptr: core.Pointer{Addr: v204.Ptr.Addr + 1, Prov: v204.Ptr.Prov}}
-											m.GenStoreRaw(v203, 0, server_mutt_t0, v205)
-											v206 := v204.Ptr
-											var v207 interp.Value
-											if v202.T == types.CharType {
-												v207 = v202
-											} else {
-												v207 = m.GenConvert(v202, types.CharType, server_mutt_pos[51])
-											}
-											m.GenStoreValue(v206, types.CharType, v207, server_mutt_pos[51])
-											_ = v207
+											v159 := f.LocalAt(3)
+											v160 := m.GenLoadRaw(v159, 0, server_mutt_t0, 5)
+											v161 := interp.Value{T: v160.T, Ptr: core.Pointer{Addr: v160.Ptr.Addr + 1, Prov: v160.Ptr.Prov}}
+											m.GenStoreRaw(v159, 0, server_mutt_t0, v161)
+											v162 := v160.Ptr
+											m.GenStoreValue(v162, types.CharType, (interp.Value{T: types.CharType, I: 38}), server_mutt_pos[43])
+											_ = (interp.Value{T: types.CharType, I: 38})
 										}
 										{
 											m.GenStep()
-											v208 := interp.Value{T: types.IntType, I: 1}
-											v209 := f.LocalAt(1)
-											var v210 interp.Value
-											if v208.T == types.IntType {
-												v210 = v208
-											} else {
-												v210 = m.GenConvert(v208, types.IntType, server_mutt_pos[52])
-											}
-											m.GenStoreRaw(v209, 0, types.IntType, v210)
-											_ = v210
+											v163 := f.LocalAt(9)
+											m.GenStoreRaw(v163, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+											_ = (interp.Value{T: types.IntType, I: 1})
 										}
 										{
 											m.GenStep()
-											v211 := interp.Value{T: types.IntType, I: 0}
-											v212 := f.LocalAt(3)
-											var v213 interp.Value
-											if v211.T == types.IntType {
-												v213 = v211
-											} else {
-												v213 = m.GenConvert(v211, types.IntType, server_mutt_pos[53])
-											}
-											m.GenStoreRaw(v212, 0, types.IntType, v213)
-											_ = v213
+											v164 := f.LocalAt(7)
+											m.GenStoreRaw(v164, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+											_ = (interp.Value{T: types.IntType, I: 0})
 										}
 										{
 											m.GenStep()
-											v214 := interp.Value{T: types.IntType, I: 10}
-											v215 := f.LocalAt(2)
-											var v216 interp.Value
-											if v214.T == types.IntType {
-												v216 = v214
-											} else {
-												v216 = m.GenConvert(v214, types.IntType, server_mutt_pos[54])
-											}
-											m.GenStoreRaw(v215, 0, types.IntType, v216)
-											_ = v216
+											v165 := f.LocalAt(8)
+											m.GenStoreRaw(v165, 0, types.IntType, (interp.Value{T: types.IntType, I: 10}))
+											_ = (interp.Value{T: types.IntType, I: 10})
 										}
 									}
 								}
 							}
 							{
 								m.GenStep()
-								v217 := f.LocalAt(6)
+								v166 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v218 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v217.Data[0:])))}
-								v219 := interp.Value{T: types.IntType, I: 65535}
-								v220 := interp.Value{T: types.IntType, I: int64(int32(^v219.I))}
-								var v221 interp.Value
-								if v218.T == types.IntType && v220.T == types.IntType {
-									v221 = interp.Value{T: types.IntType, I: int64(int32(v218.I & v220.I))}
+								v167 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v166.Data[0:])))}
+								var v168 interp.Value
+								if v167.T == types.IntType {
+									v168 = interp.Value{T: types.IntType, I: int64(int32(v167.I & -65536))}
 								} else {
-									v221 = m.GenBinaryOp(token.Amp, v218, v220, types.IntType, server_mutt_pos[55])
+									v168 = m.GenBinaryOp(token.Amp, v167, (interp.Value{T: types.IntType, I: -65536}), types.IntType, server_mutt_pos[44])
 								}
-								if v221.Truthy() {
+								if v168.Truthy() {
 									{
 										m.GenStep()
-										v222 := interp.Value{T: types.IntType, I: 65534}
-										v223 := f.LocalAt(6)
-										var v224 interp.Value
-										if v222.T == types.IntType {
-											v224 = v222
-										} else {
-											v224 = m.GenConvert(v222, types.IntType, server_mutt_pos[56])
-										}
-										m.GenStoreRaw(v223, 0, types.IntType, v224)
-										_ = v224
+										v169 := f.LocalAt(4)
+										m.GenStoreRaw(v169, 0, types.IntType, (interp.Value{T: types.IntType, I: 65534}))
+										_ = (interp.Value{T: types.IntType, I: 65534})
 									}
 								}
 							}
 							{
 								m.GenStep()
-								v225 := m.GenGlobal(0)
-								v226 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v225.Base, Prov: v225}}
-								v227 := f.LocalAt(3)
+								v170 := m.GenGlobal(0)
+								v171 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v170.Base, Prov: v170}}
+								v172 := f.LocalAt(7)
 								m.GenChargeAccess()
-								v228 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v227.Data[0:])))}
-								v229 := f.LocalAt(6)
+								v173 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v172.Data[0:])))}
+								v174 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v230 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v229.Data[0:])))}
-								v231 := f.LocalAt(2)
+								v175 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v174.Data[0:])))}
+								v176 := f.LocalAt(8)
 								m.GenChargeAccess()
-								v232 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v231.Data[0:])))}
-								var v233 interp.Value
-								v233 = m.GenBinaryOp(token.Shr, v230, v232, types.IntType, server_mutt_pos[57])
-								var v234 interp.Value
-								if v228.T == types.IntType && v233.T == types.IntType {
-									v234 = interp.Value{T: types.IntType, I: int64(int32(v228.I | v233.I))}
+								v177 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v176.Data[0:])))}
+								var v178 interp.Value
+								v178 = m.GenBinaryOp(token.Shr, v175, v177, types.IntType, server_mutt_pos[45])
+								var v179 interp.Value
+								if v173.T == types.IntType && v178.T == types.IntType {
+									v179 = interp.Value{T: types.IntType, I: int64(int32(v173.I | v178.I))}
 								} else {
-									v234 = m.GenBinaryOp(token.Pipe, v228, v233, types.IntType, server_mutt_pos[58])
+									v179 = m.GenBinaryOp(token.Pipe, v173, v178, types.IntType, server_mutt_pos[46])
 								}
-								v235 := core.Pointer{Addr: v226.Ptr.Addr + uint64(v234.I)*1, Prov: v226.Ptr.Prov}
-								v236 := m.GenLoadValue(v235, types.CharType, server_mutt_pos[59], -1, 5)
-								v237 := f.LocalAt(7)
-								v238 := m.GenLoadRaw(v237, 0, server_mutt_t0, 6)
-								v239 := interp.Value{T: v238.T, Ptr: core.Pointer{Addr: v238.Ptr.Addr + 1, Prov: v238.Ptr.Prov}}
-								m.GenStoreRaw(v237, 0, server_mutt_t0, v239)
-								v240 := v238.Ptr
-								var v241 interp.Value
-								if v236.T == types.CharType {
-									v241 = v236
+								v180 := core.Pointer{Addr: v171.Ptr.Addr + uint64(v179.I)*1, Prov: v171.Ptr.Prov}
+								v181 := m.GenLoadValue(v180, types.CharType, server_mutt_pos[47], -1, 5)
+								v182 := f.LocalAt(3)
+								v183 := m.GenLoadRaw(v182, 0, server_mutt_t0, 6)
+								v184 := interp.Value{T: v183.T, Ptr: core.Pointer{Addr: v183.Ptr.Addr + 1, Prov: v183.Ptr.Prov}}
+								m.GenStoreRaw(v182, 0, server_mutt_t0, v184)
+								v185 := v183.Ptr
+								var v186 interp.Value
+								if v181.T == types.CharType {
+									v186 = v181
+								} else if v181.T != nil && v181.T.IsInteger() {
+									v186 = interp.Value{T: types.CharType, I: int64(int8(v181.I))}
 								} else {
-									v241 = m.GenConvert(v236, types.CharType, server_mutt_pos[60])
+									v186 = m.GenConvert(v181, types.CharType, server_mutt_pos[48])
 								}
-								m.GenStoreValue(v240, types.CharType, v241, server_mutt_pos[60])
-								_ = v241
+								m.GenStoreValue(v185, types.CharType, v186, server_mutt_pos[48])
+								_ = v186
 							}
 							{
 								m.GenStep()
-								v242 := f.LocalAt(2)
+								v187 := f.LocalAt(8)
 								m.GenChargeAccess()
-								v243 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v242.Data[0:])))}
-								v244 := interp.Value{T: types.IntType, I: 6}
-								var v245 interp.Value
-								if v243.T == types.IntType && v244.T == types.IntType {
-									v245 = interp.Value{T: types.IntType, I: int64(int32(v243.I - v244.I))}
+								v188 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v187.Data[0:])))}
+								var v189 interp.Value
+								if v188.T == types.IntType {
+									v189 = interp.Value{T: types.IntType, I: int64(int32(v188.I - 6))}
 								} else {
-									v245 = m.GenBinaryOp(token.Minus, v243, v244, types.IntType, server_mutt_pos[61])
+									v189 = m.GenBinaryOp(token.Minus, v188, (interp.Value{T: types.IntType, I: 6}), types.IntType, server_mutt_pos[49])
 								}
-								var v246 interp.Value
-								if v245.T == types.IntType {
-									v246 = v245
+								var v190 interp.Value
+								if v189.T == types.IntType {
+									v190 = v189
+								} else if v189.T != nil && v189.T.IsInteger() {
+									v190 = interp.Value{T: types.IntType, I: int64(int32(v189.I))}
 								} else {
-									v246 = m.GenConvert(v245, types.IntType, server_mutt_pos[61])
+									v190 = m.GenConvert(v189, types.IntType, server_mutt_pos[49])
 								}
-								m.GenStoreRaw(v242, 0, types.IntType, v246)
-								_ = v246
+								m.GenStoreRaw(v187, 0, types.IntType, v190)
+								_ = v190
 							}
 							{
 								m.GenStep()
 								for {
-									v247 := f.LocalAt(2)
+									v191 := f.LocalAt(8)
 									m.GenChargeAccess()
-									v248 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v247.Data[0:])))}
-									v249 := interp.Value{T: types.IntType, I: 0}
-									var v250 interp.Value
-									if v248.T == types.IntType && v249.T == types.IntType {
-										if v248.I >= v249.I {
-											v250 = interp.Value{T: types.IntType, I: 1}
+									v192 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v191.Data[0:])))}
+									var v193 interp.Value
+									if v192.T == types.IntType {
+										if v192.I >= 0 {
+											v193 = interp.Value{T: types.IntType, I: 1}
 										} else {
-											v250 = interp.Value{T: types.IntType, I: 0}
+											v193 = interp.Value{T: types.IntType, I: 0}
 										}
 									} else {
-										v250 = m.GenBinaryOp(token.Ge, v248, v249, types.IntType, server_mutt_pos[62])
+										v193 = m.GenBinaryOp(token.Ge, v192, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_mutt_pos[50])
 									}
-									if !v250.Truthy() {
+									if !v193.Truthy() {
 										break
 									}
 									m.GenStep()
 									{
 										m.GenStep()
-										v251 := m.GenGlobal(0)
-										v252 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v251.Base, Prov: v251}}
-										v253 := f.LocalAt(6)
+										v194 := m.GenGlobal(0)
+										v195 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v194.Base, Prov: v194}}
+										v196 := f.LocalAt(4)
 										m.GenChargeAccess()
-										v254 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v253.Data[0:])))}
-										v255 := f.LocalAt(2)
+										v197 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v196.Data[0:])))}
+										v198 := f.LocalAt(8)
 										m.GenChargeAccess()
-										v256 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v255.Data[0:])))}
-										var v257 interp.Value
-										v257 = m.GenBinaryOp(token.Shr, v254, v256, types.IntType, server_mutt_pos[63])
-										v258 := interp.Value{T: types.IntType, I: 63}
-										var v259 interp.Value
-										if v257.T == types.IntType && v258.T == types.IntType {
-											v259 = interp.Value{T: types.IntType, I: int64(int32(v257.I & v258.I))}
+										v199 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v198.Data[0:])))}
+										var v200 interp.Value
+										v200 = m.GenBinaryOp(token.Shr, v197, v199, types.IntType, server_mutt_pos[51])
+										var v201 interp.Value
+										if v200.T == types.IntType {
+											v201 = interp.Value{T: types.IntType, I: int64(int32(v200.I & 63))}
 										} else {
-											v259 = m.GenBinaryOp(token.Amp, v257, v258, types.IntType, server_mutt_pos[64])
+											v201 = m.GenBinaryOp(token.Amp, v200, (interp.Value{T: types.IntType, I: 63}), types.IntType, server_mutt_pos[52])
 										}
-										v260 := core.Pointer{Addr: v252.Ptr.Addr + uint64(v259.I)*1, Prov: v252.Ptr.Prov}
-										v261 := m.GenLoadValue(v260, types.CharType, server_mutt_pos[65], -1, 7)
-										v262 := f.LocalAt(7)
-										v263 := m.GenLoadRaw(v262, 0, server_mutt_t0, 7)
-										v264 := interp.Value{T: v263.T, Ptr: core.Pointer{Addr: v263.Ptr.Addr + 1, Prov: v263.Ptr.Prov}}
-										m.GenStoreRaw(v262, 0, server_mutt_t0, v264)
-										v265 := v263.Ptr
-										var v266 interp.Value
-										if v261.T == types.CharType {
-											v266 = v261
+										v202 := core.Pointer{Addr: v195.Ptr.Addr + uint64(v201.I)*1, Prov: v195.Ptr.Prov}
+										v203 := m.GenLoadValue(v202, types.CharType, server_mutt_pos[53], -1, 7)
+										v204 := f.LocalAt(3)
+										v205 := m.GenLoadRaw(v204, 0, server_mutt_t0, 7)
+										v206 := interp.Value{T: v205.T, Ptr: core.Pointer{Addr: v205.Ptr.Addr + 1, Prov: v205.Ptr.Prov}}
+										m.GenStoreRaw(v204, 0, server_mutt_t0, v206)
+										v207 := v205.Ptr
+										var v208 interp.Value
+										if v203.T == types.CharType {
+											v208 = v203
+										} else if v203.T != nil && v203.T.IsInteger() {
+											v208 = interp.Value{T: types.CharType, I: int64(int8(v203.I))}
 										} else {
-											v266 = m.GenConvert(v261, types.CharType, server_mutt_pos[66])
+											v208 = m.GenConvert(v203, types.CharType, server_mutt_pos[54])
 										}
-										m.GenStoreValue(v265, types.CharType, v266, server_mutt_pos[66])
-										_ = v266
+										m.GenStoreValue(v207, types.CharType, v208, server_mutt_pos[54])
+										_ = v208
 									}
-									v267 := f.LocalAt(2)
+									v209 := f.LocalAt(8)
 									m.GenChargeAccess()
-									v268 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v267.Data[0:])))}
-									v269 := interp.Value{T: types.IntType, I: 6}
-									var v270 interp.Value
-									if v268.T == types.IntType && v269.T == types.IntType {
-										v270 = interp.Value{T: types.IntType, I: int64(int32(v268.I - v269.I))}
+									v210 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v209.Data[0:])))}
+									var v211 interp.Value
+									if v210.T == types.IntType {
+										v211 = interp.Value{T: types.IntType, I: int64(int32(v210.I - 6))}
 									} else {
-										v270 = m.GenBinaryOp(token.Minus, v268, v269, types.IntType, server_mutt_pos[67])
+										v211 = m.GenBinaryOp(token.Minus, v210, (interp.Value{T: types.IntType, I: 6}), types.IntType, server_mutt_pos[55])
 									}
-									var v271 interp.Value
-									if v270.T == types.IntType {
-										v271 = v270
+									var v212 interp.Value
+									if v211.T == types.IntType {
+										v212 = v211
+									} else if v211.T != nil && v211.T.IsInteger() {
+										v212 = interp.Value{T: types.IntType, I: int64(int32(v211.I))}
 									} else {
-										v271 = m.GenConvert(v270, types.IntType, server_mutt_pos[67])
+										v212 = m.GenConvert(v211, types.IntType, server_mutt_pos[55])
 									}
-									m.GenStoreRaw(v267, 0, types.IntType, v271)
-									_ = v271
+									m.GenStoreRaw(v209, 0, types.IntType, v212)
+									_ = v212
 								}
 							}
 							{
 								m.GenStep()
-								v272 := f.LocalAt(6)
+								v213 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v273 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v272.Data[0:])))}
-								v274 := f.LocalAt(2)
+								v214 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v213.Data[0:])))}
+								v215 := f.LocalAt(8)
 								m.GenChargeAccess()
-								v275 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v274.Data[0:])))}
-								v276 := interp.Value{T: types.IntType, I: int64(int32(-v275.I))}
-								var v277 interp.Value
-								v277 = m.GenBinaryOp(token.Shl, v273, v276, types.IntType, server_mutt_pos[68])
-								v278 := interp.Value{T: types.IntType, I: 63}
-								var v279 interp.Value
-								if v277.T == types.IntType && v278.T == types.IntType {
-									v279 = interp.Value{T: types.IntType, I: int64(int32(v277.I & v278.I))}
+								v216 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v215.Data[0:])))}
+								v217 := interp.Value{T: types.IntType, I: int64(int32(-v216.I))}
+								var v218 interp.Value
+								v218 = m.GenBinaryOp(token.Shl, v214, v217, types.IntType, server_mutt_pos[56])
+								var v219 interp.Value
+								if v218.T == types.IntType {
+									v219 = interp.Value{T: types.IntType, I: int64(int32(v218.I & 63))}
 								} else {
-									v279 = m.GenBinaryOp(token.Amp, v277, v278, types.IntType, server_mutt_pos[69])
+									v219 = m.GenBinaryOp(token.Amp, v218, (interp.Value{T: types.IntType, I: 63}), types.IntType, server_mutt_pos[57])
 								}
-								v280 := f.LocalAt(3)
-								var v281 interp.Value
-								if v279.T == types.IntType {
-									v281 = v279
+								v220 := f.LocalAt(7)
+								var v221 interp.Value
+								if v219.T == types.IntType {
+									v221 = v219
+								} else if v219.T != nil && v219.T.IsInteger() {
+									v221 = interp.Value{T: types.IntType, I: int64(int32(v219.I))}
 								} else {
-									v281 = m.GenConvert(v279, types.IntType, server_mutt_pos[70])
+									v221 = m.GenConvert(v219, types.IntType, server_mutt_pos[58])
 								}
-								m.GenStoreRaw(v280, 0, types.IntType, v281)
-								_ = v281
+								m.GenStoreRaw(v220, 0, types.IntType, v221)
+								_ = v221
 							}
 							{
 								m.GenStep()
-								v282 := f.LocalAt(2)
+								v222 := f.LocalAt(8)
 								m.GenChargeAccess()
-								v283 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v282.Data[0:])))}
-								v284 := interp.Value{T: types.IntType, I: 16}
-								var v285 interp.Value
-								if v283.T == types.IntType && v284.T == types.IntType {
-									v285 = interp.Value{T: types.IntType, I: int64(int32(v283.I + v284.I))}
+								v223 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v222.Data[0:])))}
+								var v224 interp.Value
+								if v223.T == types.IntType {
+									v224 = interp.Value{T: types.IntType, I: int64(int32(v223.I + 16))}
 								} else {
-									v285 = m.GenBinaryOp(token.Plus, v283, v284, types.IntType, server_mutt_pos[71])
+									v224 = m.GenBinaryOp(token.Plus, v223, (interp.Value{T: types.IntType, I: 16}), types.IntType, server_mutt_pos[59])
 								}
-								var v286 interp.Value
-								if v285.T == types.IntType {
-									v286 = v285
+								var v225 interp.Value
+								if v224.T == types.IntType {
+									v225 = v224
+								} else if v224.T != nil && v224.T.IsInteger() {
+									v225 = interp.Value{T: types.IntType, I: int64(int32(v224.I))}
 								} else {
-									v286 = m.GenConvert(v285, types.IntType, server_mutt_pos[71])
+									v225 = m.GenConvert(v224, types.IntType, server_mutt_pos[59])
 								}
-								m.GenStoreRaw(v282, 0, types.IntType, v286)
-								_ = v286
+								m.GenStoreRaw(v222, 0, types.IntType, v225)
+								_ = v225
 							}
 						}
 					} else {
@@ -1239,139 +1245,120 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 							m.GenStep()
 							{
 								m.GenStep()
-								v287 := f.LocalAt(1)
+								v226 := f.LocalAt(9)
 								m.GenChargeAccess()
-								v288 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v287.Data[0:])))}
-								if v288.Truthy() {
+								v227 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v226.Data[0:])))}
+								if v227.Truthy() {
 									{
 										m.GenStep()
 										{
 											m.GenStep()
-											v289 := f.LocalAt(2)
+											v228 := f.LocalAt(8)
 											m.GenChargeAccess()
-											v290 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v289.Data[0:])))}
-											v291 := interp.Value{T: types.IntType, I: 10}
-											var v292 interp.Value
-											if v290.T == types.IntType && v291.T == types.IntType {
-												if v290.I > v291.I {
-													v292 = interp.Value{T: types.IntType, I: 1}
+											v229 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v228.Data[0:])))}
+											var v230 interp.Value
+											if v229.T == types.IntType {
+												if v229.I > 10 {
+													v230 = interp.Value{T: types.IntType, I: 1}
 												} else {
-													v292 = interp.Value{T: types.IntType, I: 0}
+													v230 = interp.Value{T: types.IntType, I: 0}
 												}
 											} else {
-												v292 = m.GenBinaryOp(token.Gt, v290, v291, types.IntType, server_mutt_pos[72])
+												v230 = m.GenBinaryOp(token.Gt, v229, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_mutt_pos[60])
 											}
-											if v292.Truthy() {
+											if v230.Truthy() {
 												{
 													m.GenStep()
-													v293 := m.GenGlobal(0)
-													v294 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v293.Base, Prov: v293}}
-													v295 := f.LocalAt(3)
+													v231 := m.GenGlobal(0)
+													v232 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v231.Base, Prov: v231}}
+													v233 := f.LocalAt(7)
 													m.GenChargeAccess()
-													v296 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v295.Data[0:])))}
-													v297 := core.Pointer{Addr: v294.Ptr.Addr + uint64(v296.I)*1, Prov: v294.Ptr.Prov}
-													v298 := m.GenLoadValue(v297, types.CharType, server_mutt_pos[73], -1, 9)
-													v299 := f.LocalAt(7)
-													v300 := m.GenLoadRaw(v299, 0, server_mutt_t0, 8)
-													v301 := interp.Value{T: v300.T, Ptr: core.Pointer{Addr: v300.Ptr.Addr + 1, Prov: v300.Ptr.Prov}}
-													m.GenStoreRaw(v299, 0, server_mutt_t0, v301)
-													v302 := v300.Ptr
-													var v303 interp.Value
-													if v298.T == types.CharType {
-														v303 = v298
+													v234 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v233.Data[0:])))}
+													v235 := core.Pointer{Addr: v232.Ptr.Addr + uint64(v234.I)*1, Prov: v232.Ptr.Prov}
+													v236 := m.GenLoadValue(v235, types.CharType, server_mutt_pos[61], -1, 9)
+													v237 := f.LocalAt(3)
+													v238 := m.GenLoadRaw(v237, 0, server_mutt_t0, 8)
+													v239 := interp.Value{T: v238.T, Ptr: core.Pointer{Addr: v238.Ptr.Addr + 1, Prov: v238.Ptr.Prov}}
+													m.GenStoreRaw(v237, 0, server_mutt_t0, v239)
+													v240 := v238.Ptr
+													var v241 interp.Value
+													if v236.T == types.CharType {
+														v241 = v236
+													} else if v236.T != nil && v236.T.IsInteger() {
+														v241 = interp.Value{T: types.CharType, I: int64(int8(v236.I))}
 													} else {
-														v303 = m.GenConvert(v298, types.CharType, server_mutt_pos[74])
+														v241 = m.GenConvert(v236, types.CharType, server_mutt_pos[62])
 													}
-													m.GenStoreValue(v302, types.CharType, v303, server_mutt_pos[74])
-													_ = v303
+													m.GenStoreValue(v240, types.CharType, v241, server_mutt_pos[62])
+													_ = v241
 												}
 											}
 										}
 										{
 											m.GenStep()
-											v304 := interp.Value{T: types.IntType, I: 45}
-											v305 := f.LocalAt(7)
-											v306 := m.GenLoadRaw(v305, 0, server_mutt_t0, 9)
-											v307 := interp.Value{T: v306.T, Ptr: core.Pointer{Addr: v306.Ptr.Addr + 1, Prov: v306.Ptr.Prov}}
-											m.GenStoreRaw(v305, 0, server_mutt_t0, v307)
-											v308 := v306.Ptr
-											var v309 interp.Value
-											if v304.T == types.CharType {
-												v309 = v304
-											} else {
-												v309 = m.GenConvert(v304, types.CharType, server_mutt_pos[75])
-											}
-											m.GenStoreValue(v308, types.CharType, v309, server_mutt_pos[75])
-											_ = v309
+											v242 := f.LocalAt(3)
+											v243 := m.GenLoadRaw(v242, 0, server_mutt_t0, 9)
+											v244 := interp.Value{T: v243.T, Ptr: core.Pointer{Addr: v243.Ptr.Addr + 1, Prov: v243.Ptr.Prov}}
+											m.GenStoreRaw(v242, 0, server_mutt_t0, v244)
+											v245 := v243.Ptr
+											m.GenStoreValue(v245, types.CharType, (interp.Value{T: types.CharType, I: 45}), server_mutt_pos[63])
+											_ = (interp.Value{T: types.CharType, I: 45})
 										}
 										{
 											m.GenStep()
-											v310 := interp.Value{T: types.IntType, I: 0}
-											v311 := f.LocalAt(1)
-											var v312 interp.Value
-											if v310.T == types.IntType {
-												v312 = v310
-											} else {
-												v312 = m.GenConvert(v310, types.IntType, server_mutt_pos[76])
-											}
-											m.GenStoreRaw(v311, 0, types.IntType, v312)
-											_ = v312
+											v246 := f.LocalAt(9)
+											m.GenStoreRaw(v246, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+											_ = (interp.Value{T: types.IntType, I: 0})
 										}
 									}
 								}
 							}
 							{
 								m.GenStep()
-								v313 := f.LocalAt(6)
+								v247 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v314 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v313.Data[0:])))}
-								v315 := f.LocalAt(7)
-								v316 := m.GenLoadRaw(v315, 0, server_mutt_t0, 10)
-								v317 := interp.Value{T: v316.T, Ptr: core.Pointer{Addr: v316.Ptr.Addr + 1, Prov: v316.Ptr.Prov}}
-								m.GenStoreRaw(v315, 0, server_mutt_t0, v317)
-								v318 := v316.Ptr
-								var v319 interp.Value
-								if v314.T == types.CharType {
-									v319 = v314
+								v248 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v247.Data[0:])))}
+								v249 := f.LocalAt(3)
+								v250 := m.GenLoadRaw(v249, 0, server_mutt_t0, 10)
+								v251 := interp.Value{T: v250.T, Ptr: core.Pointer{Addr: v250.Ptr.Addr + 1, Prov: v250.Ptr.Prov}}
+								m.GenStoreRaw(v249, 0, server_mutt_t0, v251)
+								v252 := v250.Ptr
+								var v253 interp.Value
+								if v248.T == types.CharType {
+									v253 = v248
+								} else if v248.T != nil && v248.T.IsInteger() {
+									v253 = interp.Value{T: types.CharType, I: int64(int8(v248.I))}
 								} else {
-									v319 = m.GenConvert(v314, types.CharType, server_mutt_pos[77])
+									v253 = m.GenConvert(v248, types.CharType, server_mutt_pos[64])
 								}
-								m.GenStoreValue(v318, types.CharType, v319, server_mutt_pos[77])
-								_ = v319
+								m.GenStoreValue(v252, types.CharType, v253, server_mutt_pos[64])
+								_ = v253
 							}
 							{
 								m.GenStep()
-								v320 := f.LocalAt(6)
+								v254 := f.LocalAt(4)
 								m.GenChargeAccess()
-								v321 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v320.Data[0:])))}
-								v322 := interp.Value{T: types.IntType, I: 38}
-								var v323 interp.Value
-								if v321.T == types.IntType && v322.T == types.IntType {
-									if v321.I == v322.I {
-										v323 = interp.Value{T: types.IntType, I: 1}
+								v255 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v254.Data[0:])))}
+								var v256 interp.Value
+								if v255.T == types.IntType {
+									if v255.I == 38 {
+										v256 = interp.Value{T: types.IntType, I: 1}
 									} else {
-										v323 = interp.Value{T: types.IntType, I: 0}
+										v256 = interp.Value{T: types.IntType, I: 0}
 									}
 								} else {
-									v323 = m.GenBinaryOp(token.EqEq, v321, v322, types.IntType, server_mutt_pos[78])
+									v256 = m.GenBinaryOp(token.EqEq, v255, (interp.Value{T: types.IntType, I: 38}), types.IntType, server_mutt_pos[65])
 								}
-								if v323.Truthy() {
+								if v256.Truthy() {
 									{
 										m.GenStep()
-										v324 := interp.Value{T: types.IntType, I: 45}
-										v325 := f.LocalAt(7)
-										v326 := m.GenLoadRaw(v325, 0, server_mutt_t0, 11)
-										v327 := interp.Value{T: v326.T, Ptr: core.Pointer{Addr: v326.Ptr.Addr + 1, Prov: v326.Ptr.Prov}}
-										m.GenStoreRaw(v325, 0, server_mutt_t0, v327)
-										v328 := v326.Ptr
-										var v329 interp.Value
-										if v324.T == types.CharType {
-											v329 = v324
-										} else {
-											v329 = m.GenConvert(v324, types.CharType, server_mutt_pos[79])
-										}
-										m.GenStoreValue(v328, types.CharType, v329, server_mutt_pos[79])
-										_ = v329
+										v257 := f.LocalAt(3)
+										v258 := m.GenLoadRaw(v257, 0, server_mutt_t0, 11)
+										v259 := interp.Value{T: v258.T, Ptr: core.Pointer{Addr: v258.Ptr.Addr + 1, Prov: v258.Ptr.Prov}}
+										m.GenStoreRaw(v257, 0, server_mutt_t0, v259)
+										v260 := v258.Ptr
+										m.GenStoreValue(v260, types.CharType, (interp.Value{T: types.CharType, I: 45}), server_mutt_pos[66])
+										_ = (interp.Value{T: types.CharType, I: 45})
 									}
 								}
 							}
@@ -1383,126 +1370,115 @@ func server_mutt_b_utf8_to_utf7(m *interp.Machine, f *mem.Frame) (ret interp.Val
 	}
 	{
 		m.GenStep()
-		v330 := f.LocalAt(1)
+		v261 := f.LocalAt(9)
 		m.GenChargeAccess()
-		v331 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v330.Data[0:])))}
-		if v331.Truthy() {
+		v262 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v261.Data[0:])))}
+		if v262.Truthy() {
 			{
 				m.GenStep()
 				{
 					m.GenStep()
-					v332 := f.LocalAt(2)
+					v263 := f.LocalAt(8)
 					m.GenChargeAccess()
-					v333 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v332.Data[0:])))}
-					v334 := interp.Value{T: types.IntType, I: 10}
-					var v335 interp.Value
-					if v333.T == types.IntType && v334.T == types.IntType {
-						if v333.I > v334.I {
-							v335 = interp.Value{T: types.IntType, I: 1}
+					v264 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v263.Data[0:])))}
+					var v265 interp.Value
+					if v264.T == types.IntType {
+						if v264.I > 10 {
+							v265 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v335 = interp.Value{T: types.IntType, I: 0}
+							v265 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v335 = m.GenBinaryOp(token.Gt, v333, v334, types.IntType, server_mutt_pos[80])
+						v265 = m.GenBinaryOp(token.Gt, v264, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_mutt_pos[67])
 					}
-					if v335.Truthy() {
+					if v265.Truthy() {
 						{
 							m.GenStep()
-							v336 := m.GenGlobal(0)
-							v337 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v336.Base, Prov: v336}}
-							v338 := f.LocalAt(3)
+							v266 := m.GenGlobal(0)
+							v267 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v266.Base, Prov: v266}}
+							v268 := f.LocalAt(7)
 							m.GenChargeAccess()
-							v339 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v338.Data[0:])))}
-							v340 := core.Pointer{Addr: v337.Ptr.Addr + uint64(v339.I)*1, Prov: v337.Ptr.Prov}
-							v341 := m.GenLoadValue(v340, types.CharType, server_mutt_pos[81], -1, 14)
-							v342 := f.LocalAt(7)
-							v343 := m.GenLoadRaw(v342, 0, server_mutt_t0, 12)
-							v344 := interp.Value{T: v343.T, Ptr: core.Pointer{Addr: v343.Ptr.Addr + 1, Prov: v343.Ptr.Prov}}
-							m.GenStoreRaw(v342, 0, server_mutt_t0, v344)
-							v345 := v343.Ptr
-							var v346 interp.Value
-							if v341.T == types.CharType {
-								v346 = v341
+							v269 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v268.Data[0:])))}
+							v270 := core.Pointer{Addr: v267.Ptr.Addr + uint64(v269.I)*1, Prov: v267.Ptr.Prov}
+							v271 := m.GenLoadValue(v270, types.CharType, server_mutt_pos[68], -1, 14)
+							v272 := f.LocalAt(3)
+							v273 := m.GenLoadRaw(v272, 0, server_mutt_t0, 12)
+							v274 := interp.Value{T: v273.T, Ptr: core.Pointer{Addr: v273.Ptr.Addr + 1, Prov: v273.Ptr.Prov}}
+							m.GenStoreRaw(v272, 0, server_mutt_t0, v274)
+							v275 := v273.Ptr
+							var v276 interp.Value
+							if v271.T == types.CharType {
+								v276 = v271
+							} else if v271.T != nil && v271.T.IsInteger() {
+								v276 = interp.Value{T: types.CharType, I: int64(int8(v271.I))}
 							} else {
-								v346 = m.GenConvert(v341, types.CharType, server_mutt_pos[82])
+								v276 = m.GenConvert(v271, types.CharType, server_mutt_pos[69])
 							}
-							m.GenStoreValue(v345, types.CharType, v346, server_mutt_pos[82])
-							_ = v346
+							m.GenStoreValue(v275, types.CharType, v276, server_mutt_pos[69])
+							_ = v276
 						}
 					}
 				}
 				{
 					m.GenStep()
-					v347 := interp.Value{T: types.IntType, I: 45}
-					v348 := f.LocalAt(7)
-					v349 := m.GenLoadRaw(v348, 0, server_mutt_t0, 13)
-					v350 := interp.Value{T: v349.T, Ptr: core.Pointer{Addr: v349.Ptr.Addr + 1, Prov: v349.Ptr.Prov}}
-					m.GenStoreRaw(v348, 0, server_mutt_t0, v350)
-					v351 := v349.Ptr
-					var v352 interp.Value
-					if v347.T == types.CharType {
-						v352 = v347
-					} else {
-						v352 = m.GenConvert(v347, types.CharType, server_mutt_pos[83])
-					}
-					m.GenStoreValue(v351, types.CharType, v352, server_mutt_pos[83])
-					_ = v352
+					v277 := f.LocalAt(3)
+					v278 := m.GenLoadRaw(v277, 0, server_mutt_t0, 13)
+					v279 := interp.Value{T: v278.T, Ptr: core.Pointer{Addr: v278.Ptr.Addr + 1, Prov: v278.Ptr.Prov}}
+					m.GenStoreRaw(v277, 0, server_mutt_t0, v279)
+					v280 := v278.Ptr
+					m.GenStoreValue(v280, types.CharType, (interp.Value{T: types.CharType, I: 45}), server_mutt_pos[70])
+					_ = (interp.Value{T: types.CharType, I: 45})
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v353 := interp.Value{T: types.IntType, I: 0}
-		v354 := f.LocalAt(7)
-		v355 := m.GenLoadRaw(v354, 0, server_mutt_t0, 14)
-		v356 := interp.Value{T: v355.T, Ptr: core.Pointer{Addr: v355.Ptr.Addr + 1, Prov: v355.Ptr.Prov}}
-		m.GenStoreRaw(v354, 0, server_mutt_t0, v356)
-		v357 := v355.Ptr
-		var v358 interp.Value
-		if v353.T == types.CharType {
-			v358 = v353
-		} else {
-			v358 = m.GenConvert(v353, types.CharType, server_mutt_pos[84])
-		}
-		m.GenStoreValue(v357, types.CharType, v358, server_mutt_pos[84])
-		_ = v358
+		v281 := f.LocalAt(3)
+		v282 := m.GenLoadRaw(v281, 0, server_mutt_t0, 14)
+		v283 := interp.Value{T: v282.T, Ptr: core.Pointer{Addr: v282.Ptr.Addr + 1, Prov: v282.Ptr.Prov}}
+		m.GenStoreRaw(v281, 0, server_mutt_t0, v283)
+		v284 := v282.Ptr
+		m.GenStoreValue(v284, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_mutt_pos[71])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v359 := m.GenArgs(2)
-		v360 := f.LocalAt(8)
-		v361 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v360.Base, Prov: v360}}
-		var v362 interp.Value
-		if v361.T == server_mutt_t3 {
-			v362 = v361
+		v285 := m.GenArgs(2)
+		v286 := f.LocalAt(2)
+		v287 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v286.Base, Prov: v286}}
+		var v288 interp.Value
+		if v287.T == server_mutt_t3 {
+			v288 = v287
+		} else if v287.T != nil && v287.T.IsPointer() {
+			v288 = interp.Value{T: server_mutt_t3, Ptr: v287.Ptr}
 		} else {
-			v362 = m.GenConvert(v361, server_mutt_t3, server_mutt_pos[85])
+			v288 = m.GenConvert(v287, server_mutt_t3, server_mutt_pos[72])
 		}
-		v359[0] = v362
-		v363 := f.LocalAt(7)
-		v364 := m.GenLoadRaw(v363, 0, server_mutt_t0, 15)
-		v365 := f.LocalAt(8)
-		v366 := m.GenLoadRaw(v365, 0, server_mutt_t0, 16)
-		var v367 interp.Value
-		if v364.T != nil && v364.T.IsPointer() && v366.T != nil && v366.T.IsPointer() {
-			v367 = interp.Value{T: types.LongType, I: (int64(v364.Ptr.Addr) - int64(v366.Ptr.Addr)) / 1}
+		v285[0] = v288
+		v289 := f.LocalAt(3)
+		v290 := m.GenLoadRaw(v289, 0, server_mutt_t0, 15)
+		v291 := f.LocalAt(2)
+		v292 := m.GenLoadRaw(v291, 0, server_mutt_t0, 16)
+		var v293 interp.Value
+		if v290.T != nil && v290.T.IsPointer() && v292.T != nil && v292.T.IsPointer() {
+			v293 = interp.Value{T: types.LongType, I: (int64(v290.Ptr.Addr) - int64(v292.Ptr.Addr)) / 1}
 		} else {
-			v367 = m.GenBinaryOp(token.Minus, v364, v366, types.LongType, server_mutt_pos[86])
+			v293 = m.GenBinaryOp(token.Minus, v290, v292, types.LongType, server_mutt_pos[73])
 		}
-		v359[1] = v367
-		v368 := m.GenBuiltin(1, "safe_realloc", server_mutt_pos[87])(m, server_mutt_pos[87], v359)
-		m.GenPutArgs(v359)
-		_ = v368
-		v369 := interp.Value{T: types.VoidType}
-		_ = v369
+		v285[1] = v293
+		v294 := m.GenBuiltin(1, "safe_realloc", server_mutt_pos[74])(m, server_mutt_pos[74], v285)
+		m.GenPutArgs(v285)
+		_ = v294
+		v295 := interp.Value{T: types.VoidType}
+		_ = v295
 	}
 	{
 		m.GenStep()
-		v370 := f.LocalAt(8)
-		v371 := m.GenLoadRaw(v370, 0, server_mutt_t0, 17)
-		ret = v371
+		v296 := f.LocalAt(2)
+		v297 := m.GenLoadRaw(v296, 0, server_mutt_t0, 17)
+		ret = v297
 		if interp.GenLive {
 			return
 		}
@@ -1514,27 +1490,28 @@ l0_bail:
 		{
 			m.GenStep()
 			m.GenStep()
-			v372 := m.GenArgs(1)
-			v373 := f.LocalAt(8)
-			v374 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v373.Base, Prov: v373}}
-			var v375 interp.Value
-			if v374.T == server_mutt_t3 {
-				v375 = v374
+			v298 := m.GenArgs(1)
+			v299 := f.LocalAt(2)
+			v300 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v299.Base, Prov: v299}}
+			var v301 interp.Value
+			if v300.T == server_mutt_t3 {
+				v301 = v300
+			} else if v300.T != nil && v300.T.IsPointer() {
+				v301 = interp.Value{T: server_mutt_t3, Ptr: v300.Ptr}
 			} else {
-				v375 = m.GenConvert(v374, server_mutt_t3, server_mutt_pos[88])
+				v301 = m.GenConvert(v300, server_mutt_t3, server_mutt_pos[75])
 			}
-			v372[0] = v375
-			v376 := m.GenBuiltin(2, "safe_free", server_mutt_pos[89])(m, server_mutt_pos[89], v372)
-			m.GenPutArgs(v372)
-			_ = v376
-			v377 := interp.Value{T: types.VoidType}
-			_ = v377
+			v298[0] = v301
+			v302 := m.GenBuiltin(2, "safe_free", server_mutt_pos[76])(m, server_mutt_pos[76], v298)
+			m.GenPutArgs(v298)
+			_ = v302
+			v303 := interp.Value{T: types.VoidType}
+			_ = v303
 		}
 	}
 	{
 		m.GenStep()
-		v378 := interp.Value{T: types.IntType, I: 0}
-		ret = v378
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}
@@ -1548,14 +1525,29 @@ func server_mutt_f_mutt_select_folder(m *interp.Machine, args []interp.Value, po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_select_folder", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:mutt_select_folder", 20, server_mutt_locals_mutt_select_folder)
-	v0 := m.GenConvert(args[0], server_mutt_t0, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, server_mutt_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_mutt_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_mutt_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_mutt_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_mutt_t0, v0)
 	ret := m.GenExec(f, server_mutt_b_mutt_select_folder)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_mutt_b_mutt_select_folder(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
@@ -1567,38 +1559,42 @@ func server_mutt_b_mutt_select_folder(m *interp.Machine, f *mem.Frame) (ret inte
 	}
 	{
 		m.GenStep()
-		v2 := f.LocalAt(0)
+		v2 := f.LocalAt(2)
 		_ = v2
 	}
 	{
 		m.GenStep()
 		m.GenStep()
 		v3 := m.GenArgs(2)
-		v4 := f.LocalAt(2)
+		v4 := f.LocalAt(0)
 		v5 := m.GenLoadRaw(v4, 0, server_mutt_t0, 18)
 		v3[0] = v5
 		m.GenStep()
 		v6 := m.GenArgs(1)
-		v7 := f.LocalAt(2)
+		v7 := f.LocalAt(0)
 		v8 := m.GenLoadRaw(v7, 0, server_mutt_t0, 19)
 		v6[0] = v8
-		v9 := m.GenBuiltin(3, "strlen", server_mutt_pos[90])(m, server_mutt_pos[90], v6)
+		v9 := m.GenBuiltin(3, "strlen", server_mutt_pos[77])(m, server_mutt_pos[77], v6)
 		m.GenPutArgs(v6)
 		var v10 interp.Value
 		if v9.T == types.ULongType {
 			v10 = v9
+		} else if v9.T != nil && v9.T.IsInteger() {
+			v10 = interp.Value{T: types.ULongType, I: v9.I}
 		} else {
-			v10 = m.GenConvert(v9, types.ULongType, server_mutt_pos[90])
+			v10 = m.GenConvert(v9, types.ULongType, server_mutt_pos[77])
 		}
 		v3[1] = v10
-		v11 := server_mutt_f_utf8_to_utf7(m, v3, server_mutt_pos[91])
+		v11 := server_mutt_f_utf8_to_utf7(m, v3, server_mutt_pos[78])
 		m.GenPutArgs(v3)
 		v12 := f.LocalAt(1)
 		var v13 interp.Value
 		if v11.T == server_mutt_t0 {
 			v13 = v11
+		} else if v11.T != nil && v11.T.IsPointer() {
+			v13 = interp.Value{T: server_mutt_t0, Ptr: v11.Ptr}
 		} else {
-			v13 = m.GenConvert(v11, server_mutt_t0, server_mutt_pos[92])
+			v13 = m.GenConvert(v11, server_mutt_t0, server_mutt_pos[79])
 		}
 		m.GenStoreRaw(v12, 0, server_mutt_t0, v13)
 		_ = v13
@@ -1616,9 +1612,7 @@ func server_mutt_b_mutt_select_folder(m *interp.Machine, f *mem.Frame) (ret inte
 		if v16.Truthy() {
 			{
 				m.GenStep()
-				v17 := interp.Value{T: types.IntType, I: 2}
-				v18 := interp.Value{T: types.IntType, I: int64(int32(-v17.I))}
-				ret = v18
+				ret = (interp.Value{T: types.IntType, I: -2})
 				if interp.GenLive {
 					return
 				}
@@ -1628,99 +1622,102 @@ func server_mutt_b_mutt_select_folder(m *interp.Machine, f *mem.Frame) (ret inte
 	{
 		m.GenStep()
 		m.GenStep()
-		v19 := m.GenArgs(4)
-		v20 := m.GenGlobal(1)
+		v17 := m.GenArgs(4)
+		v18 := m.GenGlobal(1)
+		v19 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v18.Base, Prov: v18}}
+		v17[0] = v19
+		v17[1] = (interp.Value{T: types.ULongType, I: 1024})
+		v20 := m.GenLiteral(0)
 		v21 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v20.Base, Prov: v20}}
-		v19[0] = v21
-		v22 := interp.Value{T: types.ULongType, I: 1024}
-		v19[1] = v22
-		v23 := m.GenLiteral(0)
-		v24 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v23.Base, Prov: v23}}
-		v19[2] = v24
-		v25 := f.LocalAt(1)
-		v26 := m.GenLoadRaw(v25, 0, server_mutt_t0, 21)
-		v19[3] = v26
-		v27 := m.GenBuiltin(4, "snprintf", server_mutt_pos[93])(m, server_mutt_pos[93], v19)
-		m.GenPutArgs(v19)
-		var v28 interp.Value
-		if v27.T == types.IntType {
-			v28 = v27
+		v17[2] = v21
+		v22 := f.LocalAt(1)
+		v23 := m.GenLoadRaw(v22, 0, server_mutt_t0, 21)
+		v17[3] = v23
+		v24 := m.GenBuiltin(4, "snprintf", server_mutt_pos[80])(m, server_mutt_pos[80], v17)
+		m.GenPutArgs(v17)
+		var v25 interp.Value
+		if v24.T == types.IntType {
+			v25 = v24
+		} else if v24.T != nil && v24.T.IsInteger() {
+			v25 = interp.Value{T: types.IntType, I: int64(int32(v24.I))}
 		} else {
-			v28 = m.GenConvert(v27, types.IntType, server_mutt_pos[93])
+			v25 = m.GenConvert(v24, types.IntType, server_mutt_pos[80])
 		}
-		_ = v28
+		_ = v25
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v29 := m.GenArgs(1)
-		v30 := f.LocalAt(1)
-		v31 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v30.Base, Prov: v30}}
-		var v32 interp.Value
-		if v31.T == server_mutt_t3 {
-			v32 = v31
+		v26 := m.GenArgs(1)
+		v27 := f.LocalAt(1)
+		v28 := interp.Value{T: server_mutt_t2, Ptr: core.Pointer{Addr: v27.Base, Prov: v27}}
+		var v29 interp.Value
+		if v28.T == server_mutt_t3 {
+			v29 = v28
+		} else if v28.T != nil && v28.T.IsPointer() {
+			v29 = interp.Value{T: server_mutt_t3, Ptr: v28.Ptr}
 		} else {
-			v32 = m.GenConvert(v31, server_mutt_t3, server_mutt_pos[94])
+			v29 = m.GenConvert(v28, server_mutt_t3, server_mutt_pos[81])
 		}
-		v29[0] = v32
-		v33 := m.GenBuiltin(2, "safe_free", server_mutt_pos[95])(m, server_mutt_pos[95], v29)
-		m.GenPutArgs(v29)
-		_ = v33
-		v34 := interp.Value{T: types.VoidType}
-		_ = v34
+		v26[0] = v29
+		v30 := m.GenBuiltin(2, "safe_free", server_mutt_pos[82])(m, server_mutt_pos[82], v26)
+		m.GenPutArgs(v26)
+		_ = v30
+		v31 := interp.Value{T: types.VoidType}
+		_ = v31
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v35 := m.GenArgs(3)
-		v36 := m.GenGlobal(1)
-		v37 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v36.Base, Prov: v36}}
-		v35[0] = v37
-		v38 := m.GenGlobal(2)
-		v39 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v38.Base, Prov: v38}}
-		v35[1] = v39
-		v40 := interp.Value{T: types.ULongType, I: 128}
-		v35[2] = v40
-		v41 := m.GenBuiltin(5, "imap_exec", server_mutt_pos[96])(m, server_mutt_pos[96], v35)
-		m.GenPutArgs(v35)
-		var v42 interp.Value
-		if v41.T == types.IntType {
-			v42 = v41
+		v32 := m.GenArgs(3)
+		v33 := m.GenGlobal(1)
+		v34 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v33.Base, Prov: v33}}
+		v32[0] = v34
+		v35 := m.GenGlobal(2)
+		v36 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v35.Base, Prov: v35}}
+		v32[1] = v36
+		v32[2] = (interp.Value{T: types.ULongType, I: 128})
+		v37 := m.GenBuiltin(5, "imap_exec", server_mutt_pos[83])(m, server_mutt_pos[83], v32)
+		m.GenPutArgs(v32)
+		var v38 interp.Value
+		if v37.T == types.IntType {
+			v38 = v37
+		} else if v37.T != nil && v37.T.IsInteger() {
+			v38 = interp.Value{T: types.IntType, I: int64(int32(v37.I))}
 		} else {
-			v42 = m.GenConvert(v41, types.IntType, server_mutt_pos[96])
+			v38 = m.GenConvert(v37, types.IntType, server_mutt_pos[83])
 		}
-		v43 := f.LocalAt(0)
-		var v44 interp.Value
-		if v42.T == types.IntType {
-			v44 = v42
+		v39 := f.LocalAt(2)
+		var v40 interp.Value
+		if v38.T == types.IntType {
+			v40 = v38
+		} else if v38.T != nil && v38.T.IsInteger() {
+			v40 = interp.Value{T: types.IntType, I: int64(int32(v38.I))}
 		} else {
-			v44 = m.GenConvert(v42, types.IntType, server_mutt_pos[97])
+			v40 = m.GenConvert(v38, types.IntType, server_mutt_pos[84])
 		}
-		m.GenStoreRaw(v43, 0, types.IntType, v44)
-		_ = v44
+		m.GenStoreRaw(v39, 0, types.IntType, v40)
+		_ = v40
 	}
 	{
 		m.GenStep()
-		v45 := f.LocalAt(0)
+		v41 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v46 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v45.Data[0:])))}
-		v47 := interp.Value{T: types.IntType, I: 0}
-		var v48 interp.Value
-		if v46.T == types.IntType && v47.T == types.IntType {
-			if v46.I != v47.I {
-				v48 = interp.Value{T: types.IntType, I: 1}
+		v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
+		var v43 interp.Value
+		if v42.T == types.IntType {
+			if v42.I != 0 {
+				v43 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v48 = interp.Value{T: types.IntType, I: 0}
+				v43 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v48 = m.GenBinaryOp(token.NotEq, v46, v47, types.IntType, server_mutt_pos[98])
+			v43 = m.GenBinaryOp(token.NotEq, v42, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_mutt_pos[85])
 		}
-		if v48.Truthy() {
+		if v43.Truthy() {
 			{
 				m.GenStep()
-				v49 := interp.Value{T: types.IntType, I: 1}
-				v50 := interp.Value{T: types.IntType, I: int64(int32(-v49.I))}
-				ret = v50
+				ret = (interp.Value{T: types.IntType, I: -1})
 				if interp.GenLive {
 					return
 				}
@@ -1729,8 +1726,7 @@ func server_mutt_b_mutt_select_folder(m *interp.Machine, f *mem.Frame) (ret inte
 	}
 	{
 		m.GenStep()
-		v51 := interp.Value{T: types.IntType, I: 0}
-		ret = v51
+		ret = (interp.Value{T: types.IntType, I: 0})
 		if interp.GenLive {
 			return
 		}
@@ -1761,82 +1757,71 @@ func server_mutt_b_mutt_init_xlat(m *interp.Machine, f *mem.Frame) (ret interp.V
 		m.GenStep()
 		{
 			m.GenStep()
-			v1 := interp.Value{T: types.IntType, I: 0}
-			v2 := f.LocalAt(0)
-			var v3 interp.Value
-			if v1.T == types.IntType {
-				v3 = v1
-			} else {
-				v3 = m.GenConvert(v1, types.IntType, server_mutt_pos[99])
-			}
-			m.GenStoreRaw(v2, 0, types.IntType, v3)
-			_ = v3
+			v1 := f.LocalAt(0)
+			m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v4 := f.LocalAt(0)
+			v2 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-			v6 := interp.Value{T: types.IntType, I: 256}
-			var v7 interp.Value
-			if v5.T == types.IntType && v6.T == types.IntType {
-				if v5.I < v6.I {
-					v7 = interp.Value{T: types.IntType, I: 1}
+			v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
+			var v4 interp.Value
+			if v3.T == types.IntType {
+				if v3.I < 256 {
+					v4 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v7 = interp.Value{T: types.IntType, I: 0}
+					v4 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v7 = m.GenBinaryOp(token.Lt, v5, v6, types.IntType, server_mutt_pos[100])
+				v4 = m.GenBinaryOp(token.Lt, v3, (interp.Value{T: types.IntType, I: 256}), types.IntType, server_mutt_pos[86])
 			}
-			if !v7.Truthy() {
+			if !v4.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v8 := f.LocalAt(0)
+				v5 := f.LocalAt(0)
 				m.GenChargeAccess()
-				v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-				var v10 interp.Value
-				if v9.T == types.UCharType {
-					v10 = v9
+				v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+				var v7 interp.Value
+				if v6.T == types.UCharType {
+					v7 = v6
+				} else if v6.T != nil && v6.T.IsInteger() {
+					v7 = interp.Value{T: types.UCharType, I: int64(uint8(v6.I))}
 				} else {
-					v10 = m.GenConvert(v9, types.UCharType, server_mutt_pos[101])
+					v7 = m.GenConvert(v6, types.UCharType, server_mutt_pos[87])
 				}
-				v11 := m.GenGlobal(6)
-				v12 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-				v13 := f.LocalAt(0)
+				v8 := m.GenGlobal(6)
+				v9 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v8.Base, Prov: v8}}
+				v10 := f.LocalAt(0)
 				m.GenChargeAccess()
-				v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-				v15 := core.Pointer{Addr: v12.Ptr.Addr + uint64(v14.I)*1, Prov: v12.Ptr.Prov}
-				var v16 interp.Value
-				if v10.T == types.UCharType {
-					v16 = v10
+				v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+				v12 := core.Pointer{Addr: v9.Ptr.Addr + uint64(v11.I)*1, Prov: v9.Ptr.Prov}
+				var v13 interp.Value
+				if v7.T == types.UCharType {
+					v13 = v7
+				} else if v7.T != nil && v7.T.IsInteger() {
+					v13 = interp.Value{T: types.UCharType, I: int64(uint8(v7.I))}
 				} else {
-					v16 = m.GenConvert(v10, types.UCharType, server_mutt_pos[102])
+					v13 = m.GenConvert(v7, types.UCharType, server_mutt_pos[88])
 				}
-				m.GenStoreValue(v15, types.UCharType, v16, server_mutt_pos[102])
-				_ = v16
+				m.GenStoreValue(v12, types.UCharType, v13, server_mutt_pos[88])
+				_ = v13
 			}
-			v17 := f.LocalAt(0)
+			v14 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-			v19 := interp.Value{T: v18.T, I: int64(int32(v18.I + 1))}
-			m.GenStoreRaw(v17, 0, types.IntType, v19)
-			_ = v18
+			v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+			v16 := interp.Value{T: v15.T, I: int64(int32(v15.I + 1))}
+			m.GenStoreRaw(v14, 0, types.IntType, v16)
+			_ = v15
 		}
 	}
 	{
 		m.GenStep()
-		v20 := interp.Value{T: types.IntType, I: 1}
-		v21 := m.GenGlobal(7)
-		var v22 interp.Value
-		if v20.T == types.IntType {
-			v22 = v20
-		} else {
-			v22 = m.GenConvert(v20, types.IntType, server_mutt_pos[103])
-		}
-		m.GenStoreRaw(v21, 0, types.IntType, v22)
-		_ = v22
+		v17 := m.GenGlobal(7)
+		m.GenStoreRaw(v17, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+		_ = (interp.Value{T: types.IntType, I: 1})
 	}
 	return
 }
@@ -1847,117 +1832,111 @@ func server_mutt_f_mutt_read_message(m *interp.Machine, args []interp.Value, pos
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_read_message", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:mutt_read_message", 20, server_mutt_locals_mutt_read_message)
-	v0 := m.GenConvert(args[0], server_mutt_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, server_mutt_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_mutt_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_mutt_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_mutt_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_mutt_t0, v0)
 	ret := m.GenExec(f, server_mutt_b_mutt_read_message)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_mutt_b_mutt_read_message(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(2)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, server_mutt_pos[104])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
-		v4 := f.LocalAt(1)
-		v5 := interp.Value{T: types.IntType, I: 0}
-		var v6 interp.Value
-		if v5.T == types.IntType {
-			v6 = v5
-		} else {
-			v6 = m.GenConvert(v5, types.IntType, server_mutt_pos[104])
-		}
-		m.GenStoreRaw(v4, 0, types.IntType, v6)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v2 := f.LocalAt(2)
+		m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v7 := f.LocalAt(0)
-		_ = v7
+		v3 := f.LocalAt(3)
+		_ = v3
 	}
 	{
 		m.GenStep()
-		v8 := m.GenGlobal(7)
+		v4 := m.GenGlobal(7)
 		m.GenChargeAccess()
-		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-		var v10 interp.Value
-		if v9.Truthy() {
-			v10 = interp.Value{T: types.IntType, I: 0}
+		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+		var v6 interp.Value
+		if v5.Truthy() {
+			v6 = interp.Value{T: types.IntType, I: 0}
 		} else {
-			v10 = interp.Value{T: types.IntType, I: 1}
+			v6 = interp.Value{T: types.IntType, I: 1}
 		}
-		if v10.Truthy() {
+		if v6.Truthy() {
 			{
 				m.GenStep()
 				m.GenStep()
-				v11 := m.GenArgs(0)
-				v12 := server_mutt_f_mutt_init_xlat(m, v11, server_mutt_pos[105])
-				m.GenPutArgs(v11)
-				_ = v12
+				v7 := m.GenArgs(0)
+				v8 := server_mutt_f_mutt_init_xlat(m, v7, server_mutt_pos[89])
+				m.GenPutArgs(v7)
+				_ = v8
 			}
 		}
 	}
 	{
 		m.GenStep()
 		for {
-			var v13 interp.Value
-			v14 := f.LocalAt(3)
-			v15 := m.GenLoadRaw(v14, 0, server_mutt_t0, 22)
-			v16 := f.LocalAt(2)
+			var v9 interp.Value
+			v10 := f.LocalAt(0)
+			v11 := m.GenLoadRaw(v10, 0, server_mutt_t0, 22)
+			v12 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-			v18 := core.Pointer{Addr: v15.Ptr.Addr + uint64(v17.I)*1, Prov: v15.Ptr.Prov}
-			v19 := m.GenLoadValue(v18, types.CharType, server_mutt_pos[106], -1, 18)
-			v20 := interp.Value{T: types.IntType, I: 0}
-			var v21 interp.Value
-			v21 = m.GenBinaryOp(token.NotEq, v19, v20, types.IntType, server_mutt_pos[107])
-			if !v21.Truthy() {
-				v13 = interp.Value{T: types.IntType, I: 0}
+			v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+			v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*1, Prov: v11.Ptr.Prov}
+			v15 := m.GenLoadValue(v14, types.CharType, server_mutt_pos[90], -1, 18)
+			var v16 interp.Value
+			if v15.T == types.CharType {
+				if int64(int32(v15.I)) != 0 {
+					v16 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v16 = interp.Value{T: types.IntType, I: 0}
+				}
 			} else {
-				v22 := f.LocalAt(1)
+				v16 = m.GenBinaryOp(token.NotEq, v15, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_mutt_pos[91])
+			}
+			if !v16.Truthy() {
+				v9 = interp.Value{T: types.IntType, I: 0}
+			} else {
+				v17 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-				v24 := interp.Value{T: types.ULongType, I: 8192}
-				var v25 interp.Value
-				if v24.T == types.IntType {
-					v25 = v24
-				} else {
-					v25 = m.GenConvert(v24, types.IntType, server_mutt_pos[108])
-				}
-				v26 := interp.Value{T: types.IntType, I: 2}
-				var v27 interp.Value
-				if v25.T == types.IntType && v26.T == types.IntType {
-					v27 = interp.Value{T: types.IntType, I: int64(int32(v25.I - v26.I))}
-				} else {
-					v27 = m.GenBinaryOp(token.Minus, v25, v26, types.IntType, server_mutt_pos[109])
-				}
-				var v28 interp.Value
-				if v23.T == types.IntType && v27.T == types.IntType {
-					if v23.I < v27.I {
-						v28 = interp.Value{T: types.IntType, I: 1}
+				v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
+				var v19 interp.Value
+				if v18.T == types.IntType {
+					if v18.I < 8190 {
+						v19 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v28 = interp.Value{T: types.IntType, I: 0}
+						v19 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v28 = m.GenBinaryOp(token.Lt, v23, v27, types.IntType, server_mutt_pos[110])
+					v19 = m.GenBinaryOp(token.Lt, v18, (interp.Value{T: types.IntType, I: 8190}), types.IntType, server_mutt_pos[92])
 				}
-				if v28.Truthy() {
-					v13 = interp.Value{T: types.IntType, I: 1}
+				if v19.Truthy() {
+					v9 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v13 = interp.Value{T: types.IntType, I: 0}
+					v9 = interp.Value{T: types.IntType, I: 0}
 				}
 			}
-			if !v13.Truthy() {
+			if !v9.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -1965,56 +1944,59 @@ func server_mutt_b_mutt_read_message(m *interp.Machine, f *mem.Frame) (ret inter
 				m.GenStep()
 				{
 					m.GenStep()
-					v29 := f.LocalAt(3)
-					v30 := m.GenLoadRaw(v29, 0, server_mutt_t0, 23)
-					v31 := f.LocalAt(2)
+					v20 := f.LocalAt(0)
+					v21 := m.GenLoadRaw(v20, 0, server_mutt_t0, 23)
+					v22 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
-					v33 := core.Pointer{Addr: v30.Ptr.Addr + uint64(v32.I)*1, Prov: v30.Ptr.Prov}
-					v34 := m.GenLoadValue(v33, types.CharType, server_mutt_pos[111], -1, 19)
-					var v35 interp.Value
-					if v34.T == types.UCharType {
-						v35 = v34
+					v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
+					v24 := core.Pointer{Addr: v21.Ptr.Addr + uint64(v23.I)*1, Prov: v21.Ptr.Prov}
+					v25 := m.GenLoadValue(v24, types.CharType, server_mutt_pos[93], -1, 19)
+					var v26 interp.Value
+					if v25.T == types.UCharType {
+						v26 = v25
+					} else if v25.T != nil && v25.T.IsInteger() {
+						v26 = interp.Value{T: types.UCharType, I: int64(uint8(v25.I))}
 					} else {
-						v35 = m.GenConvert(v34, types.UCharType, server_mutt_pos[112])
+						v26 = m.GenConvert(v25, types.UCharType, server_mutt_pos[94])
 					}
-					v36 := f.LocalAt(0)
-					var v37 interp.Value
-					if v35.T == types.IntType {
-						v37 = v35
+					v27 := f.LocalAt(3)
+					var v28 interp.Value
+					if v26.T == types.IntType {
+						v28 = v26
+					} else if v26.T != nil && v26.T.IsInteger() {
+						v28 = interp.Value{T: types.IntType, I: int64(int32(v26.I))}
 					} else {
-						v37 = m.GenConvert(v35, types.IntType, server_mutt_pos[113])
+						v28 = m.GenConvert(v26, types.IntType, server_mutt_pos[95])
 					}
-					m.GenStoreRaw(v36, 0, types.IntType, v37)
-					_ = v37
+					m.GenStoreRaw(v27, 0, types.IntType, v28)
+					_ = v28
 				}
 				{
 					m.GenStep()
-					v38 := f.LocalAt(0)
+					v29 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
-					v40 := interp.Value{T: types.IntType, I: 13}
-					var v41 interp.Value
-					if v39.T == types.IntType && v40.T == types.IntType {
-						if v39.I == v40.I {
-							v41 = interp.Value{T: types.IntType, I: 1}
+					v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+					var v31 interp.Value
+					if v30.T == types.IntType {
+						if v30.I == 13 {
+							v31 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v41 = interp.Value{T: types.IntType, I: 0}
+							v31 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v41 = m.GenBinaryOp(token.EqEq, v39, v40, types.IntType, server_mutt_pos[114])
+						v31 = m.GenBinaryOp(token.EqEq, v30, (interp.Value{T: types.IntType, I: 13}), types.IntType, server_mutt_pos[96])
 					}
-					if v41.Truthy() {
+					if v31.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v42 := f.LocalAt(2)
+								v32 := f.LocalAt(1)
 								m.GenChargeAccess()
-								v43 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v42.Data[0:])))}
-								v44 := interp.Value{T: v43.T, I: int64(int32(v43.I + 1))}
-								m.GenStoreRaw(v42, 0, types.IntType, v44)
-								_ = v43
+								v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
+								v34 := interp.Value{T: v33.T, I: int64(int32(v33.I + 1))}
+								m.GenStoreRaw(v32, 0, types.IntType, v34)
+								_ = v33
 							}
 							{
 								m.GenStep()
@@ -2027,136 +2009,149 @@ func server_mutt_b_mutt_read_message(m *interp.Machine, f *mem.Frame) (ret inter
 				}
 				{
 					m.GenStep()
-					var v45 interp.Value
-					v46 := f.LocalAt(0)
+					var v35 interp.Value
+					v36 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v47 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v46.Data[0:])))}
-					v48 := interp.Value{T: types.IntType, I: 10}
-					var v49 interp.Value
-					if v47.T == types.IntType && v48.T == types.IntType {
-						if v47.I == v48.I {
-							v49 = interp.Value{T: types.IntType, I: 1}
+					v37 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v36.Data[0:])))}
+					var v38 interp.Value
+					if v37.T == types.IntType {
+						if v37.I == 10 {
+							v38 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v49 = interp.Value{T: types.IntType, I: 0}
+							v38 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v49 = m.GenBinaryOp(token.EqEq, v47, v48, types.IntType, server_mutt_pos[115])
+						v38 = m.GenBinaryOp(token.EqEq, v37, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_mutt_pos[97])
 					}
-					if !v49.Truthy() {
-						v45 = interp.Value{T: types.IntType, I: 0}
+					if !v38.Truthy() {
+						v35 = interp.Value{T: types.IntType, I: 0}
 					} else {
-						v50 := f.LocalAt(3)
-						v51 := m.GenLoadRaw(v50, 0, server_mutt_t0, 24)
-						v52 := f.LocalAt(2)
+						v39 := f.LocalAt(0)
+						v40 := m.GenLoadRaw(v39, 0, server_mutt_t0, 24)
+						v41 := f.LocalAt(1)
 						m.GenChargeAccess()
-						v53 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v52.Data[0:])))}
-						v54 := interp.Value{T: types.IntType, I: 1}
-						var v55 interp.Value
-						if v53.T == types.IntType && v54.T == types.IntType {
-							v55 = interp.Value{T: types.IntType, I: int64(int32(v53.I + v54.I))}
+						v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
+						var v43 interp.Value
+						if v42.T == types.IntType {
+							v43 = interp.Value{T: types.IntType, I: int64(int32(v42.I + 1))}
 						} else {
-							v55 = m.GenBinaryOp(token.Plus, v53, v54, types.IntType, server_mutt_pos[116])
+							v43 = m.GenBinaryOp(token.Plus, v42, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[98])
 						}
-						v56 := core.Pointer{Addr: v51.Ptr.Addr + uint64(v55.I)*1, Prov: v51.Ptr.Prov}
-						v57 := m.GenLoadValue(v56, types.CharType, server_mutt_pos[117], -1, 20)
-						v58 := interp.Value{T: types.IntType, I: 32}
-						var v59 interp.Value
-						v59 = m.GenBinaryOp(token.EqEq, v57, v58, types.IntType, server_mutt_pos[118])
-						if v59.Truthy() {
-							v45 = interp.Value{T: types.IntType, I: 1}
+						v44 := core.Pointer{Addr: v40.Ptr.Addr + uint64(v43.I)*1, Prov: v40.Ptr.Prov}
+						v45 := m.GenLoadValue(v44, types.CharType, server_mutt_pos[99], -1, 20)
+						var v46 interp.Value
+						if v45.T == types.CharType {
+							if int64(int32(v45.I)) == 32 {
+								v46 = interp.Value{T: types.IntType, I: 1}
+							} else {
+								v46 = interp.Value{T: types.IntType, I: 0}
+							}
 						} else {
-							v45 = interp.Value{T: types.IntType, I: 0}
+							v46 = m.GenBinaryOp(token.EqEq, v45, (interp.Value{T: types.IntType, I: 32}), types.IntType, server_mutt_pos[100])
+						}
+						if v46.Truthy() {
+							v35 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v35 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v45.Truthy() {
+					if v35.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v60 := interp.Value{T: types.IntType, I: 32}
-								v61 := m.GenGlobal(3)
-								v62 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v61.Base, Prov: v61}}
-								v63 := f.LocalAt(1)
+								v47 := m.GenGlobal(3)
+								v48 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v47.Base, Prov: v47}}
+								v49 := f.LocalAt(2)
 								m.GenChargeAccess()
-								v64 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v63.Data[0:])))}
-								v65 := interp.Value{T: v64.T, I: int64(int32(v64.I + 1))}
-								m.GenStoreRaw(v63, 0, types.IntType, v65)
-								v66 := core.Pointer{Addr: v62.Ptr.Addr + uint64(v64.I)*1, Prov: v62.Ptr.Prov}
-								var v67 interp.Value
-								if v60.T == types.CharType {
-									v67 = v60
-								} else {
-									v67 = m.GenConvert(v60, types.CharType, server_mutt_pos[119])
-								}
-								m.GenStoreValue(v66, types.CharType, v67, server_mutt_pos[119])
-								_ = v67
+								v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
+								v51 := interp.Value{T: v50.T, I: int64(int32(v50.I + 1))}
+								m.GenStoreRaw(v49, 0, types.IntType, v51)
+								v52 := core.Pointer{Addr: v48.Ptr.Addr + uint64(v50.I)*1, Prov: v48.Ptr.Prov}
+								m.GenStoreValue(v52, types.CharType, (interp.Value{T: types.CharType, I: 32}), server_mutt_pos[101])
+								_ = (interp.Value{T: types.CharType, I: 32})
 							}
 							{
 								m.GenStep()
-								v68 := f.LocalAt(2)
+								v53 := f.LocalAt(1)
 								m.GenChargeAccess()
-								v69 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v68.Data[0:])))}
-								v70 := interp.Value{T: types.IntType, I: 2}
-								var v71 interp.Value
-								if v69.T == types.IntType && v70.T == types.IntType {
-									v71 = interp.Value{T: types.IntType, I: int64(int32(v69.I + v70.I))}
+								v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
+								var v55 interp.Value
+								if v54.T == types.IntType {
+									v55 = interp.Value{T: types.IntType, I: int64(int32(v54.I + 2))}
 								} else {
-									v71 = m.GenBinaryOp(token.Plus, v69, v70, types.IntType, server_mutt_pos[120])
+									v55 = m.GenBinaryOp(token.Plus, v54, (interp.Value{T: types.IntType, I: 2}), types.IntType, server_mutt_pos[102])
 								}
-								var v72 interp.Value
-								if v71.T == types.IntType {
-									v72 = v71
+								var v56 interp.Value
+								if v55.T == types.IntType {
+									v56 = v55
+								} else if v55.T != nil && v55.T.IsInteger() {
+									v56 = interp.Value{T: types.IntType, I: int64(int32(v55.I))}
 								} else {
-									v72 = m.GenConvert(v71, types.IntType, server_mutt_pos[120])
+									v56 = m.GenConvert(v55, types.IntType, server_mutt_pos[102])
 								}
-								m.GenStoreRaw(v68, 0, types.IntType, v72)
-								_ = v72
+								m.GenStoreRaw(v53, 0, types.IntType, v56)
+								_ = v56
 							}
 							{
 								m.GenStep()
 								for {
-									var v73 interp.Value
-									v74 := f.LocalAt(3)
-									v75 := m.GenLoadRaw(v74, 0, server_mutt_t0, 25)
-									v76 := f.LocalAt(2)
+									var v57 interp.Value
+									v58 := f.LocalAt(0)
+									v59 := m.GenLoadRaw(v58, 0, server_mutt_t0, 25)
+									v60 := f.LocalAt(1)
 									m.GenChargeAccess()
-									v77 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v76.Data[0:])))}
-									v78 := core.Pointer{Addr: v75.Ptr.Addr + uint64(v77.I)*1, Prov: v75.Ptr.Prov}
-									v79 := m.GenLoadValue(v78, types.CharType, server_mutt_pos[121], -1, 22)
-									v80 := interp.Value{T: types.IntType, I: 32}
-									var v81 interp.Value
-									v81 = m.GenBinaryOp(token.EqEq, v79, v80, types.IntType, server_mutt_pos[122])
-									if v81.Truthy() {
-										v73 = interp.Value{T: types.IntType, I: 1}
-									} else {
-										v82 := f.LocalAt(3)
-										v83 := m.GenLoadRaw(v82, 0, server_mutt_t0, 26)
-										v84 := f.LocalAt(2)
-										m.GenChargeAccess()
-										v85 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v84.Data[0:])))}
-										v86 := core.Pointer{Addr: v83.Ptr.Addr + uint64(v85.I)*1, Prov: v83.Ptr.Prov}
-										v87 := m.GenLoadValue(v86, types.CharType, server_mutt_pos[123], -1, 23)
-										v88 := interp.Value{T: types.IntType, I: 9}
-										var v89 interp.Value
-										v89 = m.GenBinaryOp(token.EqEq, v87, v88, types.IntType, server_mutt_pos[124])
-										if v89.Truthy() {
-											v73 = interp.Value{T: types.IntType, I: 1}
+									v61 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v60.Data[0:])))}
+									v62 := core.Pointer{Addr: v59.Ptr.Addr + uint64(v61.I)*1, Prov: v59.Ptr.Prov}
+									v63 := m.GenLoadValue(v62, types.CharType, server_mutt_pos[103], -1, 22)
+									var v64 interp.Value
+									if v63.T == types.CharType {
+										if int64(int32(v63.I)) == 32 {
+											v64 = interp.Value{T: types.IntType, I: 1}
 										} else {
-											v73 = interp.Value{T: types.IntType, I: 0}
+											v64 = interp.Value{T: types.IntType, I: 0}
+										}
+									} else {
+										v64 = m.GenBinaryOp(token.EqEq, v63, (interp.Value{T: types.IntType, I: 32}), types.IntType, server_mutt_pos[104])
+									}
+									if v64.Truthy() {
+										v57 = interp.Value{T: types.IntType, I: 1}
+									} else {
+										v65 := f.LocalAt(0)
+										v66 := m.GenLoadRaw(v65, 0, server_mutt_t0, 26)
+										v67 := f.LocalAt(1)
+										m.GenChargeAccess()
+										v68 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v67.Data[0:])))}
+										v69 := core.Pointer{Addr: v66.Ptr.Addr + uint64(v68.I)*1, Prov: v66.Ptr.Prov}
+										v70 := m.GenLoadValue(v69, types.CharType, server_mutt_pos[105], -1, 23)
+										var v71 interp.Value
+										if v70.T == types.CharType {
+											if int64(int32(v70.I)) == 9 {
+												v71 = interp.Value{T: types.IntType, I: 1}
+											} else {
+												v71 = interp.Value{T: types.IntType, I: 0}
+											}
+										} else {
+											v71 = m.GenBinaryOp(token.EqEq, v70, (interp.Value{T: types.IntType, I: 9}), types.IntType, server_mutt_pos[106])
+										}
+										if v71.Truthy() {
+											v57 = interp.Value{T: types.IntType, I: 1}
+										} else {
+											v57 = interp.Value{T: types.IntType, I: 0}
 										}
 									}
-									if !v73.Truthy() {
+									if !v57.Truthy() {
 										break
 									}
 									m.GenStep()
 									{
 										m.GenStep()
-										v90 := f.LocalAt(2)
+										v72 := f.LocalAt(1)
 										m.GenChargeAccess()
-										v91 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v90.Data[0:])))}
-										v92 := interp.Value{T: v91.T, I: int64(int32(v91.I + 1))}
-										m.GenStoreRaw(v90, 0, types.IntType, v92)
-										_ = v91
+										v73 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v72.Data[0:])))}
+										v74 := interp.Value{T: v73.T, I: int64(int32(v73.I + 1))}
+										m.GenStoreRaw(v72, 0, types.IntType, v74)
+										_ = v73
 									}
 								}
 							}
@@ -2171,72 +2166,69 @@ func server_mutt_b_mutt_read_message(m *interp.Machine, f *mem.Frame) (ret inter
 				}
 				{
 					m.GenStep()
-					v93 := m.GenGlobal(6)
-					v94 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v93.Base, Prov: v93}}
-					v95 := f.LocalAt(0)
+					v75 := m.GenGlobal(6)
+					v76 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v75.Base, Prov: v75}}
+					v77 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v96 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v95.Data[0:])))}
-					v97 := core.Pointer{Addr: v94.Ptr.Addr + uint64(v96.I)*1, Prov: v94.Ptr.Prov}
-					v98 := m.GenLoadValue(v97, types.UCharType, server_mutt_pos[125], -1, 25)
-					var v99 interp.Value
-					if v98.T == types.CharType {
-						v99 = v98
+					v78 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v77.Data[0:])))}
+					v79 := core.Pointer{Addr: v76.Ptr.Addr + uint64(v78.I)*1, Prov: v76.Ptr.Prov}
+					v80 := m.GenLoadValue(v79, types.UCharType, server_mutt_pos[107], -1, 25)
+					var v81 interp.Value
+					if v80.T == types.CharType {
+						v81 = v80
+					} else if v80.T != nil && v80.T.IsInteger() {
+						v81 = interp.Value{T: types.CharType, I: int64(int8(v80.I))}
 					} else {
-						v99 = m.GenConvert(v98, types.CharType, server_mutt_pos[126])
+						v81 = m.GenConvert(v80, types.CharType, server_mutt_pos[108])
 					}
-					v100 := m.GenGlobal(3)
-					v101 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v100.Base, Prov: v100}}
-					v102 := f.LocalAt(1)
+					v82 := m.GenGlobal(3)
+					v83 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v82.Base, Prov: v82}}
+					v84 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v103 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v102.Data[0:])))}
-					v104 := interp.Value{T: v103.T, I: int64(int32(v103.I + 1))}
-					m.GenStoreRaw(v102, 0, types.IntType, v104)
-					v105 := core.Pointer{Addr: v101.Ptr.Addr + uint64(v103.I)*1, Prov: v101.Ptr.Prov}
-					var v106 interp.Value
-					if v99.T == types.CharType {
-						v106 = v99
+					v85 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v84.Data[0:])))}
+					v86 := interp.Value{T: v85.T, I: int64(int32(v85.I + 1))}
+					m.GenStoreRaw(v84, 0, types.IntType, v86)
+					v87 := core.Pointer{Addr: v83.Ptr.Addr + uint64(v85.I)*1, Prov: v83.Ptr.Prov}
+					var v88 interp.Value
+					if v81.T == types.CharType {
+						v88 = v81
+					} else if v81.T != nil && v81.T.IsInteger() {
+						v88 = interp.Value{T: types.CharType, I: int64(int8(v81.I))}
 					} else {
-						v106 = m.GenConvert(v99, types.CharType, server_mutt_pos[127])
+						v88 = m.GenConvert(v81, types.CharType, server_mutt_pos[109])
 					}
-					m.GenStoreValue(v105, types.CharType, v106, server_mutt_pos[127])
-					_ = v106
+					m.GenStoreValue(v87, types.CharType, v88, server_mutt_pos[109])
+					_ = v88
 				}
 				{
 					m.GenStep()
-					v107 := f.LocalAt(2)
+					v89 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v108 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v107.Data[0:])))}
-					v109 := interp.Value{T: v108.T, I: int64(int32(v108.I + 1))}
-					m.GenStoreRaw(v107, 0, types.IntType, v109)
-					_ = v108
+					v90 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v89.Data[0:])))}
+					v91 := interp.Value{T: v90.T, I: int64(int32(v90.I + 1))}
+					m.GenStoreRaw(v89, 0, types.IntType, v91)
+					_ = v90
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v110 := interp.Value{T: types.IntType, I: 0}
-		v111 := m.GenGlobal(3)
-		v112 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v111.Base, Prov: v111}}
-		v113 := f.LocalAt(1)
+		v92 := m.GenGlobal(3)
+		v93 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v92.Base, Prov: v92}}
+		v94 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v114 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v113.Data[0:])))}
-		v115 := core.Pointer{Addr: v112.Ptr.Addr + uint64(v114.I)*1, Prov: v112.Ptr.Prov}
-		var v116 interp.Value
-		if v110.T == types.CharType {
-			v116 = v110
-		} else {
-			v116 = m.GenConvert(v110, types.CharType, server_mutt_pos[128])
-		}
-		m.GenStoreValue(v115, types.CharType, v116, server_mutt_pos[128])
-		_ = v116
+		v95 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v94.Data[0:])))}
+		v96 := core.Pointer{Addr: v93.Ptr.Addr + uint64(v95.I)*1, Prov: v93.Ptr.Prov}
+		m.GenStoreValue(v96, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_mutt_pos[110])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v117 := f.LocalAt(1)
+		v97 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v118 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v117.Data[0:])))}
-		ret = v118
+		v98 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v97.Data[0:])))}
+		ret = v98
 		if interp.GenLive {
 			return
 		}
@@ -2250,69 +2242,70 @@ func server_mutt_f_mutt_move_message(m *interp.Machine, args []interp.Value, pos
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_move_message", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:mutt_move_message", 20, server_mutt_locals_mutt_move_message)
-	v0 := m.GenConvert(args[0], server_mutt_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, server_mutt_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(2), 0, types.IntType, v1)
+	var v0 interp.Value
+	if args[0].T == server_mutt_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_mutt_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_mutt_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_mutt_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
 	ret := m.GenExec(f, server_mutt_b_mutt_move_message)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_mutt_b_mutt_move_message(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(1)
+		v2 := f.LocalAt(2)
 		_ = v2
-		v3 := f.LocalAt(0)
-		v4 := interp.Value{T: types.IntType, I: 0}
-		var v5 interp.Value
-		if v4.T == types.IntType {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, types.IntType, server_mutt_pos[129])
-		}
-		m.GenStoreRaw(v3, 0, types.IntType, v5)
+		v3 := f.LocalAt(3)
+		m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v6 := f.LocalAt(2)
+		v4 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v7 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v6.Data[0:])))}
-		v8 := interp.Value{T: types.ULongType, I: 65536}
-		var v9 interp.Value
-		if v8.T == types.IntType {
-			v9 = v8
-		} else {
-			v9 = m.GenConvert(v8, types.IntType, server_mutt_pos[130])
-		}
-		var v10 interp.Value
-		if v7.T == types.IntType && v9.T == types.IntType {
-			if v7.I > v9.I {
-				v10 = interp.Value{T: types.IntType, I: 1}
+		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+		var v6 interp.Value
+		if v5.T == types.IntType {
+			if v5.I > 65536 {
+				v6 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v10 = interp.Value{T: types.IntType, I: 0}
+				v6 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v10 = m.GenBinaryOp(token.Gt, v7, v9, types.IntType, server_mutt_pos[131])
+			v6 = m.GenBinaryOp(token.Gt, v5, (interp.Value{T: types.IntType, I: 65536}), types.IntType, server_mutt_pos[111])
 		}
-		if v10.Truthy() {
+		if v6.Truthy() {
 			{
 				m.GenStep()
-				v11 := interp.Value{T: types.ULongType, I: 65536}
-				v12 := f.LocalAt(2)
-				var v13 interp.Value
-				if v11.T == types.IntType {
-					v13 = v11
-				} else {
-					v13 = m.GenConvert(v11, types.IntType, server_mutt_pos[132])
-				}
-				m.GenStoreRaw(v12, 0, types.IntType, v13)
-				_ = v13
+				v7 := f.LocalAt(1)
+				m.GenStoreRaw(v7, 0, types.IntType, (interp.Value{T: types.IntType, I: 65536}))
+				_ = (interp.Value{T: types.IntType, I: 65536})
 			}
 		}
 	}
@@ -2320,66 +2313,57 @@ func server_mutt_b_mutt_move_message(m *interp.Machine, f *mem.Frame) (ret inter
 		m.GenStep()
 		{
 			m.GenStep()
-			v14 := interp.Value{T: types.IntType, I: 0}
-			v15 := f.LocalAt(1)
-			var v16 interp.Value
-			if v14.T == types.IntType {
-				v16 = v14
-			} else {
-				v16 = m.GenConvert(v14, types.IntType, server_mutt_pos[133])
-			}
-			m.GenStoreRaw(v15, 0, types.IntType, v16)
-			_ = v16
+			v8 := f.LocalAt(2)
+			m.GenStoreRaw(v8, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			var v17 interp.Value
-			v18 := f.LocalAt(1)
+			var v9 interp.Value
+			v10 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v19 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v18.Data[0:])))}
-			v20 := interp.Value{T: types.IntType, I: 1}
-			var v21 interp.Value
-			if v19.T == types.IntType && v20.T == types.IntType {
-				v21 = interp.Value{T: types.IntType, I: int64(int32(v19.I + v20.I))}
+			v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+			var v12 interp.Value
+			if v11.T == types.IntType {
+				v12 = interp.Value{T: types.IntType, I: int64(int32(v11.I + 1))}
 			} else {
-				v21 = m.GenBinaryOp(token.Plus, v19, v20, types.IntType, server_mutt_pos[134])
+				v12 = m.GenBinaryOp(token.Plus, v11, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[112])
 			}
-			v22 := f.LocalAt(2)
+			v13 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-			var v24 interp.Value
-			if v21.T == types.IntType && v23.T == types.IntType {
-				if v21.I < v23.I {
-					v24 = interp.Value{T: types.IntType, I: 1}
+			v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+			var v15 interp.Value
+			if v12.T == types.IntType && v14.T == types.IntType {
+				if v12.I < v14.I {
+					v15 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v24 = interp.Value{T: types.IntType, I: 0}
+					v15 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v24 = m.GenBinaryOp(token.Lt, v21, v23, types.IntType, server_mutt_pos[135])
+				v15 = m.GenBinaryOp(token.Lt, v12, v14, types.IntType, server_mutt_pos[113])
 			}
-			if !v24.Truthy() {
-				v17 = interp.Value{T: types.IntType, I: 0}
+			if !v15.Truthy() {
+				v9 = interp.Value{T: types.IntType, I: 0}
 			} else {
-				v25 := f.LocalAt(1)
+				v16 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v26 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v25.Data[0:])))}
-				v27 := interp.Value{T: types.IntType, I: 64}
-				var v28 interp.Value
-				if v26.T == types.IntType && v27.T == types.IntType {
-					if v26.I < v27.I {
-						v28 = interp.Value{T: types.IntType, I: 1}
+				v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+				var v18 interp.Value
+				if v17.T == types.IntType {
+					if v17.I < 64 {
+						v18 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v28 = interp.Value{T: types.IntType, I: 0}
+						v18 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v28 = m.GenBinaryOp(token.Lt, v26, v27, types.IntType, server_mutt_pos[136])
+					v18 = m.GenBinaryOp(token.Lt, v17, (interp.Value{T: types.IntType, I: 64}), types.IntType, server_mutt_pos[114])
 				}
-				if v28.Truthy() {
-					v17 = interp.Value{T: types.IntType, I: 1}
+				if v18.Truthy() {
+					v9 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v17 = interp.Value{T: types.IntType, I: 0}
+					v9 = interp.Value{T: types.IntType, I: 0}
 				}
 			}
-			if !v17.Truthy() {
+			if !v9.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -2387,67 +2371,81 @@ func server_mutt_b_mutt_move_message(m *interp.Machine, f *mem.Frame) (ret inter
 				m.GenStep()
 				{
 					m.GenStep()
-					var v29 interp.Value
-					v30 := f.LocalAt(3)
-					v31 := m.GenLoadRaw(v30, 0, server_mutt_t0, 27)
-					v32 := f.LocalAt(1)
+					var v19 interp.Value
+					v20 := f.LocalAt(0)
+					v21 := m.GenLoadRaw(v20, 0, server_mutt_t0, 27)
+					v22 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
-					v34 := core.Pointer{Addr: v31.Ptr.Addr + uint64(v33.I)*1, Prov: v31.Ptr.Prov}
-					v35 := m.GenLoadValue(v34, types.CharType, server_mutt_pos[137], -1, 27)
-					v36 := interp.Value{T: types.IntType, I: 10}
-					var v37 interp.Value
-					v37 = m.GenBinaryOp(token.EqEq, v35, v36, types.IntType, server_mutt_pos[138])
-					if !v37.Truthy() {
-						v29 = interp.Value{T: types.IntType, I: 0}
-					} else {
-						v38 := f.LocalAt(3)
-						v39 := m.GenLoadRaw(v38, 0, server_mutt_t0, 28)
-						v40 := f.LocalAt(1)
-						m.GenChargeAccess()
-						v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
-						v42 := interp.Value{T: types.IntType, I: 1}
-						var v43 interp.Value
-						if v41.T == types.IntType && v42.T == types.IntType {
-							v43 = interp.Value{T: types.IntType, I: int64(int32(v41.I + v42.I))}
+					v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
+					v24 := core.Pointer{Addr: v21.Ptr.Addr + uint64(v23.I)*1, Prov: v21.Ptr.Prov}
+					v25 := m.GenLoadValue(v24, types.CharType, server_mutt_pos[115], -1, 27)
+					var v26 interp.Value
+					if v25.T == types.CharType {
+						if int64(int32(v25.I)) == 10 {
+							v26 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v43 = m.GenBinaryOp(token.Plus, v41, v42, types.IntType, server_mutt_pos[139])
+							v26 = interp.Value{T: types.IntType, I: 0}
 						}
-						v44 := core.Pointer{Addr: v39.Ptr.Addr + uint64(v43.I)*1, Prov: v39.Ptr.Prov}
-						v45 := m.GenLoadValue(v44, types.CharType, server_mutt_pos[140], -1, 28)
-						v46 := interp.Value{T: types.IntType, I: 10}
-						var v47 interp.Value
-						v47 = m.GenBinaryOp(token.EqEq, v45, v46, types.IntType, server_mutt_pos[141])
-						if v47.Truthy() {
-							v29 = interp.Value{T: types.IntType, I: 1}
+					} else {
+						v26 = m.GenBinaryOp(token.EqEq, v25, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_mutt_pos[116])
+					}
+					if !v26.Truthy() {
+						v19 = interp.Value{T: types.IntType, I: 0}
+					} else {
+						v27 := f.LocalAt(0)
+						v28 := m.GenLoadRaw(v27, 0, server_mutt_t0, 28)
+						v29 := f.LocalAt(2)
+						m.GenChargeAccess()
+						v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+						var v31 interp.Value
+						if v30.T == types.IntType {
+							v31 = interp.Value{T: types.IntType, I: int64(int32(v30.I + 1))}
 						} else {
-							v29 = interp.Value{T: types.IntType, I: 0}
+							v31 = m.GenBinaryOp(token.Plus, v30, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_mutt_pos[117])
+						}
+						v32 := core.Pointer{Addr: v28.Ptr.Addr + uint64(v31.I)*1, Prov: v28.Ptr.Prov}
+						v33 := m.GenLoadValue(v32, types.CharType, server_mutt_pos[118], -1, 28)
+						var v34 interp.Value
+						if v33.T == types.CharType {
+							if int64(int32(v33.I)) == 10 {
+								v34 = interp.Value{T: types.IntType, I: 1}
+							} else {
+								v34 = interp.Value{T: types.IntType, I: 0}
+							}
+						} else {
+							v34 = m.GenBinaryOp(token.EqEq, v33, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_mutt_pos[119])
+						}
+						if v34.Truthy() {
+							v19 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v19 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v29.Truthy() {
+					if v19.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v48 := f.LocalAt(1)
+								v35 := f.LocalAt(2)
 								m.GenChargeAccess()
-								v49 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v48.Data[0:])))}
-								v50 := interp.Value{T: types.IntType, I: 2}
-								var v51 interp.Value
-								if v49.T == types.IntType && v50.T == types.IntType {
-									v51 = interp.Value{T: types.IntType, I: int64(int32(v49.I + v50.I))}
+								v36 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v35.Data[0:])))}
+								var v37 interp.Value
+								if v36.T == types.IntType {
+									v37 = interp.Value{T: types.IntType, I: int64(int32(v36.I + 2))}
 								} else {
-									v51 = m.GenBinaryOp(token.Plus, v49, v50, types.IntType, server_mutt_pos[142])
+									v37 = m.GenBinaryOp(token.Plus, v36, (interp.Value{T: types.IntType, I: 2}), types.IntType, server_mutt_pos[120])
 								}
-								v52 := f.LocalAt(0)
-								var v53 interp.Value
-								if v51.T == types.IntType {
-									v53 = v51
+								v38 := f.LocalAt(3)
+								var v39 interp.Value
+								if v37.T == types.IntType {
+									v39 = v37
+								} else if v37.T != nil && v37.T.IsInteger() {
+									v39 = interp.Value{T: types.IntType, I: int64(int32(v37.I))}
 								} else {
-									v53 = m.GenConvert(v51, types.IntType, server_mutt_pos[143])
+									v39 = m.GenConvert(v37, types.IntType, server_mutt_pos[121])
 								}
-								m.GenStoreRaw(v52, 0, types.IntType, v53)
-								_ = v53
+								m.GenStoreRaw(v38, 0, types.IntType, v39)
+								_ = v39
 							}
 							{
 								m.GenStep()
@@ -2459,81 +2457,86 @@ func server_mutt_b_mutt_move_message(m *interp.Machine, f *mem.Frame) (ret inter
 					}
 				}
 			}
-			v54 := f.LocalAt(1)
+			v40 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v55 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v54.Data[0:])))}
-			v56 := interp.Value{T: v55.T, I: int64(int32(v55.I + 1))}
-			m.GenStoreRaw(v54, 0, types.IntType, v56)
-			_ = v55
+			v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
+			v42 := interp.Value{T: v41.T, I: int64(int32(v41.I + 1))}
+			m.GenStoreRaw(v40, 0, types.IntType, v42)
+			_ = v41
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v57 := m.GenArgs(3)
-		v58 := m.GenGlobal(4)
-		v59 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v58.Base, Prov: v58}}
-		v57[0] = v59
-		v60 := f.LocalAt(3)
-		v61 := m.GenLoadRaw(v60, 0, server_mutt_t0, 29)
-		v57[1] = v61
-		v62 := f.LocalAt(2)
+		v43 := m.GenArgs(3)
+		v44 := m.GenGlobal(4)
+		v45 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v44.Base, Prov: v44}}
+		v43[0] = v45
+		v46 := f.LocalAt(0)
+		v47 := m.GenLoadRaw(v46, 0, server_mutt_t0, 29)
+		v43[1] = v47
+		v48 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
-		var v64 interp.Value
-		if v63.T == types.ULongType {
-			v64 = v63
+		v49 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v48.Data[0:])))}
+		var v50 interp.Value
+		if v49.T == types.ULongType {
+			v50 = v49
+		} else if v49.T != nil && v49.T.IsInteger() {
+			v50 = interp.Value{T: types.ULongType, I: v49.I}
 		} else {
-			v64 = m.GenConvert(v63, types.ULongType, server_mutt_pos[144])
+			v50 = m.GenConvert(v49, types.ULongType, server_mutt_pos[122])
 		}
-		v57[2] = v64
-		v65 := m.GenBuiltin(6, "memcpy", server_mutt_pos[145])(m, server_mutt_pos[145], v57)
-		m.GenPutArgs(v57)
-		var v66 interp.Value
-		if v65.T == server_mutt_t1 {
-			v66 = v65
+		v43[2] = v50
+		v51 := m.GenBuiltin(6, "memcpy", server_mutt_pos[123])(m, server_mutt_pos[123], v43)
+		m.GenPutArgs(v43)
+		var v52 interp.Value
+		if v51.T == server_mutt_t1 {
+			v52 = v51
+		} else if v51.T != nil && v51.T.IsPointer() {
+			v52 = interp.Value{T: server_mutt_t1, Ptr: v51.Ptr}
 		} else {
-			v66 = m.GenConvert(v65, server_mutt_t1, server_mutt_pos[145])
+			v52 = m.GenConvert(v51, server_mutt_t1, server_mutt_pos[123])
 		}
-		_ = v66
+		_ = v52
 	}
 	{
 		m.GenStep()
-		v67 := f.LocalAt(2)
+		v53 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v68 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v67.Data[0:])))}
-		v69 := m.GenGlobal(5)
-		var v70 interp.Value
-		if v68.T == types.IntType {
-			v70 = v68
+		v54 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v53.Data[0:])))}
+		v55 := m.GenGlobal(5)
+		var v56 interp.Value
+		if v54.T == types.IntType {
+			v56 = v54
+		} else if v54.T != nil && v54.T.IsInteger() {
+			v56 = interp.Value{T: types.IntType, I: int64(int32(v54.I))}
 		} else {
-			v70 = m.GenConvert(v68, types.IntType, server_mutt_pos[146])
+			v56 = m.GenConvert(v54, types.IntType, server_mutt_pos[124])
 		}
-		m.GenStoreRaw(v69, 0, types.IntType, v70)
-		_ = v70
+		m.GenStoreRaw(v55, 0, types.IntType, v56)
+		_ = v56
 	}
 	{
 		m.GenStep()
-		v71 := f.LocalAt(2)
+		v57 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v72 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v71.Data[0:])))}
-		v73 := interp.Value{T: types.IntType, I: 0}
-		v74 := f.LocalAt(0)
+		v58 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v57.Data[0:])))}
+		v59 := f.LocalAt(3)
 		m.GenChargeAccess()
-		v75 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v74.Data[0:])))}
-		var v76 interp.Value
-		if v73.T == types.IntType && v75.T == types.IntType {
-			v76 = interp.Value{T: types.IntType, I: int64(int32(v73.I * v75.I))}
+		v60 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v59.Data[0:])))}
+		var v61 interp.Value
+		if v60.T == types.IntType {
+			v61 = interp.Value{T: types.IntType, I: int64(int32(0 * v60.I))}
 		} else {
-			v76 = m.GenBinaryOp(token.Star, v73, v75, types.IntType, server_mutt_pos[147])
+			v61 = m.GenBinaryOp(token.Star, (interp.Value{T: types.IntType, I: 0}), v60, types.IntType, server_mutt_pos[125])
 		}
-		var v77 interp.Value
-		if v72.T == types.IntType && v76.T == types.IntType {
-			v77 = interp.Value{T: types.IntType, I: int64(int32(v72.I + v76.I))}
+		var v62 interp.Value
+		if v58.T == types.IntType && v61.T == types.IntType {
+			v62 = interp.Value{T: types.IntType, I: int64(int32(v58.I + v61.I))}
 		} else {
-			v77 = m.GenBinaryOp(token.Plus, v72, v76, types.IntType, server_mutt_pos[148])
+			v62 = m.GenBinaryOp(token.Plus, v58, v61, types.IntType, server_mutt_pos[126])
 		}
-		ret = v77
+		ret = v62
 		if interp.GenLive {
 			return
 		}

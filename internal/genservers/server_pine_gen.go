@@ -16,8 +16,6 @@ import (
 var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 16, Col: 21},
 	{File: "pine.c", Line: 16, Col: 2},
-	{File: "pine.c", Line: 17, Col: 2},
-	{File: "pine.c", Line: 20, Col: 9},
 	{File: "pine.c", Line: 20, Col: 16},
 	{File: "pine.c", Line: 21, Col: 11},
 	{File: "pine.c", Line: 21, Col: 15},
@@ -26,7 +24,6 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 23, Col: 14},
 	{File: "pine.c", Line: 23, Col: 6},
 	{File: "pine.c", Line: 24, Col: 4},
-	{File: "pine.c", Line: 25, Col: 9},
 	{File: "pine.c", Line: 25, Col: 16},
 	{File: "pine.c", Line: 26, Col: 16},
 	{File: "pine.c", Line: 26, Col: 3},
@@ -35,7 +32,6 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 28, Col: 9},
 	{File: "pine.c", Line: 29, Col: 8},
 	{File: "pine.c", Line: 31, Col: 5},
-	{File: "pine.c", Line: 40, Col: 2},
 	{File: "pine.c", Line: 42, Col: 12},
 	{File: "pine.c", Line: 42, Col: 16},
 	{File: "pine.c", Line: 43, Col: 10},
@@ -53,8 +49,6 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 47, Col: 36},
 	{File: "pine.c", Line: 47, Col: 50},
 	{File: "pine.c", Line: 47, Col: 54},
-	{File: "pine.c", Line: 48, Col: 15},
-	{File: "pine.c", Line: 48, Col: 35},
 	{File: "pine.c", Line: 48, Col: 13},
 	{File: "pine.c", Line: 49, Col: 20},
 	{File: "pine.c", Line: 49, Col: 15},
@@ -64,26 +58,20 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 56, Col: 14},
 	{File: "pine.c", Line: 56, Col: 4},
 	{File: "pine.c", Line: 57, Col: 6},
-	{File: "pine.c", Line: 70, Col: 9},
 	{File: "pine.c", Line: 70, Col: 16},
 	{File: "pine.c", Line: 71, Col: 13},
 	{File: "pine.c", Line: 71, Col: 11},
 	{File: "pine.c", Line: 72, Col: 13},
 	{File: "pine.c", Line: 72, Col: 11},
-	{File: "pine.c", Line: 74, Col: 9},
 	{File: "pine.c", Line: 74, Col: 16},
 	{File: "pine.c", Line: 75, Col: 9},
 	{File: "pine.c", Line: 75, Col: 22},
 	{File: "pine.c", Line: 76, Col: 12},
-	{File: "pine.c", Line: 77, Col: 15},
-	{File: "pine.c", Line: 86, Col: 2},
 	{File: "pine.c", Line: 89, Col: 14},
 	{File: "pine.c", Line: 90, Col: 33},
 	{File: "pine.c", Line: 90, Col: 14},
 	{File: "pine.c", Line: 90, Col: 12},
 	{File: "pine.c", Line: 90, Col: 40},
-	{File: "pine.c", Line: 91, Col: 13},
-	{File: "pine.c", Line: 91, Col: 40},
 	{File: "pine.c", Line: 91, Col: 11},
 	{File: "pine.c", Line: 92, Col: 9},
 	{File: "pine.c", Line: 94, Col: 38},
@@ -91,21 +79,14 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 94, Col: 22},
 	{File: "pine.c", Line: 94, Col: 20},
 	{File: "pine.c", Line: 96, Col: 17},
-	{File: "pine.c", Line: 107, Col: 2},
 	{File: "pine.c", Line: 111, Col: 14},
-	{File: "pine.c", Line: 112, Col: 9},
-	{File: "pine.c", Line: 112, Col: 18},
-	{File: "pine.c", Line: 112, Col: 39},
 	{File: "pine.c", Line: 112, Col: 16},
 	{File: "pine.c", Line: 113, Col: 17},
 	{File: "pine.c", Line: 113, Col: 23},
 	{File: "pine.c", Line: 113, Col: 12},
 	{File: "pine.c", Line: 114, Col: 14},
 	{File: "pine.c", Line: 114, Col: 4},
-	{File: "pine.c", Line: 117, Col: 9},
 	{File: "pine.c", Line: 117, Col: 16},
-	{File: "pine.c", Line: 117, Col: 27},
-	{File: "pine.c", Line: 117, Col: 54},
 	{File: "pine.c", Line: 117, Col: 25},
 	{File: "pine.c", Line: 118, Col: 58},
 	{File: "pine.c", Line: 118, Col: 39},
@@ -113,12 +94,8 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 118, Col: 33},
 	{File: "pine.c", Line: 118, Col: 22},
 	{File: "pine.c", Line: 118, Col: 20},
-	{File: "pine.c", Line: 119, Col: 11},
 	{File: "pine.c", Line: 119, Col: 20},
-	{File: "pine.c", Line: 120, Col: 12},
 	{File: "pine.c", Line: 120, Col: 21},
-	{File: "pine.c", Line: 120, Col: 33},
-	{File: "pine.c", Line: 120, Col: 60},
 	{File: "pine.c", Line: 120, Col: 31},
 	{File: "pine.c", Line: 121, Col: 56},
 	{File: "pine.c", Line: 121, Col: 35},
@@ -127,9 +104,7 @@ var server_pine_pos = []token.Pos{
 	{File: "pine.c", Line: 121, Col: 21},
 	{File: "pine.c", Line: 122, Col: 20},
 	{File: "pine.c", Line: 124, Col: 17},
-	{File: "pine.c", Line: 131, Col: 12},
 	{File: "pine.c", Line: 131, Col: 10},
-	{File: "pine.c", Line: 132, Col: 7},
 	{File: "pine.c", Line: 133, Col: 28},
 	{File: "pine.c", Line: 133, Col: 8},
 	{File: "pine.c", Line: 134, Col: 14},
@@ -205,24 +180,39 @@ func server_pine_f_quote_from(m *interp.Machine, args []interp.Value, pos token.
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quote_from", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:quote_from", 49, server_pine_locals_quote_from)
-	v0 := m.GenConvert(args[0], server_pine_t0, pos)
-	m.GenStoreRaw(f.LocalAt(6), 0, server_pine_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_pine_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_pine_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_pine_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_pine_t0, v0)
 	ret := m.GenExec(f, server_pine_b_quote_from)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: server_pine_t0}
 	}
-	return m.GenConvert(ret, server_pine_t0, pos)
+	var r interp.Value
+	if ret.T == server_pine_t0 {
+		r = ret
+	} else if ret.T != nil && ret.T.IsPointer() {
+		r = interp.Value{T: server_pine_t0, Ptr: ret.Ptr}
+	} else {
+		r = m.GenConvert(ret, server_pine_t0, pos)
+	}
+	return r
 }
 
 func server_pine_b_quote_from(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(5)
+		v1 := f.LocalAt(1)
 		m.GenStep()
 		v2 := m.GenArgs(1)
-		v3 := f.LocalAt(6)
+		v3 := f.LocalAt(0)
 		v4 := m.GenLoadRaw(v3, 0, server_pine_t0, 0)
 		v2[0] = v4
 		v5 := m.GenBuiltin(0, "strlen", server_pine_pos[0])(m, server_pine_pos[0], v2)
@@ -230,12 +220,16 @@ func server_pine_b_quote_from(m *interp.Machine, f *mem.Frame) (ret interp.Value
 		var v6 interp.Value
 		if v5.T == types.ULongType {
 			v6 = v5
+		} else if v5.T != nil && v5.T.IsInteger() {
+			v6 = interp.Value{T: types.ULongType, I: v5.I}
 		} else {
 			v6 = m.GenConvert(v5, types.ULongType, server_pine_pos[0])
 		}
 		var v7 interp.Value
 		if v6.T == types.ULongType {
 			v7 = v6
+		} else if v6.T != nil && v6.T.IsInteger() {
+			v7 = interp.Value{T: types.ULongType, I: v6.I}
 		} else {
 			v7 = m.GenConvert(v6, types.ULongType, server_pine_pos[1])
 		}
@@ -243,181 +237,176 @@ func server_pine_b_quote_from(m *interp.Machine, f *mem.Frame) (ret interp.Value
 	}
 	{
 		m.GenStep()
-		v8 := f.LocalAt(4)
-		v9 := interp.Value{T: types.IntType, I: 0}
-		var v10 interp.Value
-		if v9.T == types.ULongType {
-			v10 = v9
-		} else {
-			v10 = m.GenConvert(v9, types.ULongType, server_pine_pos[2])
-		}
-		m.GenStoreRaw(v8, 0, types.ULongType, v10)
+		v8 := f.LocalAt(2)
+		m.GenStoreRaw(v8, 0, types.ULongType, (interp.Value{T: types.ULongType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v11 := f.LocalAt(3)
+		v9 := f.LocalAt(3)
+		_ = v9
+	}
+	{
+		m.GenStep()
+		v10 := f.LocalAt(4)
+		_ = v10
+		v11 := f.LocalAt(5)
 		_ = v11
 	}
 	{
 		m.GenStep()
-		v12 := f.LocalAt(2)
-		_ = v12
-		v13 := f.LocalAt(1)
-		_ = v13
-	}
-	{
-		m.GenStep()
 		{
 			m.GenStep()
-			v14 := interp.Value{T: types.IntType, I: 0}
-			v15 := f.LocalAt(3)
-			var v16 interp.Value
-			if v14.T == types.ULongType {
-				v16 = v14
-			} else {
-				v16 = m.GenConvert(v14, types.ULongType, server_pine_pos[3])
-			}
-			m.GenStoreRaw(v15, 0, types.ULongType, v16)
-			_ = v16
+			v12 := f.LocalAt(3)
+			m.GenStoreRaw(v12, 0, types.ULongType, (interp.Value{T: types.ULongType, I: 0}))
+			_ = (interp.Value{T: types.ULongType, I: 0})
 		}
 		for {
-			v17 := f.LocalAt(3)
+			v13 := f.LocalAt(3)
 			m.GenChargeAccess()
-			v18 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v17.Data[0:]))}
-			v19 := f.LocalAt(5)
+			v14 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v13.Data[0:]))}
+			v15 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v20 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v19.Data[0:]))}
-			var v21 interp.Value
-			if v18.T == types.ULongType && v20.T == types.ULongType {
-				if uint64(v18.I) < uint64(v20.I) {
-					v21 = interp.Value{T: types.IntType, I: 1}
+			v16 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v15.Data[0:]))}
+			var v17 interp.Value
+			if v14.T == types.ULongType && v16.T == types.ULongType {
+				if uint64(v14.I) < uint64(v16.I) {
+					v17 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v21 = interp.Value{T: types.IntType, I: 0}
+					v17 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v21 = m.GenBinaryOp(token.Lt, v18, v20, types.IntType, server_pine_pos[4])
+				v17 = m.GenBinaryOp(token.Lt, v14, v16, types.IntType, server_pine_pos[2])
 			}
-			if !v21.Truthy() {
+			if !v17.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v22 := f.LocalAt(6)
-				v23 := m.GenLoadRaw(v22, 0, server_pine_t0, 1)
-				v24 := f.LocalAt(3)
+				v18 := f.LocalAt(0)
+				v19 := m.GenLoadRaw(v18, 0, server_pine_t0, 1)
+				v20 := f.LocalAt(3)
 				m.GenChargeAccess()
-				v25 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v24.Data[0:]))}
-				v26 := core.Pointer{Addr: v23.Ptr.Addr + uint64(v25.I)*1, Prov: v23.Ptr.Prov}
-				v27 := m.GenLoadValue(v26, types.CharType, server_pine_pos[5], -1, 0)
-				v28 := interp.Value{T: types.IntType, I: 34}
-				var v29 interp.Value
-				v29 = m.GenBinaryOp(token.EqEq, v27, v28, types.IntType, server_pine_pos[6])
-				if v29.Truthy() {
+				v21 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v20.Data[0:]))}
+				v22 := core.Pointer{Addr: v19.Ptr.Addr + uint64(v21.I)*1, Prov: v19.Ptr.Prov}
+				v23 := m.GenLoadValue(v22, types.CharType, server_pine_pos[3], -1, 0)
+				var v24 interp.Value
+				if v23.T == types.CharType {
+					if int64(int32(v23.I)) == 34 {
+						v24 = interp.Value{T: types.IntType, I: 1}
+					} else {
+						v24 = interp.Value{T: types.IntType, I: 0}
+					}
+				} else {
+					v24 = m.GenBinaryOp(token.EqEq, v23, (interp.Value{T: types.IntType, I: 34}), types.IntType, server_pine_pos[4])
+				}
+				if v24.Truthy() {
 					{
 						m.GenStep()
-						v30 := f.LocalAt(4)
+						v25 := f.LocalAt(2)
 						m.GenChargeAccess()
-						v31 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v30.Data[0:]))}
-						v32 := interp.Value{T: v31.T, I: v31.I + 1}
-						m.GenStoreRaw(v30, 0, types.ULongType, v32)
-						_ = v31
+						v26 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v25.Data[0:]))}
+						v27 := interp.Value{T: v26.T, I: v26.I + 1}
+						m.GenStoreRaw(v25, 0, types.ULongType, v27)
+						_ = v26
 					}
 				}
 			}
-			v33 := f.LocalAt(3)
+			v28 := f.LocalAt(3)
 			m.GenChargeAccess()
-			v34 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v33.Data[0:]))}
-			v35 := interp.Value{T: v34.T, I: v34.I + 1}
-			m.GenStoreRaw(v33, 0, types.ULongType, v35)
-			_ = v34
+			v29 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v28.Data[0:]))}
+			v30 := interp.Value{T: v29.T, I: v29.I + 1}
+			m.GenStoreRaw(v28, 0, types.ULongType, v30)
+			_ = v29
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v36 := m.GenArgs(1)
-		v37 := f.LocalAt(5)
+		v31 := m.GenArgs(1)
+		v32 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v38 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v37.Data[0:]))}
-		v39 := f.LocalAt(4)
+		v33 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v32.Data[0:]))}
+		v34 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v40 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v39.Data[0:]))}
+		v35 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v34.Data[0:]))}
+		var v36 interp.Value
+		if v33.T == types.ULongType && v35.T == types.ULongType {
+			v36 = interp.Value{T: types.ULongType, I: v33.I + v35.I}
+		} else {
+			v36 = m.GenBinaryOp(token.Plus, v33, v35, types.ULongType, server_pine_pos[5])
+		}
+		var v37 interp.Value
+		if v36.T == types.ULongType {
+			v37 = interp.Value{T: types.ULongType, I: v36.I + 1}
+		} else {
+			v37 = m.GenBinaryOp(token.Plus, v36, (interp.Value{T: types.IntType, I: 1}), types.ULongType, server_pine_pos[6])
+		}
+		v31[0] = v37
+		v38 := m.GenBuiltin(1, "malloc", server_pine_pos[7])(m, server_pine_pos[7], v31)
+		m.GenPutArgs(v31)
+		var v39 interp.Value
+		if v38.T == server_pine_t1 {
+			v39 = v38
+		} else if v38.T != nil && v38.T.IsPointer() {
+			v39 = interp.Value{T: server_pine_t1, Ptr: v38.Ptr}
+		} else {
+			v39 = m.GenConvert(v38, server_pine_t1, server_pine_pos[7])
+		}
+		v40 := f.LocalAt(4)
 		var v41 interp.Value
-		if v38.T == types.ULongType && v40.T == types.ULongType {
-			v41 = interp.Value{T: types.ULongType, I: v38.I + v40.I}
+		if v39.T == server_pine_t0 {
+			v41 = v39
+		} else if v39.T != nil && v39.T.IsPointer() {
+			v41 = interp.Value{T: server_pine_t0, Ptr: v39.Ptr}
 		} else {
-			v41 = m.GenBinaryOp(token.Plus, v38, v40, types.ULongType, server_pine_pos[7])
+			v41 = m.GenConvert(v39, server_pine_t0, server_pine_pos[8])
 		}
-		v42 := interp.Value{T: types.IntType, I: 1}
-		var v43 interp.Value
-		v43 = m.GenBinaryOp(token.Plus, v41, v42, types.ULongType, server_pine_pos[8])
-		v36[0] = v43
-		v44 := m.GenBuiltin(1, "malloc", server_pine_pos[9])(m, server_pine_pos[9], v36)
-		m.GenPutArgs(v36)
-		var v45 interp.Value
-		if v44.T == server_pine_t1 {
-			v45 = v44
-		} else {
-			v45 = m.GenConvert(v44, server_pine_t1, server_pine_pos[9])
-		}
-		v46 := f.LocalAt(2)
-		var v47 interp.Value
-		if v45.T == server_pine_t0 {
-			v47 = v45
-		} else {
-			v47 = m.GenConvert(v45, server_pine_t0, server_pine_pos[10])
-		}
-		m.GenStoreRaw(v46, 0, server_pine_t0, v47)
-		_ = v47
+		m.GenStoreRaw(v40, 0, server_pine_t0, v41)
+		_ = v41
 	}
 	{
 		m.GenStep()
-		v48 := f.LocalAt(2)
-		v49 := m.GenLoadRaw(v48, 0, server_pine_t0, 2)
-		v50 := f.LocalAt(1)
-		var v51 interp.Value
-		if v49.T == server_pine_t0 {
-			v51 = v49
+		v42 := f.LocalAt(4)
+		v43 := m.GenLoadRaw(v42, 0, server_pine_t0, 2)
+		v44 := f.LocalAt(5)
+		var v45 interp.Value
+		if v43.T == server_pine_t0 {
+			v45 = v43
+		} else if v43.T != nil && v43.T.IsPointer() {
+			v45 = interp.Value{T: server_pine_t0, Ptr: v43.Ptr}
 		} else {
-			v51 = m.GenConvert(v49, server_pine_t0, server_pine_pos[11])
+			v45 = m.GenConvert(v43, server_pine_t0, server_pine_pos[9])
 		}
-		m.GenStoreRaw(v50, 0, server_pine_t0, v51)
-		_ = v51
+		m.GenStoreRaw(v44, 0, server_pine_t0, v45)
+		_ = v45
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v52 := interp.Value{T: types.IntType, I: 0}
-			v53 := f.LocalAt(3)
-			var v54 interp.Value
-			if v52.T == types.ULongType {
-				v54 = v52
-			} else {
-				v54 = m.GenConvert(v52, types.ULongType, server_pine_pos[12])
-			}
-			m.GenStoreRaw(v53, 0, types.ULongType, v54)
-			_ = v54
+			v46 := f.LocalAt(3)
+			m.GenStoreRaw(v46, 0, types.ULongType, (interp.Value{T: types.ULongType, I: 0}))
+			_ = (interp.Value{T: types.ULongType, I: 0})
 		}
 		for {
-			v55 := f.LocalAt(3)
+			v47 := f.LocalAt(3)
 			m.GenChargeAccess()
-			v56 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v55.Data[0:]))}
-			v57 := f.LocalAt(5)
+			v48 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v47.Data[0:]))}
+			v49 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v58 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v57.Data[0:]))}
-			var v59 interp.Value
-			if v56.T == types.ULongType && v58.T == types.ULongType {
-				if uint64(v56.I) < uint64(v58.I) {
-					v59 = interp.Value{T: types.IntType, I: 1}
+			v50 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v49.Data[0:]))}
+			var v51 interp.Value
+			if v48.T == types.ULongType && v50.T == types.ULongType {
+				if uint64(v48.I) < uint64(v50.I) {
+					v51 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v59 = interp.Value{T: types.IntType, I: 0}
+					v51 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v59 = m.GenBinaryOp(token.Lt, v56, v58, types.IntType, server_pine_pos[13])
+				v51 = m.GenBinaryOp(token.Lt, v48, v50, types.IntType, server_pine_pos[10])
 			}
-			if !v59.Truthy() {
+			if !v51.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -425,114 +414,118 @@ func server_pine_b_quote_from(m *interp.Machine, f *mem.Frame) (ret interp.Value
 				m.GenStep()
 				{
 					m.GenStep()
-					v60 := f.LocalAt(0)
-					v61 := f.LocalAt(6)
-					v62 := m.GenLoadRaw(v61, 0, server_pine_t0, 3)
-					v63 := f.LocalAt(3)
+					v52 := f.LocalAt(6)
+					v53 := f.LocalAt(0)
+					v54 := m.GenLoadRaw(v53, 0, server_pine_t0, 3)
+					v55 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v64 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v63.Data[0:]))}
-					v65 := core.Pointer{Addr: v62.Ptr.Addr + uint64(v64.I)*1, Prov: v62.Ptr.Prov}
-					v66 := m.GenLoadValue(v65, types.CharType, server_pine_pos[14], -1, 1)
-					var v67 interp.Value
-					if v66.T == types.CharType {
-						v67 = v66
+					v56 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v55.Data[0:]))}
+					v57 := core.Pointer{Addr: v54.Ptr.Addr + uint64(v56.I)*1, Prov: v54.Ptr.Prov}
+					v58 := m.GenLoadValue(v57, types.CharType, server_pine_pos[11], -1, 1)
+					var v59 interp.Value
+					if v58.T == types.CharType {
+						v59 = v58
+					} else if v58.T != nil && v58.T.IsInteger() {
+						v59 = interp.Value{T: types.CharType, I: int64(int8(v58.I))}
 					} else {
-						v67 = m.GenConvert(v66, types.CharType, server_pine_pos[15])
+						v59 = m.GenConvert(v58, types.CharType, server_pine_pos[12])
 					}
-					m.GenStoreRaw(v60, 0, types.CharType, v67)
+					m.GenStoreRaw(v52, 0, types.CharType, v59)
 				}
 				{
 					m.GenStep()
-					var v68 interp.Value
-					v69 := f.LocalAt(0)
+					var v60 interp.Value
+					v61 := f.LocalAt(6)
 					m.GenChargeAccess()
-					v70 := interp.Value{T: types.CharType, I: int64(int8(v69.Data[0]))}
-					v71 := interp.Value{T: types.IntType, I: 34}
-					var v72 interp.Value
-					v72 = m.GenBinaryOp(token.EqEq, v70, v71, types.IntType, server_pine_pos[16])
-					if v72.Truthy() {
-						v68 = interp.Value{T: types.IntType, I: 1}
-					} else {
-						v73 := f.LocalAt(0)
-						m.GenChargeAccess()
-						v74 := interp.Value{T: types.CharType, I: int64(int8(v73.Data[0]))}
-						v75 := interp.Value{T: types.IntType, I: 92}
-						var v76 interp.Value
-						v76 = m.GenBinaryOp(token.EqEq, v74, v75, types.IntType, server_pine_pos[17])
-						if v76.Truthy() {
-							v68 = interp.Value{T: types.IntType, I: 1}
+					v62 := interp.Value{T: types.CharType, I: int64(int8(v61.Data[0]))}
+					var v63 interp.Value
+					if v62.T == types.CharType {
+						if int64(int32(v62.I)) == 34 {
+							v63 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v68 = interp.Value{T: types.IntType, I: 0}
+							v63 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v63 = m.GenBinaryOp(token.EqEq, v62, (interp.Value{T: types.IntType, I: 34}), types.IntType, server_pine_pos[13])
+					}
+					if v63.Truthy() {
+						v60 = interp.Value{T: types.IntType, I: 1}
+					} else {
+						v64 := f.LocalAt(6)
+						m.GenChargeAccess()
+						v65 := interp.Value{T: types.CharType, I: int64(int8(v64.Data[0]))}
+						var v66 interp.Value
+						if v65.T == types.CharType {
+							if int64(int32(v65.I)) == 92 {
+								v66 = interp.Value{T: types.IntType, I: 1}
+							} else {
+								v66 = interp.Value{T: types.IntType, I: 0}
+							}
+						} else {
+							v66 = m.GenBinaryOp(token.EqEq, v65, (interp.Value{T: types.IntType, I: 92}), types.IntType, server_pine_pos[14])
+						}
+						if v66.Truthy() {
+							v60 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v60 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v68.Truthy() {
+					if v60.Truthy() {
 						{
 							m.GenStep()
-							v77 := interp.Value{T: types.IntType, I: 92}
-							v78 := f.LocalAt(1)
-							v79 := m.GenLoadRaw(v78, 0, server_pine_t0, 4)
-							v80 := interp.Value{T: v79.T, Ptr: core.Pointer{Addr: v79.Ptr.Addr + 1, Prov: v79.Ptr.Prov}}
-							m.GenStoreRaw(v78, 0, server_pine_t0, v80)
-							v81 := v79.Ptr
-							var v82 interp.Value
-							if v77.T == types.CharType {
-								v82 = v77
-							} else {
-								v82 = m.GenConvert(v77, types.CharType, server_pine_pos[18])
-							}
-							m.GenStoreValue(v81, types.CharType, v82, server_pine_pos[18])
-							_ = v82
+							v67 := f.LocalAt(5)
+							v68 := m.GenLoadRaw(v67, 0, server_pine_t0, 4)
+							v69 := interp.Value{T: v68.T, Ptr: core.Pointer{Addr: v68.Ptr.Addr + 1, Prov: v68.Ptr.Prov}}
+							m.GenStoreRaw(v67, 0, server_pine_t0, v69)
+							v70 := v68.Ptr
+							m.GenStoreValue(v70, types.CharType, (interp.Value{T: types.CharType, I: 92}), server_pine_pos[15])
+							_ = (interp.Value{T: types.CharType, I: 92})
 						}
 					}
 				}
 				{
 					m.GenStep()
-					v83 := f.LocalAt(0)
+					v71 := f.LocalAt(6)
 					m.GenChargeAccess()
-					v84 := interp.Value{T: types.CharType, I: int64(int8(v83.Data[0]))}
-					v85 := f.LocalAt(1)
-					v86 := m.GenLoadRaw(v85, 0, server_pine_t0, 5)
-					v87 := interp.Value{T: v86.T, Ptr: core.Pointer{Addr: v86.Ptr.Addr + 1, Prov: v86.Ptr.Prov}}
-					m.GenStoreRaw(v85, 0, server_pine_t0, v87)
-					v88 := v86.Ptr
-					var v89 interp.Value
-					if v84.T == types.CharType {
-						v89 = v84
+					v72 := interp.Value{T: types.CharType, I: int64(int8(v71.Data[0]))}
+					v73 := f.LocalAt(5)
+					v74 := m.GenLoadRaw(v73, 0, server_pine_t0, 5)
+					v75 := interp.Value{T: v74.T, Ptr: core.Pointer{Addr: v74.Ptr.Addr + 1, Prov: v74.Ptr.Prov}}
+					m.GenStoreRaw(v73, 0, server_pine_t0, v75)
+					v76 := v74.Ptr
+					var v77 interp.Value
+					if v72.T == types.CharType {
+						v77 = v72
+					} else if v72.T != nil && v72.T.IsInteger() {
+						v77 = interp.Value{T: types.CharType, I: int64(int8(v72.I))}
 					} else {
-						v89 = m.GenConvert(v84, types.CharType, server_pine_pos[19])
+						v77 = m.GenConvert(v72, types.CharType, server_pine_pos[16])
 					}
-					m.GenStoreValue(v88, types.CharType, v89, server_pine_pos[19])
-					_ = v89
+					m.GenStoreValue(v76, types.CharType, v77, server_pine_pos[16])
+					_ = v77
 				}
 			}
-			v90 := f.LocalAt(3)
+			v78 := f.LocalAt(3)
 			m.GenChargeAccess()
-			v91 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v90.Data[0:]))}
-			v92 := interp.Value{T: v91.T, I: v91.I + 1}
-			m.GenStoreRaw(v90, 0, types.ULongType, v92)
-			_ = v91
+			v79 := interp.Value{T: types.ULongType, I: int64(binary.LittleEndian.Uint64(v78.Data[0:]))}
+			v80 := interp.Value{T: v79.T, I: v79.I + 1}
+			m.GenStoreRaw(v78, 0, types.ULongType, v80)
+			_ = v79
 		}
 	}
 	{
 		m.GenStep()
-		v93 := interp.Value{T: types.IntType, I: 0}
-		v94 := f.LocalAt(1)
-		v95 := m.GenLoadRaw(v94, 0, server_pine_t0, 6)
-		v96 := v95.Ptr
-		var v97 interp.Value
-		if v93.T == types.CharType {
-			v97 = v93
-		} else {
-			v97 = m.GenConvert(v93, types.CharType, server_pine_pos[20])
-		}
-		m.GenStoreValue(v96, types.CharType, v97, server_pine_pos[20])
-		_ = v97
+		v81 := f.LocalAt(5)
+		v82 := m.GenLoadRaw(v81, 0, server_pine_t0, 6)
+		v83 := v82.Ptr
+		m.GenStoreValue(v83, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_pine_pos[17])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v98 := f.LocalAt(2)
-		v99 := m.GenLoadRaw(v98, 0, server_pine_t0, 7)
-		ret = v99
+		v84 := f.LocalAt(4)
+		v85 := m.GenLoadRaw(v84, 0, server_pine_t0, 7)
+		ret = v85
 		if interp.GenLive {
 			return
 		}
@@ -546,68 +539,76 @@ func server_pine_f_pine_index_message(m *interp.Machine, args []interp.Value, po
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_index_message", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:pine_index_message", 284, server_pine_locals_pine_index_message)
-	v0 := m.GenConvert(args[0], server_pine_t0, pos)
-	m.GenStoreRaw(f.LocalAt(5), 0, server_pine_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_pine_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_pine_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_pine_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_pine_t0, v0)
 	ret := m.GenExec(f, server_pine_b_pine_index_message)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_pine_b_pine_index_message(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(4)
+		v1 := f.LocalAt(1)
 		_ = v1
 	}
 	{
 		m.GenStep()
-		v2 := f.LocalAt(3)
+		v2 := f.LocalAt(2)
 		_ = v2
 	}
 	{
 		m.GenStep()
-		v3 := f.LocalAt(2)
-		v4 := interp.Value{T: types.IntType, I: 0}
-		var v5 interp.Value
-		if v4.T == types.IntType {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, types.IntType, server_pine_pos[21])
-		}
-		m.GenStoreRaw(v3, 0, types.IntType, v5)
-		v6 := f.LocalAt(1)
-		v7 := interp.Value{T: types.IntType, I: 0}
-		var v8 interp.Value
-		if v7.T == types.IntType {
-			v8 = v7
-		} else {
-			v8 = m.GenConvert(v7, types.IntType, server_pine_pos[21])
-		}
-		m.GenStoreRaw(v6, 0, types.IntType, v8)
+		v3 := f.LocalAt(3)
+		m.GenStoreRaw(v3, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v4 := f.LocalAt(4)
+		m.GenStoreRaw(v4, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v9 := f.LocalAt(0)
-		_ = v9
+		v5 := f.LocalAt(5)
+		_ = v5
 	}
 	{
 		m.GenStep()
 		for {
-			v10 := f.LocalAt(5)
-			v11 := m.GenLoadRaw(v10, 0, server_pine_t0, 8)
-			v12 := f.LocalAt(2)
+			v6 := f.LocalAt(0)
+			v7 := m.GenLoadRaw(v6, 0, server_pine_t0, 8)
+			v8 := f.LocalAt(3)
 			m.GenChargeAccess()
-			v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
-			v14 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*1, Prov: v11.Ptr.Prov}
-			v15 := m.GenLoadValue(v14, types.CharType, server_pine_pos[22], -1, 5)
-			v16 := interp.Value{T: types.IntType, I: 0}
-			var v17 interp.Value
-			v17 = m.GenBinaryOp(token.NotEq, v15, v16, types.IntType, server_pine_pos[23])
-			if !v17.Truthy() {
+			v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
+			v10 := core.Pointer{Addr: v7.Ptr.Addr + uint64(v9.I)*1, Prov: v7.Ptr.Prov}
+			v11 := m.GenLoadValue(v10, types.CharType, server_pine_pos[18], -1, 5)
+			var v12 interp.Value
+			if v11.T == types.CharType {
+				if int64(int32(v11.I)) != 0 {
+					v12 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v12 = interp.Value{T: types.IntType, I: 0}
+				}
+			} else {
+				v12 = m.GenBinaryOp(token.NotEq, v11, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[19])
+			}
+			if !v12.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -615,264 +616,286 @@ func server_pine_b_pine_index_message(m *interp.Machine, f *mem.Frame) (ret inte
 				m.GenStep()
 				{
 					m.GenStep()
-					var v18 interp.Value
-					var v19 interp.Value
-					v20 := f.LocalAt(2)
+					var v13 interp.Value
+					var v14 interp.Value
+					v15 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-					v22 := interp.Value{T: types.IntType, I: 0}
-					var v23 interp.Value
-					if v21.T == types.IntType && v22.T == types.IntType {
-						if v21.I == v22.I {
-							v23 = interp.Value{T: types.IntType, I: 1}
+					v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
+					var v17 interp.Value
+					if v16.T == types.IntType {
+						if v16.I == 0 {
+							v17 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v23 = interp.Value{T: types.IntType, I: 0}
+							v17 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v23 = m.GenBinaryOp(token.EqEq, v21, v22, types.IntType, server_pine_pos[24])
+						v17 = m.GenBinaryOp(token.EqEq, v16, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[20])
 					}
-					if v23.Truthy() {
-						v19 = interp.Value{T: types.IntType, I: 1}
+					if v17.Truthy() {
+						v14 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v24 := f.LocalAt(5)
-						v25 := m.GenLoadRaw(v24, 0, server_pine_t0, 9)
-						v26 := f.LocalAt(2)
+						v18 := f.LocalAt(0)
+						v19 := m.GenLoadRaw(v18, 0, server_pine_t0, 9)
+						v20 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
-						v28 := interp.Value{T: types.IntType, I: 1}
-						var v29 interp.Value
-						if v27.T == types.IntType && v28.T == types.IntType {
-							v29 = interp.Value{T: types.IntType, I: int64(int32(v27.I - v28.I))}
+						v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
+						var v22 interp.Value
+						if v21.T == types.IntType {
+							v22 = interp.Value{T: types.IntType, I: int64(int32(v21.I - 1))}
 						} else {
-							v29 = m.GenBinaryOp(token.Minus, v27, v28, types.IntType, server_pine_pos[25])
+							v22 = m.GenBinaryOp(token.Minus, v21, (interp.Value{T: types.IntType, I: 1}), types.IntType, server_pine_pos[21])
 						}
-						v30 := core.Pointer{Addr: v25.Ptr.Addr + uint64(v29.I)*1, Prov: v25.Ptr.Prov}
-						v31 := m.GenLoadValue(v30, types.CharType, server_pine_pos[26], -1, 6)
-						v32 := interp.Value{T: types.IntType, I: 10}
-						var v33 interp.Value
-						v33 = m.GenBinaryOp(token.EqEq, v31, v32, types.IntType, server_pine_pos[27])
-						if v33.Truthy() {
-							v19 = interp.Value{T: types.IntType, I: 1}
-						} else {
-							v19 = interp.Value{T: types.IntType, I: 0}
-						}
-					}
-					if !v19.Truthy() {
-						v18 = interp.Value{T: types.IntType, I: 0}
-					} else {
-						m.GenStep()
-						v34 := m.GenArgs(3)
-						v35 := f.LocalAt(5)
-						v36 := m.GenLoadRaw(v35, 0, server_pine_t0, 10)
-						v37 := f.LocalAt(2)
-						m.GenChargeAccess()
-						v38 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v37.Data[0:])))}
-						v39 := core.Pointer{Addr: v36.Ptr.Addr + uint64(v38.I)*1, Prov: v36.Ptr.Prov}
-						v40 := interp.Value{T: server_pine_t0, Ptr: v39}
-						v34[0] = v40
-						v41 := m.GenLiteral(0)
-						v42 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v41.Base, Prov: v41}}
-						v34[1] = v42
-						v43 := interp.Value{T: types.IntType, I: 5}
-						v34[2] = v43
-						v44 := m.GenBuiltin(2, "strncmp", server_pine_pos[28])(m, server_pine_pos[28], v34)
-						m.GenPutArgs(v34)
-						var v45 interp.Value
-						if v44.T == types.IntType {
-							v45 = v44
-						} else {
-							v45 = m.GenConvert(v44, types.IntType, server_pine_pos[28])
-						}
-						v46 := interp.Value{T: types.IntType, I: 0}
-						var v47 interp.Value
-						if v45.T == types.IntType && v46.T == types.IntType {
-							if v45.I == v46.I {
-								v47 = interp.Value{T: types.IntType, I: 1}
+						v23 := core.Pointer{Addr: v19.Ptr.Addr + uint64(v22.I)*1, Prov: v19.Ptr.Prov}
+						v24 := m.GenLoadValue(v23, types.CharType, server_pine_pos[22], -1, 6)
+						var v25 interp.Value
+						if v24.T == types.CharType {
+							if int64(int32(v24.I)) == 10 {
+								v25 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v47 = interp.Value{T: types.IntType, I: 0}
+								v25 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v47 = m.GenBinaryOp(token.EqEq, v45, v46, types.IntType, server_pine_pos[29])
+							v25 = m.GenBinaryOp(token.EqEq, v24, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_pine_pos[23])
 						}
-						if v47.Truthy() {
-							v18 = interp.Value{T: types.IntType, I: 1}
+						if v25.Truthy() {
+							v14 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v18 = interp.Value{T: types.IntType, I: 0}
+							v14 = interp.Value{T: types.IntType, I: 0}
 						}
 					}
-					if v18.Truthy() {
+					if !v14.Truthy() {
+						v13 = interp.Value{T: types.IntType, I: 0}
+					} else {
+						m.GenStep()
+						v26 := m.GenArgs(3)
+						v27 := f.LocalAt(0)
+						v28 := m.GenLoadRaw(v27, 0, server_pine_t0, 10)
+						v29 := f.LocalAt(3)
+						m.GenChargeAccess()
+						v30 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v29.Data[0:])))}
+						v31 := core.Pointer{Addr: v28.Ptr.Addr + uint64(v30.I)*1, Prov: v28.Ptr.Prov}
+						v32 := interp.Value{T: server_pine_t0, Ptr: v31}
+						v26[0] = v32
+						v33 := m.GenLiteral(0)
+						v34 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v33.Base, Prov: v33}}
+						v26[1] = v34
+						v26[2] = (interp.Value{T: types.IntType, I: 5})
+						v35 := m.GenBuiltin(2, "strncmp", server_pine_pos[24])(m, server_pine_pos[24], v26)
+						m.GenPutArgs(v26)
+						var v36 interp.Value
+						if v35.T == types.IntType {
+							v36 = v35
+						} else if v35.T != nil && v35.T.IsInteger() {
+							v36 = interp.Value{T: types.IntType, I: int64(int32(v35.I))}
+						} else {
+							v36 = m.GenConvert(v35, types.IntType, server_pine_pos[24])
+						}
+						var v37 interp.Value
+						if v36.T == types.IntType {
+							if v36.I == 0 {
+								v37 = interp.Value{T: types.IntType, I: 1}
+							} else {
+								v37 = interp.Value{T: types.IntType, I: 0}
+							}
+						} else {
+							v37 = m.GenBinaryOp(token.EqEq, v36, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[25])
+						}
+						if v37.Truthy() {
+							v13 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v13 = interp.Value{T: types.IntType, I: 0}
+						}
+					}
+					if v13.Truthy() {
 						{
 							m.GenStep()
 							{
 								m.GenStep()
-								v48 := f.LocalAt(2)
+								v38 := f.LocalAt(3)
 								m.GenChargeAccess()
-								v49 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v48.Data[0:])))}
-								v50 := interp.Value{T: types.IntType, I: 5}
-								var v51 interp.Value
-								if v49.T == types.IntType && v50.T == types.IntType {
-									v51 = interp.Value{T: types.IntType, I: int64(int32(v49.I + v50.I))}
+								v39 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v38.Data[0:])))}
+								var v40 interp.Value
+								if v39.T == types.IntType {
+									v40 = interp.Value{T: types.IntType, I: int64(int32(v39.I + 5))}
 								} else {
-									v51 = m.GenBinaryOp(token.Plus, v49, v50, types.IntType, server_pine_pos[30])
+									v40 = m.GenBinaryOp(token.Plus, v39, (interp.Value{T: types.IntType, I: 5}), types.IntType, server_pine_pos[26])
 								}
-								var v52 interp.Value
-								if v51.T == types.IntType {
-									v52 = v51
+								var v41 interp.Value
+								if v40.T == types.IntType {
+									v41 = v40
+								} else if v40.T != nil && v40.T.IsInteger() {
+									v41 = interp.Value{T: types.IntType, I: int64(int32(v40.I))}
 								} else {
-									v52 = m.GenConvert(v51, types.IntType, server_pine_pos[30])
+									v41 = m.GenConvert(v40, types.IntType, server_pine_pos[26])
 								}
-								m.GenStoreRaw(v48, 0, types.IntType, v52)
-								_ = v52
+								m.GenStoreRaw(v38, 0, types.IntType, v41)
+								_ = v41
 							}
 							{
 								m.GenStep()
 								for {
-									v53 := f.LocalAt(5)
-									v54 := m.GenLoadRaw(v53, 0, server_pine_t0, 11)
-									v55 := f.LocalAt(2)
+									v42 := f.LocalAt(0)
+									v43 := m.GenLoadRaw(v42, 0, server_pine_t0, 11)
+									v44 := f.LocalAt(3)
 									m.GenChargeAccess()
-									v56 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v55.Data[0:])))}
-									v57 := core.Pointer{Addr: v54.Ptr.Addr + uint64(v56.I)*1, Prov: v54.Ptr.Prov}
-									v58 := m.GenLoadValue(v57, types.CharType, server_pine_pos[31], -1, 8)
-									v59 := interp.Value{T: types.IntType, I: 32}
-									var v60 interp.Value
-									v60 = m.GenBinaryOp(token.EqEq, v58, v59, types.IntType, server_pine_pos[32])
-									if !v60.Truthy() {
+									v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
+									v46 := core.Pointer{Addr: v43.Ptr.Addr + uint64(v45.I)*1, Prov: v43.Ptr.Prov}
+									v47 := m.GenLoadValue(v46, types.CharType, server_pine_pos[27], -1, 8)
+									var v48 interp.Value
+									if v47.T == types.CharType {
+										if int64(int32(v47.I)) == 32 {
+											v48 = interp.Value{T: types.IntType, I: 1}
+										} else {
+											v48 = interp.Value{T: types.IntType, I: 0}
+										}
+									} else {
+										v48 = m.GenBinaryOp(token.EqEq, v47, (interp.Value{T: types.IntType, I: 32}), types.IntType, server_pine_pos[28])
+									}
+									if !v48.Truthy() {
 										break
 									}
 									m.GenStep()
 									{
 										m.GenStep()
-										v61 := f.LocalAt(2)
+										v49 := f.LocalAt(3)
 										m.GenChargeAccess()
-										v62 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v61.Data[0:])))}
-										v63 := interp.Value{T: v62.T, I: int64(int32(v62.I + 1))}
-										m.GenStoreRaw(v61, 0, types.IntType, v63)
-										_ = v62
+										v50 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v49.Data[0:])))}
+										v51 := interp.Value{T: v50.T, I: int64(int32(v50.I + 1))}
+										m.GenStoreRaw(v49, 0, types.IntType, v51)
+										_ = v50
 									}
 								}
 							}
 							{
 								m.GenStep()
 								for {
-									var v64 interp.Value
-									var v65 interp.Value
-									var v66 interp.Value
-									v67 := f.LocalAt(5)
-									v68 := m.GenLoadRaw(v67, 0, server_pine_t0, 12)
-									v69 := f.LocalAt(2)
+									var v52 interp.Value
+									var v53 interp.Value
+									var v54 interp.Value
+									v55 := f.LocalAt(0)
+									v56 := m.GenLoadRaw(v55, 0, server_pine_t0, 12)
+									v57 := f.LocalAt(3)
 									m.GenChargeAccess()
-									v70 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v69.Data[0:])))}
-									v71 := core.Pointer{Addr: v68.Ptr.Addr + uint64(v70.I)*1, Prov: v68.Ptr.Prov}
-									v72 := m.GenLoadValue(v71, types.CharType, server_pine_pos[33], -1, 9)
-									v73 := interp.Value{T: types.IntType, I: 0}
-									var v74 interp.Value
-									v74 = m.GenBinaryOp(token.NotEq, v72, v73, types.IntType, server_pine_pos[34])
-									if !v74.Truthy() {
-										v66 = interp.Value{T: types.IntType, I: 0}
-									} else {
-										v75 := f.LocalAt(5)
-										v76 := m.GenLoadRaw(v75, 0, server_pine_t0, 13)
-										v77 := f.LocalAt(2)
-										m.GenChargeAccess()
-										v78 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v77.Data[0:])))}
-										v79 := core.Pointer{Addr: v76.Ptr.Addr + uint64(v78.I)*1, Prov: v76.Ptr.Prov}
-										v80 := m.GenLoadValue(v79, types.CharType, server_pine_pos[35], -1, 10)
-										v81 := interp.Value{T: types.IntType, I: 10}
-										var v82 interp.Value
-										v82 = m.GenBinaryOp(token.NotEq, v80, v81, types.IntType, server_pine_pos[36])
-										if v82.Truthy() {
-											v66 = interp.Value{T: types.IntType, I: 1}
+									v58 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v57.Data[0:])))}
+									v59 := core.Pointer{Addr: v56.Ptr.Addr + uint64(v58.I)*1, Prov: v56.Ptr.Prov}
+									v60 := m.GenLoadValue(v59, types.CharType, server_pine_pos[29], -1, 9)
+									var v61 interp.Value
+									if v60.T == types.CharType {
+										if int64(int32(v60.I)) != 0 {
+											v61 = interp.Value{T: types.IntType, I: 1}
 										} else {
-											v66 = interp.Value{T: types.IntType, I: 0}
+											v61 = interp.Value{T: types.IntType, I: 0}
 										}
+									} else {
+										v61 = m.GenBinaryOp(token.NotEq, v60, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[30])
 									}
-									if !v66.Truthy() {
-										v65 = interp.Value{T: types.IntType, I: 0}
+									if !v61.Truthy() {
+										v54 = interp.Value{T: types.IntType, I: 0}
 									} else {
-										v83 := f.LocalAt(5)
-										v84 := m.GenLoadRaw(v83, 0, server_pine_t0, 14)
-										v85 := f.LocalAt(2)
+										v62 := f.LocalAt(0)
+										v63 := m.GenLoadRaw(v62, 0, server_pine_t0, 13)
+										v64 := f.LocalAt(3)
 										m.GenChargeAccess()
-										v86 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v85.Data[0:])))}
-										v87 := core.Pointer{Addr: v84.Ptr.Addr + uint64(v86.I)*1, Prov: v84.Ptr.Prov}
-										v88 := m.GenLoadValue(v87, types.CharType, server_pine_pos[37], -1, 11)
-										v89 := interp.Value{T: types.IntType, I: 13}
-										var v90 interp.Value
-										v90 = m.GenBinaryOp(token.NotEq, v88, v89, types.IntType, server_pine_pos[38])
-										if v90.Truthy() {
-											v65 = interp.Value{T: types.IntType, I: 1}
-										} else {
-											v65 = interp.Value{T: types.IntType, I: 0}
-										}
-									}
-									if !v65.Truthy() {
-										v64 = interp.Value{T: types.IntType, I: 0}
-									} else {
-										v91 := f.LocalAt(1)
-										m.GenChargeAccess()
-										v92 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v91.Data[0:])))}
-										v93 := interp.Value{T: types.ULongType, I: 256}
-										var v94 interp.Value
-										if v93.T == types.IntType {
-											v94 = v93
-										} else {
-											v94 = m.GenConvert(v93, types.IntType, server_pine_pos[39])
-										}
-										v95 := interp.Value{T: types.IntType, I: 1}
-										var v96 interp.Value
-										if v94.T == types.IntType && v95.T == types.IntType {
-											v96 = interp.Value{T: types.IntType, I: int64(int32(v94.I - v95.I))}
-										} else {
-											v96 = m.GenBinaryOp(token.Minus, v94, v95, types.IntType, server_pine_pos[40])
-										}
-										var v97 interp.Value
-										if v92.T == types.IntType && v96.T == types.IntType {
-											if v92.I < v96.I {
-												v97 = interp.Value{T: types.IntType, I: 1}
+										v65 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v64.Data[0:])))}
+										v66 := core.Pointer{Addr: v63.Ptr.Addr + uint64(v65.I)*1, Prov: v63.Ptr.Prov}
+										v67 := m.GenLoadValue(v66, types.CharType, server_pine_pos[31], -1, 10)
+										var v68 interp.Value
+										if v67.T == types.CharType {
+											if int64(int32(v67.I)) != 10 {
+												v68 = interp.Value{T: types.IntType, I: 1}
 											} else {
-												v97 = interp.Value{T: types.IntType, I: 0}
+												v68 = interp.Value{T: types.IntType, I: 0}
 											}
 										} else {
-											v97 = m.GenBinaryOp(token.Lt, v92, v96, types.IntType, server_pine_pos[41])
+											v68 = m.GenBinaryOp(token.NotEq, v67, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_pine_pos[32])
 										}
-										if v97.Truthy() {
-											v64 = interp.Value{T: types.IntType, I: 1}
+										if v68.Truthy() {
+											v54 = interp.Value{T: types.IntType, I: 1}
 										} else {
-											v64 = interp.Value{T: types.IntType, I: 0}
+											v54 = interp.Value{T: types.IntType, I: 0}
 										}
 									}
-									if !v64.Truthy() {
+									if !v54.Truthy() {
+										v53 = interp.Value{T: types.IntType, I: 0}
+									} else {
+										v69 := f.LocalAt(0)
+										v70 := m.GenLoadRaw(v69, 0, server_pine_t0, 14)
+										v71 := f.LocalAt(3)
+										m.GenChargeAccess()
+										v72 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v71.Data[0:])))}
+										v73 := core.Pointer{Addr: v70.Ptr.Addr + uint64(v72.I)*1, Prov: v70.Ptr.Prov}
+										v74 := m.GenLoadValue(v73, types.CharType, server_pine_pos[33], -1, 11)
+										var v75 interp.Value
+										if v74.T == types.CharType {
+											if int64(int32(v74.I)) != 13 {
+												v75 = interp.Value{T: types.IntType, I: 1}
+											} else {
+												v75 = interp.Value{T: types.IntType, I: 0}
+											}
+										} else {
+											v75 = m.GenBinaryOp(token.NotEq, v74, (interp.Value{T: types.IntType, I: 13}), types.IntType, server_pine_pos[34])
+										}
+										if v75.Truthy() {
+											v53 = interp.Value{T: types.IntType, I: 1}
+										} else {
+											v53 = interp.Value{T: types.IntType, I: 0}
+										}
+									}
+									if !v53.Truthy() {
+										v52 = interp.Value{T: types.IntType, I: 0}
+									} else {
+										v76 := f.LocalAt(4)
+										m.GenChargeAccess()
+										v77 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v76.Data[0:])))}
+										var v78 interp.Value
+										if v77.T == types.IntType {
+											if v77.I < 255 {
+												v78 = interp.Value{T: types.IntType, I: 1}
+											} else {
+												v78 = interp.Value{T: types.IntType, I: 0}
+											}
+										} else {
+											v78 = m.GenBinaryOp(token.Lt, v77, (interp.Value{T: types.IntType, I: 255}), types.IntType, server_pine_pos[35])
+										}
+										if v78.Truthy() {
+											v52 = interp.Value{T: types.IntType, I: 1}
+										} else {
+											v52 = interp.Value{T: types.IntType, I: 0}
+										}
+									}
+									if !v52.Truthy() {
 										break
 									}
 									m.GenStep()
 									{
 										m.GenStep()
-										v98 := f.LocalAt(5)
-										v99 := m.GenLoadRaw(v98, 0, server_pine_t0, 15)
-										v100 := f.LocalAt(2)
+										v79 := f.LocalAt(0)
+										v80 := m.GenLoadRaw(v79, 0, server_pine_t0, 15)
+										v81 := f.LocalAt(3)
 										m.GenChargeAccess()
-										v101 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v100.Data[0:])))}
-										v102 := interp.Value{T: v101.T, I: int64(int32(v101.I + 1))}
-										m.GenStoreRaw(v100, 0, types.IntType, v102)
-										v103 := core.Pointer{Addr: v99.Ptr.Addr + uint64(v101.I)*1, Prov: v99.Ptr.Prov}
-										v104 := m.GenLoadValue(v103, types.CharType, server_pine_pos[42], -1, 13)
-										v105 := f.LocalAt(4)
-										v106 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v105.Base, Prov: v105}}
-										v107 := f.LocalAt(1)
+										v82 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v81.Data[0:])))}
+										v83 := interp.Value{T: v82.T, I: int64(int32(v82.I + 1))}
+										m.GenStoreRaw(v81, 0, types.IntType, v83)
+										v84 := core.Pointer{Addr: v80.Ptr.Addr + uint64(v82.I)*1, Prov: v80.Ptr.Prov}
+										v85 := m.GenLoadValue(v84, types.CharType, server_pine_pos[36], -1, 13)
+										v86 := f.LocalAt(1)
+										v87 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v86.Base, Prov: v86}}
+										v88 := f.LocalAt(4)
 										m.GenChargeAccess()
-										v108 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v107.Data[0:])))}
-										v109 := interp.Value{T: v108.T, I: int64(int32(v108.I + 1))}
-										m.GenStoreRaw(v107, 0, types.IntType, v109)
-										v110 := core.Pointer{Addr: v106.Ptr.Addr + uint64(v108.I)*1, Prov: v106.Ptr.Prov}
-										var v111 interp.Value
-										if v104.T == types.CharType {
-											v111 = v104
+										v89 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v88.Data[0:])))}
+										v90 := interp.Value{T: v89.T, I: int64(int32(v89.I + 1))}
+										m.GenStoreRaw(v88, 0, types.IntType, v90)
+										v91 := core.Pointer{Addr: v87.Ptr.Addr + uint64(v89.I)*1, Prov: v87.Ptr.Prov}
+										var v92 interp.Value
+										if v85.T == types.CharType {
+											v92 = v85
+										} else if v85.T != nil && v85.T.IsInteger() {
+											v92 = interp.Value{T: types.CharType, I: int64(int8(v85.I))}
 										} else {
-											v111 = m.GenConvert(v104, types.CharType, server_pine_pos[43])
+											v92 = m.GenConvert(v85, types.CharType, server_pine_pos[37])
 										}
-										m.GenStoreValue(v110, types.CharType, v111, server_pine_pos[43])
-										_ = v111
+										m.GenStoreValue(v91, types.CharType, v92, server_pine_pos[37])
+										_ = v92
 									}
 								}
 							}
@@ -887,105 +910,103 @@ func server_pine_b_pine_index_message(m *interp.Machine, f *mem.Frame) (ret inte
 				}
 				{
 					m.GenStep()
-					v112 := f.LocalAt(2)
+					v93 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v113 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v112.Data[0:])))}
-					v114 := interp.Value{T: v113.T, I: int64(int32(v113.I + 1))}
-					m.GenStoreRaw(v112, 0, types.IntType, v114)
-					_ = v113
+					v94 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v93.Data[0:])))}
+					v95 := interp.Value{T: v94.T, I: int64(int32(v94.I + 1))}
+					m.GenStoreRaw(v93, 0, types.IntType, v95)
+					_ = v94
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v115 := interp.Value{T: types.IntType, I: 0}
-		v116 := f.LocalAt(4)
-		v117 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v116.Base, Prov: v116}}
-		v118 := f.LocalAt(1)
+		v96 := f.LocalAt(1)
+		v97 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v96.Base, Prov: v96}}
+		v98 := f.LocalAt(4)
 		m.GenChargeAccess()
-		v119 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v118.Data[0:])))}
-		v120 := core.Pointer{Addr: v117.Ptr.Addr + uint64(v119.I)*1, Prov: v117.Ptr.Prov}
-		var v121 interp.Value
-		if v115.T == types.CharType {
-			v121 = v115
+		v99 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v98.Data[0:])))}
+		v100 := core.Pointer{Addr: v97.Ptr.Addr + uint64(v99.I)*1, Prov: v97.Ptr.Prov}
+		m.GenStoreValue(v100, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_pine_pos[38])
+		_ = (interp.Value{T: types.CharType, I: 0})
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v101 := m.GenArgs(1)
+		v102 := f.LocalAt(1)
+		v103 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v102.Base, Prov: v102}}
+		v101[0] = v103
+		v104 := server_pine_f_quote_from(m, v101, server_pine_pos[39])
+		m.GenPutArgs(v101)
+		v105 := f.LocalAt(2)
+		var v106 interp.Value
+		if v104.T == server_pine_t0 {
+			v106 = v104
+		} else if v104.T != nil && v104.T.IsPointer() {
+			v106 = interp.Value{T: server_pine_t0, Ptr: v104.Ptr}
 		} else {
-			v121 = m.GenConvert(v115, types.CharType, server_pine_pos[44])
+			v106 = m.GenConvert(v104, server_pine_t0, server_pine_pos[40])
 		}
-		m.GenStoreValue(v120, types.CharType, v121, server_pine_pos[44])
+		m.GenStoreRaw(v105, 0, server_pine_t0, v106)
+		_ = v106
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v107 := m.GenArgs(4)
+		v108 := m.GenGlobal(0)
+		v109 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v108.Base, Prov: v108}}
+		v107[0] = v109
+		v107[1] = (interp.Value{T: types.ULongType, I: 1024})
+		v110 := m.GenLiteral(1)
+		v111 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v110.Base, Prov: v110}}
+		v107[2] = v111
+		v112 := f.LocalAt(2)
+		v113 := m.GenLoadRaw(v112, 0, server_pine_t0, 16)
+		v107[3] = v113
+		v114 := m.GenBuiltin(3, "snprintf", server_pine_pos[41])(m, server_pine_pos[41], v107)
+		m.GenPutArgs(v107)
+		var v115 interp.Value
+		if v114.T == types.IntType {
+			v115 = v114
+		} else if v114.T != nil && v114.T.IsInteger() {
+			v115 = interp.Value{T: types.IntType, I: int64(int32(v114.I))}
+		} else {
+			v115 = m.GenConvert(v114, types.IntType, server_pine_pos[41])
+		}
+		v116 := f.LocalAt(5)
+		var v117 interp.Value
+		if v115.T == types.IntType {
+			v117 = v115
+		} else if v115.T != nil && v115.T.IsInteger() {
+			v117 = interp.Value{T: types.IntType, I: int64(int32(v115.I))}
+		} else {
+			v117 = m.GenConvert(v115, types.IntType, server_pine_pos[42])
+		}
+		m.GenStoreRaw(v116, 0, types.IntType, v117)
+		_ = v117
+	}
+	{
+		m.GenStep()
+		m.GenStep()
+		v118 := m.GenArgs(1)
+		v119 := f.LocalAt(2)
+		v120 := m.GenLoadRaw(v119, 0, server_pine_t0, 17)
+		v118[0] = v120
+		v121 := m.GenBuiltin(4, "free", server_pine_pos[43])(m, server_pine_pos[43], v118)
+		m.GenPutArgs(v118)
 		_ = v121
+		v122 := interp.Value{T: types.VoidType}
+		_ = v122
 	}
 	{
 		m.GenStep()
-		m.GenStep()
-		v122 := m.GenArgs(1)
-		v123 := f.LocalAt(4)
-		v124 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v123.Base, Prov: v123}}
-		v122[0] = v124
-		v125 := server_pine_f_quote_from(m, v122, server_pine_pos[45])
-		m.GenPutArgs(v122)
-		v126 := f.LocalAt(3)
-		var v127 interp.Value
-		if v125.T == server_pine_t0 {
-			v127 = v125
-		} else {
-			v127 = m.GenConvert(v125, server_pine_t0, server_pine_pos[46])
-		}
-		m.GenStoreRaw(v126, 0, server_pine_t0, v127)
-		_ = v127
-	}
-	{
-		m.GenStep()
-		m.GenStep()
-		v128 := m.GenArgs(4)
-		v129 := m.GenGlobal(0)
-		v130 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v129.Base, Prov: v129}}
-		v128[0] = v130
-		v131 := interp.Value{T: types.ULongType, I: 1024}
-		v128[1] = v131
-		v132 := m.GenLiteral(1)
-		v133 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v132.Base, Prov: v132}}
-		v128[2] = v133
-		v134 := f.LocalAt(3)
-		v135 := m.GenLoadRaw(v134, 0, server_pine_t0, 16)
-		v128[3] = v135
-		v136 := m.GenBuiltin(3, "snprintf", server_pine_pos[47])(m, server_pine_pos[47], v128)
-		m.GenPutArgs(v128)
-		var v137 interp.Value
-		if v136.T == types.IntType {
-			v137 = v136
-		} else {
-			v137 = m.GenConvert(v136, types.IntType, server_pine_pos[47])
-		}
-		v138 := f.LocalAt(0)
-		var v139 interp.Value
-		if v137.T == types.IntType {
-			v139 = v137
-		} else {
-			v139 = m.GenConvert(v137, types.IntType, server_pine_pos[48])
-		}
-		m.GenStoreRaw(v138, 0, types.IntType, v139)
-		_ = v139
-	}
-	{
-		m.GenStep()
-		m.GenStep()
-		v140 := m.GenArgs(1)
-		v141 := f.LocalAt(3)
-		v142 := m.GenLoadRaw(v141, 0, server_pine_t0, 17)
-		v140[0] = v142
-		v143 := m.GenBuiltin(4, "free", server_pine_pos[49])(m, server_pine_pos[49], v140)
-		m.GenPutArgs(v140)
-		_ = v143
-		v144 := interp.Value{T: types.VoidType}
-		_ = v144
-	}
-	{
-		m.GenStep()
-		v145 := f.LocalAt(0)
+		v123 := f.LocalAt(5)
 		m.GenChargeAccess()
-		v146 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v145.Data[0:])))}
-		ret = v146
+		v124 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v123.Data[0:])))}
+		ret = v124
 		if interp.GenLive {
 			return
 		}
@@ -1016,33 +1037,25 @@ func server_pine_b_init_tables(m *interp.Machine, f *mem.Frame) (ret interp.Valu
 		m.GenStep()
 		{
 			m.GenStep()
-			v1 := interp.Value{T: types.IntType, I: 0}
-			v2 := f.LocalAt(0)
-			var v3 interp.Value
-			if v1.T == types.IntType {
-				v3 = v1
-			} else {
-				v3 = m.GenConvert(v1, types.IntType, server_pine_pos[50])
-			}
-			m.GenStoreRaw(v2, 0, types.IntType, v3)
-			_ = v3
+			v1 := f.LocalAt(0)
+			m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v4 := f.LocalAt(0)
+			v2 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
-			v6 := interp.Value{T: types.IntType, I: 256}
-			var v7 interp.Value
-			if v5.T == types.IntType && v6.T == types.IntType {
-				if v5.I < v6.I {
-					v7 = interp.Value{T: types.IntType, I: 1}
+			v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
+			var v4 interp.Value
+			if v3.T == types.IntType {
+				if v3.I < 256 {
+					v4 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v7 = interp.Value{T: types.IntType, I: 0}
+					v4 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v7 = m.GenBinaryOp(token.Lt, v5, v6, types.IntType, server_pine_pos[51])
+				v4 = m.GenBinaryOp(token.Lt, v3, (interp.Value{T: types.IntType, I: 256}), types.IntType, server_pine_pos[44])
 			}
-			if !v7.Truthy() {
+			if !v4.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -1050,180 +1063,164 @@ func server_pine_b_init_tables(m *interp.Machine, f *mem.Frame) (ret interp.Valu
 				m.GenStep()
 				{
 					m.GenStep()
-					v8 := f.LocalAt(0)
+					v5 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-					var v10 interp.Value
-					if v9.T == types.UCharType {
-						v10 = v9
+					v6 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v5.Data[0:])))}
+					var v7 interp.Value
+					if v6.T == types.UCharType {
+						v7 = v6
+					} else if v6.T != nil && v6.T.IsInteger() {
+						v7 = interp.Value{T: types.UCharType, I: int64(uint8(v6.I))}
 					} else {
-						v10 = m.GenConvert(v9, types.UCharType, server_pine_pos[52])
+						v7 = m.GenConvert(v6, types.UCharType, server_pine_pos[45])
 					}
-					v11 := m.GenGlobal(4)
-					v12 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-					v13 := f.LocalAt(0)
+					v8 := m.GenGlobal(4)
+					v9 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v8.Base, Prov: v8}}
+					v10 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
-					v15 := core.Pointer{Addr: v12.Ptr.Addr + uint64(v14.I)*1, Prov: v12.Ptr.Prov}
-					var v16 interp.Value
-					if v10.T == types.UCharType {
-						v16 = v10
+					v11 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v10.Data[0:])))}
+					v12 := core.Pointer{Addr: v9.Ptr.Addr + uint64(v11.I)*1, Prov: v9.Ptr.Prov}
+					var v13 interp.Value
+					if v7.T == types.UCharType {
+						v13 = v7
+					} else if v7.T != nil && v7.T.IsInteger() {
+						v13 = interp.Value{T: types.UCharType, I: int64(uint8(v7.I))}
 					} else {
-						v16 = m.GenConvert(v10, types.UCharType, server_pine_pos[53])
+						v13 = m.GenConvert(v7, types.UCharType, server_pine_pos[46])
 					}
-					m.GenStoreValue(v15, types.UCharType, v16, server_pine_pos[53])
-					_ = v16
+					m.GenStoreValue(v12, types.UCharType, v13, server_pine_pos[46])
+					_ = v13
 				}
 				{
 					m.GenStep()
-					v17 := f.LocalAt(0)
+					v14 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-					var v19 interp.Value
-					if v18.T == types.UCharType {
-						v19 = v18
+					v15 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v14.Data[0:])))}
+					var v16 interp.Value
+					if v15.T == types.UCharType {
+						v16 = v15
+					} else if v15.T != nil && v15.T.IsInteger() {
+						v16 = interp.Value{T: types.UCharType, I: int64(uint8(v15.I))}
 					} else {
-						v19 = m.GenConvert(v18, types.UCharType, server_pine_pos[54])
+						v16 = m.GenConvert(v15, types.UCharType, server_pine_pos[47])
 					}
-					v20 := m.GenGlobal(5)
-					v21 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v20.Base, Prov: v20}}
-					v22 := f.LocalAt(0)
+					v17 := m.GenGlobal(5)
+					v18 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v17.Base, Prov: v17}}
+					v19 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
-					v24 := core.Pointer{Addr: v21.Ptr.Addr + uint64(v23.I)*1, Prov: v21.Ptr.Prov}
-					var v25 interp.Value
-					if v19.T == types.UCharType {
-						v25 = v19
+					v20 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v19.Data[0:])))}
+					v21 := core.Pointer{Addr: v18.Ptr.Addr + uint64(v20.I)*1, Prov: v18.Ptr.Prov}
+					var v22 interp.Value
+					if v16.T == types.UCharType {
+						v22 = v16
+					} else if v16.T != nil && v16.T.IsInteger() {
+						v22 = interp.Value{T: types.UCharType, I: int64(uint8(v16.I))}
 					} else {
-						v25 = m.GenConvert(v19, types.UCharType, server_pine_pos[55])
+						v22 = m.GenConvert(v16, types.UCharType, server_pine_pos[48])
 					}
-					m.GenStoreValue(v24, types.UCharType, v25, server_pine_pos[55])
-					_ = v25
+					m.GenStoreValue(v21, types.UCharType, v22, server_pine_pos[48])
+					_ = v22
 				}
 			}
-			v26 := f.LocalAt(0)
+			v23 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
-			v28 := interp.Value{T: v27.T, I: int64(int32(v27.I + 1))}
-			m.GenStoreRaw(v26, 0, types.IntType, v28)
-			_ = v27
+			v24 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v23.Data[0:])))}
+			v25 := interp.Value{T: v24.T, I: int64(int32(v24.I + 1))}
+			m.GenStoreRaw(v23, 0, types.IntType, v25)
+			_ = v24
 		}
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v29 := interp.Value{T: types.IntType, I: 0}
-			v30 := f.LocalAt(0)
-			var v31 interp.Value
-			if v29.T == types.IntType {
-				v31 = v29
-			} else {
-				v31 = m.GenConvert(v29, types.IntType, server_pine_pos[56])
-			}
-			m.GenStoreRaw(v30, 0, types.IntType, v31)
-			_ = v31
+			v26 := f.LocalAt(0)
+			m.GenStoreRaw(v26, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v32 := f.LocalAt(0)
+			v27 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v33 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v32.Data[0:])))}
-			v34 := interp.Value{T: types.IntType, I: 32}
-			var v35 interp.Value
-			if v33.T == types.IntType && v34.T == types.IntType {
-				if v33.I < v34.I {
-					v35 = interp.Value{T: types.IntType, I: 1}
+			v28 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v27.Data[0:])))}
+			var v29 interp.Value
+			if v28.T == types.IntType {
+				if v28.I < 32 {
+					v29 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v35 = interp.Value{T: types.IntType, I: 0}
+					v29 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v35 = m.GenBinaryOp(token.Lt, v33, v34, types.IntType, server_pine_pos[57])
+				v29 = m.GenBinaryOp(token.Lt, v28, (interp.Value{T: types.IntType, I: 32}), types.IntType, server_pine_pos[49])
 			}
-			if !v35.Truthy() {
+			if !v29.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				var v36 interp.Value
-				v37 := f.LocalAt(0)
+				var v30 interp.Value
+				v31 := f.LocalAt(0)
 				m.GenChargeAccess()
-				v38 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v37.Data[0:])))}
-				v39 := interp.Value{T: types.IntType, I: 10}
-				var v40 interp.Value
-				if v38.T == types.IntType && v39.T == types.IntType {
-					if v38.I != v39.I {
-						v40 = interp.Value{T: types.IntType, I: 1}
+				v32 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v31.Data[0:])))}
+				var v33 interp.Value
+				if v32.T == types.IntType {
+					if v32.I != 10 {
+						v33 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v40 = interp.Value{T: types.IntType, I: 0}
+						v33 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v40 = m.GenBinaryOp(token.NotEq, v38, v39, types.IntType, server_pine_pos[58])
+					v33 = m.GenBinaryOp(token.NotEq, v32, (interp.Value{T: types.IntType, I: 10}), types.IntType, server_pine_pos[50])
 				}
-				if !v40.Truthy() {
-					v36 = interp.Value{T: types.IntType, I: 0}
+				if !v33.Truthy() {
+					v30 = interp.Value{T: types.IntType, I: 0}
 				} else {
-					v41 := f.LocalAt(0)
+					v34 := f.LocalAt(0)
 					m.GenChargeAccess()
-					v42 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v41.Data[0:])))}
-					v43 := interp.Value{T: types.IntType, I: 9}
-					var v44 interp.Value
-					if v42.T == types.IntType && v43.T == types.IntType {
-						if v42.I != v43.I {
-							v44 = interp.Value{T: types.IntType, I: 1}
+					v35 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v34.Data[0:])))}
+					var v36 interp.Value
+					if v35.T == types.IntType {
+						if v35.I != 9 {
+							v36 = interp.Value{T: types.IntType, I: 1}
 						} else {
-							v44 = interp.Value{T: types.IntType, I: 0}
+							v36 = interp.Value{T: types.IntType, I: 0}
 						}
 					} else {
-						v44 = m.GenBinaryOp(token.NotEq, v42, v43, types.IntType, server_pine_pos[59])
+						v36 = m.GenBinaryOp(token.NotEq, v35, (interp.Value{T: types.IntType, I: 9}), types.IntType, server_pine_pos[51])
 					}
-					if v44.Truthy() {
-						v36 = interp.Value{T: types.IntType, I: 1}
+					if v36.Truthy() {
+						v30 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v36 = interp.Value{T: types.IntType, I: 0}
+						v30 = interp.Value{T: types.IntType, I: 0}
 					}
 				}
-				if v36.Truthy() {
+				if v30.Truthy() {
 					{
 						m.GenStep()
-						v45 := interp.Value{T: types.IntType, I: 63}
-						v46 := m.GenGlobal(4)
-						v47 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v46.Base, Prov: v46}}
-						v48 := f.LocalAt(0)
+						v37 := m.GenGlobal(4)
+						v38 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v37.Base, Prov: v37}}
+						v39 := f.LocalAt(0)
 						m.GenChargeAccess()
-						v49 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v48.Data[0:])))}
-						v50 := core.Pointer{Addr: v47.Ptr.Addr + uint64(v49.I)*1, Prov: v47.Ptr.Prov}
-						var v51 interp.Value
-						if v45.T == types.UCharType {
-							v51 = v45
-						} else {
-							v51 = m.GenConvert(v45, types.UCharType, server_pine_pos[60])
-						}
-						m.GenStoreValue(v50, types.UCharType, v51, server_pine_pos[60])
-						_ = v51
+						v40 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v39.Data[0:])))}
+						v41 := core.Pointer{Addr: v38.Ptr.Addr + uint64(v40.I)*1, Prov: v38.Ptr.Prov}
+						m.GenStoreValue(v41, types.UCharType, (interp.Value{T: types.UCharType, I: 63}), server_pine_pos[52])
+						_ = (interp.Value{T: types.UCharType, I: 63})
 					}
 				}
 			}
-			v52 := f.LocalAt(0)
+			v42 := f.LocalAt(0)
 			m.GenChargeAccess()
-			v53 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v52.Data[0:])))}
-			v54 := interp.Value{T: v53.T, I: int64(int32(v53.I + 1))}
-			m.GenStoreRaw(v52, 0, types.IntType, v54)
-			_ = v53
+			v43 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v42.Data[0:])))}
+			v44 := interp.Value{T: v43.T, I: int64(int32(v43.I + 1))}
+			m.GenStoreRaw(v42, 0, types.IntType, v44)
+			_ = v43
 		}
 	}
 	{
 		m.GenStep()
-		v55 := interp.Value{T: types.IntType, I: 1}
-		v56 := m.GenGlobal(6)
-		var v57 interp.Value
-		if v55.T == types.IntType {
-			v57 = v55
-		} else {
-			v57 = m.GenConvert(v55, types.IntType, server_pine_pos[61])
-		}
-		m.GenStoreRaw(v56, 0, types.IntType, v57)
-		_ = v57
+		v45 := m.GenGlobal(6)
+		m.GenStoreRaw(v45, 0, types.IntType, (interp.Value{T: types.IntType, I: 1}))
+		_ = (interp.Value{T: types.IntType, I: 1})
 	}
 	return
 }
@@ -1234,133 +1231,131 @@ func server_pine_f_pine_read_message(m *interp.Machine, args []interp.Value, pos
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_read_message", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:pine_read_message", 17, server_pine_locals_pine_read_message)
-	v0 := m.GenConvert(args[0], server_pine_t0, pos)
-	m.GenStoreRaw(f.LocalAt(3), 0, server_pine_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_pine_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_pine_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_pine_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_pine_t0, v0)
 	ret := m.GenExec(f, server_pine_b_pine_read_message)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_pine_b_pine_read_message(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(2)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, server_pine_pos[62])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
-		v4 := f.LocalAt(1)
-		v5 := interp.Value{T: types.IntType, I: 0}
-		var v6 interp.Value
-		if v5.T == types.IntType {
-			v6 = v5
-		} else {
-			v6 = m.GenConvert(v5, types.IntType, server_pine_pos[62])
-		}
-		m.GenStoreRaw(v4, 0, types.IntType, v6)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v2 := f.LocalAt(2)
+		m.GenStoreRaw(v2, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
 	}
 	{
 		m.GenStep()
-		v7 := f.LocalAt(0)
-		_ = v7
+		v3 := f.LocalAt(3)
+		_ = v3
 	}
 	{
 		m.GenStep()
-		v8 := m.GenGlobal(6)
+		v4 := m.GenGlobal(6)
 		m.GenChargeAccess()
-		v9 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v8.Data[0:])))}
-		var v10 interp.Value
-		if v9.Truthy() {
-			v10 = interp.Value{T: types.IntType, I: 0}
+		v5 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v4.Data[0:])))}
+		var v6 interp.Value
+		if v5.Truthy() {
+			v6 = interp.Value{T: types.IntType, I: 0}
 		} else {
-			v10 = interp.Value{T: types.IntType, I: 1}
+			v6 = interp.Value{T: types.IntType, I: 1}
 		}
-		if v10.Truthy() {
+		if v6.Truthy() {
 			{
 				m.GenStep()
 				m.GenStep()
-				v11 := m.GenArgs(0)
-				v12 := server_pine_f_init_tables(m, v11, server_pine_pos[63])
-				m.GenPutArgs(v11)
-				_ = v12
+				v7 := m.GenArgs(0)
+				v8 := server_pine_f_init_tables(m, v7, server_pine_pos[53])
+				m.GenPutArgs(v7)
+				_ = v8
 			}
 		}
 	}
 	{
 		m.GenStep()
 		for {
-			var v13 interp.Value
-			v14 := f.LocalAt(3)
-			v15 := m.GenLoadRaw(v14, 0, server_pine_t0, 18)
-			v16 := f.LocalAt(2)
+			var v9 interp.Value
+			v10 := f.LocalAt(0)
+			v11 := m.GenLoadRaw(v10, 0, server_pine_t0, 18)
+			v12 := f.LocalAt(1)
 			m.GenChargeAccess()
-			v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
-			v18 := interp.Value{T: v17.T, I: int64(int32(v17.I + 1))}
-			m.GenStoreRaw(v16, 0, types.IntType, v18)
-			v19 := core.Pointer{Addr: v15.Ptr.Addr + uint64(v17.I)*1, Prov: v15.Ptr.Prov}
-			v20 := m.GenLoadValue(v19, types.CharType, server_pine_pos[64], -1, 18)
-			var v21 interp.Value
-			if v20.T == types.UCharType {
-				v21 = v20
+			v13 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v12.Data[0:])))}
+			v14 := interp.Value{T: v13.T, I: int64(int32(v13.I + 1))}
+			m.GenStoreRaw(v12, 0, types.IntType, v14)
+			v15 := core.Pointer{Addr: v11.Ptr.Addr + uint64(v13.I)*1, Prov: v11.Ptr.Prov}
+			v16 := m.GenLoadValue(v15, types.CharType, server_pine_pos[54], -1, 18)
+			var v17 interp.Value
+			if v16.T == types.UCharType {
+				v17 = v16
+			} else if v16.T != nil && v16.T.IsInteger() {
+				v17 = interp.Value{T: types.UCharType, I: int64(uint8(v16.I))}
 			} else {
-				v21 = m.GenConvert(v20, types.UCharType, server_pine_pos[65])
+				v17 = m.GenConvert(v16, types.UCharType, server_pine_pos[55])
 			}
-			v22 := f.LocalAt(0)
-			var v23 interp.Value
-			if v21.T == types.UCharType {
-				v23 = v21
+			v18 := f.LocalAt(3)
+			var v19 interp.Value
+			if v17.T == types.UCharType {
+				v19 = v17
+			} else if v17.T != nil && v17.T.IsInteger() {
+				v19 = interp.Value{T: types.UCharType, I: int64(uint8(v17.I))}
 			} else {
-				v23 = m.GenConvert(v21, types.UCharType, server_pine_pos[66])
+				v19 = m.GenConvert(v17, types.UCharType, server_pine_pos[56])
 			}
-			m.GenStoreRaw(v22, 0, types.UCharType, v23)
-			v24 := interp.Value{T: types.IntType, I: 0}
-			var v25 interp.Value
-			v25 = m.GenBinaryOp(token.NotEq, v23, v24, types.IntType, server_pine_pos[67])
-			if !v25.Truthy() {
-				v13 = interp.Value{T: types.IntType, I: 0}
+			m.GenStoreRaw(v18, 0, types.UCharType, v19)
+			var v20 interp.Value
+			if v19.T == types.UCharType {
+				if int64(int32(v19.I)) != 0 {
+					v20 = interp.Value{T: types.IntType, I: 1}
+				} else {
+					v20 = interp.Value{T: types.IntType, I: 0}
+				}
 			} else {
-				v26 := f.LocalAt(1)
+				v20 = m.GenBinaryOp(token.NotEq, v19, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[57])
+			}
+			if !v20.Truthy() {
+				v9 = interp.Value{T: types.IntType, I: 0}
+			} else {
+				v21 := f.LocalAt(2)
 				m.GenChargeAccess()
-				v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
-				v28 := interp.Value{T: types.ULongType, I: 16384}
-				var v29 interp.Value
-				if v28.T == types.IntType {
-					v29 = v28
-				} else {
-					v29 = m.GenConvert(v28, types.IntType, server_pine_pos[68])
-				}
-				v30 := interp.Value{T: types.IntType, I: 2}
-				var v31 interp.Value
-				if v29.T == types.IntType && v30.T == types.IntType {
-					v31 = interp.Value{T: types.IntType, I: int64(int32(v29.I - v30.I))}
-				} else {
-					v31 = m.GenBinaryOp(token.Minus, v29, v30, types.IntType, server_pine_pos[69])
-				}
-				var v32 interp.Value
-				if v27.T == types.IntType && v31.T == types.IntType {
-					if v27.I < v31.I {
-						v32 = interp.Value{T: types.IntType, I: 1}
+				v22 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v21.Data[0:])))}
+				var v23 interp.Value
+				if v22.T == types.IntType {
+					if v22.I < 16382 {
+						v23 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v32 = interp.Value{T: types.IntType, I: 0}
+						v23 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v32 = m.GenBinaryOp(token.Lt, v27, v31, types.IntType, server_pine_pos[70])
+					v23 = m.GenBinaryOp(token.Lt, v22, (interp.Value{T: types.IntType, I: 16382}), types.IntType, server_pine_pos[58])
 				}
-				if v32.Truthy() {
-					v13 = interp.Value{T: types.IntType, I: 1}
+				if v23.Truthy() {
+					v9 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v13 = interp.Value{T: types.IntType, I: 0}
+					v9 = interp.Value{T: types.IntType, I: 0}
 				}
 			}
-			if !v13.Truthy() {
+			if !v9.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -1368,13 +1363,20 @@ func server_pine_b_pine_read_message(m *interp.Machine, f *mem.Frame) (ret inter
 				m.GenStep()
 				{
 					m.GenStep()
-					v33 := f.LocalAt(0)
+					v24 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v34 := interp.Value{T: types.UCharType, I: int64(v33.Data[0])}
-					v35 := interp.Value{T: types.IntType, I: 13}
-					var v36 interp.Value
-					v36 = m.GenBinaryOp(token.EqEq, v34, v35, types.IntType, server_pine_pos[71])
-					if v36.Truthy() {
+					v25 := interp.Value{T: types.UCharType, I: int64(v24.Data[0])}
+					var v26 interp.Value
+					if v25.T == types.UCharType {
+						if int64(int32(v25.I)) == 13 {
+							v26 = interp.Value{T: types.IntType, I: 1}
+						} else {
+							v26 = interp.Value{T: types.IntType, I: 0}
+						}
+					} else {
+						v26 = m.GenBinaryOp(token.EqEq, v25, (interp.Value{T: types.IntType, I: 13}), types.IntType, server_pine_pos[59])
+					}
+					if v26.Truthy() {
 						{
 							m.GenStep()
 							if interp.GenLive {
@@ -1385,67 +1387,64 @@ func server_pine_b_pine_read_message(m *interp.Machine, f *mem.Frame) (ret inter
 				}
 				{
 					m.GenStep()
-					v37 := m.GenGlobal(5)
-					v38 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v37.Base, Prov: v37}}
-					v39 := m.GenGlobal(4)
-					v40 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v39.Base, Prov: v39}}
-					v41 := f.LocalAt(0)
+					v27 := m.GenGlobal(5)
+					v28 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v27.Base, Prov: v27}}
+					v29 := m.GenGlobal(4)
+					v30 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v29.Base, Prov: v29}}
+					v31 := f.LocalAt(3)
 					m.GenChargeAccess()
-					v42 := interp.Value{T: types.UCharType, I: int64(v41.Data[0])}
-					v43 := core.Pointer{Addr: v40.Ptr.Addr + uint64(v42.I)*1, Prov: v40.Ptr.Prov}
-					v44 := m.GenLoadValue(v43, types.UCharType, server_pine_pos[72], -1, 20)
-					v45 := core.Pointer{Addr: v38.Ptr.Addr + uint64(v44.I)*1, Prov: v38.Ptr.Prov}
-					v46 := m.GenLoadValue(v45, types.UCharType, server_pine_pos[73], -1, 21)
-					var v47 interp.Value
-					if v46.T == types.CharType {
-						v47 = v46
+					v32 := interp.Value{T: types.UCharType, I: int64(v31.Data[0])}
+					v33 := core.Pointer{Addr: v30.Ptr.Addr + uint64(v32.I)*1, Prov: v30.Ptr.Prov}
+					v34 := m.GenLoadValue(v33, types.UCharType, server_pine_pos[60], -1, 20)
+					v35 := core.Pointer{Addr: v28.Ptr.Addr + uint64(v34.I)*1, Prov: v28.Ptr.Prov}
+					v36 := m.GenLoadValue(v35, types.UCharType, server_pine_pos[61], -1, 21)
+					var v37 interp.Value
+					if v36.T == types.CharType {
+						v37 = v36
+					} else if v36.T != nil && v36.T.IsInteger() {
+						v37 = interp.Value{T: types.CharType, I: int64(int8(v36.I))}
 					} else {
-						v47 = m.GenConvert(v46, types.CharType, server_pine_pos[74])
+						v37 = m.GenConvert(v36, types.CharType, server_pine_pos[62])
 					}
-					v48 := m.GenGlobal(1)
-					v49 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v48.Base, Prov: v48}}
-					v50 := f.LocalAt(1)
+					v38 := m.GenGlobal(1)
+					v39 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v38.Base, Prov: v38}}
+					v40 := f.LocalAt(2)
 					m.GenChargeAccess()
-					v51 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v50.Data[0:])))}
-					v52 := interp.Value{T: v51.T, I: int64(int32(v51.I + 1))}
-					m.GenStoreRaw(v50, 0, types.IntType, v52)
-					v53 := core.Pointer{Addr: v49.Ptr.Addr + uint64(v51.I)*1, Prov: v49.Ptr.Prov}
-					var v54 interp.Value
-					if v47.T == types.CharType {
-						v54 = v47
+					v41 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v40.Data[0:])))}
+					v42 := interp.Value{T: v41.T, I: int64(int32(v41.I + 1))}
+					m.GenStoreRaw(v40, 0, types.IntType, v42)
+					v43 := core.Pointer{Addr: v39.Ptr.Addr + uint64(v41.I)*1, Prov: v39.Ptr.Prov}
+					var v44 interp.Value
+					if v37.T == types.CharType {
+						v44 = v37
+					} else if v37.T != nil && v37.T.IsInteger() {
+						v44 = interp.Value{T: types.CharType, I: int64(int8(v37.I))}
 					} else {
-						v54 = m.GenConvert(v47, types.CharType, server_pine_pos[75])
+						v44 = m.GenConvert(v37, types.CharType, server_pine_pos[63])
 					}
-					m.GenStoreValue(v53, types.CharType, v54, server_pine_pos[75])
-					_ = v54
+					m.GenStoreValue(v43, types.CharType, v44, server_pine_pos[63])
+					_ = v44
 				}
 			}
 		}
 	}
 	{
 		m.GenStep()
-		v55 := interp.Value{T: types.IntType, I: 0}
-		v56 := m.GenGlobal(1)
-		v57 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v56.Base, Prov: v56}}
-		v58 := f.LocalAt(1)
+		v45 := m.GenGlobal(1)
+		v46 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v45.Base, Prov: v45}}
+		v47 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v59 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v58.Data[0:])))}
-		v60 := core.Pointer{Addr: v57.Ptr.Addr + uint64(v59.I)*1, Prov: v57.Ptr.Prov}
-		var v61 interp.Value
-		if v55.T == types.CharType {
-			v61 = v55
-		} else {
-			v61 = m.GenConvert(v55, types.CharType, server_pine_pos[76])
-		}
-		m.GenStoreValue(v60, types.CharType, v61, server_pine_pos[76])
-		_ = v61
+		v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
+		v49 := core.Pointer{Addr: v46.Ptr.Addr + uint64(v48.I)*1, Prov: v46.Ptr.Prov}
+		m.GenStoreValue(v49, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_pine_pos[64])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v62 := f.LocalAt(1)
+		v50 := f.LocalAt(2)
 		m.GenChargeAccess()
-		v63 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v62.Data[0:])))}
-		ret = v63
+		v51 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v50.Data[0:])))}
+		ret = v51
 		if interp.GenLive {
 			return
 		}
@@ -1459,65 +1458,73 @@ func server_pine_f_pine_compose(m *interp.Machine, args []interp.Value, pos toke
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_compose", len(args), 1)
 	}
 	f := m.GenPushFrame("canary:pine_compose", 284, server_pine_locals_pine_compose)
-	v0 := m.GenConvert(args[0], server_pine_t0, pos)
-	m.GenStoreRaw(f.LocalAt(6), 0, server_pine_t0, v0)
+	var v0 interp.Value
+	if args[0].T == server_pine_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_pine_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_pine_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_pine_t0, v0)
 	ret := m.GenExec(f, server_pine_b_pine_compose)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_pine_b_pine_compose(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v1 := f.LocalAt(5)
-		v2 := interp.Value{T: types.IntType, I: 0}
-		var v3 interp.Value
-		if v2.T == types.IntType {
-			v3 = v2
-		} else {
-			v3 = m.GenConvert(v2, types.IntType, server_pine_pos[77])
-		}
-		m.GenStoreRaw(v1, 0, types.IntType, v3)
+		v1 := f.LocalAt(1)
+		m.GenStoreRaw(v1, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+		v2 := f.LocalAt(2)
+		_ = v2
+		v3 := f.LocalAt(3)
+		_ = v3
 		v4 := f.LocalAt(4)
 		_ = v4
-		v5 := f.LocalAt(3)
+	}
+	{
+		m.GenStep()
+		v5 := f.LocalAt(5)
 		_ = v5
-		v6 := f.LocalAt(2)
+	}
+	{
+		m.GenStep()
+		v6 := f.LocalAt(6)
 		_ = v6
 	}
 	{
 		m.GenStep()
-		v7 := f.LocalAt(1)
-		_ = v7
-	}
-	{
-		m.GenStep()
-		v8 := f.LocalAt(0)
-		_ = v8
-	}
-	{
-		m.GenStep()
-		v9 := m.GenGlobal(6)
+		v7 := m.GenGlobal(6)
 		m.GenChargeAccess()
-		v10 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v9.Data[0:])))}
-		var v11 interp.Value
-		if v10.Truthy() {
-			v11 = interp.Value{T: types.IntType, I: 0}
+		v8 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v7.Data[0:])))}
+		var v9 interp.Value
+		if v8.Truthy() {
+			v9 = interp.Value{T: types.IntType, I: 0}
 		} else {
-			v11 = interp.Value{T: types.IntType, I: 1}
+			v9 = interp.Value{T: types.IntType, I: 1}
 		}
-		if v11.Truthy() {
+		if v9.Truthy() {
 			{
 				m.GenStep()
 				m.GenStep()
-				v12 := m.GenArgs(0)
-				v13 := server_pine_f_init_tables(m, v12, server_pine_pos[78])
-				m.GenPutArgs(v12)
-				_ = v13
+				v10 := m.GenArgs(0)
+				v11 := server_pine_f_init_tables(m, v10, server_pine_pos[65])
+				m.GenPutArgs(v10)
+				_ = v11
 			}
 		}
 	}
@@ -1525,295 +1532,245 @@ func server_pine_b_pine_compose(m *interp.Machine, f *mem.Frame) (ret interp.Val
 		m.GenStep()
 		{
 			m.GenStep()
-			v14 := interp.Value{T: types.IntType, I: 0}
-			v15 := f.LocalAt(2)
-			var v16 interp.Value
+			v12 := f.LocalAt(4)
+			m.GenStoreRaw(v12, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
+		}
+		for {
+			v13 := f.LocalAt(4)
+			m.GenChargeAccess()
+			v14 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v13.Data[0:])))}
+			var v15 interp.Value
 			if v14.T == types.IntType {
-				v16 = v14
-			} else {
-				v16 = m.GenConvert(v14, types.IntType, server_pine_pos[79])
-			}
-			m.GenStoreRaw(v15, 0, types.IntType, v16)
-			_ = v16
-		}
-		for {
-			v17 := f.LocalAt(2)
-			m.GenChargeAccess()
-			v18 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v17.Data[0:])))}
-			v19 := interp.Value{T: types.ULongType, I: 80}
-			var v20 interp.Value
-			if v19.T == types.IntType {
-				v20 = v19
-			} else {
-				v20 = m.GenConvert(v19, types.IntType, server_pine_pos[80])
-			}
-			v21 := interp.Value{T: types.IntType, I: 1}
-			var v22 interp.Value
-			if v20.T == types.IntType && v21.T == types.IntType {
-				v22 = interp.Value{T: types.IntType, I: int64(int32(v20.I - v21.I))}
-			} else {
-				v22 = m.GenBinaryOp(token.Minus, v20, v21, types.IntType, server_pine_pos[81])
-			}
-			var v23 interp.Value
-			if v18.T == types.IntType && v22.T == types.IntType {
-				if v18.I < v22.I {
-					v23 = interp.Value{T: types.IntType, I: 1}
+				if v14.I < 79 {
+					v15 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v23 = interp.Value{T: types.IntType, I: 0}
+					v15 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v23 = m.GenBinaryOp(token.Lt, v18, v22, types.IntType, server_pine_pos[82])
+				v15 = m.GenBinaryOp(token.Lt, v14, (interp.Value{T: types.IntType, I: 79}), types.IntType, server_pine_pos[66])
 			}
-			if !v23.Truthy() {
+			if !v15.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v24 := f.LocalAt(2)
+				v16 := f.LocalAt(4)
 				m.GenChargeAccess()
-				v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
-				v26 := interp.Value{T: types.IntType, I: 0}
-				var v27 interp.Value
-				if v25.T == types.IntType && v26.T == types.IntType {
-					if v25.I == v26.I {
-						v27 = interp.Value{T: types.IntType, I: 1}
+				v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+				var v18 interp.Value
+				if v17.T == types.IntType {
+					if v17.I == 0 {
+						v18 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v27 = interp.Value{T: types.IntType, I: 0}
+						v18 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v27 = m.GenBinaryOp(token.EqEq, v25, v26, types.IntType, server_pine_pos[83])
+					v18 = m.GenBinaryOp(token.EqEq, v17, (interp.Value{T: types.IntType, I: 0}), types.IntType, server_pine_pos[67])
 				}
-				var v28 interp.Value
-				if v27.Truthy() {
-					v29 := interp.Value{T: types.IntType, I: 62}
-					if v29.T == types.IntType {
-						v28 = v29
-					} else {
-						v28 = m.GenConvert(v29, types.IntType, server_pine_pos[84])
-					}
+				var v19 interp.Value
+				if v18.Truthy() {
+					v19 = (interp.Value{T: types.IntType, I: 62})
 				} else {
-					v30 := interp.Value{T: types.IntType, I: 32}
-					if v30.T == types.IntType {
-						v28 = v30
-					} else {
-						v28 = m.GenConvert(v30, types.IntType, server_pine_pos[84])
-					}
+					v19 = (interp.Value{T: types.IntType, I: 32})
 				}
-				v31 := m.GenGlobal(7)
-				v32 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v31.Base, Prov: v31}}
-				v33 := f.LocalAt(2)
+				v20 := m.GenGlobal(7)
+				v21 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v20.Base, Prov: v20}}
+				v22 := f.LocalAt(4)
 				m.GenChargeAccess()
-				v34 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v33.Data[0:])))}
-				v35 := core.Pointer{Addr: v32.Ptr.Addr + uint64(v34.I)*1, Prov: v32.Ptr.Prov}
-				var v36 interp.Value
-				if v28.T == types.CharType {
-					v36 = v28
+				v23 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v22.Data[0:])))}
+				v24 := core.Pointer{Addr: v21.Ptr.Addr + uint64(v23.I)*1, Prov: v21.Ptr.Prov}
+				var v25 interp.Value
+				if v19.T == types.CharType {
+					v25 = v19
+				} else if v19.T != nil && v19.T.IsInteger() {
+					v25 = interp.Value{T: types.CharType, I: int64(int8(v19.I))}
 				} else {
-					v36 = m.GenConvert(v28, types.CharType, server_pine_pos[85])
+					v25 = m.GenConvert(v19, types.CharType, server_pine_pos[69])
 				}
-				m.GenStoreValue(v35, types.CharType, v36, server_pine_pos[85])
-				_ = v36
+				m.GenStoreValue(v24, types.CharType, v25, server_pine_pos[69])
+				_ = v25
 			}
-			v37 := f.LocalAt(2)
+			v26 := f.LocalAt(4)
 			m.GenChargeAccess()
-			v38 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v37.Data[0:])))}
-			v39 := interp.Value{T: v38.T, I: int64(int32(v38.I + 1))}
-			m.GenStoreRaw(v37, 0, types.IntType, v39)
-			_ = v38
+			v27 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v26.Data[0:])))}
+			v28 := interp.Value{T: v27.T, I: int64(int32(v27.I + 1))}
+			m.GenStoreRaw(v26, 0, types.IntType, v28)
+			_ = v27
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v40 := m.GenArgs(4)
-		v41 := f.LocalAt(1)
-		v42 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v41.Base, Prov: v41}}
-		v40[0] = v42
-		v43 := interp.Value{T: types.ULongType, I: 256}
-		v40[1] = v43
-		v44 := m.GenLiteral(2)
-		v45 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v44.Base, Prov: v44}}
-		v40[2] = v45
-		v46 := f.LocalAt(6)
-		v47 := m.GenLoadRaw(v46, 0, server_pine_t0, 19)
-		v40[3] = v47
-		v48 := m.GenBuiltin(3, "snprintf", server_pine_pos[86])(m, server_pine_pos[86], v40)
-		m.GenPutArgs(v40)
-		var v49 interp.Value
-		if v48.T == types.IntType {
-			v49 = v48
+		v29 := m.GenArgs(4)
+		v30 := f.LocalAt(5)
+		v31 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v30.Base, Prov: v30}}
+		v29[0] = v31
+		v29[1] = (interp.Value{T: types.ULongType, I: 256})
+		v32 := m.GenLiteral(2)
+		v33 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v32.Base, Prov: v32}}
+		v29[2] = v33
+		v34 := f.LocalAt(0)
+		v35 := m.GenLoadRaw(v34, 0, server_pine_t0, 19)
+		v29[3] = v35
+		v36 := m.GenBuiltin(3, "snprintf", server_pine_pos[70])(m, server_pine_pos[70], v29)
+		m.GenPutArgs(v29)
+		var v37 interp.Value
+		if v36.T == types.IntType {
+			v37 = v36
+		} else if v36.T != nil && v36.T.IsInteger() {
+			v37 = interp.Value{T: types.IntType, I: int64(int32(v36.I))}
 		} else {
-			v49 = m.GenConvert(v48, types.IntType, server_pine_pos[86])
+			v37 = m.GenConvert(v36, types.IntType, server_pine_pos[70])
 		}
-		v50 := f.LocalAt(0)
-		var v51 interp.Value
-		if v49.T == types.IntType {
-			v51 = v49
+		v38 := f.LocalAt(6)
+		var v39 interp.Value
+		if v37.T == types.IntType {
+			v39 = v37
+		} else if v37.T != nil && v37.T.IsInteger() {
+			v39 = interp.Value{T: types.IntType, I: int64(int32(v37.I))}
 		} else {
-			v51 = m.GenConvert(v49, types.IntType, server_pine_pos[87])
+			v39 = m.GenConvert(v37, types.IntType, server_pine_pos[71])
 		}
-		m.GenStoreRaw(v50, 0, types.IntType, v51)
-		_ = v51
+		m.GenStoreRaw(v38, 0, types.IntType, v39)
+		_ = v39
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v52 := interp.Value{T: types.IntType, I: 0}
-			v53 := f.LocalAt(2)
-			var v54 interp.Value
-			if v52.T == types.IntType {
-				v54 = v52
-			} else {
-				v54 = m.GenConvert(v52, types.IntType, server_pine_pos[88])
-			}
-			m.GenStoreRaw(v53, 0, types.IntType, v54)
-			_ = v54
+			v40 := f.LocalAt(4)
+			m.GenStoreRaw(v40, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			var v55 interp.Value
-			v56 := f.LocalAt(2)
+			var v41 interp.Value
+			v42 := f.LocalAt(4)
 			m.GenChargeAccess()
-			v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
-			v58 := f.LocalAt(0)
+			v43 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v42.Data[0:])))}
+			v44 := f.LocalAt(6)
 			m.GenChargeAccess()
-			v59 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v58.Data[0:])))}
-			var v60 interp.Value
-			if v57.T == types.IntType && v59.T == types.IntType {
-				if v57.I < v59.I {
-					v60 = interp.Value{T: types.IntType, I: 1}
+			v45 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v44.Data[0:])))}
+			var v46 interp.Value
+			if v43.T == types.IntType && v45.T == types.IntType {
+				if v43.I < v45.I {
+					v46 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v60 = interp.Value{T: types.IntType, I: 0}
+					v46 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v60 = m.GenBinaryOp(token.Lt, v57, v59, types.IntType, server_pine_pos[89])
+				v46 = m.GenBinaryOp(token.Lt, v43, v45, types.IntType, server_pine_pos[72])
 			}
-			if !v60.Truthy() {
-				v55 = interp.Value{T: types.IntType, I: 0}
+			if !v46.Truthy() {
+				v41 = interp.Value{T: types.IntType, I: 0}
 			} else {
-				v61 := f.LocalAt(5)
+				v47 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v62 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v61.Data[0:])))}
-				v63 := interp.Value{T: types.ULongType, I: 16384}
-				var v64 interp.Value
-				if v63.T == types.IntType {
-					v64 = v63
-				} else {
-					v64 = m.GenConvert(v63, types.IntType, server_pine_pos[90])
-				}
-				v65 := interp.Value{T: types.IntType, I: 2}
-				var v66 interp.Value
-				if v64.T == types.IntType && v65.T == types.IntType {
-					v66 = interp.Value{T: types.IntType, I: int64(int32(v64.I - v65.I))}
-				} else {
-					v66 = m.GenBinaryOp(token.Minus, v64, v65, types.IntType, server_pine_pos[91])
-				}
-				var v67 interp.Value
-				if v62.T == types.IntType && v66.T == types.IntType {
-					if v62.I < v66.I {
-						v67 = interp.Value{T: types.IntType, I: 1}
+				v48 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v47.Data[0:])))}
+				var v49 interp.Value
+				if v48.T == types.IntType {
+					if v48.I < 16382 {
+						v49 = interp.Value{T: types.IntType, I: 1}
 					} else {
-						v67 = interp.Value{T: types.IntType, I: 0}
+						v49 = interp.Value{T: types.IntType, I: 0}
 					}
 				} else {
-					v67 = m.GenBinaryOp(token.Lt, v62, v66, types.IntType, server_pine_pos[92])
+					v49 = m.GenBinaryOp(token.Lt, v48, (interp.Value{T: types.IntType, I: 16382}), types.IntType, server_pine_pos[73])
 				}
-				if v67.Truthy() {
-					v55 = interp.Value{T: types.IntType, I: 1}
+				if v49.Truthy() {
+					v41 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v55 = interp.Value{T: types.IntType, I: 0}
+					v41 = interp.Value{T: types.IntType, I: 0}
 				}
 			}
-			if !v55.Truthy() {
+			if !v41.Truthy() {
 				break
 			}
 			m.GenStep()
 			{
 				m.GenStep()
-				v68 := m.GenGlobal(5)
-				v69 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v68.Base, Prov: v68}}
-				v70 := m.GenGlobal(4)
-				v71 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v70.Base, Prov: v70}}
-				v72 := f.LocalAt(1)
-				v73 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v72.Base, Prov: v72}}
-				v74 := f.LocalAt(2)
+				v50 := m.GenGlobal(5)
+				v51 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v50.Base, Prov: v50}}
+				v52 := m.GenGlobal(4)
+				v53 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v52.Base, Prov: v52}}
+				v54 := f.LocalAt(5)
+				v55 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v54.Base, Prov: v54}}
+				v56 := f.LocalAt(4)
 				m.GenChargeAccess()
-				v75 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v74.Data[0:])))}
-				v76 := core.Pointer{Addr: v73.Ptr.Addr + uint64(v75.I)*1, Prov: v73.Ptr.Prov}
-				v77 := m.GenLoadValue(v76, types.CharType, server_pine_pos[93], -1, 25)
-				var v78 interp.Value
-				if v77.T == types.UCharType {
-					v78 = v77
+				v57 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v56.Data[0:])))}
+				v58 := core.Pointer{Addr: v55.Ptr.Addr + uint64(v57.I)*1, Prov: v55.Ptr.Prov}
+				v59 := m.GenLoadValue(v58, types.CharType, server_pine_pos[74], -1, 25)
+				var v60 interp.Value
+				if v59.T == types.UCharType {
+					v60 = v59
+				} else if v59.T != nil && v59.T.IsInteger() {
+					v60 = interp.Value{T: types.UCharType, I: int64(uint8(v59.I))}
 				} else {
-					v78 = m.GenConvert(v77, types.UCharType, server_pine_pos[94])
+					v60 = m.GenConvert(v59, types.UCharType, server_pine_pos[75])
 				}
-				v79 := core.Pointer{Addr: v71.Ptr.Addr + uint64(v78.I)*1, Prov: v71.Ptr.Prov}
-				v80 := m.GenLoadValue(v79, types.UCharType, server_pine_pos[95], -1, 26)
-				v81 := core.Pointer{Addr: v69.Ptr.Addr + uint64(v80.I)*1, Prov: v69.Ptr.Prov}
-				v82 := m.GenLoadValue(v81, types.UCharType, server_pine_pos[96], -1, 27)
-				var v83 interp.Value
-				if v82.T == types.CharType {
-					v83 = v82
+				v61 := core.Pointer{Addr: v53.Ptr.Addr + uint64(v60.I)*1, Prov: v53.Ptr.Prov}
+				v62 := m.GenLoadValue(v61, types.UCharType, server_pine_pos[76], -1, 26)
+				v63 := core.Pointer{Addr: v51.Ptr.Addr + uint64(v62.I)*1, Prov: v51.Ptr.Prov}
+				v64 := m.GenLoadValue(v63, types.UCharType, server_pine_pos[77], -1, 27)
+				var v65 interp.Value
+				if v64.T == types.CharType {
+					v65 = v64
+				} else if v64.T != nil && v64.T.IsInteger() {
+					v65 = interp.Value{T: types.CharType, I: int64(int8(v64.I))}
 				} else {
-					v83 = m.GenConvert(v82, types.CharType, server_pine_pos[97])
+					v65 = m.GenConvert(v64, types.CharType, server_pine_pos[78])
 				}
-				v84 := m.GenGlobal(1)
-				v85 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v84.Base, Prov: v84}}
-				v86 := f.LocalAt(5)
+				v66 := m.GenGlobal(1)
+				v67 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v66.Base, Prov: v66}}
+				v68 := f.LocalAt(1)
 				m.GenChargeAccess()
-				v87 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v86.Data[0:])))}
-				v88 := interp.Value{T: v87.T, I: int64(int32(v87.I + 1))}
-				m.GenStoreRaw(v86, 0, types.IntType, v88)
-				v89 := core.Pointer{Addr: v85.Ptr.Addr + uint64(v87.I)*1, Prov: v85.Ptr.Prov}
-				var v90 interp.Value
-				if v83.T == types.CharType {
-					v90 = v83
+				v69 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v68.Data[0:])))}
+				v70 := interp.Value{T: v69.T, I: int64(int32(v69.I + 1))}
+				m.GenStoreRaw(v68, 0, types.IntType, v70)
+				v71 := core.Pointer{Addr: v67.Ptr.Addr + uint64(v69.I)*1, Prov: v67.Ptr.Prov}
+				var v72 interp.Value
+				if v65.T == types.CharType {
+					v72 = v65
+				} else if v65.T != nil && v65.T.IsInteger() {
+					v72 = interp.Value{T: types.CharType, I: int64(int8(v65.I))}
 				} else {
-					v90 = m.GenConvert(v83, types.CharType, server_pine_pos[98])
+					v72 = m.GenConvert(v65, types.CharType, server_pine_pos[79])
 				}
-				m.GenStoreValue(v89, types.CharType, v90, server_pine_pos[98])
-				_ = v90
+				m.GenStoreValue(v71, types.CharType, v72, server_pine_pos[79])
+				_ = v72
 			}
-			v91 := f.LocalAt(2)
+			v73 := f.LocalAt(4)
 			m.GenChargeAccess()
-			v92 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v91.Data[0:])))}
-			v93 := interp.Value{T: v92.T, I: int64(int32(v92.I + 1))}
-			m.GenStoreRaw(v91, 0, types.IntType, v93)
-			_ = v92
+			v74 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v73.Data[0:])))}
+			v75 := interp.Value{T: v74.T, I: int64(int32(v74.I + 1))}
+			m.GenStoreRaw(v73, 0, types.IntType, v75)
+			_ = v74
 		}
 	}
 	{
 		m.GenStep()
 		{
 			m.GenStep()
-			v94 := interp.Value{T: types.IntType, I: 0}
-			v95 := f.LocalAt(4)
-			var v96 interp.Value
-			if v94.T == types.IntType {
-				v96 = v94
-			} else {
-				v96 = m.GenConvert(v94, types.IntType, server_pine_pos[99])
-			}
-			m.GenStoreRaw(v95, 0, types.IntType, v96)
-			_ = v96
+			v76 := f.LocalAt(2)
+			m.GenStoreRaw(v76, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+			_ = (interp.Value{T: types.IntType, I: 0})
 		}
 		for {
-			v97 := f.LocalAt(4)
+			v77 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v98 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v97.Data[0:])))}
-			v99 := interp.Value{T: types.IntType, I: 40}
-			var v100 interp.Value
-			if v98.T == types.IntType && v99.T == types.IntType {
-				if v98.I < v99.I {
-					v100 = interp.Value{T: types.IntType, I: 1}
+			v78 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v77.Data[0:])))}
+			var v79 interp.Value
+			if v78.T == types.IntType {
+				if v78.I < 40 {
+					v79 = interp.Value{T: types.IntType, I: 1}
 				} else {
-					v100 = interp.Value{T: types.IntType, I: 0}
+					v79 = interp.Value{T: types.IntType, I: 0}
 				}
 			} else {
-				v100 = m.GenBinaryOp(token.Lt, v98, v99, types.IntType, server_pine_pos[100])
+				v79 = m.GenBinaryOp(token.Lt, v78, (interp.Value{T: types.IntType, I: 40}), types.IntType, server_pine_pos[80])
 			}
-			if !v100.Truthy() {
+			if !v79.Truthy() {
 				break
 			}
 			m.GenStep()
@@ -1823,176 +1780,146 @@ func server_pine_b_pine_compose(m *interp.Machine, f *mem.Frame) (ret interp.Val
 					m.GenStep()
 					{
 						m.GenStep()
-						v101 := interp.Value{T: types.IntType, I: 0}
-						v102 := f.LocalAt(3)
-						var v103 interp.Value
-						if v101.T == types.IntType {
-							v103 = v101
-						} else {
-							v103 = m.GenConvert(v101, types.IntType, server_pine_pos[101])
-						}
-						m.GenStoreRaw(v102, 0, types.IntType, v103)
-						_ = v103
+						v80 := f.LocalAt(3)
+						m.GenStoreRaw(v80, 0, types.IntType, (interp.Value{T: types.IntType, I: 0}))
+						_ = (interp.Value{T: types.IntType, I: 0})
 					}
 					for {
-						var v104 interp.Value
-						v105 := f.LocalAt(3)
+						var v81 interp.Value
+						v82 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v106 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v105.Data[0:])))}
-						v107 := interp.Value{T: types.IntType, I: 72}
-						var v108 interp.Value
-						if v106.T == types.IntType && v107.T == types.IntType {
-							if v106.I < v107.I {
-								v108 = interp.Value{T: types.IntType, I: 1}
+						v83 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v82.Data[0:])))}
+						var v84 interp.Value
+						if v83.T == types.IntType {
+							if v83.I < 72 {
+								v84 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v108 = interp.Value{T: types.IntType, I: 0}
+								v84 = interp.Value{T: types.IntType, I: 0}
 							}
 						} else {
-							v108 = m.GenBinaryOp(token.Lt, v106, v107, types.IntType, server_pine_pos[102])
+							v84 = m.GenBinaryOp(token.Lt, v83, (interp.Value{T: types.IntType, I: 72}), types.IntType, server_pine_pos[81])
 						}
-						if !v108.Truthy() {
-							v104 = interp.Value{T: types.IntType, I: 0}
+						if !v84.Truthy() {
+							v81 = interp.Value{T: types.IntType, I: 0}
 						} else {
-							v109 := f.LocalAt(5)
+							v85 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v110 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v109.Data[0:])))}
-							v111 := interp.Value{T: types.ULongType, I: 16384}
-							var v112 interp.Value
-							if v111.T == types.IntType {
-								v112 = v111
-							} else {
-								v112 = m.GenConvert(v111, types.IntType, server_pine_pos[103])
-							}
-							v113 := interp.Value{T: types.IntType, I: 2}
-							var v114 interp.Value
-							if v112.T == types.IntType && v113.T == types.IntType {
-								v114 = interp.Value{T: types.IntType, I: int64(int32(v112.I - v113.I))}
-							} else {
-								v114 = m.GenBinaryOp(token.Minus, v112, v113, types.IntType, server_pine_pos[104])
-							}
-							var v115 interp.Value
-							if v110.T == types.IntType && v114.T == types.IntType {
-								if v110.I < v114.I {
-									v115 = interp.Value{T: types.IntType, I: 1}
+							v86 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v85.Data[0:])))}
+							var v87 interp.Value
+							if v86.T == types.IntType {
+								if v86.I < 16382 {
+									v87 = interp.Value{T: types.IntType, I: 1}
 								} else {
-									v115 = interp.Value{T: types.IntType, I: 0}
+									v87 = interp.Value{T: types.IntType, I: 0}
 								}
 							} else {
-								v115 = m.GenBinaryOp(token.Lt, v110, v114, types.IntType, server_pine_pos[105])
+								v87 = m.GenBinaryOp(token.Lt, v86, (interp.Value{T: types.IntType, I: 16382}), types.IntType, server_pine_pos[82])
 							}
-							if v115.Truthy() {
-								v104 = interp.Value{T: types.IntType, I: 1}
+							if v87.Truthy() {
+								v81 = interp.Value{T: types.IntType, I: 1}
 							} else {
-								v104 = interp.Value{T: types.IntType, I: 0}
+								v81 = interp.Value{T: types.IntType, I: 0}
 							}
 						}
-						if !v104.Truthy() {
+						if !v81.Truthy() {
 							break
 						}
 						m.GenStep()
 						{
 							m.GenStep()
-							v116 := m.GenGlobal(5)
-							v117 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v116.Base, Prov: v116}}
-							v118 := m.GenGlobal(7)
-							v119 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v118.Base, Prov: v118}}
-							v120 := f.LocalAt(3)
+							v88 := m.GenGlobal(5)
+							v89 := interp.Value{T: types.PointerTo(types.UCharType), Ptr: core.Pointer{Addr: v88.Base, Prov: v88}}
+							v90 := m.GenGlobal(7)
+							v91 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v90.Base, Prov: v90}}
+							v92 := f.LocalAt(3)
 							m.GenChargeAccess()
-							v121 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v120.Data[0:])))}
-							v122 := core.Pointer{Addr: v119.Ptr.Addr + uint64(v121.I)*1, Prov: v119.Ptr.Prov}
-							v123 := m.GenLoadValue(v122, types.CharType, server_pine_pos[106], -1, 29)
-							var v124 interp.Value
-							if v123.T == types.UCharType {
-								v124 = v123
+							v93 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v92.Data[0:])))}
+							v94 := core.Pointer{Addr: v91.Ptr.Addr + uint64(v93.I)*1, Prov: v91.Ptr.Prov}
+							v95 := m.GenLoadValue(v94, types.CharType, server_pine_pos[83], -1, 29)
+							var v96 interp.Value
+							if v95.T == types.UCharType {
+								v96 = v95
+							} else if v95.T != nil && v95.T.IsInteger() {
+								v96 = interp.Value{T: types.UCharType, I: int64(uint8(v95.I))}
 							} else {
-								v124 = m.GenConvert(v123, types.UCharType, server_pine_pos[107])
+								v96 = m.GenConvert(v95, types.UCharType, server_pine_pos[84])
 							}
-							v125 := core.Pointer{Addr: v117.Ptr.Addr + uint64(v124.I)*1, Prov: v117.Ptr.Prov}
-							v126 := m.GenLoadValue(v125, types.UCharType, server_pine_pos[108], -1, 30)
-							var v127 interp.Value
-							if v126.T == types.CharType {
-								v127 = v126
+							v97 := core.Pointer{Addr: v89.Ptr.Addr + uint64(v96.I)*1, Prov: v89.Ptr.Prov}
+							v98 := m.GenLoadValue(v97, types.UCharType, server_pine_pos[85], -1, 30)
+							var v99 interp.Value
+							if v98.T == types.CharType {
+								v99 = v98
+							} else if v98.T != nil && v98.T.IsInteger() {
+								v99 = interp.Value{T: types.CharType, I: int64(int8(v98.I))}
 							} else {
-								v127 = m.GenConvert(v126, types.CharType, server_pine_pos[109])
+								v99 = m.GenConvert(v98, types.CharType, server_pine_pos[86])
 							}
-							v128 := m.GenGlobal(1)
-							v129 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v128.Base, Prov: v128}}
-							v130 := f.LocalAt(5)
+							v100 := m.GenGlobal(1)
+							v101 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v100.Base, Prov: v100}}
+							v102 := f.LocalAt(1)
 							m.GenChargeAccess()
-							v131 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v130.Data[0:])))}
-							v132 := interp.Value{T: v131.T, I: int64(int32(v131.I + 1))}
-							m.GenStoreRaw(v130, 0, types.IntType, v132)
-							v133 := core.Pointer{Addr: v129.Ptr.Addr + uint64(v131.I)*1, Prov: v129.Ptr.Prov}
-							var v134 interp.Value
-							if v127.T == types.CharType {
-								v134 = v127
+							v103 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v102.Data[0:])))}
+							v104 := interp.Value{T: v103.T, I: int64(int32(v103.I + 1))}
+							m.GenStoreRaw(v102, 0, types.IntType, v104)
+							v105 := core.Pointer{Addr: v101.Ptr.Addr + uint64(v103.I)*1, Prov: v101.Ptr.Prov}
+							var v106 interp.Value
+							if v99.T == types.CharType {
+								v106 = v99
+							} else if v99.T != nil && v99.T.IsInteger() {
+								v106 = interp.Value{T: types.CharType, I: int64(int8(v99.I))}
 							} else {
-								v134 = m.GenConvert(v127, types.CharType, server_pine_pos[110])
+								v106 = m.GenConvert(v99, types.CharType, server_pine_pos[87])
 							}
-							m.GenStoreValue(v133, types.CharType, v134, server_pine_pos[110])
-							_ = v134
+							m.GenStoreValue(v105, types.CharType, v106, server_pine_pos[87])
+							_ = v106
 						}
-						v135 := f.LocalAt(3)
+						v107 := f.LocalAt(3)
 						m.GenChargeAccess()
-						v136 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v135.Data[0:])))}
-						v137 := interp.Value{T: v136.T, I: int64(int32(v136.I + 1))}
-						m.GenStoreRaw(v135, 0, types.IntType, v137)
-						_ = v136
+						v108 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v107.Data[0:])))}
+						v109 := interp.Value{T: v108.T, I: int64(int32(v108.I + 1))}
+						m.GenStoreRaw(v107, 0, types.IntType, v109)
+						_ = v108
 					}
 				}
 				{
 					m.GenStep()
-					v138 := interp.Value{T: types.IntType, I: 10}
-					v139 := m.GenGlobal(1)
-					v140 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v139.Base, Prov: v139}}
-					v141 := f.LocalAt(5)
+					v110 := m.GenGlobal(1)
+					v111 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v110.Base, Prov: v110}}
+					v112 := f.LocalAt(1)
 					m.GenChargeAccess()
-					v142 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v141.Data[0:])))}
-					v143 := interp.Value{T: v142.T, I: int64(int32(v142.I + 1))}
-					m.GenStoreRaw(v141, 0, types.IntType, v143)
-					v144 := core.Pointer{Addr: v140.Ptr.Addr + uint64(v142.I)*1, Prov: v140.Ptr.Prov}
-					var v145 interp.Value
-					if v138.T == types.CharType {
-						v145 = v138
-					} else {
-						v145 = m.GenConvert(v138, types.CharType, server_pine_pos[111])
-					}
-					m.GenStoreValue(v144, types.CharType, v145, server_pine_pos[111])
-					_ = v145
+					v113 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v112.Data[0:])))}
+					v114 := interp.Value{T: v113.T, I: int64(int32(v113.I + 1))}
+					m.GenStoreRaw(v112, 0, types.IntType, v114)
+					v115 := core.Pointer{Addr: v111.Ptr.Addr + uint64(v113.I)*1, Prov: v111.Ptr.Prov}
+					m.GenStoreValue(v115, types.CharType, (interp.Value{T: types.CharType, I: 10}), server_pine_pos[88])
+					_ = (interp.Value{T: types.CharType, I: 10})
 				}
 			}
-			v146 := f.LocalAt(4)
+			v116 := f.LocalAt(2)
 			m.GenChargeAccess()
-			v147 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v146.Data[0:])))}
-			v148 := interp.Value{T: v147.T, I: int64(int32(v147.I + 1))}
-			m.GenStoreRaw(v146, 0, types.IntType, v148)
-			_ = v147
+			v117 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v116.Data[0:])))}
+			v118 := interp.Value{T: v117.T, I: int64(int32(v117.I + 1))}
+			m.GenStoreRaw(v116, 0, types.IntType, v118)
+			_ = v117
 		}
 	}
 	{
 		m.GenStep()
-		v149 := interp.Value{T: types.IntType, I: 0}
-		v150 := m.GenGlobal(1)
-		v151 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v150.Base, Prov: v150}}
-		v152 := f.LocalAt(5)
+		v119 := m.GenGlobal(1)
+		v120 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v119.Base, Prov: v119}}
+		v121 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v153 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v152.Data[0:])))}
-		v154 := core.Pointer{Addr: v151.Ptr.Addr + uint64(v153.I)*1, Prov: v151.Ptr.Prov}
-		var v155 interp.Value
-		if v149.T == types.CharType {
-			v155 = v149
-		} else {
-			v155 = m.GenConvert(v149, types.CharType, server_pine_pos[112])
-		}
-		m.GenStoreValue(v154, types.CharType, v155, server_pine_pos[112])
-		_ = v155
+		v122 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v121.Data[0:])))}
+		v123 := core.Pointer{Addr: v120.Ptr.Addr + uint64(v122.I)*1, Prov: v120.Ptr.Prov}
+		m.GenStoreValue(v123, types.CharType, (interp.Value{T: types.CharType, I: 0}), server_pine_pos[89])
+		_ = (interp.Value{T: types.CharType, I: 0})
 	}
 	{
 		m.GenStep()
-		v156 := f.LocalAt(5)
+		v124 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v157 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v156.Data[0:])))}
-		ret = v157
+		v125 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v124.Data[0:])))}
+		ret = v125
 		if interp.GenLive {
 			return
 		}
@@ -2006,109 +1933,123 @@ func server_pine_f_pine_move_message(m *interp.Machine, args []interp.Value, pos
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_move_message", len(args), 2)
 	}
 	f := m.GenPushFrame("canary:pine_move_message", 12, server_pine_locals_pine_move_message)
-	v0 := m.GenConvert(args[0], server_pine_t0, pos)
-	m.GenStoreRaw(f.LocalAt(1), 0, server_pine_t0, v0)
-	v1 := m.GenConvert(args[1], types.IntType, pos)
-	m.GenStoreRaw(f.LocalAt(0), 0, types.IntType, v1)
+	var v0 interp.Value
+	if args[0].T == server_pine_t0 {
+		v0 = args[0]
+	} else if args[0].T != nil && args[0].T.IsPointer() {
+		v0 = interp.Value{T: server_pine_t0, Ptr: args[0].Ptr}
+	} else {
+		v0 = m.GenConvert(args[0], server_pine_t0, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(0), 0, server_pine_t0, v0)
+	var v1 interp.Value
+	if args[1].T == types.IntType {
+		v1 = args[1]
+	} else if args[1].T != nil && args[1].T.IsInteger() {
+		v1 = interp.Value{T: types.IntType, I: int64(int32(args[1].I))}
+	} else {
+		v1 = m.GenConvert(args[1], types.IntType, pos)
+	}
+	m.GenStoreRaw(f.LocalAt(1), 0, types.IntType, v1)
 	ret := m.GenExec(f, server_pine_b_pine_move_message)
 	m.GenPopFrame(f)
 	if ret.T == nil {
 		return interp.Value{T: types.IntType}
 	}
-	return m.GenConvert(ret, types.IntType, pos)
+	var r interp.Value
+	if ret.T == types.IntType {
+		r = ret
+	} else if ret.T != nil && ret.T.IsInteger() {
+		r = interp.Value{T: types.IntType, I: int64(int32(ret.I))}
+	} else {
+		r = m.GenConvert(ret, types.IntType, pos)
+	}
+	return r
 }
 
 func server_pine_b_pine_move_message(m *interp.Machine, f *mem.Frame) (ret interp.Value) {
 	_ = f
 	{
 		m.GenStep()
-		v2 := f.LocalAt(0)
+		v2 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v3 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v2.Data[0:])))}
-		v4 := interp.Value{T: types.ULongType, I: 262144}
-		var v5 interp.Value
-		if v4.T == types.IntType {
-			v5 = v4
-		} else {
-			v5 = m.GenConvert(v4, types.IntType, server_pine_pos[113])
-		}
-		var v6 interp.Value
-		if v3.T == types.IntType && v5.T == types.IntType {
-			if v3.I > v5.I {
-				v6 = interp.Value{T: types.IntType, I: 1}
+		var v4 interp.Value
+		if v3.T == types.IntType {
+			if v3.I > 262144 {
+				v4 = interp.Value{T: types.IntType, I: 1}
 			} else {
-				v6 = interp.Value{T: types.IntType, I: 0}
+				v4 = interp.Value{T: types.IntType, I: 0}
 			}
 		} else {
-			v6 = m.GenBinaryOp(token.Gt, v3, v5, types.IntType, server_pine_pos[114])
+			v4 = m.GenBinaryOp(token.Gt, v3, (interp.Value{T: types.IntType, I: 262144}), types.IntType, server_pine_pos[90])
 		}
-		if v6.Truthy() {
+		if v4.Truthy() {
 			{
 				m.GenStep()
-				v7 := interp.Value{T: types.ULongType, I: 262144}
-				v8 := f.LocalAt(0)
-				var v9 interp.Value
-				if v7.T == types.IntType {
-					v9 = v7
-				} else {
-					v9 = m.GenConvert(v7, types.IntType, server_pine_pos[115])
-				}
-				m.GenStoreRaw(v8, 0, types.IntType, v9)
-				_ = v9
+				v5 := f.LocalAt(1)
+				m.GenStoreRaw(v5, 0, types.IntType, (interp.Value{T: types.IntType, I: 262144}))
+				_ = (interp.Value{T: types.IntType, I: 262144})
 			}
 		}
 	}
 	{
 		m.GenStep()
 		m.GenStep()
-		v10 := m.GenArgs(3)
-		v11 := m.GenGlobal(2)
-		v12 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v11.Base, Prov: v11}}
-		v10[0] = v12
-		v13 := f.LocalAt(1)
-		v14 := m.GenLoadRaw(v13, 0, server_pine_t0, 20)
-		v10[1] = v14
-		v15 := f.LocalAt(0)
+		v6 := m.GenArgs(3)
+		v7 := m.GenGlobal(2)
+		v8 := interp.Value{T: types.PointerTo(types.CharType), Ptr: core.Pointer{Addr: v7.Base, Prov: v7}}
+		v6[0] = v8
+		v9 := f.LocalAt(0)
+		v10 := m.GenLoadRaw(v9, 0, server_pine_t0, 20)
+		v6[1] = v10
+		v11 := f.LocalAt(1)
 		m.GenChargeAccess()
-		v16 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v15.Data[0:])))}
-		var v17 interp.Value
-		if v16.T == types.ULongType {
-			v17 = v16
+		v12 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v11.Data[0:])))}
+		var v13 interp.Value
+		if v12.T == types.ULongType {
+			v13 = v12
+		} else if v12.T != nil && v12.T.IsInteger() {
+			v13 = interp.Value{T: types.ULongType, I: v12.I}
 		} else {
-			v17 = m.GenConvert(v16, types.ULongType, server_pine_pos[116])
+			v13 = m.GenConvert(v12, types.ULongType, server_pine_pos[91])
 		}
-		v10[2] = v17
-		v18 := m.GenBuiltin(5, "memcpy", server_pine_pos[117])(m, server_pine_pos[117], v10)
-		m.GenPutArgs(v10)
+		v6[2] = v13
+		v14 := m.GenBuiltin(5, "memcpy", server_pine_pos[92])(m, server_pine_pos[92], v6)
+		m.GenPutArgs(v6)
+		var v15 interp.Value
+		if v14.T == server_pine_t1 {
+			v15 = v14
+		} else if v14.T != nil && v14.T.IsPointer() {
+			v15 = interp.Value{T: server_pine_t1, Ptr: v14.Ptr}
+		} else {
+			v15 = m.GenConvert(v14, server_pine_t1, server_pine_pos[92])
+		}
+		_ = v15
+	}
+	{
+		m.GenStep()
+		v16 := f.LocalAt(1)
+		m.GenChargeAccess()
+		v17 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v16.Data[0:])))}
+		v18 := m.GenGlobal(3)
 		var v19 interp.Value
-		if v18.T == server_pine_t1 {
-			v19 = v18
+		if v17.T == types.IntType {
+			v19 = v17
+		} else if v17.T != nil && v17.T.IsInteger() {
+			v19 = interp.Value{T: types.IntType, I: int64(int32(v17.I))}
 		} else {
-			v19 = m.GenConvert(v18, server_pine_t1, server_pine_pos[117])
+			v19 = m.GenConvert(v17, types.IntType, server_pine_pos[93])
 		}
+		m.GenStoreRaw(v18, 0, types.IntType, v19)
 		_ = v19
 	}
 	{
 		m.GenStep()
-		v20 := f.LocalAt(0)
+		v20 := f.LocalAt(1)
 		m.GenChargeAccess()
 		v21 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v20.Data[0:])))}
-		v22 := m.GenGlobal(3)
-		var v23 interp.Value
-		if v21.T == types.IntType {
-			v23 = v21
-		} else {
-			v23 = m.GenConvert(v21, types.IntType, server_pine_pos[118])
-		}
-		m.GenStoreRaw(v22, 0, types.IntType, v23)
-		_ = v23
-	}
-	{
-		m.GenStep()
-		v24 := f.LocalAt(0)
-		m.GenChargeAccess()
-		v25 := interp.Value{T: types.IntType, I: int64(int32(binary.LittleEndian.Uint32(v24.Data[0:])))}
-		ret = v25
+		ret = v21
 		if interp.GenLive {
 			return
 		}

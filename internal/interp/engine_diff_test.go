@@ -186,3 +186,34 @@ func TestEngineDiffDataShapes(t *testing.T) {
 		{fn: "mixed", args: []int64{7}},
 	})
 }
+
+// intConvCalls drives every entry point of corpus.SrcIntConv across the
+// boundary values of each integer width (and host arguments that need
+// conversion to the narrow parameter types).
+func intConvCalls() []diffCall {
+	var calls []diffCall
+	for _, k := range []int64{-1, 0, 1, 3, 7, 200, -129, 65537, -70000, 2147483647} {
+		for _, fn := range []string{"casts", "compares", "arith", "wrap", "text",
+			"c_of", "uc_of", "s_of", "us_of", "u_of", "l_of", "ul_of"} {
+			calls = append(calls, diffCall{fn: fn, args: []int64{k}})
+		}
+	}
+	return calls
+}
+
+// TestEngineDiffIntConv pins the typed integer code the generator emits
+// (inline conversions, constant folding, mixed-type comparisons and
+// arithmetic) to the tree-walk reference, and the zero-divisor slow path
+// to its failure.
+func TestEngineDiffIntConv(t *testing.T) {
+	assertEnginesAgree(t, corpus.SrcIntConv, 0, intConvCalls())
+	for _, fn := range []string{"divz", "modz", "zdiv"} {
+		t.Run(fn, func(t *testing.T) {
+			assertEnginesAgree(t, corpus.SrcIntConv, 0, []diffCall{
+				{fn: fn, args: []int64{3}},
+				{fn: fn, args: []int64{0}},
+				{fn: fn, args: []int64{3}},
+			})
+		})
+	}
+}

@@ -9,10 +9,13 @@ package interp_test
 // needs an explicit golden update plus a re-run of the figure benchmarks.
 
 import (
+	"io"
 	"testing"
 
 	"focc/fo"
+	"focc/internal/core"
 	"focc/internal/corpus"
+	"focc/internal/interp"
 )
 
 type pinCall struct {
@@ -101,5 +104,42 @@ func testSimCyclesPinned(t *testing.T, engine fo.Engine) {
 				t.Errorf("SimCycles = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// goldenIntConvCycles pins the cycle cost of the corpus.SrcIntConv call
+// sequence (intConvCalls). The program makes no memory error, so every
+// checked mode charges the same checks; Standard charges none.
+var goldenIntConvCycles = map[core.Mode]uint64{
+	core.Standard:         11257,
+	core.BoundsCheck:      38707,
+	core.FailureOblivious: 38707,
+	core.ModeRewind:       38707,
+	core.ModeFOContext:    38707,
+}
+
+// TestSimCyclesPinnedIntConv pins the typed integer paths of both engines
+// to the same golden cycle counts.
+func TestSimCyclesPinnedIntConv(t *testing.T) {
+	for _, engine := range engineNames {
+		for mode, want := range goldenIntConvCycles {
+			t.Run(engine+"/"+mode.String(), func(t *testing.T) {
+				cfg := engineConfig(t, engine, corpus.SrcIntConv)
+				cfg.Mode = mode
+				cfg.Out = io.Discard
+				m, err := interp.New(compileWithCPP(t, corpus.SrcIntConv), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range intConvCalls() {
+					if res := m.Call(c.fn, interp.Int(c.args[0])); res.Outcome != interp.OutcomeOK {
+						t.Fatalf("%s(%d): %v (%v)", c.fn, c.args[0], res.Outcome, res.Err)
+					}
+				}
+				if got := m.SimCycles(); got != want {
+					t.Errorf("SimCycles = %d, want %d", got, want)
+				}
+			})
+		}
 	}
 }

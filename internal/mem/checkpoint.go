@@ -33,6 +33,8 @@ type savedUnit struct {
 	u      *Unit
 	data   []byte
 	dead   bool
+	shOff  uint64
+	shProv *Unit
 	shadow map[uint64]*Unit
 }
 
@@ -87,7 +89,7 @@ func (as *AddressSpace) NoteMutation(u *Unit) {
 		return
 	}
 	u.ckptEpoch = c.epoch
-	s := savedUnit{u: u, dead: u.Dead}
+	s := savedUnit{u: u, dead: u.Dead, shOff: u.shOff, shProv: u.shProv}
 	s.data = append([]byte(nil), u.Data...)
 	if len(u.shadow) > 0 {
 		s.shadow = make(map[uint64]*Unit, len(u.shadow))
@@ -124,12 +126,12 @@ func (as *AddressSpace) Rewind(c *Checkpoint) {
 		s := c.saved[i]
 		copy(s.u.Data, s.data)
 		s.u.Dead = s.dead
-		s.u.shadow = s.shadow
+		s.u.shOff, s.u.shProv, s.u.shadow = s.shOff, s.shProv, s.shadow
 	}
 	c.saved = nil
 	for _, u := range as.heap[c.heapLen:] {
 		u.Dead = true
-		u.shadow = nil
+		u.resetShadow()
 	}
 	as.heapCorrupted = c.heapCorrupted
 	as.UnwindTo(c.sp)

@@ -118,9 +118,9 @@ func TestFindUnitCacheConsistency(t *testing.T) {
 				t.Fatalf("step %d: push: %v", step, fault)
 			}
 			frames = append(frames, pushed{f: f, saveSP: saveSP})
-			noteUnit(f.guard)
-			for _, u := range f.locals {
-				noteUnit(u)
+			noteUnit(&f.units[0])
+			for i := len(f.units) - 1; i >= 1; i-- {
+				noteUnit(&f.units[i])
 			}
 		case op < 9: // pop the top frame
 			if len(frames) == 0 {
@@ -266,7 +266,7 @@ func TestFindUnitCachedAgainstUncached(t *testing.T) {
 		if fault != nil {
 			t.Fatal(fault)
 		}
-		addrs = append(addrs, f.Base, f.Base+17, f.guard.Base)
+		addrs = append(addrs, f.Base, f.Base+17, f.units[0].Base)
 	}
 	var c LookupCache
 	for i := 0; i < 100000; i++ {

@@ -38,8 +38,8 @@ func BenchmarkFindUnit(b *testing.B) {
 			if fault != nil {
 				b.Fatal(fault)
 			}
-			for _, u := range f.locals {
-				addrs = append(addrs, u.Base+3)
+			for i := len(f.units) - 1; i >= 1; i-- {
+				addrs = append(addrs, f.units[i].Base+3)
 			}
 		}
 		benchLookup(b, as, addrs)

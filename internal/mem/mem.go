@@ -88,8 +88,14 @@ type Unit struct {
 	ReadOnly bool
 	Data     []byte
 
-	// shadow maps an in-unit byte offset to the provenance unit of a
-	// pointer value stored at that offset. Nil until first pointer store.
+	// The provenance shadow maps an in-unit byte offset to the provenance
+	// unit of a pointer value stored at that offset. Most units that hold
+	// pointers hold one, so the first entry lives inline (shOff, shProv;
+	// shProv == nil means the slot is empty) and shadow is allocated only
+	// when a second offset is stored. An offset lives in at most one of
+	// the two places.
+	shOff  uint64
+	shProv *Unit
 	shadow map[uint64]*Unit
 
 	// ckptEpoch stamps the unit against the active checkpoint (see
@@ -427,7 +433,7 @@ func (as *AddressSpace) ReleaseTop(u *Unit) bool {
 	}
 	hdr := as.heap[n-2]
 	hdr.Dead, u.Dead = true, true
-	u.shadow = nil
+	u.resetShadow()
 	as.heap[n-2], as.heap[n-1] = nil, nil
 	as.heap = as.heap[:n-2]
 	as.heapCur = HeapBase
@@ -465,39 +471,38 @@ type LocalSpec struct {
 // an overflow of one stack buffer into a neighbouring local is an
 // out-of-bounds access even though the bytes are adjacent.
 type Frame struct {
-	Base   uint64
-	Size   uint64
-	guard  *Unit
-	locals []*Unit
-	// offs holds the frame offsets of locals, parallel to the locals
-	// slice; frames are small enough that a linear scan beats a map.
-	offs   []uint64
+	Base uint64
+	Size uint64
+	// units holds the guard at index 0 and the local of spec index i at
+	// index 1+i; spec is the caller's static layout, never copied.
+	units  []Unit
+	spec   []LocalSpec
 	prevSP uint64
 }
 
 // Local returns the data unit of the local declared at frame offset off.
+// Frames are small enough that a linear scan beats a map.
 func (f *Frame) Local(off uint64) *Unit {
-	for i, o := range f.offs {
-		if o == off {
-			return f.locals[i]
+	for i := len(f.spec) - 1; i >= 0; i-- {
+		if f.spec[i].Off == off {
+			return &f.units[1+i]
 		}
 	}
 	return nil
 }
 
-// LocalAt returns the data unit at index i of the frame's registration
-// order, which is the REVERSE of the PushFrame spec order (locals are
-// registered top-down so the unit table stays sorted). Generated code
-// that resolved a local's spec index at generation time uses
-// LocalAt(len(spec)-1-specIdx) for O(1) access instead of Local's offset
-// scan.
-func (f *Frame) LocalAt(i int) *Unit { return f.locals[i] }
+// LocalAt returns the data unit of the local at index i of the PushFrame
+// spec. Generated code that resolved a local's spec index at generation
+// time uses it for O(1) access instead of Local's offset scan.
+func (f *Frame) LocalAt(i int) *Unit { return &f.units[1+i] }
 
 // PushFrame allocates a stack frame of the given size with a canary guard
 // between it and the caller's frame, and one data unit per local. fnName
 // labels the guard unit verbatim, and LocalSpec names are used verbatim,
 // so callers pushing the same frame layout repeatedly should pass
-// preformatted names (the interpreter caches them per function).
+// preformatted names (the interpreter caches them per function). The
+// frame keeps locals itself, so the caller must not modify it while the
+// frame is live.
 func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec) (*Frame, *Fault) {
 	size = roundUp(size, 8)
 	if size == 0 {
@@ -516,7 +521,9 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 	}
 	// All of the frame's units (guard plus locals) come from one batch
 	// allocation; frames are pushed on every function call, so the
-	// per-unit allocations dominated the call path.
+	// per-unit allocations dominated the call path. The units are fresh on
+	// every call and never pooled: a dangling pointer into a popped frame
+	// keeps seeing its dead unit.
 	units := make([]Unit, 1+len(locals))
 	epoch := as.curEpoch()
 	gOff := guardBase - as.stackBase
@@ -526,14 +533,7 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 		Base: guardBase, Size: canarySize, ckptEpoch: epoch,
 		Data: as.stackArena[gOff : gOff+canarySize : gOff+canarySize]}
 	binary.LittleEndian.PutUint64(guard.Data, canaryMagic)
-	f := &Frame{
-		Base:   frameBase,
-		Size:   size,
-		guard:  guard,
-		prevSP: prevSP,
-		locals: make([]*Unit, 0, len(locals)),
-		offs:   make([]uint64, 0, len(locals)),
-	}
+	f := &Frame{Base: frameBase, Size: size, units: units, spec: locals, prevSP: prevSP}
 	// Register units in descending base order so as.stack stays strictly
 	// descending (guard is highest, then locals top-down).
 	as.stack = append(as.stack, guard)
@@ -550,8 +550,6 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 		*u = Unit{ID: as.nextID, Kind: KindStack, Name: sp.Name,
 			Base: base, Size: sz, ckptEpoch: epoch,
 			Data: as.stackArena[aOff : aOff+sz : aOff+sz]}
-		f.locals = append(f.locals, u)
-		f.offs = append(f.offs, sp.Off)
 		as.stack = append(as.stack, u)
 	}
 	as.stats.FramesPush++
@@ -562,24 +560,26 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 // the canary was clobbered (only meaningful for the unsafe Standard mode —
 // checked modes never let a write reach the canary).
 func (as *AddressSpace) PopFrame(f *Frame) *Fault {
-	n := len(f.locals) + 1
-	if len(as.stack) < n || as.stack[len(as.stack)-n] != f.guard {
+	n := len(f.units)
+	guard := &f.units[0]
+	if len(as.stack) < n || as.stack[len(as.stack)-n] != guard {
 		// Mis-nested pop; treat as internal error.
 		return &Fault{Kind: FaultSegv, Addr: f.Base, Msg: "mis-nested frame pop"}
 	}
-	smashed := binary.LittleEndian.Uint64(f.guard.Data) != canaryMagic
-	for _, u := range f.locals {
+	smashed := binary.LittleEndian.Uint64(guard.Data) != canaryMagic
+	for i := 1; i < n; i++ {
+		u := &f.units[i]
 		u.Dead = true
-		u.shadow = nil
+		u.resetShadow()
 	}
-	f.guard.Dead = true
+	guard.Dead = true
 	as.stack = as.stack[:len(as.stack)-n]
 	as.sp = f.prevSP
 	as.stackGen++ // stack units removed: invalidate stack cache entries
 	as.stats.FramesPop++
 	if smashed {
-		return &Fault{Kind: FaultStackSmash, Addr: f.guard.Base,
-			Msg: "canary of " + f.guard.Name}
+		return &Fault{Kind: FaultStackSmash, Addr: guard.Base,
+			Msg: "canary of " + guard.Name}
 	}
 	return nil
 }
@@ -598,7 +598,7 @@ func (as *AddressSpace) UnwindTo(sp uint64) {
 			break
 		}
 		u.Dead = true
-		u.shadow = nil
+		u.resetShadow()
 		if u.Kind == KindStackGuard {
 			as.stats.FramesPop++
 		}
@@ -754,35 +754,59 @@ func (as *AddressSpace) RawWrite(addr uint64, data []byte) *Fault {
 // --- Provenance shadow (pointer stores) ---
 
 // SetShadow records that the pointer stored at the given in-unit offset has
-// provenance prov.
+// provenance prov (nil erases the entry).
 func (u *Unit) SetShadow(off uint64, prov *Unit) {
-	if u.shadow == nil {
-		// Pre-size: a unit that stores one pointer usually stores a few
-		// (arrays of pointers, structs with pointer fields).
-		u.shadow = make(map[uint64]*Unit, 8)
+	switch {
+	case u.shProv != nil && u.shOff == off:
+		u.shProv = prov
+	case prov == nil:
+		delete(u.shadow, off)
+	case u.shProv == nil:
+		delete(u.shadow, off)
+		u.shOff, u.shProv = off, prov
+	default:
+		if u.shadow == nil {
+			// Pre-size: a unit that stores two pointers usually stores a
+			// few more (arrays of pointers, structs with pointer fields).
+			u.shadow = make(map[uint64]*Unit, 8)
+		}
+		u.shadow[off] = prov
 	}
-	u.shadow[off] = prov
 }
 
 // GetShadow returns the provenance of a pointer loaded from the given
 // offset, or nil.
 func (u *Unit) GetShadow(off uint64) *Unit {
+	if u.shProv != nil && u.shOff == off {
+		return u.shProv
+	}
 	if u.shadow == nil {
 		return nil
 	}
 	return u.shadow[off]
 }
 
-// clearShadowRange invalidates shadow entries overlapping [off, off+n).
+// resetShadow drops every provenance entry (the unit died or was released).
+func (u *Unit) resetShadow() {
+	u.shProv = nil
+	u.shadow = nil
+}
+
+// clearShadowRange invalidates shadow entries overlapping [off, off+n): a
+// pointer entry at offset a covers bytes [a, a+8).
 func (u *Unit) clearShadowRange(off, n uint64) {
-	if len(u.shadow) == 0 {
-		return
-	}
 	lo := uint64(0)
 	if off >= 7 {
 		lo = off - 7
 	}
-	for a := lo; a < off+n; a++ {
+	hi := off + n
+	if u.shProv != nil && u.shOff >= lo && u.shOff < hi {
+		u.shProv = nil
+	}
+	if len(u.shadow) == 0 {
+		return
+	}
+	for a := lo; a < hi; a++ {
 		delete(u.shadow, a)
 	}
 }

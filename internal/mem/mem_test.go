@@ -208,6 +208,29 @@ func TestPerLocalUnits(t *testing.T) {
 	if as.FindUnit(a.End()) != b {
 		t.Error("adjacent boundary resolved incorrectly")
 	}
+	for i, u := range []*Unit{a, b, c} {
+		if f.LocalAt(i) != u {
+			t.Errorf("LocalAt(%d) is not the local of spec index %d", i, i)
+		}
+	}
+}
+
+// A call pushes its frame in two allocations (the units and the Frame)
+// and returns through PopFrame without allocating, pointer stores
+// included: the first provenance entry of a unit lives inline.
+func TestFrameCallAllocs(t *testing.T) {
+	as := New()
+	spec := []LocalSpec{{Name: "p", Off: 0, Size: 8}, {Name: "buf", Off: 8, Size: 16}}
+	target := as.AllocGlobal("g", 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		f, _ := as.PushFrame("fn", 24, spec)
+		f.LocalAt(0).SetShadow(0, target)
+		f.LocalAt(1).SetShadow(8, target)
+		as.PopFrame(f)
+	})
+	if allocs != 2 {
+		t.Errorf("push+store+pop allocates %v times, want 2", allocs)
+	}
 }
 
 func TestStackOverflow(t *testing.T) {
