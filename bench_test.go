@@ -117,27 +117,34 @@ func BenchmarkApacheAttackThroughput(b *testing.B) {
 	srv := apache.NewServer()
 	for _, mode := range harness.Modes {
 		b.Run(mode.String(), func(b *testing.B) {
-			pool, err := harness.NewChildPool(srv, mode, 4)
+			// The pool of harness.AttackThroughput: four children, four
+			// warm spares, no breaker, no restart backoff.
+			pool, err := serve.New(srv, mode, serve.WithPoolSize(4),
+				serve.WithWarmSpares(4), serve.WithBreaker(0, 0),
+				serve.WithBackoff(time.Nanosecond, time.Nanosecond))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer pool.Close()
+			ctx := context.Background()
 			legit := srv.LegitRequests()[0]
 			attack := srv.AttackRequest()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				for a := 0; a < 3; a++ {
-					if _, err := pool.Handle(attack); err != nil {
+					if _, err := pool.Submit(ctx, attack); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := pool.Handle(legit); err != nil {
+				if _, err := pool.Submit(ctx, legit); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(pool.Restarts())/float64(b.N), "restarts/op")
+			// Every crash is replaced, and counted before its reply, so
+			// crashes are the restarts without racing the last respawn.
+			b.ReportMetric(float64(pool.Stats().Crashes)/float64(b.N), "restarts/op")
 		})
 	}
 }

@@ -89,8 +89,8 @@ type (
 	Stats = serve.Stats
 	// ChaosConfig configures deterministic chaos injection (WithChaos).
 	ChaosConfig = serve.ChaosConfig
-	// ShedConfig configures the deadline-aware shedding queue
-	// (WithShedding / WithShardShedding).
+	// ShedConfig configures the deadline-aware shedding gate on an
+	// engine's admission queue (WithShedding / WithShardShedding).
 	ShedConfig = serve.ShedConfig
 )
 
@@ -142,7 +142,7 @@ func NewEngine(srv Server, mode fo.Mode, opts ...Option) (*Engine, error) {
 
 // NewRouter starts a sharded serving front end over srv: requests are
 // consistent-hashed by tenant key across WithShards engine shards, each
-// running the deadline-aware shedding queue. See Router.
+// queue running the deadline-aware shedding gate. See Router.
 func NewRouter(srv Server, mode fo.Mode, opts ...RouterOption) (*Router, error) {
 	return serve.NewRouter(srv, mode, opts...)
 }
@@ -173,10 +173,10 @@ func WithBreaker(consecutive int, cooldown time.Duration) Option {
 // serving path (Apache-style pre-forking).
 func WithWarmSpares(n int) Option { return serve.WithWarmSpares(n) }
 
-// WithShedding replaces the engine's plain bounded queue with the
-// CoDel-style deadline-aware shedding queue: requests whose deadline has
-// become unmeetable are dropped from the front with ErrShed so viable
-// requests keep flowing.
+// WithShedding turns on the CoDel-style deadline-aware shedding gate on
+// the engine's bounded admission queue: requests whose deadline has become
+// unmeetable are dropped from the front with ErrShed so viable requests
+// keep flowing.
 func WithShedding(c ShedConfig) Option { return serve.WithShedding(c) }
 
 // WithBatching coalesces queued small requests into batches of up to

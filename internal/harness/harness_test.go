@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -74,66 +75,47 @@ func TestVariantsMatrixSurvives(t *testing.T) {
 	}
 }
 
-func TestChildPoolRestartsCrashedChildren(t *testing.T) {
-	srv := apache.NewServer()
-	pool, err := NewChildPool(srv, fo.BoundsCheck, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := pool.Handle(srv.AttackRequest()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := pool.Handle(srv.LegitRequests()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK() {
-		t.Errorf("pool stopped serving: %v", resp)
-	}
-	if pool.Restarts() == 0 {
-		t.Error("expected child restarts under attack")
-	}
-}
-
 func TestAttackThroughputOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput experiment")
 	}
+	const legitN, attacksPerLegit, repeats = 20, 3, 3
 	srv := apache.NewServer()
-	var rows []ThroughputResult
-	for _, mode := range Modes {
-		r, err := AttackThroughput(srv, mode, 4, 20, 3)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		rows = append(rows, r)
-	}
-	var std, bc, foR ThroughputResult
-	for _, r := range rows {
-		switch r.Mode {
-		case fo.Standard:
-			std = r
-		case fo.BoundsCheck:
-			bc = r
-		case fo.FailureOblivious:
-			foR = r
+	tput := map[fo.Mode][]float64{}
+	for rep := 0; rep < repeats; rep++ {
+		for _, mode := range Modes {
+			r, err := AttackThroughput(srv, mode, 4, legitN, attacksPerLegit)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			// The counts are deterministic: every attack kills its child
+			// under Standard and BoundsCheck and none does under Failure
+			// Oblivious, and a legit fetch always reaches a live child.
+			wantCrashes := legitN * attacksPerLegit
+			if mode == fo.FailureOblivious {
+				wantCrashes = 0
+			}
+			if r.Crashes != wantCrashes {
+				t.Errorf("%v: %d crashes, want %d", mode, r.Crashes, wantCrashes)
+			}
+			if r.LegitDone != legitN || r.Attacks != legitN*attacksPerLegit {
+				t.Errorf("%v: %d legit done, %d attacks; want %d, %d",
+					mode, r.LegitDone, r.Attacks, legitN, legitN*attacksPerLegit)
+			}
+			tput[mode] = append(tput[mode], r.Throughput)
 		}
 	}
 	// The paper's shape: the Failure Oblivious version sustains the
 	// highest throughput because it never pays process-restart overhead.
-	if foR.Restarts != 0 {
-		t.Errorf("oblivious pool restarted %d children, want 0", foR.Restarts)
+	// Wall-clock throughput is judged on the median of the repeats, so one
+	// descheduled run under parallel test load cannot flip the order.
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
 	}
-	if std.Restarts == 0 || bc.Restarts == 0 {
-		t.Errorf("standard/bounds pools should restart children (std=%d bc=%d)",
-			std.Restarts, bc.Restarts)
-	}
-	if !(foR.Throughput > bc.Throughput) || !(foR.Throughput > std.Throughput) {
-		t.Errorf("throughput ordering wrong: fo=%.1f bounds=%.1f std=%.1f",
-			foR.Throughput, bc.Throughput, std.Throughput)
+	foR, bc, std := median(tput[fo.FailureOblivious]), median(tput[fo.BoundsCheck]), median(tput[fo.Standard])
+	if !(foR > bc) || !(foR > std) {
+		t.Errorf("median throughput ordering wrong: fo=%.1f bounds=%.1f std=%.1f", foR, bc, std)
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -117,46 +116,5 @@ func TestFormatLoadtest(t *testing.T) {
 	}
 	if !strings.Contains(out, "p99") {
 		t.Errorf("expected percentile headers in table:\n%s", out)
-	}
-}
-
-// TestChildPoolConcurrentHandle hammers one ChildPool from many goroutines
-// (run with -race): Handle and Restarts must be safe under concurrent
-// callers.
-func TestChildPoolConcurrentHandle(t *testing.T) {
-	srv := apache.NewServer()
-	pool, err := NewChildPool(srv, fo.BoundsCheck, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	legit := srv.LegitRequests()[0]
-	attack := srv.AttackRequest()
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				req := legit
-				if (c+i)%3 == 0 {
-					req = attack
-				}
-				if _, err := pool.Handle(req); err != nil {
-					errc <- err
-					return
-				}
-				_ = pool.Restarts()
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if pool.Restarts() == 0 {
-		t.Error("expected restarts from the attack mix")
 	}
 }

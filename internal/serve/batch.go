@@ -80,22 +80,11 @@ func (b *batcher) flushAfterDelay() {
 // blocked on their own reply channels).
 func (e *Engine) enqueueBatch(subs []*task) {
 	bt := &task{ctx: context.Background(), enq: subs[0].enq, batch: subs}
-	if e.q != nil {
-		if err := e.q.push(bt); err != nil {
-			if err == ErrQueueFull {
-				e.rejected.Add(uint64(len(subs)))
-			}
-			answer(bt, taskResult{err: err})
+	if err := e.q.push(bt); err != nil {
+		if err == ErrQueueFull {
+			e.rejected.Add(uint64(len(subs)))
 		}
-		return
-	}
-	select {
-	case e.tasks <- bt:
-	case <-e.closing.Done():
-		answer(bt, taskResult{err: ErrClosed})
-	default:
-		e.rejected.Add(uint64(len(subs)))
-		answer(bt, taskResult{err: ErrQueueFull})
+		answer(bt, taskResult{err: err})
 	}
 }
 

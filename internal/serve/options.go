@@ -134,9 +134,10 @@ func WithDeadline(d time.Duration) Option {
 }
 
 // WithBackoff sets the capped exponential backoff applied between
-// consecutive restarts of a crashing instance: the k-th consecutive restart
-// waits min(base<<(k-1), max). New rejects non-positive values and a base
-// above the cap.
+// consecutive cold restarts of a crashing instance: the first restart after
+// an isolated crash is immediate, and the k-th consecutive restart (k >= 2)
+// waits min(base<<(k-2), max) — base, then 2×base, doubling up to the cap.
+// New rejects non-positive values and a base above the cap.
 func WithBackoff(base, max time.Duration) Option {
 	return func(o *options) {
 		o.backoffBase = base
@@ -157,12 +158,14 @@ func WithWarmSpares(n int) Option {
 	return func(o *options) { o.warmSpares = n }
 }
 
-// ShedConfig configures the deadline-aware shedding queue (WithShedding).
+// ShedConfig configures the deadline-aware shedding gate on the engine's
+// admission queue (WithShedding). The zero config leaves the gate off: the
+// queue is a plain bounded FIFO that rejects new arrivals at depth.
 //
-// The shedding queue replaces the engine's plain bounded FIFO with a
-// CoDel-style controlled-delay queue (Nichols & Jacobson, "Controlling
-// Queue Delay"): instead of tail-dropping new arrivals whenever the buffer
-// is full, it watches the *sojourn time* of the oldest queued request and
+// The gate makes the one queue a CoDel-style controlled-delay queue
+// (Nichols & Jacobson, "Controlling Queue Delay"): instead of
+// tail-dropping new arrivals whenever the buffer is full, it watches the
+// *sojourn time* of the oldest queued request and
 // drops from the front — the requests that have already waited so long
 // their deadline has become unmeetable — so fresh requests that can still
 // meet their deadline are admitted and served. A dropped request's
@@ -189,9 +192,10 @@ type ShedConfig struct {
 
 func (c ShedConfig) enabled() bool { return c != (ShedConfig{}) }
 
-// WithShedding replaces the fixed bounded queue with the deadline-aware
-// CoDel-style shedding queue described on ShedConfig. New rejects
-// non-positive Target or Interval.
+// WithShedding turns on the deadline-aware CoDel-style shedding gate
+// described on ShedConfig on the engine's bounded admission queue. The zero
+// config turns it off; otherwise New rejects non-positive Target or
+// Interval.
 func WithShedding(c ShedConfig) Option {
 	return func(o *options) { o.shed = c }
 }

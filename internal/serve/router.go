@@ -1,8 +1,8 @@
 // The Router is the cluster-scale front end over the Engine: it
 // consistent-hashes requests by tenant key across N engine shards, applies
 // per-tenant admission quotas and a router-wide adaptive concurrency limit
-// (AIMD on observed p95 — see AIMDConfig), runs every shard behind the
-// deadline-aware shedding queue, and coordinates zero-downtime program
+// (AIMD on observed p95 — see AIMDConfig), runs every shard's queue with
+// the deadline-aware shedding gate on, and coordinates zero-downtime program
 // hot-swap across the fleet (Swap = one atomic pointer flip + a rolling
 // recycle of every shard's instances). See DESIGN.md §14.
 
@@ -135,9 +135,10 @@ func WithAIMD(c AIMDConfig) RouterOption {
 	return func(o *routerOptions) { o.aimd = c }
 }
 
-// WithShardShedding overrides the shedding queue configuration applied to
-// every shard (see ShedConfig). Routers always shed — pass a standalone
-// Engine configuration through WithShardOptions for a plain bounded queue.
+// WithShardShedding overrides the shedding gate configuration applied to
+// every shard's admission queue (see ShedConfig). Routers shed by default;
+// the zero config turns the gate off, leaving each shard a plain bounded
+// FIFO.
 func WithShardShedding(c ShedConfig) RouterOption {
 	return func(o *routerOptions) { o.shed = c }
 }

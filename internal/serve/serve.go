@@ -5,10 +5,10 @@
 //
 // The engine owns poolSize worker goroutines, each driving its own
 // servers.Instance (instances are single-goroutine; see the concurrency
-// contract on servers.Instance). Requests are admitted through a bounded
-// queue — a full queue rejects immediately with ErrQueueFull so callers see
-// backpressure instead of unbounded latency. With WithShedding the bounded
-// FIFO becomes a CoDel-style deadline-aware shedding queue: requests whose
+// contract on servers.Instance). Requests are admitted through one bounded
+// FIFO queue — a full queue rejects immediately with ErrQueueFull so callers
+// see backpressure instead of unbounded latency. WithShedding turns on a
+// CoDel-style deadline-aware shedding gate on that queue: requests whose
 // deadline has become unmeetable are dropped from the front with ErrShed so
 // viable requests keep flowing (see ShedConfig). A per-request deadline
 // (engine default and/or caller context) cancels execution inside the
@@ -143,10 +143,9 @@ type Engine struct {
 	mode fo.Mode
 	o    options
 
-	// Exactly one of tasks/q is non-nil: the plain bounded queue, or the
-	// deadline-aware shedding queue (WithShedding).
-	tasks chan *task
-	q     *shedQueue
+	// q is the one admission queue: a bounded FIFO, with the deadline-aware
+	// shedding gate on when WithShedding configured one.
+	q *shedQueue
 
 	// b coalesces submissions into batch wrapper tasks ahead of the queue
 	// (WithBatching); nil when batching is disabled.
@@ -238,8 +237,8 @@ var taskPool = sync.Pool{
 
 // getTask checks a task out of the pool, initialized for one submission.
 // enq is stamped by the caller only when a consumer needs it (the shedding
-// queue's sojourn clock) — a clock read costs real time on the small-op
-// hot path, so the plain bounded queue skips it.
+// gate's sojourn clock) — a clock read costs real time on the small-op
+// hot path, so a queue without the gate skips it.
 func getTask(ctx context.Context, req servers.Request) *task {
 	t := taskPool.Get().(*task)
 	t.ctx, t.req = ctx, req
@@ -281,11 +280,7 @@ func New(srv servers.Server, mode fo.Mode, opts ...Option) (*Engine, error) {
 		closeFunc: closeFunc,
 		liveLogs:  make(map[*fo.EventLog]struct{}, o.poolSize),
 	}
-	if o.shed.enabled() {
-		e.q = newShedQueue(o.queueDepth, o.shed, &e.shedCount)
-	} else {
-		e.tasks = make(chan *task, o.queueDepth)
-	}
+	e.q = newShedQueue(o.queueDepth, o.shed, &e.shedCount)
 	if o.batchMax > 0 {
 		e.b = newBatcher(e)
 	}
@@ -451,14 +446,12 @@ func (e *Engine) PoolSize() int { return e.o.poolSize }
 // The replacement wave is lazy: an idle worker recycles when its next
 // request arrives.
 //
-// Recycle also resets the shedding queue's service-time estimate: the EWMA
+// Recycle also resets the shedding gate's service-time estimate: the EWMA
 // describes the outgoing program, and stale estimates would misdrive
 // unmeetable-deadline shedding for its replacement.
 func (e *Engine) Recycle() {
 	e.gen.Add(1)
-	if e.q != nil {
-		e.q.resetServiceEstimate()
-	}
+	e.q.resetServiceEstimate()
 }
 
 // Stats returns a snapshot of the engine counters, including the
@@ -511,33 +504,20 @@ func (e *Engine) Submit(ctx context.Context, req servers.Request) (servers.Respo
 		defer cancel()
 	}
 	t := getTask(ctx, req)
-	if e.q != nil {
-		t.enq = time.Now() // sojourn basis for the shedding queue
+	if e.q.shedding {
+		t.enq = time.Now() // sojourn basis for the shedding gate
 	}
 	if e.b != nil && e.b.admit(t) {
 		// Coalesced: the batcher owns admission now. A reply — the executed
 		// response, or the batch's admission error — arrives on t.resp.
 		return e.await(t)
 	}
-	if e.q != nil {
-		if err := e.q.push(t); err != nil {
-			if errors.Is(err, ErrQueueFull) {
-				e.rejected.Add(1)
-			}
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, err
-		}
-	} else {
-		select {
-		case e.tasks <- t:
-		case <-e.closing.Done():
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, ErrClosed
-		default:
+	if err := e.q.push(t); err != nil {
+		if errors.Is(err, ErrQueueFull) {
 			e.rejected.Add(1)
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, ErrQueueFull
 		}
+		putTask(t) // never enqueued: nothing can send on it
+		return servers.Response{}, err
 	}
 	return e.await(t)
 }
@@ -562,9 +542,7 @@ func (e *Engine) await(t *task) (servers.Response, error) {
 func (e *Engine) Close() {
 	e.once.Do(func() {
 		e.closeFunc()
-		if e.q != nil {
-			e.q.close()
-		}
+		e.q.close()
 	})
 	e.wg.Wait()
 	if e.spares != nil {
@@ -581,20 +559,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// next blocks until a task is available on whichever queue the engine runs,
-// returning false when the engine is closing.
-func (e *Engine) next() (*task, bool) {
-	if e.q != nil {
-		return e.q.pop()
-	}
-	select {
-	case <-e.closing.Done():
-		return nil, false
-	case t := <-e.tasks:
-		return t, true
-	}
-}
-
 // worker owns one instance: it pulls tasks from the shared queue, executes
 // them under the task context, and supervises its instance across crashes
 // and hot-swap recycles. instGen is the generation read before inst was
@@ -604,7 +568,7 @@ func (e *Engine) worker(inst servers.Instance, instGen uint64) {
 	defer e.wg.Done()
 	consecutive := 0 // crashes since the last successful response
 	for {
-		t, ok := e.next()
+		t, ok := e.q.pop()
 		if !ok {
 			return
 		}
@@ -745,9 +709,7 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 		}
 		d := now.Sub(t0)
 		e.latency.record(d)
-		if e.q != nil {
-			e.q.observe(d)
-		}
+		e.q.observe(d)
 		e.served.Add(1)
 		switch resp.Outcome {
 		case fo.OutcomeDeadline:
@@ -759,21 +721,24 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 			e.rewound.Add(1)
 		}
 	}
+	// An organic crash is counted before the reply, so a submitter that
+	// reads Stats after a crashed reply always sees its own crash.
+	crashed := resp.Crashed() || !inst.Alive()
+	if crashed {
+		e.crashes.Add(1)
+	}
 	t.resp <- taskResult{resp: resp}
-	killed := false
 	if c := e.o.chaos; c.KillEvery > 0 && seq > 0 && seq%c.KillEvery == 0 {
 		if k, ok := inst.(interface{ Kill() }); ok {
 			k.Kill()
 			e.chaosKills.Add(1)
-			killed = true
 		}
 	}
-	if resp.Crashed() || !inst.Alive() {
-		if resp.Crashed() || !killed {
-			// Organic crash: count it and grow the backoff. A
-			// chaos kill takes the same retire/respawn path but
-			// is accounted separately and respawns immediately.
-			e.crashes.Add(1)
+	if crashed || !inst.Alive() {
+		if crashed {
+			// Organic crash: grow the backoff. A chaos kill takes the
+			// same retire/respawn path but is accounted separately
+			// and respawns immediately.
 			*consecutive++
 		}
 		e.retireLog(inst.Log())

@@ -138,3 +138,86 @@ func TestShedQueueStillRejectsViableOverflow(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlainQueueExpiryIsATimeoutNotAShed: without WithShedding the queue
+// never sheds. A full queue of requests whose deadlines have passed still
+// refuses a newcomer with ErrQueueFull (counted in Stats.Rejected), and
+// each expired request is answered fo.OutcomeDeadline when a worker
+// reaches it — never ErrShed, and Stats.Shed stays 0.
+func TestPlainQueueExpiryIsATimeoutNotAShed(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.FailureOblivious,
+		serve.WithPoolSize(1), serve.WithQueueDepth(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	var wg sync.WaitGroup
+	type result struct {
+		resp servers.Response
+		err  error
+	}
+	results := make(chan result, 3)
+	submit := func(op string, d time.Duration) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			defer cancel()
+			resp, err := eng.Submit(ctx, servers.Request{Op: op})
+			results <- result{resp, err}
+		}()
+	}
+	submit("spin", 600*time.Millisecond) // occupies the worker
+	time.Sleep(50 * time.Millisecond)
+	submit("ok", 30*time.Millisecond) // both expire while queued
+	submit("ok", 30*time.Millisecond)
+	time.Sleep(100 * time.Millisecond)
+
+	if _, err := eng.Submit(context.Background(), servers.Request{Op: "ok"}); !errors.Is(err, serve.ErrQueueFull) {
+		t.Errorf("submit over a full plain queue = %v, want ErrQueueFull", err)
+	}
+	wg.Wait()
+	close(results)
+	for r := range results {
+		if r.err != nil {
+			t.Errorf("queued request answered with error %v, want a deadline response", r.err)
+		} else if r.resp.Outcome != fo.OutcomeDeadline {
+			t.Errorf("outcome = %v, want deadline-exceeded", r.resp.Outcome)
+		}
+	}
+	st := eng.Stats()
+	if st.Rejected != 1 {
+		t.Errorf("Stats.Rejected = %d, want 1", st.Rejected)
+	}
+	if st.Shed != 0 {
+		t.Errorf("Stats.Shed = %d, want 0 without the shedding gate", st.Shed)
+	}
+	if st.Timeouts != 3 {
+		t.Errorf("Stats.Timeouts = %d, want 3", st.Timeouts)
+	}
+}
+
+// TestRecycleWithoutShedding: Recycle on an engine whose queue has no
+// shedding gate replaces the instance before the next request, like on a
+// shedding one.
+func TestRecycleWithoutShedding(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.FailureOblivious, serve.WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ok := servers.Request{Op: "ok"}
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			eng.Recycle()
+		}
+		resp, err := eng.Submit(context.Background(), ok)
+		if err != nil || !resp.OK() {
+			t.Fatalf("submit %d: %v %v", i, resp, err)
+		}
+	}
+	if st := eng.Stats(); st.Recycles != 1 || st.Shed != 0 {
+		t.Errorf("recycles = %d, shed = %d; want 1, 0", st.Recycles, st.Shed)
+	}
+}

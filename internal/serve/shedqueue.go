@@ -6,14 +6,16 @@ import (
 	"time"
 )
 
-// shedQueue is the deadline-aware CoDel-style admission queue behind
-// WithShedding (see ShedConfig for the algorithm description). It replaces
-// the engine's plain bounded channel: requests queue FIFO, but when the
-// queue is full — or when the oldest request's sojourn time has exceeded
-// the target for longer than the interval — requests whose deadline has
-// become unmeetable are dropped from the *front*, their submitters
-// answered with ErrShed, so viable fresh requests keep flowing instead of
-// the queue turning into a line of already-dead work.
+// shedQueue is the engine's one admission queue: a bounded FIFO of tasks
+// that workers block on. A zero ShedConfig leaves it exactly that — push
+// rejects with ErrQueueFull at depth, pop takes the head, nothing is shed.
+// A non-zero ShedConfig (WithShedding) adds the deadline-aware CoDel-style
+// shedding gate described on ShedConfig: when the queue is full — or when
+// the oldest request's sojourn time has exceeded the target for longer than
+// the interval — requests whose deadline has become unmeetable are dropped
+// from the *front*, their submitters answered with ErrShed, so viable fresh
+// requests keep flowing instead of the queue turning into a line of
+// already-dead work.
 //
 // Unmeetable: the time remaining until the request's context deadline is
 // smaller than the EWMA of recently observed execution times (even if
@@ -27,7 +29,8 @@ type shedQueue struct {
 	depth  int
 	closed bool
 
-	cfg ShedConfig
+	cfg      ShedConfig
+	shedding bool // cfg is non-zero: the shedding gate is on
 
 	// aboveSince is when the head sojourn time first exceeded cfg.Target
 	// without dipping back under (zero = currently under target). Dequeue
@@ -44,14 +47,18 @@ type shedQueue struct {
 }
 
 func newShedQueue(depth int, cfg ShedConfig, shed *atomic.Uint64) *shedQueue {
-	q := &shedQueue{items: make([]*task, 0, depth), depth: depth, cfg: cfg, shed: shed}
+	q := &shedQueue{items: make([]*task, 0, depth), depth: depth, cfg: cfg, shedding: cfg.enabled(), shed: shed}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // observe folds one measured execution duration into the service-time
-// estimate.
+// estimate. Without the shedding gate nothing reads the estimate, so the
+// lock is skipped.
 func (q *shedQueue) observe(d time.Duration) {
+	if !q.shedding {
+		return
+	}
 	q.mu.Lock()
 	if q.svcEWMA == 0 {
 		q.svcEWMA = d
@@ -104,8 +111,9 @@ func (q *shedQueue) dropLocked(i int) {
 }
 
 // push admits t, shedding the oldest unmeetable request to make room when
-// the queue is full. It returns ErrQueueFull when the queue is full of
-// requests that can still meet their deadlines, and ErrClosed after close.
+// the queue is full (shedding gate on). It returns ErrQueueFull when the
+// queue is full — under shedding, full of requests that can still meet
+// their deadlines — and ErrClosed after close.
 func (q *shedQueue) push(t *task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -113,6 +121,9 @@ func (q *shedQueue) push(t *task) error {
 		return ErrClosed
 	}
 	if len(q.items) >= q.depth {
+		if !q.shedding {
+			return ErrQueueFull
+		}
 		// Full: drop from the front — the oldest request whose deadline
 		// has become unmeetable — to admit a viable newcomer. The Interval
 		// gate does not apply here: a full queue is sustained pressure by
@@ -136,9 +147,11 @@ func (q *shedQueue) push(t *task) error {
 	return nil
 }
 
-// pop blocks until a task is available (or the queue closes), shedding
-// unmeetable requests from the front while the sojourn time has stayed
-// above target for at least the interval.
+// pop blocks until a task is available (or the queue closes). With the
+// shedding gate on it sheds unmeetable requests from the front while the
+// sojourn time has stayed above target for at least the interval; without
+// it, the head is taken as is — a zero Target and Interval would otherwise
+// make every deadline-free request look stale.
 func (q *shedQueue) pop() (*task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -148,6 +161,9 @@ func (q *shedQueue) pop() (*task, bool) {
 		}
 		if q.closed {
 			return nil, false
+		}
+		if !q.shedding {
+			return q.takeLocked(), true
 		}
 		now := time.Now()
 		head := q.items[0]
@@ -183,7 +199,7 @@ func (q *shedQueue) takeLocked() *task {
 }
 
 // close wakes all waiting workers; queued submitters are unblocked by the
-// engine's closing context (they get ErrClosed from Submit's select).
+// engine's closing context (they get ErrClosed from Engine.await).
 func (q *shedQueue) close() {
 	q.mu.Lock()
 	q.closed = true
