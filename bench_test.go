@@ -42,32 +42,35 @@ func benchFigure(b *testing.B, srv servers.Server, names []string) {
 		b.Fatalf("server %s has %d requests, need %d", srv.Name(), len(reqs), len(names))
 	}
 	for i, name := range names {
-		req := reqs[i]
 		for _, mode := range benchModes {
-			b.Run(name+"/"+mode.String(), func(b *testing.B) {
-				inst, err := srv.New(mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				requireCodegen(b, inst.(interface{ Machine() *fo.Machine }).Machine())
-				if resp := inst.Handle(req); resp.Crashed() {
-					b.Fatalf("warm-up crashed: %v", resp.Err)
-				}
-				start := inst.Cycles()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					if resp := inst.Handle(req); resp.Crashed() {
-						b.Fatalf("request crashed: %v", resp.Err)
-					}
-				}
-				b.StopTimer()
-				cycles := inst.Cycles() - start
-				simMs := interp.SimSeconds(cycles) * 1e3 / float64(b.N)
-				b.ReportMetric(simMs, "sim-ms/op")
-			})
+			b.Run(name+"/"+mode.String(), func(b *testing.B) { benchHandle(b, srv, mode, reqs[i]) })
 		}
 	}
+}
+
+// benchHandle times req on one warm instance of srv in mode, reporting
+// ns/op, allocs/op and the simulated sim-ms/op.
+func benchHandle(b *testing.B, srv servers.Server, mode fo.Mode, req servers.Request) {
+	inst, err := srv.New(mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	requireCodegen(b, inst.(interface{ Machine() *fo.Machine }).Machine())
+	if resp := inst.Handle(req); resp.Crashed() {
+		b.Fatalf("warm-up crashed: %v", resp.Err)
+	}
+	start := inst.Cycles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if resp := inst.Handle(req); resp.Crashed() {
+			b.Fatalf("request crashed: %v", resp.Err)
+		}
+	}
+	b.StopTimer()
+	cycles := inst.Cycles() - start
+	simMs := interp.SimSeconds(cycles) * 1e3 / float64(b.N)
+	b.ReportMetric(simMs, "sim-ms/op")
 }
 
 // requireCodegen fails the benchmark unless m runs the generated engine,
@@ -147,6 +150,17 @@ func BenchmarkApacheAttackThroughput(b *testing.B) {
 			b.ReportMetric(float64(pool.Stats().Crashes)/float64(b.N), "restarts/op")
 		})
 	}
+}
+
+// BenchmarkApacheAttackFO times one failure-oblivious Apache instance
+// handling the two requests of the apache-attack-fo serving workload: the
+// attack (a backtracking match about 100 calls deep whose unbounded
+// capture store is discarded) and the index page. Frame recycling shows
+// up here as allocs/op; sim-ms/op must not move.
+func BenchmarkApacheAttackFO(b *testing.B) {
+	srv := apache.NewServer()
+	b.Run("attack", func(b *testing.B) { benchHandle(b, srv, fo.FailureOblivious, srv.AttackRequest()) })
+	b.Run("index", func(b *testing.B) { benchHandle(b, srv, fo.FailureOblivious, srv.LegitRequests()[0]) })
 }
 
 // BenchmarkResilienceMatrix measures the cost of running the full §4.*.2

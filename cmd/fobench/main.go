@@ -480,6 +480,11 @@ func allServers() []servers.Server {
 	return all
 }
 
+// throughputRepeats is how many runs per version the throughput
+// experiment summarises: single wall-clock samples of it swing by up to 2×
+// on a shared VM.
+const throughputRepeats = 5
+
 func run(experiment string, reps, soakN int) error {
 	return runClock(experiment, reps, soakN, harness.SimClock, harness.LoadtestConfig{})
 }
@@ -521,15 +526,11 @@ func runClock(experiment string, reps, soakN int, clock harness.Clock, loadCfg h
 	if all || experiment == "throughput" {
 		ran = true
 		fmt.Println("Apache throughput under attack (paper §4.3.2; FO reported ~5.7x Bounds, ~4.8x Standard)")
-		var rows []harness.ThroughputResult
-		for _, mode := range harness.Modes {
-			r, err := harness.AttackThroughput(mustServer("apache"), mode, 4, 50, 3)
-			if err != nil {
-				return fmt.Errorf("throughput %v: %w", mode, err)
-			}
-			rows = append(rows, r)
+		rows, err := harness.RepeatThroughput(mustServer("apache"), harness.Modes, 4, 50, 3, throughputRepeats)
+		if err != nil {
+			return fmt.Errorf("throughput: %w", err)
 		}
-		fmt.Println(harness.FormatThroughput(rows))
+		fmt.Println(harness.FormatThroughputSummary(rows))
 	}
 
 	if all || experiment == "loadtest" {

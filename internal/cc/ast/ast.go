@@ -351,6 +351,12 @@ type FuncDecl struct {
 	// FrameSize is the total frame byte size (params + locals), computed
 	// by sema.
 	FrameSize uint64
+	// FrameNoEscape is sema's proof that no pointer can be made from the
+	// frame's storage: no param or local has array or struct type (so
+	// nothing decays), and no & operand is rooted at a local through
+	// '.', '[]' or casts. The runtime may then recycle the frame's units
+	// once it returns.
+	FrameNoEscape bool
 	// Labels maps label names to statement paths, validated by sema.
 	Labels map[string]bool
 }

@@ -46,6 +46,7 @@ type Analyzer struct {
 	// current function state
 	fn        *ast.FuncDecl
 	frameOff  uint64
+	addrTaken bool // a & operand in fn is rooted at a local
 	loopDepth int
 	swDepth   int
 	labels    map[string]bool
@@ -272,6 +273,7 @@ func (a *Analyzer) checkInitializer(init ast.Expr, t *types.Type, constant bool)
 func (a *Analyzer) checkFunc(fd *ast.FuncDecl) {
 	a.fn = fd
 	a.frameOff = 0
+	a.addrTaken = false
 	a.labels = map[string]bool{}
 	a.gotos = nil
 	a.loopDepth, a.swDepth = 0, 0
@@ -296,7 +298,36 @@ func (a *Analyzer) checkFunc(fd *ast.FuncDecl) {
 	}
 	fd.Labels = a.labels
 	fd.FrameSize = a.frameOff
+	fd.FrameNoEscape = !a.addrTaken
+	for _, sym := range fd.Locals {
+		if k := sym.Type.Kind; k == types.Array || k == types.Struct {
+			fd.FrameNoEscape = false
+		}
+	}
 	a.fn = nil
+}
+
+// rootedAtLocal reports whether the lvalue e designates storage of a
+// local or parameter, looking through '.', '[]' and casts. It is
+// conservative: p[i] with a local pointer p counts as rooted too.
+func rootedAtLocal(e ast.Expr) bool {
+	for {
+		switch n := e.(type) {
+		case *ast.Ident:
+			return n.Sym != nil && (n.Sym.Storage == ast.StorageLocal || n.Sym.Storage == ast.StorageParam)
+		case *ast.Member:
+			if n.Arrow {
+				return false
+			}
+			e = n.X
+		case *ast.Index:
+			e = n.X
+		case *ast.Cast:
+			e = n.X
+		default:
+			return false
+		}
+	}
 }
 
 func (a *Analyzer) newFrameSym(name string, t *types.Type, st ast.StorageClass, pos token.Pos) *ast.Symbol {
@@ -716,6 +747,9 @@ func (a *Analyzer) checkUnary(n *ast.Unary) ast.Expr {
 		n.SetType(dt.Elem)
 	case token.Amp:
 		a.requireLvalue(n.X)
+		if rootedAtLocal(n.X) {
+			a.addrTaken = true
+		}
 		n.SetType(types.PointerTo(t))
 	case token.Inc, token.Dec:
 		a.requireLvalue(n.X)

@@ -416,3 +416,34 @@ int reallybad(int v, int w) {
 	return 0;
 }`, "constant expression")
 }
+
+// FrameNoEscape holds exactly when no param or local is an aggregate and
+// no & operand is rooted at a local.
+func TestFrameNoEscape(t *testing.T) {
+	prog := analyze(t, `
+struct s { int a; int b[2]; };
+int g;
+int gs[4];
+struct s gst;
+int scalars(int a, char *p, long n) { int t = a; p[n] = 0; return t + *p; }
+int globals(int *q, struct s *sp) { int *p = &g; p = &gs[1]; p = &gst.b[0]; p = &*q; p = &sp->a; return *p; }
+int addr(int a) { int *p = &a; return *p; }
+int addrCast(long a) { char *p = (char *)&a; return *p; }
+int addrIndex(int *q) { int **pp = &q; return **pp; }
+int ptrIndex(int *q) { int *p = &q[2]; return *p; } /* conservative */
+int array(void) { char buf[4]; buf[0] = 1; return buf[0]; }
+int member(void) { struct s v; v.a = 1; return v.a; }
+int structParam(struct s v) { return v.a; }
+int nested(int a) { if (a) { int x[2]; x[0] = a; return x[0]; } return 0; }
+`)
+	want := map[string]bool{
+		"scalars": true, "globals": true,
+		"addr": false, "addrCast": false, "addrIndex": false, "ptrIndex": false,
+		"array": false, "member": false, "structParam": false, "nested": false,
+	}
+	for name, w := range want {
+		if got := prog.FuncMap[name].FrameNoEscape; got != w {
+			t.Errorf("%s: FrameNoEscape = %v, want %v", name, got, w)
+		}
+	}
+}

@@ -897,3 +897,103 @@ int smash(const char *arg)
 }
 int grab(void) { char *p = malloc(8); return p != 0; }
 `
+
+// SrcFrameReuse exercises the recycling of returned frames (a frame whose
+// function takes no local's address and has no aggregate local is reused
+// by the next push of the same shape): a dangling &local dereferenced
+// after a recyclable callee ran at the same depth, a pointer forged by an
+// int→pointer cast into a live recyclable frame (which must keep that
+// frame from being recycled) and one forged into a popped frame, and deep
+// recursion of a recyclable function interleaved with one that reads one
+// past the end of its array local.
+const SrcFrameReuse = `
+int *g_forged;
+long g_where;
+
+/* Takes its local's address, so its frame is never recycled. */
+int *leak(int v) {
+	int x = v * 3;
+	return &x;
+}
+
+/* Scalars only and no address taken: recyclable. */
+int sq(int a) {
+	int t = a * a;
+	return t + 1;
+}
+
+/* The returned &x dangles; sq runs at leak's depth before the read. */
+int dangle(int v) {
+	int *p;
+	int r = sq(v);
+	p = leak(v);
+	r = r + sq(v + 1);
+	return *p + r;
+}
+
+long here(void) {
+	int z;
+	return (long) &z;
+}
+
+int *forge(long addr) {
+	return (int *) addr;
+}
+
+/* Recyclable by its own code, but a callee forges a pointer at its local
+   t (delta = 32 bytes above here()'s local z). Called with delta 0 at the
+   same depth, it reads through that pointer from the next victim frame,
+   whose t sits at the forged address. */
+int victim(int a, long delta) {
+	int t = a + 100;
+	long z = here();
+	if (delta != 0) {
+		g_where = z + delta;
+		g_forged = forge(g_where);
+		return t;
+	}
+	return t + *g_forged;
+}
+
+/* Reads t of a returned victim frame through the pointer forged while
+   it was live, from the next victim frame and after it returned. */
+int forged(int a) {
+	int r = victim(a, 32);
+	r = r + victim(a + 1, 0);
+	return r + *g_forged;
+}
+
+/* Forges a pointer into the victim frame only after it returned. */
+int popped(int a) {
+	int *q;
+	int r = victim(a, 32);
+	q = forge(g_where);
+	r = r + sq(a);
+	return r + *q;
+}
+
+int nq(int n, int acc);
+
+/* Recyclable recursion. */
+int rq(int n, int acc) {
+	int k = n % 5;
+	if (n <= 0)
+		return acc;
+	if (k == 0)
+		return nq(n - 1, acc + 1);
+	return rq(n - 1, acc + k * n);
+}
+
+/* An array local (not recyclable), read one past its end when n % 4 == 3. */
+int nq(int n, int acc) {
+	int buf[3];
+	buf[0] = n;
+	buf[1] = acc & 255;
+	buf[2] = n ^ acc;
+	return rq(n, (acc + buf[n % 4]) & 65535);
+}
+
+int deep(int n) {
+	return rq(n, 0) + rq(n, 1);
+}
+`

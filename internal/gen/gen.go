@@ -39,6 +39,7 @@ import (
 	"focc/internal/cc/sema"
 	"focc/internal/cc/token"
 	"focc/internal/cc/types"
+	"focc/internal/interp"
 )
 
 // Options configures one Emit call.
@@ -115,7 +116,7 @@ func Emit(prog *sema.Program, opt Options) ([]byte, error) {
 		b.WriteString("\n")
 	}
 	b.WriteString("\n")
-	for _, d := range e.localsVars {
+	for _, d := range e.specVars {
 		b.WriteString(d)
 		b.WriteString("\n")
 	}
@@ -232,7 +233,7 @@ type emitter struct {
 	typeIdx   map[*types.Type]string
 	typeN     int
 
-	localsVars []string // package-level frame-spec vars
+	specVars []string // package-level frame-spec vars
 
 	builtinIdx   map[string]int
 	builtinNames []string
@@ -434,26 +435,23 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 	e.gotoOf = map[*ast.Goto]string{}
 	e.usedLbl = map[string]bool{}
 
-	// Frame spec (mirrors newFrameSpec) and offset → spec-index table
-	// (Frame.LocalAt takes the spec index).
-	n := len(fd.Locals)
-	e.localIdx = make(map[uint64]int, n)
-	localsRef := "nil"
-	if n > 0 {
-		localsRef = fmt.Sprintf("%slocals_%s", e.pfx, fd.Name)
-		var spec strings.Builder
-		fmt.Fprintf(&spec, "var %s = []mem.LocalSpec{\n", localsRef)
-		for i, sym := range fd.Locals {
-			size := sym.Type.Size()
-			if size == 0 {
-				size = 1
-			}
-			fmt.Fprintf(&spec, "\t{Name: %q, Off: %d, Size: %d},\n", sym.Name+" ("+fd.Name+")", sym.FrameOff, size)
-			e.localIdx[sym.FrameOff] = i
+	// The tree-walk engine's frame spec as a static table, and the
+	// offset → spec-index table (Frame.LocalAt takes the spec index).
+	fs := interp.NewFrameSpec(fd)
+	specRef := fmt.Sprintf("%sspec_%s", e.pfx, fd.Name)
+	var spec strings.Builder
+	fmt.Fprintf(&spec, "var %s = &mem.FrameSpec{Canary: %q, Size: %d, Reusable: %t", specRef, fs.Canary, fs.Size, fs.Reusable)
+	e.localIdx = make(map[uint64]int, len(fs.Locals))
+	if len(fs.Locals) > 0 {
+		spec.WriteString(", Locals: []mem.LocalSpec{\n")
+		for i, l := range fs.Locals {
+			fmt.Fprintf(&spec, "\t{Name: %q, Off: %d, Size: %d},\n", l.Name, l.Off, l.Size)
+			e.localIdx[l.Off] = i
 		}
 		spec.WriteString("}")
-		e.localsVars = append(e.localsVars, spec.String())
 	}
+	spec.WriteString("}")
+	e.specVars = append(e.specVars, spec.String())
 
 	if fd.Body != nil {
 		e.prescan(fd)
@@ -466,7 +464,7 @@ func (e *emitter) emitFunc(fd *ast.FuncDecl) {
 	e.w("if len(args) != %d {", len(fd.Params))
 	e.w("m.GenFailf(pos, %q, %q, len(args), %d)", "call of %q with %d args (want %d)", fd.Name, len(fd.Params))
 	e.w("}")
-	e.w("f := m.GenPushFrame(%q, %d, %s)", "canary:"+fd.Name, fd.FrameSize, localsRef)
+	e.w("f := m.GenPushFrame(%s)", specRef)
 	for i, p := range fd.Params {
 		v := e.nv()
 		e.w("var %s interp.Value", v)

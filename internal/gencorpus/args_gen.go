@@ -28,13 +28,14 @@ var args_pos = []token.Pos{
 var args_t0 *types.Type
 var args_t1 *types.Type
 
-var args_locals_smash = []mem.LocalSpec{
+var args_spec_init = &mem.FrameSpec{Canary: "canary:init", Size: 0, Reusable: true}
+var args_spec_smash = &mem.FrameSpec{Canary: "canary:smash", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "arg (smash)", Off: 0, Size: 8},
 	{Name: "i (smash)", Off: 8, Size: 4},
-}
-var args_locals_grab = []mem.LocalSpec{
+}}
+var args_spec_grab = &mem.FrameSpec{Canary: "canary:grab", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "p (grab)", Off: 0, Size: 8},
-}
+}}
 
 var args_prog *interp.GenProgram
 
@@ -59,7 +60,7 @@ func args_f_init(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "init", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:init", 0, nil)
+	f := m.GenPushFrame(args_spec_init)
 	ret := m.GenExec(f, args_b_init)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -132,7 +133,7 @@ func args_f_smash(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smash", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smash", 12, args_locals_smash)
+	f := m.GenPushFrame(args_spec_smash)
 	var v0 interp.Value
 	if args[0].T == args_t1 {
 		v0 = args[0]
@@ -229,7 +230,7 @@ func args_f_grab(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "grab", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:grab", 8, args_locals_grab)
+	f := m.GenPushFrame(args_spec_grab)
 	ret := m.GenExec(f, args_b_grab)
 	m.GenPopFrame(f)
 	if ret.T == nil {

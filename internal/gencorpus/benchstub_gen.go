@@ -19,9 +19,10 @@ var benchstub_pos = []token.Pos{
 	{File: "benchstub.c", Line: 13, Col: 19},
 }
 
-var benchstub_locals_poke = []mem.LocalSpec{
+var benchstub_spec_ok = &mem.FrameSpec{Canary: "canary:ok", Size: 0, Reusable: true}
+var benchstub_spec_poke = &mem.FrameSpec{Canary: "canary:poke", Size: 4, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "b (poke)", Off: 0, Size: 4},
-}
+}}
 
 var benchstub_prog *interp.GenProgram
 
@@ -42,7 +43,7 @@ func benchstub_f_ok(m *interp.Machine, args []interp.Value, pos token.Pos) inter
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "ok", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:ok", 0, nil)
+	f := m.GenPushFrame(benchstub_spec_ok)
 	ret := m.GenExec(f, benchstub_b_ok)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -100,7 +101,7 @@ func benchstub_f_poke(m *interp.Machine, args []interp.Value, pos token.Pos) int
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "poke", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:poke", 4, benchstub_locals_poke)
+	f := m.GenPushFrame(benchstub_spec_poke)
 	ret := m.GenExec(f, benchstub_b_poke)
 	m.GenPopFrame(f)
 	if ret.T == nil {

@@ -20,11 +20,11 @@ var churn_pos = []token.Pos{
 	{File: "churn.c", Line: 6, Col: 5},
 }
 
-var churn_locals_churn = []mem.LocalSpec{
+var churn_spec_churn = &mem.FrameSpec{Canary: "canary:churn", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (churn)", Off: 0, Size: 4},
 	{Name: "i (churn)", Off: 4, Size: 4},
 	{Name: "x (churn)", Off: 8, Size: 4},
-}
+}}
 
 var churn_prog *interp.GenProgram
 
@@ -44,7 +44,7 @@ func churn_f_churn(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "churn", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:churn", 12, churn_locals_churn)
+	f := m.GenPushFrame(churn_spec_churn)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

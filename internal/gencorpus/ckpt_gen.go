@@ -34,16 +34,16 @@ var ckpt_pos = []token.Pos{
 var ckpt_t0 *types.Type
 var ckpt_t1 *types.Type
 
-var ckpt_locals_handle = []mem.LocalSpec{
+var ckpt_spec_handle = &mem.FrameSpec{Canary: "canary:handle", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (handle)", Off: 0, Size: 4},
 	{Name: "blk (handle)", Off: 8, Size: 8},
 	{Name: "i (handle)", Off: 16, Size: 4},
-}
-var ckpt_locals_poison = []mem.LocalSpec{
+}}
+var ckpt_spec_poison = &mem.FrameSpec{Canary: "canary:poison", Size: 16, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "n (poison)", Off: 0, Size: 4},
 	{Name: "buf (poison)", Off: 4, Size: 8},
 	{Name: "i (poison)", Off: 12, Size: 4},
-}
+}}
 
 var ckpt_prog *interp.GenProgram
 
@@ -67,7 +67,7 @@ func ckpt_f_handle(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "handle", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:handle", 20, ckpt_locals_handle)
+	f := m.GenPushFrame(ckpt_spec_handle)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -247,7 +247,7 @@ func ckpt_f_poison(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "poison", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:poison", 16, ckpt_locals_poison)
+	f := m.GenPushFrame(ckpt_spec_poison)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

@@ -151,7 +151,7 @@ var corpus_base64_pos = []token.Pos{
 var corpus_base64_t0 *types.Type
 var corpus_base64_t1 *types.Type
 
-var corpus_base64_locals_b64_encode = []mem.LocalSpec{
+var corpus_base64_spec_b64_encode = &mem.FrameSpec{Canary: "canary:b64_encode", Size: 44, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "in (b64_encode)", Off: 0, Size: 8},
 	{Name: "n (b64_encode)", Off: 8, Size: 4},
 	{Name: "out (b64_encode)", Off: 16, Size: 8},
@@ -160,25 +160,25 @@ var corpus_base64_locals_b64_encode = []mem.LocalSpec{
 	{Name: "v (b64_encode)", Off: 32, Size: 4},
 	{Name: "v (b64_encode)", Off: 36, Size: 4},
 	{Name: "v (b64_encode)", Off: 40, Size: 4},
-}
-var corpus_base64_locals_sixbits = []mem.LocalSpec{
+}}
+var corpus_base64_spec_sixbits = &mem.FrameSpec{Canary: "canary:sixbits", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "c (sixbits)", Off: 0, Size: 1},
 	{Name: "p (sixbits)", Off: 8, Size: 8},
-}
-var corpus_base64_locals_b64_decode = []mem.LocalSpec{
+}}
+var corpus_base64_spec_b64_decode = &mem.FrameSpec{Canary: "canary:b64_decode", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "in (b64_decode)", Off: 0, Size: 8},
 	{Name: "out (b64_decode)", Off: 8, Size: 8},
 	{Name: "o (b64_decode)", Off: 16, Size: 4},
 	{Name: "v (b64_decode)", Off: 20, Size: 4},
 	{Name: "bits (b64_decode)", Off: 24, Size: 4},
 	{Name: "j (b64_decode)", Off: 28, Size: 4},
-}
-var corpus_base64_locals_main = []mem.LocalSpec{
+}}
+var corpus_base64_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 268, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "enc (main)", Off: 0, Size: 128},
 	{Name: "dec (main)", Off: 128, Size: 128},
 	{Name: "msg (main)", Off: 256, Size: 8},
 	{Name: "n (main)", Off: 264, Size: 4},
-}
+}}
 
 var corpus_base64_prog *interp.GenProgram
 
@@ -204,7 +204,7 @@ func corpus_base64_f_b64_encode(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "b64_encode", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:b64_encode", 44, corpus_base64_locals_b64_encode)
+	f := m.GenPushFrame(corpus_base64_spec_b64_encode)
 	var v0 interp.Value
 	if args[0].T == corpus_base64_t0 {
 		v0 = args[0]
@@ -942,7 +942,7 @@ func corpus_base64_f_sixbits(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "sixbits", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:sixbits", 16, corpus_base64_locals_sixbits)
+	f := m.GenPushFrame(corpus_base64_spec_sixbits)
 	var v0 interp.Value
 	if args[0].T == types.CharType {
 		v0 = args[0]
@@ -1059,7 +1059,7 @@ func corpus_base64_f_b64_decode(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "b64_decode", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:b64_decode", 32, corpus_base64_locals_b64_decode)
+	f := m.GenPushFrame(corpus_base64_spec_b64_decode)
 	var v0 interp.Value
 	if args[0].T == corpus_base64_t0 {
 		v0 = args[0]
@@ -1549,7 +1549,7 @@ func corpus_base64_f_main(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 268, corpus_base64_locals_main)
+	f := m.GenPushFrame(corpus_base64_spec_main)
 	ret := m.GenExec(f, corpus_base64_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

@@ -29,13 +29,14 @@ var corpus_bittricks_pos = []token.Pos{
 	{File: "t.c", Line: 15, Col: 34},
 }
 
-var corpus_bittricks_locals_popcount = []mem.LocalSpec{
+var corpus_bittricks_spec_popcount = &mem.FrameSpec{Canary: "canary:popcount", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (popcount)", Off: 0, Size: 4},
 	{Name: "c (popcount)", Off: 4, Size: 4},
-}
-var corpus_bittricks_locals_parity = []mem.LocalSpec{
+}}
+var corpus_bittricks_spec_parity = &mem.FrameSpec{Canary: "canary:parity", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (parity)", Off: 0, Size: 4},
-}
+}}
+var corpus_bittricks_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 0, Reusable: true}
 
 var corpus_bittricks_prog *interp.GenProgram
 
@@ -57,7 +58,7 @@ func corpus_bittricks_f_popcount(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "popcount", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:popcount", 8, corpus_bittricks_locals_popcount)
+	f := m.GenPushFrame(corpus_bittricks_spec_popcount)
 	var v0 interp.Value
 	if args[0].T == types.UIntType {
 		v0 = args[0]
@@ -163,7 +164,7 @@ func corpus_bittricks_f_parity(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parity", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:parity", 4, corpus_bittricks_locals_parity)
+	f := m.GenPushFrame(corpus_bittricks_spec_parity)
 	var v0 interp.Value
 	if args[0].T == types.UIntType {
 		v0 = args[0]
@@ -220,7 +221,7 @@ func corpus_bittricks_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 0, nil)
+	f := m.GenPushFrame(corpus_bittricks_spec_main)
 	ret := m.GenExec(f, corpus_bittricks_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

@@ -76,28 +76,28 @@ var corpus_hashtable_t1 *types.Type
 var corpus_hashtable_t4 *types.Type
 var corpus_hashtable_t5 *types.Type
 
-var corpus_hashtable_locals_hash = []mem.LocalSpec{
+var corpus_hashtable_spec_hash = &mem.FrameSpec{Canary: "canary:hash", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "s (hash)", Off: 0, Size: 8},
 	{Name: "h (hash)", Off: 8, Size: 4},
-}
-var corpus_hashtable_locals_put = []mem.LocalSpec{
+}}
+var corpus_hashtable_spec_put = &mem.FrameSpec{Canary: "canary:put", Size: 24, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "key (put)", Off: 0, Size: 8},
 	{Name: "value (put)", Off: 8, Size: 4},
 	{Name: "b (put)", Off: 12, Size: 4},
 	{Name: "e (put)", Off: 16, Size: 8},
-}
-var corpus_hashtable_locals_get = []mem.LocalSpec{
+}}
+var corpus_hashtable_spec_get = &mem.FrameSpec{Canary: "canary:get", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "key (get)", Off: 0, Size: 8},
 	{Name: "out (get)", Off: 8, Size: 8},
 	{Name: "b (get)", Off: 16, Size: 4},
 	{Name: "e (get)", Off: 24, Size: 8},
-}
-var corpus_hashtable_locals_main = []mem.LocalSpec{
+}}
+var corpus_hashtable_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 36, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "key (main)", Off: 0, Size: 24},
 	{Name: "i (main)", Off: 24, Size: 4},
 	{Name: "v (main)", Off: 28, Size: 4},
 	{Name: "sum (main)", Off: 32, Size: 4},
-}
+}}
 
 var corpus_hashtable_prog *interp.GenProgram
 
@@ -130,7 +130,7 @@ func corpus_hashtable_f_hash(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "hash", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:hash", 12, corpus_hashtable_locals_hash)
+	f := m.GenPushFrame(corpus_hashtable_spec_hash)
 	var v0 interp.Value
 	if args[0].T == corpus_hashtable_t0 {
 		v0 = args[0]
@@ -235,7 +235,7 @@ func corpus_hashtable_f_put(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "put", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:put", 24, corpus_hashtable_locals_put)
+	f := m.GenPushFrame(corpus_hashtable_spec_put)
 	var v0 interp.Value
 	if args[0].T == corpus_hashtable_t0 {
 		v0 = args[0]
@@ -546,7 +546,7 @@ func corpus_hashtable_f_get(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:get", 32, corpus_hashtable_locals_get)
+	f := m.GenPushFrame(corpus_hashtable_spec_get)
 	var v0 interp.Value
 	if args[0].T == corpus_hashtable_t0 {
 		v0 = args[0]
@@ -750,7 +750,7 @@ func corpus_hashtable_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 36, corpus_hashtable_locals_main)
+	f := m.GenPushFrame(corpus_hashtable_spec_main)
 	ret := m.GenExec(f, corpus_hashtable_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

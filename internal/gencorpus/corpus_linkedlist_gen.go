@@ -56,31 +56,31 @@ var corpus_linkedlist_t1 = &types.Type{Kind: types.Struct, Rec: &types.StructInf
 var corpus_linkedlist_t0 *types.Type
 var corpus_linkedlist_t2 *types.Type
 
-var corpus_linkedlist_locals_push = []mem.LocalSpec{
+var corpus_linkedlist_spec_push = &mem.FrameSpec{Canary: "canary:push", Size: 24, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "head (push)", Off: 0, Size: 8},
 	{Name: "v (push)", Off: 8, Size: 4},
 	{Name: "n (push)", Off: 16, Size: 8},
-}
-var corpus_linkedlist_locals_reverse = []mem.LocalSpec{
+}}
+var corpus_linkedlist_spec_reverse = &mem.FrameSpec{Canary: "canary:reverse", Size: 24, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "head (reverse)", Off: 0, Size: 8},
 	{Name: "prev (reverse)", Off: 8, Size: 8},
 	{Name: "next (reverse)", Off: 16, Size: 8},
-}
-var corpus_linkedlist_locals_length = []mem.LocalSpec{
+}}
+var corpus_linkedlist_spec_length = &mem.FrameSpec{Canary: "canary:length", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "head (length)", Off: 0, Size: 8},
 	{Name: "n (length)", Off: 8, Size: 4},
-}
-var corpus_linkedlist_locals_destroy = []mem.LocalSpec{
+}}
+var corpus_linkedlist_spec_destroy = &mem.FrameSpec{Canary: "canary:destroy", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "head (destroy)", Off: 0, Size: 8},
 	{Name: "next (destroy)", Off: 8, Size: 8},
-}
-var corpus_linkedlist_locals_main = []mem.LocalSpec{
+}}
+var corpus_linkedlist_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 28, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "list (main)", Off: 0, Size: 8},
 	{Name: "p (main)", Off: 8, Size: 8},
 	{Name: "i (main)", Off: 16, Size: 4},
 	{Name: "sum (main)", Off: 20, Size: 4},
 	{Name: "idx (main)", Off: 24, Size: 4},
-}
+}}
 
 var corpus_linkedlist_prog *interp.GenProgram
 
@@ -110,7 +110,7 @@ func corpus_linkedlist_f_push(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "push", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:push", 24, corpus_linkedlist_locals_push)
+	f := m.GenPushFrame(corpus_linkedlist_spec_push)
 	var v0 interp.Value
 	if args[0].T == corpus_linkedlist_t0 {
 		v0 = args[0]
@@ -227,7 +227,7 @@ func corpus_linkedlist_f_reverse(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "reverse", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:reverse", 24, corpus_linkedlist_locals_reverse)
+	f := m.GenPushFrame(corpus_linkedlist_spec_reverse)
 	var v0 interp.Value
 	if args[0].T == corpus_linkedlist_t0 {
 		v0 = args[0]
@@ -376,7 +376,7 @@ func corpus_linkedlist_f_length(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "length", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:length", 12, corpus_linkedlist_locals_length)
+	f := m.GenPushFrame(corpus_linkedlist_spec_length)
 	var v0 interp.Value
 	if args[0].T == corpus_linkedlist_t0 {
 		v0 = args[0]
@@ -472,7 +472,7 @@ func corpus_linkedlist_f_destroy(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "destroy", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:destroy", 16, corpus_linkedlist_locals_destroy)
+	f := m.GenPushFrame(corpus_linkedlist_spec_destroy)
 	var v0 interp.Value
 	if args[0].T == corpus_linkedlist_t0 {
 		v0 = args[0]
@@ -568,7 +568,7 @@ func corpus_linkedlist_f_main(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 28, corpus_linkedlist_locals_main)
+	f := m.GenPushFrame(corpus_linkedlist_spec_main)
 	ret := m.GenExec(f, corpus_linkedlist_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

@@ -38,13 +38,13 @@ var corpus_matrixmultiply_t0 *types.Type
 var corpus_matrixmultiply_t1 *types.Type
 var corpus_matrixmultiply_t2 *types.Type
 
-var corpus_matrixmultiply_locals_main = []mem.LocalSpec{
+var corpus_matrixmultiply_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "i (main)", Off: 0, Size: 4},
 	{Name: "j (main)", Off: 4, Size: 4},
 	{Name: "k (main)", Off: 8, Size: 4},
 	{Name: "trace (main)", Off: 12, Size: 4},
 	{Name: "sum (main)", Off: 16, Size: 4},
-}
+}}
 
 var corpus_matrixmultiply_prog *interp.GenProgram
 
@@ -67,7 +67,7 @@ func corpus_matrixmultiply_f_main(m *interp.Machine, args []interp.Value, pos to
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 20, corpus_matrixmultiply_locals_main)
+	f := m.GenPushFrame(corpus_matrixmultiply_spec_main)
 	ret := m.GenExec(f, corpus_matrixmultiply_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

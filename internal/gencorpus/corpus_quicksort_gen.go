@@ -51,7 +51,7 @@ var corpus_quicksort_pos = []token.Pos{
 
 var corpus_quicksort_t0 *types.Type
 
-var corpus_quicksort_locals_quicksort = []mem.LocalSpec{
+var corpus_quicksort_spec_quicksort = &mem.FrameSpec{Canary: "canary:quicksort", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "a (quicksort)", Off: 0, Size: 8},
 	{Name: "lo (quicksort)", Off: 8, Size: 4},
 	{Name: "hi (quicksort)", Off: 12, Size: 4},
@@ -59,12 +59,12 @@ var corpus_quicksort_locals_quicksort = []mem.LocalSpec{
 	{Name: "i (quicksort)", Off: 20, Size: 4},
 	{Name: "j (quicksort)", Off: 24, Size: 4},
 	{Name: "tmp (quicksort)", Off: 28, Size: 4},
-}
-var corpus_quicksort_locals_main = []mem.LocalSpec{
+}}
+var corpus_quicksort_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 264, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "data (main)", Off: 0, Size: 256},
 	{Name: "seed (main)", Off: 256, Size: 4},
 	{Name: "i (main)", Off: 260, Size: 4},
-}
+}}
 
 var corpus_quicksort_prog *interp.GenProgram
 
@@ -86,7 +86,7 @@ func corpus_quicksort_f_quicksort(m *interp.Machine, args []interp.Value, pos to
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quicksort", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:quicksort", 32, corpus_quicksort_locals_quicksort)
+	f := m.GenPushFrame(corpus_quicksort_spec_quicksort)
 	var v0 interp.Value
 	if args[0].T == corpus_quicksort_t0 {
 		v0 = args[0]
@@ -488,7 +488,7 @@ func corpus_quicksort_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 264, corpus_quicksort_locals_main)
+	f := m.GenPushFrame(corpus_quicksort_spec_main)
 	ret := m.GenExec(f, corpus_quicksort_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

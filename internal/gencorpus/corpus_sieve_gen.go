@@ -26,11 +26,11 @@ var corpus_sieve_pos = []token.Pos{
 
 var corpus_sieve_t0 *types.Type
 
-var corpus_sieve_locals_main = []mem.LocalSpec{
+var corpus_sieve_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "i (main)", Off: 0, Size: 4},
 	{Name: "j (main)", Off: 4, Size: 4},
 	{Name: "count (main)", Off: 8, Size: 4},
-}
+}}
 
 var corpus_sieve_prog *interp.GenProgram
 
@@ -52,7 +52,7 @@ func corpus_sieve_f_main(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 12, corpus_sieve_locals_main)
+	f := m.GenPushFrame(corpus_sieve_spec_main)
 	ret := m.GenExec(f, corpus_sieve_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

@@ -34,15 +34,15 @@ var corpus_stringrotate_pos = []token.Pos{
 
 var corpus_stringrotate_t0 *types.Type
 
-var corpus_stringrotate_locals_reverse_range = []mem.LocalSpec{
+var corpus_stringrotate_spec_reverse_range = &mem.FrameSpec{Canary: "canary:reverse_range", Size: 17, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "s (reverse_range)", Off: 0, Size: 8},
 	{Name: "lo (reverse_range)", Off: 8, Size: 4},
 	{Name: "hi (reverse_range)", Off: 12, Size: 4},
 	{Name: "t (reverse_range)", Off: 16, Size: 1},
-}
-var corpus_stringrotate_locals_main = []mem.LocalSpec{
+}}
+var corpus_stringrotate_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (main)", Off: 0, Size: 4},
-}
+}}
 
 var corpus_stringrotate_prog *interp.GenProgram
 
@@ -65,7 +65,7 @@ func corpus_stringrotate_f_reverse_range(m *interp.Machine, args []interp.Value,
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "reverse_range", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:reverse_range", 17, corpus_stringrotate_locals_reverse_range)
+	f := m.GenPushFrame(corpus_stringrotate_spec_reverse_range)
 	var v0 interp.Value
 	if args[0].T == corpus_stringrotate_t0 {
 		v0 = args[0]
@@ -223,7 +223,7 @@ func corpus_stringrotate_f_main(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 4, corpus_stringrotate_locals_main)
+	f := m.GenPushFrame(corpus_stringrotate_spec_main)
 	ret := m.GenExec(f, corpus_stringrotate_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

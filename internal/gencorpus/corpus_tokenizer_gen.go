@@ -69,18 +69,20 @@ var corpus_tokenizer_pos = []token.Pos{
 
 var corpus_tokenizer_t0 *types.Type
 
-var corpus_tokenizer_locals_parse_primary = []mem.LocalSpec{
+var corpus_tokenizer_spec_skipws = &mem.FrameSpec{Canary: "canary:skipws", Size: 0, Reusable: true}
+var corpus_tokenizer_spec_parse_primary = &mem.FrameSpec{Canary: "canary:parse_primary", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (parse_primary)", Off: 0, Size: 4},
-}
-var corpus_tokenizer_locals_parse_term = []mem.LocalSpec{
+}}
+var corpus_tokenizer_spec_parse_term = &mem.FrameSpec{Canary: "canary:parse_term", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (parse_term)", Off: 0, Size: 4},
-}
-var corpus_tokenizer_locals_parse_expr = []mem.LocalSpec{
+}}
+var corpus_tokenizer_spec_parse_expr = &mem.FrameSpec{Canary: "canary:parse_expr", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (parse_expr)", Off: 0, Size: 4},
-}
-var corpus_tokenizer_locals_eval = []mem.LocalSpec{
+}}
+var corpus_tokenizer_spec_eval = &mem.FrameSpec{Canary: "canary:eval", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "s (eval)", Off: 0, Size: 8},
-}
+}}
+var corpus_tokenizer_spec_main = &mem.FrameSpec{Canary: "canary:main", Size: 0, Reusable: true}
 
 var corpus_tokenizer_prog *interp.GenProgram
 
@@ -107,7 +109,7 @@ func corpus_tokenizer_f_skipws(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "skipws", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:skipws", 0, nil)
+	f := m.GenPushFrame(corpus_tokenizer_spec_skipws)
 	ret := m.GenExec(f, corpus_tokenizer_b_skipws)
 	m.GenPopFrame(f)
 	_ = ret
@@ -159,7 +161,7 @@ func corpus_tokenizer_f_parse_primary(m *interp.Machine, args []interp.Value, po
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parse_primary", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:parse_primary", 4, corpus_tokenizer_locals_parse_primary)
+	f := m.GenPushFrame(corpus_tokenizer_spec_parse_primary)
 	ret := m.GenExec(f, corpus_tokenizer_b_parse_primary)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -393,7 +395,7 @@ func corpus_tokenizer_f_parse_term(m *interp.Machine, args []interp.Value, pos t
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parse_term", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:parse_term", 4, corpus_tokenizer_locals_parse_term)
+	f := m.GenPushFrame(corpus_tokenizer_spec_parse_term)
 	ret := m.GenExec(f, corpus_tokenizer_b_parse_term)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -588,7 +590,7 @@ func corpus_tokenizer_f_parse_expr(m *interp.Machine, args []interp.Value, pos t
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parse_expr", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:parse_expr", 4, corpus_tokenizer_locals_parse_expr)
+	f := m.GenPushFrame(corpus_tokenizer_spec_parse_expr)
 	ret := m.GenExec(f, corpus_tokenizer_b_parse_expr)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -787,7 +789,7 @@ func corpus_tokenizer_f_eval(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "eval", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:eval", 8, corpus_tokenizer_locals_eval)
+	f := m.GenPushFrame(corpus_tokenizer_spec_eval)
 	var v0 interp.Value
 	if args[0].T == corpus_tokenizer_t0 {
 		v0 = args[0]
@@ -856,7 +858,7 @@ func corpus_tokenizer_f_main(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "main", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:main", 0, nil)
+	f := m.GenPushFrame(corpus_tokenizer_spec_main)
 	ret := m.GenExec(f, corpus_tokenizer_b_main)
 	m.GenPopFrame(f)
 	if ret.T == nil {

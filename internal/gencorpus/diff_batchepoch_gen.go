@@ -27,14 +27,14 @@ var diff_batchepoch_pos = []token.Pos{
 var diff_batchepoch_t0 *types.Type
 var diff_batchepoch_t1 *types.Type
 
-var diff_batchepoch_locals_bump = []mem.LocalSpec{
+var diff_batchepoch_spec_bump = &mem.FrameSpec{Canary: "canary:bump", Size: 16, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "n (bump)", Off: 0, Size: 4},
 	{Name: "buf (bump)", Off: 4, Size: 8},
 	{Name: "i (bump)", Off: 12, Size: 4},
-}
-var diff_batchepoch_locals_get = []mem.LocalSpec{
+}}
+var diff_batchepoch_spec_get = &mem.FrameSpec{Canary: "canary:get", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (get)", Off: 0, Size: 4},
-}
+}}
 
 var diff_batchepoch_prog *interp.GenProgram
 
@@ -58,7 +58,7 @@ func diff_batchepoch_f_bump(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "bump", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:bump", 16, diff_batchepoch_locals_bump)
+	f := m.GenPushFrame(diff_batchepoch_spec_bump)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -239,7 +239,7 @@ func diff_batchepoch_f_get(m *interp.Machine, args []interp.Value, pos token.Pos
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:get", 4, diff_batchepoch_locals_get)
+	f := m.GenPushFrame(diff_batchepoch_spec_get)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

@@ -41,25 +41,25 @@ var diff_controlflow_pos = []token.Pos{
 	{File: "t.c", Line: 66, Col: 14},
 }
 
-var diff_controlflow_locals_collatz = []mem.LocalSpec{
+var diff_controlflow_spec_collatz = &mem.FrameSpec{Canary: "canary:collatz", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (collatz)", Off: 0, Size: 4},
 	{Name: "steps (collatz)", Off: 4, Size: 4},
-}
-var diff_controlflow_locals_classify = []mem.LocalSpec{
+}}
+var diff_controlflow_spec_classify = &mem.FrameSpec{Canary: "canary:classify", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "c (classify)", Off: 0, Size: 4},
 	{Name: "score (classify)", Off: 4, Size: 4},
-}
-var diff_controlflow_locals_weave = []mem.LocalSpec{
+}}
+var diff_controlflow_spec_weave = &mem.FrameSpec{Canary: "canary:weave", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (weave)", Off: 0, Size: 4},
 	{Name: "i (weave)", Off: 4, Size: 4},
 	{Name: "acc (weave)", Off: 8, Size: 4},
 	{Name: "j (weave)", Off: 12, Size: 4},
-}
-var diff_controlflow_locals_dispatch = []mem.LocalSpec{
+}}
+var diff_controlflow_spec_dispatch = &mem.FrameSpec{Canary: "canary:dispatch", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (dispatch)", Off: 0, Size: 4},
 	{Name: "total (dispatch)", Off: 4, Size: 4},
 	{Name: "i (dispatch)", Off: 8, Size: 4},
-}
+}}
 
 var diff_controlflow_prog *interp.GenProgram
 
@@ -82,7 +82,7 @@ func diff_controlflow_f_collatz(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "collatz", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:collatz", 8, diff_controlflow_locals_collatz)
+	f := m.GenPushFrame(diff_controlflow_spec_collatz)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -257,7 +257,7 @@ func diff_controlflow_f_classify(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "classify", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:classify", 8, diff_controlflow_locals_classify)
+	f := m.GenPushFrame(diff_controlflow_spec_classify)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -417,7 +417,7 @@ func diff_controlflow_f_weave(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "weave", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:weave", 16, diff_controlflow_locals_weave)
+	f := m.GenPushFrame(diff_controlflow_spec_weave)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -686,7 +686,7 @@ func diff_controlflow_f_dispatch(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "dispatch", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:dispatch", 12, diff_controlflow_locals_dispatch)
+	f := m.GenPushFrame(diff_controlflow_spec_dispatch)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

@@ -48,22 +48,22 @@ var diff_datashapes_t2 = &types.Type{Kind: types.Struct, Rec: &types.StructInfo{
 var diff_datashapes_t0 *types.Type
 var diff_datashapes_t3 *types.Type
 
-var diff_datashapes_locals_area = []mem.LocalSpec{
+var diff_datashapes_spec_area = &mem.FrameSpec{Canary: "canary:area", Size: 40, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "r (area)", Off: 0, Size: 16},
 	{Name: "s (area)", Off: 16, Size: 16},
 	{Name: "p (area)", Off: 32, Size: 8},
-}
-var diff_datashapes_locals_strings = []mem.LocalSpec{
+}}
+var diff_datashapes_spec_strings = &mem.FrameSpec{Canary: "canary:strings", Size: 28, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "buf (strings)", Off: 0, Size: 16},
 	{Name: "p (strings)", Off: 16, Size: 8},
 	{Name: "n (strings)", Off: 24, Size: 4},
-}
-var diff_datashapes_locals_mixed = []mem.LocalSpec{
+}}
+var diff_datashapes_spec_mixed = &mem.FrameSpec{Canary: "canary:mixed", Size: 52, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "k (mixed)", Off: 0, Size: 4},
 	{Name: "total (mixed)", Off: 8, Size: 8},
 	{Name: "i (mixed)", Off: 16, Size: 4},
 	{Name: "tbl (mixed)", Off: 20, Size: 32},
-}
+}}
 
 var diff_datashapes_prog *interp.GenProgram
 
@@ -94,7 +94,7 @@ func diff_datashapes_f_area(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "area", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:area", 40, diff_datashapes_locals_area)
+	f := m.GenPushFrame(diff_datashapes_spec_area)
 	ret := m.GenExec(f, diff_datashapes_b_area)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -225,7 +225,7 @@ func diff_datashapes_f_strings(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "strings", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:strings", 28, diff_datashapes_locals_strings)
+	f := m.GenPushFrame(diff_datashapes_spec_strings)
 	ret := m.GenExec(f, diff_datashapes_b_strings)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -378,7 +378,7 @@ func diff_datashapes_f_mixed(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mixed", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mixed", 52, diff_datashapes_locals_mixed)
+	f := m.GenPushFrame(diff_datashapes_spec_mixed)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

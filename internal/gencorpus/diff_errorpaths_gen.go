@@ -17,15 +17,15 @@ var diff_errorpaths_pos = []token.Pos{
 	{File: "t.c", Line: 5, Col: 23},
 }
 
-var diff_errorpaths_locals_divz = []mem.LocalSpec{
+var diff_errorpaths_spec_divz = &mem.FrameSpec{Canary: "canary:divz", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (divz)", Off: 0, Size: 4},
-}
-var diff_errorpaths_locals_spin = []mem.LocalSpec{
+}}
+var diff_errorpaths_spec_spin = &mem.FrameSpec{Canary: "canary:spin", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (spin)", Off: 0, Size: 4},
-}
-var diff_errorpaths_locals_quit = []mem.LocalSpec{
+}}
+var diff_errorpaths_spec_quit = &mem.FrameSpec{Canary: "canary:quit", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (quit)", Off: 0, Size: 4},
-}
+}}
 
 var diff_errorpaths_prog *interp.GenProgram
 
@@ -48,7 +48,7 @@ func diff_errorpaths_f_divz(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "divz", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:divz", 4, diff_errorpaths_locals_divz)
+	f := m.GenPushFrame(diff_errorpaths_spec_divz)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -96,7 +96,7 @@ func diff_errorpaths_f_spin(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "spin", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:spin", 4, diff_errorpaths_locals_spin)
+	f := m.GenPushFrame(diff_errorpaths_spec_spin)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -163,7 +163,7 @@ func diff_errorpaths_f_quit(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quit", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:quit", 4, diff_errorpaths_locals_quit)
+	f := m.GenPushFrame(diff_errorpaths_spec_quit)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

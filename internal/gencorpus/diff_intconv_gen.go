@@ -223,28 +223,28 @@ var diff_intconv_pos = []token.Pos{
 var diff_intconv_t0 = &types.Type{Kind: types.Enum, En: &types.EnumInfo{Name: "color"}}
 var diff_intconv_t1 *types.Type
 
-var diff_intconv_locals_c_of = []mem.LocalSpec{
+var diff_intconv_spec_c_of = &mem.FrameSpec{Canary: "canary:c_of", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (c_of)", Off: 0, Size: 4},
-}
-var diff_intconv_locals_uc_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_uc_of = &mem.FrameSpec{Canary: "canary:uc_of", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (uc_of)", Off: 0, Size: 8},
-}
-var diff_intconv_locals_s_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_s_of = &mem.FrameSpec{Canary: "canary:s_of", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (s_of)", Off: 0, Size: 8},
-}
-var diff_intconv_locals_us_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_us_of = &mem.FrameSpec{Canary: "canary:us_of", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (us_of)", Off: 0, Size: 4},
-}
-var diff_intconv_locals_u_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_u_of = &mem.FrameSpec{Canary: "canary:u_of", Size: 1, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (u_of)", Off: 0, Size: 1},
-}
-var diff_intconv_locals_l_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_l_of = &mem.FrameSpec{Canary: "canary:l_of", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (l_of)", Off: 0, Size: 4},
-}
-var diff_intconv_locals_ul_of = []mem.LocalSpec{
+}}
+var diff_intconv_spec_ul_of = &mem.FrameSpec{Canary: "canary:ul_of", Size: 2, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "v (ul_of)", Off: 0, Size: 2},
-}
-var diff_intconv_locals_widen = []mem.LocalSpec{
+}}
+var diff_intconv_spec_widen = &mem.FrameSpec{Canary: "canary:widen", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "c (widen)", Off: 0, Size: 1},
 	{Name: "uc (widen)", Off: 1, Size: 1},
 	{Name: "s (widen)", Off: 2, Size: 2},
@@ -253,8 +253,8 @@ var diff_intconv_locals_widen = []mem.LocalSpec{
 	{Name: "u (widen)", Off: 12, Size: 4},
 	{Name: "l (widen)", Off: 16, Size: 8},
 	{Name: "ul (widen)", Off: 24, Size: 8},
-}
-var diff_intconv_locals_casts = []mem.LocalSpec{
+}}
+var diff_intconv_spec_casts = &mem.FrameSpec{Canary: "canary:casts", Size: 80, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "k (casts)", Off: 0, Size: 4},
 	{Name: "c (casts)", Off: 4, Size: 1},
 	{Name: "uc (casts)", Off: 5, Size: 1},
@@ -266,8 +266,8 @@ var diff_intconv_locals_casts = []mem.LocalSpec{
 	{Name: "buf (casts)", Off: 32, Size: 40},
 	{Name: "n (casts)", Off: 72, Size: 4},
 	{Name: "m (casts)", Off: 76, Size: 4},
-}
-var diff_intconv_locals_compares = []mem.LocalSpec{
+}}
+var diff_intconv_spec_compares = &mem.FrameSpec{Canary: "canary:compares", Size: 40, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (compares)", Off: 0, Size: 4},
 	{Name: "c (compares)", Off: 4, Size: 1},
 	{Name: "uc (compares)", Off: 5, Size: 1},
@@ -276,8 +276,8 @@ var diff_intconv_locals_compares = []mem.LocalSpec{
 	{Name: "ul (compares)", Off: 24, Size: 8},
 	{Name: "col (compares)", Off: 32, Size: 4},
 	{Name: "r (compares)", Off: 36, Size: 4},
-}
-var diff_intconv_locals_arith = []mem.LocalSpec{
+}}
+var diff_intconv_spec_arith = &mem.FrameSpec{Canary: "canary:arith", Size: 48, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (arith)", Off: 0, Size: 4},
 	{Name: "u (arith)", Off: 4, Size: 4},
 	{Name: "i (arith)", Off: 8, Size: 4},
@@ -287,8 +287,8 @@ var diff_intconv_locals_arith = []mem.LocalSpec{
 	{Name: "c (arith)", Off: 33, Size: 1},
 	{Name: "s (arith)", Off: 34, Size: 2},
 	{Name: "acc (arith)", Off: 40, Size: 8},
-}
-var diff_intconv_locals_wrap = []mem.LocalSpec{
+}}
+var diff_intconv_spec_wrap = &mem.FrameSpec{Canary: "canary:wrap", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (wrap)", Off: 0, Size: 4},
 	{Name: "c (wrap)", Off: 4, Size: 1},
 	{Name: "uc (wrap)", Off: 5, Size: 1},
@@ -297,24 +297,24 @@ var diff_intconv_locals_wrap = []mem.LocalSpec{
 	{Name: "u (wrap)", Off: 12, Size: 4},
 	{Name: "i (wrap)", Off: 16, Size: 4},
 	{Name: "r (wrap)", Off: 24, Size: 8},
-}
-var diff_intconv_locals_text = []mem.LocalSpec{
+}}
+var diff_intconv_spec_text = &mem.FrameSpec{Canary: "canary:text", Size: 36, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "k (text)", Off: 0, Size: 4},
 	{Name: "buf (text)", Off: 4, Size: 16},
 	{Name: "p (text)", Off: 24, Size: 8},
 	{Name: "n (text)", Off: 32, Size: 4},
-}
-var diff_intconv_locals_divz = []mem.LocalSpec{
+}}
+var diff_intconv_spec_divz = &mem.FrameSpec{Canary: "canary:divz", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (divz)", Off: 0, Size: 4},
 	{Name: "u (divz)", Off: 4, Size: 4},
-}
-var diff_intconv_locals_modz = []mem.LocalSpec{
+}}
+var diff_intconv_spec_modz = &mem.FrameSpec{Canary: "canary:modz", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (modz)", Off: 0, Size: 4},
 	{Name: "l (modz)", Off: 8, Size: 8},
-}
-var diff_intconv_locals_zdiv = []mem.LocalSpec{
+}}
+var diff_intconv_spec_zdiv = &mem.FrameSpec{Canary: "canary:zdiv", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "k (zdiv)", Off: 0, Size: 4},
-}
+}}
 
 var diff_intconv_prog *interp.GenProgram
 
@@ -351,7 +351,7 @@ func diff_intconv_f_c_of(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "c_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:c_of", 4, diff_intconv_locals_c_of)
+	f := m.GenPushFrame(diff_intconv_spec_c_of)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -397,7 +397,7 @@ func diff_intconv_f_uc_of(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "uc_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:uc_of", 8, diff_intconv_locals_uc_of)
+	f := m.GenPushFrame(diff_intconv_spec_uc_of)
 	var v0 interp.Value
 	if args[0].T == types.LongType {
 		v0 = args[0]
@@ -443,7 +443,7 @@ func diff_intconv_f_s_of(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "s_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:s_of", 8, diff_intconv_locals_s_of)
+	f := m.GenPushFrame(diff_intconv_spec_s_of)
 	var v0 interp.Value
 	if args[0].T == types.ULongType {
 		v0 = args[0]
@@ -489,7 +489,7 @@ func diff_intconv_f_us_of(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "us_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:us_of", 4, diff_intconv_locals_us_of)
+	f := m.GenPushFrame(diff_intconv_spec_us_of)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -535,7 +535,7 @@ func diff_intconv_f_u_of(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "u_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:u_of", 1, diff_intconv_locals_u_of)
+	f := m.GenPushFrame(diff_intconv_spec_u_of)
 	var v0 interp.Value
 	if args[0].T == types.CharType {
 		v0 = args[0]
@@ -581,7 +581,7 @@ func diff_intconv_f_l_of(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "l_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:l_of", 4, diff_intconv_locals_l_of)
+	f := m.GenPushFrame(diff_intconv_spec_l_of)
 	var v0 interp.Value
 	if args[0].T == types.UIntType {
 		v0 = args[0]
@@ -627,7 +627,7 @@ func diff_intconv_f_ul_of(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "ul_of", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:ul_of", 2, diff_intconv_locals_ul_of)
+	f := m.GenPushFrame(diff_intconv_spec_ul_of)
 	var v0 interp.Value
 	if args[0].T == types.ShortType {
 		v0 = args[0]
@@ -673,7 +673,7 @@ func diff_intconv_f_widen(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 8 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "widen", len(args), 8)
 	}
-	f := m.GenPushFrame("canary:widen", 32, diff_intconv_locals_widen)
+	f := m.GenPushFrame(diff_intconv_spec_widen)
 	var v0 interp.Value
 	if args[0].T == types.CharType {
 		v0 = args[0]
@@ -845,7 +845,7 @@ func diff_intconv_f_casts(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "casts", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:casts", 80, diff_intconv_locals_casts)
+	f := m.GenPushFrame(diff_intconv_spec_casts)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -1400,7 +1400,7 @@ func diff_intconv_f_compares(m *interp.Machine, args []interp.Value, pos token.P
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "compares", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:compares", 40, diff_intconv_locals_compares)
+	f := m.GenPushFrame(diff_intconv_spec_compares)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -2503,7 +2503,7 @@ func diff_intconv_f_arith(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "arith", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:arith", 48, diff_intconv_locals_arith)
+	f := m.GenPushFrame(diff_intconv_spec_arith)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -3166,7 +3166,7 @@ func diff_intconv_f_wrap(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "wrap", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:wrap", 32, diff_intconv_locals_wrap)
+	f := m.GenPushFrame(diff_intconv_spec_wrap)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -3733,7 +3733,7 @@ func diff_intconv_f_text(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "text", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:text", 36, diff_intconv_locals_text)
+	f := m.GenPushFrame(diff_intconv_spec_text)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -4144,7 +4144,7 @@ func diff_intconv_f_divz(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "divz", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:divz", 8, diff_intconv_locals_divz)
+	f := m.GenPushFrame(diff_intconv_spec_divz)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -4200,7 +4200,7 @@ func diff_intconv_f_modz(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "modz", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:modz", 16, diff_intconv_locals_modz)
+	f := m.GenPushFrame(diff_intconv_spec_modz)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -4256,7 +4256,7 @@ func diff_intconv_f_zdiv(m *interp.Machine, args []interp.Value, pos token.Pos) 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "zdiv", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:zdiv", 4, diff_intconv_locals_zdiv)
+	f := m.GenPushFrame(diff_intconv_spec_zdiv)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

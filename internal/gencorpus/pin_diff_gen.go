@@ -52,27 +52,27 @@ var pin_diff_t0 *types.Type
 var pin_diff_t1 *types.Type
 var pin_diff_t2 *types.Type
 
-var pin_diff_locals_bulk = []mem.LocalSpec{
+var pin_diff_spec_bulk = &mem.FrameSpec{Canary: "canary:bulk", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (bulk)", Off: 0, Size: 4},
 	{Name: "i (bulk)", Off: 4, Size: 4},
-}
-var pin_diff_locals_scan = []mem.LocalSpec{
+}}
+var pin_diff_spec_scan = &mem.FrameSpec{Canary: "canary:scan", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (scan)", Off: 0, Size: 4},
 	{Name: "total (scan)", Off: 4, Size: 4},
 	{Name: "p (scan)", Off: 8, Size: 8},
-}
-var pin_diff_locals_oob = []mem.LocalSpec{
+}}
+var pin_diff_spec_oob = &mem.FrameSpec{Canary: "canary:oob", Size: 20, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "n (oob)", Off: 0, Size: 4},
 	{Name: "small (oob)", Off: 4, Size: 8},
 	{Name: "i (oob)", Off: 12, Size: 4},
 	{Name: "x (oob)", Off: 16, Size: 4},
-}
-var pin_diff_locals_ptrs = []mem.LocalSpec{
+}}
+var pin_diff_spec_ptrs = &mem.FrameSpec{Canary: "canary:ptrs", Size: 32, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (ptrs)", Off: 0, Size: 4},
 	{Name: "blk (ptrs)", Off: 8, Size: 8},
 	{Name: "i (ptrs)", Off: 16, Size: 4},
 	{Name: "x (ptrs)", Off: 24, Size: 8},
-}
+}}
 
 var pin_diff_prog *interp.GenProgram
 
@@ -99,7 +99,7 @@ func pin_diff_f_bulk(m *interp.Machine, args []interp.Value, pos token.Pos) inte
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "bulk", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:bulk", 8, pin_diff_locals_bulk)
+	f := m.GenPushFrame(pin_diff_spec_bulk)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -318,7 +318,7 @@ func pin_diff_f_scan(m *interp.Machine, args []interp.Value, pos token.Pos) inte
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "scan", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:scan", 16, pin_diff_locals_scan)
+	f := m.GenPushFrame(pin_diff_spec_scan)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -509,7 +509,7 @@ func pin_diff_f_oob(m *interp.Machine, args []interp.Value, pos token.Pos) inter
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "oob", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:oob", 20, pin_diff_locals_oob)
+	f := m.GenPushFrame(pin_diff_spec_oob)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -633,7 +633,7 @@ func pin_diff_f_ptrs(m *interp.Machine, args []interp.Value, pos token.Pos) inte
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "ptrs", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:ptrs", 32, pin_diff_locals_ptrs)
+	f := m.GenPushFrame(pin_diff_spec_ptrs)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

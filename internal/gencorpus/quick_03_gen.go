@@ -23,11 +23,11 @@ var quick_03_pos = []token.Pos{
 	{File: "t.c", Line: 1, Col: 83},
 }
 
-var quick_03_locals_f = []mem.LocalSpec{
+var quick_03_spec_f = &mem.FrameSpec{Canary: "canary:f", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "a (f)", Off: 0, Size: 4},
 	{Name: "b (f)", Off: 4, Size: 4},
 	{Name: "c (f)", Off: 8, Size: 4},
-}
+}}
 
 var quick_03_prog *interp.GenProgram
 
@@ -47,7 +47,7 @@ func quick_03_f_f(m *interp.Machine, args []interp.Value, pos token.Pos) interp.
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "f", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:f", 12, quick_03_locals_f)
+	f := m.GenPushFrame(quick_03_spec_f)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

@@ -34,21 +34,21 @@ var rewind_pos = []token.Pos{
 var rewind_t0 *types.Type
 var rewind_t1 *types.Type
 
-var rewind_locals_handle = []mem.LocalSpec{
+var rewind_spec_handle = &mem.FrameSpec{Canary: "canary:handle", Size: 16, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "n (handle)", Off: 0, Size: 4},
 	{Name: "buf (handle)", Off: 4, Size: 8},
 	{Name: "i (handle)", Off: 12, Size: 4},
-}
-var rewind_locals_get_counter = []mem.LocalSpec{
+}}
+var rewind_spec_get_counter = &mem.FrameSpec{Canary: "canary:get_counter", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (get_counter)", Off: 0, Size: 4},
-}
-var rewind_locals_get_state = []mem.LocalSpec{
+}}
+var rewind_spec_get_state = &mem.FrameSpec{Canary: "canary:get_state", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (get_state)", Off: 0, Size: 4},
-}
-var rewind_locals_drop = []mem.LocalSpec{
+}}
+var rewind_spec_drop = &mem.FrameSpec{Canary: "canary:drop", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "n (drop)", Off: 0, Size: 4},
 	{Name: "p (drop)", Off: 8, Size: 8},
-}
+}}
 
 var rewind_prog *interp.GenProgram
 
@@ -74,7 +74,7 @@ func rewind_f_handle(m *interp.Machine, args []interp.Value, pos token.Pos) inte
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "handle", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:handle", 16, rewind_locals_handle)
+	f := m.GenPushFrame(rewind_spec_handle)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -266,7 +266,7 @@ func rewind_f_get_counter(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get_counter", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:get_counter", 4, rewind_locals_get_counter)
+	f := m.GenPushFrame(rewind_spec_get_counter)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -312,7 +312,7 @@ func rewind_f_get_state(m *interp.Machine, args []interp.Value, pos token.Pos) i
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "get_state", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:get_state", 4, rewind_locals_get_state)
+	f := m.GenPushFrame(rewind_spec_get_state)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -359,7 +359,7 @@ func rewind_f_drop(m *interp.Machine, args []interp.Value, pos token.Pos) interp
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "drop", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:drop", 16, rewind_locals_drop)
+	f := m.GenPushFrame(rewind_spec_drop)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]

@@ -19,10 +19,10 @@ var scan_pos = []token.Pos{
 	{File: "scan.c", Line: 6, Col: 16},
 }
 
-var scan_locals_scan = []mem.LocalSpec{
+var scan_spec_scan = &mem.FrameSpec{Canary: "canary:scan", Size: 12, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "buf (scan)", Off: 0, Size: 8},
 	{Name: "i (scan)", Off: 8, Size: 4},
-}
+}}
 
 var scan_prog *interp.GenProgram
 
@@ -42,7 +42,7 @@ func scan_f_scan(m *interp.Machine, args []interp.Value, pos token.Pos) interp.V
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "scan", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:scan", 12, scan_locals_scan)
+	f := m.GenPushFrame(scan_spec_scan)
 	ret := m.GenExec(f, scan_b_scan)
 	m.GenPopFrame(f)
 	if ret.T == nil {

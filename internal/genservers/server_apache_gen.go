@@ -109,7 +109,7 @@ var server_apache_t3 = &types.Type{Kind: types.Struct, Rec: &types.StructInfo{Na
 var server_apache_t2 *types.Type
 var server_apache_t4 *types.Type
 
-var server_apache_locals_rx_rec = []mem.LocalSpec{
+var server_apache_spec_rx_rec = &mem.FrameSpec{Canary: "canary:rx_rec", Size: 64, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "pat (rx_rec)", Off: 0, Size: 8},
 	{Name: "pi (rx_rec)", Off: 8, Size: 4},
 	{Name: "str (rx_rec)", Off: 16, Size: 8},
@@ -120,16 +120,16 @@ var server_apache_locals_rx_rec = []mem.LocalSpec{
 	{Name: "j (rx_rec)", Off: 52, Size: 4},
 	{Name: "g (rx_rec)", Off: 56, Size: 4},
 	{Name: "end (rx_rec)", Off: 60, Size: 4},
-}
-var server_apache_locals_ap_regexec = []mem.LocalSpec{
+}}
+var server_apache_spec_ap_regexec = &mem.FrameSpec{Canary: "canary:ap_regexec", Size: 160, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "pat (ap_regexec)", Off: 0, Size: 8},
 	{Name: "str (ap_regexec)", Off: 8, Size: 8},
 	{Name: "pmatch (ap_regexec)", Off: 16, Size: 8},
 	{Name: "gopen (ap_regexec)", Off: 24, Size: 128},
 	{Name: "i (ap_regexec)", Off: 152, Size: 4},
 	{Name: "ngroups (ap_regexec)", Off: 156, Size: 4},
-}
-var server_apache_locals_apache_try_rewrite = []mem.LocalSpec{
+}}
+var server_apache_spec_apache_try_rewrite = &mem.FrameSpec{Canary: "canary:apache_try_rewrite", Size: 124, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "uri (apache_try_rewrite)", Off: 0, Size: 8},
 	{Name: "pattern (apache_try_rewrite)", Off: 8, Size: 8},
 	{Name: "subst (apache_try_rewrite)", Off: 16, Size: 8},
@@ -139,16 +139,16 @@ var server_apache_locals_apache_try_rewrite = []mem.LocalSpec{
 	{Name: "o (apache_try_rewrite)", Off: 112, Size: 4},
 	{Name: "g (apache_try_rewrite)", Off: 116, Size: 4},
 	{Name: "j (apache_try_rewrite)", Off: 120, Size: 4},
-}
-var server_apache_locals_apache_child_init = []mem.LocalSpec{
+}}
+var server_apache_spec_apache_child_init = &mem.FrameSpec{Canary: "canary:apache_child_init", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "x (apache_child_init)", Off: 0, Size: 4},
 	{Name: "i (apache_child_init)", Off: 4, Size: 4},
-}
-var server_apache_locals_apache_serve = []mem.LocalSpec{
+}}
+var server_apache_spec_apache_serve = &mem.FrameSpec{Canary: "canary:apache_serve", Size: 16, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "path (apache_serve)", Off: 0, Size: 8},
 	{Name: "n (apache_serve)", Off: 8, Size: 4},
 	{Name: "hl (apache_serve)", Off: 12, Size: 4},
-}
+}}
 
 var server_apache_prog *interp.GenProgram
 
@@ -180,7 +180,7 @@ func server_apache_f_rx_rec(m *interp.Machine, args []interp.Value, pos token.Po
 	if len(args) != 6 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "rx_rec", len(args), 6)
 	}
-	f := m.GenPushFrame("canary:rx_rec", 64, server_apache_locals_rx_rec)
+	f := m.GenPushFrame(server_apache_spec_rx_rec)
 	var v0 interp.Value
 	if args[0].T == server_apache_t0 {
 		v0 = args[0]
@@ -882,7 +882,7 @@ func server_apache_f_ap_regexec(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "ap_regexec", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:ap_regexec", 160, server_apache_locals_ap_regexec)
+	f := m.GenPushFrame(server_apache_spec_ap_regexec)
 	var v0 interp.Value
 	if args[0].T == server_apache_t0 {
 		v0 = args[0]
@@ -1112,7 +1112,7 @@ func server_apache_f_apache_try_rewrite(m *interp.Machine, args []interp.Value, 
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "apache_try_rewrite", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:apache_try_rewrite", 124, server_apache_locals_apache_try_rewrite)
+	f := m.GenPushFrame(server_apache_spec_apache_try_rewrite)
 	var v0 interp.Value
 	if args[0].T == server_apache_t0 {
 		v0 = args[0]
@@ -1596,7 +1596,7 @@ func server_apache_f_apache_child_init(m *interp.Machine, args []interp.Value, p
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "apache_child_init", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:apache_child_init", 8, server_apache_locals_apache_child_init)
+	f := m.GenPushFrame(server_apache_spec_apache_child_init)
 	ret := m.GenExec(f, server_apache_b_apache_child_init)
 	m.GenPopFrame(f)
 	if ret.T == nil {
@@ -1728,7 +1728,7 @@ func server_apache_f_apache_serve(m *interp.Machine, args []interp.Value, pos to
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "apache_serve", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:apache_serve", 16, server_apache_locals_apache_serve)
+	f := m.GenPushFrame(server_apache_spec_apache_serve)
 	var v0 interp.Value
 	if args[0].T == server_apache_t0 {
 		v0 = args[0]

@@ -106,30 +106,30 @@ var server_mc_pos = []token.Pos{
 var server_mc_t0 *types.Type
 var server_mc_t1 *types.Type
 
-var server_mc_locals_mc_process_tgz_links = []mem.LocalSpec{
+var server_mc_spec_mc_process_tgz_links = &mem.FrameSpec{Canary: "canary:mc_process_tgz_links", Size: 208, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "nlinks (mc_process_tgz_links)", Off: 0, Size: 4},
 	{Name: "i (mc_process_tgz_links)", Off: 4, Size: 4},
 	{Name: "rc (mc_process_tgz_links)", Off: 8, Size: 4},
 	{Name: "dangling (mc_process_tgz_links)", Off: 12, Size: 4},
 	{Name: "name (mc_process_tgz_links)", Off: 16, Size: 64},
 	{Name: "buf (mc_process_tgz_links)", Off: 80, Size: 128},
-}
-var server_mc_locals_mc_config_line = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_config_line = &mem.FrameSpec{Canary: "canary:mc_config_line", Size: 84, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "line (mc_config_line)", Off: 0, Size: 8},
 	{Name: "len (mc_config_line)", Off: 8, Size: 4},
 	{Name: "key (mc_config_line)", Off: 12, Size: 64},
 	{Name: "i (mc_config_line)", Off: 76, Size: 4},
 	{Name: "k (mc_config_line)", Off: 80, Size: 4},
-}
-var server_mc_locals_mc_load_config = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_load_config = &mem.FrameSpec{Canary: "canary:mc_load_config", Size: 152, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "cfg (mc_load_config)", Off: 0, Size: 8},
 	{Name: "line (mc_load_config)", Off: 8, Size: 128},
 	{Name: "i (mc_load_config)", Off: 136, Size: 4},
 	{Name: "k (mc_load_config)", Off: 140, Size: 4},
 	{Name: "rc (mc_load_config)", Off: 144, Size: 4},
 	{Name: "ok (mc_load_config)", Off: 148, Size: 4},
-}
-var server_mc_locals_mc_copy_file = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_copy_file = &mem.FrameSpec{Canary: "canary:mc_copy_file", Size: 4124, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "path (mc_copy_file)", Off: 0, Size: 8},
 	{Name: "size (mc_copy_file)", Off: 8, Size: 4},
 	{Name: "chunk (mc_copy_file)", Off: 12, Size: 4096},
@@ -137,8 +137,8 @@ var server_mc_locals_mc_copy_file = []mem.LocalSpec{
 	{Name: "n (mc_copy_file)", Off: 4112, Size: 4},
 	{Name: "i (mc_copy_file)", Off: 4116, Size: 4},
 	{Name: "sum (mc_copy_file)", Off: 4120, Size: 4},
-}
-var server_mc_locals_validate_path = []mem.LocalSpec{
+}}
+var server_mc_spec_validate_path = &mem.FrameSpec{Canary: "canary:validate_path", Size: 33, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "path (validate_path)", Off: 0, Size: 8},
 	{Name: "out (validate_path)", Off: 8, Size: 8},
 	{Name: "outlen (validate_path)", Off: 16, Size: 4},
@@ -146,24 +146,24 @@ var server_mc_locals_validate_path = []mem.LocalSpec{
 	{Name: "o (validate_path)", Off: 24, Size: 4},
 	{Name: "prev_slash (validate_path)", Off: 28, Size: 4},
 	{Name: "c (validate_path)", Off: 32, Size: 1},
-}
-var server_mc_locals_mc_move_file = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_move_file = &mem.FrameSpec{Canary: "canary:mc_move_file", Size: 272, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "from (mc_move_file)", Off: 0, Size: 8},
 	{Name: "to (mc_move_file)", Off: 8, Size: 8},
 	{Name: "cfrom (mc_move_file)", Off: 16, Size: 128},
 	{Name: "cto (mc_move_file)", Off: 144, Size: 128},
-}
-var server_mc_locals_mc_mkdir = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_mkdir = &mem.FrameSpec{Canary: "canary:mc_mkdir", Size: 404, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "path (mc_mkdir)", Off: 0, Size: 8},
 	{Name: "cpath (mc_mkdir)", Off: 8, Size: 128},
 	{Name: "display (mc_mkdir)", Off: 136, Size: 256},
 	{Name: "n (mc_mkdir)", Off: 392, Size: 4},
 	{Name: "i (mc_mkdir)", Off: 396, Size: 4},
 	{Name: "o (mc_mkdir)", Off: 400, Size: 4},
-}
-var server_mc_locals_mc_delete_file = []mem.LocalSpec{
+}}
+var server_mc_spec_mc_delete_file = &mem.FrameSpec{Canary: "canary:mc_delete_file", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "path (mc_delete_file)", Off: 0, Size: 8},
-}
+}}
 
 var server_mc_prog *interp.GenProgram
 
@@ -193,7 +193,7 @@ func server_mc_f_mc_process_tgz_links(m *interp.Machine, args []interp.Value, po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_process_tgz_links", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mc_process_tgz_links", 208, server_mc_locals_mc_process_tgz_links)
+	f := m.GenPushFrame(server_mc_spec_mc_process_tgz_links)
 	var v0 interp.Value
 	if args[0].T == types.IntType {
 		v0 = args[0]
@@ -472,7 +472,7 @@ func server_mc_f_mc_config_line(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_config_line", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:mc_config_line", 84, server_mc_locals_mc_config_line)
+	f := m.GenPushFrame(server_mc_spec_mc_config_line)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -745,7 +745,7 @@ func server_mc_f_mc_load_config(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_load_config", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mc_load_config", 152, server_mc_locals_mc_load_config)
+	f := m.GenPushFrame(server_mc_spec_mc_load_config)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -1047,7 +1047,7 @@ func server_mc_f_mc_copy_file(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_copy_file", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:mc_copy_file", 4124, server_mc_locals_mc_copy_file)
+	f := m.GenPushFrame(server_mc_spec_mc_copy_file)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -1506,7 +1506,7 @@ func server_mc_f_validate_path(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "validate_path", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:validate_path", 33, server_mc_locals_validate_path)
+	f := m.GenPushFrame(server_mc_spec_validate_path)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -1834,7 +1834,7 @@ func server_mc_f_mc_move_file(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_move_file", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:mc_move_file", 272, server_mc_locals_mc_move_file)
+	f := m.GenPushFrame(server_mc_spec_mc_move_file)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -1977,7 +1977,7 @@ func server_mc_f_mc_mkdir(m *interp.Machine, args []interp.Value, pos token.Pos)
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_mkdir", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mc_mkdir", 404, server_mc_locals_mc_mkdir)
+	f := m.GenPushFrame(server_mc_spec_mc_mkdir)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]
@@ -2244,7 +2244,7 @@ func server_mc_f_mc_delete_file(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mc_delete_file", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mc_delete_file", 8, server_mc_locals_mc_delete_file)
+	f := m.GenPushFrame(server_mc_spec_mc_delete_file)
 	var v0 interp.Value
 	if args[0].T == server_mc_t0 {
 		v0 = args[0]

@@ -148,7 +148,7 @@ var server_mutt_t1 *types.Type
 var server_mutt_t2 *types.Type
 var server_mutt_t3 *types.Type
 
-var server_mutt_locals_utf8_to_utf7 = []mem.LocalSpec{
+var server_mutt_spec_utf8_to_utf7 = &mem.FrameSpec{Canary: "canary:utf8_to_utf7", Size: 57, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "u8 (utf8_to_utf7)", Off: 0, Size: 8},
 	{Name: "u8len (utf8_to_utf7)", Off: 8, Size: 8},
 	{Name: "buf (utf8_to_utf7)", Off: 16, Size: 8},
@@ -160,27 +160,27 @@ var server_mutt_locals_utf8_to_utf7 = []mem.LocalSpec{
 	{Name: "k (utf8_to_utf7)", Off: 48, Size: 4},
 	{Name: "base64 (utf8_to_utf7)", Off: 52, Size: 4},
 	{Name: "c (utf8_to_utf7)", Off: 56, Size: 1},
-}
-var server_mutt_locals_mutt_select_folder = []mem.LocalSpec{
+}}
+var server_mutt_spec_mutt_select_folder = &mem.FrameSpec{Canary: "canary:mutt_select_folder", Size: 20, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "name (mutt_select_folder)", Off: 0, Size: 8},
 	{Name: "utf7 (mutt_select_folder)", Off: 8, Size: 8},
 	{Name: "rc (mutt_select_folder)", Off: 16, Size: 4},
-}
-var server_mutt_locals_mutt_init_xlat = []mem.LocalSpec{
+}}
+var server_mutt_spec_mutt_init_xlat = &mem.FrameSpec{Canary: "canary:mutt_init_xlat", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "i (mutt_init_xlat)", Off: 0, Size: 4},
-}
-var server_mutt_locals_mutt_read_message = []mem.LocalSpec{
+}}
+var server_mutt_spec_mutt_read_message = &mem.FrameSpec{Canary: "canary:mutt_read_message", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "raw (mutt_read_message)", Off: 0, Size: 8},
 	{Name: "i (mutt_read_message)", Off: 8, Size: 4},
 	{Name: "o (mutt_read_message)", Off: 12, Size: 4},
 	{Name: "c (mutt_read_message)", Off: 16, Size: 4},
-}
-var server_mutt_locals_mutt_move_message = []mem.LocalSpec{
+}}
+var server_mutt_spec_mutt_move_message = &mem.FrameSpec{Canary: "canary:mutt_move_message", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "raw (mutt_move_message)", Off: 0, Size: 8},
 	{Name: "len (mutt_move_message)", Off: 8, Size: 4},
 	{Name: "i (mutt_move_message)", Off: 12, Size: 4},
 	{Name: "hdr_end (mutt_move_message)", Off: 16, Size: 4},
-}
+}}
 
 var server_mutt_prog *interp.GenProgram
 
@@ -209,7 +209,7 @@ func server_mutt_f_utf8_to_utf7(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "utf8_to_utf7", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:utf8_to_utf7", 57, server_mutt_locals_utf8_to_utf7)
+	f := m.GenPushFrame(server_mutt_spec_utf8_to_utf7)
 	var v0 interp.Value
 	if args[0].T == server_mutt_t0 {
 		v0 = args[0]
@@ -1524,7 +1524,7 @@ func server_mutt_f_mutt_select_folder(m *interp.Machine, args []interp.Value, po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_select_folder", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mutt_select_folder", 20, server_mutt_locals_mutt_select_folder)
+	f := m.GenPushFrame(server_mutt_spec_mutt_select_folder)
 	var v0 interp.Value
 	if args[0].T == server_mutt_t0 {
 		v0 = args[0]
@@ -1739,7 +1739,7 @@ func server_mutt_f_mutt_init_xlat(m *interp.Machine, args []interp.Value, pos to
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_init_xlat", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:mutt_init_xlat", 4, server_mutt_locals_mutt_init_xlat)
+	f := m.GenPushFrame(server_mutt_spec_mutt_init_xlat)
 	ret := m.GenExec(f, server_mutt_b_mutt_init_xlat)
 	m.GenPopFrame(f)
 	_ = ret
@@ -1831,7 +1831,7 @@ func server_mutt_f_mutt_read_message(m *interp.Machine, args []interp.Value, pos
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_read_message", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:mutt_read_message", 20, server_mutt_locals_mutt_read_message)
+	f := m.GenPushFrame(server_mutt_spec_mutt_read_message)
 	var v0 interp.Value
 	if args[0].T == server_mutt_t0 {
 		v0 = args[0]
@@ -2241,7 +2241,7 @@ func server_mutt_f_mutt_move_message(m *interp.Machine, args []interp.Value, pos
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "mutt_move_message", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:mutt_move_message", 20, server_mutt_locals_mutt_move_message)
+	f := m.GenPushFrame(server_mutt_spec_mutt_move_message)
 	var v0 interp.Value
 	if args[0].T == server_mutt_t0 {
 		v0 = args[0]

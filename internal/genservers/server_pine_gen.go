@@ -113,7 +113,7 @@ var server_pine_pos = []token.Pos{
 var server_pine_t0 *types.Type
 var server_pine_t1 *types.Type
 
-var server_pine_locals_quote_from = []mem.LocalSpec{
+var server_pine_spec_quote_from = &mem.FrameSpec{Canary: "canary:quote_from", Size: 49, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "from (quote_from)", Off: 0, Size: 8},
 	{Name: "len (quote_from)", Off: 8, Size: 8},
 	{Name: "add (quote_from)", Off: 16, Size: 8},
@@ -121,25 +121,25 @@ var server_pine_locals_quote_from = []mem.LocalSpec{
 	{Name: "buf (quote_from)", Off: 32, Size: 8},
 	{Name: "p (quote_from)", Off: 40, Size: 8},
 	{Name: "c (quote_from)", Off: 48, Size: 1},
-}
-var server_pine_locals_pine_index_message = []mem.LocalSpec{
+}}
+var server_pine_spec_pine_index_message = &mem.FrameSpec{Canary: "canary:pine_index_message", Size: 284, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "raw (pine_index_message)", Off: 0, Size: 8},
 	{Name: "from (pine_index_message)", Off: 8, Size: 256},
 	{Name: "q (pine_index_message)", Off: 264, Size: 8},
 	{Name: "i (pine_index_message)", Off: 272, Size: 4},
 	{Name: "o (pine_index_message)", Off: 276, Size: 4},
 	{Name: "n (pine_index_message)", Off: 280, Size: 4},
-}
-var server_pine_locals_init_tables = []mem.LocalSpec{
+}}
+var server_pine_spec_init_tables = &mem.FrameSpec{Canary: "canary:init_tables", Size: 4, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "i (init_tables)", Off: 0, Size: 4},
-}
-var server_pine_locals_pine_read_message = []mem.LocalSpec{
+}}
+var server_pine_spec_pine_read_message = &mem.FrameSpec{Canary: "canary:pine_read_message", Size: 17, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "raw (pine_read_message)", Off: 0, Size: 8},
 	{Name: "i (pine_read_message)", Off: 8, Size: 4},
 	{Name: "o (pine_read_message)", Off: 12, Size: 4},
 	{Name: "c (pine_read_message)", Off: 16, Size: 1},
-}
-var server_pine_locals_pine_compose = []mem.LocalSpec{
+}}
+var server_pine_spec_pine_compose = &mem.FrameSpec{Canary: "canary:pine_compose", Size: 284, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "from_addr (pine_compose)", Off: 0, Size: 8},
 	{Name: "o (pine_compose)", Off: 8, Size: 4},
 	{Name: "row (pine_compose)", Off: 12, Size: 4},
@@ -147,11 +147,11 @@ var server_pine_locals_pine_compose = []mem.LocalSpec{
 	{Name: "i (pine_compose)", Off: 20, Size: 4},
 	{Name: "hdr (pine_compose)", Off: 24, Size: 256},
 	{Name: "n (pine_compose)", Off: 280, Size: 4},
-}
-var server_pine_locals_pine_move_message = []mem.LocalSpec{
+}}
+var server_pine_spec_pine_move_message = &mem.FrameSpec{Canary: "canary:pine_move_message", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "raw (pine_move_message)", Off: 0, Size: 8},
 	{Name: "len (pine_move_message)", Off: 8, Size: 4},
-}
+}}
 
 var server_pine_prog *interp.GenProgram
 
@@ -179,7 +179,7 @@ func server_pine_f_quote_from(m *interp.Machine, args []interp.Value, pos token.
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "quote_from", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:quote_from", 49, server_pine_locals_quote_from)
+	f := m.GenPushFrame(server_pine_spec_quote_from)
 	var v0 interp.Value
 	if args[0].T == server_pine_t0 {
 		v0 = args[0]
@@ -538,7 +538,7 @@ func server_pine_f_pine_index_message(m *interp.Machine, args []interp.Value, po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_index_message", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:pine_index_message", 284, server_pine_locals_pine_index_message)
+	f := m.GenPushFrame(server_pine_spec_pine_index_message)
 	var v0 interp.Value
 	if args[0].T == server_pine_t0 {
 		v0 = args[0]
@@ -1019,7 +1019,7 @@ func server_pine_f_init_tables(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "init_tables", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:init_tables", 4, server_pine_locals_init_tables)
+	f := m.GenPushFrame(server_pine_spec_init_tables)
 	ret := m.GenExec(f, server_pine_b_init_tables)
 	m.GenPopFrame(f)
 	_ = ret
@@ -1230,7 +1230,7 @@ func server_pine_f_pine_read_message(m *interp.Machine, args []interp.Value, pos
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_read_message", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:pine_read_message", 17, server_pine_locals_pine_read_message)
+	f := m.GenPushFrame(server_pine_spec_pine_read_message)
 	var v0 interp.Value
 	if args[0].T == server_pine_t0 {
 		v0 = args[0]
@@ -1457,7 +1457,7 @@ func server_pine_f_pine_compose(m *interp.Machine, args []interp.Value, pos toke
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_compose", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:pine_compose", 284, server_pine_locals_pine_compose)
+	f := m.GenPushFrame(server_pine_spec_pine_compose)
 	var v0 interp.Value
 	if args[0].T == server_pine_t0 {
 		v0 = args[0]
@@ -1932,7 +1932,7 @@ func server_pine_f_pine_move_message(m *interp.Machine, args []interp.Value, pos
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "pine_move_message", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:pine_move_message", 12, server_pine_locals_pine_move_message)
+	f := m.GenPushFrame(server_pine_spec_pine_move_message)
 	var v0 interp.Value
 	if args[0].T == server_pine_t0 {
 		v0 = args[0]

@@ -86,7 +86,7 @@ var server_sendmail_pos = []token.Pos{
 
 var server_sendmail_t0 *types.Type
 
-var server_sendmail_locals_prescan = []mem.LocalSpec{
+var server_sendmail_spec_prescan = &mem.FrameSpec{Canary: "canary:prescan", Size: 48, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "addr (prescan)", Off: 0, Size: 8},
 	{Name: "buf (prescan)", Off: 8, Size: 8},
 	{Name: "bufsize (prescan)", Off: 16, Size: 4},
@@ -94,40 +94,40 @@ var server_sendmail_locals_prescan = []mem.LocalSpec{
 	{Name: "q (prescan)", Off: 32, Size: 8},
 	{Name: "c (prescan)", Off: 40, Size: 4},
 	{Name: "done (prescan)", Off: 44, Size: 4},
-}
-var server_sendmail_locals_parse_address = []mem.LocalSpec{
+}}
+var server_sendmail_spec_parse_address = &mem.FrameSpec{Canary: "canary:parse_address", Size: 116, Reusable: false, Locals: []mem.LocalSpec{
 	{Name: "addr (parse_address)", Off: 0, Size: 8},
 	{Name: "out (parse_address)", Off: 8, Size: 8},
 	{Name: "pvpbuf (parse_address)", Off: 16, Size: 96},
 	{Name: "len (parse_address)", Off: 112, Size: 4},
-}
-var server_sendmail_locals_smtp_helo = []mem.LocalSpec{
+}}
+var server_sendmail_spec_smtp_helo = &mem.FrameSpec{Canary: "canary:smtp_helo", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "host (smtp_helo)", Off: 0, Size: 8},
-}
-var server_sendmail_locals_smtp_mail_from = []mem.LocalSpec{
+}}
+var server_sendmail_spec_smtp_mail_from = &mem.FrameSpec{Canary: "canary:smtp_mail_from", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "addr (smtp_mail_from)", Off: 0, Size: 8},
 	{Name: "rc (smtp_mail_from)", Off: 8, Size: 4},
-}
-var server_sendmail_locals_smtp_rcpt_to = []mem.LocalSpec{
+}}
+var server_sendmail_spec_smtp_rcpt_to = &mem.FrameSpec{Canary: "canary:smtp_rcpt_to", Size: 12, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "addr (smtp_rcpt_to)", Off: 0, Size: 8},
 	{Name: "rc (smtp_rcpt_to)", Off: 8, Size: 4},
-}
-var server_sendmail_locals_smtp_data = []mem.LocalSpec{
+}}
+var server_sendmail_spec_smtp_data = &mem.FrameSpec{Canary: "canary:smtp_data", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "body (smtp_data)", Off: 0, Size: 8},
 	{Name: "i (smtp_data)", Off: 8, Size: 4},
 	{Name: "o (smtp_data)", Off: 12, Size: 4},
 	{Name: "bol (smtp_data)", Off: 16, Size: 4},
-}
-var server_sendmail_locals_smtp_send = []mem.LocalSpec{
+}}
+var server_sendmail_spec_smtp_send = &mem.FrameSpec{Canary: "canary:smtp_send", Size: 20, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "body (smtp_send)", Off: 0, Size: 8},
 	{Name: "i (smtp_send)", Off: 8, Size: 4},
 	{Name: "o (smtp_send)", Off: 12, Size: 4},
 	{Name: "bol (smtp_send)", Off: 16, Size: 4},
-}
-var server_sendmail_locals_sendmail_wakeup = []mem.LocalSpec{
+}}
+var server_sendmail_spec_sendmail_wakeup = &mem.FrameSpec{Canary: "canary:sendmail_wakeup", Size: 8, Reusable: true, Locals: []mem.LocalSpec{
 	{Name: "i (sendmail_wakeup)", Off: 0, Size: 4},
 	{Name: "pending (sendmail_wakeup)", Off: 4, Size: 4},
-}
+}}
 
 var server_sendmail_prog *interp.GenProgram
 
@@ -156,7 +156,7 @@ func server_sendmail_f_prescan(m *interp.Machine, args []interp.Value, pos token
 	if len(args) != 3 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "prescan", len(args), 3)
 	}
-	f := m.GenPushFrame("canary:prescan", 48, server_sendmail_locals_prescan)
+	f := m.GenPushFrame(server_sendmail_spec_prescan)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -549,7 +549,7 @@ func server_sendmail_f_parse_address(m *interp.Machine, args []interp.Value, pos
 	if len(args) != 2 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "parse_address", len(args), 2)
 	}
-	f := m.GenPushFrame("canary:parse_address", 116, server_sendmail_locals_parse_address)
+	f := m.GenPushFrame(server_sendmail_spec_parse_address)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -706,7 +706,7 @@ func server_sendmail_f_smtp_helo(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smtp_helo", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smtp_helo", 8, server_sendmail_locals_smtp_helo)
+	f := m.GenPushFrame(server_sendmail_spec_smtp_helo)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -775,7 +775,7 @@ func server_sendmail_f_smtp_mail_from(m *interp.Machine, args []interp.Value, po
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smtp_mail_from", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smtp_mail_from", 12, server_sendmail_locals_smtp_mail_from)
+	f := m.GenPushFrame(server_sendmail_spec_smtp_mail_from)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -927,7 +927,7 @@ func server_sendmail_f_smtp_rcpt_to(m *interp.Machine, args []interp.Value, pos 
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smtp_rcpt_to", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smtp_rcpt_to", 12, server_sendmail_locals_smtp_rcpt_to)
+	f := m.GenPushFrame(server_sendmail_spec_smtp_rcpt_to)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -1132,7 +1132,7 @@ func server_sendmail_f_smtp_data(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smtp_data", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smtp_data", 20, server_sendmail_locals_smtp_data)
+	f := m.GenPushFrame(server_sendmail_spec_smtp_data)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -1506,7 +1506,7 @@ func server_sendmail_f_smtp_send(m *interp.Machine, args []interp.Value, pos tok
 	if len(args) != 1 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "smtp_send", len(args), 1)
 	}
-	f := m.GenPushFrame("canary:smtp_send", 20, server_sendmail_locals_smtp_send)
+	f := m.GenPushFrame(server_sendmail_spec_smtp_send)
 	var v0 interp.Value
 	if args[0].T == server_sendmail_t0 {
 		v0 = args[0]
@@ -1760,7 +1760,7 @@ func server_sendmail_f_sendmail_wakeup(m *interp.Machine, args []interp.Value, p
 	if len(args) != 0 {
 		m.GenFailf(pos, "call of %q with %d args (want %d)", "sendmail_wakeup", len(args), 0)
 	}
-	f := m.GenPushFrame("canary:sendmail_wakeup", 8, server_sendmail_locals_sendmail_wakeup)
+	f := m.GenPushFrame(server_sendmail_spec_sendmail_wakeup)
 	ret := m.GenExec(f, server_sendmail_b_sendmail_wakeup)
 	m.GenPopFrame(f)
 	if ret.T == nil {

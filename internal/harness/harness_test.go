@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -110,8 +109,8 @@ func TestAttackThroughputOrdering(t *testing.T) {
 	// Wall-clock throughput is judged on the median of the repeats, so one
 	// descheduled run under parallel test load cannot flip the order.
 	median := func(xs []float64) float64 {
-		sort.Float64s(xs)
-		return xs[len(xs)/2]
+		_, m, _ := quartiles(xs)
+		return m
 	}
 	foR, bc, std := median(tput[fo.FailureOblivious]), median(tput[fo.BoundsCheck]), median(tput[fo.Standard])
 	if !(foR > bc) || !(foR > std) {
@@ -149,12 +148,16 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(FormatResilience(rrows), "mutt") {
 		t.Error("resilience table missing server")
 	}
-	trows := []ThroughputResult{
-		{Mode: fo.FailureOblivious, Throughput: 57},
-		{Mode: fo.BoundsCheck, Throughput: 10},
+	srows := []ThroughputSummary{
+		{Mode: fo.Standard, Runs: 5, Q1: 9, Median: 10, Q3: 12, Crashes: 150},
+		{Mode: fo.FailureOblivious, Runs: 5, Q1: 50, Median: 57, Q3: 60},
 	}
-	if !strings.Contains(FormatThroughput(trows), "5.7") {
-		t.Errorf("throughput table: %q", FormatThroughput(trows))
+	if out := FormatThroughputSummary(srows); !strings.Contains(out, "5.7") ||
+		!strings.Contains(out, "9.0–12.0") || !strings.Contains(out, "5 runs") {
+		t.Errorf("throughput summary table: %q", out)
+	}
+	if q1, m, q3 := quartiles([]float64{5, 1, 4, 2, 3}); q1 != 2 || m != 3 || q3 != 4 {
+		t.Errorf("quartiles = %v, %v, %v; want 2, 3, 4", q1, m, q3)
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"focc/fo"
@@ -79,25 +80,75 @@ func AttackThroughput(srv servers.Server, mode fo.Mode, poolSize, legitN, attack
 	return res, nil
 }
 
-// FormatThroughput renders §4.3.2-style results with ratios relative to the
-// FailureOblivious row (which the paper reports as roughly 5.7x the Bounds
-// Check version and 4.8x the Standard version).
-func FormatThroughput(rows []ThroughputResult) string {
-	var foThroughput float64
-	for _, r := range rows {
-		if r.Mode == fo.FailureOblivious {
-			foThroughput = r.Throughput
+// ThroughputSummary is one mode's row of the repeated §4.3.2 experiment:
+// the quartiles of its legit req/s over the repeats, and its crashes per
+// run (identical in every run; the median is reported).
+type ThroughputSummary struct {
+	Mode           fo.Mode
+	Runs           int
+	Q1, Median, Q3 float64
+	Crashes        int
+}
+
+// RepeatThroughput runs AttackThroughput repeats times for each of modes,
+// interleaving the modes within each repeat so a slow stretch of a shared
+// host hits them alike, and summarises each mode by its quartiles. A
+// single wall-clock sample of this experiment swings by up to 2× on a
+// shared VM, so one run cannot order the modes reliably.
+func RepeatThroughput(srv servers.Server, modes []fo.Mode, poolSize, legitN, attacksPerLegit, repeats int) ([]ThroughputSummary, error) {
+	tput := make([][]float64, len(modes))
+	crashes := make([][]float64, len(modes))
+	for rep := 0; rep < repeats; rep++ {
+		for i, mode := range modes {
+			r, err := AttackThroughput(srv, mode, poolSize, legitN, attacksPerLegit)
+			if err != nil {
+				return nil, fmt.Errorf("%v: %w", mode, err)
+			}
+			tput[i] = append(tput[i], r.Throughput)
+			crashes[i] = append(crashes[i], float64(r.Crashes))
 		}
 	}
-	out := fmt.Sprintf("%-18s %-12s %-10s %-12s %s\n",
-		"Version", "Legit req/s", "Crashes", "Legit done", "FO speedup")
+	out := make([]ThroughputSummary, len(modes))
+	for i, mode := range modes {
+		q1, med, q3 := quartiles(tput[i])
+		_, c, _ := quartiles(crashes[i])
+		out[i] = ThroughputSummary{Mode: mode, Runs: repeats, Q1: q1, Median: med, Q3: q3, Crashes: int(c)}
+	}
+	return out, nil
+}
+
+// quartiles returns the nearest-rank first quartile, median and third
+// quartile of xs (sorted in place). xs must not be empty.
+func quartiles(xs []float64) (q1, median, q3 float64) {
+	sort.Float64s(xs)
+	n := len(xs)
+	return xs[n/4], xs[n/2], xs[3*n/4]
+}
+
+// FormatThroughputSummary renders the repeated experiment with ratios
+// relative to the FailureOblivious row (which the paper reports as roughly
+// 5.7x the Bounds Check version and 4.8x the Standard version): per mode,
+// the median legit req/s with its quartiles, and the FO speedup as the
+// ratio of medians.
+func FormatThroughputSummary(rows []ThroughputSummary) string {
+	var foMedian float64
+	for _, r := range rows {
+		if r.Mode == fo.FailureOblivious {
+			foMedian = r.Median
+		}
+	}
+	out := fmt.Sprintf("%-18s %-14s %-20s %-8s %s\n",
+		"Version", "Legit req/s", "Quartiles", "Crashes", "FO speedup")
 	for _, r := range rows {
 		ratio := "1.0"
-		if r.Throughput > 0 && foThroughput > 0 && r.Mode != fo.FailureOblivious {
-			ratio = fmt.Sprintf("%.1f", foThroughput/r.Throughput)
+		if r.Median > 0 && foMedian > 0 && r.Mode != fo.FailureOblivious {
+			ratio = fmt.Sprintf("%.1f", foMedian/r.Median)
 		}
-		out += fmt.Sprintf("%-18s %-12.1f %-10d %-12d %s\n",
-			r.Mode, r.Throughput, r.Crashes, r.LegitDone, ratio)
+		out += fmt.Sprintf("%-18s %-14.1f %-20s %-8d %s\n",
+			r.Mode, r.Median, fmt.Sprintf("%.1f–%.1f", r.Q1, r.Q3), r.Crashes, ratio)
+	}
+	if len(rows) > 0 {
+		out += fmt.Sprintf("(median and quartiles of %d runs per version)\n", rows[0].Runs)
 	}
 	return out
 }

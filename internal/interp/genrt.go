@@ -91,8 +91,8 @@ func (m *Machine) GenFailf(pos token.Pos, format string, args ...any) {
 }
 
 // GenPushFrame pushes a stack frame, failing the call on a stack fault.
-func (m *Machine) GenPushFrame(canary string, size uint64, locals []mem.LocalSpec) *mem.Frame {
-	frame, fault := m.as.PushFrame(canary, size, locals)
+func (m *Machine) GenPushFrame(spec *mem.FrameSpec) *mem.Frame {
+	frame, fault := m.as.PushFrame(spec)
 	if fault != nil {
 		m.fail(fault)
 	}

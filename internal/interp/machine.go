@@ -244,7 +244,7 @@ type Machine struct {
 	gotoLabel string
 	frame     *mem.Frame
 
-	specCache map[*ast.FuncDecl]*frameSpec
+	specCache map[*ast.FuncDecl]*mem.FrameSpec
 	hostState map[string]any
 
 	// gprog is the ahead-of-time generated engine (nil: tree-walk), and
@@ -774,8 +774,7 @@ func (m *Machine) callFunction(fd *ast.FuncDecl, args []Value, pos token.Pos) Va
 	if len(args) != len(fd.Params) {
 		m.failf(pos, "call of %q with %d args (want %d)", fd.Name, len(args), len(fd.Params))
 	}
-	spec := m.frameSpec(fd)
-	frame, fault := m.as.PushFrame(spec.canary, fd.FrameSize, spec.locals)
+	frame, fault := m.as.PushFrame(m.frameSpec(fd))
 	if fault != nil {
 		m.fail(fault)
 	}
@@ -810,42 +809,39 @@ func (m *Machine) callFunction(fd *ast.FuncDecl, args []Value, pos token.Pos) Va
 	return m.convert(ret, retT, pos)
 }
 
-// frameSpec holds the per-function frame layout with the diagnostic unit
-// names preformatted, so pushing a frame does no string building.
-type frameSpec struct {
-	canary string
-	locals []mem.LocalSpec
-}
-
-// newFrameSpec derives the per-local data-unit layout of a function's frame
-// from its analyzed symbols. The result is immutable; the tree-walk engine
-// keeps a per-machine lazy cache via Machine.frameSpec, and the generated
-// engine emits the same layout as static tables.
-func newFrameSpec(fd *ast.FuncDecl) *frameSpec {
-	spec := &frameSpec{
-		canary: "canary:" + fd.Name,
-		locals: make([]mem.LocalSpec, 0, len(fd.Locals)),
+// NewFrameSpec derives the frame layout of an analyzed function: one data
+// unit per local, with the diagnostic unit names preformatted so pushing
+// a frame does no string building, and sema's no-escape proof as the
+// recycling flag. The result is immutable; the tree-walk engine keeps a
+// per-machine lazy cache via Machine.frameSpec, and the generated engine
+// emits the same value as a static table.
+func NewFrameSpec(fd *ast.FuncDecl) *mem.FrameSpec {
+	spec := &mem.FrameSpec{
+		Canary:   "canary:" + fd.Name,
+		Size:     fd.FrameSize,
+		Locals:   make([]mem.LocalSpec, 0, len(fd.Locals)),
+		Reusable: fd.FrameNoEscape,
 	}
 	for _, sym := range fd.Locals {
 		size := sym.Type.Size()
 		if size == 0 {
 			size = 1
 		}
-		spec.locals = append(spec.locals, mem.LocalSpec{
+		spec.Locals = append(spec.Locals, mem.LocalSpec{
 			Name: sym.Name + " (" + fd.Name + ")", Off: sym.FrameOff, Size: size,
 		})
 	}
 	return spec
 }
 
-// frameSpec caches newFrameSpec per machine (tree-walk engine only).
-func (m *Machine) frameSpec(fd *ast.FuncDecl) *frameSpec {
+// frameSpec caches NewFrameSpec per machine (tree-walk engine only).
+func (m *Machine) frameSpec(fd *ast.FuncDecl) *mem.FrameSpec {
 	if spec, ok := m.specCache[fd]; ok {
 		return spec
 	}
-	spec := newFrameSpec(fd)
+	spec := NewFrameSpec(fd)
 	if m.specCache == nil {
-		m.specCache = map[*ast.FuncDecl]*frameSpec{}
+		m.specCache = map[*ast.FuncDecl]*mem.FrameSpec{}
 	}
 	m.specCache[fd] = spec
 	return spec

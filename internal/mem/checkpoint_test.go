@@ -118,7 +118,7 @@ func TestCheckpointRewindUnwindsStack(t *testing.T) {
 	sp := as.SP()
 	gen := as.stackGen
 	c := as.BeginCheckpoint()
-	f, fault := as.PushFrame("fn", 32, []LocalSpec{{Name: "x", Off: 0, Size: 32}})
+	f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: 32, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 32}}})
 	if fault != nil {
 		t.Fatal(fault)
 	}

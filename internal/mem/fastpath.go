@@ -180,6 +180,6 @@ func (as *AddressSpace) Release() {
 	as.slab = nil
 	// Drop the unit tables so freed units do not pin recycled slabs'
 	// backing arrays through their Data slices.
-	as.literals, as.globals, as.heap, as.stack = nil, nil, nil, nil
+	as.literals, as.globals, as.heap, as.stack, as.spare = nil, nil, nil, nil, nil
 	as.internTable = nil
 }

@@ -113,7 +113,7 @@ func TestFindUnitCacheConsistency(t *testing.T) {
 					Size: uint64(1 + rng.Intn(16))}
 			}
 			saveSP := as.SP()
-			f, fault := as.PushFrame("fn", uint64(16*nloc+8), locals)
+			f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: uint64(16*nloc + 8), Locals: locals})
 			if fault != nil {
 				t.Fatalf("step %d: push: %v", step, fault)
 			}
@@ -156,7 +156,7 @@ func TestReleasedArgumentNeverAnswers(t *testing.T) {
 	as := New()
 	g := as.AllocGlobal("g", 8)
 	var site, gsite, ssite LookupCache
-	f, fault := as.PushFrame("fn", 16, []LocalSpec{{Name: "x", Size: 8}})
+	f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: 16, Locals: []LocalSpec{{Name: "x", Size: 8}}})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -262,7 +262,7 @@ func TestFindUnitCachedAgainstUncached(t *testing.T) {
 		addrs = append(addrs, u.Base, u.Base-1, u.End())
 	}
 	for i := 0; i < 16; i++ {
-		f, fault := as.PushFrame("fn", 64, []LocalSpec{{Name: "x", Off: 0, Size: 48}})
+		f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: 64, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 48}}})
 		if fault != nil {
 			t.Fatal(fault)
 		}

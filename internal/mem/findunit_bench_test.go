@@ -34,7 +34,7 @@ func BenchmarkFindUnit(b *testing.B) {
 			for l := range locals {
 				locals[l] = LocalSpec{Name: fmt.Sprintf("v%d", l), Off: uint64(l) * 16, Size: 16}
 			}
-			f, fault := as.PushFrame("fn", 64, locals)
+			f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: 64, Locals: locals})
 			if fault != nil {
 				b.Fatal(fault)
 			}

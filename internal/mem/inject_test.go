@@ -51,7 +51,7 @@ func TestVisitUnitsCoversAllRegions(t *testing.T) {
 	if f != nil {
 		t.Fatalf("malloc: %v", f)
 	}
-	fr, ff := as.PushFrame("f", 8, []LocalSpec{{Name: "x", Off: 0, Size: 8}})
+	fr, ff := as.PushFrame(&FrameSpec{Canary: "f", Size: 8, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 8}}})
 	if ff != nil {
 		t.Fatalf("push frame: %v", ff)
 	}

@@ -103,6 +103,11 @@ type Unit struct {
 	// already in the undo log or was created after the checkpoint, so
 	// NoteMutation skips it in O(1).
 	ckptEpoch uint64
+
+	// pinned marks a stack unit that an address lookup returned (see
+	// findStack): a pointer may now name it, so its frame is never
+	// recycled.
+	pinned bool
 }
 
 // End returns one past the last byte of the unit.
@@ -235,6 +240,10 @@ type AddressSpace struct {
 	// checkpoint.go.
 	ckpt      *Checkpoint
 	ckptEpoch uint64
+
+	// spare holds popped recyclable frames, indexed by unit count (guard
+	// plus locals); see PushFrame.
+	spare [][]*Frame
 }
 
 // New creates an address space with the default stack size.
@@ -466,6 +475,24 @@ type LocalSpec struct {
 	Size uint64
 }
 
+// FrameSpec is a function's static frame layout, shared by every push of
+// its frames and by both execution engines: the tree-walk engine derives
+// it per function (interp.NewFrameSpec) and the generated engine emits
+// the same value as a static table.
+type FrameSpec struct {
+	// Canary names the guard unit verbatim; Locals' names are used
+	// verbatim too, so a spec is built once, not per push.
+	Canary string
+	Size   uint64 // frame bytes, rounded up to 8 at push
+	Locals []LocalSpec
+	// Reusable marks a frame no pointer can be made from by the
+	// function's own code (ast.FuncDecl.FrameNoEscape). PopFrame
+	// recycles such a frame for the next push of the same unit count
+	// unless an address lookup pinned one of its units or a checkpoint
+	// is open.
+	Reusable bool
+}
+
 // Frame is one pushed stack frame. Every local variable is its own data
 // unit (the Jones–Kelly granularity), aliasing the shared stack arena, so
 // an overflow of one stack buffer into a neighbouring local is an
@@ -475,9 +502,10 @@ type Frame struct {
 	Size uint64
 	// units holds the guard at index 0 and the local of spec index i at
 	// index 1+i; spec is the caller's static layout, never copied.
-	units  []Unit
-	spec   []LocalSpec
-	prevSP uint64
+	units    []Unit
+	spec     []LocalSpec
+	prevSP   uint64
+	reusable bool
 }
 
 // Local returns the data unit of the local declared at frame offset off.
@@ -496,15 +524,23 @@ func (f *Frame) Local(off uint64) *Unit {
 // time uses it for O(1) access instead of Local's offset scan.
 func (f *Frame) LocalAt(i int) *Unit { return &f.units[1+i] }
 
-// PushFrame allocates a stack frame of the given size with a canary guard
-// between it and the caller's frame, and one data unit per local. fnName
-// labels the guard unit verbatim, and LocalSpec names are used verbatim,
-// so callers pushing the same frame layout repeatedly should pass
-// preformatted names (the interpreter caches them per function). The
-// frame keeps locals itself, so the caller must not modify it while the
-// frame is live.
-func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec) (*Frame, *Fault) {
-	size = roundUp(size, 8)
+// PushFrame pushes a frame of spec's layout with a canary guard between
+// it and the caller's frame, and one data unit per local. The frame keeps
+// spec.Locals itself, so the caller must not modify it while the frame is
+// live.
+//
+// A fresh frame costs two allocations: its units and the Frame. A
+// reusable spec instead takes a popped frame of the same unit count off
+// the spare list when no checkpoint is open, and reinitialises its units
+// exactly as fresh ones: new IDs, live, empty shadow, the current epoch.
+// That is unobservable because nothing can name a recycled unit: a
+// pointer's provenance comes only from & or array decay (which a reusable
+// spec rules out), from an address lookup (which pins the unit, and
+// PopFrame never recycles a frame with a pinned unit), or from copying an
+// existing pointer. A dangling pointer into a popped frame therefore still
+// sees its dead unit.
+func (as *AddressSpace) PushFrame(spec *FrameSpec) (*Frame, *Fault) {
+	size := roundUp(spec.Size, 8)
 	if size == 0 {
 		size = 8
 	}
@@ -519,21 +555,31 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 	if as.sp < as.lowWater {
 		as.lowWater = as.sp
 	}
-	// All of the frame's units (guard plus locals) come from one batch
-	// allocation; frames are pushed on every function call, so the
-	// per-unit allocations dominated the call path. The units are fresh on
-	// every call and never pooled: a dangling pointer into a popped frame
-	// keeps seeing its dead unit.
-	units := make([]Unit, 1+len(locals))
+	locals := spec.Locals
+	n := 1 + len(locals)
+	var f *Frame
+	if spec.Reusable && as.ckpt == nil && n < len(as.spare) && len(as.spare[n]) > 0 {
+		s := as.spare[n]
+		f = s[len(s)-1]
+		s[len(s)-1] = nil
+		as.spare[n] = s[:len(s)-1]
+	} else {
+		// All of the frame's units (guard plus locals) come from one
+		// batch allocation; frames are pushed on every function call,
+		// so per-unit allocations would dominate the call path.
+		f = &Frame{units: make([]Unit, n)}
+	}
+	*f = Frame{Base: frameBase, Size: size, units: f.units, spec: locals, prevSP: prevSP,
+		reusable: spec.Reusable}
+	units := f.units
 	epoch := as.curEpoch()
 	gOff := guardBase - as.stackBase
 	guard := &units[0]
 	as.nextID++
-	*guard = Unit{ID: as.nextID, Kind: KindStackGuard, Name: fnName,
+	*guard = Unit{ID: as.nextID, Kind: KindStackGuard, Name: spec.Canary,
 		Base: guardBase, Size: canarySize, ckptEpoch: epoch,
 		Data: as.stackArena[gOff : gOff+canarySize : gOff+canarySize]}
 	binary.LittleEndian.PutUint64(guard.Data, canaryMagic)
-	f := &Frame{Base: frameBase, Size: size, units: units, spec: locals, prevSP: prevSP}
 	// Register units in descending base order so as.stack stays strictly
 	// descending (guard is highest, then locals top-down).
 	as.stack = append(as.stack, guard)
@@ -558,7 +604,9 @@ func (as *AddressSpace) PushFrame(fnName string, size uint64, locals []LocalSpec
 
 // PopFrame releases the most recent frame. It returns a FaultStackSmash if
 // the canary was clobbered (only meaningful for the unsafe Standard mode —
-// checked modes never let a write reach the canary).
+// checked modes never let a write reach the canary). A frame of a
+// reusable spec goes on the spare list (see PushFrame) unless one of its
+// units is pinned or a checkpoint is open.
 func (as *AddressSpace) PopFrame(f *Frame) *Fault {
 	n := len(f.units)
 	guard := &f.units[0]
@@ -567,16 +615,24 @@ func (as *AddressSpace) PopFrame(f *Frame) *Fault {
 		return &Fault{Kind: FaultSegv, Addr: f.Base, Msg: "mis-nested frame pop"}
 	}
 	smashed := binary.LittleEndian.Uint64(guard.Data) != canaryMagic
+	pinned := guard.pinned
 	for i := 1; i < n; i++ {
 		u := &f.units[i]
 		u.Dead = true
 		u.resetShadow()
+		pinned = pinned || u.pinned
 	}
 	guard.Dead = true
 	as.stack = as.stack[:len(as.stack)-n]
 	as.sp = f.prevSP
 	as.stackGen++ // stack units removed: invalidate stack cache entries
 	as.stats.FramesPop++
+	if f.reusable && !pinned && as.ckpt == nil {
+		for len(as.spare) <= n {
+			as.spare = append(as.spare, nil)
+		}
+		as.spare[n] = append(as.spare[n], f)
+	}
 	if smashed {
 		return &Fault{Kind: FaultStackSmash, Addr: guard.Base,
 			Msg: "canary of " + guard.Name}
@@ -662,6 +718,9 @@ func (as *AddressSpace) findStack(addr uint64) *Unit {
 		}
 	}
 	if lo < len(s) && s[lo].Contains(addr) {
+		// The caller may make a pointer from this unit: its frame must
+		// never be recycled (see PushFrame).
+		s[lo].pinned = true
 		return s[lo]
 	}
 	return nil

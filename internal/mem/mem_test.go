@@ -14,7 +14,7 @@ func TestRegionsDisjoint(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	f, fault := as.PushFrame("fn", 24, []LocalSpec{{Name: "x", Off: 0, Size: 24}})
+	f, fault := as.PushFrame(&FrameSpec{Canary: "fn", Size: 24, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 24}}})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -145,7 +145,7 @@ func TestWriteToLiteralFaults(t *testing.T) {
 
 func TestFrameCanary(t *testing.T) {
 	as := New()
-	f, fault := as.PushFrame("victim", 16, []LocalSpec{{Name: "buf", Off: 0, Size: 16}})
+	f, fault := as.PushFrame(&FrameSpec{Canary: "victim", Size: 16, Locals: []LocalSpec{{Name: "buf", Off: 0, Size: 16}}})
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -166,7 +166,7 @@ func TestFrameCanary(t *testing.T) {
 
 func TestFrameCleanPop(t *testing.T) {
 	as := New()
-	f, _ := as.PushFrame("fn", 16, []LocalSpec{{Name: "x", Off: 0, Size: 8}})
+	f, _ := as.PushFrame(&FrameSpec{Canary: "fn", Size: 16, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 8}}})
 	if fault := as.PopFrame(f); fault != nil {
 		t.Errorf("clean pop = %v", fault)
 	}
@@ -176,10 +176,10 @@ func TestStaleStackData(t *testing.T) {
 	// A popped frame's bytes persist; a new frame at the same address sees
 	// them (the Midnight Commander precondition).
 	as := New()
-	f1, _ := as.PushFrame("a", 16, []LocalSpec{{Name: "buf", Off: 0, Size: 16}})
+	f1, _ := as.PushFrame(&FrameSpec{Canary: "a", Size: 16, Locals: []LocalSpec{{Name: "buf", Off: 0, Size: 16}}})
 	copy(f1.Local(0).Data, "GARBAGE!")
 	as.PopFrame(f1)
-	f2, _ := as.PushFrame("b", 16, []LocalSpec{{Name: "buf", Off: 0, Size: 16}})
+	f2, _ := as.PushFrame(&FrameSpec{Canary: "b", Size: 16, Locals: []LocalSpec{{Name: "buf", Off: 0, Size: 16}}})
 	if !bytes.HasPrefix(f2.Local(0).Data, []byte("GARBAGE!")) {
 		t.Errorf("fresh frame data = %q, want stale bytes", f2.Local(0).Data[:8])
 	}
@@ -187,11 +187,11 @@ func TestStaleStackData(t *testing.T) {
 
 func TestPerLocalUnits(t *testing.T) {
 	as := New()
-	f, _ := as.PushFrame("fn", 32, []LocalSpec{
+	f, _ := as.PushFrame(&FrameSpec{Canary: "fn", Size: 32, Locals: []LocalSpec{
 		{Name: "a", Off: 0, Size: 8},
 		{Name: "b", Off: 8, Size: 16},
 		{Name: "c", Off: 24, Size: 4},
-	})
+	}})
 	a, b, c := f.Local(0), f.Local(8), f.Local(24)
 	if a == nil || b == nil || c == nil {
 		t.Fatal("missing local units")
@@ -223,7 +223,7 @@ func TestFrameCallAllocs(t *testing.T) {
 	spec := []LocalSpec{{Name: "p", Off: 0, Size: 8}, {Name: "buf", Off: 8, Size: 16}}
 	target := as.AllocGlobal("g", 8)
 	allocs := testing.AllocsPerRun(100, func() {
-		f, _ := as.PushFrame("fn", 24, spec)
+		f, _ := as.PushFrame(&FrameSpec{Canary: "fn", Size: 24, Locals: spec})
 		f.LocalAt(0).SetShadow(0, target)
 		f.LocalAt(1).SetShadow(8, target)
 		as.PopFrame(f)
@@ -233,11 +233,151 @@ func TestFrameCallAllocs(t *testing.T) {
 	}
 }
 
+// reusableSpec is a two-local layout whose frames PopFrame may recycle.
+func reusableSpec() *FrameSpec {
+	return &FrameSpec{Canary: "canary:fn", Size: 16, Reusable: true,
+		Locals: []LocalSpec{{Name: "p", Off: 0, Size: 8}, {Name: "n", Off: 8, Size: 4}}}
+}
+
+// A recyclable call allocates nothing once the spare list holds a frame of
+// its shape, pointer stores included.
+func TestFrameReuseAllocs(t *testing.T) {
+	as := New()
+	spec := reusableSpec()
+	target := as.AllocGlobal("g", 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		f, _ := as.PushFrame(spec)
+		f.LocalAt(0).SetShadow(0, target)
+		as.PopFrame(f)
+	})
+	if allocs != 0 {
+		t.Errorf("recycled push+store+pop allocates %v times, want 0", allocs)
+	}
+}
+
+// reused reports whether the next push of spec recycles prev's units.
+func reused(as *AddressSpace, prev *Frame, spec *FrameSpec) bool {
+	f, fault := as.PushFrame(spec)
+	if fault != nil {
+		panic(fault)
+	}
+	defer as.PopFrame(f)
+	return f.LocalAt(0) == prev.LocalAt(0)
+}
+
+// Each of the three conditions blocks recycling on its own.
+func TestFrameReuseConditions(t *testing.T) {
+	t.Run("Reusable", func(t *testing.T) {
+		as := New()
+		f, _ := as.PushFrame(reusableSpec())
+		as.PopFrame(f)
+		if !reused(as, f, reusableSpec()) {
+			t.Error("a reusable frame was not recycled")
+		}
+	})
+	t.Run("NotReusableSpec", func(t *testing.T) {
+		as := New()
+		spec := reusableSpec()
+		spec.Reusable = false
+		f, _ := as.PushFrame(spec)
+		as.PopFrame(f)
+		if reused(as, f, reusableSpec()) {
+			t.Error("a frame of a non-reusable spec was recycled")
+		}
+	})
+	t.Run("Pinned", func(t *testing.T) {
+		for _, i := range []int{-1, 0, 1} { // guard, then each local
+			as := New()
+			f, _ := as.PushFrame(reusableSpec())
+			u := &f.units[1+i]
+			if as.FindUnit(u.Base) != u {
+				t.Fatalf("FindUnit did not return unit %d", i)
+			}
+			as.PopFrame(f)
+			if reused(as, f, reusableSpec()) {
+				t.Errorf("frame recycled although unit %d was looked up", i)
+			}
+		}
+	})
+	t.Run("PoppedUnderCheckpoint", func(t *testing.T) {
+		as := New()
+		c := as.BeginCheckpoint()
+		f, _ := as.PushFrame(reusableSpec())
+		as.PopFrame(f)
+		as.Commit(c)
+		if reused(as, f, reusableSpec()) {
+			t.Error("a frame popped under a checkpoint was recycled")
+		}
+	})
+	t.Run("PushedUnderCheckpoint", func(t *testing.T) {
+		as := New()
+		f, _ := as.PushFrame(reusableSpec())
+		as.PopFrame(f)
+		c := as.BeginCheckpoint()
+		if reused(as, f, reusableSpec()) {
+			t.Error("a spare frame was recycled under a checkpoint")
+		}
+		as.Commit(c)
+	})
+	t.Run("OtherShape", func(t *testing.T) {
+		as := New()
+		f, _ := as.PushFrame(reusableSpec())
+		as.PopFrame(f)
+		spec := reusableSpec()
+		spec.Locals = spec.Locals[:1]
+		if reused(as, f, spec) {
+			t.Error("a frame was recycled for a different unit count")
+		}
+	})
+}
+
+// A recycled unit comes back exactly as a fresh one: a new ID, live, no
+// provenance, not pinned, and the current checkpoint epoch, laid out by
+// the new spec.
+func TestFrameReuseFresh(t *testing.T) {
+	as := New()
+	g := as.AllocGlobal("g", 8)
+	f, _ := as.PushFrame(reusableSpec())
+	l := f.LocalAt(0)
+	l.SetShadow(0, g)
+	l.SetShadow(4, g) // a second offset allocates the shadow map
+	c := as.BeginCheckpoint()
+	as.NoteMutation(l) // stamps l with the checkpoint's epoch
+	as.Commit(c)
+	oldID := l.ID
+	as.PopFrame(f)
+	spec := reusableSpec()
+	spec.Canary, spec.Locals[0].Name = "canary:other", "q"
+	f2, _ := as.PushFrame(spec)
+	if f2.LocalAt(0) != l {
+		t.Fatal("frame not recycled")
+	}
+	if l.ID <= oldID || l.Dead || l.pinned || l.ckptEpoch != as.curEpoch() || l.Name != "q" {
+		t.Errorf("recycled unit = %+v, want a fresh ID above %d, live, unpinned, epoch %d, name q",
+			*l, oldID, as.curEpoch())
+	}
+	for off := uint64(0); off < l.Size; off++ {
+		if l.GetShadow(off) != nil {
+			t.Errorf("recycled unit holds provenance at %d", off)
+		}
+	}
+	if guard := f2.units[0]; guard.Name != "canary:other" || guard.Dead {
+		t.Errorf("recycled guard = %+v", guard)
+	}
+	// IDs follow the fresh-frame order: guard, then locals top-down.
+	if f2.units[0].ID+1 != f2.LocalAt(1).ID || f2.LocalAt(1).ID+1 != l.ID {
+		t.Errorf("IDs guard %d, n %d, p %d: not in push order", f2.units[0].ID, f2.LocalAt(1).ID, l.ID)
+	}
+	if as.FindUnit(l.Base) != l {
+		t.Error("recycled local is not in the object table")
+	}
+}
+
 func TestStackOverflow(t *testing.T) {
 	as := NewWithStack(4096)
 	var frames []*Frame
 	for {
-		f, fault := as.PushFrame("deep", 512, []LocalSpec{{Name: "x", Off: 0, Size: 512}})
+		f, fault := as.PushFrame(&FrameSpec{Canary: "deep", Size: 512, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 512}}})
 		if fault != nil {
 			if fault.Kind != FaultStackOverflow {
 				t.Fatalf("fault = %v, want stack overflow", fault)
@@ -285,7 +425,7 @@ func TestStats(t *testing.T) {
 	as := New()
 	u, _ := as.Malloc(8)
 	as.Free(u.Base)
-	f, _ := as.PushFrame("fn", 8, []LocalSpec{{Name: "x", Off: 0, Size: 8}})
+	f, _ := as.PushFrame(&FrameSpec{Canary: "fn", Size: 8, Locals: []LocalSpec{{Name: "x", Off: 0, Size: 8}}})
 	as.PopFrame(f)
 	st := as.Stats()
 	if st.Mallocs != 1 || st.Frees != 1 || st.FramesPush != 1 || st.FramesPop != 1 {

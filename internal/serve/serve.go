@@ -18,7 +18,7 @@
 // whose instance crashes replaces it with a fresh one — at real
 // instance-creation cost, which is exactly what throttles the Standard and
 // BoundsCheck versions under attack — with capped exponential backoff
-// between consecutive crashes, and a circuit breaker that parks a
+// between consecutive cold restarts, and a circuit breaker that parks a
 // crash-looping worker for a cooldown instead of hot-restarting forever.
 //
 // Instance creation — initial pool fill, warm spares, and every restart —
@@ -566,16 +566,16 @@ func (e *Engine) Close() {
 // goroutine may first run after a swap has already bumped the generation.
 func (e *Engine) worker(inst servers.Instance, instGen uint64) {
 	defer e.wg.Done()
-	consecutive := 0 // crashes since the last successful response
+	var run crashRun
 	for {
 		t, ok := e.q.pop()
 		if !ok {
 			return
 		}
 		if t.batch != nil {
-			inst = e.serveBatch(inst, &instGen, &consecutive, t)
+			inst = e.serveBatch(inst, &instGen, &run, t)
 		} else {
-			inst = e.serveTask(inst, &instGen, &consecutive, t, nil)
+			inst = e.serveTask(inst, &instGen, &run, t, nil)
 		}
 		if inst == nil {
 			return // engine closed mid-task
@@ -590,7 +590,7 @@ func (e *Engine) worker(inst servers.Instance, instGen uint64) {
 // remaining sub-requests continue on the replacement (serveTask re-arms the
 // epoch per sub-request, since a rewind or a replacement consumes it).
 // Returns the (possibly replaced) instance, or nil when the engine closed.
-func (e *Engine) serveBatch(inst servers.Instance, instGen *uint64, consecutive *int, bt *task) servers.Instance {
+func (e *Engine) serveBatch(inst servers.Instance, instGen *uint64, run *crashRun, bt *task) servers.Instance {
 	// Hot-swap recycle point, hoisted to batch granularity: between
 	// requests, and before execution, so the whole batch is served by the
 	// new program.
@@ -622,7 +622,7 @@ func (e *Engine) serveBatch(inst servers.Instance, instGen *uint64, consecutive 
 	clock := time.Now()
 	for _, sub := range bt.batch {
 		prev := inst
-		if inst = e.serveTask(inst, instGen, consecutive, sub, &clock); inst == nil {
+		if inst = e.serveTask(inst, instGen, run, sub, &clock); inst == nil {
 			// Engine closed mid-batch; the unserved submitters unblock
 			// through the closing context. The watcher exits with it.
 			unbind()
@@ -653,7 +653,7 @@ func (e *Engine) serveBatch(inst servers.Instance, instGen *uint64, consecutive 
 // measured against *clock — the previous sub-request's end boundary —
 // which serveTask advances. Returns the (possibly replaced) instance, or
 // nil when the engine closed.
-func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *int, t *task, clock *time.Time) servers.Instance {
+func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, run *crashRun, t *task, clock *time.Time) servers.Instance {
 	if err := t.ctx.Err(); err != nil {
 		// Expired while queued: answer without burning the
 		// instance on a request nobody is waiting for.
@@ -736,20 +736,20 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 	}
 	if crashed || !inst.Alive() {
 		if crashed {
-			// Organic crash: grow the backoff. A chaos kill takes the
-			// same retire/respawn path but is accounted separately
-			// and respawns immediately.
-			*consecutive++
+			// Organic crash: count it toward the breaker. A chaos
+			// kill takes the same retire/respawn path but is
+			// accounted separately and respawns immediately.
+			run.crashes++
 		}
 		e.retireLog(inst.Log())
 		releaseInstance(inst)
 		*instGen = e.gen.Load()
-		inst = e.respawn(consecutive)
+		inst = e.respawn(run)
 		if inst == nil {
 			return nil // engine closed while backing off
 		}
 	} else if resp.Outcome == fo.OutcomeOK {
-		*consecutive = 0
+		*run = crashRun{}
 	}
 	return inst
 }
@@ -808,15 +808,25 @@ func (e *Engine) execute(inst servers.Instance, t *task) servers.Response {
 	return inst.HandleContext(ctx, t.req)
 }
 
+// crashRun is one worker's restart history since its last successful
+// response: crashes counts its organic crashes (the breaker's trip count),
+// cold its consecutive cold restarts (the backoff's exponent). A warm
+// spare ends a run of cold restarts, since it took no in-line spawn.
+type crashRun struct {
+	crashes int
+	cold    int
+}
+
 // respawn replaces a crashed instance, applying capped exponential backoff
-// between consecutive crashes and tripping the circuit breaker on a restart
-// storm. It returns nil when the engine closes while waiting.
-func (e *Engine) respawn(consecutive *int) servers.Instance {
+// between consecutive cold restarts and tripping the circuit breaker on a
+// restart storm. It returns nil when the engine closes while waiting.
+func (e *Engine) respawn(run *crashRun) servers.Instance {
 	// A pre-warmed spare replaces the crashed child with no in-line
 	// creation cost and no backoff: the spawn already happened off the
 	// serving path. When crashes outpace the filler the channel is empty
 	// and replacement falls through to the cold path below.
 	if inst, ok := e.takeSpare(); ok {
+		run.cold = 0
 		e.restarts.Add(1)
 		e.adoptLog(inst.Log())
 		return inst
@@ -833,7 +843,7 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 	}()
 	for {
 		switch {
-		case e.o.breakerAfter > 0 && *consecutive >= e.o.breakerAfter:
+		case e.o.breakerAfter > 0 && run.crashes >= e.o.breakerAfter:
 			// Restart storm: stop hot-restarting, park for the cooldown,
 			// then half-open — try one fresh instance. The gauge is raised
 			// before the trip counter so an observer that sees the counter
@@ -847,15 +857,16 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 			if !e.sleep(e.o.breakerCool) {
 				return nil
 			}
-			*consecutive = 1
-		case *consecutive > 1:
-			if !e.sleep(e.backoff(*consecutive)) {
+			*run = crashRun{crashes: 1}
+		case run.cold > 0:
+			if !e.sleep(e.backoff(run.cold + 1)) {
 				return nil
 			}
 		}
 		inst, err := e.srv.New(e.mode)
+		run.cold++
 		if err != nil {
-			*consecutive++
+			run.crashes++
 			continue
 		}
 		e.restarts.Add(1)
@@ -864,7 +875,7 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 	}
 }
 
-// backoff returns the delay before the k-th consecutive restart:
+// backoff returns the delay before the k-th consecutive cold restart:
 // min(base<<(k-2), max) — the first restart after an isolated crash is
 // immediate (the paper's pool regenerates children eagerly), the second
 // waits base, doubling up to the cap.
