@@ -576,9 +576,8 @@ func (as *AddressSpace) PushFrame(spec *FrameSpec) (*Frame, *Fault) {
 	gOff := guardBase - as.stackBase
 	guard := &units[0]
 	as.nextID++
-	*guard = Unit{ID: as.nextID, Kind: KindStackGuard, Name: spec.Canary,
-		Base: guardBase, Size: canarySize, ckptEpoch: epoch,
-		Data: as.stackArena[gOff : gOff+canarySize : gOff+canarySize]}
+	guard.initStack(as.nextID, KindStackGuard, spec.Canary, guardBase,
+		as.stackArena[gOff:gOff+canarySize:gOff+canarySize], epoch)
 	binary.LittleEndian.PutUint64(guard.Data, canaryMagic)
 	// Register units in descending base order so as.stack stays strictly
 	// descending (guard is highest, then locals top-down).
@@ -593,13 +592,23 @@ func (as *AddressSpace) PushFrame(spec *FrameSpec) (*Frame, *Fault) {
 		aOff := base - as.stackBase
 		u := &units[1+i]
 		as.nextID++
-		*u = Unit{ID: as.nextID, Kind: KindStack, Name: sp.Name,
-			Base: base, Size: sz, ckptEpoch: epoch,
-			Data: as.stackArena[aOff : aOff+sz : aOff+sz]}
+		u.initStack(as.nextID, KindStack, sp.Name, base, as.stackArena[aOff:aOff+sz:aOff+sz], epoch)
 		as.stack = append(as.stack, u)
 	}
 	as.stats.FramesPush++
 	return f, nil
+}
+
+// initStack sets every field of a stack unit, fresh or recycled, to what
+// a fresh unit holds. It stores field by field: assigning a composite
+// literal built a temporary and bulk-copied it under a write barrier,
+// which was most of PushFrame's time.
+func (u *Unit) initStack(id UnitID, kind UnitKind, name string, base uint64, data []byte, epoch uint64) {
+	u.ID, u.Kind, u.Name = id, kind, name
+	u.Base, u.Size, u.Data = base, uint64(len(data)), data
+	u.Dead, u.ReadOnly, u.pinned = false, false, false
+	u.shOff, u.shProv, u.shadow = 0, nil, nil
+	u.ckptEpoch = epoch
 }
 
 // PopFrame releases the most recent frame. It returns a FaultStackSmash if

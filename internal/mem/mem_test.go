@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -367,6 +368,19 @@ func TestFrameReuseFresh(t *testing.T) {
 	// IDs follow the fresh-frame order: guard, then locals top-down.
 	if f2.units[0].ID+1 != f2.LocalAt(1).ID || f2.LocalAt(1).ID+1 != l.ID {
 		t.Errorf("IDs guard %d, n %d, p %d: not in push order", f2.units[0].ID, f2.LocalAt(1).ID, l.ID)
+	}
+	// Field for field, the recycled units equal a fresh push of the same
+	// spec in a fresh address space, up to IDs and the arena backing.
+	fresh, _ := New().PushFrame(spec)
+	for i := range f2.units {
+		got, want := f2.units[i], fresh.units[i]
+		if len(got.Data) != len(want.Data) || cap(got.Data) != cap(want.Data) {
+			t.Errorf("unit %d: Data len/cap %d/%d, want %d/%d", i, len(got.Data), cap(got.Data), len(want.Data), cap(want.Data))
+		}
+		got.ID, want.ID, got.Data, want.Data = 0, 0, nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("unit %d recycled as %+v, fresh is %+v", i, got, want)
+		}
 	}
 	if as.FindUnit(l.Base) != l {
 		t.Error("recycled local is not in the object table")
