@@ -526,11 +526,11 @@ func runClock(experiment string, reps, soakN int, clock harness.Clock, loadCfg h
 	if all || experiment == "throughput" {
 		ran = true
 		fmt.Println("Apache throughput under attack (paper §4.3.2; FO reported ~5.7x Bounds, ~4.8x Standard)")
-		rows, err := harness.RepeatThroughput(mustServer("apache"), harness.Modes, 4, 50, 3, throughputRepeats)
+		runs, err := harness.RepeatThroughput(mustServer("apache"), harness.Modes, 4, 50, 3, throughputRepeats)
 		if err != nil {
 			return fmt.Errorf("throughput: %w", err)
 		}
-		fmt.Println(harness.FormatThroughputSummary(rows))
+		fmt.Println(harness.FormatThroughputSummary(runs))
 	}
 
 	if all || experiment == "loadtest" {

@@ -79,29 +79,28 @@ func TestAttackThroughputOrdering(t *testing.T) {
 		t.Skip("throughput experiment")
 	}
 	const legitN, attacksPerLegit, repeats = 20, 3, 3
-	srv := apache.NewServer()
+	runs, err := RepeatThroughput(apache.NewServer(), Modes, 4, legitN, attacksPerLegit, repeats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tput := map[fo.Mode][]float64{}
-	for rep := 0; rep < repeats; rep++ {
-		for _, mode := range Modes {
-			r, err := AttackThroughput(srv, mode, 4, legitN, attacksPerLegit)
-			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
-			}
+	for _, rs := range runs {
+		for _, r := range rs {
 			// The counts are deterministic: every attack kills its child
 			// under Standard and BoundsCheck and none does under Failure
 			// Oblivious, and a legit fetch always reaches a live child.
 			wantCrashes := legitN * attacksPerLegit
-			if mode == fo.FailureOblivious {
+			if r.Mode == fo.FailureOblivious {
 				wantCrashes = 0
 			}
 			if r.Crashes != wantCrashes {
-				t.Errorf("%v: %d crashes, want %d", mode, r.Crashes, wantCrashes)
+				t.Errorf("%v: %d crashes, want %d", r.Mode, r.Crashes, wantCrashes)
 			}
 			if r.LegitDone != legitN || r.Attacks != legitN*attacksPerLegit {
 				t.Errorf("%v: %d legit done, %d attacks; want %d, %d",
-					mode, r.LegitDone, r.Attacks, legitN, legitN*attacksPerLegit)
+					r.Mode, r.LegitDone, r.Attacks, legitN, legitN*attacksPerLegit)
 			}
-			tput[mode] = append(tput[mode], r.Throughput)
+			tput[r.Mode] = append(tput[r.Mode], r.Throughput)
 		}
 	}
 	// The paper's shape: the Failure Oblivious version sustains the
@@ -148,12 +147,15 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(FormatResilience(rrows), "mutt") {
 		t.Error("resilience table missing server")
 	}
-	srows := []ThroughputSummary{
-		{Mode: fo.Standard, Runs: 5, Q1: 9, Median: 10, Q3: 12, Crashes: 150},
-		{Mode: fo.FailureOblivious, Runs: 5, Q1: 50, Median: 57, Q3: 60},
+	runs := make([][]ThroughputResult, 2)
+	for i, std := range []float64{12, 9, 10, 14, 8} {
+		runs[0] = append(runs[0], ThroughputResult{Mode: fo.Standard, Throughput: std, Crashes: 150})
+		runs[1] = append(runs[1], ThroughputResult{Mode: fo.FailureOblivious, Throughput: 50 + float64(i)*2.5})
 	}
-	if out := FormatThroughputSummary(srows); !strings.Contains(out, "5.7") ||
-		!strings.Contains(out, "9.0–12.0") || !strings.Contains(out, "5 runs") {
+	runs[1][3].Crashes = 1
+	if out := FormatThroughputSummary(runs); !strings.Contains(out, "5.5") ||
+		!strings.Contains(out, "9.0–12.0") || !strings.Contains(out, " 150 ") ||
+		!strings.Contains(out, "0–1") || !strings.Contains(out, "5 runs") {
 		t.Errorf("throughput summary table: %q", out)
 	}
 	if q1, m, q3 := quartiles([]float64{5, 1, 4, 2, 3}); q1 != 2 || m != 3 || q3 != 4 {

@@ -80,41 +80,23 @@ func AttackThroughput(srv servers.Server, mode fo.Mode, poolSize, legitN, attack
 	return res, nil
 }
 
-// ThroughputSummary is one mode's row of the repeated §4.3.2 experiment:
-// the quartiles of its legit req/s over the repeats, and its crashes per
-// run (identical in every run; the median is reported).
-type ThroughputSummary struct {
-	Mode           fo.Mode
-	Runs           int
-	Q1, Median, Q3 float64
-	Crashes        int
-}
-
 // RepeatThroughput runs AttackThroughput repeats times for each of modes,
 // interleaving the modes within each repeat so a slow stretch of a shared
-// host hits them alike, and summarises each mode by its quartiles. A
+// host hits them alike. runs[i] holds the repeats of modes[i], in order. A
 // single wall-clock sample of this experiment swings by up to 2× on a
 // shared VM, so one run cannot order the modes reliably.
-func RepeatThroughput(srv servers.Server, modes []fo.Mode, poolSize, legitN, attacksPerLegit, repeats int) ([]ThroughputSummary, error) {
-	tput := make([][]float64, len(modes))
-	crashes := make([][]float64, len(modes))
+func RepeatThroughput(srv servers.Server, modes []fo.Mode, poolSize, legitN, attacksPerLegit, repeats int) (runs [][]ThroughputResult, err error) {
+	runs = make([][]ThroughputResult, len(modes))
 	for rep := 0; rep < repeats; rep++ {
 		for i, mode := range modes {
 			r, err := AttackThroughput(srv, mode, poolSize, legitN, attacksPerLegit)
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", mode, err)
 			}
-			tput[i] = append(tput[i], r.Throughput)
-			crashes[i] = append(crashes[i], float64(r.Crashes))
+			runs[i] = append(runs[i], r)
 		}
 	}
-	out := make([]ThroughputSummary, len(modes))
-	for i, mode := range modes {
-		q1, med, q3 := quartiles(tput[i])
-		_, c, _ := quartiles(crashes[i])
-		out[i] = ThroughputSummary{Mode: mode, Runs: repeats, Q1: q1, Median: med, Q3: q3, Crashes: int(c)}
-	}
-	return out, nil
+	return runs, nil
 }
 
 // quartiles returns the nearest-rank first quartile, median and third
@@ -125,30 +107,53 @@ func quartiles(xs []float64) (q1, median, q3 float64) {
 	return xs[n/4], xs[n/2], xs[3*n/4]
 }
 
-// FormatThroughputSummary renders the repeated experiment with ratios
-// relative to the FailureOblivious row (which the paper reports as roughly
-// 5.7x the Bounds Check version and 4.8x the Standard version): per mode,
-// the median legit req/s with its quartiles, and the FO speedup as the
-// ratio of medians.
-func FormatThroughputSummary(rows []ThroughputSummary) string {
+// FormatThroughputSummary renders the repeated experiment (one slice of
+// runs per mode, as RepeatThroughput returns them) with ratios relative to
+// the FailureOblivious row (which the paper reports as roughly 5.7x the
+// Bounds Check version and 4.8x the Standard version): per mode, the
+// median legit req/s with its quartiles, the crashes per run, and the FO
+// speedup as the ratio of medians. The crash counts are deterministic, so
+// a mode whose runs disagree shows their range rather than one number.
+func FormatThroughputSummary(runs [][]ThroughputResult) string {
+	type row struct {
+		mode           fo.Mode
+		q1, median, q3 float64
+		crashes        string
+	}
+	rows := make([]row, 0, len(runs))
 	var foMedian float64
-	for _, r := range rows {
-		if r.Mode == fo.FailureOblivious {
-			foMedian = r.Median
+	for _, rs := range runs {
+		if len(rs) == 0 {
+			continue
 		}
+		tput := make([]float64, len(rs))
+		lo, hi := rs[0].Crashes, rs[0].Crashes
+		for i, r := range rs {
+			tput[i] = r.Throughput
+			lo, hi = min(lo, r.Crashes), max(hi, r.Crashes)
+		}
+		r := row{mode: rs[0].Mode, crashes: fmt.Sprint(lo)}
+		if lo != hi {
+			r.crashes = fmt.Sprintf("%d–%d", lo, hi)
+		}
+		r.q1, r.median, r.q3 = quartiles(tput)
+		if r.mode == fo.FailureOblivious {
+			foMedian = r.median
+		}
+		rows = append(rows, r)
 	}
 	out := fmt.Sprintf("%-18s %-14s %-20s %-8s %s\n",
 		"Version", "Legit req/s", "Quartiles", "Crashes", "FO speedup")
 	for _, r := range rows {
 		ratio := "1.0"
-		if r.Median > 0 && foMedian > 0 && r.Mode != fo.FailureOblivious {
-			ratio = fmt.Sprintf("%.1f", foMedian/r.Median)
+		if r.median > 0 && foMedian > 0 && r.mode != fo.FailureOblivious {
+			ratio = fmt.Sprintf("%.1f", foMedian/r.median)
 		}
-		out += fmt.Sprintf("%-18s %-14.1f %-20s %-8d %s\n",
-			r.Mode, r.Median, fmt.Sprintf("%.1f–%.1f", r.Q1, r.Q3), r.Crashes, ratio)
+		out += fmt.Sprintf("%-18s %-14.1f %-20s %-8s %s\n",
+			r.mode, r.median, fmt.Sprintf("%.1f–%.1f", r.q1, r.q3), r.crashes, ratio)
 	}
 	if len(rows) > 0 {
-		out += fmt.Sprintf("(median and quartiles of %d runs per version)\n", rows[0].Runs)
+		out += fmt.Sprintf("(median and quartiles of %d runs per version)\n", len(runs[0]))
 	}
 	return out
 }

@@ -5,12 +5,15 @@ package interp_test
 // &local, pointers forged into live and popped frames, deep recursion
 // mixing recyclable and non-recyclable frames), and every observable —
 // outcome, value, steps, cycles, the event log and its recent events —
-// must equal testdata/framereuse.golden, which was recorded before frames
-// were recycled at all.
+// must equal testdata/framereuse.golden, which was recorded from the
+// tree-walk engine before frames were recycled at all. The golden is a
+// fixed file: the engines under test must never write it. If the fixture
+// or the call list changes, re-record it from a tree without recycling
+// (the commit before "Recycle returned stack frames ..." with the new
+// fixture copied in) and commit it on its own.
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -20,9 +23,6 @@ import (
 	"focc/internal/corpus"
 	"focc/internal/interp"
 )
-
-var updateFrameReuse = flag.Bool("update-framereuse", false,
-	"rewrite testdata/framereuse.golden from the tree-walk engine")
 
 const frameReuseGolden = "testdata/framereuse.golden"
 
@@ -76,11 +76,6 @@ func frameReuseDump(t *testing.T, engine string) string {
 }
 
 func TestFrameReuseGolden(t *testing.T) {
-	if *updateFrameReuse {
-		if err := os.WriteFile(frameReuseGolden, []byte(frameReuseDump(t, "tree-walk")), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(frameReuseGolden)
 	if err != nil {
 		t.Fatal(err)

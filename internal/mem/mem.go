@@ -500,19 +500,20 @@ type FrameSpec struct {
 type Frame struct {
 	Base uint64
 	Size uint64
-	// units holds the guard at index 0 and the local of spec index i at
-	// index 1+i; spec is the caller's static layout, never copied.
-	units    []Unit
-	spec     []LocalSpec
-	prevSP   uint64
-	reusable bool
+	// units holds the guard at index 0 and the local of spec.Locals
+	// index i at index 1+i; spec is the caller's static layout, never
+	// copied.
+	units  []Unit
+	spec   *FrameSpec
+	prevSP uint64
 }
 
 // Local returns the data unit of the local declared at frame offset off.
 // Frames are small enough that a linear scan beats a map.
 func (f *Frame) Local(off uint64) *Unit {
-	for i := len(f.spec) - 1; i >= 0; i-- {
-		if f.spec[i].Off == off {
+	locals := f.spec.Locals
+	for i := len(locals) - 1; i >= 0; i-- {
+		if locals[i].Off == off {
 			return &f.units[1+i]
 		}
 	}
@@ -526,8 +527,7 @@ func (f *Frame) LocalAt(i int) *Unit { return &f.units[1+i] }
 
 // PushFrame pushes a frame of spec's layout with a canary guard between
 // it and the caller's frame, and one data unit per local. The frame keeps
-// spec.Locals itself, so the caller must not modify it while the frame is
-// live.
+// spec itself, so the caller must not modify it while the frame is live.
 //
 // A fresh frame costs two allocations: its units and the Frame. A
 // reusable spec instead takes a popped frame of the same unit count off
@@ -569,8 +569,7 @@ func (as *AddressSpace) PushFrame(spec *FrameSpec) (*Frame, *Fault) {
 		// so per-unit allocations would dominate the call path.
 		f = &Frame{units: make([]Unit, n)}
 	}
-	*f = Frame{Base: frameBase, Size: size, units: f.units, spec: locals, prevSP: prevSP,
-		reusable: spec.Reusable}
+	*f = Frame{Base: frameBase, Size: size, units: f.units, spec: spec, prevSP: prevSP}
 	units := f.units
 	epoch := as.curEpoch()
 	gOff := guardBase - as.stackBase
@@ -636,7 +635,7 @@ func (as *AddressSpace) PopFrame(f *Frame) *Fault {
 	as.sp = f.prevSP
 	as.stackGen++ // stack units removed: invalidate stack cache entries
 	as.stats.FramesPop++
-	if f.reusable && !pinned && as.ckpt == nil {
+	if f.spec.Reusable && !pinned && as.ckpt == nil {
 		for len(as.spare) <= n {
 			as.spare = append(as.spare, nil)
 		}

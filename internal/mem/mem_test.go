@@ -221,10 +221,11 @@ func TestPerLocalUnits(t *testing.T) {
 // included: the first provenance entry of a unit lives inline.
 func TestFrameCallAllocs(t *testing.T) {
 	as := New()
-	spec := []LocalSpec{{Name: "p", Off: 0, Size: 8}, {Name: "buf", Off: 8, Size: 16}}
+	spec := &FrameSpec{Canary: "fn", Size: 24,
+		Locals: []LocalSpec{{Name: "p", Off: 0, Size: 8}, {Name: "buf", Off: 8, Size: 16}}}
 	target := as.AllocGlobal("g", 8)
 	allocs := testing.AllocsPerRun(100, func() {
-		f, _ := as.PushFrame(&FrameSpec{Canary: "fn", Size: 24, Locals: spec})
+		f, _ := as.PushFrame(spec)
 		f.LocalAt(0).SetShadow(0, target)
 		f.LocalAt(1).SetShadow(8, target)
 		as.PopFrame(f)

@@ -736,10 +736,12 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, run *crashRun
 	}
 	if crashed || !inst.Alive() {
 		if crashed {
-			// Organic crash: count it toward the breaker. A chaos
-			// kill takes the same retire/respawn path but is
-			// accounted separately and respawns immediately.
+			// Organic crash: count it toward the breaker and grow
+			// the backoff. A chaos kill takes the same
+			// retire/respawn path but is accounted separately and
+			// respawns immediately.
 			run.crashes++
+			run.cold++
 		}
 		e.retireLog(inst.Log())
 		releaseInstance(inst)
@@ -809,9 +811,10 @@ func (e *Engine) execute(inst servers.Instance, t *task) servers.Response {
 }
 
 // crashRun is one worker's restart history since its last successful
-// response: crashes counts its organic crashes (the breaker's trip count),
-// cold its consecutive cold restarts (the backoff's exponent). A warm
-// spare ends a run of cold restarts, since it took no in-line spawn.
+// response: crashes counts its organic crashes and failed spawns (the
+// breaker's trip count), cold the same since the last warm spare (the
+// backoff's exponent). A warm spare ends a run of cold restarts, since it
+// took no in-line spawn; a chaos kill grows neither.
 type crashRun struct {
 	crashes int
 	cold    int
@@ -857,16 +860,16 @@ func (e *Engine) respawn(run *crashRun) servers.Instance {
 			if !e.sleep(e.o.breakerCool) {
 				return nil
 			}
-			*run = crashRun{crashes: 1}
-		case run.cold > 0:
-			if !e.sleep(e.backoff(run.cold + 1)) {
+			*run = crashRun{crashes: 1, cold: 1}
+		case run.cold > 1:
+			if !e.sleep(e.backoff(run.cold)) {
 				return nil
 			}
 		}
 		inst, err := e.srv.New(e.mode)
-		run.cold++
 		if err != nil {
 			run.crashes++
+			run.cold++
 			continue
 		}
 		e.restarts.Add(1)

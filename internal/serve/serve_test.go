@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -493,6 +494,48 @@ func TestChaosKillAndDelayCounters(t *testing.T) {
 	}
 	if st.Served != n {
 		t.Errorf("served = %d, want %d", st.Served, n)
+	}
+}
+
+// TestChaosKillsDoNotBackOff kills the instance after every request with
+// no warm spares and an hour-long backoff base: chaos kills respawn
+// immediately however many follow each other, so every request is
+// answered. A respawn that slept would leave the next request unanswered.
+func TestChaosKillsDoNotBackOff(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.FailureOblivious,
+		serve.WithPoolSize(1), serve.WithBreaker(0, 0),
+		serve.WithBackoff(time.Hour, time.Hour),
+		serve.WithChaos(serve.ChaosConfig{KillEvery: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const n = 8
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			resp, err := eng.Submit(context.Background(), servers.Request{Op: "ok"})
+			if err == nil && !resp.OK() {
+				err = fmt.Errorf("request %d = %v, want OK", i, resp)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("requests unanswered 10 s in: a chaos-kill respawn slept")
+	}
+	eng.Close() // joins the worker, so the last kill is counted
+	if st := eng.Stats(); st.ChaosKills < n-1 || st.Crashes != 0 {
+		t.Errorf("chaos kills/crashes = %d/%d, want >= %d/0", st.ChaosKills, st.Crashes, n-1)
 	}
 }
 
